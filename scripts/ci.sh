@@ -118,14 +118,14 @@ stage_report() {
     report_cache="$(ci_mktemp_d)"
     REPRO_SCALE=0.03 python -m repro report --results-dir "$report_dir" \
         --cache-dir "$report_cache" --section fig10 --section latency \
-        | tee /tmp/ci-report-cold.txt
+        --section table2 --section slicing | tee /tmp/ci-report-cold.txt
     cp "$report_dir/REPORT.md" /tmp/ci-report-cold.md
 
     echo "== report regeneration (warm: zero simulations, identical bytes) =="
     REPRO_SCALE=0.03 python -m repro report --results-dir "$report_dir" \
         --cache-dir "$report_cache" --section fig10 --section latency \
-        | tee /tmp/ci-report-warm.txt
-    grep -Eq "^sections: .*cache hits: 20 \(100%\)  executed: 0  " \
+        --section table2 --section slicing | tee /tmp/ci-report-warm.txt
+    grep -Eq "^sections: .*cache hits: 21 \(100%\)  executed: 0  " \
         /tmp/ci-report-warm.txt
     cmp /tmp/ci-report-cold.md "$report_dir/REPORT.md"
 }

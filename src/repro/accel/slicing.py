@@ -117,6 +117,14 @@ class SlicedAcceleratorSim:
             active = np.nonzero(changed)[0].astype(np.int64)
             iteration += 1
 
+        # harvest assigns an engine's run totals, so each slice engine
+        # harvests into its own scratch stats and the run sums them
+        for sim in self.slice_sims:
+            part = SimStats()
+            sim.engine.harvest(part)
+            stats.offset_deferrals += part.offset_deferrals
+            stats.edge_conflicts += part.edge_conflicts
+            stats.propagation_conflicts += part.propagation_conflicts
         return SimResult(stats, prop)
 
 

@@ -16,6 +16,7 @@ from repro.graph.generators import (
 from repro.graph.io import load_edge_list, load_npz, save_edge_list, save_npz
 from repro.graph.partition import (
     GraphSlice,
+    destination_slice_edges,
     partition_by_destination,
     partition_for_budget,
     slice_count_for_budget,
@@ -45,6 +46,7 @@ __all__ = [
     "save_edge_list",
     "save_npz",
     "GraphSlice",
+    "destination_slice_edges",
     "partition_by_destination",
     "partition_for_budget",
     "slice_count_for_budget",

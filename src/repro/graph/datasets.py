@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.errors import GenerationError
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import rmat
+from repro.graph.generators import rmat, rmat_shape
 
 #: Environment variable consulted by the benchmark harness for a global
 #: dataset scale (1.0 = paper-sized graphs).
@@ -108,6 +108,24 @@ def default_scale() -> float:
     return value
 
 
+def _rmat_scale(key: str, scale: float) -> tuple[DatasetSpec, int]:
+    """The dataset's registry row and the R-MAT scale it generates at."""
+    if key not in TABLE2:
+        raise GenerationError(f"unknown dataset {key!r}; known: {sorted(TABLE2)}")
+    if not 0.0 < scale <= 1.0:
+        raise GenerationError(f"scale must be in (0, 1], got {scale}")
+    spec = TABLE2[key]
+    target_v = max(64, int(round(spec.num_vertices * scale)))
+    return spec, max(6, int(round(math.log2(target_v))))
+
+
+def shape(key: str, scale: float = 1.0) -> tuple[int, int]:
+    """``(num_vertices, num_edges)`` that :func:`load` generates for
+    ``key`` at ``scale`` (any seed), computed without generating it."""
+    spec, rmat_scale = _rmat_scale(key, scale)
+    return rmat_shape(rmat_scale, spec.mean_degree)
+
+
 def load(key: str, scale: float = 1.0, seed: int | None = None) -> CSRGraph:
     """Instantiate a Table 2 dataset (or a proportionally scaled version).
 
@@ -115,22 +133,15 @@ def load(key: str, scale: float = 1.0, seed: int | None = None) -> CSRGraph:
     that decides whether the front end or the back end is the bottleneck
     — is preserved **exactly**.  Vertex count is rounded to the nearest
     power of two (the generator is R-MAT), and the edge count follows
-    from the paper's mean degree.
+    from the paper's mean degree; :func:`shape` gives both sizes without
+    generating the graph.
     """
-    if key not in TABLE2:
-        raise GenerationError(f"unknown dataset {key!r}; known: {sorted(TABLE2)}")
-    if not 0.0 < scale <= 1.0:
-        raise GenerationError(f"scale must be in (0, 1], got {scale}")
-    spec = TABLE2[key]
-    target_v = max(64, int(round(spec.num_vertices * scale)))
-    rmat_scale = max(6, int(round(math.log2(target_v))))
+    spec, rmat_scale = _rmat_scale(key, scale)
     full_scale = max(6, int(round(math.log2(spec.num_vertices))))
     a, b, c = _rescaled_probabilities(spec, rmat_scale, full_scale)
-    edge_factor = spec.mean_degree
-    graph = rmat(rmat_scale, edge_factor, a=a, b=b, c=c,
-                 seed=spec.seed if seed is None else seed,
-                 name=f"{spec.key}" + ("" if scale == 1.0 else f"@{scale:g}"))
-    return graph
+    return rmat(rmat_scale, spec.mean_degree, a=a, b=b, c=c,
+                seed=spec.seed if seed is None else seed,
+                name=f"{spec.key}" + ("" if scale == 1.0 else f"@{scale:g}"))
 
 
 def _rescaled_probabilities(spec: DatasetSpec, rmat_scale: int,
@@ -177,15 +188,15 @@ def table2_rows(scale: float = 1.0) -> list[dict]:
     rows = []
     for key in DATASET_ORDER:
         spec = TABLE2[key]
-        graph = load(key, scale=scale)
+        vertices, edges = shape(key, scale)
         rows.append({
             "name": key,
             "paper_vertices": spec.num_vertices,
             "paper_edges": spec.num_edges,
             "paper_degree": spec.degree,
-            "generated_vertices": graph.num_vertices,
-            "generated_edges": graph.num_edges,
-            "generated_degree": graph.mean_degree,
+            "generated_vertices": vertices,
+            "generated_edges": edges,
+            "generated_degree": edges / vertices,
             "description": spec.description,
         })
     return rows

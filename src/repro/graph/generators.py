@@ -32,6 +32,14 @@ def random_weights(num_edges: int, rng: np.random.Generator,
     return rng.integers(1, max_weight + 1, size=num_edges, dtype=np.int64)
 
 
+def rmat_shape(scale: int, edge_factor: float) -> tuple[int, int]:
+    """``(num_vertices, num_edges)`` of an :func:`rmat` graph, without
+    generating it (self-loops and duplicates are kept, so every drawn
+    edge survives)."""
+    num_vertices = 1 << scale
+    return num_vertices, int(round(edge_factor * num_vertices))
+
+
 def rmat(
     scale: int,
     edge_factor: float,
@@ -64,8 +72,7 @@ def rmat(
     if min(a, b, c, d) < 0 or a <= 0:
         raise GenerationError(f"invalid rmat probabilities a={a} b={b} c={c} (d={d:.3f})")
 
-    num_vertices = 1 << scale
-    num_edges = int(round(edge_factor * num_vertices))
+    num_vertices, num_edges = rmat_shape(scale, edge_factor)
     rng = np.random.default_rng(seed)
 
     src = np.zeros(num_edges, dtype=np.int64)

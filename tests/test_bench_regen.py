@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+import repro.graph.datasets as datasets_mod
 import repro.sweep.executor as executor_mod
 from repro.bench import (
     REPORT_SECTIONS,
@@ -104,6 +105,22 @@ class TestColdWarm:
 
         assert warm.executed == 0
         assert warm.cache_hits == warm.total_jobs == cold.total_jobs
+        assert (results / "REPORT.md").read_bytes() == cold_report
+        for key, _ in REPORT_SECTIONS:
+            assert (results / f"{key}.txt").read_bytes() == cold_tables[key], key
+
+        # a second warm pass generates no graph either: Table 2 sizes
+        # are closed-form and the slice edge counts are memoized
+        generated = []
+        real_rmat = datasets_mod.rmat
+
+        def counting_rmat(*args, **kwargs):
+            generated.append(args)
+            return real_rmat(*args, **kwargs)
+
+        monkeypatch.setattr(datasets_mod, "rmat", counting_rmat)
+        regenerate(str(results), num_workers=1, cache=str(cache))
+        assert generated == []
         assert (results / "REPORT.md").read_bytes() == cold_report
         for key, _ in REPORT_SECTIONS:
             assert (results / f"{key}.txt").read_bytes() == cold_tables[key], key

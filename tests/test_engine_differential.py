@@ -231,6 +231,24 @@ class TestSlicedMode:
             assert np.array_equal(results[engine].properties,
                                   results["reference"].properties), engine
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("maker", [graphdyns, higraph],
+                             ids=["GraphDynS", "HiGraph"])
+    def test_single_slice_equals_unsliced(self, maker, engine):
+        """A 1-slice run is the unsliced run plus slice accounting: every
+        counter its slice engine harvests reaches the run's stats."""
+        graph = rmat(8, 6.0, seed=13, name="rmat8-13")
+        plain = simulate(maker(), graph, make_algorithm("PR", iterations=3),
+                         engine=engine).stats.to_dict()
+        sliced = SlicedAcceleratorSim(
+            maker(), graph, make_algorithm("PR", iterations=3),
+            slices=partition_by_destination(graph, 1),
+            engine=engine).run().stats.to_dict()
+        assert plain["offset_deferrals"] > 0        # the counters are live
+        for key in ("slices", "slice_load_cycles"):
+            del plain[key], sliced[key]
+        assert sliced == plain
+
 
 class TestEngineSelection:
     def test_registry_and_default(self):

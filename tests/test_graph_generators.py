@@ -155,6 +155,22 @@ class TestDatasets:
         from repro.graph import load
         assert load("EP", scale=0.05) == load("EP", scale=0.05)
 
+    @pytest.mark.parametrize("key", ("VT", "EP", "SL", "TW", "R14", "R16"))
+    def test_shape_matches_generated_graph(self, key):
+        from repro.bench.harness import DEFAULT_BENCH_SCALES
+        from repro.graph import datasets, load
+        for scale in (DEFAULT_BENCH_SCALES[key], 0.1, 0.02):
+            g = load(key, scale=scale)
+            assert datasets.shape(key, scale) == \
+                (g.num_vertices, g.num_edges), (key, scale)
+
+    def test_shape_validates_like_load(self):
+        from repro.graph import datasets
+        with pytest.raises(GenerationError):
+            datasets.shape("nope")
+        with pytest.raises(GenerationError):
+            datasets.shape("VT", scale=0.0)
+
     def test_table2_rows_structure(self):
         from repro.graph import table2_rows
         rows = table2_rows(scale=0.05)
