@@ -78,13 +78,6 @@ stage_coverage() {
 stage_fuzz() {
     echo "== seeded differential fuzz smoke (all engines, 32 cases) =="
     REPRO_FUZZ_CASES=32 python -m pytest -q tests/test_engine_fuzz.py
-    echo "== fuzz smoke again with in-kernel recording disabled =="
-    # REPRO_SOA_RECORD=off forces the soa engine back onto the
-    # Python-recording fallback for every recording phase — the same
-    # byte-identical contract must hold on that path (smaller budget:
-    # the kill-switch only changes recording phases)
-    REPRO_SOA_RECORD=off REPRO_FUZZ_CASES=12 \
-        python -m pytest -q tests/test_engine_fuzz.py
 }
 
 stage_docs() {

@@ -70,7 +70,7 @@ PACKAGES = {
         reldir="src/repro/accel/engine",
         test_globs=("tests/test_engine_differential.py",
                     "tests/test_engine_fuzz.py"),
-        floor_percent=93.0,   # measured 95.1% with in-kernel recording (2026-08-08)
+        floor_percent=93.0,   # measured 94.8% with every soa phase in C (2026-10-17)
     ),
     "analysis": Package(
         reldir="src/repro/analysis",

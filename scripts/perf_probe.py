@@ -64,7 +64,7 @@ ENGINES_TIMED = ("reference", "batched", "soa")
 
 #: FFWD_TELEMETRY keys only the soa engine increments — harvested from
 #: its runs (everything else is harvested from the batched runs).
-_SOA_ONLY_FFWD = ("c_recorded_phases", "prologue_reuse")
+_SOA_ONLY_FFWD = ("prologue_reuse",)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,10 +253,10 @@ def main(argv=None) -> int:
                 # each engine zeroes the process-wide telemetry at the
                 # start of its run, so right after the batched run the
                 # dict holds exactly this job's batched numbers —
-                # accumulate per job for the record.  The two soa-only
-                # counters (in-kernel recordings, resident-tProperty
-                # reuses) are always zero in a batched run and are
-                # harvested from the soa run instead.
+                # accumulate per job for the record.  The soa-only
+                # counter (resident-tProperty reuses) is always zero in
+                # a batched run and is harvested from the soa run
+                # instead.
                 if engine == "batched":
                     for key in ffwd:
                         if key not in _SOA_ONLY_FFWD:

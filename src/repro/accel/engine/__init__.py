@@ -1,7 +1,7 @@
 """Scatter-phase simulation engines — the ``SimEngine`` seam.
 
 Every figure, sweep and report bottoms out in the scatter-phase cycle
-loop, so it exists in two interchangeable implementations:
+loop, so it exists in three interchangeable implementations:
 
 * ``reference`` — the original cycle-by-cycle loop driving the
   component models in :mod:`repro.accel.frontend`,
@@ -17,17 +17,16 @@ loop, so it exists in two interchangeable implementations:
   of contention-free drains, and whole-phase structural windows with
   per-subnetwork keys (partially-repeating and sliced phases replay
   too).  ``docs/performance.md`` documents every invariant.
-* ``soa`` — the batched engine with its cycle marcher swapped for a
-  compiled structure-of-arrays kernel (``_soa_march.c``): FIFO banks as
-  preallocated int64/float64 rings with head/occupancy vectors, routing
-  as flat ``table[stage][pos][dest]`` tensors, one C call per scatter
-  phase.  Recording phases march in C too — the kernel logs the window
-  memo's structure stream in companion buffers while computing real
-  float values (``$REPRO_SOA_RECORD=off`` restores the Python-recording
-  fallback) — and tProperty stays resident across phases, reseeded only
-  at the delivered vertices.  Undeclared value-plane kernels fall back
-  to the inherited batched march; no compiler means the whole engine
-  degrades to batched semantics (still byte-identical).
+* ``soa`` — the default engine: the batched engine with its cycle
+  marcher swapped for a compiled structure-of-arrays kernel
+  (``_soa_march.c``): FIFO banks as preallocated int64/float64 rings
+  with head/occupancy vectors, routing as flat
+  ``table[stage][pos][dest]`` tensors, one C call per scatter phase.
+  Every phase marches in C — the engine keeps no window memo — and
+  tProperty stays resident across phases, reseeded only at the
+  delivered vertices.  Undeclared value-plane kernels, or no compiler,
+  mean the engine runs batched semantics for the whole run (still
+  byte-identical, many times slower).
 
 The package mirrors the decomposition the paper argues for in
 hardware — no central blob, one module per concern:
@@ -45,13 +44,13 @@ hardware — no central blob, one module per concern:
 ``edgestage.py``   site-② edge-access stages
 ``propagation.py`` site-③ propagation adapters over the fast networks
 ``soa.py``         the soa engine: SoA state marshalling + the C seam
-``soakernel.py``   compile/cache/load of ``_soa_march.c`` (kill-switches
-                   ``$REPRO_SOA_KERNEL=off``, ``$REPRO_SOA_RECORD=off``)
+``soakernel.py``   compile/cache/load of ``_soa_march.c`` (kill-switch
+                   ``$REPRO_SOA_KERNEL=off``)
 ``windows.py``     whole-phase structural windows: phase programs, the
                    per-subnetwork-keyed memo, recording shims
 =================  ====================================================
 
-**Equivalence contract**: both engines must produce *identical*
+**Equivalence contract**: all three engines must produce *identical*
 :class:`~repro.accel.stats.SimStats` — every counter, not just totals —
 and identical result properties for every configuration, graph and
 algorithm.  The differential test suite
@@ -59,7 +58,7 @@ algorithm.  The differential test suite
 config x graph x algorithm matrix plus randomized rmat/ER/star/grid
 graphs, partial-repeat and sliced-replay adversarial cases.  Because
 the engines are equivalent, they share result-cache entries:
-:func:`engine_cache_token` returns the *equivalence class* both
+:func:`engine_cache_token` returns the *equivalence class* all three
 engines belong to, and that token — not the engine name — enters
 :meth:`repro.sweep.jobs.SweepJob.cache_key`.  If the batched engine is
 ever changed in a way that has not been re-verified, bump

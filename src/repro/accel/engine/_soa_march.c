@@ -1,4 +1,4 @@
-/* SoA scatter-march kernel for the `soa` engine.
+/* SoA scatter-march kernel for the `soa` engine, the default engine.
  *
  * One call simulates one whole scatter phase of the batched engine's
  * cycle loop (propagation deliver -> ePE offers -> edge tick ->
@@ -20,19 +20,10 @@
  * per-cycle ticking (docs/performance.md), so the two marches agree.
  * The differential suite and tests/test_engine_fuzz.py hold it to that.
  *
- * Recording phases run in-kernel too (`recording` flag): the march
- * proceeds with real float immediates — structural decisions never
- * read them — while slot-id companion rings (ep_slot / pn_qsl /
- * px_qsl) carry each leaf's index into rec_news so the combining and
- * delivery events can be logged as slot pairs, exactly the stream the
- * Python PhaseRecorder produces.  The frontend interface stream
- * (pulls / retires per tick) is logged flat with tick indices; the
- * Python side regroups it into a FrontTrace.  Because this kernel
- * ticks every cycle, a C-recorded trace has no skip entries — idle
- * frontend ticks appear as empty pull/retire tuples, which the shadow
- * replay treats identically (an idle tick only flips per-cycle arbiter
- * state, the same as skip(1)).  REPRO_SOA_RECORD=off restores the
- * Python-recording fallback at the engine layer.
+ * Every phase of a kernel-bound run marches here: the soa engine keeps
+ * no window memo, so nothing is recorded.  The one side output is
+ * touch_dv, the delivered-vertex log the engine uses to restore its
+ * resident tProperty buffer to identity.
  *
  * Plain C99 + libc only; compiled at first use via cc -O2 -shared
  * (see soakernel.py).  No -ffast-math: IEEE semantics are the point.
@@ -43,8 +34,8 @@
 typedef long long i64;
 typedef double f64;
 
-#define SOA_ABI_VERSION 2
-#define SOA_MAGIC 0x534F4132LL
+#define SOA_ABI_VERSION 3
+#define SOA_MAGIC 0x534F4133LL
 
 /* reduce_op codes */
 #define RED_ADD 0
@@ -163,18 +154,7 @@ typedef struct {
     /* -- per-phase run state ---------------------------------------- */
     f64 *tprop;                 /* full num_vertices array */
     i64 expected, fe_pending, limit;
-    /* -- in-kernel phase recording (the windows.py record stream) ---- */
-    i64 recording;              /* per-phase flag; buffers valid iff 1 */
-    i64 *ep_slot;               /* [m][epe_depth] slot-id companions   */
-    i64 *pn_qsl;                /* [Sp*m][fifo_depth] slot companions  */
-    i64 *px_qsl;                /* [m][fifo_depth] slot companions     */
-    i64 *rec_news;              /* leaf slot -> edge index             */
-    i64 *rec_merge_a, *rec_merge_b;     /* combining log (tail, moved) */
-    i64 *rec_deliver;           /* delivered slot ids, delivery order  */
-    i64 *rec_pull_ch, *rec_pull_cyc;    /* fe_out pops, per tick       */
-    i64 *rec_ret_ch, *rec_ret_u, *rec_ret_cyc;  /* retires, per tick   */
-    i64 news_len, merge_len, deliver_len, pull_len, ret_len;
-    /* -- resident tProperty delta tracking (always on) --------------- */
+    /* -- resident tProperty delta tracking --------------------------- */
     i64 *touch_dv;              /* delivered vertices, dups allowed    */
     i64 touch_len;
     /* -- outputs ----------------------------------------------------- */
@@ -201,7 +181,6 @@ static i64 fe_total, iq_total, fn_count, fx_count, rn_count;
 static i64 disp_count, epe_count, rp_busy_total, ce_cnt, ce_head;
 static i64 pn_count, px_count;
 static i64 epoch_ctr;
-static i64 cur_tick;    /* 0-based tick index of the cycle in flight */
 
 /* ================================================================== */
 /* Frontend: shared retire (issue head -> {Off, Len} in fe_out)       */
@@ -215,12 +194,6 @@ static inline i64 fe_retire(SoaState *st, i64 ch) {
     st->iq_head[ch] = (h + 1) % D;
     st->iq_len[ch] -= 1;
     iq_total -= 1;
-    if (st->recording) {
-        i64 r = st->ret_len++;
-        st->rec_ret_ch[r] = ch;
-        st->rec_ret_u[r] = u;
-        st->rec_ret_cyc[r] = cur_tick;
-    }
     i64 off = st->offsets[u];
     i64 length = st->offsets[u + 1] - off;
     if (length > 0) {
@@ -613,18 +586,11 @@ static void rn_advance_checked(SoaState *st) {
 /* Edge stages: shared ePE emission                                   */
 /* ================================================================== */
 
-static inline void epe_push(SoaState *st, i64 bank, i64 v, f64 imm, i64 e) {
+static inline void epe_push(SoaState *st, i64 bank, i64 v, f64 imm) {
     i64 D = st->epe_depth;
     i64 slot = (st->ep_head[bank] + st->ep_cnt[bank]) % D;
     RING(st->ep_v, bank, D, slot) = v;
     RING(st->ep_imm, bank, D, slot) = imm;
-    if (st->recording) {
-        /* a new leaf: its slot id is its index into rec_news, exactly
-         * len(rec_news) at append time like the Python recorder */
-        i64 sl = st->news_len++;
-        st->rec_news[sl] = e;
-        RING(st->ep_slot, bank, D, slot) = sl;
-    }
     st->ep_cnt[bank] += 1;
 }
 
@@ -636,22 +602,22 @@ static void edge_emit(SoaState *st, i64 off, i64 length, f64 payload,
     switch (st->proc) {
     case PROC_IDENTITY:
         for (i64 e = off; e < off + length; e++, bank++)
-            epe_push(st, bank, st->dst[e], payload, e);
+            epe_push(st, bank, st->dst[e], payload);
         break;
     case PROC_ADD_W:
         for (i64 e = off; e < off + length; e++, bank++)
-            epe_push(st, bank, st->dst[e], payload + (f64)st->weights[e], e);
+            epe_push(st, bank, st->dst[e], payload + (f64)st->weights[e]);
         break;
     case PROC_MIN_W:
         for (i64 e = off; e < off + length; e++, bank++) {
             f64 wt = (f64)st->weights[e];
-            epe_push(st, bank, st->dst[e], (payload < wt) ? payload : wt, e);
+            epe_push(st, bank, st->dst[e], (payload < wt) ? payload : wt);
         }
         break;
     default: {      /* PROC_ADD_CONST: hoisted weight-independent form */
         f64 pv = payload + st->proc_const;
         for (i64 e = off; e < off + length; e++, bank++)
-            epe_push(st, bank, st->dst[e], pv, e);
+            epe_push(st, bank, st->dst[e], pv);
         break;
     }
     }
@@ -816,11 +782,6 @@ static void edge_mdp_tick(SoaState *st) {
                 st->fo_head[ch] = (h + 1) % FD;
                 st->fo_cnt[ch] -= 1;
                 st->rp_cnt[ch] += 1;
-                if (st->recording) {
-                    st->rec_pull_ch[st->pull_len] = ch;
-                    st->rec_pull_cyc[st->pull_len] = cur_tick;
-                    st->pull_len += 1;
-                }
                 pulled++;
             }
         }
@@ -889,14 +850,14 @@ static void edge_central_tick(SoaState *st) {
             case PROC_IDENTITY:
                 for (i64 j = 0; j < k; j++) {
                     i64 e = off + j, b = e % m;
-                    epe_push(st, b, st->dst[e], pay, e);
+                    epe_push(st, b, st->dst[e], pay);
                     st->s_epoch[b] = epoch;
                 }
                 break;
             case PROC_ADD_W:
                 for (i64 j = 0; j < k; j++) {
                     i64 e = off + j, b = e % m;
-                    epe_push(st, b, st->dst[e], pay + (f64)st->weights[e], e);
+                    epe_push(st, b, st->dst[e], pay + (f64)st->weights[e]);
                     st->s_epoch[b] = epoch;
                 }
                 break;
@@ -904,7 +865,7 @@ static void edge_central_tick(SoaState *st) {
                 for (i64 j = 0; j < k; j++) {
                     i64 e = off + j, b = e % m;
                     f64 wt = (f64)st->weights[e];
-                    epe_push(st, b, st->dst[e], (pay < wt) ? pay : wt, e);
+                    epe_push(st, b, st->dst[e], (pay < wt) ? pay : wt);
                     st->s_epoch[b] = epoch;
                 }
                 break;
@@ -912,7 +873,7 @@ static void edge_central_tick(SoaState *st) {
                 f64 pv = pay + st->proc_const;
                 for (i64 j = 0; j < k; j++) {
                     i64 e = off + j, b = e % m;
-                    epe_push(st, b, st->dst[e], pv, e);
+                    epe_push(st, b, st->dst[e], pv);
                     st->s_epoch[b] = epoch;
                 }
                 break;
@@ -946,11 +907,6 @@ static void edge_central_tick(SoaState *st) {
                 st->fo_head[ch] = (h + 1) % FD;
                 st->fo_cnt[ch] -= 1;
                 ce_cnt += 1;
-                if (st->recording) {
-                    st->rec_pull_ch[st->pull_len] = ch;
-                    st->rec_pull_cyc[st->pull_len] = cur_tick;
-                    st->pull_len += 1;
-                }
                 pulled++;
             }
         }
@@ -985,13 +941,6 @@ static void pn_advance_checked(SoaState *st) {
                         red(st->reduce_op, RING(st->pn_qi, ti, D, tslot),
                             RING(st->pn_qi, qi, D, h));
                     RING(st->pn_qc, ti, D, tslot) += RING(st->pn_qc, qi, D, h);
-                    if (st->recording) {    /* tail keeps its slot */
-                        st->rec_merge_a[st->merge_len] =
-                            RING(st->pn_qsl, ti, D, tslot);
-                        st->rec_merge_b[st->merge_len] =
-                            RING(st->pn_qsl, qi, D, h);
-                        st->merge_len += 1;
-                    }
                     st->pn_head[qi] = (h + 1) % D;
                     st->pn_len[qi] -= 1;
                     combined++;
@@ -1008,8 +957,6 @@ static void pn_advance_checked(SoaState *st) {
             RING(st->pn_qv, ti, D, slot) = v;
             RING(st->pn_qi, ti, D, slot) = RING(st->pn_qi, qi, D, h);
             RING(st->pn_qc, ti, D, slot) = RING(st->pn_qc, qi, D, h);
-            if (st->recording)
-                RING(st->pn_qsl, ti, D, slot) = RING(st->pn_qsl, qi, D, h);
             st->pn_len[ti] += 1;
             st->pn_head[qi] = (h + 1) % D;
             st->pn_len[qi] -= 1;
@@ -1037,9 +984,6 @@ static void pn_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
             i64 dv = RING(st->pn_qv, qi, D, h);
             f64 imm = RING(st->pn_qi, qi, D, h);
             reduces += RING(st->pn_qc, qi, D, h);
-            if (st->recording)
-                st->rec_deliver[st->deliver_len++] =
-                    RING(st->pn_qsl, qi, D, h);
             st->touch_dv[st->touch_len++] = dv;
             st->pn_head[qi] = (h + 1) % D;
             st->pn_len[qi] -= 1;
@@ -1075,13 +1019,6 @@ static void pn_offer_epes(SoaState *st) {
                 RING(st->pn_qi, t, D, tslot) =
                     red(st->reduce_op, RING(st->pn_qi, t, D, tslot), imm);
                 RING(st->pn_qc, t, D, tslot) += 1;
-                if (st->recording) {    /* tail keeps its slot */
-                    st->rec_merge_a[st->merge_len] =
-                        RING(st->pn_qsl, t, D, tslot);
-                    st->rec_merge_b[st->merge_len] =
-                        RING(st->ep_slot, k, ED, h);
-                    st->merge_len += 1;
-                }
                 st->ep_head[k] = (h + 1) % ED;
                 st->ep_cnt[k] -= 1;
                 consumed++;
@@ -1092,8 +1029,6 @@ static void pn_offer_epes(SoaState *st) {
                 RING(st->pn_qv, t, D, slot) = v;
                 RING(st->pn_qi, t, D, slot) = imm;
                 RING(st->pn_qc, t, D, slot) = 1;
-                if (st->recording)
-                    RING(st->pn_qsl, t, D, slot) = RING(st->ep_slot, k, ED, h);
                 st->pn_len[t] += 1;
                 added++;
                 st->ep_head[k] = (h + 1) % ED;
@@ -1105,8 +1040,6 @@ static void pn_offer_epes(SoaState *st) {
             RING(st->pn_qv, t, D, slot) = v;
             RING(st->pn_qi, t, D, slot) = imm;
             RING(st->pn_qc, t, D, slot) = 1;
-            if (st->recording)
-                RING(st->pn_qsl, t, D, slot) = RING(st->ep_slot, k, ED, h);
             st->pn_len[t] += 1;
             added++;
             st->ep_head[k] = (h + 1) % ED;
@@ -1159,9 +1092,6 @@ static void px_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
         i64 dv = RING(st->px_qv, i, D, h);
         f64 imm = RING(st->px_qi, i, D, h);
         reduces += RING(st->px_qc, i, D, h);
-        if (st->recording)
-            st->rec_deliver[st->deliver_len++] =
-                RING(st->px_qsl, i, D, h);
         st->touch_dv[st->touch_len++] = dv;
         st->px_head[i] = (h + 1) % D;
         st->px_len[i] -= 1;
@@ -1190,13 +1120,6 @@ static void px_offer_epes(SoaState *st) {
             RING(st->px_qi, k, D, tslot) =
                 red(st->reduce_op, RING(st->px_qi, k, D, tslot), imm);
             RING(st->px_qc, k, D, tslot) += 1;
-            if (st->recording) {    /* tail keeps its slot */
-                st->rec_merge_a[st->merge_len] =
-                    RING(st->px_qsl, k, D, tslot);
-                st->rec_merge_b[st->merge_len] =
-                    RING(st->ep_slot, k, ED, h);
-                st->merge_len += 1;
-            }
         } else if (flen >= st->fifo_depth) {
             ok = 0;     /* xbar offer: reject, no counter */
         } else {
@@ -1204,8 +1127,6 @@ static void px_offer_epes(SoaState *st) {
             RING(st->px_qv, k, D, slot) = v;
             RING(st->px_qi, k, D, slot) = imm;
             RING(st->px_qc, k, D, slot) = 1;
-            if (st->recording)
-                RING(st->px_qsl, k, D, slot) = RING(st->ep_slot, k, ED, h);
             st->px_len[k] += 1;
             px_count++;
         }
@@ -1233,9 +1154,8 @@ i64 soa_march(SoaState *st) {
     fe_total = 0; iq_total = 0; fn_count = 0; fx_count = 0;
     rn_count = 0; disp_count = 0; epe_count = 0; rp_busy_total = 0;
     ce_cnt = 0; ce_head = 0; pn_count = 0; px_count = 0;
-    epoch_ctr = 0; cur_tick = 0;
-    st->news_len = 0; st->merge_len = 0; st->deliver_len = 0;
-    st->pull_len = 0; st->ret_len = 0; st->touch_len = 0;
+    epoch_ctr = 0;
+    st->touch_len = 0;
     memset(st->iq_head, 0, n * sizeof(i64));
     memset(st->iq_len, 0, n * sizeof(i64));
     memset(st->fo_head, 0, n * sizeof(i64));
@@ -1284,7 +1204,6 @@ i64 soa_march(SoaState *st) {
 
     while (fe_pending > 0 || reduces < expected) {
         cycles++;
-        cur_tick = cycles - 1;
         if (cycles > limit) {
             st->cycles = cycles; st->starved = starved;
             st->busy = busy; st->reduces = reduces;

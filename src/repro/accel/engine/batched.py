@@ -254,8 +254,10 @@ class BatchedEngine:
     def scatter(self, active, sprop_all, tprop: list, stats) -> None:
         """Memo prologue (replay / partial replay / record decision), then
         the cycle march.  The march itself is a separate method so a
-        subclassing engine (``soa``) can swap the marcher while reusing
-        the whole window machinery unchanged."""
+        subclassing engine can swap the marcher: the default ``soa``
+        engine marches in C and, once its kernel is bound, keeps no
+        memo (``phase_memo`` is ``None``), so every phase goes straight
+        to its ``_march``."""
         memo = self.phase_memo
         record_key = None
         if memo is not None:

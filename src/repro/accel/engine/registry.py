@@ -20,7 +20,7 @@ from repro.errors import ConfigError
 ENGINES = ("reference", "batched", "soa")
 
 #: Engine used when neither the caller nor the environment picks one.
-DEFAULT_ENGINE = "batched"
+DEFAULT_ENGINE = "soa"
 
 #: Environment override honoured by :func:`resolve_engine` (and hence by
 #: the CLI, the benchmark suite and every sweep worker).
@@ -40,10 +40,8 @@ _EQUIVALENCE_CLASS = "cycle-exact-v1"
 #: program whose *frontend* segment had to be re-simulated (per-
 #: subnetwork window keys — see :mod:`repro.accel.engine.windows`), and
 #: ``front_cycles_resimulated`` the frontend-only cycles that cost;
-#: ``cycles_simulated`` counts cycles actually marched in full;
-#: ``c_recorded_phases`` counts phases whose recording ran inside the
-#: compiled SoA kernel (instead of the Python batched march), and
-#: ``prologue_reuse`` counts phases that reused the resident
+#: ``cycles_simulated`` counts cycles actually marched in full, and
+#: ``prologue_reuse`` counts soa phases that reused the resident
 #: identity-seeded tProperty buffer instead of reseeding it.
 #:
 #: The dict is zeroed at the start of every :class:`BatchedEngine`
@@ -57,7 +55,7 @@ _EQUIVALENCE_CLASS = "cycle-exact-v1"
 FFWD_TELEMETRY = {"windows": 0, "cycles_fast_forwarded": 0,
                   "cycles_simulated": 0, "events": 0,
                   "partial_windows": 0, "front_cycles_resimulated": 0,
-                  "c_recorded_phases": 0, "prologue_reuse": 0}
+                  "prologue_reuse": 0}
 
 
 def reset_ffwd_telemetry() -> dict:

@@ -1,9 +1,10 @@
-"""The ``soa`` engine: the batched engine with a compiled SoA marcher.
+"""The ``soa`` engine (the default): the batched engine with a compiled
+SoA marcher.
 
 :class:`SoaEngine` subclasses :class:`~repro.accel.engine.batched.
 BatchedEngine` and overrides exactly one seam — :meth:`_march`, the
-cycle-by-cycle simulation of a scatter phase.  Everything else (phase
-windows, record/replay, harvest, telemetry reset) is inherited
+cycle-by-cycle simulation of a scatter phase.  Everything else (harvest,
+telemetry reset, the Python march it falls back to) is inherited
 unchanged, which is what keeps the equivalence argument small: the two
 engines can only differ inside one well-contained function held to the
 byte-identical ``SimStats`` differential contract.
@@ -16,20 +17,12 @@ is the precomputed ``table[stage][pos][dest]`` tensor flattened to an
 int64 tensor, and persistent arbiter state (odd-even parity, rotating
 scan starts, round-robin pointers, stall memos) is seeded from the
 Python subnetwork objects before each phase and written back after —
-so phases may freely alternate between the C marcher and the Python
-fallback (recording phases, unsupported kernels) mid-run.
+so a phase that falls back to the Python march mid-run picks up exactly
+where the C marcher left off.
 
-Recording phases run in C too (ABI 2): structural decisions never read
-property values, so the kernel marches with real float immediates
-while logging the structure stream the window memo needs in companion
-buffers — slot ids assigned at ePE push, the combining/delivery log in
-hardware order, per-tick pull/retire logs, and the delivered-vertex
-log.  :meth:`SoaEngine._finish_c_recording` assembles those buffers
-into the same :class:`~repro.accel.engine.windows.PhaseProgram` the
-Python recorder builds, so C-recorded and Python-recorded programs
-replay interchangeably.  ``REPRO_SOA_RECORD=off`` restores the old
-batched-fallback behavior for recording phases only.
-
+Once the kernel is bound, **every** scatter phase marches in C: the
+engine builds no window memo (``phase_memo`` is ``None``), because at C
+speed recording and replaying whole phases costs more than it saves.
 The engine also keeps tProperty *resident*: :meth:`scatter_phase`
 holds an identity-seeded buffer across phases and restores only the
 vertices the kernel actually delivered to (``touch_dv``), so sparse
@@ -37,15 +30,15 @@ frontiers stop paying full-array seeding per phase.
 
 Fallback rules (always byte-identical, never an error):
 
-* no C compiler / load failure / ``REPRO_SOA_KERNEL=off`` — every
-  phase uses the inherited batched march;
-* recording phases when ``REPRO_SOA_RECORD=off``, or whose expected
-  event counts exceed the preallocated record buffers (duplicate
-  actives — never a real frontier) — inherited march;
+* no C compiler / load failure / ``REPRO_SOA_KERNEL=off`` — the engine
+  runs batched semantics, window memo included, for the whole run;
 * algorithms whose ``reduce``/``process_edge`` kernels have no declared
   closed form (custom reductions, weight-dependent kernels beyond
   add/min) — the C kernel cannot call back into Python per edge, so
-  the engine falls back for the whole run.
+  the engine runs batched semantics for the whole run;
+* phases whose expected deliveries exceed the preallocated touch log
+  (duplicate actives — never a real frontier) — the inherited Python
+  march, for that phase only.
 """
 
 from __future__ import annotations
@@ -56,10 +49,8 @@ import types
 import numpy as np
 
 from repro.accel.engine.batched import BatchedEngine
-from repro.accel.engine.frontends import FrontTrace
 from repro.accel.engine.registry import FFWD_TELEMETRY
-from repro.accel.engine.soakernel import load_kernel, record_disabled
-from repro.accel.engine.windows import PhaseProgram
+from repro.accel.engine.soakernel import load_kernel
 from repro.errors import SimulationError
 
 _i64 = ctypes.c_longlong
@@ -160,15 +151,6 @@ class _SoaState(ctypes.Structure):
         ("parity", _i64), ("fstart", _i64),
         ("tprop", _P),
         ("expected", _i64), ("fe_pending", _i64), ("limit", _i64),
-        ("recording", _i64),
-        ("ep_slot", _P), ("pn_qsl", _P), ("px_qsl", _P),
-        ("rec_news", _P),
-        ("rec_merge_a", _P), ("rec_merge_b", _P),
-        ("rec_deliver", _P),
-        ("rec_pull_ch", _P), ("rec_pull_cyc", _P),
-        ("rec_ret_ch", _P), ("rec_ret_u", _P), ("rec_ret_cyc", _P),
-        ("news_len", _i64), ("merge_len", _i64), ("deliver_len", _i64),
-        ("pull_len", _i64), ("ret_len", _i64),
         ("touch_dv", _P), ("touch_len", _i64),
         ("ctr", _P),
         ("cycles", _i64), ("starved", _i64), ("busy", _i64), ("reduces", _i64),
@@ -176,7 +158,7 @@ class _SoaState(ctypes.Structure):
     )
 
 
-_MAGIC = 0x534F4132
+_MAGIC = 0x534F4133
 
 
 def _flat_i64(nested) -> np.ndarray:
@@ -193,15 +175,17 @@ class SoaEngine(BatchedEngine):
         super().__init__(sim)
         self._lib = load_kernel()
         self._st = None
-        self._record_ok = False
         #: identity value the resident tprop buffer is currently seeded
         #: with everywhere (None = unknown, full reseed required)
         self._tprop_seed: float | None = None
-        #: vertices the last committed phase wrote (int64 array or list),
-        #: or None when a Python path wrote unknown entries
+        #: vertices the last C-marched phase delivered to (a view of
+        #: touch_dv), or None when a Python march wrote unknown entries
         self._phase_touched = None
         if self._lib is not None and self._kernel_supported():
             self._bind_state(sim)
+            # every phase marches in C: at kernel speed, recording and
+            # replaying whole phases costs more than it saves
+            self.phase_memo = None
 
     # ------------------------------------------------------------------
     def _kernel_supported(self) -> bool:
@@ -403,44 +387,12 @@ class SoaEngine(BatchedEngine):
         self._ctr = arr(_C_NUM)
         st.ctr = ptr(self._ctr)
 
-        # -- recording + resident-delta buffers -------------------------
-        # capacity proofs: every recorded leaf is one edge of one active
-        # vertex (news <= expected <= E); merges + deliveries consume
-        # leaves (each <= news); pulls/retires happen once per presented
-        # vertex (<= V).  touch_dv gets one entry per delivery (<= E).
-        e_cap = max(int(self._dst_np.size), 1)
-        v_cap = max(v, 1)
-        self._cap_e = e_cap
-        self._cap_v = v_cap
-        self._touch_dv = arr(e_cap)
+        # -- resident-delta buffer: one touch_dv entry per delivery, and
+        # a delivery carries at least one edge of an active vertex, so a
+        # real frontier touches at most E vertices
+        self._cap_e = max(int(self._dst_np.size), 1)
+        self._touch_dv = arr(self._cap_e)
         st.touch_dv = ptr(self._touch_dv)
-        st.recording = 0
-        self._record_ok = (self.phase_memo is not None
-                           and not record_disabled())
-        if self._record_ok:
-            st.ep_slot = ptr(arr(m * config.epe_queue_depth))
-            if st.prop_is_mdp:
-                st.pn_qsl = ptr(arr(int(st.pn_stages) * m * fifo))
-            else:
-                st.px_qsl = ptr(arr(m * fifo))
-            self._rec_news = arr(e_cap)
-            self._rec_merge_a = arr(e_cap)
-            self._rec_merge_b = arr(e_cap)
-            self._rec_deliver = arr(e_cap)
-            self._rec_pull_ch = arr(v_cap)
-            self._rec_pull_cyc = arr(v_cap)
-            self._rec_ret_ch = arr(v_cap)
-            self._rec_ret_u = arr(v_cap)
-            self._rec_ret_cyc = arr(v_cap)
-            st.rec_news = ptr(self._rec_news)
-            st.rec_merge_a = ptr(self._rec_merge_a)
-            st.rec_merge_b = ptr(self._rec_merge_b)
-            st.rec_deliver = ptr(self._rec_deliver)
-            st.rec_pull_ch = ptr(self._rec_pull_ch)
-            st.rec_pull_cyc = ptr(self._rec_pull_cyc)
-            st.rec_ret_ch = ptr(self._rec_ret_ch)
-            st.rec_ret_u = ptr(self._rec_ret_u)
-            st.rec_ret_cyc = ptr(self._rec_ret_cyc)
 
         self._keep = keep
         self._st = st
@@ -449,16 +401,11 @@ class SoaEngine(BatchedEngine):
     def _march(self, active, sprop_all, tprop, stats,
                record_key: tuple | None) -> None:
         st = self._st
-        recording = record_key is not None
         size = int(active.size)
         expected = int(self.out_degree[active].sum())
-        if st is not None and (
-                expected > self._cap_e          # touch_dv bound
-                or (recording and not (self._record_ok
-                                       and size <= self._cap_v))):
-            # record/touch buffers are sized for real frontiers (news and
-            # touches <= E, pulls/retires <= V); duplicate actives — or
-            # REPRO_SOA_RECORD=off — march (and record) in Python instead
+        if st is not None and expected > self._cap_e:
+            # touch_dv is sized for real frontiers (touches <= E);
+            # duplicate actives march in Python instead
             st = None
         if st is None:
             super()._march(active, sprop_all, tprop, stats, record_key)
@@ -469,10 +416,6 @@ class SoaEngine(BatchedEngine):
         prop = self.prop
         n = self.n
 
-        if recording:
-            counters0 = [getattr(obj, attr)
-                         for obj, attr in self._counter_sites]
-            st.recording = 1
         if size:
             sel = sprop_all[active]
             pos = 0
@@ -517,7 +460,6 @@ class SoaEngine(BatchedEngine):
         st.limit = limit
 
         rc = int(self._lib.soa_march(ctypes.byref(st)))
-        st.recording = 0
         if rc == 1:
             raise SimulationError(
                 f"scatter did not converge within {limit} cycles "
@@ -572,86 +514,6 @@ class SoaEngine(BatchedEngine):
             prop.xbar.rr[:] = self._px_rr.tolist()
             prop.xbar.conflicts += int(ctr[_C_PROP_STALL])
 
-        if recording:
-            self._finish_c_recording(record_key, active, counters0, st)
-            FFWD_TELEMETRY["c_recorded_phases"] += 1
-
-    # ------------------------------------------------------------------
-    # In-kernel phase recording (see _soa_march.c header and
-    # docs/performance.md §in-kernel recording invariants)
-    # ------------------------------------------------------------------
-    def _finish_c_recording(self, key: tuple, active, counters0: list,
-                            st) -> None:
-        """Assemble the kernel's record buffers into a PhaseProgram.
-
-        Must run after the counter/arbiter commit: counter deltas are
-        measured against the live Python sites (identical to what a
-        Python recording of the same phase would measure, by kernel
-        equivalence) and ``end_state`` is the committed arbiter state.
-        """
-        prog = PhaseProgram(active.copy())
-        nl = int(st.news_len)
-        prog.news_e = self._rec_news[:nl].copy()
-        ml = int(st.merge_len)
-        prog.merge_a = self._rec_merge_a[:ml].tolist()
-        prog.merge_b = self._rec_merge_b[:ml].tolist()
-        dl = int(st.deliver_len)
-        prog.deliver_slots = self._rec_deliver[:dl].tolist()
-        prog.stat_deltas = {"scatter_cycles": int(st.cycles),
-                            "vpe_starvation_cycles": int(st.starved),
-                            "vpe_busy_cycles": int(st.busy),
-                            "edges_processed": int(st.reduces)}
-        prog.counter_deltas = tuple(
-            getattr(obj, attr) - before
-            for (obj, attr), before in zip(self._counter_sites, counters0))
-        prog.end_state = self._arb_state()
-        prog.cycles = int(st.cycles)
-        prog.front_trace = self._c_front_trace(st)
-        prog.finalize(self._offsets_np, self._dst_np)
-        self.phase_memo.store(key, prog)
-
-    def _c_front_trace(self, st) -> FrontTrace:
-        """FrontTrace from the kernel's flat tick-indexed pull/retire logs.
-
-        The kernel ticks the frontend every cycle (no bulk-drain skips),
-        so the trace has one entry per cycle and ``skips`` stays empty —
-        interchangeable with Python-recorded traces because an idle
-        frontend tick advances exactly the per-cycle arbiter state a
-        ``skip(1)`` does, with zero counter contributions.
-        """
-        trace = FrontTrace()
-        ticks = int(st.cycles)
-        pulls = [()] * ticks
-        retires = [()] * ticks
-        pl = int(st.pull_len)
-        if pl:
-            pch = self._rec_pull_ch[:pl].tolist()
-            pcy = self._rec_pull_cyc[:pl].tolist()
-            i = 0
-            while i < pl:            # cycle indices are nondecreasing
-                j = i + 1
-                c = pcy[i]
-                while j < pl and pcy[j] == c:
-                    j += 1
-                pulls[c] = tuple(pch[i:j])
-                i = j
-        rl = int(st.ret_len)
-        if rl:
-            rch = self._rec_ret_ch[:rl].tolist()
-            ru = self._rec_ret_u[:rl].tolist()
-            rcy = self._rec_ret_cyc[:rl].tolist()
-            i = 0
-            while i < rl:
-                j = i + 1
-                c = rcy[i]
-                while j < rl and rcy[j] == c:
-                    j += 1
-                retires[c] = tuple(sorted(zip(rch[i:j], ru[i:j])))
-                i = j
-        trace.pulls = pulls
-        trace.retires = retires
-        return trace
-
     # ------------------------------------------------------------------
     # Resident tProperty (the per-phase marshalling prologue, hoisted)
     # ------------------------------------------------------------------
@@ -660,11 +522,10 @@ class SoaEngine(BatchedEngine):
         """One whole scatter phase against the resident tProperty buffer.
 
         The buffer stays identity-seeded across phases: after each phase
-        only the vertices the kernel delivered to (``touch_dv``, or a
-        replayed program's ``deliver_dv``) are restored — the tiny-phase
-        seeding tax on sparse frontiers drops from O(V) to O(touched).
-        A phase that marched in Python leaves unknown writes, so the
-        whole buffer is reseeded next phase.
+        only the vertices the kernel delivered to (``touch_dv``) are
+        restored — the tiny-phase seeding tax on sparse frontiers drops
+        from O(V) to O(touched).  A phase that marched in Python leaves
+        unknown writes, so the whole buffer is reseeded next phase.
         """
         st = self._st
         if st is None:
@@ -685,15 +546,3 @@ class SoaEngine(BatchedEngine):
         elif len(touched):
             buf[touched] = identity
         return out
-
-    def _replay_phase(self, prog, sprop_all, tprop, stats) -> None:
-        super()._replay_phase(prog, sprop_all, tprop, stats)
-        self._phase_touched = prog.deliver_dv
-
-    def _partial_replay(self, key, prog, active, sprop_all, tprop,
-                        stats) -> bool:
-        ok = super()._partial_replay(key, prog, active, sprop_all, tprop,
-                                     stats)
-        if ok:
-            self._phase_touched = prog.deliver_dv
-        return ok

@@ -1,7 +1,8 @@
 """Build and load the compiled SoA march kernel (``_soa_march.c``).
 
-The kernel ships as C source next to this module and is compiled on
-first use with the system C compiler — no build step, no new runtime
+The kernel is what makes ``soa`` — the default engine — fast.  It
+ships as C source next to this module and is compiled on first use
+with the system C compiler — no build step, no new runtime
 dependency.  The shared object is cached under a content hash of the
 source, so editing the kernel transparently rebuilds and stale caches
 can never be loaded; the cache write is an atomic rename so concurrent
@@ -9,9 +10,10 @@ sweep workers race benignly.
 
 Everything here degrades gracefully: no compiler, a failed compile, a
 failed dlopen or an ABI mismatch all yield ``None`` from
-:func:`load_kernel`, and the ``soa`` engine then falls back to the
-(BYTE-IDENTICAL) inherited batched march.  ``REPRO_SOA_KERNEL=off`` is
-the explicit kill-switch for the same fallback.
+:func:`load_kernel`, and the ``soa`` engine then runs batched
+semantics (BYTE-IDENTICAL, but pure Python and many times slower).
+``REPRO_SOA_KERNEL=off`` is the explicit kill-switch for the same
+fallback.
 """
 
 from __future__ import annotations
@@ -29,12 +31,6 @@ from pathlib import Path
 #: kernel (the soa engine still runs, via the inherited batched march).
 KERNEL_ENV_VAR = "REPRO_SOA_KERNEL"
 
-#: Environment kill-switch for *in-kernel phase recording* only:
-#: ``REPRO_SOA_RECORD=off`` restores the pre-ABI-2 behavior where
-#: recording phases fall back to the Python batched march (the compiled
-#: kernel still runs replayed and non-recording phases).
-RECORD_ENV_VAR = "REPRO_SOA_RECORD"
-
 #: Environment override for the compiled-kernel cache directory.
 CACHE_ENV_VAR = "REPRO_SOA_CACHE"
 
@@ -46,11 +42,6 @@ _LIB: ctypes.CDLL | None | bool = False
 
 def kernel_disabled() -> bool:
     return os.environ.get(KERNEL_ENV_VAR, "").strip().lower() in (
-        "off", "0", "no", "false")
-
-
-def record_disabled() -> bool:
-    return os.environ.get(RECORD_ENV_VAR, "").strip().lower() in (
         "off", "0", "no", "false")
 
 

@@ -28,7 +28,6 @@ class SimStats:
     offset_deferrals: int = 0           # site-1 conflicts
     edge_conflicts: int = 0             # site-2 conflicts / window stalls
     propagation_conflicts: int = 0      # site-3 arbitration losses or stalls
-    network_rejected_offers: int = 0
 
     # slicing (large-graph mode)
     slices: int = 0

@@ -8,10 +8,11 @@ audited with nothing but ``cat``.
 
 The key folds in a **code version**: a digest over the source text of
 every simulation-relevant subpackage (``accel``, ``hw``, ``mdp``,
-``algorithms``, ``graph`` and the error taxonomy).  Editing the
-simulator therefore invalidates stale results automatically; editing
-orchestration layers (``bench``, ``sweep``, ``cli``) does not, because
-they cannot change what a job computes.
+``algorithms``, ``graph`` and the error taxonomy) — Python modules and
+the C kernel source alike.  Editing the simulator therefore
+invalidates stale results automatically; editing orchestration layers
+(``bench``, ``sweep``, ``cli``) does not, because they cannot change
+what a job computes.
 
 Writes are atomic (temp file + ``os.replace``) so parallel executors and
 concurrent sweep invocations can share one cache directory safely:
@@ -36,6 +37,10 @@ from repro.sweep.atomic import atomic_write_json, exclusive_create
 #: Orchestration layers (bench, sweep, cli) are deliberately excluded.
 CODE_VERSION_SUBPACKAGES = ("accel", "hw", "mdp", "algorithms", "graph")
 CODE_VERSION_MODULES = ("errors.py",)
+#: Source kinds digested inside those subpackages: the compiled soa
+#: engine's kernel (``accel/engine/_soa_march.c``) computes results
+#: exactly like the Python modules do.
+CODE_VERSION_SUFFIXES = (".py", ".c")
 
 _code_version_memo: str | None = None
 #: Bumped whenever :func:`refresh_code_version` observes a digest
@@ -44,14 +49,18 @@ _code_version_memo: str | None = None
 _code_generation = 0
 
 
-def _digest_source_tree() -> str:
-    root = Path(repro.__file__).parent
+def _digest_source_tree(root: Path | None = None) -> str:
+    """Digest of the simulation-relevant sources under ``root`` (the
+    installed ``repro`` package by default)."""
+    if root is None:
+        root = Path(repro.__file__).parent
     h = hashlib.sha256()
     paths: list[Path] = [root / name for name in CODE_VERSION_MODULES]
     for sub in CODE_VERSION_SUBPACKAGES:
         # recursive: nested packages (e.g. accel/engine/) must
         # invalidate cache entries exactly like top-level modules
-        paths.extend(sorted((root / sub).rglob("*.py")))
+        paths.extend(sorted(path for path in (root / sub).rglob("*")
+                            if path.suffix in CODE_VERSION_SUFFIXES))
     for path in paths:
         h.update(str(path.relative_to(root)).encode("utf-8"))
         h.update(b"\0")

@@ -60,3 +60,26 @@ class TestDerivedMetrics:
         for key in ("config", "algorithm", "graph", "cycles", "edges",
                     "gteps", "edges_per_cycle", "vpe_starvation_cycles"):
             assert key in s
+
+
+class TestEveryCounterIsWritten:
+    def test_sliced_pagerank_writes_every_integer_counter(self):
+        """A counter nothing writes is dead weight in every cache entry,
+        serve reply and ``to_dict()``.  A 2-slice GraphDynS PageRank run
+        touches every conflict site, so each integer field must be
+        nonzero."""
+        from dataclasses import fields
+
+        from repro.accel import SlicedAcceleratorSim, graphdyns
+        from repro.algorithms import make_algorithm
+        from repro.graph.generators import rmat
+        from repro.graph.partition import partition_by_destination
+        graph = rmat(10, 16.0)
+        sim = SlicedAcceleratorSim(graphdyns(), graph,
+                                   make_algorithm("PR", iterations=3),
+                                   slices=partition_by_destination(graph, 2))
+        stats = sim.run(source=0).stats
+        counters = {f.name: getattr(stats, f.name) for f in fields(stats)
+                    if isinstance(getattr(stats, f.name), int)}
+        assert "iterations" in counters and "slice_load_cycles" in counters
+        assert [name for name, value in counters.items() if not value] == []

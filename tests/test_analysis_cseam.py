@@ -119,37 +119,36 @@ class TestLayoutMutations:
 
     def test_magic_drift_yields_exactly_one_finding(self, tmp_path):
         copy_seam(tmp_path)
-        mutate(tmp_path, SOA, "_MAGIC = 0x534F4132",
-               "_MAGIC = 0x534F4133")
+        mutate(tmp_path, SOA, "_MAGIC = 0x534F4133",
+               "_MAGIC = 0x534F4134")
         findings = run(tmp_path, "c-seam-layout")
         assert len(findings) == 1
         assert findings[0].symbol == "magic:value"
 
-    def test_swapped_record_buffer_mirror_fields_are_reported(self,
-                                                              tmp_path):
+    def test_swapped_touch_log_mirror_fields_are_reported(self, tmp_path):
         copy_seam(tmp_path)
         mutate(tmp_path, SOA,
-               '("rec_merge_a", _P), ("rec_merge_b", _P),',
-               '("rec_merge_b", _P), ("rec_merge_a", _P),')
+               '("touch_dv", _P), ("touch_len", _i64),',
+               '("touch_len", _i64), ("touch_dv", _P),')
         findings = run(tmp_path, "c-seam-layout")
         assert len(findings) == 1
-        assert findings[0].symbol == "field-order:rec_merge_a"
+        assert findings[0].symbol == "field-order:touch_dv"
 
-    def test_dropped_c_recording_field_is_reported(self, tmp_path):
+    def test_dropped_c_touch_log_field_is_reported(self, tmp_path):
         copy_seam(tmp_path)
-        mutate(tmp_path, C, "    i64 *rec_deliver;", "    i64 rsvd;")
+        mutate(tmp_path, C, "    i64 *touch_dv;", "    i64 rsvd;")
         findings = run(tmp_path, "c-seam-layout")
         assert len(findings) == 1
         assert findings[0].symbol == "field-order:rsvd"
 
-    def test_record_buffer_dtype_drift_is_reported(self, tmp_path):
+    def test_touch_log_dtype_drift_is_reported(self, tmp_path):
         copy_seam(tmp_path)
         mutate(tmp_path, SOA,
-               "self._rec_pull_cyc = arr(v_cap)",
-               "self._rec_pull_cyc = arr(v_cap, np.float64)")
+               "self._touch_dv = arr(self._cap_e)",
+               "self._touch_dv = arr(self._cap_e, np.float64)")
         findings = run(tmp_path, "c-seam-layout")
         assert len(findings) == 1
-        assert findings[0].symbol == "dtype:rec_pull_cyc"
+        assert findings[0].symbol == "dtype:touch_dv"
 
     def test_missing_c_file_is_one_sided_seam(self, tmp_path):
         copy_seam(tmp_path)
@@ -247,15 +246,15 @@ class TestKernelMutations:
 
     def test_missing_abi_define_is_reported(self, tmp_path):
         copy_seam(tmp_path)
-        mutate(tmp_path, C, "#define SOA_ABI_VERSION 2\n", "")
+        mutate(tmp_path, C, "#define SOA_ABI_VERSION 3\n", "")
         findings = run(tmp_path, "c-seam-kernels")
         assert [f.symbol for f in findings] == ["abi:define"]
         assert findings[0].path.endswith("_soa_march.c")
 
     def test_abi_bump_without_magic_bump_is_reported(self, tmp_path):
         copy_seam(tmp_path)
-        mutate(tmp_path, C, "#define SOA_ABI_VERSION 2",
-               "#define SOA_ABI_VERSION 3")
+        mutate(tmp_path, C, "#define SOA_ABI_VERSION 3",
+               "#define SOA_ABI_VERSION 4")
         findings = run(tmp_path, "c-seam-kernels")
         assert [f.symbol for f in findings] == ["abi:magic-sync"]
         assert "SOA_MAGIC" in findings[0].message

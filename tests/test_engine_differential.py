@@ -251,11 +251,13 @@ class TestSlicedMode:
 
 
 class TestEngineSelection:
-    def test_registry_and_default(self):
+    def test_registry_and_default(self, monkeypatch):
         assert set(ENGINES) == {"reference", "batched", "soa"}
         assert DEFAULT_ENGINE in ENGINES
         assert resolve_engine("Reference") == "reference"
         assert resolve_engine(None) in ENGINES
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        assert resolve_engine() == "soa"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError):
@@ -467,17 +469,44 @@ class TestEngineAlternation:
     def test_soa_without_kernel_degrades_to_batched(self, monkeypatch):
         """No compiled kernel (``REPRO_SOA_KERNEL=off`` or no compiler)
         must leave the soa engine byte-identical via the inherited
-        batched march."""
+        batched march — window memo included for PageRank."""
         import repro.accel.engine.soa as soa_module
         monkeypatch.setattr(soa_module, "load_kernel", lambda: None)
         graph = rmat(7, 5.0, seed=17, name="rmat7-17")
         for algorithm in ("SSSP", "PR"):
-            bare = simulate(higraph(), graph, _make_algorithm(algorithm),
-                            engine="soa")
+            sim = AcceleratorSim(higraph(), graph,
+                                 _make_algorithm(algorithm), engine="soa")
+            bare = sim.run(source=0)
+            if algorithm == "PR":
+                assert sim.engine.phase_memo is not None
             ref = simulate(higraph(), graph, _make_algorithm(algorithm),
                            engine="reference")
             assert bare.stats.to_dict() == ref.stats.to_dict()
             assert np.array_equal(bare.properties, ref.properties)
+
+    @pytest.mark.parametrize("maker", [graphdyns, higraph],
+                             ids=["GraphDynS", "HiGraph"])
+    def test_kernel_bound_soa_marches_every_phase_in_c(self, maker):
+        """With the kernel bound, soa keeps no window memo: nothing is
+        replayed, every cycle is marched, and the result is still the
+        reference's byte for byte."""
+        from repro.accel.engine import FFWD_TELEMETRY
+        from repro.accel.engine.soakernel import load_kernel
+        if load_kernel() is None:
+            pytest.skip("no C compiler: soa runs batched semantics")
+        graph = rmat(8, 6.0, seed=23, name="rmat8-23")
+        sim = AcceleratorSim(maker(), graph,
+                             make_algorithm("PR", iterations=6),
+                             engine="soa")
+        result = sim.run(source=0)
+        assert sim.engine.phase_memo is None
+        assert FFWD_TELEMETRY["windows"] == 0
+        assert FFWD_TELEMETRY["cycles_simulated"] == (
+            result.stats.scatter_cycles)
+        ref = simulate(maker(), graph, make_algorithm("PR", iterations=6),
+                       engine="reference")
+        assert result.stats.to_dict() == ref.stats.to_dict()
+        assert np.array_equal(result.properties, ref.properties)
 
     def test_reachability_fuzzes_through_soa(self):
         """REACH declares max-reduce with an identity process kernel —
@@ -628,7 +657,7 @@ class TestFastForwardTelemetry:
                              "cycles_simulated": 0, "events": 0,
                              "partial_windows": 0,
                              "front_cycles_resimulated": 0,
-                             "c_recorded_phases": 0, "prologue_reuse": 0}
+                             "prologue_reuse": 0}
         graph = rmat(8, 6.0, seed=23, name="rmat8-23")
         simulate(higraph_mini(), graph, make_algorithm("PR", iterations=6),
                  engine="batched")
@@ -707,102 +736,3 @@ class TestBackendStateIsolation:
         # poke one sim's sink vector usage by running them turn-about
         results = [sim.run(source=0).stats.to_dict() for sim in sims]
         assert results == solo
-
-
-class TestInKernelRecording:
-    """C-recorded vs Python-recorded phase programs (ABI 2).
-
-    The soa engine records phases inside the compiled kernel: slot-id
-    companion rings shadow the real float march, and the assembled
-    :class:`PhaseProgram` must be interchangeable with one the Python
-    recording shims would have produced for the same phase — same
-    structure log, same deltas, same end state — and programs of both
-    origins must replay side by side in one run.
-    """
-
-    @staticmethod
-    def _per_dv(prog):
-        ordered = {}
-        for dv, s in zip(prog.deliver_dv, prog.deliver_slots):
-            ordered.setdefault(dv, []).append(s)
-        return ordered
-
-    def _memo_programs(self, engine_name, iterations=6):
-        graph = rmat(8, 6.0, seed=23, name="rmat8-23")
-        sim = AcceleratorSim(graphdyns(), graph,
-                             make_algorithm("PR", iterations=iterations),
-                             engine=engine_name)
-        result = sim.run(source=0)
-        return sim.engine.phase_memo.programs, result
-
-    def test_c_recorded_programs_equal_python_recorded(self):
-        c_programs, c_res = self._memo_programs("soa")
-        py_programs, py_res = self._memo_programs("batched")
-        assert c_res.stats.to_dict() == py_res.stats.to_dict()
-        assert set(c_programs) == set(py_programs)
-        assert c_programs, "no phase was recorded at all"
-        for key, cp in c_programs.items():
-            pp = py_programs[key]
-            assert np.array_equal(np.asarray(cp.news_e),
-                                  np.asarray(pp.news_e))
-            assert list(cp.merge_a) == list(pp.merge_a)
-            assert list(cp.merge_b) == list(pp.merge_b)
-            # Delivery logs may interleave channels differently (the
-            # batched engine bulk-drains queue by queue; the kernel
-            # ticks cycle by cycle) but each destination vertex lives
-            # on one channel, so the per-dv slot subsequence — the part
-            # the value pass is sensitive to — must match exactly.
-            assert self._per_dv(cp) == self._per_dv(pp)
-            assert np.array_equal(cp.leaf_u, pp.leaf_u)
-            assert cp.stat_deltas == pp.stat_deltas
-            assert cp.counter_deltas == pp.counter_deltas
-            assert cp.end_state == pp.end_state
-            assert cp.cycles == pp.cycles
-
-    def test_c_front_trace_is_the_skip_expansion_of_python_trace(self):
-        """A C trace has no skips — idle frontend ticks stand in for the
-        Python recorder's bulk-drain ``skip(k)`` entries.  Expanding the
-        Python trace's skips into empty ticks must reproduce the C trace
-        exactly (same pulls, same retires, cycle for cycle)."""
-        c_programs, _ = self._memo_programs("soa")
-        py_programs, _ = self._memo_programs("batched")
-        compared = 0
-        for key, cp in c_programs.items():
-            ct, pt = cp.front_trace, py_programs[key].front_trace
-            if ct.skips:        # soa fell back to Python recording
-                continue
-            exp_pulls, exp_retires = list(pt.pulls), list(pt.retires)
-            for t, k in sorted(pt.skips, reverse=True):
-                exp_pulls[t:t] = [()] * k
-                exp_retires[t:t] = [()] * k
-            assert list(ct.pulls) == exp_pulls
-            assert list(ct.retires) == exp_retires
-            compared += 1
-        from repro.accel.engine.soakernel import load_kernel, record_disabled
-        if load_kernel() is not None and not record_disabled():
-            assert compared > 0
-
-    def test_mixed_c_and_python_recordings_in_one_run(self):
-        """Alternate the recorder per phase: programs recorded in C and
-        in Python coexist in one memo and replay interchangeably."""
-        graph = rmat(8, 6.0, seed=29, name="rmat8-29")
-        ref = simulate(graphdyns(), graph,
-                       make_algorithm("PR", iterations=10),
-                       engine="reference")
-        sim = AcceleratorSim(graphdyns(), graph,
-                             make_algorithm("PR", iterations=10),
-                             engine="soa")
-        eng = sim.engine
-        orig_scatter = eng.scatter
-        record_ok = eng._record_ok   # buffers exist only when this is set
-        calls = {"n": 0}
-
-        def alternating_scatter(*args, **kwargs):
-            eng._record_ok = record_ok and calls["n"] % 2 == 0
-            calls["n"] += 1
-            return orig_scatter(*args, **kwargs)
-
-        eng.scatter = alternating_scatter
-        res = sim.run(source=0)
-        assert res.stats.to_dict() == ref.stats.to_dict()
-        assert np.array_equal(res.properties, ref.properties)

@@ -34,7 +34,7 @@ from repro.accel import (
     higraph_mini,
     simulate,
 )
-from repro.accel.engine import ENGINES, FFWD_TELEMETRY
+from repro.accel.engine import ENGINES
 from repro.algorithms import make_algorithm
 from repro.graph.generators import erdos_renyi, grid_2d, rmat, star
 from repro.graph.partition import partition_by_destination
@@ -181,9 +181,9 @@ def _pr_seeds():
 
 @pytest.mark.parametrize("seed", _pr_seeds())
 def test_fuzz_pr_multi_iteration(seed):
-    """Multi-iteration PageRank: phase 1+ records (in C for the soa
-    engine), later phases replay — the record→replay mix the 2-iteration
-    default cases barely touch."""
+    """Multi-iteration PageRank: on batched, phase 1+ records and later
+    phases replay — the record→replay mix the 2-iteration default cases
+    barely touch — while soa marches every phase in C."""
     rng = np.random.default_rng(seed)
     graph = _random_graph(rng)
     config = _random_config(rng)
@@ -206,33 +206,6 @@ def test_fuzz_pr_multi_iteration(seed):
         assert np.array_equal(ref.properties, res.properties), (
             f"fuzz seed {seed} (PRx{iters}): properties diverge "
             f"reference vs {engine}")
-
-
-def test_fuzz_kernel_recording_on_off_differential(monkeypatch):
-    """``REPRO_SOA_RECORD=off`` (Python-recorded programs replayed by
-    the C march) must not change a single byte vs in-kernel recording."""
-    rng = np.random.default_rng(FUZZ_SEED_BASE + 2000)
-    graph = _random_graph(rng)
-    config = _random_config(rng)
-    iters = _pr_iterations()
-
-    monkeypatch.delenv("REPRO_SOA_RECORD", raising=False)
-    on = simulate(config, graph, make_algorithm("PR", iterations=iters),
-                  engine="soa")
-    recorded_on = FFWD_TELEMETRY["c_recorded_phases"]
-
-    monkeypatch.setenv("REPRO_SOA_RECORD", "off")
-    off = simulate(config, graph, make_algorithm("PR", iterations=iters),
-                   engine="soa")
-    recorded_off = FFWD_TELEMETRY["c_recorded_phases"]
-
-    assert recorded_off == 0        # the kill-switch actually killed it
-    assert on.stats.to_dict() == off.stats.to_dict()
-    assert np.array_equal(on.properties, off.properties)
-    # when the compiled kernel is available, recording must run in C
-    from repro.accel.engine.soakernel import load_kernel
-    if load_kernel() is not None:
-        assert recorded_on > 0
 
 
 def test_case_builder_is_deterministic():

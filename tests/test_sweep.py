@@ -1,6 +1,7 @@
 """Tests for the sweep subsystem: planning, caching, parallel execution."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +184,21 @@ class TestResultCache:
         assert code_version() == code_version()
         assert len(code_version()) == 64
         int(code_version(), 16)
+
+    def test_code_version_digests_the_c_kernel(self, tmp_path):
+        """An edit to the soa kernel alone must re-key the cache: a warm
+        cache would otherwise keep serving the old kernel's results."""
+        import shutil
+
+        import repro
+        from repro.sweep.cache import _digest_source_tree
+        root = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = _digest_source_tree(root)
+        kernel = root / "accel" / "engine" / "_soa_march.c"
+        kernel.write_text(kernel.read_text() + "\n/* edited */\n")
+        assert _digest_source_tree(root) != before
 
 
 # ----------------------------------------------------------------------
