@@ -10,12 +10,12 @@ rule.  This entry point remains for parameterized use
   the right types (fatal);
 * **equivalence** — ``stats_identical`` must be true on every record: a
   false value means a probe run caught the engines disagreeing (fatal);
-* **regression watch** — if the newest record's ``speedup`` dropped
+* **regression watch** — if a bench's newest ``speedup_soa`` dropped
   more than ``--tolerance`` (default 20%) below the best *comparable*
-  record (equal ``scales`` and ``jobs``), print a loud warning.  This
-  is advisory only: shared CI runners are too noisy for a hard perf
-  gate (see docs/performance.md), so it never fails the build unless
-  ``--strict`` is passed.
+  record (equal ``bench``, ``scales`` and ``jobs``), print a loud
+  warning.  This is advisory only: shared CI runners are too noisy for
+  a hard perf gate (see docs/performance.md), so it never fails the
+  build unless ``--strict`` is passed.
 
 Usage::
 
@@ -75,10 +75,11 @@ def main(argv=None) -> int:
     if warnings and args.strict:
         return 1
     newest = records[-1]
+    # batched-era records carry ``speedup``, later ones ``speedup_soa``
+    speedup = newest.get("speedup_soa", newest.get("speedup"))
     print(f"check_bench_history: {len(records)} record(s) OK — newest "
-          f"{newest['utc']} speedup {newest['speedup']}x "
-          f"(median {newest['median_job_speedup']}x, "
-          f"jobs {newest['jobs']}, stats_identical true)")
+          f"{newest['utc']} {newest['bench']} speedup {speedup}x "
+          f"(jobs {newest['jobs']}, stats_identical true)")
     return 0
 
 

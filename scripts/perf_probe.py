@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Cold-sweep engine benchmark: reference vs batched vs soa, one BENCH record.
+"""Cold-sweep engine benchmark: reference vs soa, one BENCH record.
 
 Times the Fig. 8 evaluation matrix (algorithms x datasets x the three
 Table 1 designs) **cold** — no result cache, every job simulated — once
 per scatter engine, and appends one JSON line to the benchmark history
 file.  A second line follows: the **PageRank x10** record
 (``bench: pr10_cold_sweep``), the same datasets x configs matrix with
-PR at ten iterations — the workload where the soa engine's in-kernel
-recording and resident tProperty pay off, tracked as its own
-trajectory (``pr10_seconds`` / ``speedup_soa_pr10``).  Each run adds
+PR at ten iterations — the all-active workload where the soa engine's
+resident tProperty pays off, tracked as its own trajectory
+(``pr10_seconds`` / ``speedup_soa_pr10``).  Each run adds
 records, so ``benchmarks/results/bench_history.jsonl`` accumulates the
 engine speedup over time (see docs/performance.md for how to read it,
 and ``scripts/check_bench_history.py`` for the CI gate that watches
@@ -18,18 +18,15 @@ Methodology
 -----------
 * graphs are resolved once up front (the worker memo a sweep would use),
   so generation time never pollutes any engine's number;
-* jobs run serially, in-process, **paired** — reference, then batched,
-  then soa per job, adjacent in time — so slow drift in machine load
-  biases all engines equally; per-job pairs also yield a drift-robust
-  median;
-* every job's ``SimStats`` are compared across all engines: the probe
+* jobs run serially, in-process, **paired** — reference, then soa per
+  job, adjacent in time — so slow drift in machine load biases both
+  engines equally; per-job pairs also yield a drift-robust median;
+* every job's ``SimStats`` are compared across the engines: the probe
   doubles as a differential check and records ``stats_identical`` in
   the BENCH line;
-* the batched engine's event-driven fast-forward telemetry (whole-phase
-  windows replayed — partial ones via the shadow-frontend path — cycles
-  fast-forwarded vs simulated, value-plane events) is summed per job
-  into the record (the engine zeroes the process-wide counters at the
-  start of every run).
+* the soa engine's telemetry (cycles marched, resident-tProperty
+  reuses) is summed per job into the record's ``ffwd`` field (the
+  engine zeroes the process-wide counters at the start of every run).
 
 Usage::
 
@@ -54,17 +51,7 @@ DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
                            "results", "bench_history.jsonl")
 
 #: Engines timed per job, in run order (reference first, adjacent).
-#: ``reference``/``batched`` are the record's mandatory pair (the
-#: historical schema); any further engine contributes optional
-#: ``<engine>_seconds`` / ``speedup_<engine>`` fields.
-ENGINE_PAIR = ("reference", "batched")
-
-#: All engines each job is timed on.
-ENGINES_TIMED = ("reference", "batched", "soa")
-
-#: FFWD_TELEMETRY keys only the soa engine increments — harvested from
-#: its runs (everything else is harvested from the batched runs).
-_SOA_ONLY_FFWD = ("prologue_reuse",)
+ENGINES_TIMED = ("reference", "soa")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: benchmarks/results/bench_history.jsonl)")
     parser.add_argument("--require-speedup", type=float, default=None,
                         metavar="X",
-                        help="exit non-zero unless the recorded speedup >= X")
+                        help="exit non-zero unless the recorded soa "
+                             "speedup (speedup_soa) >= X")
     parser.add_argument("--pr-iterations", type=int, default=10,
                         metavar="N",
                         help="PageRank iterations for the pr10 record "
@@ -104,30 +92,22 @@ def pair_result(describe: str, seconds: dict, stats: dict) -> dict:
 
     ``seconds`` and ``stats`` are keyed by engine name; the SimStats
     dicts are compared here (every engine against reference) so the
-    probe doubles as a differential check per job.  Engines beyond the
-    mandatory reference/batched pair add ``<engine>_seconds`` and
-    ``speedup_<engine>`` keys.
+    probe doubles as a differential check per job.
     """
-    ref, bat = (seconds[e] for e in ENGINE_PAIR)
-    result = {
+    ref, soa = seconds["reference"], seconds["soa"]
+    return {
         "job": describe,
         "reference_seconds": ref,
-        "batched_seconds": bat,
-        "speedup": ref / bat,
+        "soa_seconds": soa,
+        "speedup_soa": ref / soa,
         "stats_identical": all(stats[e] == stats["reference"]
                                for e in stats),
     }
-    for engine in seconds:
-        if engine in ENGINE_PAIR:
-            continue
-        result[f"{engine}_seconds"] = seconds[engine]
-        result[f"speedup_{engine}"] = ref / seconds[engine]
-    return result
 
 
-def median_job_speedup(pairs: list[dict], key: str = "speedup") -> float:
-    """Median per-job speedup — robust to one outlier cell and drift."""
-    ratios = sorted(p[key] for p in pairs)
+def median_job_speedup(pairs: list[dict]) -> float:
+    """Median per-job soa speedup — robust to one outlier cell and drift."""
+    ratios = sorted(p["speedup_soa"] for p in pairs)
     if not ratios:
         raise ValueError("no job pairs to summarize")
     return ratios[len(ratios) // 2]
@@ -143,7 +123,7 @@ def build_record(pairs: list[dict], *, datasets: list[str],
     if not pairs:
         raise ValueError("no job pairs to record")
     ref_total = sum(p["reference_seconds"] for p in pairs)
-    bat_total = sum(p["batched_seconds"] for p in pairs)
+    soa_total = sum(p["soa_seconds"] for p in pairs)
     record = {
         "bench": bench,
         "utc": utc if utc is not None
@@ -153,21 +133,15 @@ def build_record(pairs: list[dict], *, datasets: list[str],
         "scales": dict(scales),
         "jobs": len(pairs),
         "reference_seconds": round(ref_total, 3),
-        "batched_seconds": round(bat_total, 3),
-        "speedup": round(ref_total / bat_total, 3),
-        "median_job_speedup": round(median_job_speedup(pairs), 3),
+        "soa_seconds": round(soa_total, 3),
+        "speedup_soa": round(ref_total / soa_total, 3),
+        "median_job_speedup_soa": round(median_job_speedup(pairs), 3),
         "stats_identical": all(p["stats_identical"] for p in pairs),
         "engine_equivalence_class": equivalence_class,
         "python": (python_version if python_version is not None
                    else platform.python_version()),
         "machine": machine if machine is not None else platform.machine(),
     }
-    if all("soa_seconds" in p for p in pairs):
-        soa_total = sum(p["soa_seconds"] for p in pairs)
-        record["soa_seconds"] = round(soa_total, 3)
-        record["speedup_soa"] = round(ref_total / soa_total, 3)
-        record["median_job_speedup_soa"] = round(
-            median_job_speedup(pairs, key="speedup_soa"), 3)
     if ffwd is not None:
         record["ffwd"] = dict(ffwd)
     return record
@@ -179,11 +153,7 @@ def pr10_fields(record: dict) -> dict:
     Derived from a built ``pr10_cold_sweep`` record so the trajectory
     has stable names (``pr10_seconds`` / ``speedup_soa_pr10``) that
     tooling can read without caring which line of the history it is.
-    Empty when the soa engine was not timed (no compiler, say — the
-    record then still documents the reference/batched pair).
     """
-    if "soa_seconds" not in record:
-        return {}
     return {"pr10_seconds": record["soa_seconds"],
             "speedup_soa_pr10": record["speedup_soa"]}
 
@@ -250,19 +220,11 @@ def main(argv=None) -> int:
                 t0 = time.perf_counter()
                 stats[engine] = execute_job(job).to_dict()
                 seconds[engine] = time.perf_counter() - t0
-                # each engine zeroes the process-wide telemetry at the
-                # start of its run, so right after the batched run the
-                # dict holds exactly this job's batched numbers —
-                # accumulate per job for the record.  The soa-only
-                # counter (resident-tProperty reuses) is always zero in
-                # a batched run and is harvested from the soa run
-                # instead.
-                if engine == "batched":
+                # the soa engine zeroes the process-wide telemetry at
+                # the start of its run, so right after it the dict holds
+                # exactly this job's numbers — accumulate per job
+                if engine == "soa":
                     for key in ffwd:
-                        if key not in _SOA_ONLY_FFWD:
-                            ffwd[key] += FFWD_TELEMETRY[key]
-                elif engine == "soa":
-                    for key in _SOA_ONLY_FFWD:
                         ffwd[key] += FFWD_TELEMETRY[key]
             pair = pair_result(job.describe(), seconds, stats)
             pairs.append(pair)
@@ -271,16 +233,15 @@ def main(argv=None) -> int:
                       file=sys.stderr)
             print(f"  {pair['job']:28s} "
                   f"ref={pair['reference_seconds']:7.3f}s "
-                  f"bat={pair['batched_seconds']:7.3f}s "
                   f"soa={pair['soa_seconds']:7.3f}s  "
-                  f"{pair['speedup']:5.2f}x/{pair['speedup_soa']:5.2f}x")
+                  f"{pair['speedup_soa']:5.2f}x")
         return pairs, ffwd
 
     jobs = matrix_jobs(algorithms=algorithms, datasets=datasets)
     resolve_graphs(jobs)
     pairs, ffwd = time_jobs(jobs)
     scales = {d: bench_scale(d) for d in datasets}
-    equivalence_class = engine_cache_token("batched")
+    equivalence_class = engine_cache_token("soa")
     records = [build_record(
         pairs,
         datasets=datasets,
@@ -291,9 +252,9 @@ def main(argv=None) -> int:
     )]
 
     if not args.no_pr10:
-        # the second trajectory: PageRank at ten iterations — nine
-        # all-active replay phases per job, the workload the soa
-        # engine's in-kernel recording + resident tProperty target
+        # the second trajectory: PageRank at ten iterations — ten
+        # all-active phases per job, the workload the soa engine's
+        # resident tProperty targets
         print(f"PRx{args.pr_iterations}:")
         pr10_jobs = matrix_jobs(
             algorithms=[("PR", {"iterations": args.pr_iterations})],
@@ -326,9 +287,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     if (args.require_speedup is not None
-            and record["speedup"] < args.require_speedup):
-        print(f"FAIL: speedup {record['speedup']:.2f}x below required "
-              f"{args.require_speedup:.2f}x", file=sys.stderr)
+            and record["speedup_soa"] < args.require_speedup):
+        print(f"FAIL: speedup_soa {record['speedup_soa']:.2f}x below "
+              f"required {args.require_speedup:.2f}x", file=sys.stderr)
         return 1
     return 0
 

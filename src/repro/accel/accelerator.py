@@ -8,8 +8,8 @@ One :class:`AcceleratorSim` executes the VCPM iteration loop:
   (``Reduce`` into tProperty banks).  Simulated cycle by cycle,
   sink-to-source, with every queue capacity and bank port enforced.
   The cycle loop itself is pluggable — see :mod:`repro.accel.engine`
-  for the ``reference`` (golden), ``batched`` (fast, cycle-exact) and
-  ``soa`` (compiled C march, cycle-exact) scatter engines.
+  for the ``reference`` (golden) and ``soa`` (compiled C march,
+  cycle-exact) scatter engines.
 * **Apply**: a vectorized pass over the Property Array
   (``ceil(V / m)`` cycles — m-parallel streaming), which also builds
   the next iteration's ActiveVertex parts (round-robin in activation
@@ -53,10 +53,12 @@ class SimResult:
 class AcceleratorSim:
     """Simulates one accelerator configuration on one graph + algorithm.
 
-    ``engine`` selects the scatter-phase implementation (``reference``,
-    ``batched`` or ``soa``; default: ``$REPRO_ENGINE``, then
-    :data:`~repro.accel.engine.DEFAULT_ENGINE`).  All three produce
-    identical :class:`SimStats`.
+    ``engine`` selects the scatter-phase implementation (``reference``
+    or ``soa``; default: ``$REPRO_ENGINE``, then
+    :data:`~repro.accel.engine.DEFAULT_ENGINE`).  Both produce
+    identical :class:`SimStats`; a ``soa`` request the compiled kernel
+    cannot serve runs on ``reference`` (``self.engine`` is then a
+    :class:`~repro.accel.engine.ReferenceEngine`).
     Pipeline tracing samples live component state, which only the
     reference engine has, so a ``tracer`` forces (and requires) it.
     """
@@ -70,10 +72,6 @@ class AcceleratorSim:
         self.algorithm = algorithm
         self.tracer = tracer        # optional repro.accel.trace.PipelineTracer
         self.out_degree = graph.out_degree()
-        # plain Python lists make the per-edge hot path ~5x faster than
-        # numpy scalar indexing
-        self._dst = graph.dst.tolist()
-        self._weights = graph.weights.tolist()
 
         if tracer is not None:
             if engine is not None and resolve_engine(engine) != "reference":

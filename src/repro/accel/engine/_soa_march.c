@@ -1,29 +1,33 @@
 /* SoA scatter-march kernel for the `soa` engine, the default engine.
  *
- * One call simulates one whole scatter phase of the batched engine's
- * cycle loop (propagation deliver -> ePE offers -> edge tick ->
+ * One call simulates one whole scatter phase in the reference engine's
+ * per-cycle order (propagation deliver -> ePE offers -> edge tick ->
  * frontend tick) over structure-of-arrays state: every FIFO bank is a
  * preallocated int64/double ring with head/length vectors, routing is
- * the precomputed table[stage][pos][dest] tensor, and arbiter state
- * (odd-even parity, rotating-scan starts, round-robin pointers, stall
- * memos) lives in flat int arrays.  The Python side (soa.py) owns the
+ * the table[stage][pos][dest] tensor built from the mdp/generator
+ * plans, and the arbiter state (odd-even parity, rotating-scan starts,
+ * round-robin pointers, stall memos) and the conflict counters live in
+ * the struct for the whole run.  The Python side (soa.py) owns the
  * numpy arrays; this kernel only views them through `SoaState`.
  *
- * The kernel must be BYTE-IDENTICAL to repro/accel/engine/batched.py:
- * every loop below mirrors one loop of the batched subnetworks
- * (fastnets.py / frontends.py / edgestage.py / propagation.py), in the
- * same scan order, with the same stall/combining/arbitration decisions
- * and the same float operation order (C doubles and CPython floats are
- * both IEEE-754 binary64, and the closed-form reduce kernels below tie
- * exactly like the Python builtins).  This kernel ticks every cycle;
- * the batched bulk drain/skip fast-forwards are proven equivalent to
- * per-cycle ticking (docs/performance.md), so the two marches agree.
+ * The kernel must be BYTE-IDENTICAL to repro/accel/engine/reference.py:
+ * every loop below mirrors one of the reference component models —
+ * the frontends of accel/frontend.py (with hw/arbiter.py's odd-even
+ * and greedy-claim arbiters), the edge stages of accel/edge_access.py
+ * (mdp/replay.py, mdp/range_network.py) and the propagation sites of
+ * accel/backend.py (mdp/network.py, hw/crossbar.py) — in the same scan
+ * order, with the same stall/combining/arbitration decisions and the
+ * same float operation order (C doubles and CPython floats are both
+ * IEEE-754 binary64, and the closed-form reduce kernels below tie
+ * exactly like the Python builtins).  What differs is bookkeeping that
+ * cannot change a decision: occupancy counts that end a scan once
+ * every occupied queue was visited, the dispatcher and central-window
+ * stall memos, and the range network's unchecked insert while its
+ * whole population fits under the block line (docs/performance.md).
  * The differential suite and tests/test_engine_fuzz.py hold it to that.
  *
- * Every phase of a kernel-bound run marches here: the soa engine keeps
- * no window memo, so nothing is recorded.  The one side output is
- * touch_dv, the delivered-vertex log the engine uses to restore its
- * resident tProperty buffer to identity.
+ * The one side output is touch_dv, the delivered-vertex log the engine
+ * uses to restore its resident tProperty buffer to identity.
  *
  * Plain C99 + libc only; compiled at first use via cc -O2 -shared
  * (see soakernel.py).  No -ffast-math: IEEE semantics are the point.
@@ -34,8 +38,8 @@
 typedef long long i64;
 typedef double f64;
 
-#define SOA_ABI_VERSION 3
-#define SOA_MAGIC 0x534F4133LL
+#define SOA_ABI_VERSION 4
+#define SOA_MAGIC 0x534F4134LL
 
 /* reduce_op codes */
 #define RED_ADD 0
@@ -49,14 +53,15 @@ typedef double f64;
 #define PROC_MIN_W 3
 #define PROC_ADD_CONST 5
 
-/* counter slots (ctr array), mapped to Python counter sites in soa.py */
+/* counter slots (ctr array): run totals, zeroed once at bind; soa.py's
+ * harvest() sums them into the SimStats conflict fields */
 #define C_DEFERRALS 0
-#define C_FRONT_STALL 1     /* mdp front net stall_events | xbar conflicts */
+#define C_FRONT_STALL 1     /* front MDP net stall_events | xbar conflicts */
 #define C_FRONT_REJ 2       /* mdp front net rejected_offers */
-#define C_EDGE_BLOCKED 3    /* disp_blocked | window_conflicts */
+#define C_EDGE_BLOCKED 3    /* dispatcher blocked | window conflicts */
 #define C_RNET_STALL 4
 #define C_RNET_REJ 5
-#define C_PROP_STALL 6      /* mdp prop net stall_events | xbar conflicts */
+#define C_PROP_STALL 6      /* prop MDP net stall_events | xbar conflicts */
 #define C_PROP_REJ 7
 #define C_NUM 8
 
@@ -149,7 +154,7 @@ typedef struct {
     i64 *px_rr;                 /* [m], persistent */
     /* -- scratch [max(n,m,w)] --------------------------------------- */
     i64 *s_epoch, *s_val, *s_epoch2, *s_val2;
-    /* -- arbiter scalars (persistent; seeded + written back) -------- */
+    /* -- arbiter scalars (persistent; set once at bind) ------------ */
     i64 parity, fstart;
     /* -- per-phase run state ---------------------------------------- */
     f64 *tprop;                 /* full num_vertices array */
@@ -158,7 +163,7 @@ typedef struct {
     i64 *touch_dv;              /* delivered vertices, dups allowed    */
     i64 touch_len;
     /* -- outputs ----------------------------------------------------- */
-    i64 *ctr;                   /* [C_NUM], zeroed here */
+    i64 *ctr;                   /* [C_NUM], run totals */
     i64 cycles, starved, busy, reduces;
     i64 magic2;
 } SoaState;
@@ -166,7 +171,7 @@ typedef struct {
 /* ------------------------------------------------------------------ */
 static inline f64 red(i64 op, f64 a, f64 b) {
     /* ties resolve to the FIRST argument, exactly like Python's
-     * min()/max() builtins the batched engine binds as reduce_fn */
+     * min()/max() builtins (Algorithm.scalar_reduce_fn) */
     if (op == RED_ADD) return a + b;
     if (op == RED_MIN) return (b < a) ? b : a;
     return (b > a) ? b : a;
@@ -209,7 +214,7 @@ static inline i64 fe_retire(SoaState *st, i64 ch) {
 }
 
 /* ================================================================== */
-/* Frontend MDP net (_FastMdpNet over (u % n, u, sprop); no combining)*/
+/* Frontend MDP net (MdpNetworkSim over (u % n, u, sprop)); no combining */
 /* ================================================================== */
 
 static void fn_advance_checked(SoaState *st) {
@@ -315,7 +320,7 @@ static i64 front_mdp_tick(SoaState *st) {
     if (iq_total) {
         i64 parity = st->parity;
         i64 epoch = ++epoch_ctr;
-        i64 any_claimed = 0;        /* Python: claimed dict is not None */
+        i64 any_claimed = 0;        /* any bank claimed this cycle */
         for (i64 ch = parity; ch < n; ch += 2) {    /* priority: grant */
             if (st->iq_len[ch] && st->fo_cnt[ch] < st->fe_depth) {
                 i64 u = RING(st->iq_u, ch, ID, st->iq_head[ch]);
@@ -357,7 +362,7 @@ static i64 front_mdp_tick(SoaState *st) {
 }
 
 /* ================================================================== */
-/* Frontend crossbar (_FastXbar over (u % n, u, sprop); no combining) */
+/* Frontend crossbar (ArbitratedCrossbar over (u % n, u, sprop))    */
 /* ================================================================== */
 
 static i64 front_xbar_tick(SoaState *st) {
@@ -443,7 +448,7 @@ static i64 front_xbar_tick(SoaState *st) {
 }
 
 /* ================================================================== */
-/* Range-split network (_FastRangeNet; own radix and block line)      */
+/* Range-split network (RangeSplitNetwork; own radix and block line) */
 /* ================================================================== */
 
 static i64 rn_try_insert(SoaState *st, i64 stage, i64 entry, i64 off,
@@ -466,7 +471,7 @@ static i64 rn_try_insert(SoaState *st, i64 stage, i64 entry, i64 off,
         rn_count += 1;
         return 1;
     }
-    /* two passes exactly like the Python targets-list build: every
+    /* two passes exactly like RangeSplitNetwork._try_insert: every
      * sub-piece validates against PRE-push queue lengths (sub-pieces
      * may share a target queue), then all push */
     i64 o = off, sb = start_bank, len = length;
@@ -597,7 +602,7 @@ static inline void epe_push(SoaState *st, i64 bank, i64 v, f64 imm) {
 static void edge_emit(SoaState *st, i64 off, i64 length, f64 payload,
                       i64 first_bank) {
     /* replay pieces never wrap, so banks are consecutive from off % m;
-     * proc dispatch hoisted out of the loop like the batched kernels */
+     * proc dispatch hoisted out of the per-edge loop */
     i64 bank = first_bank;
     switch (st->proc) {
     case PROC_IDENTITY:
@@ -915,7 +920,7 @@ static void edge_central_tick(SoaState *st) {
 }
 
 /* ================================================================== */
-/* Propagation MDP net (_FastMdpNet over (v % m, v, imm, cnt))        */
+/* Propagation MDP net (MdpNetworkSim over (v % m, v, imm, cnt))     */
 /* ================================================================== */
 
 static void pn_advance_checked(SoaState *st) {
@@ -998,8 +1003,8 @@ static void pn_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
     *red_out = reduces;
 }
 
-/* inlined stage-0 _FastMdpNet.offer from the ePE queues, one record
- * per channel per cycle (batched scatter step 2) */
+/* stage-0 MdpNetworkSim.offer from the ePE queues, one record per
+ * channel per cycle (the reference scatter loop's step 2) */
 static void pn_offer_epes(SoaState *st) {
     i64 m = st->m, D = st->fifo_depth, ED = st->epe_depth;
     i64 bl = st->block_len;
@@ -1054,7 +1059,7 @@ static void pn_offer_epes(SoaState *st) {
 }
 
 /* ================================================================== */
-/* Propagation crossbar (_FastXbar, combining)                        */
+/* Propagation crossbar (ArbitratedCrossbar, input-tail combining)  */
 /* ================================================================== */
 
 static void px_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
@@ -1162,7 +1167,6 @@ i64 soa_march(SoaState *st) {
     memset(st->fo_cnt, 0, n * sizeof(i64));
     memset(st->ep_head, 0, m * sizeof(i64));
     memset(st->ep_cnt, 0, m * sizeof(i64));
-    memset(st->ctr, 0, C_NUM * sizeof(i64));
     i64 mx = n > m ? n : m;
     if (w > mx) mx = w;
     memset(st->s_epoch, 0, mx * sizeof(i64));

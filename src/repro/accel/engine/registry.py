@@ -1,12 +1,12 @@
-"""Engine registry, selection and fast-forward telemetry.
+"""Engine registry, selection and the engine telemetry dict.
 
 This module is the *only* place engine names, the cache-equivalence
-class and the process-wide fast-forward telemetry live; every other
-layer (CLI, sweep, benchmarks, the perf probe) resolves engines through
-it.  The engine implementations themselves are imported lazily by
+class and the process-wide telemetry live; every other layer (CLI,
+sweep, benchmarks, the perf probe) resolves engines through it.  The
+engine implementations themselves are imported lazily by
 :func:`make_engine`, so the registry never depends on them at import
-time (no cycles: ``reference``/``batched`` import the registry for
-telemetry, not the other way around).
+time (no cycles: ``soa`` imports the registry for telemetry, not the
+other way around).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import types
 from repro.errors import ConfigError
 
 #: Engine registry, in documentation order.
-ENGINES = ("reference", "batched", "soa")
+ENGINES = ("reference", "soa")
 
 #: Engine used when neither the caller nor the environment picks one.
 DEFAULT_ENGINE = "soa"
@@ -28,38 +28,29 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: Cache-sharing version: engines carrying the same class string have
 #: been verified cycle-exact against each other, so their results may
-#: share cache entries.  Bump on any batched-engine change that has not
+#: share cache entries.  Bump on any soa-engine change that has not
 #: yet been re-verified by the differential suite.
 _EQUIVALENCE_CLASS = "cycle-exact-v1"
 
-#: Process-wide event-driven fast-forward telemetry (diagnostics only —
-#: never part of :class:`~repro.accel.stats.SimStats`).  ``windows`` /
-#: ``cycles_fast_forwarded`` / ``events`` count whole-phase structural
-#: windows replayed in closed form and the value-plane ops that replaced
-#: them; ``partial_windows`` counts phases replayed from a recorded
-#: program whose *frontend* segment had to be re-simulated (per-
-#: subnetwork window keys — see :mod:`repro.accel.engine.windows`), and
-#: ``front_cycles_resimulated`` the frontend-only cycles that cost;
-#: ``cycles_simulated`` counts cycles actually marched in full, and
-#: ``prologue_reuse`` counts soa phases that reused the resident
-#: identity-seeded tProperty buffer instead of reseeding it.
+#: Process-wide engine telemetry (diagnostics only — never part of
+#: :class:`~repro.accel.stats.SimStats`): ``cycles_simulated`` counts
+#: the cycles the soa kernel marched, and ``prologue_reuse`` counts soa
+#: phases that reused the resident identity-seeded tProperty buffer
+#: instead of reseeding it.
 #:
-#: The dict is zeroed at the start of every :class:`BatchedEngine`
-#: run (engine construction), so after a run it holds exactly that
-#: run's numbers and two back-to-back simulations never leak counters
-#: into each other.  A :class:`SlicedAcceleratorSim` constructs all of
-#: its per-slice engines before the first scatter, so one sliced run
-#: still aggregates across its slices.  Callers timing *several* runs
-#: (the perf probe) must snapshot and sum per run; callers that need
-#: per-engine attribution read the engine's own ``ffwd_*`` counters.
-FFWD_TELEMETRY = {"windows": 0, "cycles_fast_forwarded": 0,
-                  "cycles_simulated": 0, "events": 0,
-                  "partial_windows": 0, "front_cycles_resimulated": 0,
-                  "prologue_reuse": 0}
+#: The dict is zeroed at the start of every :class:`SoaEngine` run
+#: (engine construction), so after a run it holds exactly that run's
+#: numbers and two back-to-back simulations never leak counters into
+#: each other.  A :class:`SlicedAcceleratorSim` constructs all of its
+#: per-slice engines before the first scatter, so one sliced run still
+#: aggregates across its slices.  Callers timing *several* runs (the
+#: perf probe) must snapshot and sum per run.  The ``reference`` engine
+#: never touches it.
+FFWD_TELEMETRY = {"cycles_simulated": 0, "prologue_reuse": 0}
 
 
 def reset_ffwd_telemetry() -> dict:
-    """Zero the fast-forward telemetry and return the live dict."""
+    """Zero the engine telemetry and return the live dict."""
     for key in FFWD_TELEMETRY:
         FFWD_TELEMETRY[key] = 0
     return FFWD_TELEMETRY
@@ -70,11 +61,9 @@ def reset_ffwd_telemetry() -> dict:
 #: entries across unverified engines.
 _ENGINE_EQUIVALENCE = types.MappingProxyType({
     "reference": _EQUIVALENCE_CLASS,
-    "batched": _EQUIVALENCE_CLASS,
-    # soa deliberately JOINS the class: it subclasses the batched engine
-    # and swaps only the cycle marcher, and the differential suite plus
-    # tests/test_engine_fuzz.py hold it to byte-identical SimStats —
-    # so its results may share cache entries with the other two.
+    # soa JOINS the class: the differential suite and
+    # tests/test_engine_fuzz.py hold it to byte-identical SimStats, and
+    # it hands every run its kernel cannot reproduce to reference
     "soa": _EQUIVALENCE_CLASS,
 })
 
@@ -101,12 +90,16 @@ def engine_cache_token(name: str | None = None) -> str:
 
 
 def make_engine(name: str, sim):
-    """Build the scatter engine ``name`` bound to one simulator."""
-    if name == "reference":
-        from repro.accel.engine.reference import ReferenceEngine
-        return ReferenceEngine(sim)
+    """Build the scatter engine ``name`` bound to one simulator.
+
+    ``soa`` runs only where its compiled kernel reproduces the run bit
+    for bit (:func:`repro.accel.engine.soa.kernel_supports`); every
+    other run — no compiler, ``REPRO_SOA_KERNEL=off``, no closed-form
+    kernels — gets the golden ``reference`` engine.
+    """
     if name == "soa":
-        from repro.accel.engine.soa import SoaEngine
-        return SoaEngine(sim)
-    from repro.accel.engine.batched import BatchedEngine
-    return BatchedEngine(sim)
+        from repro.accel.engine import soa
+        if soa.kernel_supports(sim):
+            return soa.SoaEngine(sim)
+    from repro.accel.engine.reference import ReferenceEngine
+    return ReferenceEngine(sim)

@@ -1,44 +1,31 @@
-"""The ``soa`` engine (the default): the batched engine with a compiled
-SoA marcher.
+"""The ``soa`` engine (the default): every scatter phase in one C call.
 
-:class:`SoaEngine` subclasses :class:`~repro.accel.engine.batched.
-BatchedEngine` and overrides exactly one seam — :meth:`_march`, the
-cycle-by-cycle simulation of a scatter phase.  Everything else (harvest,
-telemetry reset, the Python march it falls back to) is inherited
-unchanged, which is what keeps the equivalence argument small: the two
-engines can only differ inside one well-contained function held to the
-byte-identical ``SimStats`` differential contract.
+:class:`SoaEngine` stands alone.  At construction it binds
+structure-of-arrays state straight from the
+:class:`~repro.accel.config.AcceleratorConfig` and the
+:mod:`repro.mdp.generator` wiring plans: every FIFO bank is a slice of
+a preallocated int64/float64 numpy array with head/occupancy vectors,
+MDP routing is the flattened ``table[stage][pos][dest]`` tensor, and
+the range network's module ports are a ``[stage][pos][digit]`` tensor.
+The compiled kernel (``_soa_march.c``, whose header carries the
+equivalence argument against the reference component models) marches
+one whole phase per call.
 
-The marcher lives in ``_soa_march.c`` (see its header comment for the
-cycle-model equivalence argument) and operates on structure-of-arrays
-state: every FIFO bank is a slice of a preallocated int64/float64
-numpy array with head/occupancy vectors, the MDP/range-network routing
-is the precomputed ``table[stage][pos][dest]`` tensor flattened to an
-int64 tensor, and persistent arbiter state (odd-even parity, rotating
-scan starts, round-robin pointers, stall memos) is seeded from the
-Python subnetwork objects before each phase and written back after —
-so a phase that falls back to the Python march mid-run picks up exactly
-where the C marcher left off.
+State that outlives a phase stays in the kernel's own struct for the
+whole run: the arbiter state (odd-even parity, rotating scan start,
+round-robin pointers, stall memos), set once at bind, and the conflict
+counters, which are run totals :meth:`SoaEngine.harvest` reads out.
+tProperty is *resident* too: :meth:`SoaEngine.scatter_phase` holds an
+identity-seeded buffer across phases and restores only the vertices
+the kernel delivered to (``touch_dv``), so sparse frontiers stop
+paying full-array seeding per phase.
 
-Once the kernel is bound, **every** scatter phase marches in C: the
-engine builds no window memo (``phase_memo`` is ``None``), because at C
-speed recording and replaying whole phases costs more than it saves.
-The engine also keeps tProperty *resident*: :meth:`scatter_phase`
-holds an identity-seeded buffer across phases and restores only the
-vertices the kernel actually delivered to (``touch_dv``), so sparse
-frontiers stop paying full-array seeding per phase.
-
-Fallback rules (always byte-identical, never an error):
-
-* no C compiler / load failure / ``REPRO_SOA_KERNEL=off`` — the engine
-  runs batched semantics, window memo included, for the whole run;
-* algorithms whose ``reduce``/``process_edge`` kernels have no declared
-  closed form (custom reductions, weight-dependent kernels beyond
-  add/min) — the C kernel cannot call back into Python per edge, so
-  the engine runs batched semantics for the whole run;
-* phases whose expected deliveries exceed the preallocated touch log
-  (duplicate actives — never a real frontier) — the inherited Python
-  march, for that phase only.
+The engine runs only where the kernel reproduces the run bit for bit
+(:func:`kernel_supports`).  Otherwise — no C compiler, a failed build,
+``REPRO_SOA_KERNEL=off``, or an algorithm without declared closed-form
+kernels — :func:`~repro.accel.engine.registry.make_engine` hands the
+run to the golden ``reference`` engine: byte-identical, many times
+slower.
 """
 
 from __future__ import annotations
@@ -48,10 +35,11 @@ import types
 
 import numpy as np
 
-from repro.accel.engine.batched import BatchedEngine
-from repro.accel.engine.registry import FFWD_TELEMETRY
+from repro.accel.edge_access import _compatible_radix
+from repro.accel.engine.registry import FFWD_TELEMETRY, reset_ffwd_telemetry
 from repro.accel.engine.soakernel import load_kernel
 from repro.errors import SimulationError
+from repro.mdp.generator import generate_network
 
 _i64 = ctypes.c_longlong
 _f64 = ctypes.c_double
@@ -59,7 +47,7 @@ _P = ctypes.c_void_p
 
 _RED_CODES = types.MappingProxyType({"add": 0, "min": 1, "max": 2})
 
-#: counter slots, mirroring the C kernel's C_* defines
+#: counter slots, mirroring the C kernel's C_* defines (run totals)
 _C_DEFERRALS = 0
 _C_FRONT_STALL = 1
 _C_FRONT_REJ = 2
@@ -69,24 +57,6 @@ _C_RNET_REJ = 5
 _C_PROP_STALL = 6
 _C_PROP_REJ = 7
 _C_NUM = 8
-
-#: Seam metadata: which Python counter-site attributes each C counter
-#: slot is committed to in :meth:`SoaEngine._march` (one slot may feed
-#: different sites depending on the configured subnetwork kind).  The
-#: ``c-seam-counters`` lint rule cross-checks this map three ways:
-#: slot constants above, the ``+= int(ctr[...])`` commit statements
-#: below, and the ``counter_sites()`` attribute names the batched
-#: subnetworks expose.
-_SLOT_SITES = types.MappingProxyType({
-    "_C_DEFERRALS": ("deferrals",),
-    "_C_FRONT_STALL": ("stall_events", "conflicts"),
-    "_C_FRONT_REJ": ("rejected_offers",),
-    "_C_EDGE_BLOCKED": ("disp_blocked", "window_conflicts"),
-    "_C_RNET_STALL": ("stall_events",),
-    "_C_RNET_REJ": ("rejected_offers",),
-    "_C_PROP_STALL": ("stall_events", "conflicts"),
-    "_C_PROP_REJ": ("rejected_offers",),
-})
 
 
 class _SoaState(ctypes.Structure):
@@ -158,56 +128,72 @@ class _SoaState(ctypes.Structure):
     )
 
 
-_MAGIC = 0x534F4133
+_MAGIC = 0x534F4134
 
 
-def _flat_i64(nested) -> np.ndarray:
-    """Flatten a nested table (lists/tuples of ints) to a C-order array."""
-    return np.ascontiguousarray(np.asarray(nested, dtype=np.int64).ravel())
+def _proc_code(alg) -> int | None:
+    """The kernel's ``PROC_*`` code for ``alg``'s Process_Edge, or
+    ``None`` when it declares no closed form the kernel reproduces."""
+    if alg.process_is_identity:
+        return 0
+    if not alg.uses_weights:
+        return None if alg.process_const is None else 5
+    if alg.process_op == "add":
+        return 2
+    if alg.process_op == "min":
+        return 3
+    return None
 
 
-class SoaEngine(BatchedEngine):
-    """Batched engine whose cycle march runs in the compiled SoA kernel."""
+def kernel_supports(sim) -> bool:
+    """True when the kernel loads and reproduces every value-plane
+    kernel of ``sim``'s run bit for bit."""
+    alg = sim.algorithm
+    return (load_kernel() is not None
+            and alg.reduce_op in _RED_CODES
+            and _proc_code(alg) is not None
+            # weights enter the kernel as exact int64 -> double conversions
+            and sim.graph.weights.dtype.kind in "iu")
+
+
+def _mdp_table(plan) -> np.ndarray:
+    """``table[stage][pos][dest]``: where a datum bound for ``dest``
+    leaves input ``pos`` of each stage."""
+    dest = np.arange(plan.channels)
+    return np.stack([
+        np.asarray(ports)[:, (dest // plan.radix ** stage.digit_index)
+                          % plan.radix]
+        for stage, ports in zip(plan.stages, plan.stage_ports())])
+
+
+class SoaEngine:
+    """Scatter engine whose every phase marches in the compiled kernel."""
 
     name = "soa"
 
     def __init__(self, sim) -> None:
-        super().__init__(sim)
+        if not kernel_supports(sim):
+            raise SimulationError(
+                "the soa kernel cannot run this simulation; "
+                "make_engine() hands it to the reference engine")
+        # one run == one engine: zeroing here keeps the process-wide
+        # telemetry per-run without relying on callers to reset it
+        reset_ffwd_telemetry()
         self._lib = load_kernel()
-        self._st = None
+        self.n = sim.config.front_channels
+        self.out_degree = sim.out_degree
+        self.num_vertices = sim.graph.num_vertices
         #: identity value the resident tprop buffer is currently seeded
         #: with everywhere (None = unknown, full reseed required)
         self._tprop_seed: float | None = None
-        #: vertices the last C-marched phase delivered to (a view of
-        #: touch_dv), or None when a Python march wrote unknown entries
-        self._phase_touched = None
-        if self._lib is not None and self._kernel_supported():
-            self._bind_state(sim)
-            # every phase marches in C: at kernel speed, recording and
-            # replaying whole phases costs more than it saves
-            self.phase_memo = None
-
-    # ------------------------------------------------------------------
-    def _kernel_supported(self) -> bool:
-        """True when every value-plane kernel has a declared closed form
-        the C side reproduces bit-for-bit."""
-        alg = self.algorithm
-        if _RED_CODES.get(alg.reduce_op) is None:
-            return False
-        if self._proc == 1 and getattr(alg, "process_const", None) is None:
-            return False
-        if self._proc == 4:
-            return False
-        # weights enter the C kernel as exact int64 -> double conversions
-        return self._weights_np.dtype.kind in "iu"
+        self._bind_state(sim)
 
     # ------------------------------------------------------------------
     def _bind_state(self, sim) -> None:
-        config = self.config
-        n, m = self.n, self.m
-        fe = self.frontend
-        edge = self.edge
-        prop = self.prop
+        config = sim.config
+        alg = sim.algorithm
+        graph = sim.graph
+        n, m = config.front_channels, config.back_channels
         st = _SoaState()
         keep = []           # array refs the struct points into
 
@@ -225,31 +211,29 @@ class SoaEngine(BatchedEngine):
         st.magic = _MAGIC
         st.magic2 = _MAGIC
         st.n, st.m = n, m
-        st.fifo_depth = config.fifo_depth
-        st.block_len = config.fifo_depth - config.radix
+        fifo = config.fifo_depth
+        st.fifo_depth = fifo
+        st.block_len = fifo - config.radix
         st.issue_depth = config.issue_queue_depth
         st.fe_depth = config.fe_out_depth
         st.epe_depth = config.epe_queue_depth
-        st.reduce_op = _RED_CODES[self.algorithm.reduce_op]
-        if self._proc == 1:
-            st.proc = 5
-            st.proc_const = float(self.algorithm.process_const)
-        else:
-            st.proc = self._proc
-            st.proc_const = 0.0
+        st.combining = 1 if config.vertex_combining else 0
+        st.reduce_op = _RED_CODES[alg.reduce_op]
+        st.proc = _proc_code(alg)
+        st.proc_const = (0.0 if alg.process_const is None
+                         else float(alg.process_const))
 
-        st.offsets = ptr(arr(self._offsets_np))
-        st.dst = ptr(arr(self._dst_np))
-        st.weights = ptr(arr(self._weights_np))
+        st.offsets = ptr(arr(graph.offsets))
+        st.dst = ptr(arr(graph.dst))
+        st.weights = ptr(arr(graph.weights))
 
-        fifo = config.fifo_depth
-        # -- frontend ---------------------------------------------------
-        st.front_is_mdp = 1 if fe.kind == "mdp" else 0
+        # -- frontend (site 1) ------------------------------------------
+        st.front_is_mdp = 1 if config.offset_site == "mdp" else 0
         if st.front_is_mdp:
-            net = fe.net
-            sf = net.num_stages
+            plan = generate_network(n, config.radix)
+            sf = plan.num_stages
             st.fn_stages = sf
-            st.fn_table = ptr(arr(_flat_i64(net.table)))
+            st.fn_table = ptr(arr(_mdp_table(plan)))
             st.fn_qu = ptr(arr(sf * n * fifo))
             st.fn_qs = ptr(arr(sf * n * fifo, np.float64))
             st.fn_head = ptr(arr(sf * n))
@@ -261,8 +245,7 @@ class SoaEngine(BatchedEngine):
             st.fx_qs = ptr(arr(n * fifo, np.float64))
             st.fx_head = ptr(arr(n))
             st.fx_len = ptr(arr(n))
-            self._fx_rr = arr(n)
-            st.fx_rr = ptr(self._fx_rr)
+            st.fx_rr = ptr(arr(n))
         st.iq_u = ptr(arr(n * config.issue_queue_depth))
         st.iq_s = ptr(arr(n * config.issue_queue_depth, np.float64))
         st.iq_head = ptr(arr(n))
@@ -272,9 +255,9 @@ class SoaEngine(BatchedEngine):
         st.fo_s = ptr(arr(n * config.fe_out_depth, np.float64))
         st.fo_head = ptr(arr(n))
         st.fo_cnt = ptr(arr(n))
-        v = self.num_vertices
-        self._part_u = arr(max(v, 1))
-        self._part_sp = arr(max(v, 1), np.float64)
+        # phase-sized buffers start empty; scatter() grows them to fit
+        self._part_u = arr(0)
+        self._part_sp = arr(0, np.float64)
         self._part_pos = arr(n)
         self._part_end = arr(n)
         st.part_u = ptr(self._part_u)
@@ -282,47 +265,47 @@ class SoaEngine(BatchedEngine):
         st.part_pos = ptr(self._part_pos)
         st.part_end = ptr(self._part_end)
 
-        # -- edge stage -------------------------------------------------
-        st.edge_is_mdp = 1 if edge.kind == "mdp" else 0
+        # -- edge stage (site 2) ----------------------------------------
+        st.edge_is_mdp = 1 if config.edge_site == "mdp" else 0
         if st.edge_is_mdp:
-            w = edge.w
+            w = config.num_dispatchers
             st.w = w
-            st.disp_depth = edge.disp_depth
-            st.replay_depth = edge.replay_depth
-            st.rp_po = ptr(arr(n * edge.replay_depth))
-            st.rp_pl = ptr(arr(n * edge.replay_depth))
-            st.rp_ps = ptr(arr(n * edge.replay_depth, np.float64))
+            st.disp_depth = config.dispatcher_queue_depth
+            st.replay_depth = config.replay_queue_depth
+            st.rp_po = ptr(arr(n * config.replay_queue_depth))
+            st.rp_pl = ptr(arr(n * config.replay_queue_depth))
+            st.rp_ps = ptr(arr(n * config.replay_queue_depth, np.float64))
             st.rp_head = ptr(arr(n))
             st.rp_cnt = ptr(arr(n))
             st.rp_cur_off = ptr(arr(n))
             st.rp_cur_rem = ptr(arr(n))
             st.rp_cur_pay = ptr(arr(n, np.float64))
-            st.pos_of = ptr(arr(np.asarray(edge._position_of)))
-            chan_flat, starts, cnts = [], [], []
-            for channels in edge._channels_at:
-                starts.append(len(chan_flat))
-                cnts.append(len(channels))
-                chan_flat.extend(channels)
-            st.chan_at = ptr(arr(np.asarray(chan_flat + [0])))
-            st.chan_at_start = ptr(arr(np.asarray(starts)))
-            st.chan_at_cnt = ptr(arr(np.asarray(cnts)))
+            # the n replay engines spread over the w network inputs
+            pos_of = np.array([(ch * w) // n if n <= w else ch % w
+                               for ch in range(n)])
+            counts = np.bincount(pos_of, minlength=w)
+            st.pos_of = ptr(arr(pos_of))
+            st.chan_at = ptr(arr(np.argsort(pos_of, kind="stable")))
+            st.chan_at_start = ptr(arr(np.cumsum(counts) - counts))
+            st.chan_at_cnt = ptr(arr(counts))
             st.busy_at = ptr(arr(w))
-            self._rp_rr = arr(w)
-            st.rp_rr = ptr(self._rp_rr)
-            rnet = edge.rnet
-            st.has_rnet = 0 if rnet is None else 1
-            if rnet is not None:
-                sr = rnet.num_stages
+            st.rp_rr = ptr(arr(w))
+            net_radix = _compatible_radix(w, config.radix)
+            st.has_rnet = 0 if net_radix is None else 1
+            if st.has_rnet:
+                plan = generate_network(w, net_radix)
+                sr = plan.num_stages
                 st.rn_stages = sr
-                st.rn_radix = rnet.radix
-                st.rn_block_len = rnet.block_len
-                # range-net split inserts may push several pieces into
-                # ONE queue in a single offer (a span covers up to w
-                # blocks), briefly exceeding fifo_depth — the Python
-                # deques are unbounded, so the rings get headroom
+                st.rn_radix = net_radix
+                st.rn_block_len = fifo - net_radix
+                # a split insert may push several pieces into ONE queue
+                # in a single offer (a span covers up to w blocks),
+                # briefly exceeding fifo_depth, so the rings get headroom
                 st.rn_ring = fifo + w + 2
-                st.rn_block = ptr(arr(np.asarray(rnet.stage_block)))
-                st.rn_ptbl = ptr(arr(_flat_i64(rnet.stage_ports)))
+                st.rn_block = ptr(arr([
+                    config.dispatcher_group * net_radix ** stage.digit_index
+                    for stage in plan.stages]))
+                st.rn_ptbl = ptr(arr(plan.stage_ports()))
                 st.rn_qo = ptr(arr(sr * w * st.rn_ring))
                 st.rn_ql = ptr(arr(sr * w * st.rn_ring))
                 st.rn_qp = ptr(arr(sr * w * st.rn_ring, np.float64))
@@ -331,34 +314,35 @@ class SoaEngine(BatchedEngine):
                 st.rn_counts = ptr(arr(sr))
             else:
                 st.rn_stages = 1
-            st.dq_off = ptr(arr(w * edge.disp_depth))
-            st.dq_len = ptr(arr(w * edge.disp_depth))
-            st.dq_pay = ptr(arr(w * edge.disp_depth, np.float64))
+            st.dq_off = ptr(arr(w * config.dispatcher_queue_depth))
+            st.dq_len = ptr(arr(w * config.dispatcher_queue_depth))
+            st.dq_pay = ptr(arr(w * config.dispatcher_queue_depth,
+                                np.float64))
             st.dq_head = ptr(arr(w))
             st.dq_cnt = ptr(arr(w))
-            self._disp_stall = arr(w)
-            st.disp_stall = ptr(self._disp_stall)
+            st.disp_stall = ptr(arr(np.full(w, -1)))
         else:
             st.w = 1
-            st.ce_issue_limit = edge.ce_issue_limit
-            st.ce_capacity = edge.ce_capacity
-            st.ce_off = ptr(arr(edge.ce_capacity))
-            st.ce_len = ptr(arr(edge.ce_capacity))
-            st.ce_pay = ptr(arr(edge.ce_capacity, np.float64))
+            capacity = config.fe_out_depth * n
+            st.ce_issue_limit = config.issue_limit
+            st.ce_capacity = capacity
+            st.ce_off = ptr(arr(capacity))
+            st.ce_len = ptr(arr(capacity))
+            st.ce_pay = ptr(arr(capacity, np.float64))
+            st.ce_stall_off = st.ce_stall_len = st.ce_stall_bank = -1
             st.rn_stages = 1
         st.ep_v = ptr(arr(m * config.epe_queue_depth))
         st.ep_imm = ptr(arr(m * config.epe_queue_depth, np.float64))
         st.ep_head = ptr(arr(m))
         st.ep_cnt = ptr(arr(m))
 
-        # -- propagation ------------------------------------------------
-        st.prop_is_mdp = 1 if prop.kind == "mdp" else 0
+        # -- propagation (site 3) ---------------------------------------
+        st.prop_is_mdp = 1 if config.propagation_site == "mdp" else 0
         if st.prop_is_mdp:
-            pnet = prop.net
-            st.combining = 1 if pnet.combining else 0
-            sp = pnet.num_stages
+            plan = generate_network(m, config.radix)
+            sp = plan.num_stages
             st.pn_stages = sp
-            st.pn_table = ptr(arr(_flat_i64(pnet.table)))
+            st.pn_table = ptr(arr(_mdp_table(plan)))
             st.pn_qv = ptr(arr(sp * m * fifo))
             st.pn_qc = ptr(arr(sp * m * fifo))
             st.pn_qi = ptr(arr(sp * m * fifo, np.float64))
@@ -366,15 +350,13 @@ class SoaEngine(BatchedEngine):
             st.pn_len = ptr(arr(sp * m))
             st.pn_counts = ptr(arr(sp))
         else:
-            st.combining = 1 if prop.xbar.combining else 0
             st.pn_stages = 1
             st.px_qv = ptr(arr(m * fifo))
             st.px_qc = ptr(arr(m * fifo))
             st.px_qi = ptr(arr(m * fifo, np.float64))
             st.px_head = ptr(arr(m))
             st.px_len = ptr(arr(m))
-            self._px_rr = arr(m)
-            st.px_rr = ptr(self._px_rr)
+            st.px_rr = ptr(arr(m))
 
         mx = max(n, m, int(st.w))
         st.s_epoch = ptr(arr(mx))
@@ -382,54 +364,51 @@ class SoaEngine(BatchedEngine):
         st.s_epoch2 = ptr(arr(mx))
         st.s_val2 = ptr(arr(mx))
 
-        self._tprop_buf = arr(max(v, 1), np.float64)
+        self._tprop_buf = arr(max(self.num_vertices, 1), np.float64)
         st.tprop = ptr(self._tprop_buf)
+        self._touch_dv = arr(0)
+        st.touch_dv = ptr(self._touch_dv)
         self._ctr = arr(_C_NUM)
         st.ctr = ptr(self._ctr)
-
-        # -- resident-delta buffer: one touch_dv entry per delivery, and
-        # a delivery carries at least one edge of an active vertex, so a
-        # real frontier touches at most E vertices
-        self._cap_e = max(int(self._dst_np.size), 1)
-        self._touch_dv = arr(self._cap_e)
-        st.touch_dv = ptr(self._touch_dv)
 
         self._keep = keep
         self._st = st
 
-    # ------------------------------------------------------------------
-    def _march(self, active, sprop_all, tprop, stats,
-               record_key: tuple | None) -> None:
+    def _grow(self, size: int, expected: int) -> None:
+        """Resize the phase buffers to fit ``size`` actives and
+        ``expected`` deliveries (a direct ``scatter()`` may repeat
+        actives, so a phase can exceed |V| actives and |E| edges)."""
         st = self._st
+        if size > self._part_u.size:
+            self._part_u = np.zeros(size, dtype=self._part_u.dtype)
+            self._part_sp = np.zeros(size, dtype=self._part_sp.dtype)
+            st.part_u = self._part_u.ctypes.data
+            st.part_sp = self._part_sp.ctypes.data
+        if expected > self._touch_dv.size:
+            # one touch per delivery, and every delivery reduces >= 1 edge
+            self._touch_dv = np.zeros(expected, dtype=self._touch_dv.dtype)
+            st.touch_dv = self._touch_dv.ctypes.data
+
+    # ------------------------------------------------------------------
+    def scatter(self, active, sprop_all, tprop, stats) -> None:
+        """Simulate one scatter phase in C, reducing into ``tprop`` (a
+        list, or the engine's resident buffer)."""
+        st = self._st
+        n = self.n
         size = int(active.size)
         expected = int(self.out_degree[active].sum())
-        if st is not None and expected > self._cap_e:
-            # touch_dv is sized for real frontiers (touches <= E);
-            # duplicate actives march in Python instead
-            st = None
-        if st is None:
-            super()._march(active, sprop_all, tprop, stats, record_key)
-            self._phase_touched = None      # unknown writes: full reseed
-            return
-        fe = self.frontend
-        edge = self.edge
-        prop = self.prop
-        n = self.n
-
-        if size:
-            sel = sprop_all[active]
-            pos = 0
-            for ch in range(n):
-                seg = active[ch::n]
-                k = int(seg.size)
-                self._part_u[pos:pos + k] = seg
-                self._part_sp[pos:pos + k] = sel[ch::n]
-                self._part_pos[ch] = pos
-                self._part_end[ch] = pos + k
-                pos += k
-        else:
-            self._part_pos[:] = 0
-            self._part_end[:] = 0
+        if size > self._part_u.size or expected > self._touch_dv.size:
+            self._grow(size, expected)
+        pos = 0
+        sel = sprop_all[active]
+        for ch in range(n):
+            seg = active[ch::n]
+            k = int(seg.size)
+            self._part_u[pos:pos + k] = seg
+            self._part_sp[pos:pos + k] = sel[ch::n]
+            self._part_pos[ch] = pos
+            self._part_end[ch] = pos + k
+            pos += k
         v = self.num_vertices
         resident = tprop is self._tprop_buf
         if v and not resident:
@@ -438,27 +417,10 @@ class SoaEngine(BatchedEngine):
             self._tprop_seed = None
             self._tprop_buf[:v] = tprop
 
-        # seed persistent arbiter state from the Python subnetworks
-        if st.front_is_mdp:
-            st.parity = fe.parity
-        else:
-            st.fstart = fe.fstart
-            self._fx_rr[:] = fe.xbar.rr
-        if st.edge_is_mdp:
-            self._rp_rr[:] = edge.rp_rr
-            self._disp_stall[:] = edge.disp_stall
-        else:
-            ce = edge.ce_stall
-            st.ce_stall_off, st.ce_stall_len, st.ce_stall_bank = (
-                ce if ce is not None else (-1, -1, -1))
-        if not st.prop_is_mdp:
-            self._px_rr[:] = prop.xbar.rr
-
         st.expected = expected
         st.fe_pending = size
         limit = 4 * expected + 8 * size + 10_000
         st.limit = limit
-
         rc = int(self._lib.soa_march(ctypes.byref(st)))
         if rc == 1:
             raise SimulationError(
@@ -466,70 +428,27 @@ class SoaEngine(BatchedEngine):
                 f"({st.reduces}/{expected} reduces, {st.fe_pending} vertices "
                 f"pending) — queue sizing bug?")
         if rc != 0:
-            # defensive: ABI skew detected at runtime — state untouched,
-            # disable the kernel and redo the phase in Python
-            self._st = None
-            super()._march(active, sprop_all, tprop, stats, record_key)
-            self._phase_touched = None
-            return
+            raise SimulationError(
+                f"soa kernel rejected its state (code {rc}): the struct "
+                f"layout and the loaded kernel disagree")
 
-        # commit: values, stats, counters, arbiter state
         if not resident:
             tprop[:] = self._tprop_buf[:v].tolist()
-        # valid until the next soa_march call; scatter_phase consumes it
-        # immediately after scatter() returns
-        self._phase_touched = self._touch_dv[:int(st.touch_len)]
         stats.scatter_cycles += st.cycles
         stats.vpe_starvation_cycles += st.starved
         stats.vpe_busy_cycles += st.busy
         stats.edges_processed += st.reduces
         FFWD_TELEMETRY["cycles_simulated"] += st.cycles
-        ctr = self._ctr
-        if st.front_is_mdp:
-            fe.parity = int(st.parity)
-            fe.deferrals += int(ctr[_C_DEFERRALS])
-            fe.net.stall_events += int(ctr[_C_FRONT_STALL])
-            fe.net.rejected_offers += int(ctr[_C_FRONT_REJ])
-        else:
-            fe.fstart = int(st.fstart)
-            fe.xbar.rr[:] = self._fx_rr.tolist()
-            fe.deferrals += int(ctr[_C_DEFERRALS])
-            fe.xbar.conflicts += int(ctr[_C_FRONT_STALL])
-        if st.edge_is_mdp:
-            edge.rp_rr[:] = self._rp_rr.tolist()
-            edge.disp_stall[:] = self._disp_stall.tolist()
-            edge.disp_blocked += int(ctr[_C_EDGE_BLOCKED])
-            if edge.rnet is not None:
-                edge.rnet.stall_events += int(ctr[_C_RNET_STALL])
-                edge.rnet.rejected_offers += int(ctr[_C_RNET_REJ])
-        else:
-            edge.window_conflicts += int(ctr[_C_EDGE_BLOCKED])
-            edge.ce_stall = (None if st.ce_stall_off < 0 else
-                             (int(st.ce_stall_off), int(st.ce_stall_len),
-                              int(st.ce_stall_bank)))
-        if st.prop_is_mdp:
-            prop.net.stall_events += int(ctr[_C_PROP_STALL])
-            prop.net.rejected_offers += int(ctr[_C_PROP_REJ])
-        else:
-            prop.xbar.rr[:] = self._px_rr.tolist()
-            prop.xbar.conflicts += int(ctr[_C_PROP_STALL])
 
-    # ------------------------------------------------------------------
-    # Resident tProperty (the per-phase marshalling prologue, hoisted)
-    # ------------------------------------------------------------------
     def scatter_phase(self, active, sprop_all, identity: float,
                       stats) -> np.ndarray:
         """One whole scatter phase against the resident tProperty buffer.
 
         The buffer stays identity-seeded across phases: after each phase
         only the vertices the kernel delivered to (``touch_dv``) are
-        restored — the tiny-phase seeding tax on sparse frontiers drops
-        from O(V) to O(touched).  A phase that marched in Python leaves
-        unknown writes, so the whole buffer is reseeded next phase.
+        restored, so the seeding tax on sparse frontiers is O(touched)
+        rather than O(V).
         """
-        st = self._st
-        if st is None:
-            return super().scatter_phase(active, sprop_all, identity, stats)
         buf = self._tprop_buf
         v = self.num_vertices
         if self._tprop_seed != identity:
@@ -537,12 +456,20 @@ class SoaEngine(BatchedEngine):
             self._tprop_seed = identity
         else:
             FFWD_TELEMETRY["prologue_reuse"] += 1
-        self._phase_touched = None
         self.scatter(active, sprop_all, buf, stats)
         out = buf[:v].copy()
-        touched = self._phase_touched
-        if touched is None or 4 * len(touched) > v:
-            buf[:v] = identity      # unknown or dense: bulk reseed wins
+        touched = self._touch_dv[:self._st.touch_len]
+        if 4 * len(touched) > v:
+            buf[:v] = identity      # dense: one bulk reseed wins
         elif len(touched):
             buf[touched] = identity
         return out
+
+    def harvest(self, stats) -> None:
+        """Assign the run's conflict counters from the kernel's slots."""
+        ctr = self._ctr
+        stats.offset_deferrals = int(ctr[_C_DEFERRALS])
+        stats.edge_conflicts = int(ctr[_C_EDGE_BLOCKED] + ctr[_C_RNET_STALL]
+                                   + ctr[_C_RNET_REJ])
+        stats.propagation_conflicts = int(ctr[_C_PROP_STALL]
+                                          + ctr[_C_PROP_REJ])

@@ -10,10 +10,10 @@ sweep workers race benignly.
 
 Everything here degrades gracefully: no compiler, a failed compile, a
 failed dlopen or an ABI mismatch all yield ``None`` from
-:func:`load_kernel`, and the ``soa`` engine then runs batched
-semantics (BYTE-IDENTICAL, but pure Python and many times slower).
-``REPRO_SOA_KERNEL=off`` is the explicit kill-switch for the same
-fallback.
+:func:`load_kernel`, and :func:`~repro.accel.engine.registry.make_engine`
+then hands ``soa`` runs to the ``reference`` engine (BYTE-IDENTICAL,
+but a pure Python march, many times slower).  ``REPRO_SOA_KERNEL=off``
+is the explicit kill-switch for the same fallback.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 #: Environment kill-switch: ``off``/``0``/``no`` disables the compiled
-#: kernel (the soa engine still runs, via the inherited batched march).
+#: kernel (``soa`` runs are then handed to the reference engine).
 KERNEL_ENV_VAR = "REPRO_SOA_KERNEL"
 
 #: Environment override for the compiled-kernel cache directory.
@@ -98,7 +98,7 @@ def load_kernel() -> ctypes.CDLL | None:
 
     Returns the loaded library with ``soa_march`` ready to call, or
     ``None`` when the kernel is disabled or unavailable — callers fall
-    back to the batched march, never error.
+    back to the reference engine, never error.
     """
     global _LIB
     if _LIB is not False:

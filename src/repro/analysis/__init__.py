@@ -1,7 +1,7 @@
 """Static contract & determinism analysis — the ``repro lint`` layer.
 
 The reproduction's correctness claims rest on invariants no unit test
-can watch continuously: the ``reference``/``batched`` engines must stay
+can watch continuously: the ``reference``/``soa`` engines must stay
 byte-identical under the SimStats contract, cache keys must cover every
 config field, and telemetry/module state must never leak between runs.
 Two of those have already been violated and hand-patched (the PR 3

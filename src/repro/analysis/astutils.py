@@ -87,21 +87,6 @@ def module_level_statements(tree: ast.Module) -> Iterator[ast.stmt]:
                 stack.extend(handler.body)
 
 
-def class_methods(node: ast.ClassDef) -> set[str]:
-    """Names of functions defined directly in a class body."""
-    return {stmt.name for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
-
-
-def class_attr_names(node: ast.ClassDef) -> set[str]:
-    """Names bound by simple assignments directly in a class body."""
-    names: set[str] = set()
-    for stmt in node.body:
-        for name, _value, _lineno in assign_targets(stmt):
-            names.add(name)
-    return names
-
-
 def dataclass_field_names(node: ast.ClassDef) -> list[tuple[str, int]]:
     """Annotated field names of a dataclass body, ``ClassVar`` excluded."""
     fields: list[tuple[str, int]] = []

@@ -10,10 +10,10 @@ per ``scripts/perf_probe.py`` run.  The checks live here so the
 * **equivalence** — ``stats_identical`` must be true on every record: a
   false value means a probe run caught the engines disagreeing, and the
   history then contains evidence of a broken contract (fatal);
-* **trajectory** — a newest-record ``speedup`` more than ``tolerance``
-  below the best *comparable* record (equal ``scales`` and ``jobs``)
-  is an advisory warning: shared CI runners are too noisy for a hard
-  perf floor (see ``docs/performance.md``).
+* **trajectory** — a newest-record ``speedup_soa`` more than
+  ``tolerance`` below the best *comparable* record (equal ``bench``,
+  ``scales`` and ``jobs``) is an advisory warning: shared CI runners are
+  too noisy for a hard perf floor (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -30,19 +30,21 @@ SCHEMA: dict[str, tuple] = {
     "scales": (dict,),
     "jobs": (int,),
     "reference_seconds": (int, float),
-    "batched_seconds": (int, float),
-    "speedup": (int, float),
-    "median_job_speedup": (int, float),
     "stats_identical": (bool,),
     "engine_equivalence_class": (str,),
     "python": (str,),
     "machine": (str,),
 }
 
-#: optional field -> accepted types (older records predate these; the
-#: ``soa`` engine joined the probe after the first records were laid
-#: down, so its timings are optional forever)
+#: optional field -> accepted types.  Records carry the timings of the
+#: engines the probe ran: ``batched_seconds``/``speedup``/
+#: ``median_job_speedup`` are historical (the batched engine is retired;
+#: only records up to 2026-08-08 have them), the ``soa`` fields start in
+#: 2026-08 — every record has at least one of the two timings.
 OPTIONAL_SCHEMA: dict[str, tuple] = {
+    "batched_seconds": (int, float),
+    "speedup": (int, float),
+    "median_job_speedup": (int, float),
     "ffwd": (dict,),
     "soa_seconds": (int, float),
     "speedup_soa": (int, float),
@@ -52,8 +54,14 @@ OPTIONAL_SCHEMA: dict[str, tuple] = {
 }
 
 #: optional numeric fields that must be positive when present
-_OPTIONAL_POSITIVE = ("soa_seconds", "speedup_soa", "median_job_speedup_soa",
-                      "pr10_seconds", "speedup_soa_pr10")
+_OPTIONAL_POSITIVE = tuple(field for field, types in OPTIONAL_SCHEMA.items()
+                           if types == (int, float))
+
+#: engine timings a record must carry at least one of
+_ENGINE_SECONDS = ("batched_seconds", "soa_seconds")
+
+#: the speedup the trajectory watch compares
+_TRAJECTORY_FIELD = "speedup_soa"
 
 
 def validate_record(record: dict, lineno: int) -> list[str]:
@@ -83,10 +91,12 @@ def validate_record(record: dict, lineno: int) -> list[str]:
     if not errors:
         if record["jobs"] < 1:
             errors.append(f"line {lineno}: jobs must be >= 1")
-        for field in ("reference_seconds", "batched_seconds", "speedup",
-                      "median_job_speedup"):
-            if record[field] <= 0:
-                errors.append(f"line {lineno}: {field} must be positive")
+        if record["reference_seconds"] <= 0:
+            errors.append(f"line {lineno}: reference_seconds must be "
+                          f"positive")
+        if not any(field in record for field in _ENGINE_SECONDS):
+            errors.append(f"line {lineno}: record carries no engine "
+                          f"timing (one of {', '.join(_ENGINE_SECONDS)})")
         for field in _OPTIONAL_POSITIVE:
             if field in record and record[field] <= 0:
                 errors.append(f"line {lineno}: {field} must be positive")
@@ -128,24 +138,27 @@ def check_history(records: list[dict], tolerance: float = 0.2):
     # one watch per trajectory: the newest record of every bench is
     # compared against the best earlier comparable record of that bench
     # (a probe run appends both a fig8 and a pr10 record, so "the last
-    # line" alone would leave the fig8 trajectory unwatched)
+    # line" alone would leave the fig8 trajectory unwatched); records
+    # without the trajectory field (batched-era ones) are not compared
+    timed = [r for r in records if _TRAJECTORY_FIELD in r]
     newest_by_bench: dict[str, dict] = {}
-    for record in records:
+    for record in timed:
         newest_by_bench[record["bench"]] = record
     for bench, newest in newest_by_bench.items():
-        peers = [r for r in records
+        peers = [r for r in timed
                  if r is not newest
                  and comparability_key(r) == comparability_key(newest)]
         if not peers:
             continue
-        best = max(p["speedup"] for p in peers)
+        best = max(p[_TRAJECTORY_FIELD] for p in peers)
         floor = best * (1.0 - tolerance)
-        if newest["speedup"] < floor:
+        if newest[_TRAJECTORY_FIELD] < floor:
             warnings.append(
                 f"trajectory regression: newest {bench} record "
-                f"({newest['utc']}) speedup {newest['speedup']:.3f}x is "
-                f"more than {tolerance:.0%} below the best comparable "
-                f"record ({best:.3f}x over {len(peers)} peer(s))")
+                f"({newest['utc']}) {_TRAJECTORY_FIELD} "
+                f"{newest[_TRAJECTORY_FIELD]:.3f}x is more than "
+                f"{tolerance:.0%} below the best comparable record "
+                f"({best:.3f}x over {len(peers)} peer(s))")
     return fatal, warnings
 
 

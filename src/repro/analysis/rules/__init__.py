@@ -10,10 +10,9 @@ One module per concern, mirroring the invariants they guard:
 ``cachekey.py``    cache-key completeness: every ``AcceleratorConfig``
                    field and every ``SweepJob`` axis reaches the key
 ``telemetry.py``   every ``FFWD_TELEMETRY`` key written anywhere is
-                   zeroed by the engine-run-start reset
-``compat.py``      the ``accel/engine`` re-export surface covers the
-                   pre-split monolith; subnetworks implement the
-                   tick/arb_key/restore_arb/counter_sites seam
+                   zeroed by the soa engine's run-start reset
+``engines.py``     every registered engine has a cache-equivalence
+                   entry and a ``make_engine`` branch
 ``apisurface.py``  the package root exports exactly its frozen
                    ``PACKAGE_EXPORTS`` manifest (PEP 562 lazy surface,
                    deprecation shims out of ``__all__`` and unused
@@ -34,9 +33,9 @@ One module per concern, mirroring the invariants they guard:
 from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     apisurface,
     cachekey,
-    compat,
     cseam,
     determinism,
+    engines,
     exceptions,
     forksafety,
     repo,

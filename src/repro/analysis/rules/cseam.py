@@ -20,12 +20,10 @@ C and the Python location of the disagreement:
   prologue marshals into a pointer field must carry the dtype the C
   side will read through it.
 * ``c-seam-counters`` — ``_C_*`` slot constants must match the ``C_*``
-  defines value-for-value; the ``_SLOT_SITES`` seam map, the
-  ``+= int(ctr[...])`` commit statements and the subnetworks'
-  ``counter_sites()`` attribute names must all agree.
-* ``c-seam-kernels`` — reduce/process kernel ids (``_RED_CODES``,
-  batched ``_proc`` codes, the ``st.proc`` remap) must match the
-  ``RED_*``/``PROC_*`` defines, the scalar-reduce surface in
+  defines value-for-value.
+* ``c-seam-kernels`` — reduce/process kernel ids (``_RED_CODES``, the
+  codes ``_proc_code`` returns) must match the ``RED_*``/``PROC_*``
+  defines in both directions, the scalar-reduce surface in
   ``algorithms/base.py`` must be exactly what the C kernel implements,
   and ``soakernel.py`` must still be able to find ``SOA_ABI_VERSION``.
 
@@ -48,12 +46,12 @@ from repro.analysis.registry import rule
 C_PATH = "src/repro/accel/engine/_soa_march.c"
 SOA_PATH = "src/repro/accel/engine/soa.py"
 KERNEL_PATH = "src/repro/accel/engine/soakernel.py"
-BATCHED_PATH = "src/repro/accel/engine/batched.py"
 ALGORITHM_PATH = "src/repro/algorithms/base.py"
-ENGINE_DIR = "src/repro/accel/engine"
 
 C_STRUCT = "SoaState"
 PY_MIRROR = "_SoaState"
+#: the soa.py function whose return values are the kernel's PROC codes
+PROC_FUNCTION = "_proc_code"
 
 #: ctypes constructors -> 8-byte field kind.
 _CTYPES_KINDS = {
@@ -166,40 +164,6 @@ def _top_level_dict(tree: ast.Module, name: str,
     return None
 
 
-def _slot_sites(tree: ast.Module) -> dict[str, tuple[tuple[str, ...], int]]:
-    found = _top_level_dict(tree, "_SLOT_SITES")
-    if found is None:
-        return {}
-    literal, _line = found
-    out: dict[str, tuple[tuple[str, ...], int]] = {}
-    for key, value in zip(literal.keys, literal.values):
-        if not isinstance(key, ast.Constant):
-            continue
-        sites = tuple(e.value for e in getattr(value, "elts", ())
-                      if isinstance(e, ast.Constant))
-        out[key.value] = (sites, key.lineno)
-    return out
-
-
-def _commit_pairs(tree: ast.Module) -> list[tuple[str, str, int]]:
-    """``(slot, site_attr, line)`` per ``X.attr += int(ctr[_C_...])``."""
-    pairs = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.AugAssign)
-                and isinstance(node.op, ast.Add)
-                and isinstance(node.target, ast.Attribute)):
-            continue
-        value = node.value
-        if isinstance(value, ast.Call) and dotted_name(value.func) == "int" \
-                and len(value.args) == 1:
-            value = value.args[0]
-        if isinstance(value, ast.Subscript) \
-                and isinstance(value.slice, ast.Name) \
-                and value.slice.id.startswith("_C_"):
-            pairs.append((value.slice.id, node.target.attr, node.lineno))
-    return pairs
-
-
 def _arr_dtype_kind(call: ast.Call) -> str | None:
     """The marshalled dtype of one ``arr(...)`` call (default int64)."""
     dtype_node = None
@@ -249,48 +213,18 @@ def _marshalled_dtypes(tree: ast.Module) -> dict[str, tuple[str, int]]:
     return out
 
 
-def _counter_site_names(project: Project) -> list[tuple[str, str, int]]:
-    """``(relpath, attr, line)`` for every string a ``counter_sites``
-    method returns across the engine package."""
-    sites = []
-    for ctx in project.modules(under=(ENGINE_DIR,)):
-        try:
-            tree = ctx.tree
-        except SyntaxError:
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and node.name == "counter_sites":
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Constant) \
-                            and isinstance(sub.value, str):
-                        sites.append((ctx.relpath, sub.value, sub.lineno))
-    return sites
-
-
-def _st_proc_literals(tree: ast.Module) -> list[tuple[int, int]]:
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) \
-                and any(isinstance(t, ast.Attribute) and t.attr == "proc"
-                        and isinstance(t.value, ast.Name)
-                        and t.value.id == "st" for t in node.targets) \
-                and isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, int):
-            out.append((node.value.value, node.lineno))
-    return out
-
-
-def _self_proc_literals(tree: ast.Module) -> list[tuple[int, int]]:
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) \
-                and any(dotted_name(t) == "self._proc"
-                        for t in node.targets) \
-                and isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, int):
-            out.append((node.value.value, node.lineno))
-    return out
+def _proc_codes(tree: ast.Module) -> list[tuple[int, int]] | None:
+    """``(code, line)`` for every int ``PROC_FUNCTION`` returns, or None
+    when soa.py defines no such function."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == PROC_FUNCTION:
+            return [(const.value, const.lineno)
+                    for ret in ast.walk(node) if isinstance(ret, ast.Return)
+                    and ret.value is not None
+                    for const in ast.walk(ret.value)
+                    if isinstance(const, ast.Constant)
+                    and type(const.value) is int]
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -406,9 +340,8 @@ def check_c_seam_layout(project: Project):
 
 
 @rule("c-seam-counters", scope="project",
-      description="counter-slot numbers, the _SLOT_SITES seam map, the "
-                  "ctr[] commit statements and the subnetworks' "
-                  "counter_sites() names must all agree")
+      description="the _C_* counter-slot numbers in soa.py must match "
+                  "the kernel's C_* defines")
 def check_c_seam_counters(project: Project):
     c_ctx, py_ctx = _seam_modules(project)
     if c_ctx is None or py_ctx is None:
@@ -421,10 +354,8 @@ def check_c_seam_counters(project: Project):
     c_slots = {name: d for name, d in unit.defines.items()
                if name.startswith("C_") and d.int_value() is not None}
     py_slots = _module_int_constants(tree, "_C_")
-    if not c_slots and not py_slots:
-        return
 
-    # 1. per-name value agreement (C_X <-> _C_X)
+    # per-name value agreement (C_X <-> _C_X)
     for cname, define in sorted(c_slots.items()):
         pyname = "_" + cname
         if pyname not in py_slots:
@@ -440,68 +371,12 @@ def check_c_seam_counters(project: Project):
                 f"counter slot number mismatch: {SOA_PATH}:{line} "
                 f"{pyname} = {value} but {C_PATH}:{define.line} {cname} "
                 f"= {define.int_value()} — counters land in the wrong "
-                f"SimStats site", symbol=f"slot:{cname}")
+                f"SimStats field", symbol=f"slot:{cname}")
     for pyname, (_value, line) in sorted(py_slots.items()):
         if pyname[1:] not in c_slots:
             yield py_ctx.finding(
                 line, f"{SOA_PATH}:{line} {pyname} has no {pyname[1:]} "
                       f"define in {C_PATH}", symbol=f"slot:{pyname[1:]}")
-
-    # 2. _SLOT_SITES covers every slot (and nothing else)
-    sites = _slot_sites(tree)
-    if not sites:
-        yield py_ctx.finding(1, f"_SLOT_SITES seam map not found in "
-                                f"{SOA_PATH}; the counter-slot -> "
-                                f"SimStats-site correspondence is "
-                                f"undeclared", symbol="slot-sites-missing")
-        return
-    slot_names = {name for name in py_slots if name != "_C_NUM"}
-    for slot in sorted(slot_names - set(sites)):
-        yield py_ctx.finding(
-            py_slots[slot][1],
-            f"counter slot {slot} ({SOA_PATH}:{py_slots[slot][1]}) has "
-            f"no _SLOT_SITES entry declaring which SimStats site it "
-            f"feeds", symbol=f"sites:{slot}")
-    for slot in sorted(set(sites) - slot_names):
-        yield py_ctx.finding(
-            sites[slot][1],
-            f"_SLOT_SITES declares {slot} ({SOA_PATH}:{sites[slot][1]}) "
-            f"but no such slot constant exists", symbol=f"sites:{slot}")
-
-    # 3. the commit statements must realize exactly the declared sites
-    commits: dict[str, dict[str, int]] = {}
-    for slot, attr, line in _commit_pairs(tree):
-        commits.setdefault(slot, {}).setdefault(attr, line)
-    for slot in sorted(slot_names & set(sites)):
-        declared, decl_line = sites[slot]
-        committed = commits.get(slot, {})
-        for attr in sorted(set(declared) - set(committed)):
-            yield py_ctx.finding(
-                decl_line,
-                f"_SLOT_SITES says {slot} feeds .{attr} "
-                f"({SOA_PATH}:{decl_line}) but no '+= int(ctr[{slot}])' "
-                f"commit to .{attr} exists in {SOA_PATH}",
-                symbol=f"commit:{slot}.{attr}")
-        for attr in sorted(set(committed) - set(declared)):
-            yield py_ctx.finding(
-                committed[attr],
-                f"{SOA_PATH}:{committed[attr]} commits ctr[{slot}] to "
-                f".{attr} but _SLOT_SITES does not declare that site "
-                f"for {slot}", symbol=f"commit:{slot}.{attr}")
-
-    # 4. every subnetwork counter site is fed by some slot
-    covered = {attr for declared, _line in sites.values()
-               for attr in declared}
-    seen: set[tuple[str, str]] = set()
-    for relpath, attr, line in _counter_site_names(project):
-        if attr in covered or (relpath, attr) in seen:
-            continue
-        seen.add((relpath, attr))
-        yield project.finding(
-            relpath, line,
-            f"counter site {attr!r} ({relpath}:{line}) is not fed by "
-            f"any C counter slot in {SOA_PATH} _SLOT_SITES — the soa "
-            f"engine would silently drop it", symbol=f"site:{attr}")
 
 
 @rule("c-seam-kernels", scope="project",
@@ -574,8 +449,8 @@ def check_c_seam_kernels(project: Project):
                     ALGORITHM_PATH, alg_ops[op],
                     f"scalar reduce {op!r} ({ALGORITHM_PATH}:"
                     f"{alg_ops[op]}) has no _RED_CODES entry in "
-                    f"{SOA_PATH} — the soa engine silently falls back "
-                    f"for it", symbol=f"reduce-op:{op}")
+                    f"{SOA_PATH} — soa runs of it silently fall back to "
+                    f"the reference engine", symbol=f"reduce-op:{op}")
             for op in sorted(set(py_red) - set(alg_ops)):
                 yield py_ctx.finding(
                     py_red[op][1],
@@ -584,41 +459,39 @@ def check_c_seam_kernels(project: Project):
                     f"{ALGORITHM_PATH}:{line} does not define",
                     symbol=f"reduce-op:{op}")
 
-    # 3. process kernel codes: every code Python sends must be declared
+    # 3. process kernel codes: every code soa.py sends must be declared,
+    #    and every declared code must be sent
     proc_defines = {name: d for name, d in unit.defines.items()
                     if name.startswith("PROC_")
                     and d.int_value() is not None}
-    if proc_defines:
+    sent = _proc_codes(tree)
+    if proc_defines and sent is None:
+        yield py_ctx.finding(
+            1, f"{PROC_FUNCTION}() not found in {SOA_PATH} to send the "
+               f"PROC_* codes of {C_PATH}", symbol="proc:missing")
+    elif proc_defines:
         declared = {d.int_value() for d in proc_defines.values()}
-        undeclared_sent = False
-        for code, line in _st_proc_literals(tree):
-            if code not in declared:
-                undeclared_sent = True
+        undeclared = [(code, line) for code, line in sent
+                      if code not in declared]
+        for code, line in undeclared:
+            yield py_ctx.finding(
+                line,
+                f"{SOA_PATH}:{line} {PROC_FUNCTION}() returns {code} but "
+                f"{C_PATH} declares no PROC_* define with that value",
+                symbol=f"proc:{code}")
+        # (skipped after an undeclared-code finding: one renumber
+        # would otherwise cascade into a second, mirror finding)
+        sent_codes = {code for code, _line in sent}
+        for cname, define in sorted(proc_defines.items()):
+            if undeclared:
+                break
+            if define.int_value() not in sent_codes:
                 yield py_ctx.finding(
-                    line,
-                    f"{SOA_PATH}:{line} remaps st.proc to {code} but "
-                    f"{C_PATH} declares no PROC_* define with that "
-                    f"value", symbol=f"proc:{code}")
-        batched_ctx = project.module(BATCHED_PATH)
-        if batched_ctx is not None and not undeclared_sent:
-            # (skipped after an undeclared-code finding: one renumber
-            # would otherwise cascade into a second, mirror finding)
-            try:
-                batched_codes = {code for code, _line
-                                 in _self_proc_literals(batched_ctx.tree)}
-            except SyntaxError:
-                batched_codes = set()
-            soa_codes = {code for code, _line in _st_proc_literals(tree)}
-            if batched_codes:
-                for cname, define in sorted(proc_defines.items()):
-                    if define.int_value() not in batched_codes | soa_codes:
-                        yield py_ctx.finding(
-                            1,
-                            f"{C_PATH}:{define.line} declares {cname} = "
-                            f"{define.int_value()} but no Python proc "
-                            f"encoding ({BATCHED_PATH} _proc or "
-                            f"{SOA_PATH} st.proc) ever sends that code",
-                            symbol=f"proc:{cname}")
+                    1,
+                    f"{C_PATH}:{define.line} declares {cname} = "
+                    f"{define.int_value()} but {SOA_PATH} "
+                    f"{PROC_FUNCTION}() never returns that code",
+                    symbol=f"proc:{cname}")
 
     # 4. the ABI probe regex must still find the C declaration
     abi = unit.defines.get("SOA_ABI_VERSION")

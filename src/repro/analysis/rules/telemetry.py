@@ -2,17 +2,17 @@
 
 ``FFWD_TELEMETRY`` is the one blessed piece of module-level mutable
 state (baselined under the ``module-state`` rule): a process-wide
-fast-forward diagnostics dict.  Its discipline — the reason it is safe
-— is that :class:`BatchedEngine` zeroes **every** key at the start of
-every run, so two back-to-back simulations never leak counters into
-each other.  PR 5 fixed exactly that leak once; this rule keeps it
-fixed mechanically:
+engine diagnostics dict.  Its discipline — the reason it is safe — is
+that :class:`SoaEngine` zeroes **every** key at the start of every
+run, so two back-to-back simulations never leak counters into each
+other.  That leak was fixed by hand once; this rule keeps it fixed
+mechanically:
 
 * every string key written anywhere in the engine package
   (``FFWD_TELEMETRY["k"] += ...``) must appear in the initializer dict
   literal in ``registry.py`` — the reset loop iterates the live dict,
   so initializer membership *is* reset coverage;
-* ``batched.py`` must actually call ``reset_ffwd_telemetry()``.
+* ``soa.py`` must actually call ``reset_ffwd_telemetry()``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.analysis.registry import rule
 
 _ENGINE_DIR = "src/repro/accel/engine"
 _REGISTRY_PATH = f"{_ENGINE_DIR}/registry.py"
-_BATCHED_PATH = f"{_ENGINE_DIR}/batched.py"
+_SOA_PATH = f"{_ENGINE_DIR}/soa.py"
 _NAME = "FFWD_TELEMETRY"
 
 
@@ -63,7 +63,7 @@ def _written_keys(tree: ast.Module):
 @rule("telemetry-reset", scope="project", description=(
     "every key ever written into FFWD_TELEMETRY must appear in the "
     "registry initializer (= be zeroed by the engine-run-start reset), "
-    "and BatchedEngine must invoke that reset"))
+    "and SoaEngine must invoke that reset"))
 def check(project):
     registry = project.module(_REGISTRY_PATH)
     if registry is None:
@@ -90,17 +90,17 @@ def check(project):
                     f"(the PR 5 bug class)",
                     symbol=f"key.{key}")
 
-    batched = project.module(_BATCHED_PATH)
-    if batched is None:
-        yield project.finding(_BATCHED_PATH, 0,
-                              "batched engine module not found",
-                              symbol="missing-batched")
+    soa = project.module(_SOA_PATH)
+    if soa is None:
+        yield project.finding(_SOA_PATH, 0,
+                              "soa engine module not found",
+                              symbol="missing-soa")
         return
-    resets = [node for node in ast.walk(batched.tree)
+    resets = [node for node in ast.walk(soa.tree)
               if isinstance(node, ast.Call)
               and call_name(node).rsplit(".", 1)[-1] == "reset_ffwd_telemetry"]
     if not resets:
-        yield batched.finding(
-            0, "BatchedEngine never calls reset_ffwd_telemetry(); "
+        yield soa.finding(
+            0, "SoaEngine never calls reset_ffwd_telemetry(); "
                "telemetry from a previous run leaks into the next one",
             symbol="missing-reset-call")

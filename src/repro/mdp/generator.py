@@ -73,6 +73,18 @@ class NetworkPlan:
         """Base-``radix`` digit of a destination address."""
         return (dest // self.radix ** digit_index) % self.radix
 
+    def stage_ports(self) -> list[list[tuple[int, ...]]]:
+        """``ports[stage][pos]``: the output positions of the module that
+        input ``pos`` feeds at ``stage``, indexed by routing digit."""
+        table = []
+        for stage in self.stages:
+            ports: list[tuple[int, ...]] = [()] * self.channels
+            for module in stage.modules:
+                for pos in module.channels:
+                    ports[pos] = module.channels
+            table.append(ports)
+        return table
+
     def route(self, dest: int) -> list[int]:
         """Positions a datum for ``dest`` occupies after each stage.
 

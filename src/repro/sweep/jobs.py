@@ -71,7 +71,7 @@ class SweepJob:
     #: off-chip bandwidth for slice replacement, bytes per cycle (sliced
     #: mode only; ignored when ``num_slices == 1``)
     offchip_bytes_per_cycle: float = 64.0
-    #: scatter engine ("reference" / "batched" / "soa"); None defers to
+    #: scatter engine ("reference" / "soa"); None defers to
     #: ``$REPRO_ENGINE``, then ``DEFAULT_ENGINE``.  Only the engine's
     #: *equivalence class* enters the cache key, so verified-equivalent
     #: engines share cache entries.
@@ -95,9 +95,9 @@ class SweepJob:
         hash, run parameters, the simulator code version — so any
         change to the simulation semantics invalidates the cache without
         manual versioning — and the engine *equivalence class*: results
-        from the reference, batched and soa engines share entries
-        exactly while the three are verified cycle-exact against each
-        other (see :func:`repro.accel.engine.engine_cache_token`).
+        from the reference and soa engines share entries exactly while
+        the two are verified cycle-exact against each other (see
+        :func:`repro.accel.engine.engine_cache_token`).
         """
         payload = json.dumps({
             "graph": graph_fingerprint(self.graph),

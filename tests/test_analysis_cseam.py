@@ -21,7 +21,6 @@ SEAM_FILES = (
     "src/repro/accel/engine/_soa_march.c",
     "src/repro/accel/engine/soa.py",
     "src/repro/accel/engine/soakernel.py",
-    "src/repro/accel/engine/batched.py",
     "src/repro/algorithms/base.py",
 )
 
@@ -119,8 +118,8 @@ class TestLayoutMutations:
 
     def test_magic_drift_yields_exactly_one_finding(self, tmp_path):
         copy_seam(tmp_path)
-        mutate(tmp_path, SOA, "_MAGIC = 0x534F4133",
-               "_MAGIC = 0x534F4134")
+        mutate(tmp_path, SOA, "_MAGIC = 0x534F4134",
+               "_MAGIC = 0x534F4135")
         findings = run(tmp_path, "c-seam-layout")
         assert len(findings) == 1
         assert findings[0].symbol == "magic:value"
@@ -144,8 +143,8 @@ class TestLayoutMutations:
     def test_touch_log_dtype_drift_is_reported(self, tmp_path):
         copy_seam(tmp_path)
         mutate(tmp_path, SOA,
-               "self._touch_dv = arr(self._cap_e)",
-               "self._touch_dv = arr(self._cap_e, np.float64)")
+               "self._touch_dv = arr(0)",
+               "self._touch_dv = arr(0, np.float64)")
         findings = run(tmp_path, "c-seam-layout")
         assert len(findings) == 1
         assert findings[0].symbol == "dtype:touch_dv"
@@ -178,39 +177,6 @@ class TestCounterMutations:
         assert len(findings) == 1
         assert findings[0].symbol == "slot:C_PROP_REJ"
 
-    def test_new_counter_site_without_slot_names_both_sides(self, tmp_path):
-        copy_seam(tmp_path)
-        # a subnetwork grows a SimStats site the C kernel never counts
-        engine_dir = tmp_path / "src/repro/accel/engine"
-        (engine_dir / "newstage.py").write_text(
-            "class _Widget:\n"
-            "    kind = 'xbar'\n"
-            "    def counter_sites(self):\n"
-            "        return [(self, 'overflow_drops')]\n",
-            encoding="utf-8")
-        findings = run(tmp_path, "c-seam-counters")
-        assert len(findings) == 1
-        f = findings[0]
-        assert f.symbol == "site:overflow_drops"
-        assert f.path.endswith("newstage.py")
-        assert "_SLOT_SITES" in f.message and "soa.py" in f.message
-
-    def test_undeclared_commit_site_is_reported(self, tmp_path):
-        copy_seam(tmp_path)
-        mutate(tmp_path, SOA,
-               '"_C_DEFERRALS": ("deferrals",),',
-               '"_C_DEFERRALS": (),')
-        findings = run(tmp_path, "c-seam-counters")
-        assert {f.symbol for f in findings} == {"commit:_C_DEFERRALS.deferrals"}
-
-    def test_slot_without_sites_entry_is_reported(self, tmp_path):
-        copy_seam(tmp_path)
-        mutate(tmp_path, SOA, '    "_C_RNET_REJ": ("rejected_offers",),\n',
-               "")
-        findings = run(tmp_path, "c-seam-counters")
-        symbols = {f.symbol for f in findings}
-        assert "sites:_C_RNET_REJ" in symbols
-
 
 class TestKernelMutations:
     def test_renumbered_red_define_yields_exactly_one_finding(self,
@@ -232,29 +198,45 @@ class TestKernelMutations:
         assert [f.symbol for f in findings] == ["reduce-op:mul"]
         assert findings[0].path == "src/repro/algorithms/base.py"
 
-    def test_proc_remap_must_name_a_declared_code(self, tmp_path):
+    def test_proc_code_must_name_a_declared_code(self, tmp_path):
         copy_seam(tmp_path)
-        mutate(tmp_path, SOA, "st.proc = 5", "st.proc = 6")
+        mutate(tmp_path, SOA, "alg.process_const is None else 5",
+               "alg.process_const is None else 6")
         findings = run(tmp_path, "c-seam-kernels")
         assert [f.symbol for f in findings] == ["proc:6"]
+        assert "_soa_march.c" in findings[0].message
+        assert "soa.py:" in findings[0].message
 
     def test_renumbered_proc_define_is_reported(self, tmp_path):
         copy_seam(tmp_path)
         mutate(tmp_path, C, "#define PROC_ADD_W 2", "#define PROC_ADD_W 7")
         findings = run(tmp_path, "c-seam-kernels")
-        assert [f.symbol for f in findings] == ["proc:PROC_ADD_W"]
+        assert [f.symbol for f in findings] == ["proc:2"]
+
+    def test_declared_proc_code_never_sent_is_reported(self, tmp_path):
+        copy_seam(tmp_path)
+        mutate(tmp_path, SOA,
+               '    if alg.process_op == "min":\n        return 3\n', "")
+        findings = run(tmp_path, "c-seam-kernels")
+        assert [f.symbol for f in findings] == ["proc:PROC_MIN_W"]
+
+    def test_missing_proc_function_is_reported(self, tmp_path):
+        copy_seam(tmp_path)
+        mutate(tmp_path, SOA, "def _proc_code(alg)", "def _proc_id(alg)")
+        findings = run(tmp_path, "c-seam-kernels")
+        assert [f.symbol for f in findings] == ["proc:missing"]
 
     def test_missing_abi_define_is_reported(self, tmp_path):
         copy_seam(tmp_path)
-        mutate(tmp_path, C, "#define SOA_ABI_VERSION 3\n", "")
+        mutate(tmp_path, C, "#define SOA_ABI_VERSION 4\n", "")
         findings = run(tmp_path, "c-seam-kernels")
         assert [f.symbol for f in findings] == ["abi:define"]
         assert findings[0].path.endswith("_soa_march.c")
 
     def test_abi_bump_without_magic_bump_is_reported(self, tmp_path):
         copy_seam(tmp_path)
-        mutate(tmp_path, C, "#define SOA_ABI_VERSION 3",
-               "#define SOA_ABI_VERSION 4")
+        mutate(tmp_path, C, "#define SOA_ABI_VERSION 4",
+               "#define SOA_ABI_VERSION 5")
         findings = run(tmp_path, "c-seam-kernels")
         assert [f.symbol for f in findings] == ["abi:magic-sync"]
         assert "SOA_MAGIC" in findings[0].message

@@ -259,7 +259,7 @@ class TestCacheKey:
             @dataclass(frozen=True)
             class SweepJob:
                 graph: str
-                engine: str = "batched"
+                engine: str = "soa"
                 tags: tuple = ()
 
                 def cache_key(self):
@@ -278,7 +278,7 @@ class TestCacheKey:
             @dataclass(frozen=True)
             class SweepJob:
                 graph: str
-                engine: str = "batched"
+                engine: str = "soa"
                 tags: tuple = ()
 
                 def cache_key(self):
@@ -301,7 +301,7 @@ class TestCacheKey:
             @dataclass(frozen=True)
             class SweepJob:
                 graph: str
-                engine: str = "batched"
+                engine: str = "soa"
                 tags: tuple = ()
 
                 def _payload(self):
@@ -344,7 +344,7 @@ class TestCacheKey:
 # ----------------------------------------------------------------------
 
 _REGISTRY = """\
-    FFWD_TELEMETRY = {"windows": 0, "events": 0}
+    FFWD_TELEMETRY = {"cycles_simulated": 0, "prologue_reuse": 0}
 
 
     def reset_ffwd_telemetry():
@@ -357,12 +357,12 @@ _REGISTRY = """\
 class TestTelemetryReset:
     def test_undeclared_key_and_missing_reset(self, tmp_path):
         write(tmp_path, "src/repro/accel/engine/registry.py", _REGISTRY)
-        write(tmp_path, "src/repro/accel/engine/batched.py", """\
+        write(tmp_path, "src/repro/accel/engine/soa.py", """\
             from repro.accel.engine.registry import FFWD_TELEMETRY
 
 
             def run():
-                FFWD_TELEMETRY["windows"] += 1
+                FFWD_TELEMETRY["cycles_simulated"] += 1
                 FFWD_TELEMETRY["leaked"] = 2
         """)
         assert symbols(run(tmp_path, "telemetry-reset")) == [
@@ -370,115 +370,25 @@ class TestTelemetryReset:
 
     def test_disciplined_writes_are_quiet(self, tmp_path):
         write(tmp_path, "src/repro/accel/engine/registry.py", _REGISTRY)
-        write(tmp_path, "src/repro/accel/engine/batched.py", """\
+        write(tmp_path, "src/repro/accel/engine/soa.py", """\
             from repro.accel.engine import registry
 
 
             def run():
                 registry.reset_ffwd_telemetry()
-                registry.FFWD_TELEMETRY["windows"] += 1
-                registry.FFWD_TELEMETRY["events"] += 3
+                registry.FFWD_TELEMETRY["cycles_simulated"] += 1
+                registry.FFWD_TELEMETRY["prologue_reuse"] += 3
         """)
         assert run(tmp_path, "telemetry-reset") == []
 
+    def test_missing_soa_module_is_reported(self, tmp_path):
+        write(tmp_path, "src/repro/accel/engine/registry.py", _REGISTRY)
+        assert symbols(run(tmp_path, "telemetry-reset")) == ["missing-soa"]
+
 
 # ----------------------------------------------------------------------
-# engine-compat / engine-seam
+# engine-registry
 # ----------------------------------------------------------------------
-
-_SEAM_OK = {
-    "src/repro/accel/engine/frontends.py": """\
-        class Front:
-            kind = "front"
-
-            def tick(self):
-                pass
-
-            def arb_key(self):
-                pass
-
-            def restore_arb(self, key):
-                pass
-
-            def counter_sites(self):
-                pass
-    """,
-    "src/repro/accel/engine/edgestage.py": """\
-        class Edge:
-            kind = "edge"
-
-            def tick(self):
-                pass
-
-            def arb_key(self):
-                pass
-
-            def restore_arb(self, key):
-                pass
-
-            def counter_sites(self):
-                pass
-    """,
-    "src/repro/accel/engine/propagation.py": """\
-        class Net:
-            kind = "propagation"
-
-            def arb_key(self):
-                pass
-
-            def restore_arb(self, key):
-                pass
-
-            def counter_sites(self):
-                pass
-
-            def reduce_sites(self):
-                pass
-    """,
-}
-
-
-class TestEngineCompat:
-    def test_missing_export_and_phantom_all_entry(self, tmp_path):
-        write(tmp_path, "src/repro/accel/engine/__init__.py", """\
-            ENGINES = ("reference", "batched")
-            __all__ = ["ENGINES", "ghost"]
-        """)
-        found = symbols(run(tmp_path, "engine-compat"))
-        assert "export.BatchedEngine" in found
-        assert "export.FFWD_TELEMETRY" in found
-        assert "all.ghost" in found
-        assert "export.ENGINES" not in found
-
-    def test_seam_method_missing(self, tmp_path):
-        for relpath, source in _SEAM_OK.items():
-            write(tmp_path, relpath, source)
-        write(tmp_path, "src/repro/accel/engine/frontends.py", """\
-            class Front:
-                kind = "front"
-
-                def arb_key(self):
-                    pass
-
-                def restore_arb(self, key):
-                    pass
-
-                def counter_sites(self):
-                    pass
-        """)
-        assert symbols(run(tmp_path, "engine-seam")) == ["Front.tick"]
-
-    def test_untagged_helper_classes_ignored(self, tmp_path):
-        for relpath, source in _SEAM_OK.items():
-            write(tmp_path, relpath, source)
-        write(tmp_path, "src/repro/accel/engine/edgestage.py",
-              _SEAM_OK["src/repro/accel/engine/edgestage.py"] + """\
-
-        class Helper:
-            pass
-        """)
-        assert run(tmp_path, "engine-seam") == []
-
 
 class TestEngineRegistry:
     """Registering an engine is a three-point contract (PR 7)."""
@@ -502,33 +412,33 @@ class TestEngineRegistry:
 
     def test_consistent_registry_is_quiet(self, tmp_path):
         self._write_registry(
-            tmp_path, ("reference", "batched", "soa"),
-            {"reference": "v1", "batched": "v1", "soa": "v1"},
+            tmp_path, ("reference", "warp", "soa"),
+            {"reference": "v1", "warp": "v1", "soa": "v1"},
             ["reference", "soa"])
         assert run(tmp_path, "engine-registry") == []
 
     def test_engine_without_equivalence_entry(self, tmp_path):
         self._write_registry(
-            tmp_path, ("reference", "batched", "soa"),
-            {"reference": "v1", "batched": "v1"},
+            tmp_path, ("reference", "warp", "soa"),
+            {"reference": "v1", "warp": "v1"},
             ["reference", "soa"])
         assert symbols(run(tmp_path, "engine-registry")) == ["no-class.soa"]
 
     def test_stale_equivalence_entry(self, tmp_path):
         self._write_registry(
-            tmp_path, ("reference", "batched"),
-            {"reference": "v1", "batched": "v1", "warp": "v1"},
-            ["reference"])
+            tmp_path, ("reference", "soa"),
+            {"reference": "v1", "soa": "v1", "warp": "v1"},
+            ["soa"])
         assert symbols(run(tmp_path, "engine-registry")) == [
             "stale-class.warp"]
 
     def test_two_engines_on_the_fallback_branch(self, tmp_path):
         self._write_registry(
-            tmp_path, ("reference", "batched", "soa"),
-            {"reference": "v1", "batched": "v1", "soa": "v1"},
+            tmp_path, ("reference", "warp", "soa"),
+            {"reference": "v1", "warp": "v1", "soa": "v1"},
             ["reference"])
         found = symbols(run(tmp_path, "engine-registry"))
-        assert found == ["fallback.batched.soa"]
+        assert found == ["fallback.warp.soa"]
 
     def test_missing_registry_module(self, tmp_path):
         write(tmp_path, "src/repro/accel/engine/__init__.py", "")
@@ -544,8 +454,9 @@ def _record(**overrides):
     base = {
         "bench": "fig8_cold_sweep", "utc": "2026-07-30T00:00:00+00:00",
         "datasets": ["VT"], "algorithms": ["BFS"], "scales": {"VT": 1.0},
-        "jobs": 6, "reference_seconds": 10.0, "batched_seconds": 5.0,
-        "speedup": 2.0, "median_job_speedup": 2.1, "stats_identical": True,
+        "jobs": 6, "reference_seconds": 10.0, "soa_seconds": 5.0,
+        "speedup_soa": 2.0, "median_job_speedup_soa": 2.1,
+        "stats_identical": True,
         "engine_equivalence_class": "cycle-exact-v1",
         "python": "3.11.7", "machine": "x86_64",
     }
@@ -568,8 +479,8 @@ class TestBenchHistoryRule:
         assert "stats_identical" in findings[0].message
 
     def test_trajectory_regression_is_warning(self, tmp_path):
-        self._write_history(tmp_path, [_record(speedup=2.5),
-                                       _record(speedup=1.0)])
+        self._write_history(tmp_path, [_record(speedup_soa=2.5),
+                                       _record(speedup_soa=1.0)])
         findings = run(tmp_path, "bench-history")
         assert [f.severity for f in findings] == ["warning"]
         assert findings[0].symbol == "trajectory"

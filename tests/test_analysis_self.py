@@ -29,13 +29,15 @@ class TestSelfLint:
         out = capsys.readouterr().out
         for rule_id in ("module-state", "set-iteration", "id-key",
                         "nondeterministic-call", "cache-key",
-                        "telemetry-reset", "engine-compat", "engine-seam",
-                        "engine-registry", "c-seam-layout",
+                        "telemetry-reset", "engine-registry",
+                        "c-seam-layout",
                         "c-seam-counters", "c-seam-kernels",
                         "fork-shared-state", "fork-atomic-write",
                         "fork-capture", "exception-hygiene", "no-bytecode",
                         "cli-docs", "lint-docs", "bench-history"):
             assert rule_id in out
+        for retired in ("engine-compat", "engine-seam"):
+            assert retired not in out
 
     def test_bad_input_exits_2_with_one_liner(self, capsys):
         assert main(["lint", "--rule", "no-such-rule"]) == 2
@@ -46,9 +48,9 @@ class TestSelfLint:
     def test_json_report_shape(self, capsys):
         import json
         assert main(["lint", "--root", str(REPO_ROOT),
-                     "--rule", "engine-compat", "--format", "json"]) == 0
+                     "--rule", "engine-registry", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["rules"] == ["engine-compat"]
+        assert payload["rules"] == ["engine-registry"]
         assert payload["findings"] == []
 
 
@@ -59,12 +61,12 @@ class TestRegistryInvariants:
     def test_equivalence_map_is_frozen(self):
         from repro.accel.engine import registry
         with pytest.raises(TypeError):
-            registry._ENGINE_EQUIVALENCE["batched"] = "tampered"
+            registry._ENGINE_EQUIVALENCE["soa"] = "tampered"
 
     def test_equivalent_engines_share_cache_token(self):
         from repro.accel.engine import engine_cache_token
         assert engine_cache_token("reference") == \
-            engine_cache_token("batched")
+            engine_cache_token("soa")
 
     def test_telemetry_reset_zeroes_every_key(self):
         from repro.accel.engine import FFWD_TELEMETRY, reset_ffwd_telemetry

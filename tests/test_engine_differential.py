@@ -1,10 +1,10 @@
 """Differential suite: every non-reference engine must be cycle-exact.
 
 The equivalence contract (see ``repro.accel.engine``) is that the
-``batched`` and ``soa`` engines produce **identical** ``SimStats`` —
-every counter, not just totals — and identical result properties to the
-``reference`` engine, for every configuration, graph and algorithm.
-``assert_engines_agree`` runs *all* registered engines, so a fourth
+``soa`` engine produces **identical** ``SimStats`` — every counter, not
+just totals — and identical result properties to the ``reference``
+engine, for every configuration, graph and algorithm.
+``assert_engines_agree`` runs *all* registered engines, so a new
 engine joins the matrix by registering itself; failures report the
 first diverging stats key plus a one-line reproducer.  This suite
 enforces the contract over
@@ -14,12 +14,13 @@ enforces the contract over
   is exercised: mdp/crossbar offset, mdp/central edge, mdp/crossbar
   propagation, with and without vertex combining);
 * randomized rmat / Erdos-Renyi / star / grid graphs;
-* the sliced (large-graph) execution mode, including per-slice phase
-  replay (each slice engine owns its own window memo);
-* partially-repeating phases: frontend arbiter flips that either verify
-  against the recorded emission stream (partial replay fires) or
-  diverge (the phase falls back to full simulation) — byte-identical
-  either way;
+* the sliced (large-graph) execution mode;
+* multi-phase PageRank runs, whose arbiter state (odd-even parity,
+  rotating scan starts, round-robin pointers, stall memos) and conflict
+  counters stay resident in the kernel across phases;
+* phases no real frontier presents (duplicate actives past |V| active
+  vertices and |E| edges), and the kernel-load failure paths that hand
+  ``soa`` runs to ``reference``;
 * engine-selection plumbing: defaults, the ``REPRO_ENGINE`` override,
   cache-token sharing, and the tracer's reference-only restriction.
 """
@@ -39,7 +40,15 @@ from repro.accel import (
     resolve_engine,
     simulate,
 )
-from repro.accel.engine import DEFAULT_ENGINE, ENGINE_ENV_VAR, ENGINES
+from repro.accel.engine import (
+    DEFAULT_ENGINE,
+    ENGINE_ENV_VAR,
+    ENGINES,
+    ReferenceEngine,
+    SoaEngine,
+)
+from repro.accel.engine import soakernel
+from repro.accel.stats import SimStats
 from repro.algorithms import make_algorithm, run_reference
 from repro.errors import ConfigError, SimulationError
 from repro.graph.generators import erdos_renyi, grid_2d, rmat, star
@@ -109,6 +118,31 @@ def assert_engines_agree(config, graph, algorithm_name, source=0):
             f"properties diverge: reference vs {engine} for "
             f"{algorithm_name} on {graph.name} / {config.name}")
     return results
+
+
+def assert_pr_agrees(config, graph, iterations, slices=None):
+    """PageRank x ``iterations`` on soa must equal reference byte for
+    byte: every phase after the first starts from the arbiter state and
+    counter totals the previous phase left in the kernel's struct."""
+    results = {}
+    for engine in ENGINES:
+        alg = make_algorithm("PR", iterations=iterations)
+        if slices is None:
+            results[engine] = simulate(config, graph, alg, engine=engine)
+        else:
+            results[engine] = SlicedAcceleratorSim(
+                config, graph, alg, slices=slices, engine=engine).run()
+    ref = results["reference"]
+    for engine, res in results.items():
+        assert res.stats.to_dict() == ref.stats.to_dict(), divergence_message(
+            engine, f"PRx{iterations}", graph, config, 0,
+            ref.stats.to_dict(), res.stats.to_dict())
+        assert np.array_equal(res.properties, ref.properties), engine
+
+
+def _kernel_or_skip():
+    if soakernel.load_kernel() is None:
+        pytest.skip("no compiled kernel: soa runs are handed to reference")
 
 
 class TestTier1Matrix:
@@ -200,14 +234,14 @@ class TestRandomizedGraphs:
         """
         graph = rmat(8, 5.0, seed=seed, name=f"rmat8-{seed}")
         for algorithm in ALL_ALGORITHMS:
-            bat = simulate(higraph(), graph, _make_algorithm(algorithm),
-                           engine="batched")
+            soa = simulate(higraph(), graph, _make_algorithm(algorithm),
+                           engine="soa")
             golden = run_reference(graph, _make_algorithm(algorithm), source=0)
             if algorithm == "PR":
-                np.testing.assert_allclose(bat.properties, golden.properties,
+                np.testing.assert_allclose(soa.properties, golden.properties,
                                            rtol=1e-12, atol=0)
             else:
-                np.testing.assert_array_equal(bat.properties, golden.properties)
+                np.testing.assert_array_equal(soa.properties, golden.properties)
 
     def test_nonzero_source(self):
         graph = rmat(8, 5.0, seed=9, name="rmat8-9")
@@ -252,7 +286,7 @@ class TestSlicedMode:
 
 class TestEngineSelection:
     def test_registry_and_default(self, monkeypatch):
-        assert set(ENGINES) == {"reference", "batched", "soa"}
+        assert ENGINES == ("reference", "soa")
         assert DEFAULT_ENGINE in ENGINES
         assert resolve_engine("Reference") == "reference"
         assert resolve_engine(None) in ENGINES
@@ -263,26 +297,29 @@ class TestEngineSelection:
         with pytest.raises(ConfigError):
             resolve_engine("warp-10")
 
+    def test_retired_batched_engine_rejected(self):
+        with pytest.raises(ConfigError):
+            resolve_engine("batched")
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
         assert resolve_engine(None) == "reference"
         graph = star(8)
         assert AcceleratorSim(higraph(), graph,
                               _make_algorithm("BFS")).engine_name == "reference"
-        monkeypatch.setenv(ENGINE_ENV_VAR, "batched")
-        assert resolve_engine(None) == "batched"
+        monkeypatch.setenv(ENGINE_ENV_VAR, "soa")
+        assert resolve_engine(None) == "soa"
 
     def test_engines_share_cache_token(self):
         """Verified-equivalent engines must alias their cache entries."""
-        assert engine_cache_token("reference") == engine_cache_token("batched")
-        assert engine_cache_token("soa") == engine_cache_token("batched")
+        assert engine_cache_token("reference") == engine_cache_token("soa")
 
     def test_engine_choice_does_not_change_cache_key(self):
         from repro.sweep import SweepJob
         graph = star(8)
         keys = {SweepJob(graph=graph, algorithm="BFS", config=higraph(),
                          engine=engine).cache_key("v0")
-                for engine in (None, "reference", "batched", "soa")}
+                for engine in (None, "reference", "soa")}
         assert len(keys) == 1
 
     def test_tracer_forces_reference(self):
@@ -292,27 +329,25 @@ class TestEngineSelection:
         assert sim.engine_name == "reference"
         with pytest.raises(SimulationError):
             AcceleratorSim(higraph(), graph, _make_algorithm("BFS"),
-                           tracer=PipelineTracer(), engine="batched")
+                           tracer=PipelineTracer(), engine="soa")
 
     def test_explicit_engine_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
         graph = star(8)
         sim = AcceleratorSim(higraph(), graph, _make_algorithm("BFS"),
-                             engine="batched")
-        assert sim.engine_name == "batched"
+                             engine="soa")
+        assert sim.engine_name == "soa"
 
 
 class TestWindowBoundaries:
-    """Adversarial cases for the event-driven fast-forward layer.
+    """Adversarial cases around the FIFO block line.
 
-    The batched engine picks a probe-free no-backpressure variant per
-    cycle (total in flight under the FIFO block line), bulk
-    fast-forwards contention-free drains, and replays whole recorded
-    phases for all-active algorithms (``repro.accel.engine.windows``).
-    These configurations force every boundary: windows that open and
-    close mid-drain, combining on the last pre-window cycle, minimum
-    depths where backpressure never clears, and arbiter states that
-    invalidate a recorded phase.
+    A FIFO stalls or rejects only above ``fifo_depth - radix``, and the
+    kernel's range network inserts unchecked while its whole in-flight
+    population fits under that line (``_soa_march.c``).  These
+    configurations force every boundary: populations that cross the
+    line mid-phase and mid-drain, combining on the last cycle under
+    it, and minimum depths where backpressure never clears.
     """
 
     @pytest.fixture(scope="class")
@@ -357,24 +392,9 @@ class TestWindowBoundaries:
         assert_engines_agree(cfg, skewed, "SSSP")
         assert_engines_agree(cfg, skewed, "PR")
 
-    def test_phase_replay_fires_and_stays_exact(self, skewed):
-        """All-active phases replay from the recorded window (the memo
-        genuinely fires) and the result stays byte-identical."""
-        alg = make_algorithm("PR", iterations=6)
-        sim = AcceleratorSim(higraph_mini(), skewed, alg, engine="batched")
-        result = sim.run(source=0)
-        assert sim.engine.ffwd_windows > 0, (
-            "phase memo never replayed — the structural window "
-            "analyzer regressed")
-        ref = simulate(higraph_mini(), skewed,
-                       make_algorithm("PR", iterations=6),
-                       source=0, engine="reference")
-        assert result.stats.to_dict() == ref.stats.to_dict()
-        assert np.array_equal(result.properties, ref.properties)
-
-    def test_phase_replay_respects_arbiter_state(self, skewed):
-        """Configs whose arbiter state does not return to its start
-        must simply miss the memo — never replay a stale window."""
+    def test_pr_arbiter_state_crosses_phases(self, skewed):
+        """Arbiter state that does not return to its start between
+        PageRank phases must carry over exactly."""
         for maker in (higraph, graphdyns):
             assert_engines_agree(maker(), skewed, "PR")
 
@@ -458,49 +478,53 @@ class TestEngineAlternation:
                      engine=engine)
             return dict(FFWD_TELEMETRY)
 
+        _kernel_or_skip()
         first_soa = run("soa")
         assert first_soa["cycles_simulated"] > 0
-        run("batched")
         run("reference")  # must not disturb the shared dict shape
         again_soa = run("soa")
         assert again_soa == first_soa, (
             "FFWD_TELEMETRY leaked across engine alternation")
 
-    def test_soa_without_kernel_degrades_to_batched(self, monkeypatch):
+    def test_soa_without_kernel_degrades_to_reference(self, monkeypatch):
         """No compiled kernel (``REPRO_SOA_KERNEL=off`` or no compiler)
-        must leave the soa engine byte-identical via the inherited
-        batched march — window memo included for PageRank."""
+        hands the soa request to the reference engine, byte-identical."""
         import repro.accel.engine.soa as soa_module
         monkeypatch.setattr(soa_module, "load_kernel", lambda: None)
         graph = rmat(7, 5.0, seed=17, name="rmat7-17")
         for algorithm in ("SSSP", "PR"):
             sim = AcceleratorSim(higraph(), graph,
                                  _make_algorithm(algorithm), engine="soa")
+            assert type(sim.engine) is ReferenceEngine
             bare = sim.run(source=0)
-            if algorithm == "PR":
-                assert sim.engine.phase_memo is not None
             ref = simulate(higraph(), graph, _make_algorithm(algorithm),
                            engine="reference")
             assert bare.stats.to_dict() == ref.stats.to_dict()
             assert np.array_equal(bare.properties, ref.properties)
 
+    def test_soa_engine_refuses_an_unsupported_run(self, monkeypatch):
+        """Built directly, the engine refuses a run its kernel cannot
+        reproduce instead of marching it wrongly."""
+        import repro.accel.engine.soa as soa_module
+        sim = AcceleratorSim(higraph(), star(8), _make_algorithm("BFS"),
+                             engine="reference")
+        monkeypatch.setattr(soa_module, "load_kernel", lambda: None)
+        with pytest.raises(SimulationError, match="reference engine"):
+            SoaEngine(sim)
+
     @pytest.mark.parametrize("maker", [graphdyns, higraph],
                              ids=["GraphDynS", "HiGraph"])
     def test_kernel_bound_soa_marches_every_phase_in_c(self, maker):
-        """With the kernel bound, soa keeps no window memo: nothing is
-        replayed, every cycle is marched, and the result is still the
-        reference's byte for byte."""
+        """With the kernel bound, every cycle of every phase is marched
+        in C, and the result is still the reference's byte for byte."""
         from repro.accel.engine import FFWD_TELEMETRY
-        from repro.accel.engine.soakernel import load_kernel
-        if load_kernel() is None:
-            pytest.skip("no C compiler: soa runs batched semantics")
+        _kernel_or_skip()
         graph = rmat(8, 6.0, seed=23, name="rmat8-23")
         sim = AcceleratorSim(maker(), graph,
                              make_algorithm("PR", iterations=6),
                              engine="soa")
+        assert type(sim.engine) is SoaEngine
         result = sim.run(source=0)
-        assert sim.engine.phase_memo is None
-        assert FFWD_TELEMETRY["windows"] == 0
         assert FFWD_TELEMETRY["cycles_simulated"] == (
             result.stats.scatter_cycles)
         ref = simulate(maker(), graph, make_algorithm("PR", iterations=6),
@@ -514,173 +538,240 @@ class TestEngineAlternation:
         graph = rmat(7, 5.0, seed=17, name="rmat7-17")
         ref = simulate(higraph(), graph, make_algorithm("REACH"),
                        engine="reference")
-        for engine in ("batched", "soa"):
-            res = simulate(higraph(), graph, make_algorithm("REACH"),
-                           engine=engine)
-            assert res.stats.to_dict() == ref.stats.to_dict(), engine
-            assert np.array_equal(ref.properties, res.properties)
+        res = simulate(higraph(), graph, make_algorithm("REACH"),
+                       engine="soa")
+        assert res.stats.to_dict() == ref.stats.to_dict()
+        assert np.array_equal(ref.properties, res.properties)
 
 
-class TestPartialRepeat:
-    """Partially-repeating phases: per-subnetwork window keys.
+class TestResidentArbiterState:
+    """Multi-phase PageRank: the kernel keeps arbiter state and conflict
+    counters in its struct for the whole run, so every phase after the
+    first must start exactly where the previous one stopped.
 
-    A phase whose edge+propagation arbiter segments match a recorded
-    program but whose frontend segment does not is replayed by
-    re-simulating *only* the frontend against the recorded pull
-    schedule.  A verified emission match commits the recorded
-    downstream segments; a divergence falls back to full simulation.
-    Either way the result must be byte-identical to the reference
-    engine — these cases pin both paths and the telemetry.
+    The inputs are the ones that once drove the retired window memo's
+    partial and periodic replays — phases that differ only in frontend
+    arbiter state, parity flips on skewed degrees, long runs — now
+    plain soa-vs-reference checks.
     """
 
-    def test_frontend_flip_partial_replay_fires(self):
+    def test_frontend_flip_on_lockstep_channels(self):
         """Rotating-scan frontend drift over a stable MDP propagation
-        site, lockstep (uniform-degree) channels: the shadow-frontend
-        replay must fire and stay byte-identical."""
-        graph = grid_2d(12, 12)
-        cfg = ablation(opt_d=True)
-        alg = make_algorithm("PR", iterations=6)
-        sim = AcceleratorSim(cfg, graph, alg, engine="batched")
-        result = sim.run(source=0)
-        assert sim.engine.ffwd_partial_windows > 0, (
-            "frontend-flip phase never partial-replayed — the "
-            "per-subnetwork key machinery regressed")
-        ref = simulate(cfg, graph, make_algorithm("PR", iterations=6),
-                       source=0, engine="reference")
-        assert result.stats.to_dict() == ref.stats.to_dict()
-        assert np.array_equal(result.properties, ref.properties)
+        site, uniform-degree channels."""
+        assert_pr_agrees(ablation(opt_d=True), grid_2d(12, 12), 6)
 
-    def test_ablation_sites_replay_and_stay_identical(self):
-        """Mixed-site ablation configs (the Fig. 10 steps) replay too
-        once their arbiter states prove periodic."""
-        graph = grid_2d(12, 12)
+    def test_fig10_ablation_step(self):
         cfg = ablation(opt_e=True, opt_d=True, front_channels=16,
                        back_channels=16)
-        alg = make_algorithm("PR", iterations=6)
-        sim = AcceleratorSim(cfg, graph, alg, engine="batched")
-        result = sim.run(source=0)
-        assert sim.engine.ffwd_windows > 0
-        ref = simulate(cfg, graph, make_algorithm("PR", iterations=6),
-                       source=0, engine="reference")
-        assert result.stats.to_dict() == ref.stats.to_dict()
-        assert np.array_equal(result.properties, ref.properties)
+        assert_pr_agrees(cfg, grid_2d(12, 12), 6)
 
-    def test_divergent_frontend_falls_back_to_full_simulation(self):
-        """A parity flip that genuinely changes the emission stream must
-        be *rejected* by the shadow verification, never spliced."""
+    def test_parity_flips_on_skewed_degrees(self):
+        """Odd-length phases flip the odd-even parity every phase, and
+        skewed degrees make arbitration genuinely parity-dependent."""
         graph = rmat(8, 6.0, seed=23, name="rmat8-23")
-        alg = make_algorithm("PR", iterations=8)
-        sim = AcceleratorSim(higraph(), graph, alg, engine="batched")
-        result = sim.run(source=0)
-        memo = sim.engine.phase_memo
-        assert memo is not None
-        # skewed degrees stagger the channels, so the flipped phase
-        # diverges and is remembered as a failed pair
-        assert memo.partial_failures > 0
-        ref = simulate(higraph(), graph, make_algorithm("PR", iterations=8),
-                       source=0, engine="reference")
-        assert result.stats.to_dict() == ref.stats.to_dict()
-        assert np.array_equal(result.properties, ref.properties)
-
-    def test_multi_state_memo_replays_periodic_arbiter_states(self):
-        """Odd-length phases flip the odd-even parity every phase; the
-        memo must record both states once they prove periodic and
-        replay afterwards instead of missing forever (the old
-        single-program behavior)."""
-        graph = rmat(8, 6.0, seed=23, name="rmat8-23")
-        alg = make_algorithm("PR", iterations=8)
-        sim = AcceleratorSim(higraph(), graph, alg, engine="batched")
-        sim.run(source=0)
-        assert sim.engine.ffwd_windows > 0, (
-            "multi-state memo never replayed a periodic arbiter state")
+        assert_pr_agrees(higraph(), graph, 8)
 
     @pytest.mark.parametrize("maker", [higraph, graphdyns, higraph_mini],
                              ids=["HiGraph", "GraphDynS", "HiGraph-mini"])
     def test_long_pr_runs_stay_identical(self, maker):
-        """Many iterations exercise record → partial → derived-program
-        chains; every counter must still match the reference."""
         graph = erdos_renyi(300, 2400, seed=7, name="er-7")
-        ref = simulate(maker(), graph, make_algorithm("PR", iterations=8),
-                       engine="reference")
-        bat = simulate(maker(), graph, make_algorithm("PR", iterations=8),
-                       engine="batched")
-        assert bat.stats.to_dict() == ref.stats.to_dict()
-        assert np.array_equal(ref.properties, bat.properties)
+        assert_pr_agrees(maker(), graph, 8)
 
 
-class TestSlicedReplay:
-    """Per-slice phase programs: each slice engine owns its own memo and
-    re-presents the same frontier every iteration, so sliced all-active
-    runs must hit replay from iteration 2 onward — per slice — while
-    staying byte-identical to the reference engine."""
+class TestSlicedMultiPhase:
+    """Sliced PageRank: each slice owns its own engine, hence its own
+    resident arbiter state and counters, and re-presents the same
+    frontier every iteration."""
 
     @pytest.mark.parametrize("maker", [higraph, graphdyns, higraph_mini],
                              ids=["HiGraph", "GraphDynS", "HiGraph-mini"])
-    def test_replay_fires_on_every_slice(self, maker):
+    def test_every_slice_stays_identical(self, maker):
         graph = rmat(8, 6.0, seed=13, name="rmat8-13")
-        slices = partition_by_destination(graph, 3)
-        results = {}
-        sims = {}
-        for engine in ENGINES:
-            sim = SlicedAcceleratorSim(maker(), graph,
-                                       make_algorithm("PR", iterations=6),
-                                       slices=slices, engine=engine)
-            sims[engine] = sim
-            results[engine] = sim.run(source=0)
-        assert (results["batched"].stats.to_dict()
-                == results["reference"].stats.to_dict())
-        assert np.array_equal(results["batched"].properties,
-                              results["reference"].properties)
-        for index, slice_sim in enumerate(sims["batched"].slice_sims):
-            assert slice_sim.engine.ffwd_windows > 0, (
-                f"slice {index} never replayed a phase — per-slice "
-                "window keying regressed")
-
-    def test_sliced_partial_replay_fires(self):
-        """The rotating-scan frontend drifts per slice too; the shadow
-        replay must fire inside sliced mode."""
-        graph = rmat(8, 6.0, seed=13, name="rmat8-13")
-        slices = partition_by_destination(graph, 3)
-        sim = SlicedAcceleratorSim(graphdyns(), graph,
-                                   make_algorithm("PR", iterations=6),
-                                   slices=slices, engine="batched")
-        sim.run(source=0)
-        assert any(s.engine.ffwd_partial_windows > 0
-                   for s in sim.slice_sims)
+        assert_pr_agrees(maker(), graph, 6,
+                         slices=partition_by_destination(graph, 3))
 
 
-class TestFastForwardTelemetry:
-    def test_probe_telemetry_counts_windows_and_cycles(self):
+class TestOversizedPhases:
+    """A direct ``scatter()`` may present duplicate actives, which no
+    real frontier has: more than |V| active entries, or more expected
+    deliveries than |E|.  The soa engine grows its phase buffers, and
+    the following normal phase still runs on the resident buffer."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return rmat(7, 6.0, seed=5, name="rmat7-5")
+
+    @staticmethod
+    def _phases(graph):
+        v = graph.num_vertices
+        # 138 copies of a zero-degree vertex plus one vertex twice: more
+        # actives than vertices, few edges
+        zero = int(np.flatnonzero(graph.out_degree() == 0)[0])
+        many = np.array([zero] * 138 + [3, 3], dtype=np.int64)
+        assert many.size > v
+        # every vertex twice: more expected edges than the graph has
+        doubled = np.tile(np.arange(v, dtype=np.int64), 2)
+        return [many, doubled]
+
+    def _run(self, config, graph, algorithm, engine):
+        alg = make_algorithm(algorithm)
+        sim = AcceleratorSim(config, graph, alg, engine=engine)
+        stats = SimStats()
+        prop = alg.init_prop(graph, 0)
+        sprop = alg.scatter_value(prop, sim.out_degree)
+        identity = alg.identity()
+        normal = alg.initial_active(graph, 0)
+        tprops = []
+        for active in self._phases(graph):
+            tprop = [identity] * graph.num_vertices
+            sim.engine.scatter(active, sprop, tprop, stats)
+            tprops.append(np.asarray(tprop))
+            tprops.append(sim.engine.scatter_phase(normal, sprop, identity,
+                                                   stats))
+        sim.engine.harvest(stats)
+        return type(sim.engine), stats.to_dict(), tprops
+
+    @pytest.mark.parametrize("algorithm", ["BFS", "PR", "SSSP"])
+    @pytest.mark.parametrize("maker", [higraph, graphdyns, higraph_mini],
+                             ids=["HiGraph", "GraphDynS", "HiGraph-mini"])
+    def test_duplicate_active_phases_match_reference(self, graph, maker,
+                                                     algorithm):
+        _kernel_or_skip()
+        _, ref_stats, ref_tprops = self._run(maker(), graph, algorithm,
+                                             "reference")
+        kind, soa_stats, soa_tprops = self._run(maker(), graph, algorithm,
+                                                "soa")
+        assert kind is SoaEngine
+        assert soa_stats == ref_stats
+        assert soa_stats["edges_processed"] > 2 * graph.num_edges
+        for ref, soa in zip(ref_tprops, soa_tprops):
+            assert np.array_equal(ref, soa)
+
+
+class TestKernelGuards:
+    """The C call's two failure codes surface as SimulationError."""
+
+    def _sim(self):
+        _kernel_or_skip()
+        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
+        return AcceleratorSim(higraph(), graph, _make_algorithm("BFS"),
+                              engine="soa")
+
+    def test_non_convergence_raises(self):
+        sim = self._sim()
+        # promise more edges than the graph holds: the march can never
+        # reach them and must stop at the cycle limit
+        sim.engine.out_degree = sim.out_degree + 1
+        with pytest.raises(SimulationError, match="did not converge"):
+            sim.run(source=0)
+
+    def test_struct_skew_raises(self):
+        sim = self._sim()
+        sim.engine._st.magic = 0
+        with pytest.raises(SimulationError, match="rejected its state"):
+            sim.run(source=0)
+
+
+class TestKernelLoadFallback:
+    """Every way the kernel can fail to load hands ``soa`` runs to the
+    reference engine: ``load_kernel()`` returns None, the engine object
+    is a ReferenceEngine, and the stats are reference-identical."""
+
+    @pytest.fixture
+    def fresh_loader(self, monkeypatch, tmp_path):
+        """A loader that has not tried yet, caching under ``tmp_path``."""
+        monkeypatch.setattr(soakernel, "_LIB", False)
+        monkeypatch.setenv(soakernel.CACHE_ENV_VAR, str(tmp_path / "so"))
+        monkeypatch.delenv(soakernel.KERNEL_ENV_VAR, raising=False)
+        return tmp_path
+
+    def _source(self, tmp_path, text):
+        path = tmp_path / "kernel.c"
+        path.write_text(text)
+        return path
+
+    def _assert_reference_fallback(self):
+        assert soakernel.load_kernel() is None
+        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
+        sim = AcceleratorSim(higraph(), graph, _make_algorithm("SSSP"),
+                             engine="soa")
+        assert type(sim.engine) is ReferenceEngine
+        ref = simulate(higraph(), graph, _make_algorithm("SSSP"),
+                       engine="reference")
+        assert sim.run(source=0).stats.to_dict() == ref.stats.to_dict()
+
+    def test_no_compiler(self, fresh_loader, monkeypatch):
+        monkeypatch.delenv(soakernel.CACHE_ENV_VAR)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(fresh_loader))
+        monkeypatch.setattr(soakernel, "_find_compiler", lambda: None)
+        self._assert_reference_fallback()
+        assert not any(fresh_loader.rglob("*.so"))
+
+    def test_source_that_fails_to_compile(self, fresh_loader, monkeypatch):
+        if soakernel._find_compiler() is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setattr(soakernel, "_SOURCE", self._source(
+            fresh_loader, "#define SOA_ABI_VERSION 4\nnot C at all;\n"))
+        self._assert_reference_fallback()
+        assert not any(fresh_loader.rglob("*.so"))
+
+    def test_abi_version_disagrees_with_source(self, fresh_loader,
+                                               monkeypatch):
+        if soakernel._find_compiler() is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setattr(soakernel, "_SOURCE", self._source(
+            fresh_loader,
+            "#define SOA_ABI_VERSION 5\n"
+            "long long soa_abi_version(void) { return 4; }\n"
+            "long long soa_march(void *st) { return 0; }\n"))
+        self._assert_reference_fallback()
+        assert any(fresh_loader.rglob("*.so"))      # built, then refused
+
+    def test_source_without_abi_define(self, fresh_loader, monkeypatch):
+        monkeypatch.setattr(soakernel, "_SOURCE", self._source(
+            fresh_loader, "long long soa_abi_version(void) { return 4; }\n"))
+        self._assert_reference_fallback()
+
+    def test_unreadable_source(self, fresh_loader, monkeypatch):
+        monkeypatch.setattr(soakernel, "_SOURCE", fresh_loader / "gone.c")
+        self._assert_reference_fallback()
+
+    @pytest.mark.parametrize("value", ["off", "0", "no", "false"])
+    def test_kill_switch(self, fresh_loader, monkeypatch, value):
+        monkeypatch.setenv(soakernel.KERNEL_ENV_VAR, value)
+        self._assert_reference_fallback()
+
+
+class TestEngineTelemetry:
+    def test_telemetry_counts_marched_cycles_and_reuse(self):
         from repro.accel.engine import FFWD_TELEMETRY, reset_ffwd_telemetry
+        _kernel_or_skip()
         telemetry = reset_ffwd_telemetry()
-        assert telemetry == {"windows": 0, "cycles_fast_forwarded": 0,
-                             "cycles_simulated": 0, "events": 0,
-                             "partial_windows": 0,
-                             "front_cycles_resimulated": 0,
-                             "prologue_reuse": 0}
+        assert telemetry == {"cycles_simulated": 0, "prologue_reuse": 0}
         graph = rmat(8, 6.0, seed=23, name="rmat8-23")
-        simulate(higraph_mini(), graph, make_algorithm("PR", iterations=6),
-                 engine="batched")
-        assert FFWD_TELEMETRY["cycles_simulated"] > 0
-        assert FFWD_TELEMETRY["windows"] > 0
-        assert FFWD_TELEMETRY["cycles_fast_forwarded"] > 0
-        assert FFWD_TELEMETRY["events"] > 0
+        result = simulate(higraph_mini(), graph,
+                          make_algorithm("PR", iterations=6), engine="soa")
+        assert FFWD_TELEMETRY["cycles_simulated"] == (
+            result.stats.scatter_cycles)
+        # the identity seed is reused from the second phase on
+        assert FFWD_TELEMETRY["prologue_reuse"] == 5
         reset_ffwd_telemetry()
 
     def test_two_back_to_back_runs_do_not_leak_counters(self):
-        """FFWD_TELEMETRY is zeroed at the start of every batched-engine
+        """FFWD_TELEMETRY is zeroed at the start of every soa-engine
         run, so a run's numbers never include a previous run's."""
         from repro.accel.engine import FFWD_TELEMETRY
+        _kernel_or_skip()
         graph = rmat(8, 6.0, seed=23, name="rmat8-23")
         simulate(higraph_mini(), graph, make_algorithm("PR", iterations=6),
-                 engine="batched")
+                 engine="soa")
         first = dict(FFWD_TELEMETRY)
         simulate(higraph_mini(), graph, make_algorithm("PR", iterations=6),
-                 engine="batched")
+                 engine="soa")
         assert dict(FFWD_TELEMETRY) == first, (
             "telemetry leaked across runs — identical back-to-back runs "
             "must report identical (not accumulated) counters")
-        assert first["windows"] > 0      # and the run genuinely replayed
+        assert first["cycles_simulated"] > 0
 
     def test_reference_engine_does_not_touch_telemetry(self):
         from repro.accel.engine import FFWD_TELEMETRY, reset_ffwd_telemetry

@@ -162,7 +162,7 @@ def test_fuzz_case(seed):
 
 
 def _pr_iterations() -> int:
-    """Iterations for the multi-iteration PageRank record→replay cases
+    """Iterations for the multi-iteration PageRank cases
     (``REPRO_FUZZ_PR_ITERS`` raises it for nightly runs)."""
     raw = os.environ.get("REPRO_FUZZ_PR_ITERS", "")
     try:
@@ -181,9 +181,10 @@ def _pr_seeds():
 
 @pytest.mark.parametrize("seed", _pr_seeds())
 def test_fuzz_pr_multi_iteration(seed):
-    """Multi-iteration PageRank: on batched, phase 1+ records and later
-    phases replay — the record→replay mix the 2-iteration default cases
-    barely touch — while soa marches every phase in C."""
+    """Multi-iteration PageRank: every phase after the first starts from
+    the arbiter state and counter totals the previous phase left
+    resident in the kernel — the cross-phase carry the 2-iteration
+    default cases barely touch."""
     rng = np.random.default_rng(seed)
     graph = _random_graph(rng)
     config = _random_config(rng)

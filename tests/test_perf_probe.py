@@ -16,22 +16,27 @@ sys.modules.setdefault("perf_probe", perf_probe)
 _spec.loader.exec_module(perf_probe)
 
 
-def _pair(ref=2.0, bat=1.0, identical=True, job="BFS/VT/HiGraph"):
+def _pair(ref=2.0, soa=1.0, identical=True, job="BFS/VT/HiGraph"):
     stats_ref = {"scatter_cycles": 10, "edges_processed": 5}
-    stats_bat = dict(stats_ref) if identical else {"scatter_cycles": 11,
+    stats_soa = dict(stats_ref) if identical else {"scatter_cycles": 11,
                                                   "edges_processed": 5}
     return perf_probe.pair_result(
         job,
-        {"reference": ref, "batched": bat},
-        {"reference": stats_ref, "batched": stats_bat})
+        {"reference": ref, "soa": soa},
+        {"reference": stats_ref, "soa": stats_soa})
 
 
 class TestPairResult:
     def test_speedup_and_identity(self):
-        pair = _pair(ref=3.0, bat=1.5)
-        assert pair["speedup"] == pytest.approx(2.0)
+        pair = _pair(ref=3.0, soa=1.5)
+        assert pair["speedup_soa"] == pytest.approx(2.0)
+        assert pair["soa_seconds"] == pytest.approx(1.5)
         assert pair["stats_identical"] is True
         assert pair["job"] == "BFS/VT/HiGraph"
+
+    def test_times_reference_and_soa_only(self):
+        assert perf_probe.ENGINES_TIMED == ("reference", "soa")
+        assert "batched_seconds" not in _pair()
 
     def test_divergent_stats_flagged(self):
         assert _pair(identical=False)["stats_identical"] is False
@@ -39,11 +44,11 @@ class TestPairResult:
 
 class TestMedianJobSpeedup:
     def test_odd_count_is_exact_median(self):
-        pairs = [_pair(ref=r, bat=1.0) for r in (1.0, 9.0, 2.0)]
+        pairs = [_pair(ref=r, soa=1.0) for r in (1.0, 9.0, 2.0)]
         assert perf_probe.median_job_speedup(pairs) == pytest.approx(2.0)
 
     def test_robust_to_one_outlier(self):
-        pairs = [_pair(ref=r, bat=1.0) for r in (2.0, 2.1, 2.2, 2.3, 50.0)]
+        pairs = [_pair(ref=r, soa=1.0) for r in (2.0, 2.1, 2.2, 2.3, 50.0)]
         assert perf_probe.median_job_speedup(pairs) == pytest.approx(2.2)
 
     def test_empty_rejected(self):
@@ -63,23 +68,29 @@ class TestBuildRecord:
         return perf_probe.build_record(pairs, **kw)
 
     def test_totals_and_speedup(self):
-        record = self._record([_pair(ref=2.0, bat=1.0),
-                               _pair(ref=4.0, bat=1.0)])
+        record = self._record([_pair(ref=2.0, soa=1.0),
+                               _pair(ref=4.0, soa=1.0)])
         assert record["jobs"] == 2
         assert record["reference_seconds"] == pytest.approx(6.0)
-        assert record["batched_seconds"] == pytest.approx(2.0)
-        assert record["speedup"] == pytest.approx(3.0)
-        assert record["median_job_speedup"] == pytest.approx(4.0)
+        assert record["soa_seconds"] == pytest.approx(2.0)
+        assert record["speedup_soa"] == pytest.approx(3.0)
+        assert record["median_job_speedup_soa"] == pytest.approx(4.0)
         assert record["bench"] == "fig8_cold_sweep"
         assert record["stats_identical"] is True
+        for historical in ("batched_seconds", "speedup",
+                           "median_job_speedup"):
+            assert historical not in record
+
+    def test_record_passes_the_history_schema(self):
+        from repro.analysis.history import validate_record
+        assert validate_record(self._record([_pair()]), 1) == []
 
     def test_single_divergent_pair_poisons_the_record(self):
         record = self._record([_pair(), _pair(identical=False), _pair()])
         assert record["stats_identical"] is False
 
     def test_ffwd_telemetry_embedded(self):
-        ffwd = {"windows": 3, "cycles_fast_forwarded": 1000,
-                "cycles_simulated": 5000, "events": 250}
+        ffwd = {"cycles_simulated": 5000, "prologue_reuse": 3}
         record = self._record([_pair()], ffwd=ffwd)
         assert record["ffwd"] == ffwd
 
@@ -102,31 +113,16 @@ class TestBuildRecord:
 
 
 class TestPr10Fields:
-    def _soa_pair(self, ref=10.0, bat=5.0, soa=1.0):
-        stats = {"scatter_cycles": 10}
-        return perf_probe.pair_result(
-            "PR/VT/HiGraph",
-            {"reference": ref, "batched": bat, "soa": soa},
-            {"reference": stats, "batched": dict(stats),
-             "soa": dict(stats)})
-
     def test_derived_from_soa_timings(self):
         record = perf_probe.build_record(
-            [self._soa_pair()], datasets=["VT"], algorithms=["PRx10"],
-            scales={"VT": 1.0}, equivalence_class="cycle-exact-v1",
+            [_pair(ref=10.0, soa=1.0)], datasets=["VT"],
+            algorithms=["PRx10"], scales={"VT": 1.0},
+            equivalence_class="cycle-exact-v1",
             utc="2026-08-08T00:00:00+00:00", python_version="3.11.7",
             machine="x86_64", bench="pr10_cold_sweep")
         fields = perf_probe.pr10_fields(record)
         assert fields["pr10_seconds"] == record["soa_seconds"]
         assert fields["speedup_soa_pr10"] == pytest.approx(10.0)
-
-    def test_empty_without_soa_timings(self):
-        record = perf_probe.build_record(
-            [_pair()], datasets=["VT"], algorithms=["PRx10"],
-            scales={"VT": 1.0}, equivalence_class="cycle-exact-v1",
-            utc="2026-08-08T00:00:00+00:00", python_version="3.11.7",
-            machine="x86_64", bench="pr10_cold_sweep")
-        assert perf_probe.pr10_fields(record) == {}
 
 
 class TestResolveOutPath:
