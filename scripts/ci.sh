@@ -41,7 +41,7 @@ trap cleanup EXIT
 ci_mktemp_d() { local d; d="$(mktemp -d)"; CI_TMP_DIRS+=("$d"); echo "$d"; }
 
 stage_lint() {
-    echo "== repro lint (contract & determinism analyzer, 19 rules) =="
+    echo "== repro lint (contract & determinism analyzer, 16 rules) =="
     # hard gate: any non-baselined finding fails the build; --no-cache
     # so CI always measures the cold path
     python -m repro lint --no-cache

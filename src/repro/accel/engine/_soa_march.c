@@ -10,6 +10,14 @@
  * the struct for the whole run.  The Python side (soa.py) owns the
  * numpy arrays; this kernel only views them through `SoaState`.
  *
+ * The kernel is reentrant: it keeps no file-scope state.  Everything a
+ * call reads or writes hangs off its `SoaState`, including the
+ * per-phase occupancy totals, so simulations on separate threads (ctypes
+ * releases the GIL for the call) never share anything.  `SoaState` is
+ * declared once, as the SOA_FIELDS list; soa_layout() exports that list
+ * with offsets, kinds and the named constants, and soakernel.py builds
+ * and checks its ctypes struct from the table instead of mirroring it.
+ *
  * The kernel must be BYTE-IDENTICAL to repro/accel/engine/reference.py:
  * every loop below mirrors one of the reference component models —
  * the frontends of accel/frontend.py (with hw/arbiter.py's odd-even
@@ -33,139 +41,145 @@
  * (see soakernel.py).  No -ffast-math: IEEE semantics are the point.
  */
 
+#include <stddef.h>
 #include <string.h>
 
 typedef long long i64;
 typedef double f64;
 
-#define SOA_ABI_VERSION 4
-#define SOA_MAGIC 0x534F4134LL
+#define SOA_ABI_VERSION 5
 
-/* reduce_op codes */
-#define RED_ADD 0
-#define RED_MIN 1
-#define RED_MAX 2
+/* Named constants, exported through soa_layout(): the struct magic
+ * (ASCII "SOA" plus the ABI digit), the reduce_op codes, and the proc
+ * codes (5 is the weight-independent proc==1 with a declared closed
+ * form). */
+#define SOA_CONSTS(C) \
+    C(SOA_MAGIC, 0x534F4130 + SOA_ABI_VERSION) \
+    C(RED_ADD, 0) C(RED_MIN, 1) C(RED_MAX, 2) \
+    C(PROC_IDENTITY, 0) C(PROC_ADD_W, 2) C(PROC_MIN_W, 3) \
+    C(PROC_ADD_CONST, 5)
 
-/* proc codes: 0 identity, 2 payload+w, 3 min(payload,w), 5 payload+const
- * (5 is the weight-independent proc==1 with a declared closed form) */
-#define PROC_IDENTITY 0
-#define PROC_ADD_W 2
-#define PROC_MIN_W 3
-#define PROC_ADD_CONST 5
+#define SOA_ENUM(name, value) name = (value),
+enum { SOA_CONSTS(SOA_ENUM) };
+#undef SOA_ENUM
 
-/* counter slots (ctr array): run totals, zeroed once at bind; soa.py's
- * harvest() sums them into the SimStats conflict fields */
-#define C_DEFERRALS 0
-#define C_FRONT_STALL 1     /* front MDP net stall_events | xbar conflicts */
-#define C_FRONT_REJ 2       /* mdp front net rejected_offers */
-#define C_EDGE_BLOCKED 3    /* dispatcher blocked | window conflicts */
-#define C_RNET_STALL 4
-#define C_RNET_REJ 5
-#define C_PROP_STALL 6      /* prop MDP net stall_events | xbar conflicts */
-#define C_PROP_REJ 7
-#define C_NUM 8
+/* SoaState, declared once: F(kind, name) per field.  The list expands
+ * to the struct below and to the soa_layout() table soakernel.py builds
+ * its ctypes struct from, so the two sides cannot drift.  Kinds: I64,
+ * F64, and pointers I64P/F64P (CI64P/CF64P when the kernel only reads).
+ * Every field is 8 bytes; the magic fields at both ends guard the
+ * pointer soa_march() is handed. */
+#define SOA_FIELDS(F) \
+    F(I64, magic) \
+    /* -- config ----------------------------------------------------- */ \
+    F(I64, n) F(I64, m) F(I64, w)   /* front/back channels, dispatchers */ \
+    F(I64, fifo_depth) F(I64, block_len)    /* block line (fd - radix) */ \
+    F(I64, issue_depth) F(I64, fe_depth) F(I64, disp_depth) \
+    F(I64, epe_depth) F(I64, replay_depth) \
+    F(I64, combining) \
+    F(I64, reduce_op) \
+    F(I64, proc) \
+    F(F64, proc_const) \
+    F(I64, front_is_mdp) F(I64, edge_is_mdp) F(I64, prop_is_mdp) \
+    F(I64, ce_issue_limit) F(I64, ce_capacity) \
+    F(I64, has_rnet) \
+    F(I64, rn_radix) F(I64, rn_block_len) F(I64, rn_ring)  /* range net */ \
+    /* -- graph ------------------------------------------------------ */ \
+    F(CI64P, offsets) F(CI64P, dst) F(CI64P, weights) \
+    /* -- frontend MDP net (Sf x n rings of fifo_depth) -------------- */ \
+    F(I64, fn_stages) \
+    F(CI64P, fn_table)              /* [Sf][n][n] */ \
+    F(I64P, fn_qu) F(F64P, fn_qs) \
+    F(I64P, fn_head) F(I64P, fn_len)    /* [Sf*n] */ \
+    F(I64P, fn_counts)              /* [Sf] */ \
+    /* -- frontend crossbar (n input rings) -------------------------- */ \
+    F(I64P, fx_qu) F(F64P, fx_qs) \
+    F(I64P, fx_head) F(I64P, fx_len)    /* [n] */ \
+    F(I64P, fx_rr)                  /* [n], persistent */ \
+    /* -- issue queues [n][issue_depth] ------------------------------ */ \
+    F(I64P, iq_u) F(F64P, iq_s) F(I64P, iq_head) F(I64P, iq_len) \
+    /* -- fe_out [n][fe_depth] --------------------------------------- */ \
+    F(I64P, fo_off) F(I64P, fo_len) F(F64P, fo_s) \
+    F(I64P, fo_head) F(I64P, fo_cnt) \
+    /* -- ActiveVertex parts (flat, grouped by channel) -------------- */ \
+    F(CI64P, part_u) F(CF64P, part_sp) \
+    F(I64P, part_pos) F(I64P, part_end)     /* [n]; part_pos advances */ \
+    /* -- MDP edge stage --------------------------------------------- */ \
+    F(I64P, rp_po) F(I64P, rp_pl)   /* pending rings [n][replay_depth] */ \
+    F(F64P, rp_ps) \
+    F(I64P, rp_head) F(I64P, rp_cnt) \
+    F(I64P, rp_cur_off) F(I64P, rp_cur_rem) /* lazy piece stream per ch */ \
+    F(F64P, rp_cur_pay) \
+    F(CI64P, pos_of)                /* [n] */ \
+    F(CI64P, chan_at)               /* channel ids grouped by position */ \
+    F(CI64P, chan_at_start) F(CI64P, chan_at_cnt)  /* [w] */ \
+    F(I64P, busy_at)                /* [w] */ \
+    F(I64P, rp_rr)                  /* [w], persistent */ \
+    F(I64, rn_stages) \
+    F(CI64P, rn_block)              /* [Sr] stage block widths */ \
+    F(CI64P, rn_ptbl)               /* [Sr][w][rn_radix] port tables */ \
+    F(I64P, rn_qo) F(I64P, rn_ql)   /* rings [Sr*w] of rn_ring slots */ \
+    F(F64P, rn_qp) \
+    F(I64P, rn_head) F(I64P, rn_len)    /* [Sr*w] */ \
+    F(I64P, rn_counts)              /* [Sr] */ \
+    F(I64P, dq_off) F(I64P, dq_len) /* dispatcher rings [w][disp_depth] */ \
+    F(F64P, dq_pay) \
+    F(I64P, dq_head) F(I64P, dq_cnt) \
+    F(I64P, disp_stall)             /* [w], persistent */ \
+    /* -- central edge stage ----------------------------------------- */ \
+    F(I64P, ce_off) F(I64P, ce_len) F(F64P, ce_pay)   /* [ce_capacity] */ \
+    F(I64, ce_stall_off) F(I64, ce_stall_len)   /* persistent; -1 none */ \
+    F(I64, ce_stall_bank) \
+    /* -- ePE queues [m][epe_depth] ---------------------------------- */ \
+    F(I64P, ep_v) F(F64P, ep_imm) F(I64P, ep_head) F(I64P, ep_cnt) \
+    /* -- propagation MDP net (Sp x m rings of fifo_depth) ----------- */ \
+    F(I64, pn_stages) \
+    F(CI64P, pn_table)              /* [Sp][m][m] */ \
+    F(I64P, pn_qv) F(I64P, pn_qc) F(F64P, pn_qi) \
+    F(I64P, pn_head) F(I64P, pn_len)    /* [Sp*m] */ \
+    F(I64P, pn_counts)              /* [Sp] */ \
+    /* -- propagation crossbar (m input rings) ----------------------- */ \
+    F(I64P, px_qv) F(I64P, px_qc) F(F64P, px_qi) \
+    F(I64P, px_head) F(I64P, px_len)    /* [m] */ \
+    F(I64P, px_rr)                  /* [m], persistent */ \
+    /* -- scratch [max(n,m,w)] --------------------------------------- */ \
+    F(I64P, s_epoch) F(I64P, s_val) F(I64P, s_epoch2) F(I64P, s_val2) \
+    /* -- arbiter scalars (persistent; set once at bind) ------------- */ \
+    F(I64, parity) F(I64, fstart) \
+    /* -- per-phase run state ---------------------------------------- */ \
+    F(F64P, tprop)                  /* full num_vertices array */ \
+    F(I64, expected) F(I64, fe_pending) F(I64, limit) \
+    /* -- per-phase occupancy totals (queues are empty at phase ------ */ \
+    /*    boundaries, so soa_march() zeroes these on entry)            */ \
+    F(I64, fe_total) F(I64, iq_total) F(I64, fn_count) F(I64, fx_count) \
+    F(I64, rn_count) F(I64, disp_count) F(I64, epe_count) \
+    F(I64, rp_busy_total) F(I64, ce_cnt) F(I64, ce_head) \
+    F(I64, pn_count) F(I64, px_count) \
+    F(I64, epoch_ctr) \
+    /* -- resident tProperty delta tracking -------------------------- */ \
+    F(I64P, touch_dv)               /* delivered vertices, dups allowed */ \
+    F(I64, touch_len) \
+    /* -- conflict counters: run totals, zero at bind ---------------- */ \
+    F(I64, deferrals)               /* frontend arbitration deferrals */ \
+    F(I64, edge_blocked)    /* dispatcher blocked | window conflicts */ \
+    F(I64, rnet_stall) F(I64, rnet_rej) \
+    F(I64, prop_stall)      /* prop MDP net stall_events | xbar conflicts */ \
+    F(I64, prop_rej) \
+    /* -- outputs ---------------------------------------------------- */ \
+    F(I64, cycles) F(I64, starved) F(I64, busy) F(I64, reduces) \
+    F(I64, magic2)
 
-/* Every field is 8 bytes (i64 / f64 / pointer), so the layout has no
- * padding and the ctypes mirror in soa.py matches field-for-field; the
- * magic fields at both ends and soa_abi_version() guard against skew. */
+#define CTYPE_I64 i64
+#define CTYPE_F64 f64
+#define CTYPE_I64P i64 *
+#define CTYPE_F64P f64 *
+#define CTYPE_CI64P const i64 *
+#define CTYPE_CF64P const f64 *
+
 typedef struct {
-    i64 magic;
-    /* -- config ----------------------------------------------------- */
-    i64 n, m, w;            /* front channels, back channels, dispatchers */
-    i64 fifo_depth, block_len;      /* MDP-net block line (fd - radix) */
-    i64 issue_depth, fe_depth, disp_depth, epe_depth, replay_depth;
-    i64 combining;
-    i64 reduce_op;
-    i64 proc;
-    f64 proc_const;
-    i64 front_is_mdp, edge_is_mdp, prop_is_mdp;
-    i64 ce_issue_limit, ce_capacity;
-    i64 has_rnet;
-    i64 rn_radix, rn_block_len, rn_ring;    /* range net (own radix) */
-    /* -- graph ------------------------------------------------------ */
-    const i64 *offsets;
-    const i64 *dst;
-    const i64 *weights;
-    /* -- frontend MDP net (Sf x n rings of fifo_depth) -------------- */
-    i64 fn_stages;
-    const i64 *fn_table;    /* [Sf][n][n] */
-    i64 *fn_qu;
-    f64 *fn_qs;
-    i64 *fn_head, *fn_len;  /* [Sf*n] */
-    i64 *fn_counts;         /* [Sf] */
-    /* -- frontend crossbar (n input rings) -------------------------- */
-    i64 *fx_qu;
-    f64 *fx_qs;
-    i64 *fx_head, *fx_len;  /* [n] */
-    i64 *fx_rr;             /* [n], persistent */
-    /* -- issue queues [n][issue_depth] ------------------------------ */
-    i64 *iq_u;
-    f64 *iq_s;
-    i64 *iq_head, *iq_len;
-    /* -- fe_out [n][fe_depth] --------------------------------------- */
-    i64 *fo_off, *fo_len;
-    f64 *fo_s;
-    i64 *fo_head, *fo_cnt;
-    /* -- ActiveVertex parts (flat, grouped by channel) -------------- */
-    const i64 *part_u;
-    const f64 *part_sp;
-    i64 *part_pos, *part_end;   /* [n]; part_pos advances */
-    /* -- MDP edge stage --------------------------------------------- */
-    i64 *rp_po, *rp_pl;         /* pending rings [n][replay_depth] */
-    f64 *rp_ps;
-    i64 *rp_head, *rp_cnt;
-    i64 *rp_cur_off, *rp_cur_rem;   /* lazy piece stream per channel */
-    f64 *rp_cur_pay;
-    const i64 *pos_of;          /* [n] */
-    const i64 *chan_at;         /* channel ids grouped by position */
-    const i64 *chan_at_start, *chan_at_cnt;     /* [w] */
-    i64 *busy_at;               /* [w] */
-    i64 *rp_rr;                 /* [w], persistent */
-    i64 rn_stages;
-    const i64 *rn_block;        /* [Sr] stage block widths */
-    const i64 *rn_ptbl;         /* [Sr][w][rn_radix] port tables */
-    i64 *rn_qo, *rn_ql;         /* rings [Sr*w] of rn_ring slots */
-    f64 *rn_qp;
-    i64 *rn_head, *rn_len;      /* [Sr*w] */
-    i64 *rn_counts;             /* [Sr] */
-    i64 *dq_off, *dq_len;       /* dispatcher rings [w][disp_depth] */
-    f64 *dq_pay;
-    i64 *dq_head, *dq_cnt;
-    i64 *disp_stall;            /* [w], persistent */
-    /* -- central edge stage ----------------------------------------- */
-    i64 *ce_off, *ce_len;       /* ring [ce_capacity] */
-    f64 *ce_pay;
-    i64 ce_stall_off, ce_stall_len, ce_stall_bank;  /* persistent; -1 none */
-    /* -- ePE queues [m][epe_depth] ---------------------------------- */
-    i64 *ep_v;
-    f64 *ep_imm;
-    i64 *ep_head, *ep_cnt;
-    /* -- propagation MDP net (Sp x m rings of fifo_depth) ----------- */
-    i64 pn_stages;
-    const i64 *pn_table;        /* [Sp][m][m] */
-    i64 *pn_qv, *pn_qc;
-    f64 *pn_qi;
-    i64 *pn_head, *pn_len;      /* [Sp*m] */
-    i64 *pn_counts;             /* [Sp] */
-    /* -- propagation crossbar (m input rings) ----------------------- */
-    i64 *px_qv, *px_qc;
-    f64 *px_qi;
-    i64 *px_head, *px_len;      /* [m] */
-    i64 *px_rr;                 /* [m], persistent */
-    /* -- scratch [max(n,m,w)] --------------------------------------- */
-    i64 *s_epoch, *s_val, *s_epoch2, *s_val2;
-    /* -- arbiter scalars (persistent; set once at bind) ------------ */
-    i64 parity, fstart;
-    /* -- per-phase run state ---------------------------------------- */
-    f64 *tprop;                 /* full num_vertices array */
-    i64 expected, fe_pending, limit;
-    /* -- resident tProperty delta tracking --------------------------- */
-    i64 *touch_dv;              /* delivered vertices, dups allowed    */
-    i64 touch_len;
-    /* -- outputs ----------------------------------------------------- */
-    i64 *ctr;                   /* [C_NUM], run totals */
-    i64 cycles, starved, busy, reduces;
-    i64 magic2;
+#define SOA_DECLARE(kind, name) CTYPE_##kind name;
+    SOA_FIELDS(SOA_DECLARE)
+#undef SOA_DECLARE
 } SoaState;
 
 /* ------------------------------------------------------------------ */
@@ -180,13 +194,6 @@ static inline f64 red(i64 op, f64 a, f64 b) {
 /* ring slot addressing: queue `q` in a bank of queues with depth D */
 #define RING(arr, q, D, i) (arr)[((q) * (D)) + (i)]
 
-/* transient per-phase occupancy totals (queues are empty at phase
- * boundaries, so these reset to zero every soa_march call) */
-static i64 fe_total, iq_total, fn_count, fx_count, rn_count;
-static i64 disp_count, epe_count, rp_busy_total, ce_cnt, ce_head;
-static i64 pn_count, px_count;
-static i64 epoch_ctr;
-
 /* ================================================================== */
 /* Frontend: shared retire (issue head -> {Off, Len} in fe_out)       */
 /* ================================================================== */
@@ -198,7 +205,7 @@ static inline i64 fe_retire(SoaState *st, i64 ch) {
     f64 sp = RING(st->iq_s, ch, D, h);
     st->iq_head[ch] = (h + 1) % D;
     st->iq_len[ch] -= 1;
-    iq_total -= 1;
+    st->iq_total -= 1;
     i64 off = st->offsets[u];
     i64 length = st->offsets[u + 1] - off;
     if (length > 0) {
@@ -208,7 +215,7 @@ static inline i64 fe_retire(SoaState *st, i64 ch) {
         RING(st->fo_len, ch, FD, slot) = length;
         RING(st->fo_s, ch, FD, slot) = sp;
         st->fo_cnt[ch] += 1;
-        fe_total += 1;
+        st->fe_total += 1;
     }
     return 1;
 }
@@ -221,12 +228,11 @@ static void fn_advance_checked(SoaState *st) {
     /* always the checked variant: under the block line it never stalls,
      * so it is move-for-move the no-backpressure fast path */
     i64 n = st->n, D = st->fifo_depth, bl = st->block_len;
-    i64 stalled_total = 0;
     for (i64 s = st->fn_stages - 1; s >= 1; s--) {
         i64 total = st->fn_counts[s - 1];
         if (!total) continue;
         const i64 *tbl = st->fn_table + s * n * n;
-        i64 moved = 0, seen = 0, stalled = 0;
+        i64 moved = 0, seen = 0;
         for (i64 p = 0; p < n; p++) {
             i64 qi = (s - 1) * n + p;
             if (!st->fn_len[qi]) continue;
@@ -234,9 +240,7 @@ static void fn_advance_checked(SoaState *st) {
             i64 h = st->fn_head[qi];
             i64 u = RING(st->fn_qu, qi, D, h);
             i64 ti = s * n + tbl[p * n + (u % n)];
-            if (st->fn_len[ti] > bl) {
-                stalled++;
-            } else {
+            if (st->fn_len[ti] <= bl) {     /* else stalled */
                 i64 slot = (st->fn_head[ti] + st->fn_len[ti]) % D;
                 RING(st->fn_qu, ti, D, slot) = u;
                 RING(st->fn_qs, ti, D, slot) = RING(st->fn_qs, qi, D, h);
@@ -249,9 +253,7 @@ static void fn_advance_checked(SoaState *st) {
         }
         st->fn_counts[s - 1] -= moved;
         st->fn_counts[s] += moved;
-        stalled_total += stalled;
     }
-    if (stalled_total) st->ctr[C_FRONT_STALL] += stalled_total;
 }
 
 static void fn_deliver_into_issue(SoaState *st) {
@@ -277,8 +279,8 @@ static void fn_deliver_into_issue(SoaState *st) {
         }
     }
     st->fn_counts[last] -= popped;
-    fn_count -= popped;
-    iq_total += popped;
+    st->fn_count -= popped;
+    st->iq_total += popped;
 }
 
 static void fn_inject_parts(SoaState *st) {
@@ -290,10 +292,7 @@ static void fn_inject_parts(SoaState *st) {
         if (pos >= st->part_end[p]) continue;
         i64 u = st->part_u[pos];
         i64 t = tbl0[p * n + (u % n)];  /* stage-0 queue index == t */
-        if (st->fn_len[t] && st->fn_len[t] > bl) {
-            st->ctr[C_FRONT_REJ] += 1;
-            continue;
-        }
+        if (st->fn_len[t] && st->fn_len[t] > bl) continue;     /* rejected */
         i64 slot = (st->fn_head[t] + st->fn_len[t]) % D;
         RING(st->fn_qu, t, D, slot) = u;
         RING(st->fn_qs, t, D, slot) = st->part_sp[pos];
@@ -303,7 +302,7 @@ static void fn_inject_parts(SoaState *st) {
     }
     if (added) {
         st->fn_counts[0] += added;
-        fn_count += added;
+        st->fn_count += added;
     }
 }
 
@@ -317,9 +316,9 @@ static i64 front_mdp_tick(SoaState *st) {
     i64 n = st->n, ID = st->issue_depth;
     i64 retired = 0;
     /* -- issue: odd-even arbitration over the request heads */
-    if (iq_total) {
+    if (st->iq_total) {
         i64 parity = st->parity;
-        i64 epoch = ++epoch_ctr;
+        i64 epoch = ++st->epoch_ctr;
         i64 any_claimed = 0;        /* any bank claimed this cycle */
         for (i64 ch = parity; ch < n; ch += 2) {    /* priority: grant */
             if (st->iq_len[ch] && st->fo_cnt[ch] < st->fe_depth) {
@@ -348,7 +347,7 @@ static i64 front_mdp_tick(SoaState *st) {
                     any_claimed = 1;
                     retired += fe_retire(st, ch);
                 } else {
-                    st->ctr[C_DEFERRALS] += 1;
+                    st->deferrals += 1;
                 }
             }
         }
@@ -356,7 +355,7 @@ static i64 front_mdp_tick(SoaState *st) {
     st->parity ^= 1;
     /* -- route: deliver into issue queues, advance, inject parts */
     if (st->fn_counts[st->fn_stages - 1]) fn_deliver_into_issue(st);
-    if (fn_count) fn_advance_checked(st);
+    if (st->fn_count) fn_advance_checked(st);
     if (parts_remaining(st)) fn_inject_parts(st);
     return retired;
 }
@@ -369,8 +368,8 @@ static i64 front_xbar_tick(SoaState *st) {
     i64 n = st->n, D = st->fifo_depth, ID = st->issue_depth;
     i64 retired = 0;
     /* -- issue: centralized greedy claim arbitration (rotating scan) */
-    if (iq_total) {
-        i64 epoch = ++epoch_ctr;
+    if (st->iq_total) {
+        i64 epoch = ++st->epoch_ctr;
         i64 start = st->fstart;
         for (i64 k = 0; k < n; k++) {
             i64 ch = (start + k) % n;
@@ -378,7 +377,7 @@ static i64 front_xbar_tick(SoaState *st) {
                 i64 u = RING(st->iq_u, ch, ID, st->iq_head[ch]);
                 i64 b1 = u % n, b2 = (u + 1) % n;
                 if (st->s_epoch[b1] == epoch || st->s_epoch[b2] == epoch) {
-                    st->ctr[C_DEFERRALS] += 1;
+                    st->deferrals += 1;
                 } else {
                     st->s_epoch[b1] = epoch;
                     st->s_epoch[b2] = epoch;
@@ -391,21 +390,20 @@ static i64 front_xbar_tick(SoaState *st) {
     /* -- route: crossbar tick under issue-queue budgets (tick_budget:
      * budget[dest] = issue_depth - len(issue_q[dest]), computed before
      * arbitration; each granted dest accepts exactly one item) */
-    if (fx_count) {
-        i64 epoch = ++epoch_ctr;
-        i64 total = fx_count, seen = 0, conflicts = 0;
+    if (st->fx_count) {
+        i64 epoch = ++st->epoch_ctr;
+        i64 total = st->fx_count, seen = 0;
         for (i64 i = 0; i < n; i++) {
             if (!st->fx_len[i]) continue;
             seen++;
             i64 u = RING(st->fx_qu, i, D, st->fx_head[i]);
             i64 dest = u % n;
             if (st->iq_len[dest] >= ID) {
-                conflicts++;    /* every requester of a full output loses */
+                /* every requester of a full output loses */
             } else if (st->s_epoch2[dest] != epoch) {
                 st->s_epoch2[dest] = epoch;
                 st->s_val2[dest] = i;
             } else {
-                conflicts++;
                 i64 ptr = st->fx_rr[dest];
                 i64 w = st->s_val2[dest];
                 if (((i - ptr) % n + n) % n < ((w - ptr) % n + n) % n)
@@ -413,7 +411,6 @@ static i64 front_xbar_tick(SoaState *st) {
             }
             if (seen == total) break;
         }
-        st->ctr[C_FRONT_STALL] += conflicts;
         /* winners pop distinct inputs into distinct issue queues, so
          * ascending-dest order here matches dict insertion order */
         for (i64 dest = 0; dest < n; dest++) {
@@ -424,10 +421,10 @@ static i64 front_xbar_tick(SoaState *st) {
             RING(st->iq_u, dest, ID, slot) = RING(st->fx_qu, i, D, h);
             RING(st->iq_s, dest, ID, slot) = RING(st->fx_qs, i, D, h);
             st->iq_len[dest] += 1;
-            iq_total += 1;
+            st->iq_total += 1;
             st->fx_head[i] = (h + 1) % D;
             st->fx_len[i] -= 1;
-            fx_count--;
+            st->fx_count--;
             st->fx_rr[dest] = (i + 1) % n;
         }
     }
@@ -441,7 +438,7 @@ static i64 front_xbar_tick(SoaState *st) {
         RING(st->fx_qu, p, D, slot) = st->part_u[pos];
         RING(st->fx_qs, p, D, slot) = st->part_sp[pos];
         st->fx_len[p] += 1;
-        fx_count++;
+        st->fx_count++;
         st->part_pos[p] = pos + 1;
     }
     return retired;
@@ -468,7 +465,7 @@ static i64 rn_try_insert(SoaState *st, i64 stage, i64 entry, i64 off,
         RING(st->rn_qp, qi, RD, slot) = payload;
         st->rn_len[qi] += 1;
         st->rn_counts[stage] += 1;
-        rn_count += 1;
+        st->rn_count += 1;
         return 1;
     }
     /* two passes exactly like RangeSplitNetwork._try_insert: every
@@ -497,7 +494,7 @@ static i64 rn_try_insert(SoaState *st, i64 stage, i64 entry, i64 off,
         added++;
     }
     st->rn_counts[stage] += added;
-    rn_count += added;
+    st->rn_count += added;
     return 1;
 }
 
@@ -521,17 +518,17 @@ static void rn_insert_light(SoaState *st, i64 stage, i64 entry, i64 off,
         added++;
     }
     st->rn_counts[stage] += added;
-    rn_count += added;
+    st->rn_count += added;
 }
 
 static i64 rn_offer(SoaState *st, i64 entry, i64 off, i64 length,
                     f64 payload) {
-    if (rn_count <= st->rn_block_len) {
+    if (st->rn_count <= st->rn_block_len) {
         rn_insert_light(st, 0, entry, off, length, payload);
         return 1;
     }
     if (rn_try_insert(st, 0, entry, off, length, payload)) return 1;
-    st->ctr[C_RNET_REJ] += 1;
+    st->rnet_rej += 1;
     return 0;
 }
 
@@ -572,7 +569,7 @@ static void rn_advance_checked(SoaState *st) {
                 st->rn_head[qi] = (h + 1) % RD;
                 st->rn_len[qi] -= 1;
                 st->rn_counts[s - 1] -= 1;
-                rn_count -= 1;
+                st->rn_count -= 1;
             } else {
                 stalled++;
             }
@@ -584,7 +581,7 @@ static void rn_advance_checked(SoaState *st) {
         }
         stalled_total += stalled;
     }
-    if (stalled_total) st->ctr[C_RNET_STALL] += stalled_total;
+    if (stalled_total) st->rnet_stall += stalled_total;
 }
 
 /* ================================================================== */
@@ -626,7 +623,7 @@ static void edge_emit(SoaState *st, i64 off, i64 length, f64 payload,
         break;
     }
     }
-    epe_count += length;
+    st->epe_count += length;
 }
 
 /* ================================================================== */
@@ -640,7 +637,7 @@ static i64 disp_accept0(SoaState *st, i64 off, i64 length, f64 payload) {
     st->dq_len[slot] = length;
     st->dq_pay[slot] = payload;
     st->dq_cnt[0] += 1;
-    disp_count += 1;
+    st->disp_count += 1;
     return 1;
 }
 
@@ -673,14 +670,14 @@ static void rp_consume(SoaState *st, i64 ch, i64 pos, i64 piece_len) {
     st->rp_cur_rem[ch] -= piece_len;
     if (!st->rp_cur_rem[ch] && !st->rp_cnt[ch]) {
         st->busy_at[pos] -= 1;
-        rp_busy_total -= 1;
+        st->rp_busy_total -= 1;
     }
 }
 
 static void edge_mdp_tick(SoaState *st) {
     i64 m = st->m, w = st->w;
     /* 1. dispatchers issue bank reads into the ePE queues */
-    if (disp_count) {
+    if (st->disp_count) {
         i64 DD = st->disp_depth;
         i64 issued = 0;
         for (i64 d = 0; d < w; d++) {
@@ -688,7 +685,7 @@ static void edge_mdp_tick(SoaState *st) {
             i64 sb = st->disp_stall[d];
             if (sb >= 0) {
                 if (st->ep_cnt[sb] >= st->epe_depth) {
-                    st->ctr[C_EDGE_BLOCKED] += 1;
+                    st->edge_blocked += 1;
                     continue;
                 }
                 st->disp_stall[d] = -1;
@@ -706,7 +703,7 @@ static void edge_mdp_tick(SoaState *st) {
                 }
             }
             if (blocked) {
-                st->ctr[C_EDGE_BLOCKED] += 1;
+                st->edge_blocked += 1;
                 continue;
             }
             f64 pay = RING(st->dq_pay, d, DD, h);
@@ -715,10 +712,10 @@ static void edge_mdp_tick(SoaState *st) {
             issued++;
             edge_emit(st, off, length, pay, bank);
         }
-        disp_count -= issued;
+        st->disp_count -= issued;
     }
     /* 2. network delivers pieces to dispatchers, then advances */
-    if (st->has_rnet && rn_count) {
+    if (st->has_rnet && st->rn_count) {
         i64 last = st->rn_stages - 1;
         if (st->rn_counts[last]) {
             i64 RD = st->rn_ring, DD = st->disp_depth;
@@ -738,15 +735,15 @@ static void edge_mdp_tick(SoaState *st) {
                 }
             }
             st->rn_counts[last] -= popped;
-            rn_count -= popped;
-            disp_count += popped;
+            st->rn_count -= popped;
+            st->disp_count += popped;
         }
-        if (rn_count) rn_advance_checked(st);
+        if (st->rn_count) rn_advance_checked(st);
     }
     /* 3. replay engines emit one piece per network input position:
      * first channel in rr order holding a piece gets ONE offer attempt,
      * then the position is done this cycle regardless of acceptance */
-    if (rp_busy_total) {
+    if (st->rp_busy_total) {
         for (i64 pos = 0; pos < w; pos++) {
             if (!st->busy_at[pos]) continue;
             i64 num = st->chan_at_cnt[pos];
@@ -769,7 +766,7 @@ static void edge_mdp_tick(SoaState *st) {
         }
     }
     /* 4. replay engines pull new {Off, Len} requests from the frontend */
-    if (fe_total) {
+    if (st->fe_total) {
         i64 FD = st->fe_depth, RD2 = st->replay_depth;
         i64 pulled = 0;
         for (i64 ch = 0; ch < st->n; ch++) {
@@ -777,7 +774,7 @@ static void edge_mdp_tick(SoaState *st) {
             if (st->rp_cnt[ch] < RD2) {
                 if (!st->rp_cnt[ch] && !st->rp_cur_rem[ch]) {
                     st->busy_at[st->pos_of[ch]] += 1;
-                    rp_busy_total += 1;
+                    st->rp_busy_total += 1;
                 }
                 i64 h = st->fo_head[ch];
                 i64 slot = (st->rp_head[ch] + st->rp_cnt[ch]) % RD2;
@@ -790,7 +787,7 @@ static void edge_mdp_tick(SoaState *st) {
                 pulled++;
             }
         }
-        fe_total -= pulled;
+        st->fe_total -= pulled;
     }
 }
 
@@ -804,22 +801,22 @@ static void edge_central_tick(SoaState *st) {
     /* 1. in-order greedy window issue (with the blocked-head memo) */
     i64 issue_blocked = 0;
     if (st->ce_stall_off >= 0) {
-        if (ce_cnt
-            && st->ce_off[ce_head] == st->ce_stall_off
-            && st->ce_len[ce_head] == st->ce_stall_len
+        if (st->ce_cnt
+            && st->ce_off[st->ce_head] == st->ce_stall_off
+            && st->ce_len[st->ce_head] == st->ce_stall_len
             && st->ep_cnt[st->ce_stall_bank] >= st->epe_depth) {
             issue_blocked = 1;      /* head still blocked: provable no-op */
         } else {
             st->ce_stall_off = st->ce_stall_len = st->ce_stall_bank = -1;
         }
     }
-    if (ce_cnt && !issue_blocked) {
-        i64 epoch = ++epoch_ctr;    /* claimed-banks set for this tick */
+    if (st->ce_cnt && !issue_blocked) {
+        i64 epoch = ++st->epoch_ctr;    /* claimed-banks set for this tick */
         i64 any_claimed = 0;
         i64 issued_requests = 0;
-        while (ce_cnt && issued_requests < st->ce_issue_limit) {
-            i64 off = st->ce_off[ce_head];
-            i64 length = st->ce_len[ce_head];
+        while (st->ce_cnt && issued_requests < st->ce_issue_limit) {
+            i64 off = st->ce_off[st->ce_head];
+            i64 length = st->ce_len[st->ce_head];
             i64 k = (length < m) ? length : m;
             if (any_claimed) {      /* first window can never conflict */
                 i64 conflict = 0;
@@ -830,7 +827,7 @@ static void edge_central_tick(SoaState *st) {
                     }
                 }
                 if (conflict) {
-                    st->ctr[C_EDGE_BLOCKED] += 1;
+                    st->edge_blocked += 1;
                     break;          /* strict in-order: head blocks rest */
                 }
             }
@@ -850,7 +847,7 @@ static void edge_central_tick(SoaState *st) {
                 }
                 break;
             }
-            f64 pay = st->ce_pay[ce_head];
+            f64 pay = st->ce_pay[st->ce_head];
             switch (st->proc) {
             case PROC_IDENTITY:
                 for (i64 j = 0; j < k; j++) {
@@ -885,37 +882,37 @@ static void edge_central_tick(SoaState *st) {
             }
             }
             any_claimed = 1;
-            epe_count += k;
+            st->epe_count += k;
             if (k == length) {
-                ce_head = (ce_head + 1) % cap;
-                ce_cnt -= 1;
+                st->ce_head = (st->ce_head + 1) % cap;
+                st->ce_cnt -= 1;
                 issued_requests++;
             } else {
-                st->ce_off[ce_head] = off + k;
-                st->ce_len[ce_head] = length - k;
+                st->ce_off[st->ce_head] = off + k;
+                st->ce_len[st->ce_head] = length - k;
                 break;      /* the window already spans all banks */
             }
         }
     }
     /* 2. merge front-end requests in channel order */
-    if (fe_total) {
+    if (st->fe_total) {
         i64 FD = st->fe_depth;
         i64 pulled = 0;
         for (i64 ch = 0; ch < st->n; ch++) {
-            if (ce_cnt >= cap) break;
+            if (st->ce_cnt >= cap) break;
             if (st->fo_cnt[ch]) {
                 i64 h = st->fo_head[ch];
-                i64 slot = (ce_head + ce_cnt) % cap;
+                i64 slot = (st->ce_head + st->ce_cnt) % cap;
                 st->ce_off[slot] = RING(st->fo_off, ch, FD, h);
                 st->ce_len[slot] = RING(st->fo_len, ch, FD, h);
                 st->ce_pay[slot] = RING(st->fo_s, ch, FD, h);
                 st->fo_head[ch] = (h + 1) % FD;
                 st->fo_cnt[ch] -= 1;
-                ce_cnt += 1;
+                st->ce_cnt += 1;
                 pulled++;
             }
         }
-        fe_total -= pulled;
+        st->fe_total -= pulled;
     }
 }
 
@@ -972,8 +969,8 @@ static void pn_advance_checked(SoaState *st) {
         st->pn_counts[s] += moved;
         combined_total += combined;
     }
-    if (combined_total) pn_count -= combined_total;
-    if (stalled_total) st->ctr[C_PROP_STALL] += stalled_total;
+    if (combined_total) st->pn_count -= combined_total;
+    if (stalled_total) st->prop_stall += stalled_total;
 }
 
 static void pn_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
@@ -998,7 +995,7 @@ static void pn_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
         }
     }
     st->pn_counts[last] -= got;
-    pn_count -= got;
+    st->pn_count -= got;
     *got_out = got;
     *red_out = reduces;
 }
@@ -1009,7 +1006,7 @@ static void pn_offer_epes(SoaState *st) {
     i64 m = st->m, D = st->fifo_depth, ED = st->epe_depth;
     i64 bl = st->block_len;
     const i64 *tbl0 = st->pn_table;
-    i64 total = epe_count, consumed = 0, added = 0, seen = 0;
+    i64 total = st->epe_count, consumed = 0, added = 0, seen = 0;
     for (i64 k = 0; k < m; k++) {
         if (!st->ep_cnt[k]) continue;
         seen++;
@@ -1028,7 +1025,7 @@ static void pn_offer_epes(SoaState *st) {
                 st->ep_cnt[k] -= 1;
                 consumed++;
             } else if (tlen > bl) {
-                st->ctr[C_PROP_REJ] += 1;
+                st->prop_rej += 1;
             } else {
                 i64 slot = (st->pn_head[t] + tlen) % D;
                 RING(st->pn_qv, t, D, slot) = v;
@@ -1053,9 +1050,9 @@ static void pn_offer_epes(SoaState *st) {
         }
         if (seen == total) break;
     }
-    epe_count -= consumed;
+    st->epe_count -= consumed;
     st->pn_counts[0] += added;
-    pn_count += added;
+    st->pn_count += added;
 }
 
 /* ================================================================== */
@@ -1064,10 +1061,10 @@ static void pn_offer_epes(SoaState *st) {
 
 static void px_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
     i64 m = st->m, D = st->fifo_depth;
-    i64 total = px_count;
+    i64 total = st->px_count;
     if (!total) { *got_out = 0; *red_out = 0; return; }
     /* tick_unit: incremental round-robin winner per destination */
-    i64 epoch = ++epoch_ctr;
+    i64 epoch = ++st->epoch_ctr;
     i64 seen = 0, conflicts = 0;
     for (i64 i = 0; i < m; i++) {
         if (!st->px_len[i]) continue;
@@ -1086,7 +1083,7 @@ static void px_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
         }
         if (seen == total) break;
     }
-    st->ctr[C_PROP_STALL] += conflicts;
+    st->prop_stall += conflicts;
     /* distinct dests pop distinct inputs and reduce distinct vertices
      * (dv % m == dest), so ascending-dest order matches dict order */
     i64 got = 0, reduces = 0;
@@ -1100,7 +1097,7 @@ static void px_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
         st->touch_dv[st->touch_len++] = dv;
         st->px_head[i] = (h + 1) % D;
         st->px_len[i] -= 1;
-        px_count--;
+        st->px_count--;
         st->tprop[dv] = red(st->reduce_op, st->tprop[dv], imm);
         got++;
         st->px_rr[dest] = (i + 1) % m;
@@ -1111,7 +1108,7 @@ static void px_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
 
 static void px_offer_epes(SoaState *st) {
     i64 m = st->m, D = st->fifo_depth, ED = st->epe_depth;
-    i64 total = epe_count, consumed = 0, seen = 0;
+    i64 total = st->epe_count, consumed = 0, seen = 0;
     for (i64 k = 0; k < m; k++) {
         if (!st->ep_cnt[k]) continue;
         seen++;
@@ -1133,7 +1130,7 @@ static void px_offer_epes(SoaState *st) {
             RING(st->px_qi, k, D, slot) = imm;
             RING(st->px_qc, k, D, slot) = 1;
             st->px_len[k] += 1;
-            px_count++;
+            st->px_count++;
         }
         if (ok) {
             st->ep_head[k] = (h + 1) % ED;
@@ -1142,7 +1139,7 @@ static void px_offer_epes(SoaState *st) {
         }
         if (seen == total) break;
     }
-    epe_count -= consumed;
+    st->epe_count -= consumed;
 }
 
 /* ================================================================== */
@@ -1151,15 +1148,41 @@ static void px_offer_epes(SoaState *st) {
 
 i64 soa_abi_version(void) { return SOA_ABI_VERSION; }
 
+/* The layout table: one row per SoaState field (kind, name, offset),
+ * then the named constants ("const", name, value), then the struct size
+ * ("sizeof", "SoaState", bytes); a NULL kind ends it. */
+typedef struct { const char *kind, *name; i64 value; } SoaLayoutRow;
+
+#define KIND_I64 "i64"
+#define KIND_F64 "f64"
+#define KIND_I64P "i64*"
+#define KIND_F64P "f64*"
+#define KIND_CI64P "i64*"
+#define KIND_CF64P "f64*"
+
+static const SoaLayoutRow SOA_LAYOUT[] = {
+#define SOA_FIELD_ROW(kind, name) \
+    {KIND_##kind, #name, (i64)offsetof(SoaState, name)},
+    SOA_FIELDS(SOA_FIELD_ROW)
+#undef SOA_FIELD_ROW
+#define SOA_CONST_ROW(name, value) {"const", #name, name},
+    SOA_CONSTS(SOA_CONST_ROW)
+#undef SOA_CONST_ROW
+    {"sizeof", "SoaState", (i64)sizeof(SoaState)},
+    {0, 0, 0},
+};
+
+const SoaLayoutRow *soa_layout(void) { return SOA_LAYOUT; }
+
 i64 soa_march(SoaState *st) {
     if (st->magic != SOA_MAGIC || st->magic2 != SOA_MAGIC) return -2;
     i64 n = st->n, m = st->m, w = st->w;
     /* zero the transient queue metadata (ring payloads need no clear;
      * all queues are provably empty at phase boundaries) */
-    fe_total = 0; iq_total = 0; fn_count = 0; fx_count = 0;
-    rn_count = 0; disp_count = 0; epe_count = 0; rp_busy_total = 0;
-    ce_cnt = 0; ce_head = 0; pn_count = 0; px_count = 0;
-    epoch_ctr = 0;
+    st->fe_total = st->iq_total = st->fn_count = st->fx_count = 0;
+    st->rn_count = st->disp_count = st->epe_count = st->rp_busy_total = 0;
+    st->ce_cnt = st->ce_head = st->pn_count = st->px_count = 0;
+    st->epoch_ctr = 0;
     st->touch_len = 0;
     memset(st->iq_head, 0, n * sizeof(i64));
     memset(st->iq_len, 0, n * sizeof(i64));
@@ -1218,7 +1241,7 @@ i64 soa_march(SoaState *st) {
         i64 got, red_cnt;
         if (st->prop_is_mdp) {
             pn_deliver_reduce(st, &got, &red_cnt);
-            if (pn_count) pn_advance_checked(st);
+            if (st->pn_count) pn_advance_checked(st);
         } else {
             px_deliver_reduce(st, &got, &red_cnt);
         }
@@ -1226,7 +1249,7 @@ i64 soa_march(SoaState *st) {
         busy += got;
         reduces += red_cnt;
         /* 2. ePEs: Process_Edge, one record per channel per cycle */
-        if (epe_count) {
+        if (st->epe_count) {
             if (st->prop_is_mdp) pn_offer_epes(st);
             else px_offer_epes(st);
         }

@@ -9,7 +9,10 @@ MDP routing is the flattened ``table[stage][pos][dest]`` tensor, and
 the range network's module ports are a ``[stage][pos][digit]`` tensor.
 The compiled kernel (``_soa_march.c``, whose header carries the
 equivalence argument against the reference component models) marches
-one whole phase per call.
+one whole phase per call.  The struct the kernel marches over is the
+one :func:`~repro.accel.engine.soakernel.load_kernel` built from the
+kernel's own layout table: every array takes its dtype from its
+field's kind, and every code and counter is looked up by name.
 
 State that outlives a phase stays in the kernel's own struct for the
 whole run: the arbiter state (odd-even parity, rotating scan start,
@@ -41,117 +44,36 @@ from repro.accel.engine.soakernel import load_kernel
 from repro.errors import SimulationError
 from repro.mdp.generator import generate_network
 
-_i64 = ctypes.c_longlong
-_f64 = ctypes.c_double
-_P = ctypes.c_void_p
+#: reduce op -> the kernel constant that selects its closed form
+_RED_CODES = types.MappingProxyType(
+    {"add": "RED_ADD", "min": "RED_MIN", "max": "RED_MAX"})
 
-_RED_CODES = types.MappingProxyType({"add": 0, "min": 1, "max": 2})
-
-#: counter slots, mirroring the C kernel's C_* defines (run totals)
-_C_DEFERRALS = 0
-_C_FRONT_STALL = 1
-_C_FRONT_REJ = 2
-_C_EDGE_BLOCKED = 3
-_C_RNET_STALL = 4
-_C_RNET_REJ = 5
-_C_PROP_STALL = 6
-_C_PROP_REJ = 7
-_C_NUM = 8
+#: pointer-field kind -> dtype of the array the field points into
+_DTYPES = types.MappingProxyType({"i64*": np.int64, "f64*": np.float64})
 
 
-class _SoaState(ctypes.Structure):
-    """ctypes mirror of ``SoaState`` in ``_soa_march.c``.
-
-    Field order must match the C struct declaration exactly; every
-    field is 8 bytes so the layout is padding-free on both sides, and
-    the magic fields at both ends catch any skew at runtime.
-    """
-
-    _fields_ = (
-        ("magic", _i64),
-        ("n", _i64), ("m", _i64), ("w", _i64),
-        ("fifo_depth", _i64), ("block_len", _i64),
-        ("issue_depth", _i64), ("fe_depth", _i64), ("disp_depth", _i64),
-        ("epe_depth", _i64), ("replay_depth", _i64),
-        ("combining", _i64),
-        ("reduce_op", _i64),
-        ("proc", _i64),
-        ("proc_const", _f64),
-        ("front_is_mdp", _i64), ("edge_is_mdp", _i64), ("prop_is_mdp", _i64),
-        ("ce_issue_limit", _i64), ("ce_capacity", _i64),
-        ("has_rnet", _i64),
-        ("rn_radix", _i64), ("rn_block_len", _i64), ("rn_ring", _i64),
-        ("offsets", _P), ("dst", _P), ("weights", _P),
-        ("fn_stages", _i64),
-        ("fn_table", _P),
-        ("fn_qu", _P), ("fn_qs", _P), ("fn_head", _P), ("fn_len", _P),
-        ("fn_counts", _P),
-        ("fx_qu", _P), ("fx_qs", _P), ("fx_head", _P), ("fx_len", _P),
-        ("fx_rr", _P),
-        ("iq_u", _P), ("iq_s", _P), ("iq_head", _P), ("iq_len", _P),
-        ("fo_off", _P), ("fo_len", _P), ("fo_s", _P), ("fo_head", _P),
-        ("fo_cnt", _P),
-        ("part_u", _P), ("part_sp", _P), ("part_pos", _P), ("part_end", _P),
-        ("rp_po", _P), ("rp_pl", _P), ("rp_ps", _P), ("rp_head", _P),
-        ("rp_cnt", _P),
-        ("rp_cur_off", _P), ("rp_cur_rem", _P), ("rp_cur_pay", _P),
-        ("pos_of", _P),
-        ("chan_at", _P), ("chan_at_start", _P), ("chan_at_cnt", _P),
-        ("busy_at", _P), ("rp_rr", _P),
-        ("rn_stages", _i64),
-        ("rn_block", _P), ("rn_ptbl", _P),
-        ("rn_qo", _P), ("rn_ql", _P), ("rn_qp", _P), ("rn_head", _P),
-        ("rn_len", _P),
-        ("rn_counts", _P),
-        ("dq_off", _P), ("dq_len", _P), ("dq_pay", _P), ("dq_head", _P),
-        ("dq_cnt", _P),
-        ("disp_stall", _P),
-        ("ce_off", _P), ("ce_len", _P), ("ce_pay", _P),
-        ("ce_stall_off", _i64), ("ce_stall_len", _i64), ("ce_stall_bank", _i64),
-        ("ep_v", _P), ("ep_imm", _P), ("ep_head", _P), ("ep_cnt", _P),
-        ("pn_stages", _i64),
-        ("pn_table", _P),
-        ("pn_qv", _P), ("pn_qc", _P), ("pn_qi", _P), ("pn_head", _P),
-        ("pn_len", _P),
-        ("pn_counts", _P),
-        ("px_qv", _P), ("px_qc", _P), ("px_qi", _P), ("px_head", _P),
-        ("px_len", _P),
-        ("px_rr", _P),
-        ("s_epoch", _P), ("s_val", _P), ("s_epoch2", _P), ("s_val2", _P),
-        ("parity", _i64), ("fstart", _i64),
-        ("tprop", _P),
-        ("expected", _i64), ("fe_pending", _i64), ("limit", _i64),
-        ("touch_dv", _P), ("touch_len", _i64),
-        ("ctr", _P),
-        ("cycles", _i64), ("starved", _i64), ("busy", _i64), ("reduces", _i64),
-        ("magic2", _i64),
-    )
-
-
-_MAGIC = 0x534F4134
-
-
-def _proc_code(alg) -> int | None:
-    """The kernel's ``PROC_*`` code for ``alg``'s Process_Edge, or
-    ``None`` when it declares no closed form the kernel reproduces."""
+def _proc_code(alg) -> str | None:
+    """Name of the kernel's ``PROC_*`` code for ``alg``'s Process_Edge,
+    or ``None`` when it declares no closed form the kernel reproduces."""
     if alg.process_is_identity:
-        return 0
+        return "PROC_IDENTITY"
     if not alg.uses_weights:
-        return None if alg.process_const is None else 5
+        return None if alg.process_const is None else "PROC_ADD_CONST"
     if alg.process_op == "add":
-        return 2
+        return "PROC_ADD_W"
     if alg.process_op == "min":
-        return 3
+        return "PROC_MIN_W"
     return None
 
 
 def kernel_supports(sim) -> bool:
     """True when the kernel loads and reproduces every value-plane
     kernel of ``sim``'s run bit for bit."""
+    kernel = load_kernel()
     alg = sim.algorithm
-    return (load_kernel() is not None
-            and alg.reduce_op in _RED_CODES
-            and _proc_code(alg) is not None
+    return (kernel is not None
+            and _RED_CODES.get(alg.reduce_op) in kernel.consts
+            and _proc_code(alg) in kernel.consts
             # weights enter the kernel as exact int64 -> double conversions
             and sim.graph.weights.dtype.kind in "iu")
 
@@ -179,7 +101,7 @@ class SoaEngine:
         # one run == one engine: zeroing here keeps the process-wide
         # telemetry per-run without relying on callers to reset it
         reset_ffwd_telemetry()
-        self._lib = load_kernel()
+        self._kernel = load_kernel()
         self.n = sim.config.front_channels
         self.out_degree = sim.out_degree
         self.num_vertices = sim.graph.num_vertices
@@ -193,23 +115,29 @@ class SoaEngine:
         config = sim.config
         alg = sim.algorithm
         graph = sim.graph
+        kernel = self._kernel
+        consts = kernel.consts
         n, m = config.front_channels, config.back_channels
-        st = _SoaState()
+        st = kernel.State()
         keep = []           # array refs the struct points into
 
-        def arr(shape_or_data, dtype=np.int64):
-            if isinstance(shape_or_data, (int, tuple)):
-                a = np.zeros(shape_or_data, dtype=dtype)
-            else:
-                a = np.ascontiguousarray(shape_or_data, dtype=dtype)
-            keep.append(a)
-            return a
+        def bind(**fields) -> list[np.ndarray]:
+            """Point each named field at a fresh array in the dtype of
+            the field's kind: zeros of the given length, or a copy of
+            the given data.  Returns the arrays in argument order."""
+            arrays = []
+            for name, size_or_data in fields.items():
+                dtype = _DTYPES[kernel.kinds[name]]
+                if np.ndim(size_or_data) == 0:
+                    a = np.zeros(size_or_data, dtype=dtype)
+                else:
+                    a = np.ascontiguousarray(size_or_data, dtype=dtype)
+                setattr(st, name, a.ctypes.data)
+                arrays.append(a)
+            keep.extend(arrays)
+            return arrays
 
-        def ptr(a) -> int:
-            return a.ctypes.data
-
-        st.magic = _MAGIC
-        st.magic2 = _MAGIC
+        st.magic = st.magic2 = consts["SOA_MAGIC"]
         st.n, st.m = n, m
         fifo = config.fifo_depth
         st.fifo_depth = fifo
@@ -218,14 +146,11 @@ class SoaEngine:
         st.fe_depth = config.fe_out_depth
         st.epe_depth = config.epe_queue_depth
         st.combining = 1 if config.vertex_combining else 0
-        st.reduce_op = _RED_CODES[alg.reduce_op]
-        st.proc = _proc_code(alg)
+        st.reduce_op = consts[_RED_CODES[alg.reduce_op]]
+        st.proc = consts[_proc_code(alg)]
         st.proc_const = (0.0 if alg.process_const is None
                          else float(alg.process_const))
-
-        st.offsets = ptr(arr(graph.offsets))
-        st.dst = ptr(arr(graph.dst))
-        st.weights = ptr(arr(graph.weights))
+        bind(offsets=graph.offsets, dst=graph.dst, weights=graph.weights)
 
         # -- frontend (site 1) ------------------------------------------
         st.front_is_mdp = 1 if config.offset_site == "mdp" else 0
@@ -233,37 +158,19 @@ class SoaEngine:
             plan = generate_network(n, config.radix)
             sf = plan.num_stages
             st.fn_stages = sf
-            st.fn_table = ptr(arr(_mdp_table(plan)))
-            st.fn_qu = ptr(arr(sf * n * fifo))
-            st.fn_qs = ptr(arr(sf * n * fifo, np.float64))
-            st.fn_head = ptr(arr(sf * n))
-            st.fn_len = ptr(arr(sf * n))
-            st.fn_counts = ptr(arr(sf))
+            bind(fn_table=_mdp_table(plan), fn_qu=sf * n * fifo,
+                 fn_qs=sf * n * fifo, fn_head=sf * n, fn_len=sf * n,
+                 fn_counts=sf)
         else:
             st.fn_stages = 1
-            st.fx_qu = ptr(arr(n * fifo))
-            st.fx_qs = ptr(arr(n * fifo, np.float64))
-            st.fx_head = ptr(arr(n))
-            st.fx_len = ptr(arr(n))
-            st.fx_rr = ptr(arr(n))
-        st.iq_u = ptr(arr(n * config.issue_queue_depth))
-        st.iq_s = ptr(arr(n * config.issue_queue_depth, np.float64))
-        st.iq_head = ptr(arr(n))
-        st.iq_len = ptr(arr(n))
-        st.fo_off = ptr(arr(n * config.fe_out_depth))
-        st.fo_len = ptr(arr(n * config.fe_out_depth))
-        st.fo_s = ptr(arr(n * config.fe_out_depth, np.float64))
-        st.fo_head = ptr(arr(n))
-        st.fo_cnt = ptr(arr(n))
+            bind(fx_qu=n * fifo, fx_qs=n * fifo, fx_head=n, fx_len=n,
+                 fx_rr=n)
+        issue, fe_out = n * config.issue_queue_depth, n * config.fe_out_depth
+        bind(iq_u=issue, iq_s=issue, iq_head=n, iq_len=n,
+             fo_off=fe_out, fo_len=fe_out, fo_s=fe_out, fo_head=n, fo_cnt=n)
         # phase-sized buffers start empty; scatter() grows them to fit
-        self._part_u = arr(0)
-        self._part_sp = arr(0, np.float64)
-        self._part_pos = arr(n)
-        self._part_end = arr(n)
-        st.part_u = ptr(self._part_u)
-        st.part_sp = ptr(self._part_sp)
-        st.part_pos = ptr(self._part_pos)
-        st.part_end = ptr(self._part_end)
+        self._part_u, self._part_sp, self._part_pos, self._part_end = bind(
+            part_u=0, part_sp=0, part_pos=n, part_end=n)
 
         # -- edge stage (site 2) ----------------------------------------
         st.edge_is_mdp = 1 if config.edge_site == "mdp" else 0
@@ -272,24 +179,16 @@ class SoaEngine:
             st.w = w
             st.disp_depth = config.dispatcher_queue_depth
             st.replay_depth = config.replay_queue_depth
-            st.rp_po = ptr(arr(n * config.replay_queue_depth))
-            st.rp_pl = ptr(arr(n * config.replay_queue_depth))
-            st.rp_ps = ptr(arr(n * config.replay_queue_depth, np.float64))
-            st.rp_head = ptr(arr(n))
-            st.rp_cnt = ptr(arr(n))
-            st.rp_cur_off = ptr(arr(n))
-            st.rp_cur_rem = ptr(arr(n))
-            st.rp_cur_pay = ptr(arr(n, np.float64))
+            replay = n * config.replay_queue_depth
+            bind(rp_po=replay, rp_pl=replay, rp_ps=replay, rp_head=n,
+                 rp_cnt=n, rp_cur_off=n, rp_cur_rem=n, rp_cur_pay=n)
             # the n replay engines spread over the w network inputs
             pos_of = np.array([(ch * w) // n if n <= w else ch % w
                                for ch in range(n)])
             counts = np.bincount(pos_of, minlength=w)
-            st.pos_of = ptr(arr(pos_of))
-            st.chan_at = ptr(arr(np.argsort(pos_of, kind="stable")))
-            st.chan_at_start = ptr(arr(np.cumsum(counts) - counts))
-            st.chan_at_cnt = ptr(arr(counts))
-            st.busy_at = ptr(arr(w))
-            st.rp_rr = ptr(arr(w))
+            bind(pos_of=pos_of, chan_at=np.argsort(pos_of, kind="stable"),
+                 chan_at_start=np.cumsum(counts) - counts,
+                 chan_at_cnt=counts, busy_at=w, rp_rr=w)
             net_radix = _compatible_radix(w, config.radix)
             st.has_rnet = 0 if net_radix is None else 1
             if st.has_rnet:
@@ -302,39 +201,28 @@ class SoaEngine:
                 # in a single offer (a span covers up to w blocks),
                 # briefly exceeding fifo_depth, so the rings get headroom
                 st.rn_ring = fifo + w + 2
-                st.rn_block = ptr(arr([
-                    config.dispatcher_group * net_radix ** stage.digit_index
-                    for stage in plan.stages]))
-                st.rn_ptbl = ptr(arr(plan.stage_ports()))
-                st.rn_qo = ptr(arr(sr * w * st.rn_ring))
-                st.rn_ql = ptr(arr(sr * w * st.rn_ring))
-                st.rn_qp = ptr(arr(sr * w * st.rn_ring, np.float64))
-                st.rn_head = ptr(arr(sr * w))
-                st.rn_len = ptr(arr(sr * w))
-                st.rn_counts = ptr(arr(sr))
+                ring = sr * w * st.rn_ring
+                bind(rn_block=[config.dispatcher_group
+                               * net_radix ** stage.digit_index
+                               for stage in plan.stages],
+                     rn_ptbl=plan.stage_ports(), rn_qo=ring, rn_ql=ring,
+                     rn_qp=ring, rn_head=sr * w, rn_len=sr * w,
+                     rn_counts=sr)
             else:
                 st.rn_stages = 1
-            st.dq_off = ptr(arr(w * config.dispatcher_queue_depth))
-            st.dq_len = ptr(arr(w * config.dispatcher_queue_depth))
-            st.dq_pay = ptr(arr(w * config.dispatcher_queue_depth,
-                                np.float64))
-            st.dq_head = ptr(arr(w))
-            st.dq_cnt = ptr(arr(w))
-            st.disp_stall = ptr(arr(np.full(w, -1)))
+            disp = w * config.dispatcher_queue_depth
+            bind(dq_off=disp, dq_len=disp, dq_pay=disp, dq_head=w, dq_cnt=w,
+                 disp_stall=np.full(w, -1))
         else:
             st.w = 1
             capacity = config.fe_out_depth * n
             st.ce_issue_limit = config.issue_limit
             st.ce_capacity = capacity
-            st.ce_off = ptr(arr(capacity))
-            st.ce_len = ptr(arr(capacity))
-            st.ce_pay = ptr(arr(capacity, np.float64))
+            bind(ce_off=capacity, ce_len=capacity, ce_pay=capacity)
             st.ce_stall_off = st.ce_stall_len = st.ce_stall_bank = -1
             st.rn_stages = 1
-        st.ep_v = ptr(arr(m * config.epe_queue_depth))
-        st.ep_imm = ptr(arr(m * config.epe_queue_depth, np.float64))
-        st.ep_head = ptr(arr(m))
-        st.ep_cnt = ptr(arr(m))
+        epe = m * config.epe_queue_depth
+        bind(ep_v=epe, ep_imm=epe, ep_head=m, ep_cnt=m)
 
         # -- propagation (site 3) ---------------------------------------
         st.prop_is_mdp = 1 if config.propagation_site == "mdp" else 0
@@ -342,34 +230,18 @@ class SoaEngine:
             plan = generate_network(m, config.radix)
             sp = plan.num_stages
             st.pn_stages = sp
-            st.pn_table = ptr(arr(_mdp_table(plan)))
-            st.pn_qv = ptr(arr(sp * m * fifo))
-            st.pn_qc = ptr(arr(sp * m * fifo))
-            st.pn_qi = ptr(arr(sp * m * fifo, np.float64))
-            st.pn_head = ptr(arr(sp * m))
-            st.pn_len = ptr(arr(sp * m))
-            st.pn_counts = ptr(arr(sp))
+            bind(pn_table=_mdp_table(plan), pn_qv=sp * m * fifo,
+                 pn_qc=sp * m * fifo, pn_qi=sp * m * fifo, pn_head=sp * m,
+                 pn_len=sp * m, pn_counts=sp)
         else:
             st.pn_stages = 1
-            st.px_qv = ptr(arr(m * fifo))
-            st.px_qc = ptr(arr(m * fifo))
-            st.px_qi = ptr(arr(m * fifo, np.float64))
-            st.px_head = ptr(arr(m))
-            st.px_len = ptr(arr(m))
-            st.px_rr = ptr(arr(m))
+            bind(px_qv=m * fifo, px_qc=m * fifo, px_qi=m * fifo, px_head=m,
+                 px_len=m, px_rr=m)
 
         mx = max(n, m, int(st.w))
-        st.s_epoch = ptr(arr(mx))
-        st.s_val = ptr(arr(mx))
-        st.s_epoch2 = ptr(arr(mx))
-        st.s_val2 = ptr(arr(mx))
-
-        self._tprop_buf = arr(max(self.num_vertices, 1), np.float64)
-        st.tprop = ptr(self._tprop_buf)
-        self._touch_dv = arr(0)
-        st.touch_dv = ptr(self._touch_dv)
-        self._ctr = arr(_C_NUM)
-        st.ctr = ptr(self._ctr)
+        bind(s_epoch=mx, s_val=mx, s_epoch2=mx, s_val2=mx)
+        self._tprop_buf, self._touch_dv = bind(
+            tprop=max(self.num_vertices, 1), touch_dv=0)
 
         self._keep = keep
         self._st = st
@@ -421,7 +293,7 @@ class SoaEngine:
         st.fe_pending = size
         limit = 4 * expected + 8 * size + 10_000
         st.limit = limit
-        rc = int(self._lib.soa_march(ctypes.byref(st)))
+        rc = int(self._kernel.soa_march(ctypes.byref(st)))
         if rc == 1:
             raise SimulationError(
                 f"scatter did not converge within {limit} cycles "
@@ -466,10 +338,8 @@ class SoaEngine:
         return out
 
     def harvest(self, stats) -> None:
-        """Assign the run's conflict counters from the kernel's slots."""
-        ctr = self._ctr
-        stats.offset_deferrals = int(ctr[_C_DEFERRALS])
-        stats.edge_conflicts = int(ctr[_C_EDGE_BLOCKED] + ctr[_C_RNET_STALL]
-                                   + ctr[_C_RNET_REJ])
-        stats.propagation_conflicts = int(ctr[_C_PROP_STALL]
-                                          + ctr[_C_PROP_REJ])
+        """Assign the run's conflict counters from the kernel's totals."""
+        st = self._st
+        stats.offset_deferrals = st.deferrals
+        stats.edge_conflicts = st.edge_blocked + st.rnet_stall + st.rnet_rej
+        stats.propagation_conflicts = st.prop_stall + st.prop_rej

@@ -8,12 +8,22 @@ source, so editing the kernel transparently rebuilds and stale caches
 can never be loaded; the cache write is an atomic rename so concurrent
 sweep workers race benignly.
 
+The kernel describes its own seam.  ``soa_layout()`` exports one row
+per ``SoaState`` field (name, offset, kind) plus the named constants
+(``SOA_MAGIC``, ``RED_*``, ``PROC_*``) and the struct size.
+:func:`load_kernel` reads that table once, builds the ctypes struct
+from it (with ``__slots__ = ()``, so assigning a field the kernel does
+not have raises ``AttributeError``) and checks every offset and the
+size against what ctypes laid out.  Nothing on the Python side mirrors
+the C declaration, so there is nothing to drift.
+
 Everything here degrades gracefully: no compiler, a failed compile, a
-failed dlopen or an ABI mismatch all yield ``None`` from
-:func:`load_kernel`, and :func:`~repro.accel.engine.registry.make_engine`
-then hands ``soa`` runs to the ``reference`` engine (BYTE-IDENTICAL,
-but a pure Python march, many times slower).  ``REPRO_SOA_KERNEL=off``
-is the explicit kill-switch for the same fallback.
+failed dlopen, an ABI mismatch or a layout table that cannot be bound
+all yield ``None`` from :func:`load_kernel`, and
+:func:`~repro.accel.engine.registry.make_engine` then hands ``soa``
+runs to the ``reference`` engine (BYTE-IDENTICAL, but a pure Python
+march, many times slower).  ``REPRO_SOA_KERNEL=off`` is the explicit
+kill-switch for the same fallback.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import re
 import shutil
 import subprocess
 import tempfile
+import types
 from pathlib import Path
 
 #: Environment kill-switch: ``off``/``0``/``no`` disables the compiled
@@ -36,8 +47,39 @@ CACHE_ENV_VAR = "REPRO_SOA_CACHE"
 
 _SOURCE = Path(__file__).with_name("_soa_march.c")
 
+#: layout-table field kinds -> the ctypes type of an 8-byte slot
+_SLOT_TYPES = types.MappingProxyType({
+    "i64": ctypes.c_longlong, "f64": ctypes.c_double,
+    "i64*": ctypes.c_void_p, "f64*": ctypes.c_void_p})
+
+
+class _LayoutRow(ctypes.Structure):
+    """One ``SoaLayoutRow`` of the table ``soa_layout()`` returns."""
+
+    _fields_ = (("kind", ctypes.c_char_p), ("name", ctypes.c_char_p),
+                ("value", ctypes.c_longlong))
+
+
+class Kernel:
+    """A loaded kernel: its entry points plus the layout it exported.
+
+    ``State`` is the ctypes struct built from the table, ``kinds`` maps
+    each field to ``"i64"``, ``"f64"``, ``"i64*"`` or ``"f64*"``, and
+    ``consts`` holds the named constants.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, state: type,
+                 kinds: dict[str, str], consts: dict[str, int]) -> None:
+        # (ctypes function pointers keep their library loaded)
+        self.soa_march = lib.soa_march
+        self.soa_abi_version = lib.soa_abi_version
+        self.State = state
+        self.kinds = types.MappingProxyType(kinds)
+        self.consts = types.MappingProxyType(consts)
+
+
 #: memoized load result; ``False`` = not attempted yet
-_LIB: ctypes.CDLL | None | bool = False
+_LIB: Kernel | None | bool = False
 
 
 def kernel_disabled() -> bool:
@@ -93,12 +135,52 @@ def _build(source_path: Path, out_path: Path) -> bool:
                 pass
 
 
-def load_kernel() -> ctypes.CDLL | None:
+def _bind_layout(lib: ctypes.CDLL
+                 ) -> tuple[type, dict[str, str], dict[str, int]] | None:
+    """``(State, kinds, consts)`` from the kernel's layout table, or
+    ``None`` when ctypes cannot lay the struct out exactly as C did."""
+    lib.soa_layout.restype = ctypes.POINTER(_LayoutRow)
+    lib.soa_layout.argtypes = ()
+    rows = lib.soa_layout()
+    fields: list[tuple[int, str, str]] = []
+    consts: dict[str, int] = {}
+    size = None
+    i = 0
+    while rows[i].kind is not None:
+        kind, name = rows[i].kind.decode(), rows[i].name.decode()
+        value = int(rows[i].value)
+        if kind == "const":
+            consts[name] = value
+        elif kind == "sizeof":
+            size = value
+        elif kind in _SLOT_TYPES:
+            fields.append((value, name, kind))
+        else:
+            return None
+        i += 1
+    fields.sort()
+    kinds = {name: kind for _, name, kind in fields}
+    # every bind writes the struct guard: both magic fields, SOA_MAGIC
+    if (len(kinds) != len(fields) or "SOA_MAGIC" not in consts
+            or "magic" not in kinds or "magic2" not in kinds):
+        return None
+    state = type("SoaState", (ctypes.Structure,), {
+        "__slots__": (),
+        "_fields_": [(name, _SLOT_TYPES[kind]) for _, name, kind in fields]})
+    if ctypes.sizeof(state) != size or any(
+            getattr(state, name).offset != offset
+            for offset, name, _ in fields):
+        return None
+    return state, kinds, consts
+
+
+def load_kernel() -> Kernel | None:
     """Compile (once, content-hashed) and load the march kernel.
 
-    Returns the loaded library with ``soa_march`` ready to call, or
-    ``None`` when the kernel is disabled or unavailable — callers fall
-    back to the reference engine, never error.
+    Returns the :class:`Kernel` with ``soa_march`` ready to call and its
+    ctypes struct bound from the kernel's own layout table, or ``None``
+    when the kernel is disabled or unavailable — callers fall back to
+    the reference engine, never error.
     """
     global _LIB
     if _LIB is not False:
@@ -125,7 +207,10 @@ def load_kernel() -> ctypes.CDLL | None:
             return None
         lib.soa_march.restype = ctypes.c_longlong
         lib.soa_march.argtypes = (ctypes.c_void_p,)
+        layout = _bind_layout(lib)
     except (OSError, AttributeError):
         return None
-    _LIB = lib
-    return lib
+    if layout is None:
+        return None
+    _LIB = Kernel(lib, *layout)
+    return _LIB

@@ -15,8 +15,6 @@ It is a small AST-walking rule framework plus repo-specific rules:
   per-rule severity and scope, the generated markdown catalog
 * :mod:`repro.analysis.context`   — parsed-module / project contexts
   (plus the memoized project call graph accessor)
-* :mod:`repro.analysis.cparse`    — dependency-free C declaration
-  parser for the ``_soa_march.c`` seam rules
 * :mod:`repro.analysis.callgraph` — project-wide call/reference graph
 * :mod:`repro.analysis.dataflow`  — reaching self-attribute loads,
   module-global mutation sites, fork entry points

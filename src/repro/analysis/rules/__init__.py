@@ -21,8 +21,6 @@ One module per concern, mirroring the invariants they guard:
                    derive from :mod:`repro.errors`
 ``repo.py``        refolded repo guards: tracked bytecode, docs/cli.md
                    vs the real CLI, the BENCH history gate
-``cseam.py``       the C↔Python ABI of the compiled SoA kernel: struct
-                   layout, marshalled dtypes, counter slots, kernel ids
 ``forksafety.py``  multiprocessing hygiene in the sweep layer: shared
                    module state, non-atomic writes, captured handles
 =================  ====================================================
@@ -33,7 +31,6 @@ One module per concern, mirroring the invariants they guard:
 from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     apisurface,
     cachekey,
-    cseam,
     determinism,
     engines,
     exceptions,

@@ -30,13 +30,12 @@ class TestSelfLint:
         for rule_id in ("module-state", "set-iteration", "id-key",
                         "nondeterministic-call", "cache-key",
                         "telemetry-reset", "engine-registry",
-                        "c-seam-layout",
-                        "c-seam-counters", "c-seam-kernels",
                         "fork-shared-state", "fork-atomic-write",
                         "fork-capture", "exception-hygiene", "no-bytecode",
                         "cli-docs", "lint-docs", "bench-history"):
             assert rule_id in out
-        for retired in ("engine-compat", "engine-seam"):
+        for retired in ("engine-compat", "engine-seam", "c-seam-layout",
+                        "c-seam-counters", "c-seam-kernels"):
             assert retired not in out
 
     def test_bad_input_exits_2_with_one_liner(self, capsys):

@@ -21,9 +21,19 @@ enforces the contract over
 * phases no real frontier presents (duplicate actives past |V| active
   vertices and |E| edges), and the kernel-load failure paths that hand
   ``soa`` runs to ``reference``;
+* concurrent soa runs on threads (the kernel keeps no file-scope
+  state), and the kernel's self-described layout: a reordered field
+  list still runs identically, unknown fields are rejected, and every
+  exported code is one the Python side can send;
 * engine-selection plumbing: defaults, the ``REPRO_ENGINE`` override,
   cache-token sharing, and the tracer's reference-only restriction.
 """
+
+import ctypes
+import re
+import sys
+import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -47,9 +57,11 @@ from repro.accel.engine import (
     ReferenceEngine,
     SoaEngine,
 )
+from repro.accel.engine import soa as soa_module
 from repro.accel.engine import soakernel
 from repro.accel.stats import SimStats
 from repro.algorithms import make_algorithm, run_reference
+from repro.algorithms.base import _SCALAR_REDUCE
 from repro.errors import ConfigError, SimulationError
 from repro.graph.generators import erdos_renyi, grid_2d, rmat, star
 from repro.graph.partition import partition_by_destination
@@ -143,6 +155,31 @@ def assert_pr_agrees(config, graph, iterations, slices=None):
 def _kernel_or_skip():
     if soakernel.load_kernel() is None:
         pytest.skip("no compiled kernel: soa runs are handed to reference")
+
+
+def _compiler_or_skip():
+    if soakernel._find_compiler() is None:
+        pytest.skip("no C compiler")
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """A loader that has not tried yet, caching under ``tmp_path``."""
+    monkeypatch.setattr(soakernel, "_LIB", False)
+    monkeypatch.setenv(soakernel.CACHE_ENV_VAR, str(tmp_path / "so"))
+    monkeypatch.delenv(soakernel.KERNEL_ENV_VAR, raising=False)
+    return tmp_path
+
+
+def _kernel_variant(monkeypatch, tmp_path, edit):
+    """Point the loader at a copy of the real kernel source with
+    ``edit(text)`` applied."""
+    real = soakernel._SOURCE.read_text()
+    text = edit(real)
+    assert text != real, "the kernel edit did not apply"
+    path = tmp_path / "kernel.c"
+    path.write_text(text)
+    monkeypatch.setattr(soakernel, "_SOURCE", path)
 
 
 class TestTier1Matrix:
@@ -489,7 +526,6 @@ class TestEngineAlternation:
     def test_soa_without_kernel_degrades_to_reference(self, monkeypatch):
         """No compiled kernel (``REPRO_SOA_KERNEL=off`` or no compiler)
         hands the soa request to the reference engine, byte-identical."""
-        import repro.accel.engine.soa as soa_module
         monkeypatch.setattr(soa_module, "load_kernel", lambda: None)
         graph = rmat(7, 5.0, seed=17, name="rmat7-17")
         for algorithm in ("SSSP", "PR"):
@@ -505,7 +541,6 @@ class TestEngineAlternation:
     def test_soa_engine_refuses_an_unsupported_run(self, monkeypatch):
         """Built directly, the engine refuses a run its kernel cannot
         reproduce instead of marching it wrongly."""
-        import repro.accel.engine.soa as soa_module
         sim = AcceleratorSim(higraph(), star(8), _make_algorithm("BFS"),
                              engine="reference")
         monkeypatch.setattr(soa_module, "load_kernel", lambda: None)
@@ -677,14 +712,6 @@ class TestKernelLoadFallback:
     reference engine: ``load_kernel()`` returns None, the engine object
     is a ReferenceEngine, and the stats are reference-identical."""
 
-    @pytest.fixture
-    def fresh_loader(self, monkeypatch, tmp_path):
-        """A loader that has not tried yet, caching under ``tmp_path``."""
-        monkeypatch.setattr(soakernel, "_LIB", False)
-        monkeypatch.setenv(soakernel.CACHE_ENV_VAR, str(tmp_path / "so"))
-        monkeypatch.delenv(soakernel.KERNEL_ENV_VAR, raising=False)
-        return tmp_path
-
     def _source(self, tmp_path, text):
         path = tmp_path / "kernel.c"
         path.write_text(text)
@@ -708,8 +735,7 @@ class TestKernelLoadFallback:
         assert not any(fresh_loader.rglob("*.so"))
 
     def test_source_that_fails_to_compile(self, fresh_loader, monkeypatch):
-        if soakernel._find_compiler() is None:
-            pytest.skip("no C compiler")
+        _compiler_or_skip()
         monkeypatch.setattr(soakernel, "_SOURCE", self._source(
             fresh_loader, "#define SOA_ABI_VERSION 4\nnot C at all;\n"))
         self._assert_reference_fallback()
@@ -717,8 +743,7 @@ class TestKernelLoadFallback:
 
     def test_abi_version_disagrees_with_source(self, fresh_loader,
                                                monkeypatch):
-        if soakernel._find_compiler() is None:
-            pytest.skip("no C compiler")
+        _compiler_or_skip()
         monkeypatch.setattr(soakernel, "_SOURCE", self._source(
             fresh_loader,
             "#define SOA_ABI_VERSION 5\n"
@@ -736,10 +761,345 @@ class TestKernelLoadFallback:
         monkeypatch.setattr(soakernel, "_SOURCE", fresh_loader / "gone.c")
         self._assert_reference_fallback()
 
+    def test_layout_table_disagrees_with_sizeof(self, fresh_loader,
+                                                monkeypatch):
+        _compiler_or_skip()
+        _kernel_variant(monkeypatch, fresh_loader, lambda text: text.replace(
+            "(i64)sizeof(SoaState)}", "(i64)sizeof(SoaState) + 8}"))
+        self._assert_reference_fallback()
+        assert any(fresh_loader.rglob("*.so"))      # built, then refused
+
+    def test_layout_table_lacks_a_bound_name(self, fresh_loader,
+                                             monkeypatch):
+        """The kernel compiles and runs, but its table no longer names
+        ``magic2``, which the Python side binds: a load failure."""
+        _compiler_or_skip()
+        _kernel_variant(monkeypatch, fresh_loader, lambda text: re.sub(
+            r"\bmagic2\b", "magic_end", text))
+        self._assert_reference_fallback()
+        assert any(fresh_loader.rglob("*.so"))
+
+    def test_kernel_without_a_layout_table(self, fresh_loader, monkeypatch):
+        _compiler_or_skip()
+        _kernel_variant(monkeypatch, fresh_loader, lambda text: text.replace(
+            "*soa_layout(void)", "*soa_layout_table(void)"))
+        self._assert_reference_fallback()
+        assert any(fresh_loader.rglob("*.so"))
+
+    def test_kernel_without_an_abi_probe(self, fresh_loader, monkeypatch):
+        _compiler_or_skip()
+        _kernel_variant(monkeypatch, fresh_loader, lambda text: text.replace(
+            "i64 soa_abi_version(void)", "i64 soa_abi(void)"))
+        self._assert_reference_fallback()
+        assert any(fresh_loader.rglob("*.so"))
+
     @pytest.mark.parametrize("value", ["off", "0", "no", "false"])
     def test_kill_switch(self, fresh_loader, monkeypatch, value):
         monkeypatch.setenv(soakernel.KERNEL_ENV_VAR, value)
         self._assert_reference_fallback()
+
+
+class TestSelfDescribingLayout:
+    """The kernel exports its own struct layout and named constants;
+    the Python side builds its ctypes struct from them and looks every
+    code up by name, so there is no mirror left to drift."""
+
+    @pytest.mark.parametrize("first, second, between", [
+        (("I64", "fifo_depth"), ("I64", "block_len"), " "),
+        (("CI64P", "offsets"), ("CI64P", "dst"), " "),
+        (("I64", "proc"), ("F64", "proc_const"), " \\\n    "),
+    ], ids=["scalars", "pointers", "mixed-kinds"])
+    def test_reordered_field_list_runs_identically(self, fresh_loader,
+                                                   monkeypatch, first,
+                                                   second, between):
+        """Swapping two rows of the C field list moves both fields; the
+        loaded struct follows, and the stats stay reference-identical."""
+        _compiler_or_skip()
+        row = "F({}, {})".format
+        _kernel_variant(monkeypatch, fresh_loader, lambda text: text.replace(
+            row(*first) + between + row(*second),
+            row(*second) + between + row(*first)))
+        kernel = soakernel.load_kernel()
+        assert kernel is not None
+        assert (getattr(kernel.State, second[1]).offset
+                < getattr(kernel.State, first[1]).offset)
+        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
+        for maker in (higraph, graphdyns):
+            sim = AcceleratorSim(maker(), graph, _make_algorithm("PR"),
+                                 engine="soa")
+            assert sim.engine._kernel is kernel
+            ref = simulate(maker(), graph, _make_algorithm("PR"),
+                           engine="reference")
+            assert sim.run(source=0).stats.to_dict() == ref.stats.to_dict()
+
+    def test_state_rejects_unknown_fields(self):
+        _kernel_or_skip()
+        st = soakernel.load_kernel().State()
+        st.fifo_depth = 4
+        with pytest.raises(AttributeError):
+            st.fifo_dpeth = 4
+
+    def test_scalar_reduce_ops_are_the_kernel_reduce_codes(self):
+        _kernel_or_skip()
+        consts = soakernel.load_kernel().consts
+        assert set(soa_module._RED_CODES) == set(_SCALAR_REDUCE)
+        assert set(soa_module._RED_CODES.values()) == {
+            name for name in consts if name.startswith("RED_")}
+
+    def test_every_exported_code_can_be_sent(self):
+        _kernel_or_skip()
+        consts = soakernel.load_kernel().consts
+        sent = set(soa_module._RED_CODES.values())
+        for identity in (True, False):
+            for weights in (True, False):
+                for const in (None, 1.0):
+                    for op in ("add", "min", "max"):
+                        sent.add(soa_module._proc_code(types.SimpleNamespace(
+                            process_is_identity=identity,
+                            uses_weights=weights, process_const=const,
+                            process_op=op)))
+        sent.discard(None)
+        exported = {name for name in consts
+                    if name.startswith(("RED_", "PROC_"))}
+        assert exported == sent
+
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS + ("REACH",))
+    def test_every_algorithm_marches_in_the_kernel(self, algorithm):
+        """Each shipped algorithm's reduce and process codes are ones
+        the kernel exports: a name lookup that missed would hand the
+        run to reference, identical but never marched in C."""
+        _kernel_or_skip()
+        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
+        sim = AcceleratorSim(higraph(), graph, _make_algorithm(algorithm),
+                             engine="soa")
+        assert type(sim.engine) is SoaEngine
+        ref = simulate(higraph(), graph, _make_algorithm(algorithm),
+                       engine="reference")
+        assert sim.run(source=0).stats.to_dict() == ref.stats.to_dict()
+
+    @pytest.mark.parametrize("maker", [higraph, graphdyns, higraph_mini],
+                             ids=["HiGraph", "GraphDynS", "HiGraph-mini"])
+    def test_arrays_are_marshalled_in_their_field_kind(self, maker):
+        """Every pointer the bound struct holds points at an array whose
+        dtype is the one its field's kind names."""
+        _kernel_or_skip()
+        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
+        engine = AcceleratorSim(maker(), graph, _make_algorithm("SSSP"),
+                                engine="soa").engine
+        kinds = engine._kernel.kinds
+        by_address = {a.ctypes.data: a for a in engine._keep}
+        bound = [name for name, kind in kinds.items()
+                 if kind.endswith("*") and getattr(engine._st, name)]
+        assert len(bound) > 20
+        for name in bound:
+            array = by_address[getattr(engine._st, name)]
+            assert array.dtype == soa_module._DTYPES[kinds[name]], name
+
+    def test_loaded_layout_is_read_only(self):
+        """One loaded kernel serves every run on every thread, so its
+        layout maps cannot be edited in place."""
+        _kernel_or_skip()
+        kernel = soakernel.load_kernel()
+        with pytest.raises(TypeError):
+            kernel.kinds["magic"] = "f64"
+        with pytest.raises(TypeError):
+            kernel.consts["SOA_MAGIC"] = 0
+
+
+def _table_lib(rows):
+    """A stand-in for a loaded kernel whose ``soa_layout()`` returns
+    ``rows`` of ``(kind, name, value)``, NULL-terminated as in C."""
+    table = (soakernel._LayoutRow * (len(rows) + 1))(
+        *(soakernel._LayoutRow(kind.encode(), name.encode(), value)
+          for kind, name, value in rows))
+    return types.SimpleNamespace(soa_layout=lambda: table)
+
+
+#: a small table the loader binds: five 8-byte fields, two constants
+_TABLE = (
+    ("i64", "magic", 0), ("f64", "scale", 8), ("i64*", "idx", 16),
+    ("f64*", "vals", 24), ("i64", "magic2", 32),
+    ("const", "SOA_MAGIC", 0x50A), ("const", "RED_MIN", 1),
+    ("sizeof", "SoaState", 40))
+
+
+def _edit_table(**rows):
+    """``_TABLE`` with the rows named by keyword replaced (a tuple) or
+    dropped (``None``)."""
+    out = []
+    for row in _TABLE:
+        new = rows.get(row[1], row)
+        if new is not None:
+            out.append(new)
+    return out
+
+
+class TestLayoutBinding:
+    """``_bind_layout`` builds the ctypes struct from whatever table the
+    kernel exports, and refuses any table ctypes cannot lay out exactly
+    as the table says C did."""
+
+    def test_a_consistent_table_binds(self):
+        state, kinds, consts = soakernel._bind_layout(_table_lib(_TABLE))
+        assert [name for name, _ in state._fields_] == [
+            "magic", "scale", "idx", "vals", "magic2"]
+        assert ctypes.sizeof(state) == 40
+        assert kinds == {"magic": "i64", "scale": "f64", "idx": "i64*",
+                         "vals": "f64*", "magic2": "i64"}
+        assert consts == {"SOA_MAGIC": 0x50A, "RED_MIN": 1}
+
+    def test_fields_follow_offsets_not_table_order(self):
+        """The struct is laid out in offset order, wherever the rows
+        sit in the table."""
+        rows = list(_TABLE[::-1])
+        state, _, _ = soakernel._bind_layout(_table_lib(rows))
+        assert [name for name, _ in state._fields_] == [
+            "magic", "scale", "idx", "vals", "magic2"]
+        state, _, _ = soakernel._bind_layout(_table_lib(_edit_table(
+            idx=("i64*", "idx", 24), vals=("f64*", "vals", 16))))
+        assert state.vals.offset == 16 and state.idx.offset == 24
+
+    @pytest.mark.parametrize("kind, ctype", [
+        ("i64", ctypes.c_longlong), ("f64", ctypes.c_double),
+        ("i64*", ctypes.c_void_p), ("f64*", ctypes.c_void_p)])
+    def test_each_kind_binds_an_eight_byte_slot(self, kind, ctype):
+        state, kinds, _ = soakernel._bind_layout(_table_lib(_edit_table(
+            scale=(kind, "scale", 8))))
+        assert dict(state._fields_)["scale"] is ctype
+        assert ctypes.sizeof(ctype) == 8
+        assert kinds["scale"] == kind
+
+    def test_bound_state_rejects_unknown_fields(self):
+        state, _, _ = soakernel._bind_layout(_table_lib(_TABLE))
+        st = state()
+        st.idx = 4096
+        assert st.idx == 4096
+        with pytest.raises(AttributeError):
+            st.indx = 4096
+
+    @pytest.mark.parametrize("rows", [
+        _edit_table(scale=("f32", "scale", 8)),
+        _edit_table(vals=("f64*", "idx", 24)),
+        _edit_table(SOA_MAGIC=None),
+        _edit_table(magic=("i64", "guard", 0)),
+        _edit_table(magic2=("i64", "guard", 32)),
+        _edit_table(SoaState=("sizeof", "SoaState", 48)),
+        _edit_table(SoaState=None),
+        _edit_table(vals=("f64*", "vals", 16)),
+        _edit_table(vals=("f64*", "vals", 32), magic2=("i64", "magic2", 40)),
+        _edit_table(scale=("f64", "scale", 4)),
+        [],
+    ], ids=["unknown-kind", "duplicate-name", "no-SOA_MAGIC", "no-magic",
+            "no-magic2", "sizeof-disagrees", "no-sizeof", "shared-offset",
+            "gap-before-a-field", "misaligned-offset", "empty"])
+    def test_a_table_ctypes_cannot_match_is_refused(self, rows):
+        assert soakernel._bind_layout(_table_lib(rows)) is None
+
+
+class TestPerMarchState:
+    """The kernel's per-march working totals live in the run's struct.
+    ``soa_march()`` zeroes them on entry because every queue is empty at
+    a phase boundary; each march must therefore leave them drained."""
+
+    OCCUPANCY = ("fe_total", "iq_total", "fn_count", "fx_count",
+                 "rn_count", "disp_count", "epe_count", "rp_busy_total",
+                 "ce_cnt", "pn_count", "px_count")
+
+    @pytest.mark.parametrize("maker", [higraph, graphdyns, higraph_mini],
+                             ids=["HiGraph", "GraphDynS", "HiGraph-mini"])
+    def test_every_march_drains_its_occupancy_totals(self, maker):
+        _kernel_or_skip()
+        graph = rmat(8, 6.0, seed=23, name="rmat8-23")
+        sim = AcceleratorSim(maker(), graph,
+                             make_algorithm("PR", iterations=3),
+                             engine="soa")
+        engine = sim.engine
+        kernel = engine._kernel
+        left = []
+
+        def march(state_ref):
+            rc = kernel.soa_march(state_ref)
+            left.append({name: getattr(engine._st, name)
+                         for name in self.OCCUPANCY
+                         if getattr(engine._st, name)})
+            return rc
+
+        engine._kernel = types.SimpleNamespace(soa_march=march)
+        sim.run(source=0)
+        assert len(left) >= 3
+        assert left == [{}] * len(left)
+
+
+class TestThreadedRuns:
+    """soa simulations on threads equal the same runs done serially:
+    ctypes releases the GIL for each march, and the kernel keeps every
+    piece of per-call state in the run's own struct."""
+
+    CASES = [(maker, algorithm, seed)
+             for maker in (graphdyns, higraph_mini, higraph)
+             for algorithm in ("BFS", "SSSP", "PR")
+             for seed in (31, 32)]
+
+    @staticmethod
+    def _run(case):
+        maker, algorithm, seed = case
+        graph = rmat(8, 6.0, seed=seed, name=f"rmat8-{seed}")
+        result = simulate(maker(), graph,
+                          make_algorithm(algorithm, **(
+                              {"iterations": 3} if algorithm == "PR"
+                              else {})),
+                          engine="soa")
+        return result.stats.to_dict(), result.properties.tobytes()
+
+    def test_thread_pool_equals_serial(self):
+        _kernel_or_skip()
+        serial = [self._run(case) for case in self.CASES]
+        threaded = self._on_threads(self._run, self.CASES)
+        for case, want, got in zip(self.CASES, serial, threaded):
+            assert got == want, case
+
+    @staticmethod
+    def _on_threads(run, jobs):
+        """``run`` over ``jobs`` on four threads, in order."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the Python glue too
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                return list(pool.map(run, jobs, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_sharing_one_graph(self):
+        """Eight runs of one design over one graph object at once: the
+        kernel only reads the graph arrays every struct points into."""
+        _kernel_or_skip()
+        graph = rmat(8, 6.0, seed=33, name="rmat8-33")
+
+        def run(algorithm):
+            result = simulate(higraph(), graph, _make_algorithm(algorithm),
+                              engine="soa")
+            return result.stats.to_dict(), result.properties.tobytes()
+
+        jobs = ["SSSP", "PR"] * 4
+        serial = [run(job) for job in jobs]
+        assert self._on_threads(run, jobs) == serial
+
+    def test_sliced_runs_on_threads(self):
+        """Sliced PageRank marches one engine per slice; several sliced
+        runs at once still equal the serial runs."""
+        _kernel_or_skip()
+        graph = rmat(8, 6.0, seed=13, name="rmat8-13")
+        slices = partition_by_destination(graph, 3)
+
+        def run(maker):
+            result = SlicedAcceleratorSim(
+                maker(), graph, make_algorithm("PR", iterations=3),
+                slices=slices, engine="soa").run()
+            return result.stats.to_dict(), result.properties.tobytes()
+
+        jobs = [higraph, graphdyns, higraph_mini] * 2
+        serial = [run(job) for job in jobs]
+        assert self._on_threads(run, jobs) == serial
 
 
 class TestEngineTelemetry:
