@@ -4,7 +4,7 @@
 #
 #   ci.sh            == ci.sh all
 #   ci.sh lint       `repro lint` contract & determinism analyzer
-#                    (cache keys, module state, C seam, fork safety, docs)
+#                    (cache keys, module state, fork safety, docs)
 #   ci.sh lint-sarif emit the lint report as SARIF for CI annotation
 #                    (artifact consumed by the upload-sarif workflow job)
 #   ci.sh tests      tier-1 pytest (includes the engine differential suite)
@@ -17,15 +17,15 @@
 #   ci.sh report     cold/warm report regeneration (zero sims, same bytes)
 #   ci.sh serve      warm-cache daemon smoke (sweep over the socket,
 #                    zero sims on resubmission, clean remote shutdown)
-#   ci.sh perf       perf-probe smoke (BENCH record + cycle-exactness)
-#                    followed by the bench-history schema/trajectory check
+#   ci.sh differential
+#                    every engine's SimStats equal reference's on the
+#                    full fig8 (72 jobs) and PageRank x10 (18 jobs)
+#                    matrices, uncached
 #
-# Stages may be combined: `ci.sh tests perf`.
+# Stages may be combined: `ci.sh tests differential`.
 #
-# The perf smoke asserts the engines stayed cycle-exact
-# (stats_identical) but no speedup floor — CI runners are too noisy for
-# that (see docs/performance.md); the bench-history check treats
-# trajectory regressions as advisory for the same reason.
+# No stage times anything: perfbench/ (BENCHMARK.json) is the one
+# timing harness.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,7 +41,7 @@ trap cleanup EXIT
 ci_mktemp_d() { local d; d="$(mktemp -d)"; CI_TMP_DIRS+=("$d"); echo "$d"; }
 
 stage_lint() {
-    echo "== repro lint (contract & determinism analyzer, 16 rules) =="
+    echo "== repro lint (contract & determinism analyzer, 14 rules) =="
     # hard gate: any non-baselined finding fails the build; --no-cache
     # so CI always measures the cold path
     python -m repro lint --no-cache
@@ -169,24 +169,39 @@ EOF
     [ ! -S "$sock" ]
 }
 
-stage_perf() {
-    echo "== engine perf probe (quick: BENCH record + cycle-exactness) =="
-    local bench_dir
-    bench_dir="$(ci_mktemp_d)"
-    python scripts/perf_probe.py --quick --out "$bench_dir/bench.jsonl" \
-        | tee /tmp/ci-perf-probe.txt
-    grep -q '"bench": "fig8_cold_sweep"' "$bench_dir/bench.jsonl"
-    grep -q '"stats_identical": true' "$bench_dir/bench.jsonl"
+stage_differential() {
+    echo "== soa vs reference: fig8 (72 jobs) + PageRank x10 (18 jobs) =="
+    python - <<'EOF'
+import dataclasses
+import sys
+from repro.accel.engine import ENGINES, soakernel
+from repro.bench.harness import matrix_jobs
+from repro.sweep.executor import run_sweep
 
-    echo "== bench-history check (smoke record) =="
-    python scripts/check_bench_history.py --file "$bench_dir/bench.jsonl"
-
-    echo "== bench-history check (committed trajectory) =="
-    python scripts/check_bench_history.py
+# without the kernel every soa run is handed to reference: no check
+if soakernel.load_kernel() is None:
+    sys.exit("no soa kernel loaded: soa runs would be reference's")
+matrices = {"fig8": matrix_jobs(),
+            "PRx10": matrix_jobs(algorithms=[("PR", {"iterations": 10})])}
+diverged = []
+for label, jobs in matrices.items():
+    runs = {engine: run_sweep([dataclasses.replace(job, engine=engine)
+                               for job in jobs], num_workers=0).stats
+            for engine in ENGINES}
+    for engine in ENGINES:
+        diverged += [f"{label} {job.describe()}: reference vs {engine}"
+                     for job, want, got in zip(jobs, runs["reference"],
+                                               runs[engine])
+                     if got.to_dict() != want.to_dict()]
+    print(f"{label}: {len(jobs)} jobs x {len(ENGINES)} engines")
+for line in diverged:
+    print(f"SimStats diverge: {line}", file=sys.stderr)
+sys.exit(1 if diverged else 0)
+EOF
 }
 
 usage() {
-    sed -n '2,23p' "$0"
+    sed -n '2,25p' "$0"
     exit 2
 }
 
@@ -205,10 +220,10 @@ for stage in "${stages[@]}"; do
         sweep)    stage_sweep ;;
         report)   stage_report ;;
         serve)    stage_serve ;;
-        perf)     stage_perf ;;
+        differential) stage_differential ;;
         all)      stage_lint; stage_lint_sarif; stage_tests;
                   stage_coverage; stage_fuzz; stage_docs; stage_sweep;
-                  stage_report; stage_serve; stage_perf ;;
+                  stage_report; stage_serve; stage_differential ;;
         -h|--help) usage ;;
         *) echo "ci.sh: unknown stage '$stage'" >&2; usage ;;
     esac

@@ -23,7 +23,7 @@ loop, so it exists in two interchangeable implementations:
 
 =================  ====================================================
 ``registry.py``    engine names, selection (``$REPRO_ENGINE``), the
-                   cache-equivalence class, engine telemetry
+                   cache-equivalence class
 ``reference.py``   the golden component-model cycle loop
 ``soa.py``         the soa engine: SoA state binding + the C seam
 ``soakernel.py``   compile/cache/load of ``_soa_march.c`` (kill-switch
@@ -51,10 +51,8 @@ from repro.accel.engine.registry import (
     DEFAULT_ENGINE,
     ENGINE_ENV_VAR,
     ENGINES,
-    FFWD_TELEMETRY,
     engine_cache_token,
     make_engine,
-    reset_ffwd_telemetry,
     resolve_engine,
 )
 from repro.accel.engine.soa import SoaEngine
@@ -63,8 +61,6 @@ __all__ = [
     "ENGINES",
     "DEFAULT_ENGINE",
     "ENGINE_ENV_VAR",
-    "FFWD_TELEMETRY",
-    "reset_ffwd_telemetry",
     "resolve_engine",
     "engine_cache_token",
     "make_engine",

@@ -1,12 +1,10 @@
-"""Engine registry, selection and the engine telemetry dict.
+"""Engine registry and selection.
 
-This module is the *only* place engine names, the cache-equivalence
-class and the process-wide telemetry live; every other layer (CLI,
-sweep, benchmarks, the perf probe) resolves engines through it.  The
-engine implementations themselves are imported lazily by
-:func:`make_engine`, so the registry never depends on them at import
-time (no cycles: ``soa`` imports the registry for telemetry, not the
-other way around).
+This module is the *only* place engine names and the cache-equivalence
+class live; every other layer (CLI, sweep, benchmarks) resolves
+engines through it.  The engine implementations themselves are
+imported lazily by :func:`make_engine`, so the registry never depends
+on them at import time.
 """
 
 from __future__ import annotations
@@ -31,30 +29,6 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 #: share cache entries.  Bump on any soa-engine change that has not
 #: yet been re-verified by the differential suite.
 _EQUIVALENCE_CLASS = "cycle-exact-v1"
-
-#: Process-wide engine telemetry (diagnostics only — never part of
-#: :class:`~repro.accel.stats.SimStats`): ``cycles_simulated`` counts
-#: the cycles the soa kernel marched, and ``prologue_reuse`` counts soa
-#: phases that reused the resident identity-seeded tProperty buffer
-#: instead of reseeding it.
-#:
-#: The dict is zeroed at the start of every :class:`SoaEngine` run
-#: (engine construction), so after a run it holds exactly that run's
-#: numbers and two back-to-back simulations never leak counters into
-#: each other.  A :class:`SlicedAcceleratorSim` constructs all of its
-#: per-slice engines before the first scatter, so one sliced run still
-#: aggregates across its slices.  Callers timing *several* runs (the
-#: perf probe) must snapshot and sum per run.  The ``reference`` engine
-#: never touches it.
-FFWD_TELEMETRY = {"cycles_simulated": 0, "prologue_reuse": 0}
-
-
-def reset_ffwd_telemetry() -> dict:
-    """Zero the engine telemetry and return the live dict."""
-    for key in FFWD_TELEMETRY:
-        FFWD_TELEMETRY[key] = 0
-    return FFWD_TELEMETRY
-
 
 #: Read-only: the equivalence map is consulted by every cache-key
 #: computation, so mutating it at runtime would silently alias cache

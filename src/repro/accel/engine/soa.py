@@ -39,7 +39,6 @@ import types
 import numpy as np
 
 from repro.accel.edge_access import _compatible_radix
-from repro.accel.engine.registry import FFWD_TELEMETRY, reset_ffwd_telemetry
 from repro.accel.engine.soakernel import load_kernel
 from repro.errors import SimulationError
 from repro.mdp.generator import generate_network
@@ -98,9 +97,6 @@ class SoaEngine:
             raise SimulationError(
                 "the soa kernel cannot run this simulation; "
                 "make_engine() hands it to the reference engine")
-        # one run == one engine: zeroing here keeps the process-wide
-        # telemetry per-run without relying on callers to reset it
-        reset_ffwd_telemetry()
         self._kernel = load_kernel()
         self.n = sim.config.front_channels
         self.out_degree = sim.out_degree
@@ -310,7 +306,6 @@ class SoaEngine:
         stats.vpe_starvation_cycles += st.starved
         stats.vpe_busy_cycles += st.busy
         stats.edges_processed += st.reduces
-        FFWD_TELEMETRY["cycles_simulated"] += st.cycles
 
     def scatter_phase(self, active, sprop_all, identity: float,
                       stats) -> np.ndarray:
@@ -326,8 +321,6 @@ class SoaEngine:
         if self._tprop_seed != identity:
             buf[:v] = identity
             self._tprop_seed = identity
-        else:
-            FFWD_TELEMETRY["prologue_reuse"] += 1
         self.scatter(active, sprop_all, buf, stats)
         out = buf[:v].copy()
         touched = self._touch_dv[:self._st.touch_len]

@@ -35,6 +35,7 @@ import re
 import shutil
 import subprocess
 import tempfile
+import threading
 import types
 from pathlib import Path
 
@@ -80,6 +81,10 @@ class Kernel:
 
 #: memoized load result; ``False`` = not attempted yet
 _LIB: Kernel | None | bool = False
+
+#: held while the first load runs, so a thread that asks meanwhile
+#: waits for the finished result instead of reading a half-set memo
+_LOAD_LOCK = threading.Lock()
 
 
 def kernel_disabled() -> bool:
@@ -180,12 +185,18 @@ def load_kernel() -> Kernel | None:
     Returns the :class:`Kernel` with ``soa_march`` ready to call and its
     ctypes struct bound from the kernel's own layout table, or ``None``
     when the kernel is disabled or unavailable — callers fall back to
-    the reference engine, never error.
+    the reference engine, never error.  The result is memoized: every
+    call, on any thread, returns the same object.
     """
     global _LIB
-    if _LIB is not False:
-        return _LIB
-    _LIB = None
+    if _LIB is False:
+        with _LOAD_LOCK:
+            if _LIB is False:
+                _LIB = _load()
+    return _LIB
+
+
+def _load() -> Kernel | None:
     if kernel_disabled():
         return None
     try:
@@ -212,5 +223,4 @@ def load_kernel() -> Kernel | None:
         return None
     if layout is None:
         return None
-    _LIB = Kernel(lib, *layout)
-    return _LIB
+    return Kernel(lib, *layout)

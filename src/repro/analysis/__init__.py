@@ -3,10 +3,10 @@
 The reproduction's correctness claims rest on invariants no unit test
 can watch continuously: the ``reference``/``soa`` engines must stay
 byte-identical under the SimStats contract, cache keys must cover every
-config field, and telemetry/module state must never leak between runs.
-Two of those have already been violated and hand-patched (the PR 3
-shared module-level sink lists in ``backend.py``, the PR 5
-``FFWD_TELEMETRY`` leak).  This package checks them mechanically.
+config field, and module state must never leak between runs.  The last
+one has already been violated and hand-patched (``backend.py`` once
+shared module-level sink lists across simulators).  This package
+checks them mechanically.
 
 It is a small AST-walking rule framework plus repo-specific rules:
 
@@ -25,8 +25,6 @@ It is a small AST-walking rule framework plus repo-specific rules:
 * :mod:`repro.analysis.runner`    — rule execution, inline-``allow``
   suppression, baseline application, text/JSON reports
 * :mod:`repro.analysis.sarif`     — SARIF 2.1.0 export for CI
-* :mod:`repro.analysis.history`   — BENCH history schema/trajectory
-  checks (shared with ``scripts/check_bench_history.py``)
 * :mod:`repro.analysis.rules`     — the rule catalog itself
   (``docs/linting.md`` documents every rule)
 

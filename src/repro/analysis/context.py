@@ -41,10 +41,9 @@ class ModuleContext:
             self._tree = ast.parse(self.source, filename=self.relpath)
         return self._tree
 
-    def finding(self, line: int, message: str, symbol: str = "",
-                severity: str = "") -> Finding:
+    def finding(self, line: int, message: str, symbol: str = "") -> Finding:
         return Finding(path=self.relpath, line=line, message=message,
-                       symbol=symbol, severity=severity)
+                       symbol=symbol)
 
     def allowed_rules(self, line: int) -> set[str]:
         """Rule ids suppressed at ``line`` by an inline allow comment."""
@@ -103,9 +102,9 @@ class Project:
         return self._callgraph
 
     def finding(self, relpath: str, line: int, message: str,
-                symbol: str = "", severity: str = "") -> Finding:
+                symbol: str = "") -> Finding:
         return Finding(path=relpath, line=line, message=message,
-                       symbol=symbol, severity=severity)
+                       symbol=symbol)
 
     def allowed_rules(self, relpath: str, line: int) -> set[str]:
         """Inline-allow lookup for any repo file (module cache reused)."""

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 #: Report-level severities.  ``error`` findings fail ``repro lint``
 #: unless baselined; ``warning`` findings are advisory (they fail only
-#: under ``--strict``) — used where the signal is real but the
-#: environment is noisy (e.g. the BENCH trajectory watch).
+#: under ``--strict``) — for signals that are real but noisy.
 SEVERITIES = ("error", "warning")
 
 
@@ -22,9 +21,7 @@ class Finding:
     """One defect at one location.
 
     ``rule`` and ``severity`` are stamped by the runner from the rule
-    registration when a check leaves them empty, so rule bodies only
-    fill location and message (a check may still set ``severity``
-    explicitly to demote one finding — the trajectory watch does).
+    registration, so rule bodies only fill location and message.
     """
 
     path: str           # repo-relative, posix separators

@@ -9,8 +9,6 @@ One module per concern, mirroring the invariants they guard:
                    unseeded-random calls in deterministic code
 ``cachekey.py``    cache-key completeness: every ``AcceleratorConfig``
                    field and every ``SweepJob`` axis reaches the key
-``telemetry.py``   every ``FFWD_TELEMETRY`` key written anywhere is
-                   zeroed by the soa engine's run-start reset
 ``engines.py``     every registered engine has a cache-equivalence
                    entry and a ``make_engine`` branch
 ``apisurface.py``  the package root exports exactly its frozen
@@ -20,7 +18,8 @@ One module per concern, mirroring the invariants they guard:
 ``exceptions.py``  no bare/broad excepts in engine code; raised errors
                    derive from :mod:`repro.errors`
 ``repo.py``        refolded repo guards: tracked bytecode, docs/cli.md
-                   vs the real CLI, the BENCH history gate
+                   vs the real CLI, the generated catalog in
+                   docs/linting.md
 ``forksafety.py``  multiprocessing hygiene in the sweep layer: shared
                    module state, non-atomic writes, captured handles
 =================  ====================================================
@@ -37,5 +36,4 @@ from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     forksafety,
     repo,
     state,
-    telemetry,
 )

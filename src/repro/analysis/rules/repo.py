@@ -1,10 +1,10 @@
 """Refolded repo guards: one analysis entry point for CI.
 
-These three checks predate the rule framework as standalone scripts
-(``check_no_bytecode.py``, ``check_cli_docs.py``,
-``check_bench_history.py``).  The logic now lives here (and in
-:mod:`repro.analysis.history`); the scripts remain as thin shims for
-direct/parameterized invocation, and ``repro lint`` runs everything.
+Two of these checks predate the rule framework as standalone scripts
+(``check_no_bytecode.py``, ``check_cli_docs.py``).  The logic now
+lives here; the scripts remain as thin shims for direct invocation,
+and ``repro lint`` runs everything.  ``lint-docs`` keeps the generated
+rule catalog in ``docs/linting.md`` current.
 """
 
 from __future__ import annotations
@@ -157,42 +157,3 @@ def check_lint_docs(project):
             "date; re-run `repro lint --catalog` and replace the text "
             "between the markers",
             symbol="catalog-drift")
-
-
-# ----------------------------------------------------------------------
-# bench-history — the committed BENCH trajectory file
-# ----------------------------------------------------------------------
-
-_HISTORY_PATH = "benchmarks/results/bench_history.jsonl"
-
-
-@rule("bench-history", scope="project", description=(
-    "the committed BENCH history must parse, satisfy the record "
-    "schema, and contain no stats_identical=false record; trajectory "
-    "regressions are advisory warnings"))
-def check_bench_history(project):
-    from repro.analysis import history
-
-    path = project.root / _HISTORY_PATH
-    if not path.exists():
-        return
-    try:
-        records = history.load_history(str(path))
-    except SystemExit as exc:
-        yield project.finding(_HISTORY_PATH, 0, str(exc),
-                              symbol="unparseable")
-        return
-    fatal, warnings = history.check_history(records)
-    for message in fatal:
-        yield project.finding(_HISTORY_PATH, _lineno(message), message,
-                              symbol=f"fatal.{_lineno(message)}")
-    for message in warnings:
-        # advisory by design: shared CI runners are too noisy for a
-        # hard perf floor (docs/performance.md)
-        yield project.finding(_HISTORY_PATH, 0, message,
-                              symbol="trajectory", severity="warning")
-
-
-def _lineno(message: str) -> int:
-    match = re.match(r"line (\d+):", message)
-    return int(match.group(1)) if match else 0

@@ -9,9 +9,7 @@ class-scope binding of a mutable container is a finding — even an
 ALL_CAPS one, because naming a ``dict`` like a constant does not freeze
 it.  Fixes, in preference order: make it per-instance; freeze it
 (``tuple`` / ``frozenset`` / ``types.MappingProxyType``); or baseline
-it with a justification naming the discipline that keeps it safe (the
-``FFWD_TELEMETRY`` entry is the worked example — its discipline is
-enforced by the ``telemetry-reset`` rule).
+it with a justification naming the discipline that keeps it safe.
 
 Each finding carries *mutation-site evidence* from the dataflow layer:
 which functions in the module actually write the container and how.  A

@@ -28,7 +28,7 @@ from repro.analysis.baseline import (
     BaselineEntry,
 )
 from repro.analysis.context import Project
-from repro.analysis.findings import SEVERITIES, Finding
+from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, select_rules
 
 
@@ -87,10 +87,8 @@ class LintReport:
 # ----------------------------------------------------------------------
 
 def _stamp(finding: Finding, rule: Rule) -> Finding:
-    """Fill rule id and severity where the check left them empty."""
-    severity = finding.severity if finding.severity in SEVERITIES \
-        else rule.severity
-    return replace(finding, rule=rule.id, severity=severity)
+    """Fill in the rule id and the rule's severity."""
+    return replace(finding, rule=rule.id, severity=rule.severity)
 
 
 def run_rules(root: str | Path, rule_ids: list[str] | None = None,

@@ -1,9 +1,9 @@
 """Atomic file writes for state shared across processes.
 
 Every file that more than one process may read or write concurrently —
-result-cache entries, the BENCH history, the lint baseline/cache — must
-be written with the same discipline: write the full payload to a
-temporary file in the *destination directory*, flush and fsync it, then
+result-cache entries, the lint baseline/cache — must be written with
+the same discipline: write the full payload to a temporary file in the
+*destination directory*, flush and fsync it, then
 ``os.replace`` it over the target.  ``os.replace`` is atomic on POSIX
 and Windows when source and destination share a filesystem (which the
 same-directory temp file guarantees), so a reader can observe the old
@@ -15,12 +15,6 @@ lint rule flags direct write-mode ``open``/``write_text`` calls in the
 sweep layer that bypass it.  It is also the first brick of the planned
 ``repro serve`` shared-cache protocol (N workers, one cache dir —
 see ROADMAP.md).
-
-``append_line`` covers the append-only JSONL case (the BENCH history):
-a single ``write`` of one line on a file opened in append mode, which
-POSIX guarantees lands contiguously for regular files when the payload
-is below ``PIPE_BUF``-ish sizes — but the helper still routes through
-one place so the discipline (and any future locking) has a home.
 """
 
 from __future__ import annotations
@@ -30,8 +24,7 @@ import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["atomic_write_text", "atomic_write_json", "append_line",
-           "exclusive_create"]
+__all__ = ["atomic_write_text", "atomic_write_json", "exclusive_create"]
 
 
 def exclusive_create(path: str | os.PathLike, text: str, *,
@@ -90,22 +83,3 @@ def atomic_write_json(path: str | os.PathLike, payload, *,
     if trailing_newline:
         text += "\n"
     atomic_write_text(path, text)
-
-
-def append_line(path: str | os.PathLike, line: str, *,
-                encoding: str = "utf-8") -> None:
-    """Append one line to a shared log file in a single write.
-
-    ``line`` must not itself contain a newline (one record per call —
-    the JSONL invariant); one is added.  The parent directory is
-    created if missing.
-    """
-    if "\n" in line:
-        raise ValueError("append_line writes exactly one record; "
-                         "the line must not contain a newline")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding=encoding) as fh:
-        fh.write(line + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())

@@ -340,53 +340,6 @@ class TestCacheKey:
 
 
 # ----------------------------------------------------------------------
-# telemetry-reset
-# ----------------------------------------------------------------------
-
-_REGISTRY = """\
-    FFWD_TELEMETRY = {"cycles_simulated": 0, "prologue_reuse": 0}
-
-
-    def reset_ffwd_telemetry():
-        for key in FFWD_TELEMETRY:
-            FFWD_TELEMETRY[key] = 0
-        return FFWD_TELEMETRY
-"""
-
-
-class TestTelemetryReset:
-    def test_undeclared_key_and_missing_reset(self, tmp_path):
-        write(tmp_path, "src/repro/accel/engine/registry.py", _REGISTRY)
-        write(tmp_path, "src/repro/accel/engine/soa.py", """\
-            from repro.accel.engine.registry import FFWD_TELEMETRY
-
-
-            def run():
-                FFWD_TELEMETRY["cycles_simulated"] += 1
-                FFWD_TELEMETRY["leaked"] = 2
-        """)
-        assert symbols(run(tmp_path, "telemetry-reset")) == [
-            "key.leaked", "missing-reset-call"]
-
-    def test_disciplined_writes_are_quiet(self, tmp_path):
-        write(tmp_path, "src/repro/accel/engine/registry.py", _REGISTRY)
-        write(tmp_path, "src/repro/accel/engine/soa.py", """\
-            from repro.accel.engine import registry
-
-
-            def run():
-                registry.reset_ffwd_telemetry()
-                registry.FFWD_TELEMETRY["cycles_simulated"] += 1
-                registry.FFWD_TELEMETRY["prologue_reuse"] += 3
-        """)
-        assert run(tmp_path, "telemetry-reset") == []
-
-    def test_missing_soa_module_is_reported(self, tmp_path):
-        write(tmp_path, "src/repro/accel/engine/registry.py", _REGISTRY)
-        assert symbols(run(tmp_path, "telemetry-reset")) == ["missing-soa"]
-
-
-# ----------------------------------------------------------------------
 # engine-registry
 # ----------------------------------------------------------------------
 
@@ -444,49 +397,6 @@ class TestEngineRegistry:
         write(tmp_path, "src/repro/accel/engine/__init__.py", "")
         assert symbols(run(tmp_path, "engine-registry")) == [
             "missing-registry"]
-
-
-# ----------------------------------------------------------------------
-# bench-history (rule wrapper over repro.analysis.history)
-# ----------------------------------------------------------------------
-
-def _record(**overrides):
-    base = {
-        "bench": "fig8_cold_sweep", "utc": "2026-07-30T00:00:00+00:00",
-        "datasets": ["VT"], "algorithms": ["BFS"], "scales": {"VT": 1.0},
-        "jobs": 6, "reference_seconds": 10.0, "soa_seconds": 5.0,
-        "speedup_soa": 2.0, "median_job_speedup_soa": 2.1,
-        "stats_identical": True,
-        "engine_equivalence_class": "cycle-exact-v1",
-        "python": "3.11.7", "machine": "x86_64",
-    }
-    base.update(overrides)
-    return base
-
-
-class TestBenchHistoryRule:
-    def _write_history(self, root, records):
-        import json
-        path = root / "benchmarks/results/bench_history.jsonl"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("".join(json.dumps(r) + "\n" for r in records),
-                        encoding="utf-8")
-
-    def test_contract_violation_is_error(self, tmp_path):
-        self._write_history(tmp_path, [_record(stats_identical=False)])
-        findings = run(tmp_path, "bench-history")
-        assert [f.severity for f in findings] == ["error"]
-        assert "stats_identical" in findings[0].message
-
-    def test_trajectory_regression_is_warning(self, tmp_path):
-        self._write_history(tmp_path, [_record(speedup_soa=2.5),
-                                       _record(speedup_soa=1.0)])
-        findings = run(tmp_path, "bench-history")
-        assert [f.severity for f in findings] == ["warning"]
-        assert findings[0].symbol == "trajectory"
-
-    def test_missing_history_is_quiet(self, tmp_path):
-        assert run(tmp_path, "bench-history") == []
 
 
 # ----------------------------------------------------------------------

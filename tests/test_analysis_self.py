@@ -29,13 +29,14 @@ class TestSelfLint:
         out = capsys.readouterr().out
         for rule_id in ("module-state", "set-iteration", "id-key",
                         "nondeterministic-call", "cache-key",
-                        "telemetry-reset", "engine-registry",
-                        "fork-shared-state", "fork-atomic-write",
-                        "fork-capture", "exception-hygiene", "no-bytecode",
-                        "cli-docs", "lint-docs", "bench-history"):
+                        "engine-registry", "fork-shared-state",
+                        "fork-atomic-write", "fork-capture",
+                        "exception-hygiene", "no-bytecode", "cli-docs",
+                        "lint-docs"):
             assert rule_id in out
         for retired in ("engine-compat", "engine-seam", "c-seam-layout",
-                        "c-seam-counters", "c-seam-kernels"):
+                        "c-seam-counters", "c-seam-kernels",
+                        "telemetry-reset", "bench-history"):
             assert retired not in out
 
     def test_bad_input_exits_2_with_one_liner(self, capsys):
@@ -66,14 +67,6 @@ class TestRegistryInvariants:
         from repro.accel.engine import engine_cache_token
         assert engine_cache_token("reference") == \
             engine_cache_token("soa")
-
-    def test_telemetry_reset_zeroes_every_key(self):
-        from repro.accel.engine import FFWD_TELEMETRY, reset_ffwd_telemetry
-        for key in FFWD_TELEMETRY:
-            FFWD_TELEMETRY[key] = 99
-        live = reset_ffwd_telemetry()
-        assert live is FFWD_TELEMETRY
-        assert all(v == 0 for v in FFWD_TELEMETRY.values())
 
 
 class TestConfigCoverage:

@@ -13,6 +13,8 @@ enforces the contract over
   structured + skewed graphs (every conflict-site implementation pair
   is exercised: mdp/crossbar offset, mdp/central edge, mdp/crossbar
   propagation, with and without vertex combining);
+* every Fig. 8 job (the ``matrix_jobs`` list ``ci.sh differential``
+  checks at the bench scales) with its dataset at a small scale;
 * randomized rmat / Erdos-Renyi / star / grid graphs;
 * the sliced (large-graph) execution mode;
 * multi-phase PageRank runs, whose arbiter state (odd-even parity,
@@ -30,6 +32,7 @@ enforces the contract over
 """
 
 import ctypes
+import dataclasses
 import re
 import sys
 import types
@@ -60,11 +63,15 @@ from repro.accel.engine import (
 from repro.accel.engine import soa as soa_module
 from repro.accel.engine import soakernel
 from repro.accel.stats import SimStats
-from repro.algorithms import make_algorithm, run_reference
+from repro.algorithms import PAPER_ALGORITHMS, make_algorithm, run_reference
 from repro.algorithms.base import _SCALAR_REDUCE
+from repro.bench.harness import matrix_jobs, paper_configs
 from repro.errors import ConfigError, SimulationError
+from repro.graph import DATASET_ORDER
+from repro.graph.datasets import SCALE_ENV_VAR
 from repro.graph.generators import erdos_renyi, grid_2d, rmat, star
 from repro.graph.partition import partition_by_destination
+from repro.sweep.executor import execute_job
 
 ALL_ALGORITHMS = ("BFS", "SSSP", "SSWP", "PR", "CC")
 
@@ -194,6 +201,33 @@ class TestTier1Matrix:
                              ids=["HiGraph", "HiGraph-mini", "GraphDynS"])
     def test_matrix_cell(self, maker, algorithm, skewed):
         assert_engines_agree(maker(), skewed, algorithm)
+
+
+class TestFig8Matrix:
+    """Every Fig. 8 job — four algorithms x six datasets x three Table 1
+    designs, built by ``matrix_jobs`` — with the datasets at a small
+    scale.  ``scripts/ci.sh differential`` runs the same comparison at
+    the bench scales."""
+
+    SCALE = "0.003"
+
+    @pytest.mark.parametrize("config", list(paper_configs()))
+    @pytest.mark.parametrize("dataset", DATASET_ORDER)
+    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
+    def test_job(self, monkeypatch, algorithm, dataset, config):
+        monkeypatch.setenv(SCALE_ENV_VAR, self.SCALE)
+        [job] = matrix_jobs(algorithms=[algorithm], datasets=[dataset],
+                            configs={config: paper_configs()[config]})
+        runs = {engine: execute_job(dataclasses.replace(job, engine=engine))
+                for engine in ENGINES}
+        want = runs["reference"].to_dict()
+        # an empty traversal would make the comparison vacuous
+        assert want["edges_processed"] > 0, job.describe()
+        for engine, stats in runs.items():
+            div = first_divergence(want, stats.to_dict())
+            assert div is None, (
+                f"SimStats diverge: reference vs {engine} for "
+                f"{job.describe()}: first diverging key {div}")
 
 
 class TestSiteAblations:
@@ -504,25 +538,6 @@ class TestDegenerateGeometries:
 class TestEngineAlternation:
     """Engines must coexist in one process without leaking state."""
 
-    def test_ffwd_telemetry_does_not_leak_across_engines(self):
-        """FFWD_TELEMETRY is zeroed at engine construction, so each
-        run's numbers stand alone even when engines alternate."""
-        from repro.accel.engine import FFWD_TELEMETRY
-        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
-
-        def run(engine):
-            simulate(higraph(), graph, _make_algorithm("PR"),
-                     engine=engine)
-            return dict(FFWD_TELEMETRY)
-
-        _kernel_or_skip()
-        first_soa = run("soa")
-        assert first_soa["cycles_simulated"] > 0
-        run("reference")  # must not disturb the shared dict shape
-        again_soa = run("soa")
-        assert again_soa == first_soa, (
-            "FFWD_TELEMETRY leaked across engine alternation")
-
     def test_soa_without_kernel_degrades_to_reference(self, monkeypatch):
         """No compiled kernel (``REPRO_SOA_KERNEL=off`` or no compiler)
         hands the soa request to the reference engine, byte-identical."""
@@ -551,8 +566,8 @@ class TestEngineAlternation:
                              ids=["GraphDynS", "HiGraph"])
     def test_kernel_bound_soa_marches_every_phase_in_c(self, maker):
         """With the kernel bound, every cycle of every phase is marched
-        in C, and the result is still the reference's byte for byte."""
-        from repro.accel.engine import FFWD_TELEMETRY
+        in C (``SoaEngine`` has no Python march), and the result is
+        still the reference's byte for byte."""
         _kernel_or_skip()
         graph = rmat(8, 6.0, seed=23, name="rmat8-23")
         sim = AcceleratorSim(maker(), graph,
@@ -560,8 +575,6 @@ class TestEngineAlternation:
                              engine="soa")
         assert type(sim.engine) is SoaEngine
         result = sim.run(source=0)
-        assert FFWD_TELEMETRY["cycles_simulated"] == (
-            result.stats.scatter_cycles)
         ref = simulate(maker(), graph, make_algorithm("PR", iterations=6),
                        engine="reference")
         assert result.stats.to_dict() == ref.stats.to_dict()
@@ -1069,6 +1082,21 @@ class TestThreadedRuns:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_threads_wait_for_the_first_kernel_load(self, fresh_loader):
+        """Eight soa simulators built at once over an empty kernel cache:
+        the threads that arrive while the first one compiles wait for
+        its kernel; none reads a half-set memo and hands its run to
+        reference."""
+        _compiler_or_skip()
+        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
+
+        def build(_):
+            return type(AcceleratorSim(higraph(), graph,
+                                       _make_algorithm("BFS"),
+                                       engine="soa").engine)
+
+        assert self._on_threads(build, range(8)) == [SoaEngine] * 8
+
     def test_threads_sharing_one_graph(self):
         """Eight runs of one design over one graph object at once: the
         kernel only reads the graph arrays every struct points into."""
@@ -1102,44 +1130,25 @@ class TestThreadedRuns:
         assert self._on_threads(run, jobs) == serial
 
 
-class TestEngineTelemetry:
-    def test_telemetry_counts_marched_cycles_and_reuse(self):
-        from repro.accel.engine import FFWD_TELEMETRY, reset_ffwd_telemetry
+class TestResidentTProperty:
+    def test_identity_seed_is_reused_from_the_second_phase(self,
+                                                           monkeypatch):
+        """Every PageRank phase scatters into the same identity, so only
+        the first phase seeds the resident tProperty buffer; each later
+        phase finds it identity-filled already."""
         _kernel_or_skip()
-        telemetry = reset_ffwd_telemetry()
-        assert telemetry == {"cycles_simulated": 0, "prologue_reuse": 0}
-        graph = rmat(8, 6.0, seed=23, name="rmat8-23")
-        result = simulate(higraph_mini(), graph,
-                          make_algorithm("PR", iterations=6), engine="soa")
-        assert FFWD_TELEMETRY["cycles_simulated"] == (
-            result.stats.scatter_cycles)
-        # the identity seed is reused from the second phase on
-        assert FFWD_TELEMETRY["prologue_reuse"] == 5
-        reset_ffwd_telemetry()
+        reused = []
+        scatter_phase = SoaEngine.scatter_phase
 
-    def test_two_back_to_back_runs_do_not_leak_counters(self):
-        """FFWD_TELEMETRY is zeroed at the start of every soa-engine
-        run, so a run's numbers never include a previous run's."""
-        from repro.accel.engine import FFWD_TELEMETRY
-        _kernel_or_skip()
+        def spy(self, active, sprop_all, identity, stats):
+            reused.append(self._tprop_seed == identity)
+            return scatter_phase(self, active, sprop_all, identity, stats)
+
+        monkeypatch.setattr(SoaEngine, "scatter_phase", spy)
         graph = rmat(8, 6.0, seed=23, name="rmat8-23")
         simulate(higraph_mini(), graph, make_algorithm("PR", iterations=6),
                  engine="soa")
-        first = dict(FFWD_TELEMETRY)
-        simulate(higraph_mini(), graph, make_algorithm("PR", iterations=6),
-                 engine="soa")
-        assert dict(FFWD_TELEMETRY) == first, (
-            "telemetry leaked across runs — identical back-to-back runs "
-            "must report identical (not accumulated) counters")
-        assert first["cycles_simulated"] > 0
-
-    def test_reference_engine_does_not_touch_telemetry(self):
-        from repro.accel.engine import FFWD_TELEMETRY, reset_ffwd_telemetry
-        reset_ffwd_telemetry()
-        graph = star(32)
-        simulate(higraph(), graph, _make_algorithm("BFS"),
-                 engine="reference")
-        assert FFWD_TELEMETRY["cycles_simulated"] == 0
+        assert reused == [False] + [True] * 5
 
 
 class TestBackendStateIsolation:

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.sweep.atomic import append_line, atomic_write_json, atomic_write_text
+from repro.sweep.atomic import atomic_write_json, atomic_write_text
 
 
 class TestAtomicWriteText:
@@ -46,16 +46,3 @@ class TestAtomicWriteJson:
         target = tmp_path / "entry.json"
         atomic_write_json(target, {"k": 1}, indent=1, trailing_newline=False)
         assert not target.read_text().endswith("\n")
-
-
-class TestAppendLine:
-    def test_appends_one_record_per_call(self, tmp_path):
-        log = tmp_path / "hist" / "bench.jsonl"
-        append_line(log, json.dumps({"n": 1}))
-        append_line(log, json.dumps({"n": 2}))
-        lines = log.read_text().splitlines()
-        assert [json.loads(x)["n"] for x in lines] == [1, 2]
-
-    def test_rejects_embedded_newline(self, tmp_path):
-        with pytest.raises(ValueError):
-            append_line(tmp_path / "log", "two\nrecords")
