@@ -4,7 +4,9 @@
 #
 #   ci.sh            == ci.sh all
 #   ci.sh lint       `repro lint` contract & determinism analyzer
-#                    (cache keys, module state, fork safety, docs)
+#                    (cache keys, module state, fork safety, docs),
+#                    then the C kernel compiled warning-clean
+#                    (-Wall -Wextra -Wpedantic -Werror at -O2)
 #   ci.sh lint-sarif emit the lint report as SARIF for CI annotation
 #                    (artifact consumed by the upload-sarif workflow job)
 #   ci.sh tests      tier-1 pytest (includes the engine differential suite)
@@ -45,6 +47,11 @@ stage_lint() {
     # hard gate: any non-baselined finding fails the build; --no-cache
     # so CI always measures the cold path
     python -m repro lint --no-cache
+    echo "== C kernel compiles warning-clean =="
+    # the propagation rings are Python-owned buffers the kernel reads as
+    # PropRec records; -O2 enables -Wstrict-aliasing, which guards that
+    cc -std=c99 -O2 -Wall -Wextra -Wpedantic -Werror -fPIC -c -o /dev/null \
+        src/repro/accel/engine/_soa_march.c
 }
 
 stage_lint_sarif() {

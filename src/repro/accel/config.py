@@ -110,6 +110,9 @@ class AcceleratorConfig:
             _require_power(self.front_channels, self.radix, "front_channels")
         if self.propagation_site == "mdp":
             _require_power(self.back_channels, self.radix, "back_channels")
+        if self.edge_site == "mdp":
+            # the range network over the dispatchers must be wirable
+            _compatible_radix(self.num_dispatchers, self.radix)
 
     # ------------------------------------------------------------------
     @property
@@ -170,31 +173,57 @@ class AcceleratorConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _is_power(value: int, base: int) -> bool:
+    while value > 1 and value % base == 0:
+        value //= base
+    return value == 1
+
+
 def _require_power(value: int, base: int, what: str) -> None:
-    v = value
-    while v > 1 and v % base == 0:
-        v //= base
-    if v != 1:
+    if not _is_power(value, base):
         raise ConfigError(
             f"{what}={value} must be a power of radix {base} for an MDP site")
+
+
+def _compatible_radix(positions: int, radix: int) -> int | None:
+    """Largest r <= radix for which ``positions`` is an exact power: the
+    radix of the MDP edge stage's range network over its dispatchers.
+
+    Returns None when positions < 2 (a single dispatcher needs no
+    network at all); raises ConfigError when no such r exists.
+    """
+    if positions < 2:
+        return None
+    for r in range(min(radix, positions), 1, -1):
+        if _is_power(positions, r):
+            return r
+    raise ConfigError(
+        f"num_dispatchers={positions} (back_channels / dispatcher_group) "
+        f"must be a power of some radix 2..{radix} for an MDP edge site")
 
 
 # ----------------------------------------------------------------------
 # Table 1 presets
 # ----------------------------------------------------------------------
 
+# Each preset validates once, with its overrides merged into its
+# defaults: a geometry valid only after the overrides (say
+# back_channels=6 with dispatcher_group=3) must not be checked without
+# them first.
+
 def higraph(back_channels: int = 32, **overrides) -> AcceleratorConfig:
     """HiGraph: 32 front-end channels, MDP-network at all three sites."""
-    return AcceleratorConfig(name="HiGraph", front_channels=32,
-                             back_channels=back_channels,
-                             onchip_memory_bytes=16 * MB).with_(**overrides)
+    return AcceleratorConfig(**{
+        "name": "HiGraph", "front_channels": 32,
+        "back_channels": back_channels, "onchip_memory_bytes": 16 * MB,
+        **overrides})
 
 
 def higraph_mini(**overrides) -> AcceleratorConfig:
     """HiGraph-mini: HiGraph with GraphDynS's four front-end channels."""
-    return AcceleratorConfig(name="HiGraph-mini", front_channels=4,
-                             back_channels=32,
-                             onchip_memory_bytes=16 * MB).with_(**overrides)
+    return AcceleratorConfig(**{
+        "name": "HiGraph-mini", "front_channels": 4, "back_channels": 32,
+        "onchip_memory_bytes": 16 * MB, **overrides})
 
 
 def graphdyns(back_channels: int = 32, **overrides) -> AcceleratorConfig:
@@ -204,11 +233,11 @@ def graphdyns(back_channels: int = 32, **overrides) -> AcceleratorConfig:
     frequency decline"), in-order window allocation for the Edge Array,
     arbitrated crossbar for dataflow propagation, 32 MB on-chip memory.
     """
-    return AcceleratorConfig(name="GraphDynS", front_channels=4,
-                             back_channels=back_channels,
-                             offset_site="crossbar", edge_site="central",
-                             propagation_site="crossbar",
-                             onchip_memory_bytes=32 * MB).with_(**overrides)
+    return AcceleratorConfig(**{
+        "name": "GraphDynS", "front_channels": 4,
+        "back_channels": back_channels, "offset_site": "crossbar",
+        "edge_site": "central", "propagation_site": "crossbar",
+        "onchip_memory_bytes": 32 * MB, **overrides})
 
 
 def ablation(opt_o: bool = False, opt_e: bool = False, opt_d: bool = False,
@@ -229,16 +258,16 @@ def ablation(opt_o: bool = False, opt_e: bool = False, opt_d: bool = False,
     if opt_d:
         parts.append("D")
     name = "Baseline" if not parts else "OPT-" + "+".join(parts)
-    return AcceleratorConfig(
-        name=name,
-        front_channels=front_channels,
-        back_channels=back_channels,
-        offset_site="mdp" if opt_o else "crossbar",
-        edge_site="mdp" if opt_e else "central",
-        propagation_site="mdp" if opt_d else "crossbar",
+    return AcceleratorConfig(**{
+        "name": name,
+        "front_channels": front_channels,
+        "back_channels": back_channels,
+        "offset_site": "mdp" if opt_o else "crossbar",
+        "edge_site": "mdp" if opt_e else "central",
+        "propagation_site": "mdp" if opt_d else "crossbar",
         # the ablation compares cycle counts at the paper's 1 GHz target
-        target_frequency_ghz=1.0,
-    ).with_(**overrides)
+        "target_frequency_ghz": 1.0,
+        **overrides})
 
 
 def fig7_layout(config: AcceleratorConfig | None = None) -> list[dict]:

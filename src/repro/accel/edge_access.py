@@ -24,7 +24,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.accel.config import AcceleratorConfig
+from repro.accel.config import AcceleratorConfig, _compatible_radix
 from repro.mdp.dispatcher import Dispatcher
 from repro.mdp.range_network import RangeSplitNetwork
 from repro.mdp.replay import ReplayEngine, split_request
@@ -175,23 +175,6 @@ class CentralEdgeStage:
     @property
     def drained(self) -> bool:
         return not self.queue
-
-
-def _compatible_radix(positions: int, radix: int) -> int | None:
-    """Largest r <= radix for which ``positions`` is an exact power.
-
-    Returns None when positions < 2 (a single dispatcher needs no
-    network at all).
-    """
-    if positions < 2:
-        return None
-    for r in range(min(radix, positions), 1, -1):
-        v = positions
-        while v > 1 and v % r == 0:
-            v //= r
-        if v == 1:
-            return r
-    return 2
 
 
 def make_edge_stage(config: AcceleratorConfig, dst: np.ndarray,

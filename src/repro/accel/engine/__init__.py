@@ -11,8 +11,9 @@ loop, so it exists in two interchangeable implementations:
   sample.
 * ``soa`` — the default engine: a compiled structure-of-arrays kernel
   (``_soa_march.c``) that marches each whole scatter phase in one C
-  call.  FIFO banks are preallocated int64/float64 rings with
-  head/occupancy vectors, routing is the flattened
+  call.  FIFO banks are preallocated rings with head/occupancy vectors
+  (one int64/float64 ring per record field; the propagation FIFOs hold
+  whole records), routing is the flattened
   ``table[stage][pos][dest]`` tensor built from the
   :mod:`repro.mdp.generator` plans, and arbiter state, conflict
   counters and tProperty stay resident in the kernel's struct for the

@@ -3,12 +3,14 @@
  * One call simulates one whole scatter phase in the reference engine's
  * per-cycle order (propagation deliver -> ePE offers -> edge tick ->
  * frontend tick) over structure-of-arrays state: every FIFO bank is a
- * preallocated int64/double ring with head/length vectors, routing is
- * the table[stage][pos][dest] tensor built from the mdp/generator
- * plans, and the arbiter state (odd-even parity, rotating-scan starts,
- * round-robin pointers, stall memos) and the conflict counters live in
- * the struct for the whole run.  The Python side (soa.py) owns the
- * numpy arrays; this kernel only views them through `SoaState`.
+ * preallocated ring with head/length vectors (one int64/double ring per
+ * record field, except the propagation FIFOs, whose slots are whole
+ * PropRec records), routing is the table[stage][pos][dest] tensor
+ * built from the mdp/generator plans, and the arbiter state (odd-even
+ * parity, rotating-scan starts, round-robin pointers, stall memos) and
+ * the conflict counters live in the struct for the whole run.  The
+ * Python side (soa.py) owns the numpy arrays; this kernel only views
+ * them through `SoaState`.
  *
  * The kernel is reentrant: it keeps no file-scope state.  Everything a
  * call reads or writes hangs off its `SoaState`, including the
@@ -47,7 +49,7 @@
 typedef long long i64;
 typedef double f64;
 
-#define SOA_ABI_VERSION 5
+#define SOA_ABI_VERSION 6
 
 /* Named constants, exported through soa_layout(): the struct magic
  * (ASCII "SOA" plus the ABI digit), the reduce_op codes, and the proc
@@ -63,12 +65,20 @@ typedef double f64;
 enum { SOA_CONSTS(SOA_ENUM) };
 #undef SOA_ENUM
 
+/* One slot of a propagation FIFO (the MDP network's pn_q rings and the
+ * crossbar's px_q rings): the record (v, Imm), the number of edge
+ * records combined into it, and its bank v % m, computed once when an
+ * ePE offers it, so routing and arbitration never divide.  A move
+ * copies one record between rings.  soa_layout() exports its size;
+ * the Python side allocates the rings as opaque records of that size. */
+typedef struct { i64 v, cnt; f64 imm; i64 bank; } PropRec;
+
 /* SoaState, declared once: F(kind, name) per field.  The list expands
  * to the struct below and to the soa_layout() table soakernel.py builds
  * its ctypes struct from, so the two sides cannot drift.  Kinds: I64,
- * F64, and pointers I64P/F64P (CI64P/CF64P when the kernel only reads).
- * Every field is 8 bytes; the magic fields at both ends guard the
- * pointer soa_march() is handed. */
+ * F64, and pointers I64P/F64P (CI64P/CF64P when the kernel only reads)
+ * and PRECP (a ring of PropRec records).  Every field is 8 bytes; the
+ * magic fields at both ends guard the pointer soa_march() is handed. */
 #define SOA_FIELDS(F) \
     F(I64, magic) \
     /* -- config ----------------------------------------------------- */ \
@@ -132,14 +142,14 @@ enum { SOA_CONSTS(SOA_ENUM) };
     F(I64, ce_stall_bank) \
     /* -- ePE queues [m][epe_depth] ---------------------------------- */ \
     F(I64P, ep_v) F(F64P, ep_imm) F(I64P, ep_head) F(I64P, ep_cnt) \
-    /* -- propagation MDP net (Sp x m rings of fifo_depth) ----------- */ \
+    /* -- propagation MDP net (Sp x m rings of fifo_depth records) --- */ \
     F(I64, pn_stages) \
     F(CI64P, pn_table)              /* [Sp][m][m] */ \
-    F(I64P, pn_qv) F(I64P, pn_qc) F(F64P, pn_qi) \
+    F(PRECP, pn_q) \
     F(I64P, pn_head) F(I64P, pn_len)    /* [Sp*m] */ \
     F(I64P, pn_counts)              /* [Sp] */ \
-    /* -- propagation crossbar (m input rings) ----------------------- */ \
-    F(I64P, px_qv) F(I64P, px_qc) F(F64P, px_qi) \
+    /* -- propagation crossbar (m input rings of records) ------------ */ \
+    F(PRECP, px_q) \
     F(I64P, px_head) F(I64P, px_len)    /* [m] */ \
     F(I64P, px_rr)                  /* [m], persistent */ \
     /* -- scratch [max(n,m,w)] --------------------------------------- */ \
@@ -175,6 +185,7 @@ enum { SOA_CONSTS(SOA_ENUM) };
 #define CTYPE_F64P f64 *
 #define CTYPE_CI64P const i64 *
 #define CTYPE_CF64P const f64 *
+#define CTYPE_PRECP PropRec *
 
 typedef struct {
 #define SOA_DECLARE(kind, name) CTYPE_##kind name;
@@ -193,6 +204,12 @@ static inline f64 red(i64 op, f64 a, f64 b) {
 
 /* ring slot addressing: queue `q` in a bank of queues with depth D */
 #define RING(arr, q, D, i) (arr)[((q) * (D)) + (i)]
+
+/* (i) mod D for 0 <= i < 2D: a ring index head + k with head < D and
+ * k <= D, or a port index i + 1 with i < D.  One compare instead of a
+ * divide; a vertex id or an edge offset has no such bound and keeps
+ * its `%`. */
+static inline i64 wrap(i64 i, i64 D) { return i < D ? i : i - D; }
 
 /* ================================================================== */
 /* Frontend: shared retire (issue head -> {Off, Len} in fe_out)       */
@@ -922,6 +939,9 @@ static void edge_central_tick(SoaState *st) {
 
 static void pn_advance_checked(SoaState *st) {
     i64 m = st->m, D = st->fifo_depth, bl = st->block_len;
+    i64 combining = st->combining, op = st->reduce_op;
+    PropRec *q = st->pn_q;
+    i64 *head = st->pn_head, *len = st->pn_len;
     i64 combined_total = 0, stalled_total = 0;
     for (i64 s = st->pn_stages - 1; s >= 1; s--) {
         i64 total = st->pn_counts[s - 1];
@@ -930,21 +950,19 @@ static void pn_advance_checked(SoaState *st) {
         i64 moved = 0, seen = 0, combined = 0;
         for (i64 p = 0; p < m; p++) {
             i64 qi = (s - 1) * m + p;
-            if (!st->pn_len[qi]) continue;
+            if (!len[qi]) continue;
             seen++;
-            i64 h = st->pn_head[qi];
-            i64 v = RING(st->pn_qv, qi, D, h);
-            i64 ti = s * m + tbl[p * m + (v % m)];
-            i64 tlen = st->pn_len[ti];
+            i64 h = head[qi];
+            const PropRec *r = &RING(q, qi, D, h);
+            i64 ti = s * m + tbl[p * m + r->bank];
+            i64 tlen = len[ti];
             if (tlen) {
-                i64 tslot = (st->pn_head[ti] + tlen - 1) % D;
-                if (st->combining && RING(st->pn_qv, ti, D, tslot) == v) {
-                    RING(st->pn_qi, ti, D, tslot) =
-                        red(st->reduce_op, RING(st->pn_qi, ti, D, tslot),
-                            RING(st->pn_qi, qi, D, h));
-                    RING(st->pn_qc, ti, D, tslot) += RING(st->pn_qc, qi, D, h);
-                    st->pn_head[qi] = (h + 1) % D;
-                    st->pn_len[qi] -= 1;
+                PropRec *tail = &RING(q, ti, D, wrap(head[ti] + tlen - 1, D));
+                if (combining && tail->v == r->v) {
+                    tail->imm = red(op, tail->imm, r->imm);
+                    tail->cnt += r->cnt;
+                    head[qi] = wrap(h + 1, D);
+                    len[qi] -= 1;
                     combined++;
                     if (seen == total) break;
                     continue;
@@ -955,13 +973,10 @@ static void pn_advance_checked(SoaState *st) {
                     continue;
                 }
             }
-            i64 slot = (st->pn_head[ti] + tlen) % D;
-            RING(st->pn_qv, ti, D, slot) = v;
-            RING(st->pn_qi, ti, D, slot) = RING(st->pn_qi, qi, D, h);
-            RING(st->pn_qc, ti, D, slot) = RING(st->pn_qc, qi, D, h);
-            st->pn_len[ti] += 1;
-            st->pn_head[qi] = (h + 1) % D;
-            st->pn_len[qi] -= 1;
+            RING(q, ti, D, wrap(head[ti] + tlen, D)) = *r;
+            len[ti] += 1;
+            head[qi] = wrap(h + 1, D);
+            len[qi] -= 1;
             moved++;
             if (seen == total) break;
         }
@@ -974,22 +989,24 @@ static void pn_advance_checked(SoaState *st) {
 }
 
 static void pn_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
-    i64 m = st->m, D = st->fifo_depth;
+    i64 m = st->m, D = st->fifo_depth, op = st->reduce_op;
     i64 last = st->pn_stages - 1;
     i64 total = st->pn_counts[last];
     if (!total) { *got_out = 0; *red_out = 0; return; }
+    const PropRec *q = st->pn_q;
+    i64 *head = st->pn_head, *len = st->pn_len;
     i64 got = 0, reduces = 0;
     for (i64 p = 0; p < m; p++) {
         i64 qi = last * m + p;
-        if (st->pn_len[qi]) {
-            i64 h = st->pn_head[qi];
-            i64 dv = RING(st->pn_qv, qi, D, h);
-            f64 imm = RING(st->pn_qi, qi, D, h);
-            reduces += RING(st->pn_qc, qi, D, h);
+        if (len[qi]) {
+            i64 h = head[qi];
+            const PropRec *r = &RING(q, qi, D, h);
+            i64 dv = r->v;
+            reduces += r->cnt;
             st->touch_dv[st->touch_len++] = dv;
-            st->pn_head[qi] = (h + 1) % D;
-            st->pn_len[qi] -= 1;
-            st->tprop[dv] = red(st->reduce_op, st->tprop[dv], imm);
+            head[qi] = wrap(h + 1, D);
+            len[qi] -= 1;
+            st->tprop[dv] = red(op, st->tprop[dv], r->imm);
             got++;
             if (got == total) break;
         }
@@ -1004,8 +1021,10 @@ static void pn_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
  * channel per cycle (the reference scatter loop's step 2) */
 static void pn_offer_epes(SoaState *st) {
     i64 m = st->m, D = st->fifo_depth, ED = st->epe_depth;
-    i64 bl = st->block_len;
+    i64 bl = st->block_len, combining = st->combining, op = st->reduce_op;
     const i64 *tbl0 = st->pn_table;
+    PropRec *q = st->pn_q;
+    i64 *head = st->pn_head, *len = st->pn_len;
     i64 total = st->epe_count, consumed = 0, added = 0, seen = 0;
     for (i64 k = 0; k < m; k++) {
         if (!st->ep_cnt[k]) continue;
@@ -1013,41 +1032,29 @@ static void pn_offer_epes(SoaState *st) {
         i64 h = st->ep_head[k];
         i64 v = RING(st->ep_v, k, ED, h);
         f64 imm = RING(st->ep_imm, k, ED, h);
-        i64 t = tbl0[k * m + (v % m)];  /* stage-0 queue index == t */
-        i64 tlen = st->pn_len[t];
-        if (tlen) {
-            i64 tslot = (st->pn_head[t] + tlen - 1) % D;
-            if (st->combining && RING(st->pn_qv, t, D, tslot) == v) {
-                RING(st->pn_qi, t, D, tslot) =
-                    red(st->reduce_op, RING(st->pn_qi, t, D, tslot), imm);
-                RING(st->pn_qc, t, D, tslot) += 1;
-                st->ep_head[k] = (h + 1) % ED;
-                st->ep_cnt[k] -= 1;
-                consumed++;
-            } else if (tlen > bl) {
-                st->prop_rej += 1;
-            } else {
-                i64 slot = (st->pn_head[t] + tlen) % D;
-                RING(st->pn_qv, t, D, slot) = v;
-                RING(st->pn_qi, t, D, slot) = imm;
-                RING(st->pn_qc, t, D, slot) = 1;
-                st->pn_len[t] += 1;
-                added++;
-                st->ep_head[k] = (h + 1) % ED;
-                st->ep_cnt[k] -= 1;
-                consumed++;
-            }
+        i64 bank = v % m;
+        i64 t = tbl0[k * m + bank];     /* stage-0 queue index == t */
+        i64 tlen = len[t];
+        PropRec *tail = tlen ? &RING(q, t, D, wrap(head[t] + tlen - 1, D)) : 0;
+        if (tail && combining && tail->v == v) {
+            tail->imm = red(op, tail->imm, imm);
+            tail->cnt += 1;
+        } else if (tlen > bl) {     /* bl >= 0: only a non-empty FIFO */
+            st->prop_rej += 1;
+            if (seen == total) break;
+            continue;
         } else {
-            i64 slot = st->pn_head[t];
-            RING(st->pn_qv, t, D, slot) = v;
-            RING(st->pn_qi, t, D, slot) = imm;
-            RING(st->pn_qc, t, D, slot) = 1;
-            st->pn_len[t] += 1;
+            PropRec *slot = &RING(q, t, D, wrap(head[t] + tlen, D));
+            slot->v = v;
+            slot->cnt = 1;
+            slot->imm = imm;
+            slot->bank = bank;
+            len[t] += 1;
             added++;
-            st->ep_head[k] = (h + 1) % ED;
-            st->ep_cnt[k] -= 1;
-            consumed++;
         }
+        st->ep_head[k] = wrap(h + 1, ED);
+        st->ep_cnt[k] -= 1;
+        consumed++;
         if (seen == total) break;
     }
     st->epe_count -= consumed;
@@ -1060,26 +1067,29 @@ static void pn_offer_epes(SoaState *st) {
 /* ================================================================== */
 
 static void px_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
-    i64 m = st->m, D = st->fifo_depth;
+    i64 m = st->m, D = st->fifo_depth, op = st->reduce_op;
     i64 total = st->px_count;
     if (!total) { *got_out = 0; *red_out = 0; return; }
+    const PropRec *q = st->px_q;
+    i64 *head = st->px_head, *len = st->px_len;
     /* tick_unit: incremental round-robin winner per destination */
     i64 epoch = ++st->epoch_ctr;
     i64 seen = 0, conflicts = 0;
     for (i64 i = 0; i < m; i++) {
-        if (!st->px_len[i]) continue;
+        if (!len[i]) continue;
         seen++;
-        i64 v = RING(st->px_qv, i, D, st->px_head[i]);
-        i64 dest = v % m;
+        i64 dest = RING(q, i, D, head[i]).bank;
         if (st->s_epoch2[dest] != epoch) {
             st->s_epoch2[dest] = epoch;
             st->s_val2[dest] = i;
         } else {
             conflicts++;
+            /* round-robin distances (i - ptr) mod m, (w - ptr) mod m */
             i64 ptr = st->px_rr[dest];
-            i64 w = st->s_val2[dest];
-            if (((i - ptr) % m + m) % m < ((w - ptr) % m + m) % m)
-                st->s_val2[dest] = i;
+            i64 di = i - ptr, dw = st->s_val2[dest] - ptr;
+            if (di < 0) di += m;
+            if (dw < 0) dw += m;
+            if (di < dw) st->s_val2[dest] = i;
         }
         if (seen == total) break;
     }
@@ -1090,17 +1100,17 @@ static void px_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
     for (i64 dest = 0; dest < m; dest++) {
         if (st->s_epoch2[dest] != epoch) continue;
         i64 i = st->s_val2[dest];
-        i64 h = st->px_head[i];
-        i64 dv = RING(st->px_qv, i, D, h);
-        f64 imm = RING(st->px_qi, i, D, h);
-        reduces += RING(st->px_qc, i, D, h);
+        i64 h = head[i];
+        const PropRec *r = &RING(q, i, D, h);
+        i64 dv = r->v;
+        reduces += r->cnt;
         st->touch_dv[st->touch_len++] = dv;
-        st->px_head[i] = (h + 1) % D;
-        st->px_len[i] -= 1;
+        head[i] = wrap(h + 1, D);
+        len[i] -= 1;
         st->px_count--;
-        st->tprop[dv] = red(st->reduce_op, st->tprop[dv], imm);
+        st->tprop[dv] = red(op, st->tprop[dv], r->imm);
         got++;
-        st->px_rr[dest] = (i + 1) % m;
+        st->px_rr[dest] = wrap(i + 1, m);
     }
     *got_out = got;
     *red_out = reduces;
@@ -1108,6 +1118,9 @@ static void px_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
 
 static void px_offer_epes(SoaState *st) {
     i64 m = st->m, D = st->fifo_depth, ED = st->epe_depth;
+    i64 combining = st->combining, op = st->reduce_op;
+    PropRec *q = st->px_q;
+    i64 *head = st->px_head, *len = st->px_len;
     i64 total = st->epe_count, consumed = 0, seen = 0;
     for (i64 k = 0; k < m; k++) {
         if (!st->ep_cnt[k]) continue;
@@ -1115,28 +1128,26 @@ static void px_offer_epes(SoaState *st) {
         i64 h = st->ep_head[k];
         i64 v = RING(st->ep_v, k, ED, h);
         f64 imm = RING(st->ep_imm, k, ED, h);
-        i64 flen = st->px_len[k];
-        i64 ok = 1;
-        i64 tslot = flen ? (st->px_head[k] + flen - 1) % D : 0;
-        if (flen && st->combining && RING(st->px_qv, k, D, tslot) == v) {
-            RING(st->px_qi, k, D, tslot) =
-                red(st->reduce_op, RING(st->px_qi, k, D, tslot), imm);
-            RING(st->px_qc, k, D, tslot) += 1;
-        } else if (flen >= st->fifo_depth) {
-            ok = 0;     /* xbar offer: reject, no counter */
+        i64 flen = len[k];
+        PropRec *tail = flen ? &RING(q, k, D, wrap(head[k] + flen - 1, D)) : 0;
+        if (tail && combining && tail->v == v) {
+            tail->imm = red(op, tail->imm, imm);
+            tail->cnt += 1;
+        } else if (flen >= D) {
+            if (seen == total) break;
+            continue;       /* xbar offer: reject, no counter */
         } else {
-            i64 slot = (st->px_head[k] + flen) % D;
-            RING(st->px_qv, k, D, slot) = v;
-            RING(st->px_qi, k, D, slot) = imm;
-            RING(st->px_qc, k, D, slot) = 1;
-            st->px_len[k] += 1;
+            PropRec *slot = &RING(q, k, D, wrap(head[k] + flen, D));
+            slot->v = v;
+            slot->cnt = 1;
+            slot->imm = imm;
+            slot->bank = v % m;
+            len[k] += 1;
             st->px_count++;
         }
-        if (ok) {
-            st->ep_head[k] = (h + 1) % ED;
-            st->ep_cnt[k] -= 1;
-            consumed++;
-        }
+        st->ep_head[k] = wrap(h + 1, ED);
+        st->ep_cnt[k] -= 1;
+        consumed++;
         if (seen == total) break;
     }
     st->epe_count -= consumed;
@@ -1149,8 +1160,9 @@ static void px_offer_epes(SoaState *st) {
 i64 soa_abi_version(void) { return SOA_ABI_VERSION; }
 
 /* The layout table: one row per SoaState field (kind, name, offset),
- * then the named constants ("const", name, value), then the struct size
- * ("sizeof", "SoaState", bytes); a NULL kind ends it. */
+ * then the named constants ("const", name, value), then the sizes of
+ * the struct and of the record a "PropRec*" ring holds ("sizeof", name,
+ * bytes); a NULL kind ends it. */
 typedef struct { const char *kind, *name; i64 value; } SoaLayoutRow;
 
 #define KIND_I64 "i64"
@@ -1159,6 +1171,7 @@ typedef struct { const char *kind, *name; i64 value; } SoaLayoutRow;
 #define KIND_F64P "f64*"
 #define KIND_CI64P "i64*"
 #define KIND_CF64P "f64*"
+#define KIND_PRECP "PropRec*"
 
 static const SoaLayoutRow SOA_LAYOUT[] = {
 #define SOA_FIELD_ROW(kind, name) \
@@ -1169,6 +1182,7 @@ static const SoaLayoutRow SOA_LAYOUT[] = {
     SOA_CONSTS(SOA_CONST_ROW)
 #undef SOA_CONST_ROW
     {"sizeof", "SoaState", (i64)sizeof(SoaState)},
+    {"sizeof", "PropRec", (i64)sizeof(PropRec)},
     {0, 0, 0},
 };
 

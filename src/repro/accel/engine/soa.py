@@ -4,15 +4,17 @@
 structure-of-arrays state straight from the
 :class:`~repro.accel.config.AcceleratorConfig` and the
 :mod:`repro.mdp.generator` wiring plans: every FIFO bank is a slice of
-a preallocated int64/float64 numpy array with head/occupancy vectors,
-MDP routing is the flattened ``table[stage][pos][dest]`` tensor, and
-the range network's module ports are a ``[stage][pos][digit]`` tensor.
+a preallocated numpy array with head/occupancy vectors (int64/float64
+per record field, or whole records for the propagation FIFOs), MDP
+routing is the flattened ``table[stage][pos][dest]`` tensor, and the
+range network's module ports are a ``[stage][pos][digit]`` tensor.
 The compiled kernel (``_soa_march.c``, whose header carries the
 equivalence argument against the reference component models) marches
 one whole phase per call.  The struct the kernel marches over is the
 one :func:`~repro.accel.engine.soakernel.load_kernel` built from the
 kernel's own layout table: every array takes its dtype from its
-field's kind, and every code and counter is looked up by name.
+field's kind (a record ring is opaque records of the size the table
+exports), and every code and counter is looked up by name.
 
 State that outlives a phase stays in the kernel's own struct for the
 whole run: the arbiter state (odd-even parity, rotating scan start,
@@ -38,7 +40,7 @@ import types
 
 import numpy as np
 
-from repro.accel.edge_access import _compatible_radix
+from repro.accel.config import _compatible_radix
 from repro.accel.engine.soakernel import load_kernel
 from repro.errors import SimulationError
 from repro.mdp.generator import generate_network
@@ -47,8 +49,16 @@ from repro.mdp.generator import generate_network
 _RED_CODES = types.MappingProxyType(
     {"add": "RED_ADD", "min": "RED_MIN", "max": "RED_MAX"})
 
-#: pointer-field kind -> dtype of the array the field points into
+#: scalar pointer kind -> dtype of the array the field points into
 _DTYPES = types.MappingProxyType({"i64*": np.int64, "f64*": np.float64})
+
+
+def _dtype(kernel, kind: str) -> np.dtype:
+    """dtype of the array a pointer field of ``kind`` points into: int64,
+    float64, or opaque records of the size the kernel exports."""
+    if kind in _DTYPES:
+        return np.dtype(_DTYPES[kind])
+    return np.dtype((np.void, kernel.records[kind[:-1]]))
 
 
 def _proc_code(alg) -> str | None:
@@ -123,7 +133,7 @@ class SoaEngine:
             the given data.  Returns the arrays in argument order."""
             arrays = []
             for name, size_or_data in fields.items():
-                dtype = _DTYPES[kernel.kinds[name]]
+                dtype = _dtype(kernel, kernel.kinds[name])
                 if np.ndim(size_or_data) == 0:
                     a = np.zeros(size_or_data, dtype=dtype)
                 else:
@@ -226,13 +236,11 @@ class SoaEngine:
             plan = generate_network(m, config.radix)
             sp = plan.num_stages
             st.pn_stages = sp
-            bind(pn_table=_mdp_table(plan), pn_qv=sp * m * fifo,
-                 pn_qc=sp * m * fifo, pn_qi=sp * m * fifo, pn_head=sp * m,
-                 pn_len=sp * m, pn_counts=sp)
+            bind(pn_table=_mdp_table(plan), pn_q=sp * m * fifo,
+                 pn_head=sp * m, pn_len=sp * m, pn_counts=sp)
         else:
             st.pn_stages = 1
-            bind(px_qv=m * fifo, px_qc=m * fifo, px_qi=m * fifo, px_head=m,
-                 px_len=m, px_rr=m)
+            bind(px_q=m * fifo, px_head=m, px_len=m, px_rr=m)
 
         mx = max(n, m, int(st.w))
         bind(s_epoch=mx, s_val=mx, s_epoch2=mx, s_val2=mx)

@@ -10,12 +10,14 @@ sweep workers race benignly.
 
 The kernel describes its own seam.  ``soa_layout()`` exports one row
 per ``SoaState`` field (name, offset, kind) plus the named constants
-(``SOA_MAGIC``, ``RED_*``, ``PROC_*``) and the struct size.
-:func:`load_kernel` reads that table once, builds the ctypes struct
-from it (with ``__slots__ = ()``, so assigning a field the kernel does
-not have raises ``AttributeError``) and checks every offset and the
-size against what ctypes laid out.  Nothing on the Python side mirrors
-the C declaration, so there is nothing to drift.
+(``SOA_MAGIC``, ``RED_*``, ``PROC_*``), the struct size and the size of
+each record a ring holds (a field of kind ``"PropRec*"`` points at
+``PropRec`` records).  :func:`load_kernel` reads that table once,
+builds the ctypes struct from it (with ``__slots__ = ()``, so assigning
+a field the kernel does not have raises ``AttributeError``) and checks
+every offset and the size against what ctypes laid out.  Nothing on
+the Python side mirrors the C declarations, so there is nothing to
+drift.
 
 Everything here degrades gracefully: no compiler, a failed compile, a
 failed dlopen, an ABI mismatch or a layout table that cannot be bound
@@ -48,10 +50,10 @@ CACHE_ENV_VAR = "REPRO_SOA_CACHE"
 
 _SOURCE = Path(__file__).with_name("_soa_march.c")
 
-#: layout-table field kinds -> the ctypes type of an 8-byte slot
-_SLOT_TYPES = types.MappingProxyType({
-    "i64": ctypes.c_longlong, "f64": ctypes.c_double,
-    "i64*": ctypes.c_void_p, "f64*": ctypes.c_void_p})
+#: scalar field kinds -> the ctypes type of their 8-byte slot; every
+#: pointer kind (``"i64*"``, ``"f64*"``, ``"<record>*"``) is a c_void_p
+_SCALAR_TYPES = types.MappingProxyType({
+    "i64": ctypes.c_longlong, "f64": ctypes.c_double})
 
 
 class _LayoutRow(ctypes.Structure):
@@ -65,18 +67,21 @@ class Kernel:
     """A loaded kernel: its entry points plus the layout it exported.
 
     ``State`` is the ctypes struct built from the table, ``kinds`` maps
-    each field to ``"i64"``, ``"f64"``, ``"i64*"`` or ``"f64*"``, and
-    ``consts`` holds the named constants.
+    each field to ``"i64"``, ``"f64"``, ``"i64*"``, ``"f64*"`` or
+    ``"<record>*"``, ``consts`` holds the named constants and
+    ``records`` the byte size of each record kind.
     """
 
     def __init__(self, lib: ctypes.CDLL, state: type,
-                 kinds: dict[str, str], consts: dict[str, int]) -> None:
+                 kinds: dict[str, str], consts: dict[str, int],
+                 records: dict[str, int]) -> None:
         # (ctypes function pointers keep their library loaded)
         self.soa_march = lib.soa_march
         self.soa_abi_version = lib.soa_abi_version
         self.State = state
         self.kinds = types.MappingProxyType(kinds)
         self.consts = types.MappingProxyType(consts)
+        self.records = types.MappingProxyType(records)
 
 
 #: memoized load result; ``False`` = not attempted yet
@@ -140,16 +145,17 @@ def _build(source_path: Path, out_path: Path) -> bool:
                 pass
 
 
-def _bind_layout(lib: ctypes.CDLL
-                 ) -> tuple[type, dict[str, str], dict[str, int]] | None:
-    """``(State, kinds, consts)`` from the kernel's layout table, or
-    ``None`` when ctypes cannot lay the struct out exactly as C did."""
+def _bind_layout(lib: ctypes.CDLL) -> tuple[
+        type, dict[str, str], dict[str, int], dict[str, int]] | None:
+    """``(State, kinds, consts, records)`` from the kernel's layout
+    table, or ``None`` when ctypes cannot lay the struct out exactly as
+    C did or a field points at a record the table does not size."""
     lib.soa_layout.restype = ctypes.POINTER(_LayoutRow)
     lib.soa_layout.argtypes = ()
     rows = lib.soa_layout()
     fields: list[tuple[int, str, str]] = []
     consts: dict[str, int] = {}
-    size = None
+    sizes: dict[str, int] = {}
     i = 0
     while rows[i].kind is not None:
         kind, name = rows[i].kind.decode(), rows[i].name.decode()
@@ -157,12 +163,16 @@ def _bind_layout(lib: ctypes.CDLL
         if kind == "const":
             consts[name] = value
         elif kind == "sizeof":
-            size = value
-        elif kind in _SLOT_TYPES:
-            fields.append((value, name, kind))
+            sizes[name] = value
         else:
-            return None
+            fields.append((value, name, kind))
         i += 1
+    size = sizes.pop("SoaState", None)
+    pointees = {"i64", "f64", *sizes}
+    if any(kind not in _SCALAR_TYPES
+           and not (kind.endswith("*") and kind[:-1] in pointees)
+           for _, _, kind in fields):
+        return None
     fields.sort()
     kinds = {name: kind for _, name, kind in fields}
     # every bind writes the struct guard: both magic fields, SOA_MAGIC
@@ -171,12 +181,13 @@ def _bind_layout(lib: ctypes.CDLL
         return None
     state = type("SoaState", (ctypes.Structure,), {
         "__slots__": (),
-        "_fields_": [(name, _SLOT_TYPES[kind]) for _, name, kind in fields]})
+        "_fields_": [(name, _SCALAR_TYPES.get(kind, ctypes.c_void_p))
+                     for _, name, kind in fields]})
     if ctypes.sizeof(state) != size or any(
             getattr(state, name).offset != offset
             for offset, name, _ in fields):
         return None
-    return state, kinds, consts
+    return state, kinds, consts, sizes
 
 
 def load_kernel() -> Kernel | None:

@@ -10,6 +10,7 @@ from repro.accel import (
     higraph,
     higraph_mini,
 )
+from repro.accel.config import MB, _compatible_radix
 from repro.errors import ConfigError
 
 
@@ -115,6 +116,86 @@ class TestValidation:
         cfg = higraph().with_(fifo_depth=64)
         assert cfg.fifo_depth == 64
         assert cfg.name == "HiGraph"
+
+
+class TestPresetOverrides:
+    """A preset validates its defaults and overrides together, so an
+    override may make a geometry valid that the defaults alone reject."""
+
+    def test_graphdyns_with_six_back_channels(self):
+        assert graphdyns(back_channels=6, dispatcher_group=3) == (
+            AcceleratorConfig(name="GraphDynS", front_channels=4,
+                              back_channels=6, dispatcher_group=3,
+                              offset_site="crossbar", edge_site="central",
+                              propagation_site="crossbar",
+                              onchip_memory_bytes=32 * MB))
+
+    def test_higraph_at_radix_three(self):
+        assert higraph(front_channels=9, back_channels=9, radix=3,
+                       dispatcher_group=3) == AcceleratorConfig(
+            name="HiGraph", front_channels=9, back_channels=9, radix=3,
+            dispatcher_group=3, onchip_memory_bytes=16 * MB)
+
+    def test_ablation_and_mini_take_geometry_overrides(self):
+        assert ablation(opt_o=True, front_channels=9, back_channels=9,
+                        radix=3, dispatcher_group=3).radix == 3
+        assert higraph_mini(front_channels=9, back_channels=9, radix=3,
+                            dispatcher_group=3).front_channels == 9
+
+    @pytest.mark.parametrize("overrides", [
+        dict(), dict(fifo_depth=64), dict(name="other"),
+        dict(back_channels=16, dispatcher_group=2)])
+    def test_valid_calls_build_the_same_configs(self, overrides):
+        """Merging the overrides moves no config (and no cache key)."""
+        base = AcceleratorConfig(name="HiGraph", front_channels=32,
+                                 onchip_memory_bytes=16 * MB)
+        assert higraph(**overrides) == base.with_(**overrides)
+        assert (higraph(**overrides).config_hash()
+                == base.with_(**overrides).config_hash())
+
+    @pytest.mark.parametrize("make", [
+        lambda: graphdyns(back_channels=6),
+        lambda: higraph(radix=3),
+        lambda: higraph_mini(dispatcher_group=5),
+        lambda: ablation(opt_d=True, back_channels=12),
+    ], ids=["graphdyns", "higraph", "higraph-mini", "ablation"])
+    def test_invalid_override_still_raises(self, make):
+        with pytest.raises(ConfigError):
+            make()
+
+
+class TestDispatcherGeometry:
+    """An MDP edge stage wires a range network over its dispatchers, so
+    their count must be a power of some radix up to the configured one."""
+
+    @pytest.mark.parametrize("back_channels, radix", [
+        (12, 2), (48, 2), (24, 4)], ids=["3@2", "12@2", "6@4"])
+    def test_unwirable_dispatcher_count_rejected(self, back_channels, radix):
+        with pytest.raises(ConfigError, match="num_dispatchers"):
+            AcceleratorConfig(front_channels=4, back_channels=back_channels,
+                              radix=radix, propagation_site="crossbar")
+
+    def test_central_edge_site_needs_no_network(self):
+        cfg = AcceleratorConfig(front_channels=4, back_channels=12,
+                                edge_site="central",
+                                propagation_site="crossbar")
+        assert cfg.num_dispatchers == 3
+
+    def test_compatible_radix_only_returns_a_fitting_radix(self):
+        def fits(positions, r):
+            return any(r ** e == positions for e in range(1, positions))
+
+        for positions in range(1, 65):
+            for radix in range(2, 9):
+                fitting = [r for r in range(2, radix + 1)
+                           if fits(positions, r)]
+                if positions < 2:
+                    assert _compatible_radix(positions, radix) is None
+                elif fitting:
+                    assert _compatible_radix(positions, radix) == max(fitting)
+                else:
+                    with pytest.raises(ConfigError, match="num_dispatchers"):
+                        _compatible_radix(positions, radix)
 
 
 class TestFieldValidation:

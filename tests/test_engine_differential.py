@@ -251,11 +251,25 @@ class TestSiteAblations:
         assert_engines_agree(higraph(vertex_combining=False), graph, "PR")
         assert_engines_agree(graphdyns(vertex_combining=False), graph, "SSSP")
 
-    def test_odd_geometry(self, graph):
-        """Radix 4, uneven dispatcher grouping, shallow queues."""
-        cfg = higraph(front_channels=16, back_channels=16, radix=4,
-                      fifo_depth=12, dispatcher_group=2, epe_queue_depth=2)
-        assert_engines_agree(cfg, graph, "SSSP")
+    @pytest.mark.parametrize("make", [
+        lambda: higraph(front_channels=16, back_channels=16, radix=4,
+                        fifo_depth=12, dispatcher_group=2,
+                        epe_queue_depth=2),
+        lambda: higraph(front_channels=9, back_channels=9, radix=3,
+                        fifo_depth=5, dispatcher_group=3),
+        lambda: higraph(front_channels=27, back_channels=27, radix=3,
+                        dispatcher_group=3),
+        lambda: graphdyns(back_channels=6, dispatcher_group=3),
+        lambda: graphdyns(back_channels=12),
+    ], ids=["radix4-16", "radix3-9-fifo5", "radix3-27", "graphdyns-6",
+            "graphdyns-12"])
+    def test_odd_geometry(self, graph, make):
+        """Radix 4 and radix 3 MDP networks with uneven dispatcher
+        grouping and shallow queues, and crossbars whose bank count is
+        no power of two: the geometries where a cached bank or a
+        divide-free ring wrap would first go wrong."""
+        assert_engines_agree(make(), graph, "SSSP")
+        assert_pr_agrees(make(), graph, iterations=3)
 
     def test_single_dispatcher(self, graph):
         """num_dispatchers == 1: the range network degenerates away."""
@@ -894,19 +908,31 @@ class TestSelfDescribingLayout:
                              ids=["HiGraph", "GraphDynS", "HiGraph-mini"])
     def test_arrays_are_marshalled_in_their_field_kind(self, maker):
         """Every pointer the bound struct holds points at an array whose
-        dtype is the one its field's kind names."""
+        dtype is the one its field's kind names: int64, float64, or
+        opaque records of the size the kernel exports for the kind."""
         _kernel_or_skip()
         graph = rmat(7, 5.0, seed=17, name="rmat7-17")
         engine = AcceleratorSim(maker(), graph, _make_algorithm("SSSP"),
                                 engine="soa").engine
         kinds = engine._kernel.kinds
+        records = engine._kernel.records
         by_address = {a.ctypes.data: a for a in engine._keep}
         bound = [name for name, kind in kinds.items()
                  if kind.endswith("*") and getattr(engine._st, name)]
         assert len(bound) > 20
+        rings = 0
         for name in bound:
             array = by_address[getattr(engine._st, name)]
-            assert array.dtype == soa_module._DTYPES[kinds[name]], name
+            kind = kinds[name]
+            if kind in soa_module._DTYPES:
+                assert array.dtype == soa_module._DTYPES[kind], name
+            else:
+                assert array.dtype.kind == "V", name
+                assert array.itemsize == records[kind[:-1]], name
+                # 8-byte fields: the rings must start 8-byte aligned
+                assert array.ctypes.data % 8 == 0, name
+                rings += 1
+        assert rings == 1       # pn_q on an MDP site, px_q on a crossbar
 
     def test_loaded_layout_is_read_only(self):
         """One loaded kernel serves every run on every thread, so its
@@ -953,22 +979,24 @@ class TestLayoutBinding:
     as the table says C did."""
 
     def test_a_consistent_table_binds(self):
-        state, kinds, consts = soakernel._bind_layout(_table_lib(_TABLE))
+        state, kinds, consts, records = soakernel._bind_layout(
+            _table_lib(_TABLE))
         assert [name for name, _ in state._fields_] == [
             "magic", "scale", "idx", "vals", "magic2"]
         assert ctypes.sizeof(state) == 40
         assert kinds == {"magic": "i64", "scale": "f64", "idx": "i64*",
                          "vals": "f64*", "magic2": "i64"}
         assert consts == {"SOA_MAGIC": 0x50A, "RED_MIN": 1}
+        assert records == {}
 
     def test_fields_follow_offsets_not_table_order(self):
         """The struct is laid out in offset order, wherever the rows
         sit in the table."""
         rows = list(_TABLE[::-1])
-        state, _, _ = soakernel._bind_layout(_table_lib(rows))
+        state, *_ = soakernel._bind_layout(_table_lib(rows))
         assert [name for name, _ in state._fields_] == [
             "magic", "scale", "idx", "vals", "magic2"]
-        state, _, _ = soakernel._bind_layout(_table_lib(_edit_table(
+        state, *_ = soakernel._bind_layout(_table_lib(_edit_table(
             idx=("i64*", "idx", 24), vals=("f64*", "vals", 16))))
         assert state.vals.offset == 16 and state.idx.offset == 24
 
@@ -976,14 +1004,23 @@ class TestLayoutBinding:
         ("i64", ctypes.c_longlong), ("f64", ctypes.c_double),
         ("i64*", ctypes.c_void_p), ("f64*", ctypes.c_void_p)])
     def test_each_kind_binds_an_eight_byte_slot(self, kind, ctype):
-        state, kinds, _ = soakernel._bind_layout(_table_lib(_edit_table(
+        state, kinds, *_ = soakernel._bind_layout(_table_lib(_edit_table(
             scale=(kind, "scale", 8))))
         assert dict(state._fields_)["scale"] is ctype
         assert ctypes.sizeof(ctype) == 8
         assert kinds["scale"] == kind
 
+    def test_a_sized_record_kind_binds_a_pointer(self):
+        """A field may point at records of any kind the table sizes."""
+        rows = _edit_table(vals=("Rec*", "vals", 24)) + [
+            ("sizeof", "Rec", 32)]
+        state, kinds, _, records = soakernel._bind_layout(_table_lib(rows))
+        assert dict(state._fields_)["vals"] is ctypes.c_void_p
+        assert kinds["vals"] == "Rec*"
+        assert records == {"Rec": 32}
+
     def test_bound_state_rejects_unknown_fields(self):
-        state, _, _ = soakernel._bind_layout(_table_lib(_TABLE))
+        state, *_ = soakernel._bind_layout(_table_lib(_TABLE))
         st = state()
         st.idx = 4096
         assert st.idx == 4096
@@ -1001,10 +1038,13 @@ class TestLayoutBinding:
         _edit_table(vals=("f64*", "vals", 16)),
         _edit_table(vals=("f64*", "vals", 32), magic2=("i64", "magic2", 40)),
         _edit_table(scale=("f64", "scale", 4)),
+        _edit_table(vals=("Rec*", "vals", 24)),
+        _edit_table(vals=("SoaState*", "vals", 24)),
         [],
     ], ids=["unknown-kind", "duplicate-name", "no-SOA_MAGIC", "no-magic",
             "no-magic2", "sizeof-disagrees", "no-sizeof", "shared-offset",
-            "gap-before-a-field", "misaligned-offset", "empty"])
+            "gap-before-a-field", "misaligned-offset", "unsized-record",
+            "struct-pointer", "empty"])
     def test_a_table_ctypes_cannot_match_is_refused(self, rows):
         assert soakernel._bind_layout(_table_lib(rows)) is None
 

@@ -51,8 +51,10 @@ FUZZ_SEED_BASE = 20220714
 _ALGORITHMS = ("BFS", "SSSP", "SSWP", "PR", "CC")
 
 #: (channels, radix) pairs valid for every site choice: MDP sites
-#: require the channel count to be a power of the radix.
-_GEOMETRIES = ((8, 2), (16, 2), (16, 4), (32, 2), (4, 2))
+#: require the channel count to be a power of the radix.  (9, 3) gives
+#: a radix-3 MDP network and a crossbar whose bank count is no power
+#: of two.
+_GEOMETRIES = ((8, 2), (16, 2), (16, 4), (32, 2), (4, 2), (9, 3))
 
 
 def _fuzz_case_count() -> int:
@@ -99,7 +101,7 @@ def _random_config(rng):
         fe_out_depth=int(rng.integers(1, 5)),
         vertex_combining=bool(rng.integers(0, 2)),
     )
-    groups = [g for g in (1, 2, 4, 8) if channels % g == 0]
+    groups = [g for g in (1, 2, 3, 4, 8) if channels % g == 0]
     overrides["dispatcher_group"] = int(groups[int(rng.integers(0, len(groups)))])
     makers = (higraph, higraph_mini, graphdyns,
               lambda **kw: ablation(opt_o=True, opt_d=True, **kw))
