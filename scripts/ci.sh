@@ -21,8 +21,9 @@
 #                    zero sims on resubmission, clean remote shutdown)
 #   ci.sh differential
 #                    every engine's SimStats equal reference's on the
-#                    full fig8 (72 jobs) and PageRank x10 (18 jobs)
-#                    matrices, uncached
+#                    full fig8 (72 jobs), PageRank x10 (18 jobs),
+#                    Fig. 10 (16), Fig. 11 (6), Fig. 12 (12) and
+#                    Sec. 5.4 (3) matrices, uncached
 #
 # Stages may be combined: `ci.sh tests differential`.
 #
@@ -177,19 +178,26 @@ EOF
 }
 
 stage_differential() {
-    echo "== soa vs reference: fig8 (72 jobs) + PageRank x10 (18 jobs) =="
+    echo "== soa vs reference: fig8, PageRank x10, fig10, fig11, fig12, sec5.4 =="
     python - <<'EOF'
 import dataclasses
 import sys
 from repro.accel.engine import ENGINES, soakernel
+from repro.bench.figures import (fig10_jobs, fig11_jobs, fig12_jobs,
+                                 sec54_radix_jobs)
 from repro.bench.harness import matrix_jobs
 from repro.sweep.executor import run_sweep
 
 # without the kernel every soa run is handed to reference: no check
 if soakernel.load_kernel() is None:
     sys.exit("no soa kernel loaded: soa runs would be reference's")
+# fig8 and PRx10 are the Table 1 designs; the figures add an MDP edge
+# stage between crossbar sites, 64-256 back channels, FIFO depths
+# 8-320 and radix 4 and 8
 matrices = {"fig8": matrix_jobs(),
-            "PRx10": matrix_jobs(algorithms=[("PR", {"iterations": 10})])}
+            "PRx10": matrix_jobs(algorithms=[("PR", {"iterations": 10})]),
+            "fig10": fig10_jobs(), "fig11": fig11_jobs(),
+            "fig12": fig12_jobs(), "sec5.4": sec54_radix_jobs()}
 diverged = []
 for label, jobs in matrices.items():
     runs = {engine: run_sweep([dataclasses.replace(job, engine=engine)

@@ -13,11 +13,12 @@ loop, so it exists in two interchangeable implementations:
   (``_soa_march.c``) that marches each whole scatter phase in one C
   call.  FIFO banks are preallocated rings with head/occupancy vectors
   (one int64/float64 ring per record field; the propagation FIFOs hold
-  whole records), routing is the flattened
+  whole records), MDP routing is the flattened
   ``table[stage][pos][dest]`` tensor built from the
-  :mod:`repro.mdp.generator` plans, and arbiter state, conflict
-  counters and tProperty stay resident in the kernel's struct for the
-  whole run.  A run the kernel cannot reproduce bit for bit (no C
+  :mod:`repro.mdp.generator` plans, the range network routes each piece
+  by its start bank through two tables built from its plan, and
+  arbiter state, conflict counters and tProperty stay resident in the
+  kernel's struct for the whole run.  A run the kernel cannot reproduce bit for bit (no C
   compiler, ``REPRO_SOA_KERNEL=off``, an algorithm without declared
   closed-form kernels) is handed to ``reference``: byte-identical, many
   times slower.

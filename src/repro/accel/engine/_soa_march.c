@@ -5,12 +5,14 @@
  * frontend tick) over structure-of-arrays state: every FIFO bank is a
  * preallocated ring with head/length vectors (one int64/double ring per
  * record field, except the propagation FIFOs, whose slots are whole
- * PropRec records), routing is the table[stage][pos][dest] tensor
- * built from the mdp/generator plans, and the arbiter state (odd-even
- * parity, rotating-scan starts, round-robin pointers, stall memos) and
- * the conflict counters live in the struct for the whole run.  The
- * Python side (soa.py) owns the numpy arrays; this kernel only views
- * them through `SoaState`.
+ * PropRec records), MDP routing is the table[stage][pos][dest] tensor
+ * built from the mdp/generator plans, the range network routes by two
+ * per-bank tables built from its plan (rn_room: banks left in the
+ * stage's block; rn_port: the target queue), and the arbiter state
+ * (odd-even parity, rotating-scan starts, round-robin pointers, stall
+ * memos) and the conflict counters live in the struct for the whole
+ * run.  The Python side (soa.py) owns the numpy arrays; this kernel
+ * only views them through `SoaState`.
  *
  * The kernel is reentrant: it keeps no file-scope state.  Everything a
  * call reads or writes hangs off its `SoaState`, including the
@@ -31,9 +33,11 @@
  * IEEE-754 binary64, and the closed-form reduce kernels below tie
  * exactly like the Python builtins).  What differs is bookkeeping that
  * cannot change a decision: occupancy counts that end a scan once
- * every occupied queue was visited, the dispatcher and central-window
- * stall memos, and the range network's unchecked insert while its
- * whole population fits under the block line (docs/performance.md).
+ * every occupied queue was visited, the propagation MDP stage passes
+ * that route every head first and then move them in ascending source
+ * order, the dispatcher and central-window stall memos, and the range
+ * network's unchecked insert while its whole population fits under
+ * the block line (docs/performance.md).
  * The differential suite and tests/test_engine_fuzz.py hold it to that.
  *
  * The one side output is touch_dv, the delivered-vertex log the engine
@@ -49,7 +53,7 @@
 typedef long long i64;
 typedef double f64;
 
-#define SOA_ABI_VERSION 6
+#define SOA_ABI_VERSION 7
 
 /* Named constants, exported through soa_layout(): the struct magic
  * (ASCII "SOA" plus the ABI digit), the reduce_op codes, and the proc
@@ -93,7 +97,7 @@ typedef struct { i64 v, cnt; f64 imm; i64 bank; } PropRec;
     F(I64, front_is_mdp) F(I64, edge_is_mdp) F(I64, prop_is_mdp) \
     F(I64, ce_issue_limit) F(I64, ce_capacity) \
     F(I64, has_rnet) \
-    F(I64, rn_radix) F(I64, rn_block_len) F(I64, rn_ring)  /* range net */ \
+    F(I64, rn_block_len) F(I64, rn_ring)  /* range net */ \
     /* -- graph ------------------------------------------------------ */ \
     F(CI64P, offsets) F(CI64P, dst) F(CI64P, weights) \
     /* -- frontend MDP net (Sf x n rings of fifo_depth) -------------- */ \
@@ -126,8 +130,8 @@ typedef struct { i64 v, cnt; f64 imm; i64 bank; } PropRec;
     F(I64P, busy_at)                /* [w] */ \
     F(I64P, rp_rr)                  /* [w], persistent */ \
     F(I64, rn_stages) \
-    F(CI64P, rn_block)              /* [Sr] stage block widths */ \
-    F(CI64P, rn_ptbl)               /* [Sr][w][rn_radix] port tables */ \
+    F(CI64P, rn_room)   /* [Sr][m] banks left in the stage's block */ \
+    F(CI64P, rn_port)   /* [Sr][w][m] target queue by start bank */ \
     F(I64P, rn_qo) F(I64P, rn_ql)   /* rings [Sr*w] of rn_ring slots */ \
     F(F64P, rn_qp) \
     F(I64P, rn_head) F(I64P, rn_len)    /* [Sr*w] */ \
@@ -154,6 +158,7 @@ typedef struct { i64 v, cnt; f64 imm; i64 bank; } PropRec;
     F(I64P, px_rr)                  /* [m], persistent */ \
     /* -- scratch [max(n,m,w)] --------------------------------------- */ \
     F(I64P, s_epoch) F(I64P, s_val) F(I64P, s_epoch2) F(I64P, s_val2) \
+    F(I64P, s_src) F(I64P, s_tgt)   /* a stage pass's routed moves */ \
     /* -- arbiter scalars (persistent; set once at bind) ------------- */ \
     F(I64, parity) F(I64, fstart) \
     /* -- per-phase run state ---------------------------------------- */ \
@@ -206,9 +211,9 @@ static inline f64 red(i64 op, f64 a, f64 b) {
 #define RING(arr, q, D, i) (arr)[((q) * (D)) + (i)]
 
 /* (i) mod D for 0 <= i < 2D: a ring index head + k with head < D and
- * k <= D, or a port index i + 1 with i < D.  One compare instead of a
- * divide; a vertex id or an edge offset has no such bound and keeps
- * its `%`. */
+ * k <= D, or a rotating pointer start + k with start, k < D.  One
+ * compare instead of a divide; a vertex id or an edge offset has no
+ * such bound and keeps its `%`. */
 static inline i64 wrap(i64 i, i64 D) { return i < D ? i : i - D; }
 
 /* ================================================================== */
@@ -220,14 +225,14 @@ static inline i64 fe_retire(SoaState *st, i64 ch) {
     i64 h = st->iq_head[ch];
     i64 u = RING(st->iq_u, ch, D, h);
     f64 sp = RING(st->iq_s, ch, D, h);
-    st->iq_head[ch] = (h + 1) % D;
+    st->iq_head[ch] = wrap(h + 1, D);
     st->iq_len[ch] -= 1;
     st->iq_total -= 1;
     i64 off = st->offsets[u];
     i64 length = st->offsets[u + 1] - off;
     if (length > 0) {
         i64 FD = st->fe_depth;
-        i64 slot = (st->fo_head[ch] + st->fo_cnt[ch]) % FD;
+        i64 slot = wrap(st->fo_head[ch] + st->fo_cnt[ch], FD);
         RING(st->fo_off, ch, FD, slot) = off;
         RING(st->fo_len, ch, FD, slot) = length;
         RING(st->fo_s, ch, FD, slot) = sp;
@@ -258,11 +263,11 @@ static void fn_advance_checked(SoaState *st) {
             i64 u = RING(st->fn_qu, qi, D, h);
             i64 ti = s * n + tbl[p * n + (u % n)];
             if (st->fn_len[ti] <= bl) {     /* else stalled */
-                i64 slot = (st->fn_head[ti] + st->fn_len[ti]) % D;
+                i64 slot = wrap(st->fn_head[ti] + st->fn_len[ti], D);
                 RING(st->fn_qu, ti, D, slot) = u;
                 RING(st->fn_qs, ti, D, slot) = RING(st->fn_qs, qi, D, h);
                 st->fn_len[ti] += 1;
-                st->fn_head[qi] = (h + 1) % D;
+                st->fn_head[qi] = wrap(h + 1, D);
                 st->fn_len[qi] -= 1;
                 moved++;
             }
@@ -284,11 +289,11 @@ static void fn_deliver_into_issue(SoaState *st) {
             seen++;
             if (st->iq_len[p] < ID) {
                 i64 h = st->fn_head[qi];
-                i64 slot = (st->iq_head[p] + st->iq_len[p]) % ID;
+                i64 slot = wrap(st->iq_head[p] + st->iq_len[p], ID);
                 RING(st->iq_u, p, ID, slot) = RING(st->fn_qu, qi, D, h);
                 RING(st->iq_s, p, ID, slot) = RING(st->fn_qs, qi, D, h);
                 st->iq_len[p] += 1;
-                st->fn_head[qi] = (h + 1) % D;
+                st->fn_head[qi] = wrap(h + 1, D);
                 st->fn_len[qi] -= 1;
                 popped++;
             }
@@ -310,7 +315,7 @@ static void fn_inject_parts(SoaState *st) {
         i64 u = st->part_u[pos];
         i64 t = tbl0[p * n + (u % n)];  /* stage-0 queue index == t */
         if (st->fn_len[t] && st->fn_len[t] > bl) continue;     /* rejected */
-        i64 slot = (st->fn_head[t] + st->fn_len[t]) % D;
+        i64 slot = wrap(st->fn_head[t] + st->fn_len[t], D);
         RING(st->fn_qu, t, D, slot) = u;
         RING(st->fn_qs, t, D, slot) = st->part_sp[pos];
         st->fn_len[t] += 1;
@@ -389,7 +394,7 @@ static i64 front_xbar_tick(SoaState *st) {
         i64 epoch = ++st->epoch_ctr;
         i64 start = st->fstart;
         for (i64 k = 0; k < n; k++) {
-            i64 ch = (start + k) % n;
+            i64 ch = wrap(start + k, n);
             if (st->iq_len[ch] && st->fo_cnt[ch] < st->fe_depth) {
                 i64 u = RING(st->iq_u, ch, ID, st->iq_head[ch]);
                 i64 b1 = u % n, b2 = (u + 1) % n;
@@ -403,7 +408,7 @@ static i64 front_xbar_tick(SoaState *st) {
             }
         }
     }
-    st->fstart = (st->fstart + 1) % n;
+    st->fstart = wrap(st->fstart + 1, n);
     /* -- route: crossbar tick under issue-queue budgets (tick_budget:
      * budget[dest] = issue_depth - len(issue_q[dest]), computed before
      * arbitration; each granted dest accepts exactly one item) */
@@ -421,10 +426,12 @@ static i64 front_xbar_tick(SoaState *st) {
                 st->s_epoch2[dest] = epoch;
                 st->s_val2[dest] = i;
             } else {
+                /* round-robin distances (i - ptr) mod n, (w - ptr) mod n */
                 i64 ptr = st->fx_rr[dest];
-                i64 w = st->s_val2[dest];
-                if (((i - ptr) % n + n) % n < ((w - ptr) % n + n) % n)
-                    st->s_val2[dest] = i;
+                i64 di = i - ptr, dw = st->s_val2[dest] - ptr;
+                if (di < 0) di += n;
+                if (dw < 0) dw += n;
+                if (di < dw) st->s_val2[dest] = i;
             }
             if (seen == total) break;
         }
@@ -434,15 +441,15 @@ static i64 front_xbar_tick(SoaState *st) {
             if (st->s_epoch2[dest] != epoch) continue;
             i64 i = st->s_val2[dest];
             i64 h = st->fx_head[i];
-            i64 slot = (st->iq_head[dest] + st->iq_len[dest]) % ID;
+            i64 slot = wrap(st->iq_head[dest] + st->iq_len[dest], ID);
             RING(st->iq_u, dest, ID, slot) = RING(st->fx_qu, i, D, h);
             RING(st->iq_s, dest, ID, slot) = RING(st->fx_qs, i, D, h);
             st->iq_len[dest] += 1;
             st->iq_total += 1;
-            st->fx_head[i] = (h + 1) % D;
+            st->fx_head[i] = wrap(h + 1, D);
             st->fx_len[i] -= 1;
             st->fx_count--;
-            st->fx_rr[dest] = (i + 1) % n;
+            st->fx_rr[dest] = wrap(i + 1, n);
         }
     }
     /* -- inject parts: offer one head per alive part (xbar offer has
@@ -451,7 +458,7 @@ static i64 front_xbar_tick(SoaState *st) {
         i64 pos = st->part_pos[p];
         if (pos >= st->part_end[p]) continue;
         if (st->fx_len[p] >= st->fifo_depth) continue;  /* refused */
-        i64 slot = (st->fx_head[p] + st->fx_len[p]) % D;
+        i64 slot = wrap(st->fx_head[p] + st->fx_len[p], D);
         RING(st->fx_qu, p, D, slot) = st->part_u[pos];
         RING(st->fx_qs, p, D, slot) = st->part_sp[pos];
         st->fx_len[p] += 1;
@@ -465,68 +472,22 @@ static i64 front_xbar_tick(SoaState *st) {
 /* Range-split network (RangeSplitNetwork; own radix and block line) */
 /* ================================================================== */
 
-static i64 rn_try_insert(SoaState *st, i64 stage, i64 entry, i64 off,
-                         i64 length, f64 payload) {
-    i64 w = st->w, RD = st->rn_ring, bl = st->rn_block_len;
-    i64 radix = st->rn_radix;
-    i64 block = st->rn_block[stage];
-    const i64 *ports = st->rn_ptbl + (stage * w + entry) * radix;
-    i64 start_bank = off % st->m;
-    i64 rel = start_bank % block;
-    if (rel + length <= block) {    /* common case: fits one block */
-        i64 qi = stage * w + ports[(start_bank / block) % radix];
-        if (st->rn_len[qi] > bl) return 0;
-        i64 slot = (st->rn_head[qi] + st->rn_len[qi]) % RD;
-        RING(st->rn_qo, qi, RD, slot) = off;
-        RING(st->rn_ql, qi, RD, slot) = length;
-        RING(st->rn_qp, qi, RD, slot) = payload;
-        st->rn_len[qi] += 1;
-        st->rn_counts[stage] += 1;
-        st->rn_count += 1;
-        return 1;
-    }
-    /* two passes exactly like RangeSplitNetwork._try_insert: every
-     * sub-piece validates against PRE-push queue lengths (sub-pieces
-     * may share a target queue), then all push */
-    i64 o = off, sb = start_bank, len = length;
-    while (len > 0) {
-        i64 room = block - sb % block;
-        i64 take = (len < room) ? len : room;
-        if (st->rn_len[stage * w + ports[(sb / block) % radix]] > bl)
-            return 0;
-        o += take; sb += take; len -= take;
-    }
-    o = off; sb = start_bank; len = length;
-    i64 added = 0;
-    while (len > 0) {
-        i64 room = block - sb % block;
-        i64 take = (len < room) ? len : room;
-        i64 qi = stage * w + ports[(sb / block) % radix];
-        i64 slot = (st->rn_head[qi] + st->rn_len[qi]) % RD;
-        RING(st->rn_qo, qi, RD, slot) = o;
-        RING(st->rn_ql, qi, RD, slot) = take;
-        RING(st->rn_qp, qi, RD, slot) = payload;
-        st->rn_len[qi] += 1;
-        o += take; sb += take; len -= take;
-        added++;
-    }
-    st->rn_counts[stage] += added;
-    st->rn_count += added;
-    return 1;
-}
+/* A piece {off, length} starting at bank sb = off % m is cut at the
+ * stage's block boundaries: the sub-piece at bank b takes up to
+ * rn_room[stage][b] banks and goes to queue rn_port[stage][entry][b].
+ * Pieces never wrap the bank space, so b stays below m. */
 
-static void rn_insert_light(SoaState *st, i64 stage, i64 entry, i64 off,
-                            i64 length, f64 payload) {
-    i64 w = st->w, RD = st->rn_ring, radix = st->rn_radix;
-    i64 block = st->rn_block[stage];
-    const i64 *ports = st->rn_ptbl + (stage * w + entry) * radix;
-    i64 sb = off % st->m;
+/* push every sub-piece, unchecked */
+static void rn_push(SoaState *st, i64 stage, i64 entry, i64 off, i64 sb,
+                    i64 length, f64 payload) {
+    i64 m = st->m, RD = st->rn_ring;
+    const i64 *room = st->rn_room + stage * m;
+    const i64 *port = st->rn_port + (stage * st->w + entry) * m;
     i64 added = 0;
     while (length > 0) {
-        i64 room = block - sb % block;
-        i64 take = (length < room) ? length : room;
-        i64 qi = stage * w + ports[(sb / block) % radix];
-        i64 slot = (st->rn_head[qi] + st->rn_len[qi]) % RD;
+        i64 take = (length < room[sb]) ? length : room[sb];
+        i64 qi = port[sb];
+        i64 slot = wrap(st->rn_head[qi] + st->rn_len[qi], RD);
         RING(st->rn_qo, qi, RD, slot) = off;
         RING(st->rn_ql, qi, RD, slot) = take;
         RING(st->rn_qp, qi, RD, slot) = payload;
@@ -538,25 +499,42 @@ static void rn_insert_light(SoaState *st, i64 stage, i64 entry, i64 off,
     st->rn_count += added;
 }
 
+/* two passes exactly like RangeSplitNetwork._try_insert: every
+ * sub-piece validates against PRE-push queue lengths (sub-pieces may
+ * share a target queue), then all push */
+static i64 rn_try_insert(SoaState *st, i64 stage, i64 entry, i64 off,
+                         i64 sb, i64 length, f64 payload) {
+    i64 m = st->m, bl = st->rn_block_len;
+    const i64 *room = st->rn_room + stage * m;
+    const i64 *port = st->rn_port + (stage * st->w + entry) * m;
+    for (i64 b = sb, len = length; len > 0;) {
+        i64 take = (len < room[b]) ? len : room[b];
+        if (st->rn_len[port[b]] > bl) return 0;
+        b += take; len -= take;
+    }
+    rn_push(st, stage, entry, off, sb, length, payload);
+    return 1;
+}
+
 static i64 rn_offer(SoaState *st, i64 entry, i64 off, i64 length,
                     f64 payload) {
+    i64 sb = off % st->m;
     if (st->rn_count <= st->rn_block_len) {
-        rn_insert_light(st, 0, entry, off, length, payload);
+        rn_push(st, 0, entry, off, sb, length, payload);
         return 1;
     }
-    if (rn_try_insert(st, 0, entry, off, length, payload)) return 1;
+    if (rn_try_insert(st, 0, entry, off, sb, length, payload)) return 1;
     st->rnet_rej += 1;
     return 0;
 }
 
 static void rn_advance_checked(SoaState *st) {
-    i64 w = st->w, RD = st->rn_ring, bl = st->rn_block_len;
-    i64 radix = st->rn_radix;
+    i64 m = st->m, w = st->w, RD = st->rn_ring, bl = st->rn_block_len;
     i64 stalled_total = 0;
     for (i64 s = st->rn_stages - 1; s >= 1; s--) {
         i64 total = st->rn_counts[s - 1];
         if (!total) continue;
-        i64 block = st->rn_block[s];
+        const i64 *room = st->rn_room + s * m;
         i64 seen = 0, moved = 0, stalled = 0;
         for (i64 p = 0; p < w; p++) {
             i64 qi = (s - 1) * w + p;
@@ -565,25 +543,24 @@ static void rn_advance_checked(SoaState *st) {
             i64 h = st->rn_head[qi];
             i64 off = RING(st->rn_qo, qi, RD, h);
             i64 length = RING(st->rn_ql, qi, RD, h);
-            i64 sb = off % st->m;
-            if (sb % block + length <= block) {     /* plain move */
-                const i64 *ports = st->rn_ptbl + (s * w + p) * radix;
-                i64 ti = s * w + ports[(sb / block) % radix];
+            i64 sb = off % m;
+            if (length <= room[sb]) {       /* plain move */
+                i64 ti = st->rn_port[(s * w + p) * m + sb];
                 if (st->rn_len[ti] > bl) {
                     stalled++;
                 } else {
-                    i64 slot = (st->rn_head[ti] + st->rn_len[ti]) % RD;
+                    i64 slot = wrap(st->rn_head[ti] + st->rn_len[ti], RD);
                     RING(st->rn_qo, ti, RD, slot) = off;
                     RING(st->rn_ql, ti, RD, slot) = length;
                     RING(st->rn_qp, ti, RD, slot) = RING(st->rn_qp, qi, RD, h);
                     st->rn_len[ti] += 1;
-                    st->rn_head[qi] = (h + 1) % RD;
+                    st->rn_head[qi] = wrap(h + 1, RD);
                     st->rn_len[qi] -= 1;
                     moved++;
                 }
-            } else if (rn_try_insert(st, s, p, off, length,
+            } else if (rn_try_insert(st, s, p, off, sb, length,
                                      RING(st->rn_qp, qi, RD, h))) {
-                st->rn_head[qi] = (h + 1) % RD;
+                st->rn_head[qi] = wrap(h + 1, RD);
                 st->rn_len[qi] -= 1;
                 st->rn_counts[s - 1] -= 1;
                 st->rn_count -= 1;
@@ -607,7 +584,7 @@ static void rn_advance_checked(SoaState *st) {
 
 static inline void epe_push(SoaState *st, i64 bank, i64 v, f64 imm) {
     i64 D = st->epe_depth;
-    i64 slot = (st->ep_head[bank] + st->ep_cnt[bank]) % D;
+    i64 slot = wrap(st->ep_head[bank] + st->ep_cnt[bank], D);
     RING(st->ep_v, bank, D, slot) = v;
     RING(st->ep_imm, bank, D, slot) = imm;
     st->ep_cnt[bank] += 1;
@@ -649,7 +626,7 @@ static void edge_emit(SoaState *st, i64 off, i64 length, f64 payload,
 
 static i64 disp_accept0(SoaState *st, i64 off, i64 length, f64 payload) {
     if (st->dq_cnt[0] >= st->disp_depth) return 0;
-    i64 slot = (st->dq_head[0] + st->dq_cnt[0]) % st->disp_depth;
+    i64 slot = wrap(st->dq_head[0] + st->dq_cnt[0], st->disp_depth);
     st->dq_off[slot] = off;
     st->dq_len[slot] = length;
     st->dq_pay[slot] = payload;
@@ -670,7 +647,7 @@ static i64 rp_emit(SoaState *st, i64 ch, i64 *off, i64 *length, f64 *pay) {
         st->rp_cur_off[ch] = RING(st->rp_po, ch, D, h);
         st->rp_cur_rem[ch] = RING(st->rp_pl, ch, D, h);
         st->rp_cur_pay[ch] = RING(st->rp_ps, ch, D, h);
-        st->rp_head[ch] = (h + 1) % D;
+        st->rp_head[ch] = wrap(h + 1, D);
         st->rp_cnt[ch] -= 1;
     }
     i64 o = st->rp_cur_off[ch];
@@ -724,7 +701,7 @@ static void edge_mdp_tick(SoaState *st) {
                 continue;
             }
             f64 pay = RING(st->dq_pay, d, DD, h);
-            st->dq_head[d] = (h + 1) % DD;
+            st->dq_head[d] = wrap(h + 1, DD);
             st->dq_cnt[d] -= 1;
             issued++;
             edge_emit(st, off, length, pay, bank);
@@ -741,11 +718,11 @@ static void edge_mdp_tick(SoaState *st) {
                 i64 qi = last * w + d;
                 if (st->rn_len[qi] && st->dq_cnt[d] < DD) {
                     i64 h = st->rn_head[qi];
-                    i64 slot = (st->dq_head[d] + st->dq_cnt[d]) % DD;
+                    i64 slot = wrap(st->dq_head[d] + st->dq_cnt[d], DD);
                     RING(st->dq_off, d, DD, slot) = RING(st->rn_qo, qi, RD, h);
                     RING(st->dq_len, d, DD, slot) = RING(st->rn_ql, qi, RD, h);
                     RING(st->dq_pay, d, DD, slot) = RING(st->rn_qp, qi, RD, h);
-                    st->rn_head[qi] = (h + 1) % RD;
+                    st->rn_head[qi] = wrap(h + 1, RD);
                     st->rn_len[qi] -= 1;
                     st->dq_cnt[d] += 1;
                     popped++;
@@ -766,7 +743,7 @@ static void edge_mdp_tick(SoaState *st) {
             i64 num = st->chan_at_cnt[pos];
             i64 rr = st->rp_rr[pos];
             for (i64 k = 0; k < num; k++) {
-                i64 idx = (rr + k) % num;
+                i64 idx = wrap(rr + k, num);
                 i64 ch = st->chan_at[st->chan_at_start[pos] + idx];
                 i64 off, length;
                 f64 pay;
@@ -776,7 +753,7 @@ static void edge_mdp_tick(SoaState *st) {
                     : disp_accept0(st, off, length, pay);
                 if (accepted) {
                     rp_consume(st, ch, pos, length);
-                    st->rp_rr[pos] = (idx + 1) % num;
+                    st->rp_rr[pos] = wrap(idx + 1, num);
                 }
                 break;
             }
@@ -794,11 +771,11 @@ static void edge_mdp_tick(SoaState *st) {
                     st->rp_busy_total += 1;
                 }
                 i64 h = st->fo_head[ch];
-                i64 slot = (st->rp_head[ch] + st->rp_cnt[ch]) % RD2;
+                i64 slot = wrap(st->rp_head[ch] + st->rp_cnt[ch], RD2);
                 RING(st->rp_po, ch, RD2, slot) = RING(st->fo_off, ch, FD, h);
                 RING(st->rp_pl, ch, RD2, slot) = RING(st->fo_len, ch, FD, h);
                 RING(st->rp_ps, ch, RD2, slot) = RING(st->fo_s, ch, FD, h);
-                st->fo_head[ch] = (h + 1) % FD;
+                st->fo_head[ch] = wrap(h + 1, FD);
                 st->fo_cnt[ch] -= 1;
                 st->rp_cnt[ch] += 1;
                 pulled++;
@@ -835,10 +812,11 @@ static void edge_central_tick(SoaState *st) {
             i64 off = st->ce_off[st->ce_head];
             i64 length = st->ce_len[st->ce_head];
             i64 k = (length < m) ? length : m;
+            i64 b0 = off % m;       /* the window's banks: b0 + j mod m */
             if (any_claimed) {      /* first window can never conflict */
                 i64 conflict = 0;
                 for (i64 j = 0; j < k; j++) {
-                    if (st->s_epoch[(off + j) % m] == epoch) {
+                    if (st->s_epoch[wrap(b0 + j, m)] == epoch) {
                         conflict = 1;
                         break;
                     }
@@ -850,7 +828,7 @@ static void edge_central_tick(SoaState *st) {
             }
             i64 full = 0, jf = 0;
             for (i64 j = 0; j < k; j++) {
-                if (st->ep_cnt[(off + j) % m] >= st->epe_depth) {
+                if (st->ep_cnt[wrap(b0 + j, m)] >= st->epe_depth) {
                     full = 1;
                     jf = j;
                     break;
@@ -860,7 +838,7 @@ static void edge_central_tick(SoaState *st) {
                 if (!any_claimed) {     /* nothing issued: memoize */
                     st->ce_stall_off = off;
                     st->ce_stall_len = length;
-                    st->ce_stall_bank = (off + jf) % m;
+                    st->ce_stall_bank = wrap(b0 + jf, m);
                 }
                 break;
             }
@@ -868,21 +846,21 @@ static void edge_central_tick(SoaState *st) {
             switch (st->proc) {
             case PROC_IDENTITY:
                 for (i64 j = 0; j < k; j++) {
-                    i64 e = off + j, b = e % m;
+                    i64 e = off + j, b = wrap(b0 + j, m);
                     epe_push(st, b, st->dst[e], pay);
                     st->s_epoch[b] = epoch;
                 }
                 break;
             case PROC_ADD_W:
                 for (i64 j = 0; j < k; j++) {
-                    i64 e = off + j, b = e % m;
+                    i64 e = off + j, b = wrap(b0 + j, m);
                     epe_push(st, b, st->dst[e], pay + (f64)st->weights[e]);
                     st->s_epoch[b] = epoch;
                 }
                 break;
             case PROC_MIN_W:
                 for (i64 j = 0; j < k; j++) {
-                    i64 e = off + j, b = e % m;
+                    i64 e = off + j, b = wrap(b0 + j, m);
                     f64 wt = (f64)st->weights[e];
                     epe_push(st, b, st->dst[e], (pay < wt) ? pay : wt);
                     st->s_epoch[b] = epoch;
@@ -891,7 +869,7 @@ static void edge_central_tick(SoaState *st) {
             default: {
                 f64 pv = pay + st->proc_const;
                 for (i64 j = 0; j < k; j++) {
-                    i64 e = off + j, b = e % m;
+                    i64 e = off + j, b = wrap(b0 + j, m);
                     epe_push(st, b, st->dst[e], pv);
                     st->s_epoch[b] = epoch;
                 }
@@ -901,7 +879,7 @@ static void edge_central_tick(SoaState *st) {
             any_claimed = 1;
             st->epe_count += k;
             if (k == length) {
-                st->ce_head = (st->ce_head + 1) % cap;
+                st->ce_head = wrap(st->ce_head + 1, cap);
                 st->ce_cnt -= 1;
                 issued_requests++;
             } else {
@@ -919,11 +897,11 @@ static void edge_central_tick(SoaState *st) {
             if (st->ce_cnt >= cap) break;
             if (st->fo_cnt[ch]) {
                 i64 h = st->fo_head[ch];
-                i64 slot = (st->ce_head + st->ce_cnt) % cap;
+                i64 slot = wrap(st->ce_head + st->ce_cnt, cap);
                 st->ce_off[slot] = RING(st->fo_off, ch, FD, h);
                 st->ce_len[slot] = RING(st->fo_len, ch, FD, h);
                 st->ce_pay[slot] = RING(st->fo_s, ch, FD, h);
-                st->fo_head[ch] = (h + 1) % FD;
+                st->fo_head[ch] = wrap(h + 1, FD);
                 st->fo_cnt[ch] -= 1;
                 st->ce_cnt += 1;
                 pulled++;
@@ -942,19 +920,32 @@ static void pn_advance_checked(SoaState *st) {
     i64 combining = st->combining, op = st->reduce_op;
     PropRec *q = st->pn_q;
     i64 *head = st->pn_head, *len = st->pn_len;
+    i64 *src = st->s_src, *tgt = st->s_tgt;
     i64 combined_total = 0, stalled_total = 0;
     for (i64 s = st->pn_stages - 1; s >= 1; s--) {
-        i64 total = st->pn_counts[s - 1];
-        if (!total) continue;
+        if (!st->pn_counts[s - 1]) continue;
         const i64 *tbl = st->pn_table + s * m * m;
-        i64 moved = 0, seen = 0, combined = 0;
+        /* route: each non-empty source queue and its head's target
+         * queue, in ascending source order, without a branch.  An empty
+         * queue's head slot is stale but holds a bank in [0, m) (the
+         * rings start zeroed), so its table read stays in bounds; the
+         * next entry overwrites it. */
+        i64 k = 0;
         for (i64 p = 0; p < m; p++) {
             i64 qi = (s - 1) * m + p;
-            if (!len[qi]) continue;
-            seen++;
+            src[k] = qi;
+            tgt[k] = s * m + tbl[p * m + RING(q, qi, D, head[qi]).bank];
+            k += len[qi] != 0;
+        }
+        /* move: sources sit in stage s - 1 and targets in stage s, so
+         * no move changes a later entry's route; in ascending source
+         * order, combining, the block line and stalls see the scan's
+         * sequence */
+        i64 moved = 0, combined = 0;
+        for (i64 j = 0; j < k; j++) {
+            i64 qi = src[j], ti = tgt[j];
             i64 h = head[qi];
             const PropRec *r = &RING(q, qi, D, h);
-            i64 ti = s * m + tbl[p * m + r->bank];
             i64 tlen = len[ti];
             if (tlen) {
                 PropRec *tail = &RING(q, ti, D, wrap(head[ti] + tlen - 1, D));
@@ -964,12 +955,10 @@ static void pn_advance_checked(SoaState *st) {
                     head[qi] = wrap(h + 1, D);
                     len[qi] -= 1;
                     combined++;
-                    if (seen == total) break;
                     continue;
                 }
                 if (tlen > bl) {
                     stalled_total++;
-                    if (seen == total) break;
                     continue;
                 }
             }
@@ -978,7 +967,6 @@ static void pn_advance_checked(SoaState *st) {
             head[qi] = wrap(h + 1, D);
             len[qi] -= 1;
             moved++;
-            if (seen == total) break;
         }
         st->pn_counts[s - 1] -= (combined + moved);
         st->pn_counts[s] += moved;

@@ -7,7 +7,8 @@ structure-of-arrays state straight from the
 a preallocated numpy array with head/occupancy vectors (int64/float64
 per record field, or whole records for the propagation FIFOs), MDP
 routing is the flattened ``table[stage][pos][dest]`` tensor, and the
-range network's module ports are a ``[stage][pos][digit]`` tensor.
+range network routes a piece by its start bank through two tables
+(banks left in the block, target queue; :func:`_range_tables`).
 The compiled kernel (``_soa_march.c``, whose header carries the
 equivalence argument against the reference component models) marches
 one whole phase per call.  The struct the kernel marches over is the
@@ -95,6 +96,28 @@ def _mdp_table(plan) -> np.ndarray:
         np.asarray(ports)[:, (dest // plan.radix ** stage.digit_index)
                           % plan.radix]
         for stage, ports in zip(plan.stages, plan.stage_ports())])
+
+
+def _range_tables(plan, banks: int,
+                  group: int) -> tuple[np.ndarray, np.ndarray]:
+    """The range network's routing, per start bank.
+
+    ``room[stage][bank]``: banks left in ``bank``'s block at that stage
+    (a block is ``group * radix**digit_index`` banks), so a piece
+    starting there is cut after that many.  ``port[stage][pos][bank]``:
+    the queue (``stage * channels + output``) a piece starting at
+    ``bank`` leaves input ``pos`` for, the module port its block
+    index's routing digit selects.
+    """
+    bank = np.arange(banks)
+    ports = np.asarray(plan.stage_ports())      # [stage][pos][digit]
+    room, port = [], []
+    for s, stage in enumerate(plan.stages):
+        block = group * plan.radix ** stage.digit_index
+        room.append(block - bank % block)
+        digit = (bank // block) % plan.radix
+        port.append(s * plan.channels + ports[s][:, digit])
+    return np.stack(room), np.stack(port)
 
 
 class SoaEngine:
@@ -201,17 +224,14 @@ class SoaEngine:
                 plan = generate_network(w, net_radix)
                 sr = plan.num_stages
                 st.rn_stages = sr
-                st.rn_radix = net_radix
                 st.rn_block_len = fifo - net_radix
                 # a split insert may push several pieces into ONE queue
                 # in a single offer (a span covers up to w blocks),
                 # briefly exceeding fifo_depth, so the rings get headroom
                 st.rn_ring = fifo + w + 2
                 ring = sr * w * st.rn_ring
-                bind(rn_block=[config.dispatcher_group
-                               * net_radix ** stage.digit_index
-                               for stage in plan.stages],
-                     rn_ptbl=plan.stage_ports(), rn_qo=ring, rn_ql=ring,
+                room, port = _range_tables(plan, m, config.dispatcher_group)
+                bind(rn_room=room, rn_port=port, rn_qo=ring, rn_ql=ring,
                      rn_qp=ring, rn_head=sr * w, rn_len=sr * w,
                      rn_counts=sr)
             else:
@@ -243,7 +263,8 @@ class SoaEngine:
             bind(px_q=m * fifo, px_head=m, px_len=m, px_rr=m)
 
         mx = max(n, m, int(st.w))
-        bind(s_epoch=mx, s_val=mx, s_epoch2=mx, s_val2=mx)
+        bind(s_epoch=mx, s_val=mx, s_epoch2=mx, s_val2=mx, s_src=mx,
+             s_tgt=mx)
         self._tprop_buf, self._touch_dv = bind(
             tprop=max(self.num_vertices, 1), touch_dv=0)
 

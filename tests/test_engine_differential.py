@@ -261,15 +261,35 @@ class TestSiteAblations:
                         dispatcher_group=3),
         lambda: graphdyns(back_channels=6, dispatcher_group=3),
         lambda: graphdyns(back_channels=12),
+        lambda: ablation(opt_e=True, back_channels=24, dispatcher_group=3,
+                         fifo_depth=6),
+        lambda: higraph(front_channels=64, back_channels=512, radix=8,
+                        dispatcher_group=8),
     ], ids=["radix4-16", "radix3-9-fifo5", "radix3-27", "graphdyns-6",
-            "graphdyns-12"])
+            "graphdyns-12", "opt-e-blocks3", "wide-512"])
     def test_odd_geometry(self, graph, make):
         """Radix 4 and radix 3 MDP networks with uneven dispatcher
         grouping and shallow queues, and crossbars whose bank count is
         no power of two: the geometries where a cached bank or a
-        divide-free ring wrap would first go wrong."""
+        divide-free ring wrap would first go wrong.  ``opt-e-blocks3``
+        puts 8 dispatchers of 3 banks behind a radix-2 range network
+        whose block widths (3, 6, 12) are no power of its radix, with a
+        block line of 4, so its routing tables and its stalls and
+        rejects all matter; ``wide-512`` has more banks than any fixed
+        256-entry scratch array, fewer front channels than banks, and a
+        64-dispatcher radix-8 range network."""
         assert_engines_agree(make(), graph, "SSSP")
         assert_pr_agrees(make(), graph, iterations=3)
+
+    def test_route_scratch_past_256(self):
+        """A stage pass routes every non-empty source queue through the
+        kernel's scratch arrays; here up to 280 of a 512-bank stage's
+        queues hold a record at once, so a scratch of any fixed size up
+        to 256 entries would overrun."""
+        graph = rmat(9, 6.0, seed=5, name="rmat9")
+        assert_pr_agrees(higraph(front_channels=64, back_channels=512,
+                                 radix=8, dispatcher_group=8),
+                         graph, iterations=3)
 
     def test_single_dispatcher(self, graph):
         """num_dispatchers == 1: the range network degenerates away."""

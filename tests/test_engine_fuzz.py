@@ -104,7 +104,8 @@ def _random_config(rng):
     groups = [g for g in (1, 2, 3, 4, 8) if channels % g == 0]
     overrides["dispatcher_group"] = int(groups[int(rng.integers(0, len(groups)))])
     makers = (higraph, higraph_mini, graphdyns,
-              lambda **kw: ablation(opt_o=True, opt_d=True, **kw))
+              lambda **kw: ablation(opt_o=True, opt_d=True, **kw),
+              lambda **kw: ablation(opt_e=True, **kw))
     maker = makers[int(rng.integers(0, len(makers)))]
     return maker(**overrides)
 
