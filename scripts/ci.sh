@@ -9,7 +9,8 @@
 #                    (-Wall -Wextra -Wpedantic -Werror at -O2)
 #   ci.sh lint-sarif emit the lint report as SARIF for CI annotation
 #                    (artifact consumed by the upload-sarif workflow job)
-#   ci.sh tests      tier-1 pytest (includes the engine differential suite)
+#   ci.sh tests      tier-1 pytest (includes the engine differential suite),
+#                    then benchmarks/results must match the commit
 #   ci.sh coverage   engine- and analysis-package line coverage with
 #                    committed floors (stdlib tracer — no pytest-cov)
 #   ci.sh fuzz       seeded differential fuzz smoke (all engines,
@@ -18,7 +19,9 @@
 #   ci.sh sweep      cold+warm smoke sweep (executor + result cache)
 #   ci.sh report     cold/warm report regeneration (zero sims, same bytes)
 #   ci.sh serve      warm-cache daemon smoke (sweep over the socket,
-#                    zero sims on resubmission, clean remote shutdown)
+#                    zero sims on resubmission, a resubmission after
+#                    another process's `cache gc` simulates again,
+#                    clean remote shutdown)
 #   ci.sh differential
 #                    every engine's SimStats equal reference's on the
 #                    full fig8 (72 jobs), PageRank x10 (18 jobs),
@@ -34,12 +37,23 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-# every stage's mktemp dir is registered here and removed on ANY exit,
-# including a failed assertion under `set -e`
+# every stage's mktemp dir and background process is registered here
+# and cleaned up on ANY exit, including a failed assertion under `set -e`
 CI_TMP_DIRS=()
+CI_PIDS=()
 # (plain `(( ))` here would make the trap itself exit 1 when the array
 # is empty, failing green runs of stages that never made a temp dir)
-cleanup() { if ((${#CI_TMP_DIRS[@]})); then rm -rf "${CI_TMP_DIRS[@]}"; fi; }
+cleanup() {
+    local pid
+    if ((${#CI_PIDS[@]})); then
+        for pid in "${CI_PIDS[@]}"; do
+            # the daemon's pool workers outlive a killed parent
+            pkill -P "$pid" 2> /dev/null || true
+            kill "$pid" 2> /dev/null || true
+        done
+    fi
+    if ((${#CI_TMP_DIRS[@]})); then rm -rf "${CI_TMP_DIRS[@]}"; fi
+}
 trap cleanup EXIT
 ci_mktemp_d() { local d; d="$(mktemp -d)"; CI_TMP_DIRS+=("$d"); echo "$d"; }
 
@@ -74,6 +88,15 @@ EOF
 stage_tests() {
     echo "== tier-1 tests (includes tests/test_engine_differential.py) =="
     python -m pytest -x -q
+    # the benchmark suite rewrites the tracked tables and REPORT.md;
+    # they depend on the results alone, so a run must leave them as
+    # committed
+    if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+        echo "== tier-1 left benchmarks/results as committed =="
+        git diff --exit-code -- benchmarks/results
+    else
+        echo "== not a git checkout: benchmarks/results diff skipped =="
+    fi
 }
 
 stage_coverage() {
@@ -139,6 +162,7 @@ stage_serve() {
     python -m repro serve --socket "$sock" --cache-dir "$serve_dir/cache" \
         --jobs 2 > /tmp/ci-serve-daemon.txt 2>&1 &
     daemon_pid=$!
+    CI_PIDS+=("$daemon_pid")        # a failed check must not leak it
     for _ in $(seq 1 100); do
         [ -S "$sock" ] && break
         if ! kill -0 "$daemon_pid" 2>/dev/null; then
@@ -164,6 +188,14 @@ stage_serve() {
     # identical tables regardless of which side of the socket simulated
     diff <(sed '/^jobs:/d' /tmp/ci-serve-cold.txt) \
          <(sed '/^jobs:/d' /tmp/ci-serve-warm.txt)
+
+    echo "-- entries deleted by another process: simulated again --"
+    python -m repro cache gc --cache-dir "$serve_dir/cache" --max-bytes 0
+    python -m repro sweep --datasets VT --scale 0.03 --algorithms BFS,PR \
+        --connect "$sock" | tee /tmp/ci-serve-regc.txt
+    grep -q "cache hits: 0" /tmp/ci-serve-regc.txt
+    diff <(sed '/^jobs:/d' /tmp/ci-serve-cold.txt) \
+         <(sed '/^jobs:/d' /tmp/ci-serve-regc.txt)
 
     echo "-- graceful remote shutdown --"
     python - "$sock" <<'EOF'
@@ -216,7 +248,7 @@ EOF
 }
 
 usage() {
-    sed -n '2,25p' "$0"
+    sed -n '2,31p' "$0"
     exit 2
 }
 

@@ -168,9 +168,19 @@ class AcceleratorConfig:
         rename must not resurface stats under the old label.  The hash is
         stable across processes and Python versions (canonical JSON, not
         ``hash()``, which is salted per interpreter run).
+
+        Computed once per instance and kept in its ``__dict__`` (outside
+        the fields, so equality, ``hash()`` and ``replace`` ignore it).
+        Never memoize by value: ``higraph(vertex_combining=1)`` equals
+        ``higraph()`` and has the same ``hash()``, yet its JSON differs.
         """
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        digest = self.__dict__.get("_config_hash")
+        if digest is None:
+            payload = json.dumps(self.to_dict(), sort_keys=True,
+                                 separators=(",", ":"))
+            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            self.__dict__["_config_hash"] = digest
+        return digest
 
 
 def _is_power(value: int, base: int) -> bool:

@@ -3,10 +3,12 @@
 The kernel is what makes ``soa`` — the default engine — fast.  It
 ships as C source next to this module and is compiled on first use
 with the system C compiler — no build step, no new runtime
-dependency.  The shared object is cached under a content hash of the
-source, so editing the kernel transparently rebuilds and stale caches
-can never be loaded; the cache write is an atomic rename so concurrent
-sweep workers race benignly.
+dependency.  The shared object is cached under a hash of the build:
+the source, :data:`BUILD_FLAGS` and the first line of the compiler's
+``--version``.  Editing the kernel, its flags or the compiler therefore
+rebuilds transparently and a stale build can never be loaded; the
+cache write is an atomic rename so concurrent sweep workers race
+benignly.
 
 The kernel describes its own seam.  ``soa_layout()`` exports one row
 per ``SoaState`` field (name, offset, kind) plus the named constants
@@ -47,6 +49,11 @@ KERNEL_ENV_VAR = "REPRO_SOA_KERNEL"
 
 #: Environment override for the compiled-kernel cache directory.
 CACHE_ENV_VAR = "REPRO_SOA_CACHE"
+
+#: Compiler flags of every kernel build, hashed into the ``.so`` name.
+#: -O2, no -ffast-math: bit-exact IEEE float semantics are the whole
+#: differential contract.
+BUILD_FLAGS = ("-O2", "-shared", "-fPIC")
 
 _SOURCE = Path(__file__).with_name("_soa_march.c")
 
@@ -113,23 +120,38 @@ def _find_compiler() -> str | None:
     return None
 
 
+def _compiler_identity(cc: str) -> str:
+    """First line of ``cc --version`` ("" when it prints none)."""
+    try:
+        proc = subprocess.run([cc, "--version"], capture_output=True,
+                              text=True, timeout=60)
+    except (OSError, subprocess.SubprocessError):
+        return ""
+    lines = proc.stdout.splitlines()
+    return lines[0].strip() if lines else ""
+
+
+def _so_path(source: str, cc: str) -> Path:
+    """Cache path of the build of ``source`` by ``cc`` with
+    :data:`BUILD_FLAGS`: any of the three changes the name."""
+    h = hashlib.sha256(source.encode())
+    for part in (_compiler_identity(cc), *BUILD_FLAGS):
+        h.update(b"\0" + part.encode())
+    return _cache_dir() / f"soa_march-{h.hexdigest()[:16]}.so"
+
+
 def _expected_abi(source: str) -> int | None:
     m = re.search(r"#define\s+SOA_ABI_VERSION\s+(\d+)", source)
     return int(m.group(1)) if m else None
 
 
-def _build(source_path: Path, out_path: Path) -> bool:
-    cc = _find_compiler()
-    if cc is None:
-        return False
+def _build(cc: str, source_path: Path, out_path: Path) -> bool:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(out_path.parent), suffix=".so")
     os.close(fd)
     try:
-        # -O2, no -ffast-math: bit-exact IEEE float semantics are the
-        # whole differential contract
         proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(source_path)],
+            [cc, *BUILD_FLAGS, "-o", tmp, str(source_path)],
             capture_output=True, timeout=120)
         if proc.returncode != 0:
             return False
@@ -191,7 +213,7 @@ def _bind_layout(lib: ctypes.CDLL) -> tuple[
 
 
 def load_kernel() -> Kernel | None:
-    """Compile (once, content-hashed) and load the march kernel.
+    """Compile (once per build key) and load the march kernel.
 
     Returns the :class:`Kernel` with ``soa_march`` ready to call and its
     ctypes struct bound from the kernel's own layout table, or ``None``
@@ -215,11 +237,11 @@ def _load() -> Kernel | None:
     except OSError:
         return None
     expected_abi = _expected_abi(source)
-    if expected_abi is None:
+    cc = _find_compiler()
+    if expected_abi is None or cc is None:
         return None
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
-    so_path = _cache_dir() / f"soa_march-{digest}.so"
-    if not so_path.exists() and not _build(_SOURCE, so_path):
+    so_path = _so_path(source, cc)
+    if not so_path.exists() and not _build(cc, _SOURCE, so_path):
         return None
     try:
         lib = ctypes.CDLL(str(so_path))

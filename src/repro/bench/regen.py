@@ -29,6 +29,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from datetime import date
 from typing import Callable
 
 from repro.bench.figures import (
@@ -371,6 +372,7 @@ class RegenReport:
     def provenance(self) -> dict:
         """Run accounting for the JSON sidecar (volatile across runs)."""
         return {
+            "date": date.today().isoformat(),
             "results_dir": self.results_dir,
             "report": self.report_path,
             "cache_dir": self.cache_dir,

@@ -10,12 +10,16 @@ When a result cache directory is supplied, each section is checked for
 **staleness**: a ``.txt`` older than the newest cache entry predates
 the most recent simulation results, so the report says to regenerate it
 with ``repro report`` instead of silently presenting old numbers.
+
+The report depends on the tables alone: no date and no path, so
+regenerating it on another day or from another checkout leaves the
+same bytes (the JSON sidecar of :func:`repro.bench.regen.regenerate`
+records both).
 """
 
 from __future__ import annotations
 
 import os
-from datetime import date
 from pathlib import Path
 
 #: Section order and titles for the consolidated report.
@@ -78,8 +82,7 @@ def newest_cache_mtime(cache_dir: str | os.PathLike | None) -> float | None:
     if cache_dir is None or not Path(cache_dir).is_dir():
         return None                  # also: don't mkdir a cache as a side effect
     from repro.sweep.cache import ResultCache
-    entries = ResultCache(cache_dir).entries()
-    return entries[-1].mtime if entries else None
+    return ResultCache(cache_dir).newest_mtime()
 
 
 def section_status(results_dir: str,
@@ -126,9 +129,7 @@ def build_report(results_dir: str, title: str = "HiGraph reproduction — "
     tables = collect_results(results_dir)
     chart_texts = collect_charts(results_dir) if charts else {}
     status = section_status(results_dir, cache_dir)
-    lines = [f"# {title}", "",
-             f"Generated {date.today().isoformat()} from `{results_dir}`.",
-             ""]
+    lines = [f"# {title}", ""]
     missing = []
     for key, section_title in REPORT_SECTIONS:
         if key in tables:
@@ -152,7 +153,7 @@ def build_report(results_dir: str, title: str = "HiGraph reproduction — "
     if missing:
         lines.append("## Missing sections")
         lines.append("")
-        lines.append(f"Not found under `{results_dir}` — {REGEN_HINT} "
+        lines.append(f"Not found in the results directory — {REGEN_HINT} "
                      "(or run the benchmark suite) to produce:")
         for m in missing:
             lines.append(f"* {m}")

@@ -224,6 +224,9 @@ class ServeDaemon:
             if changed:
                 await asyncio.to_thread(self.pool.recycle)
                 self.scheduler.version = self.version
+                if self.cache is not None:
+                    # resident entries are keyed under the old version
+                    self.cache.drop_resident()
             await self._send(writer, protocol.Reloaded(
                 code_version=self.version, generation=code_generation(),
                 changed=changed))

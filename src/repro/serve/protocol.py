@@ -52,6 +52,7 @@ def message(type_name: str):
     def register(cls):
         cls = dataclass(frozen=True)(cls)
         cls.TYPE = type_name
+        cls.FIELDS = tuple(f.name for f in dataclasses.fields(cls))
         if type_name in _MESSAGE_TYPES:
             raise ProtocolError(f"duplicate message type {type_name!r}")
         _MESSAGE_TYPES[type_name] = cls
@@ -271,12 +272,17 @@ class Error:
 # ----------------------------------------------------------------------
 
 def encode(msg) -> bytes:
-    """One wire line (JSON + ``\\n``) for a registered message."""
+    """One wire line (JSON + ``\\n``) for a registered message.
+
+    Fields go out as they are, without ``dataclasses.asdict``'s deep
+    copy: every message already holds JSON-ready values.
+    """
     type_name = getattr(type(msg), "TYPE", None)
     if type_name not in _MESSAGE_TYPES:
         raise ProtocolError(f"not a wire message: {msg!r}")
-    payload = {"v": PROTOCOL_VERSION, "type": type_name,
-               **dataclasses.asdict(msg)}
+    payload = {"v": PROTOCOL_VERSION, "type": type_name}
+    for name in msg.FIELDS:
+        payload[name] = getattr(msg, name)
     return (json.dumps(payload, sort_keys=True, separators=(",", ":"))
             + "\n").encode("utf-8")
 

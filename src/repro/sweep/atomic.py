@@ -27,6 +27,26 @@ from pathlib import Path
 __all__ = ["atomic_write_text", "atomic_write_json", "exclusive_create"]
 
 
+def _create_in_parent(path: Path, create):
+    """``create()`` once ``path``'s directory exists.  A concurrent
+    :meth:`~repro.sweep.cache.ResultCache.gc` prunes empty shard
+    directories, so one can vanish between the mkdir and the create,
+    or inside the mkdir (after its ``EEXIST``, before its ``is_dir()``
+    check): make it again and retry."""
+    for attempt in range(3):
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:
+            if attempt == 2:
+                raise
+            continue
+        try:
+            return create()
+        except FileNotFoundError:
+            if attempt == 2:
+                raise
+
+
 def exclusive_create(path: str | os.PathLike, text: str, *,
                      encoding: str = "utf-8") -> bool:
     """Create ``path`` with ``text`` iff it does not exist yet.
@@ -38,9 +58,9 @@ def exclusive_create(path: str | os.PathLike, text: str, *,
     False when the file already exists; any other OS failure raises.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+        fd = _create_in_parent(path, lambda: os.open(
+            path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644))
     except FileExistsError:
         return False
     with os.fdopen(fd, "w", encoding=encoding) as fh:
@@ -58,9 +78,8 @@ def atomic_write_text(path: str | os.PathLike, text: str, *,
     temporary file is removed and the destination is untouched.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent,
-                               prefix=f".{path.name}.", suffix=".tmp")
+    fd, tmp = _create_in_parent(path, lambda: tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"))
     try:
         with os.fdopen(fd, "w", encoding=encoding) as fh:
             fh.write(text)

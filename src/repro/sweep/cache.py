@@ -18,10 +18,18 @@ Writes are atomic (temp file + ``os.replace``) so parallel executors and
 concurrent sweep invocations can share one cache directory safely:
 the worst case under a write/write race is one redundant simulation,
 never a torn entry.
+
+Reads are resident: a :class:`ResultCache` keeps every entry it has
+decoded, keyed by cache key and tagged with the file's stat signature
+``(st_ino, st_size, st_mtime_ns)``.  A later :meth:`ResultCache.get`
+costs one ``os.stat``; an entry rewritten behind the cache (an atomic
+replace always brings a new inode) is read again, and one deleted
+behind it (another process's ``cache gc``) is a miss.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -151,6 +159,23 @@ class GcStats:
     bytes_kept: int
 
 
+def _signature(st: os.stat_result) -> tuple[int, int, int]:
+    """What identifies one written version of an entry file.
+
+    The one collision left, a deleted entry's inode reused by a rewrite
+    of the same size within one timestamp tick, returns equal stats:
+    a key names one deterministic job, so every version holds them.
+    """
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _fresh(stats: SimStats) -> SimStats:
+    """A copy the caller may mutate without touching the resident one
+    (built from the fields directly: a quarter of ``replace``'s cost)."""
+    extra = copy.deepcopy(stats.extra) if stats.extra else {}
+    return SimStats(**{**vars(stats), "extra": extra})
+
+
 class ResultCache:
     """On-disk SimStats store addressed by job cache key."""
 
@@ -159,31 +184,61 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        #: key -> (path, stat signature, SimStats) of each entry this
+        #: instance decoded; gc(), clear() and drop_resident() forget them
+        self._resident: dict[
+            str, tuple[str, tuple[int, int, int], SimStats]] = {}
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> SimStats | None:
-        """Look up one entry; any unreadable/stale-schema entry is a miss."""
+        """Look up one entry; any unreadable/stale-schema entry is a miss.
+
+        A resident entry whose file still has the signature it was read
+        with is answered without opening the file.  Every call returns
+        a fresh :class:`SimStats` with its own ``extra`` dict.
+        """
+        resident = self._resident.get(key)
+        if resident is not None:
+            where, signature, stats = resident
+            try:
+                current = _signature(os.stat(where))
+            except OSError:
+                current = None           # gone: the open below misses
+            if current == signature:
+                self.hits += 1
+                return _fresh(stats)
         path = self._path(key)
         try:
             with open(path, encoding="utf-8") as fh:
+                # the signature of the file actually read, not of a
+                # replacement that lands between a stat and the open
+                signature = _signature(os.fstat(fh.fileno()))
                 payload = json.load(fh)
             stats = SimStats.from_dict(payload["stats"])
         except FileNotFoundError:
+            self._resident.pop(key, None)
             self.misses += 1
             return None
         except (OSError, ValueError, KeyError, TypeError):
             # corrupt or schema-incompatible entry: drop and recompute
+            self._resident.pop(key, None)
             try:
                 path.unlink()
             except OSError:
                 pass
             self.misses += 1
             return None
+        self._resident[key] = (str(path), signature, stats)
         self.hits += 1
-        return stats
+        return _fresh(stats)
+
+    def drop_resident(self) -> None:
+        """Forget every decoded entry; the files stay.  For a code
+        version change, after which no live key names these entries."""
+        self._resident.clear()
 
     def put(self, key: str, stats: SimStats, provenance: dict | None = None) -> None:
         payload = {
@@ -259,22 +314,53 @@ class ResultCache:
             return None
 
     # ------------------------------------------------------------------
+    def _entry_files(self):
+        """``os.DirEntry`` of every ``<key[:2]>/<key>.json`` entry file,
+        in one ``os.scandir`` pass over the shards."""
+        try:
+            with os.scandir(self.root) as names:
+                shards = [shard.path for shard in names if shard.is_dir()]
+        except OSError:
+            return
+        for shard in shards:
+            try:
+                with os.scandir(shard) as names:
+                    files = [entry for entry in names
+                             if entry.name.endswith(".json")]
+            except OSError:
+                continue                 # shard pruned mid-scan
+            yield from files
+
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return sum(1 for _ in self._entry_files())
 
     def entries(self) -> list[CacheEntry]:
         """Every readable entry, oldest first (entries that vanish
         mid-scan — a concurrent GC — are skipped, not errors)."""
         found = []
-        for path in self.root.glob("*/*.json"):
+        for entry in self._entry_files():
             try:
-                st = path.stat()
+                st = entry.stat()
             except OSError:
                 continue
-            found.append(CacheEntry(key=path.stem, path=path,
+            found.append(CacheEntry(key=entry.name[:-len(".json")],
+                                    path=Path(entry.path),
                                     size_bytes=st.st_size, mtime=st.st_mtime))
         found.sort(key=lambda e: (e.mtime, e.key))
         return found
+
+    def newest_mtime(self) -> float | None:
+        """Modification time of the youngest entry, None when there is
+        none; keeps only the maximum, builds no :class:`CacheEntry`."""
+        newest = None
+        for entry in self._entry_files():
+            try:
+                mtime = entry.stat().st_mtime
+            except OSError:
+                continue
+            if newest is None or mtime > newest:
+                newest = mtime
+        return newest
 
     def total_bytes(self) -> int:
         return sum(e.size_bytes for e in self.entries())
@@ -336,6 +422,7 @@ class ResultCache:
         freed = 0
         for entry in doomed:
             if not dry_run:
+                self._resident.pop(entry.key, None)
                 try:
                     entry.path.unlink()
                 except OSError:
@@ -358,10 +445,11 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
+        self._resident.clear()
         removed = 0
-        for path in self.root.glob("*/*.json"):
+        for entry in self._entry_files():
             try:
-                path.unlink()
+                os.unlink(entry.path)
                 removed += 1
             except OSError:
                 pass

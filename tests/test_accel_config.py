@@ -255,6 +255,25 @@ class TestHashingEquality:
         cfg = graphdyns(fifo_depth=42)
         assert AcceleratorConfig(**cfg.to_dict()) == cfg
 
+    def test_hash_is_kept_per_instance_not_per_value(self):
+        """``vertex_combining=1`` equals ``True`` (and hashes alike), but
+        serializes differently: a value-keyed memo would hand the second
+        config the first one's cache key."""
+        first = higraph().config_hash()
+        alias = higraph(vertex_combining=1)
+        assert alias == higraph() and hash(alias) == hash(higraph())
+        assert alias.config_hash() != first
+        assert higraph().config_hash() == first
+
+    def test_pickled_config_hashes_equal(self):
+        import pickle
+        cfg = graphdyns(fifo_depth=42)
+        unhashed = pickle.loads(pickle.dumps(cfg))
+        digest = cfg.config_hash()
+        hashed = pickle.loads(pickle.dumps(cfg))
+        assert unhashed == hashed == cfg
+        assert unhashed.config_hash() == hashed.config_hash() == digest
+
 
 class TestFig7Layout:
     def test_arrays_match_paper_megabytes(self):

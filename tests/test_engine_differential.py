@@ -846,6 +846,53 @@ class TestKernelLoadFallback:
         self._assert_reference_fallback()
 
 
+class TestKernelBuildKey:
+    """The cached ``.so`` is named after the whole build (source, flags,
+    compiler), so a warm cache never loads a build made another way."""
+
+    def test_flags_change_the_so_name(self, monkeypatch):
+        source = soakernel._SOURCE.read_text()
+        monkeypatch.setattr(soakernel, "_compiler_identity",
+                            lambda cc: "cc (GCC) 12.2.0")
+        before = soakernel._so_path(source, "cc")
+        monkeypatch.setattr(soakernel, "BUILD_FLAGS",
+                            (*soakernel.BUILD_FLAGS, "-g"))
+        assert soakernel._so_path(source, "cc") != before
+
+    def test_compiler_identity_changes_the_so_name(self, monkeypatch):
+        source = soakernel._SOURCE.read_text()
+        monkeypatch.setattr(soakernel, "_compiler_identity",
+                            lambda cc: "cc (GCC) 12.2.0")
+        before = soakernel._so_path(source, "cc")
+        monkeypatch.setattr(soakernel, "_compiler_identity",
+                            lambda cc: "cc (GCC) 13.1.0")
+        assert soakernel._so_path(source, "cc") != before
+
+    def test_build_passes_the_hashed_flags(self, monkeypatch, tmp_path):
+        seen = []
+
+        def run(argv, **kwargs):
+            seen.append(argv)
+            raise OSError("not compiling in this test")
+
+        monkeypatch.setattr(soakernel.subprocess, "run", run)
+        assert not soakernel._build("cc", soakernel._SOURCE,
+                                    tmp_path / "k.so")
+        assert seen[0][0] == "cc"
+        assert seen[0][1:1 + len(soakernel.BUILD_FLAGS)] == list(
+            soakernel.BUILD_FLAGS)
+
+    def test_warm_cache_loads_without_a_recompile(self, monkeypatch):
+        _kernel_or_skip()                # built (or found) in the cache
+        monkeypatch.setattr(soakernel, "_LIB", False)
+
+        def build(*args):
+            raise AssertionError("a cached kernel was compiled again")
+
+        monkeypatch.setattr(soakernel, "_build", build)
+        assert soakernel.load_kernel() is not None
+
+
 class TestSelfDescribingLayout:
     """The kernel exports its own struct layout and named constants;
     the Python side builds its ctypes struct from them and looks every

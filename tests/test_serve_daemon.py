@@ -212,8 +212,12 @@ class TestCacheAndReload:
                                                   monkeypatch):
         from repro.sweep import cache as cache_mod
         sock = os.path.join(sock_dir, "d.sock")
-        with serve_in_thread(sock) as daemon:
+        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")) \
+                as daemon:
             client = ServeClient(sock)
+            client.run_sweep(_jobs())
+            assert client.run_sweep(_jobs()).cache_hits == 2
+            assert len(daemon.cache._resident) == 2
             before = client.ping().generation
             monkeypatch.setattr(cache_mod, "_digest_source_tree",
                                 lambda: "f" * 64)
@@ -222,8 +226,27 @@ class TestCacheAndReload:
             assert reloaded.code_version == "f" * 64
             assert reloaded.generation == before + 1
             assert daemon.scheduler.version == "f" * 64
+            # resident entries are keyed under the old version
+            assert daemon.cache._resident == {}
             monkeypatch.undo()
             client.reload()          # restore the real digest for peers
+
+    def test_entry_deleted_behind_the_daemon_is_simulated_again(
+            self, sock_dir):
+        from pathlib import Path
+        sock = os.path.join(sock_dir, "d.sock")
+        cache_dir = os.path.join(sock_dir, "c")
+        with serve_in_thread(sock, cache_dir=cache_dir):
+            client = ServeClient(sock)
+            assert client.run_sweep(_jobs("BFS")).executed == 1
+            warm = client.run_sweep(_jobs("BFS"))      # read, now resident
+            assert (warm.executed, warm.cache_hits) == (0, 1)
+            entries = list(Path(cache_dir).glob("*/*.json"))
+            assert len(entries) == 1
+            entries[0].unlink()                        # not via the daemon
+            again = client.run_sweep(_jobs("BFS"))
+            assert (again.executed, again.cache_hits) == (1, 0)
+            assert again.stats == warm.stats
 
 
 class TestSessionFacade:

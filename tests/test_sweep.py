@@ -180,6 +180,158 @@ class TestResultCache:
         assert cache.clear() == 1
         assert len(cache) == 0
 
+    # -- resident entries ------------------------------------------------
+    @staticmethod
+    def _versioned(i):
+        stats = _stats()
+        stats.iterations = i
+        stats.extra = {"version": [i]}
+        return stats
+
+    def test_warm_get_opens_no_file(self, tmp_path, monkeypatch):
+        import builtins
+        import io
+        cache = ResultCache(tmp_path)
+        key = "ef" + "0" * 62
+        stats = self._versioned(3)
+        cache.put(key, stats)
+        assert cache.get(key).to_dict() == stats.to_dict()   # reads the file
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for owner, name in ((builtins, "open"), (io, "open"),
+                            (json, "load"), (json, "loads")):
+            monkeypatch.setattr(owner, name,
+                                counting(name, getattr(owner, name)))
+        warm = cache.get(key)
+        monkeypatch.undo()
+        assert calls == []
+        assert warm.to_dict() == stats.to_dict()
+        assert (cache.hits, cache.misses) == (2, 0)
+
+    def test_entry_replaced_behind_the_cache_is_read_again(self, tmp_path):
+        from repro.sweep.atomic import atomic_write_json
+        cache = ResultCache(tmp_path)
+        key = "ef" + "1" * 62
+        cache.put(key, self._versioned(1))
+        assert cache.get(key).iterations == 1
+        # same size on disk: only the stat signature tells them apart
+        second = self._versioned(2)
+        atomic_write_json(cache._path(key), {"key": key, "provenance": {},
+                                             "stats": second.to_dict()},
+                          indent=1, trailing_newline=False)
+        assert cache.get(key).to_dict() == second.to_dict()
+
+    def test_entry_unlinked_behind_the_cache_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ef" + "2" * 62
+        cache.put(key, self._versioned(1))
+        assert cache.get(key) is not None
+        cache._path(key).unlink()
+        assert cache.get(key) is None
+        assert key not in cache._resident
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_returned_stats_are_the_callers_own(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ef" + "3" * 62
+        stats = self._versioned(4)
+        cache.put(key, stats)
+        for _ in range(2):               # a cold read, then a warm one
+            got = cache.get(key)
+            got.iterations += 99
+            got.extra["version"].append(99)
+            got.extra["added"] = True
+        assert cache.get(key).to_dict() == stats.to_dict()
+
+    def test_gc_and_clear_forget_what_they_remove(self, tmp_path):
+        import os
+        cache = ResultCache(tmp_path)
+        keys = [f"{i:02x}" + "0" * 62 for i in range(3)]
+        for key in keys:
+            cache.put(key, self._versioned(1))
+            cache.get(key)
+        assert sorted(cache._resident) == keys
+        cache.gc(max_bytes=0, dry_run=True)
+        assert sorted(cache._resident) == keys
+        os.utime(cache._path(keys[0]), (1.0, 1.0))
+        assert cache.gc(max_age_seconds=3600).removed == 1
+        assert sorted(cache._resident) == keys[1:]
+        assert cache.clear() == 2
+        assert cache._resident == {}
+
+    def test_concurrent_get_put_gc_unlink(self, tmp_path):
+        """Every get under a put/gc/unlink race returns None or exactly
+        one of the versions written, and never one another getter
+        mutated."""
+        import sys
+        import threading
+        import time
+        cache = ResultCache(tmp_path)
+        key = "ef" + "4" * 62
+        versions = [self._versioned(i) for i in (1, 22, 333)]
+        written = [v.to_dict() for v in versions]
+        wrong, failures, seen = [], [], {"hit": 0, "miss": 0}
+        stop = threading.Event()
+
+        def loop(body):
+            def run():
+                try:
+                    while not stop.is_set():
+                        body()
+                except Exception as exc:     # reported by the assert below
+                    failures.append(repr(exc))
+            return run
+
+        def get():
+            got = cache.get(key)
+            if got is None:
+                seen["miss"] += 1
+                return
+            seen["hit"] += 1
+            if got.to_dict() not in written:
+                wrong.append(got.to_dict())
+            got.iterations = -1
+            got.extra["version"].append(-1)
+
+        turn = iter(range(1 << 30))
+
+        def put():
+            cache.put(key, versions[next(turn) % len(versions)])
+
+        def remove():
+            time.sleep(0.002)
+            if next(turn) % 2:
+                cache.gc(max_bytes=0)
+            else:
+                try:
+                    cache._path(key).unlink()
+                except OSError:
+                    pass
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=loop(body))
+                       for body in (get, get, put, remove)]
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert not wrong
+        assert seen["hit"] and seen["miss"]
+
     def test_code_version_is_stable_and_hex(self):
         assert code_version() == code_version()
         assert len(code_version()) == 64

@@ -5,7 +5,11 @@ import os
 
 import pytest
 
-from repro.sweep.atomic import atomic_write_json, atomic_write_text
+from repro.sweep.atomic import (
+    atomic_write_json,
+    atomic_write_text,
+    exclusive_create,
+)
 
 
 class TestAtomicWriteText:
@@ -32,6 +36,57 @@ class TestAtomicWriteText:
             atomic_write_json(target, {"bad": object()})
         assert json.loads(target.read_text()) == {"old": True}
         assert os.listdir(tmp_path) == ["out.json"]
+
+
+class TestShardPrunedMidWrite:
+    """A concurrent cache gc removes an empty shard directory between
+    the writer's mkdir and its create; the writer makes it again."""
+
+    @staticmethod
+    def _prune_before_first_call(monkeypatch, module, name, directory):
+        real = getattr(module, name)
+        pruned = []
+
+        def create(*args, **kwargs):
+            if not pruned:
+                pruned.append(True)
+                os.rmdir(directory)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, create)
+        return pruned
+
+    def test_atomic_write(self, tmp_path, monkeypatch):
+        import tempfile
+        pruned = self._prune_before_first_call(
+            monkeypatch, tempfile, "mkstemp", tmp_path / "ab")
+        atomic_write_text(tmp_path / "ab" / "entry.json", "payload")
+        assert pruned
+        assert (tmp_path / "ab" / "entry.json").read_text() == "payload"
+
+    def test_exclusive_create(self, tmp_path, monkeypatch):
+        pruned = self._prune_before_first_call(
+            monkeypatch, os, "open", tmp_path / "ab")
+        assert exclusive_create(tmp_path / "ab" / "k.claim", "owner")
+        assert pruned
+        assert (tmp_path / "ab" / "k.claim").read_text() == "owner"
+
+    def test_pruned_inside_the_mkdir(self, tmp_path, monkeypatch):
+        """``mkdir(exist_ok=True)`` raises FileExistsError when the
+        directory it found is pruned before its own ``is_dir()``."""
+        from pathlib import Path
+        real, calls = Path.mkdir, []
+
+        def mkdir(self, *args, **kwargs):
+            calls.append(self)
+            if len(calls) == 1:
+                raise FileExistsError(17, "File exists", str(self))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        atomic_write_text(tmp_path / "ab" / "entry.json", "payload")
+        assert len(calls) == 2
+        assert (tmp_path / "ab" / "entry.json").read_text() == "payload"
 
 
 class TestAtomicWriteJson:
