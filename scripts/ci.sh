@@ -3,19 +3,17 @@
 # Actions workflow (.github/workflows/ci.yml) share one script:
 #
 #   ci.sh            == ci.sh all
-#   ci.sh lint       `repro lint` contract & determinism analyzer
-#                    (cache keys, module state, fork safety, docs),
-#                    then the C kernel compiled warning-clean
+#   ci.sh lint       `repro lint` determinism & fork-safety analyzer
+#                    (module state, set order, clocks, excepts, fork
+#                    idioms), then the C kernel compiled warning-clean
 #                    (-Wall -Wextra -Wpedantic -Werror at -O2)
-#   ci.sh lint-sarif emit the lint report as SARIF for CI annotation
-#                    (artifact consumed by the upload-sarif workflow job)
-#   ci.sh tests      tier-1 pytest (includes the engine differential suite),
-#                    then benchmarks/results must match the commit
+#   ci.sh tests      tier-1 pytest (includes the engine differential suite
+#                    and docs/cli.md vs the parser), then
+#                    benchmarks/results must match the commit
 #   ci.sh coverage   engine- and analysis-package line coverage with
 #                    committed floors (stdlib tracer — no pytest-cov)
 #   ci.sh fuzz       seeded differential fuzz smoke (all engines,
 #                    REPRO_FUZZ_CASES cases beyond the tier-1 default)
-#   ci.sh docs       docs/cli.md vs `repro --help` consistency check
 #   ci.sh sweep      cold+warm smoke sweep (executor + result cache)
 #   ci.sh report     cold/warm report regeneration (zero sims, same bytes)
 #   ci.sh serve      warm-cache daemon smoke (sweep over the socket,
@@ -58,31 +56,14 @@ trap cleanup EXIT
 ci_mktemp_d() { local d; d="$(mktemp -d)"; CI_TMP_DIRS+=("$d"); echo "$d"; }
 
 stage_lint() {
-    echo "== repro lint (contract & determinism analyzer, 14 rules) =="
-    # hard gate: any non-baselined finding fails the build; --no-cache
-    # so CI always measures the cold path
-    python -m repro lint --no-cache
+    echo "== repro lint (determinism & fork-safety analyzer, 8 rules) =="
+    # hard gate: any finding without an inline allow fails the build
+    python -m repro lint
     echo "== C kernel compiles warning-clean =="
     # the propagation rings are Python-owned buffers the kernel reads as
     # PropRec records; -O2 enables -Wstrict-aliasing, which guards that
     cc -std=c99 -O2 -Wall -Wextra -Wpedantic -Werror -fPIC -c -o /dev/null \
         src/repro/accel/engine/_soa_march.c
-}
-
-stage_lint_sarif() {
-    echo "== repro lint --format sarif (CI annotation artifact) =="
-    local out="${CI_SARIF_OUT:-/tmp/repro-lint.sarif}"
-    # exit code intentionally ignored: stage_lint is the gate; this
-    # stage only materializes the annotation artifact
-    python -m repro lint --format sarif > "$out" || true
-    python - "$out" <<'EOF'
-import json, sys
-log = json.load(open(sys.argv[1]))
-assert log["version"] == "2.1.0" and log["runs"], "malformed SARIF"
-run = log["runs"][0]
-print(f"SARIF OK: {len(run['results'])} result(s), "
-      f"{len(run['tool']['driver']['rules'])} rule(s) -> {sys.argv[1]}")
-EOF
 }
 
 stage_tests() {
@@ -109,11 +90,6 @@ stage_coverage() {
 stage_fuzz() {
     echo "== seeded differential fuzz smoke (all engines, 32 cases) =="
     REPRO_FUZZ_CASES=32 python -m pytest -q tests/test_engine_fuzz.py
-}
-
-stage_docs() {
-    echo "== docs check (docs/cli.md vs repro --help) =="
-    python -m repro lint --rule cli-docs
 }
 
 stage_sweep() {
@@ -248,7 +224,7 @@ EOF
 }
 
 usage() {
-    sed -n '2,31p' "$0"
+    sed -n '2,29p' "$0"
     exit 2
 }
 
@@ -259,18 +235,16 @@ fi
 for stage in "${stages[@]}"; do
     case "$stage" in
         lint)     stage_lint ;;
-        lint-sarif) stage_lint_sarif ;;
         tests)    stage_tests ;;
         coverage) stage_coverage ;;
         fuzz)     stage_fuzz ;;
-        docs)     stage_docs ;;
         sweep)    stage_sweep ;;
         report)   stage_report ;;
         serve)    stage_serve ;;
         differential) stage_differential ;;
-        all)      stage_lint; stage_lint_sarif; stage_tests;
-                  stage_coverage; stage_fuzz; stage_docs; stage_sweep;
-                  stage_report; stage_serve; stage_differential ;;
+        all)      stage_lint; stage_tests; stage_coverage; stage_fuzz;
+                  stage_sweep; stage_report; stage_serve;
+                  stage_differential ;;
         -h|--help) usage ;;
         *) echo "ci.sh: unknown stage '$stage'" >&2; usage ;;
     esac

@@ -31,13 +31,11 @@ Public surface
 The supported top-level names are exactly :data:`PACKAGE_EXPORTS` plus
 the error types — everything else under ``repro.*`` is implementation
 that may change without notice.  Exports resolve lazily (PEP 562), so
-``import repro`` stays cheap; a handful of legacy top-level spellings
-keep working through deprecation shims that point at the replacement.
-The ``api-surface`` lint rule holds this module to that manifest.
+``import repro`` stays cheap.  ``tests/test_api_session.py`` holds this
+module to that manifest.
 """
 
 import importlib
-import warnings
 from types import MappingProxyType
 
 __version__ = "1.1.0"
@@ -75,16 +73,6 @@ PACKAGE_EXPORTS: "MappingProxyType[str, str]" = MappingProxyType({
     "SimStats": "repro.accel.stats",
 })
 
-#: Legacy top-level spellings: name -> (defining module, replacement).
-#: Access works but warns; the lint rule forbids in-repo use.
-_DEPRECATED_EXPORTS: "MappingProxyType[str, tuple[str, str]]" = MappingProxyType({
-    "run_sweep": ("repro.sweep.executor",
-                  "repro.session(...).sweep(jobs) or repro.sweep.run_sweep"),
-    "ResultCache": ("repro.sweep.cache",
-                    "repro.session(cache_dir=...) or repro.sweep.ResultCache"),
-    "code_version": ("repro.sweep.cache", "repro.sweep.code_version"),
-})
-
 __all__ = [
     "__version__",
     "PACKAGE_EXPORTS",
@@ -104,22 +92,14 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """PEP 562 lazy exports driven by the manifests above."""
+    """PEP 562 lazy exports driven by the manifest above."""
     target = PACKAGE_EXPORTS.get(name)
     if target is not None:
         value = getattr(importlib.import_module(target), name)
         globals()[name] = value          # resolve once per process
         return value
-    deprecated = _DEPRECATED_EXPORTS.get(name)
-    if deprecated is not None:
-        module, replacement = deprecated
-        warnings.warn(
-            f"repro.{name} is deprecated; use {replacement}",
-            DeprecationWarning, stacklevel=2)
-        return getattr(importlib.import_module(module), name)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(PACKAGE_EXPORTS)
-                  | set(_DEPRECATED_EXPORTS))
+    return sorted(set(globals()) | set(PACKAGE_EXPORTS))

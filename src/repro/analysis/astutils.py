@@ -87,45 +87,6 @@ def module_level_statements(tree: ast.Module) -> Iterator[ast.stmt]:
                 stack.extend(handler.body)
 
 
-def dataclass_field_names(node: ast.ClassDef) -> list[tuple[str, int]]:
-    """Annotated field names of a dataclass body, ``ClassVar`` excluded."""
-    fields: list[tuple[str, int]] = []
-    for stmt in node.body:
-        if (isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)):
-            annotation = ast.unparse(stmt.annotation)
-            if "ClassVar" in annotation:
-                continue
-            fields.append((stmt.target.id, stmt.lineno))
-    return fields
-
-
-def find_class(tree: ast.Module, name: str) -> ast.ClassDef | None:
-    for stmt in tree.body:
-        if isinstance(stmt, ast.ClassDef) and stmt.name == name:
-            return stmt
-    return None
-
-
-def find_method(node: ast.ClassDef, name: str) -> ast.FunctionDef | None:
-    for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and stmt.name == name:
-            return stmt
-    return None
-
-
-def self_attribute_loads(node: ast.AST) -> set[str]:
-    """Every ``self.<attr>`` referenced anywhere under ``node``."""
-    attrs: set[str] = set()
-    for sub in ast.walk(node):
-        if (isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "self"):
-            attrs.add(sub.attr)
-    return attrs
-
-
 def module_bound_names(tree: ast.Module) -> set[str]:
     """Names bound at module level: imports, assignments, defs."""
     names: set[str] = set()

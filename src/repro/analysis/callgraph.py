@@ -223,12 +223,9 @@ class CallGraph:
         return None
 
     # ------------------------------------------------------------------
-    def function(self, relpath: str, qualname: str) -> FunctionInfo | None:
-        return self.functions.get((relpath, qualname))
-
-    def reachable(self, roots, include_refs: bool = True) -> set[Key]:
-        """Every function key reachable from ``roots`` over call edges
-        (and, by default, callable-reference edges)."""
+    def reachable(self, roots) -> set[Key]:
+        """Every function key reachable from ``roots`` over call and
+        callable-reference edges."""
         seen: set[Key] = set()
         stack = [r for r in roots if r in self.functions]
         while stack:
@@ -236,9 +233,6 @@ class CallGraph:
             if key in seen:
                 continue
             seen.add(key)
-            for nxt in self.calls.get(key, ()):
-                stack.append(nxt)
-            if include_refs:
-                for nxt in self.refs.get(key, ()):
-                    stack.append(nxt)
+            stack.extend(self.calls.get(key, ()))
+            stack.extend(self.refs.get(key, ()))
         return seen

@@ -2,9 +2,9 @@
 
 :class:`ModuleContext` wraps one source file (text, line table, parsed
 AST); :class:`Project` wraps a repository root and memoizes module
-contexts so every rule shares one parse per file.  Both expose a
-``finding(...)`` helper so rule bodies never touch the
-:class:`~repro.analysis.findings.Finding` constructor directly.
+contexts so every rule shares one parse per file.  A module context's
+``finding(...)`` helper keeps rule bodies off the
+:class:`~repro.analysis.findings.Finding` constructor.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ class Project:
             from repro.analysis.callgraph import CallGraph
             self._callgraph = CallGraph(self)
         return self._callgraph
-
-    def finding(self, relpath: str, line: int, message: str,
-                symbol: str = "") -> Finding:
-        return Finding(path=relpath, line=line, message=message,
-                       symbol=symbol)
 
     def allowed_rules(self, relpath: str, line: int) -> set[str]:
         """Inline-allow lookup for any repo file (module cache reused)."""

@@ -1,12 +1,7 @@
 """Interprocedural dataflow passes layered on the call graph.
 
-Three reusable analyses power the project-scope rules:
+Two reusable analyses power the state and fork-safety rules:
 
-* :func:`transitive_self_attribute_loads` — which ``self.<attr>``
-  fields a method *really* depends on, following helper methods and
-  module-level helpers the object is passed to.  Upgrades the cache-key
-  rule from "attributes the method names" to "attributes its whole call
-  tree names".
 * :func:`module_global_mutations` — every site in a module that mutates
   module-level state (``global`` rebinding, augmented assignment,
   mutating method calls, subscript/attribute stores on module names),
@@ -32,7 +27,6 @@ from repro.analysis.callgraph import CallGraph, Key
 from repro.analysis.context import ModuleContext
 
 __all__ = [
-    "transitive_self_attribute_loads",
     "Mutation", "module_global_mutations",
     "ForkEntry", "fork_entry_points",
     "MUTATING_METHODS",
@@ -54,88 +48,6 @@ _POOL_DISPATCH = frozenset({
 
 #: Constructors that take the worker callable as ``target=``.
 _TARGET_CTORS = frozenset({"Process", "Thread"})
-
-
-# ----------------------------------------------------------------------
-# transitive self-attribute loads
-# ----------------------------------------------------------------------
-
-def _attr_loads_on(node: ast.AST, receiver: str) -> dict[str, int]:
-    """``receiver.<attr>`` reads under ``node``: attr -> first line."""
-    loads: dict[str, int] = {}
-    for sub in ast.walk(node):
-        if (isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == receiver):
-            loads.setdefault(sub.attr, sub.lineno)
-    return loads
-
-
-def _methods_of(classnode: ast.ClassDef) -> dict[str, ast.AST]:
-    return {stmt.name: stmt for stmt in classnode.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
-
-
-def _module_functions(tree: ast.Module) -> dict[str, ast.AST]:
-    return {stmt.name: stmt for stmt in tree.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
-
-
-def _param_names(fn: ast.AST) -> list[str]:
-    args = fn.args
-    return [a.arg for a in args.posonlyargs + args.args]
-
-
-def transitive_self_attribute_loads(
-        tree: ast.Module, classnode: ast.ClassDef, method: ast.AST,
-) -> dict[str, tuple[str, int]]:
-    """``self.<attr>`` fields reachable from ``method``'s call tree.
-
-    Returns ``{attr: (via_qualname, line)}`` where ``via_qualname`` is
-    the function whose body reads the attribute (the method itself, a
-    ``self.helper()`` it calls — transitively — or a module-level
-    ``helper(self, ...)`` the object is passed to) and ``line`` is the
-    read site in that function.  Under-approximate by construction:
-    only calls resolvable inside the module are followed.
-    """
-    methods = _methods_of(classnode)
-    functions = _module_functions(tree)
-    result: dict[str, tuple[str, int]] = {}
-    seen: set[tuple[int, str]] = set()
-    # worklist of (function node, qualname, receiver parameter name)
-    work: list[tuple[ast.AST, str, str]] = [
-        (method, f"{classnode.name}.{method.name}", "self")]
-    while work:
-        fn, qualname, receiver = work.pop()
-        if (id(fn), receiver) in seen:
-            continue
-        seen.add((id(fn), receiver))
-        for attr, line in _attr_loads_on(fn, receiver).items():
-            result.setdefault(attr, (qualname, line))
-        for sub in ast.walk(fn):
-            if not isinstance(sub, ast.Call):
-                continue
-            name = dotted_name(sub.func)
-            if name.startswith(receiver + ".") and name.count(".") == 1:
-                helper = methods.get(name.split(".")[1])
-                if helper is not None:
-                    work.append((helper,
-                                 f"{classnode.name}.{helper.name}", "self"))
-            elif "." not in name and name in functions:
-                # module-level helper: follow the receiver into any
-                # positional slot it is passed through
-                helper = functions[name]
-                params = _param_names(helper)
-                for pos, arg in enumerate(sub.args):
-                    if isinstance(arg, ast.Name) and arg.id == receiver \
-                            and pos < len(params):
-                        work.append((helper, helper.name, params[pos]))
-                for kw in sub.keywords:
-                    if isinstance(kw.value, ast.Name) \
-                            and kw.value.id == receiver \
-                            and kw.arg in params:
-                        work.append((helper, helper.name, kw.arg))
-    return result
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Rule registration: the ``@rule`` decorator and the global catalog.
 
-A rule is a named check with a severity, a scope and a docstring-sized
+A rule is a named check with a scope and a docstring-sized
 description.  Two scopes exist:
 
 * ``module`` — the check runs once per parsed source file whose
@@ -8,8 +8,10 @@ description.  Two scopes exist:
   it receives a :class:`~repro.analysis.context.ModuleContext`.
 * ``project`` — the check runs once per lint invocation and receives
   the whole :class:`~repro.analysis.context.Project`; used for
-  cross-file contracts (cache-key coverage, re-export surfaces, the
-  refolded repo guards).
+  cross-file analyses (fork reachability over the call graph).
+
+Every finding is an error: ``repro lint`` fails on any finding that
+no inline ``# lint: allow=<rule>`` comment covers.
 
 Rules register at import time of :mod:`repro.analysis.rules`; the
 registry itself depends on nothing, so there are no import cycles.
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.analysis.findings import SEVERITIES, Finding
+from repro.analysis.findings import Finding
 from repro.errors import ConfigError
 
 SCOPES = ("module", "project")
@@ -31,7 +33,6 @@ class Rule:
     """One registered check (see ``docs/linting.md`` for the catalog)."""
 
     id: str
-    severity: str
     scope: str
     description: str
     check: Callable[..., Iterable[Finding]]
@@ -40,24 +41,20 @@ class Rule:
     dirs: tuple[str, ...] = field(default=())
 
 
-#: id -> Rule, in registration order (the catalog order of
-#: ``repro lint --list-rules``).
+#: id -> Rule, in registration order.
 RULES: dict[str, Rule] = {}
 
 
-def rule(rule_id: str, *, description: str, severity: str = "error",
-         scope: str = "module", dirs: tuple[str, ...] = ()):
+def rule(rule_id: str, *, description: str, scope: str = "module",
+         dirs: tuple[str, ...] = ()):
     """Register the decorated generator function as a lint rule."""
-    if severity not in SEVERITIES:
-        raise ConfigError(
-            f"rule {rule_id!r}: severity must be one of {SEVERITIES}")
     if scope not in SCOPES:
         raise ConfigError(f"rule {rule_id!r}: scope must be one of {SCOPES}")
     if rule_id in RULES:
         raise ConfigError(f"duplicate rule id {rule_id!r}")
 
     def register(check: Callable[..., Iterable[Finding]]):
-        RULES[rule_id] = Rule(id=rule_id, severity=severity, scope=scope,
+        RULES[rule_id] = Rule(id=rule_id, scope=scope,
                               description=description, check=check,
                               dirs=tuple(dirs))
         return check
@@ -69,33 +66,6 @@ def all_rules() -> dict[str, Rule]:
     """The full catalog, importing the rule modules on first use."""
     import repro.analysis.rules  # noqa: F401  (registration side effect)
     return RULES
-
-
-#: Markers delimiting the generated catalog table in ``docs/linting.md``
-#: (the ``lint-docs`` rule keeps the enclosed text in sync).
-CATALOG_BEGIN = "<!-- rule-catalog:begin (generated: repro lint --catalog) -->"
-CATALOG_END = "<!-- rule-catalog:end -->"
-
-
-def rule_catalog_markdown() -> str:
-    """The auto-generated rule table for ``docs/linting.md``.
-
-    Deterministic (registration order, no timestamps) so the docs only
-    change when the catalog does; ``repro lint --catalog`` prints it
-    and the ``lint-docs`` rule diffs it against the committed docs.
-    """
-    lines = [
-        "| rule | severity | scope | enforces |",
-        "| --- | --- | --- | --- |",
-    ]
-    for r in all_rules().values():
-        scope = r.scope
-        if r.dirs:
-            scope += " — " + ", ".join(d.removeprefix("src/repro/")
-                                       for d in r.dirs)
-        lines.append(f"| `{r.id}` | {r.severity} | {scope} "
-                     f"| {r.description} |")
-    return "\n".join(lines)
 
 
 def select_rules(rule_ids: Iterable[str] | None = None) -> list[Rule]:

@@ -10,7 +10,7 @@ hazards that creates:
   project call graph).  Each forked worker mutates its own copy, so
   writes are silently lost across processes — correct only when the
   state is a per-process cache whose misses are recomputed, which is
-  exactly what a baseline justification must say.
+  exactly what the justification beside its inline allow must say.
 * ``fork-atomic-write`` — write-mode ``open(...)`` / ``write_text``
   calls in the sweep layer that bypass ``repro.sweep.atomic``: two
   racing workers interleave or tear the file.  ``atomic.py`` itself is

@@ -8,8 +8,8 @@ simulation core (``accel/``, ``mdp/``, ``hw/``) any module-scope or
 class-scope binding of a mutable container is a finding — even an
 ALL_CAPS one, because naming a ``dict`` like a constant does not freeze
 it.  Fixes, in preference order: make it per-instance; freeze it
-(``tuple`` / ``frozenset`` / ``types.MappingProxyType``); or baseline
-it with a justification naming the discipline that keeps it safe.
+(``tuple`` / ``frozenset`` / ``types.MappingProxyType``); or allow it
+inline with a justification naming the discipline that keeps it safe.
 
 Each finding carries *mutation-site evidence* from the dataflow layer:
 which functions in the module actually write the container and how.  A
@@ -86,7 +86,7 @@ def _bindings(ctx, stmt, mutations, qualifier):
             lineno,
             f"{where}-level mutable {kind} {symbol!r} is shared across "
             f"every simulator in the process; make it per-instance, "
-            f"freeze it (tuple/frozenset/MappingProxyType), or baseline "
-            f"it with the discipline that keeps it safe"
+            f"freeze it (tuple/frozenset/MappingProxyType), or allow "
+            f"it inline with the discipline that keeps it safe"
             + _evidence(name, mutations, qualifier),
             symbol=symbol)

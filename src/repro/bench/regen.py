@@ -455,7 +455,6 @@ def regenerate(results_dir: str, sections=None, num_workers: int | None = 1,
         results_dir, cache_dir=cache_dir, charts=charts,
         provenance={
             "code version": version,
-            "result cache": cache_dir or "(none — simulated in-process)",
             "sections regenerated":
                 f"{len(records)} of {len(REPORT_SECTIONS)}",
             "sweep jobs planned": str(sum(r["jobs"] for r in records)),

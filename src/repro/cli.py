@@ -59,7 +59,7 @@ def _shared_parents() -> dict[str, argparse.ArgumentParser]:
 
     One definition per flag keeps simulate/sweep/report/serve
     consistent (same spelling, same help, same env fallback) — the
-    cli-docs lint rule and test suite hold the subcommands to these.
+    test suite holds the subcommands to these.
     Environment fallbacks are resolved at parser-build time: string
     defaults go through the argument's ``type``, so a malformed
     ``$REPRO_JOBS`` fails at parse time like a malformed flag would.
@@ -204,24 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run only this rule (repeatable; default: all)")
     lnt.add_argument("--list-rules", action="store_true",
                      help="print the rule catalog and exit")
-    lnt.add_argument("--catalog", action="store_true",
-                     help="print the generated markdown rule catalog "
-                          "(paste into docs/linting.md) and exit")
-    lnt.add_argument("--baseline", default=None, metavar="PATH",
-                     help="baseline file (default: <root>/lint-baseline.json)")
-    lnt.add_argument("--update-baseline", action="store_true",
-                     help="rewrite the baseline to cover current findings "
-                          "(new entries get a TODO justification)")
-    lnt.add_argument("--format", choices=["text", "json", "sarif"],
-                     default="text")
-    lnt.add_argument("--no-cache", action="store_true",
-                     help="ignore and do not write the incremental "
-                          "result cache (.repro-lint-cache.json)")
-    lnt.add_argument("--strict", action="store_true",
-                     help="also fail on warnings, stale baseline entries "
-                          "and TODO justifications")
-    lnt.add_argument("-v", "--verbose", action="store_true",
-                     help="also print baselined findings")
+    lnt.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 
 
@@ -707,28 +690,16 @@ def _cmd_lint(args) -> int:
 
     if args.list_rules:
         for rule in sorted(all_rules().values(), key=lambda r: r.id):
-            print(f"{rule.id:22s} {rule.severity:8s} {rule.description}")
-        return 0
-    if args.catalog:
-        from repro.analysis.registry import rule_catalog_markdown
-        print(rule_catalog_markdown())
+            print(f"{rule.id:22s} {rule.description}")
         return 0
     try:
-        report = lint(args.root, rule_ids=args.rule,
-                      baseline_path=args.baseline,
-                      update_baseline=args.update_baseline,
-                      use_cache=not args.no_cache)
+        report = lint(args.root, rule_ids=args.rule)
     except ReproError as exc:
         print(f"lint failed: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(format_json(report))
-    elif args.format == "sarif":
-        from repro.analysis.sarif import format_sarif
-        print(format_sarif(report))
-    else:
-        print(format_text(report, verbose=args.verbose))
-    return report.exit_code(strict=args.strict)
+    print(format_json(report) if args.format == "json"
+          else format_text(report))
+    return report.exit_code()
 
 
 if __name__ == "__main__":   # pragma: no cover

@@ -27,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
+import signal
 import threading
 import time
 
@@ -93,17 +94,26 @@ class ServeDaemon:
 
     # ------------------------------------------------------------------
     async def run(self, on_started=None) -> None:
-        """Bind the socket and serve until a shutdown request."""
+        """Bind the socket and serve until a shutdown request.
+
+        On the main thread SIGTERM is a shutdown request too, so a
+        service manager's stop also closes the pool and the socket.
+        """
         self.loop = asyncio.get_running_loop()
         with contextlib.suppress(OSError):
             os.unlink(self.socket_path)     # stale socket from a crash
         self._server = await asyncio.start_unix_server(
             self._handle_connection, path=self.socket_path)
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main:
+            self.loop.add_signal_handler(signal.SIGTERM, self.request_stop)
         if on_started is not None:
             on_started()
         try:
             await self._stop.wait()
         finally:
+            if on_main:
+                self.loop.remove_signal_handler(signal.SIGTERM)
             self._server.close()
             await self._server.wait_closed()
             self.pool.close()

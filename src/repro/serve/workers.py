@@ -27,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import multiprocessing
+import signal
 import time
 
 from repro.errors import ServeError
@@ -36,6 +37,11 @@ from repro.sweep.jobs import SweepJob
 
 def _prime_worker() -> None:
     """Worker-process initializer: pay one-time costs off the job path."""
+    # a forked worker inherits the daemon's SIGTERM handler and asyncio
+    # wakeup fd: without the default back, a SIGTERM meant for this
+    # worker would stop the daemon instead
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     code_version()
 
 

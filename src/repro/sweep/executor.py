@@ -47,6 +47,10 @@ def execute_job(job: SweepJob) -> SimStats:
     if graph is None:
         graph = job.resolve_graph()
         if isinstance(job.graph, GraphSpec):
+            # Each forked worker fills its own copy of this per-process
+            # memo, and a miss only costs a redundant resolve_graph():
+            # results flow back through the pool, never through the dict.
+            # lint: allow=fork-shared-state
             _GRAPH_MEMO[fp] = graph
     if job.num_slices < 1:
         raise SweepError(f"num_slices must be >= 1, got {job.num_slices}")

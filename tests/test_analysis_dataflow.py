@@ -3,11 +3,8 @@
 import textwrap
 from pathlib import Path
 
-from repro.analysis.astutils import find_class, find_method
 from repro.analysis.context import Project
-from repro.analysis.dataflow import (
-    fork_entry_points, module_global_mutations,
-    transitive_self_attribute_loads)
+from repro.analysis.dataflow import fork_entry_points, module_global_mutations
 
 
 def write(root: Path, relpath: str, source: str) -> None:
@@ -75,9 +72,8 @@ class TestCallGraph:
         g = project(tmp_path).callgraph()
         rel = "src/repro/work.py"
         assert (rel, "worker") in g.refs[(rel, "driver")]
+        assert (rel, "worker") not in g.calls[(rel, "driver")]
         assert (rel, "worker") in g.reachable([(rel, "driver")])
-        assert (rel, "worker") not in g.reachable(
-            [(rel, "driver")], include_refs=False)
 
     def test_unresolvable_calls_add_no_edges(self, tmp_path):
         write(tmp_path, "src/repro/dyn.py", """\
@@ -105,42 +101,6 @@ class TestCallGraph:
         g = project(tmp_path).callgraph()
         assert ("src/repro/pkg/a.py", "target") in g.calls[
             ("src/repro/pkg/b.py", "caller")]
-
-
-class TestTransitiveSelfAttributeLoads:
-    SOURCE = """\
-        def summarize(job, extra=0):
-            return job.graph + extra
-
-
-        class Job:
-            def key(self):
-                return self._direct + self.helper()
-
-            def helper(self):
-                return self.engine + summarize(self)
-
-            def unrelated(self):
-                return self.never_in_key
-    """
-
-    def loads(self, tmp_path):
-        write(tmp_path, "src/repro/jobs.py", self.SOURCE)
-        ctx = project(tmp_path).module("src/repro/jobs.py")
-        cls = find_class(ctx.tree, "Job")
-        return transitive_self_attribute_loads(
-            ctx.tree, cls, find_method(cls, "key"))
-
-    def test_direct_and_helper_and_module_function_loads(self, tmp_path):
-        loads = self.loads(tmp_path)
-        assert set(loads) == {"_direct", "helper", "engine", "graph"}
-        assert "never_in_key" not in loads
-
-    def test_via_attribution(self, tmp_path):
-        loads = self.loads(tmp_path)
-        assert loads["engine"][0] == "Job.helper"
-        assert loads["graph"][0] == "summarize"
-        assert loads["_direct"][0] == "Job.key"
 
 
 class TestModuleGlobalMutations:

@@ -247,197 +247,8 @@ class TestExceptionHygiene:
 
 
 # ----------------------------------------------------------------------
-# cache-key (AST half; the semantic half runs the real config class)
-# ----------------------------------------------------------------------
-
-class TestCacheKey:
-    def test_missing_axis_is_flagged_tags_exempt(self, tmp_path):
-        write(tmp_path, "src/repro/sweep/jobs.py", """\
-            from dataclasses import dataclass
-
-
-            @dataclass(frozen=True)
-            class SweepJob:
-                graph: str
-                engine: str = "soa"
-                tags: tuple = ()
-
-                def cache_key(self):
-                    return (self.graph,)
-        """)
-        findings = run(tmp_path, "cache-key")
-        assert "SweepJob.engine" in symbols(findings)
-        assert "SweepJob.tags" not in symbols(findings)
-        assert "SweepJob.graph" not in symbols(findings)
-
-    def test_full_coverage_is_quiet(self, tmp_path):
-        write(tmp_path, "src/repro/sweep/jobs.py", """\
-            from dataclasses import dataclass
-
-
-            @dataclass(frozen=True)
-            class SweepJob:
-                graph: str
-                engine: str = "soa"
-                tags: tuple = ()
-
-                def cache_key(self):
-                    return (self.graph, self.engine)
-        """)
-        assert [s for s in symbols(run(tmp_path, "cache-key"))
-                if s.startswith("SweepJob.")] == []
-
-    def test_coverage_through_helpers_is_quiet(self, tmp_path):
-        # the key payload refactored into a helper method and a
-        # module-level helper — interprocedural taint must follow both
-        write(tmp_path, "src/repro/sweep/jobs.py", """\
-            from dataclasses import dataclass
-
-
-            def _engine_token(job):
-                return job.engine
-
-
-            @dataclass(frozen=True)
-            class SweepJob:
-                graph: str
-                engine: str = "soa"
-                tags: tuple = ()
-
-                def _payload(self):
-                    return (self.graph,)
-
-                def cache_key(self):
-                    return self._payload() + (_engine_token(self),)
-        """)
-        assert [s for s in symbols(run(tmp_path, "cache-key"))
-                if s.startswith("SweepJob.")] == []
-
-    def test_helper_split_still_catches_missing_axis(self, tmp_path):
-        # helpers covering some fields must not mask a genuinely
-        # unreachable one
-        write(tmp_path, "src/repro/sweep/jobs.py", """\
-            from dataclasses import dataclass
-
-
-            @dataclass(frozen=True)
-            class SweepJob:
-                graph: str
-                seed: int = 0
-                tags: tuple = ()
-
-                def _payload(self):
-                    return (self.graph,)
-
-                def cache_key(self):
-                    return self._payload()
-        """)
-        findings = run(tmp_path, "cache-key")
-        assert "SweepJob.seed" in symbols(findings)
-        assert "SweepJob.graph" not in symbols(findings)
-        assert "call tree" in next(
-            f.message for f in findings if f.symbol == "SweepJob.seed")
-
-
-# ----------------------------------------------------------------------
-# engine-registry
-# ----------------------------------------------------------------------
-
-class TestEngineRegistry:
-    """Registering an engine is a three-point contract (PR 7)."""
-
-    REGISTRY = "src/repro/accel/engine/registry.py"
-
-    def _write_registry(self, tmp_path, engines, equivalence, branches):
-        lines = [
-            "import types",
-            "",
-            f"ENGINES = {engines!r}",
-            f"_ENGINE_EQUIVALENCE = types.MappingProxyType({equivalence!r})",
-            "",
-            "def make_engine(name, sim):",
-        ]
-        for branch in branches:
-            lines.append(f'    if name == "{branch}":')
-            lines.append(f'        return "{branch}-engine"')
-        lines.append('    return "fallback-engine"')
-        write(tmp_path, self.REGISTRY, "\n".join(lines) + "\n")
-
-    def test_consistent_registry_is_quiet(self, tmp_path):
-        self._write_registry(
-            tmp_path, ("reference", "warp", "soa"),
-            {"reference": "v1", "warp": "v1", "soa": "v1"},
-            ["reference", "soa"])
-        assert run(tmp_path, "engine-registry") == []
-
-    def test_engine_without_equivalence_entry(self, tmp_path):
-        self._write_registry(
-            tmp_path, ("reference", "warp", "soa"),
-            {"reference": "v1", "warp": "v1"},
-            ["reference", "soa"])
-        assert symbols(run(tmp_path, "engine-registry")) == ["no-class.soa"]
-
-    def test_stale_equivalence_entry(self, tmp_path):
-        self._write_registry(
-            tmp_path, ("reference", "soa"),
-            {"reference": "v1", "soa": "v1", "warp": "v1"},
-            ["soa"])
-        assert symbols(run(tmp_path, "engine-registry")) == [
-            "stale-class.warp"]
-
-    def test_two_engines_on_the_fallback_branch(self, tmp_path):
-        self._write_registry(
-            tmp_path, ("reference", "warp", "soa"),
-            {"reference": "v1", "warp": "v1", "soa": "v1"},
-            ["reference"])
-        found = symbols(run(tmp_path, "engine-registry"))
-        assert found == ["fallback.warp.soa"]
-
-    def test_missing_registry_module(self, tmp_path):
-        write(tmp_path, "src/repro/accel/engine/__init__.py", "")
-        assert symbols(run(tmp_path, "engine-registry")) == [
-            "missing-registry"]
-
-
-# ----------------------------------------------------------------------
 # runner behaviour: inline allows, syntax errors, unknown rules
 # ----------------------------------------------------------------------
-
-class TestLintDocs:
-    def test_fixture_without_docs_is_silent(self, tmp_path):
-        write(tmp_path, "src/repro/ok.py", "X = 1\n")
-        assert run(tmp_path, "lint-docs") == []
-
-    def test_missing_markers_is_one_finding(self, tmp_path):
-        write(tmp_path, "docs/linting.md", "# lint\n\nno table here\n")
-        assert [f.symbol for f in run(tmp_path, "lint-docs")] == \
-            ["catalog-markers"]
-
-    def test_stale_table_is_drift(self, tmp_path):
-        from repro.analysis.registry import CATALOG_BEGIN, CATALOG_END
-        write(tmp_path, "docs/linting.md",
-              f"# lint\n\n{CATALOG_BEGIN}\nold table\n{CATALOG_END}\n")
-        findings = run(tmp_path, "lint-docs")
-        assert [f.symbol for f in findings] == ["catalog-drift"]
-        assert "repro lint --catalog" in findings[0].message
-
-    def test_current_table_is_quiet(self, tmp_path):
-        from repro.analysis.registry import (
-            CATALOG_BEGIN,
-            CATALOG_END,
-            rule_catalog_markdown,
-        )
-        write(tmp_path, "docs/linting.md",
-              f"# lint\n\n{CATALOG_BEGIN}\n{rule_catalog_markdown()}\n"
-              f"{CATALOG_END}\n")
-        assert run(tmp_path, "lint-docs") == []
-
-    def test_catalog_names_every_rule(self):
-        from repro.analysis.registry import all_rules, rule_catalog_markdown
-        table = rule_catalog_markdown()
-        for rule_id in all_rules():
-            assert f"`{rule_id}`" in table
-
 
 class TestRunner:
     def test_inline_allow_suppresses(self, tmp_path):
@@ -464,12 +275,12 @@ class TestRunner:
         """)
         report = lint(tmp_path, rule_ids=["module-state"])
         assert len(report.findings) == 1
+        assert report.exit_code() == 1
 
     def test_syntax_error_becomes_finding(self, tmp_path):
         write(tmp_path, "src/repro/accel/broken.py", "def f(:\n")
         findings, _ = run_rules(tmp_path, ["module-state"])
         assert [f.rule for f in findings] == ["syntax"]
-        assert findings[0].severity == "error"
 
     def test_unknown_rule_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

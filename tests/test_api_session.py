@@ -1,16 +1,13 @@
-"""The redesigned package surface: PACKAGE_EXPORTS manifest, PEP 562
-lazy resolution, deprecation shims, and the ``api-surface`` lint rule.
-"""
+"""The package surface: the PACKAGE_EXPORTS manifest and its PEP 562
+lazy resolution."""
 
 import importlib
-import textwrap
-import warnings
-from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
 import repro
-from repro.analysis import run_rules
 
 
 class TestPackageExports:
@@ -25,11 +22,7 @@ class TestPackageExports:
             "AcceleratorConfig", "SimStats",
         }
 
-    @pytest.mark.parametrize("name", sorted({
-        "Session", "LocalSession", "RemoteSession", "session",
-        "ServeClient", "SweepJob", "GraphSpec", "SweepOutcome",
-        "AcceleratorConfig", "SimStats",
-    }))
+    @pytest.mark.parametrize("name", sorted(repro.PACKAGE_EXPORTS))
     def test_every_export_resolves_to_its_declared_module(self, name):
         module = importlib.import_module(repro.PACKAGE_EXPORTS[name])
         assert getattr(repro, name) is getattr(module, name)
@@ -38,170 +31,25 @@ class TestPackageExports:
         assert set(repro.PACKAGE_EXPORTS) <= set(repro.__all__)
         assert "ReproError" in repro.__all__
         assert "ServeError" in repro.__all__
-        # deprecated spellings must not ride along on star-imports
-        assert not set(repro._DEPRECATED_EXPORTS) & set(repro.__all__)
 
-    def test_dir_lists_lazy_and_deprecated_names(self):
-        names = dir(repro)
-        assert "Session" in names
-        assert "run_sweep" in names
+    def test_star_import_binds_every_name_in_all(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+
+    def test_import_binds_no_export_eagerly(self):
+        """``import repro`` stays cheap: an export is bound on first
+        use, so none can shadow the manifest's lazy resolution."""
+        code = ("import repro, sys; "
+                "print(sorted(set(vars(repro)) & set(repro.PACKAGE_EXPORTS)),"
+                " 'repro.api' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["[]", "False"]
+
+    def test_dir_lists_lazy_names(self):
+        assert "Session" in dir(repro)
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute"):
             repro.definitely_not_an_export
-
-
-class TestDeprecatedExports:
-    @pytest.mark.parametrize("name, canonical", [
-        ("run_sweep", "repro.sweep.executor"),
-        ("ResultCache", "repro.sweep.cache"),
-        ("code_version", "repro.sweep.cache"),
-    ])
-    def test_shim_warns_and_resolves(self, name, canonical):
-        with pytest.warns(DeprecationWarning, match=f"repro.{name}"):
-            value = getattr(repro, name)
-        assert value is getattr(importlib.import_module(canonical), name)
-
-    def test_supported_exports_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            repro.SweepJob
-            repro.Session
-
-
-# ----------------------------------------------------------------------
-# the api-surface lint rule, on fixture packages
-# ----------------------------------------------------------------------
-
-def write(root: Path, relpath: str, source: str) -> None:
-    path = root / relpath
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(textwrap.dedent(source), encoding="utf-8")
-
-
-def run(root: Path):
-    findings, ran = run_rules(root, ["api-surface"])
-    assert ran == ["api-surface"]
-    return findings
-
-
-def symbols(findings):
-    return sorted(f.symbol for f in findings)
-
-
-def write_clean_root(root: Path, init_extra: str = "",
-                     all_line: str =
-                     '__all__ = ["__version__", "PACKAGE_EXPORTS", '
-                     '*PACKAGE_EXPORTS]') -> None:
-    write(root, "src/repro/__init__.py", f"""\
-        from types import MappingProxyType
-
-        __version__ = "1.0"
-
-        PACKAGE_EXPORTS = MappingProxyType({{
-            "Session": "repro.api",
-        }})
-
-        _DEPRECATED_EXPORTS = MappingProxyType({{
-            "run_sweep": ("repro.legacy", "repro.api"),
-        }})
-
-        {all_line}
-        {init_extra}
-
-        def __getattr__(name):
-            raise AttributeError(name)
-
-
-        def __dir__():
-            return sorted(globals())
-    """)
-    write(root, "src/repro/api.py", """\
-        class Session:
-            pass
-    """)
-    write(root, "src/repro/legacy.py", """\
-        def run_sweep():
-            pass
-    """)
-
-
-class TestApiSurfaceRule:
-    def test_clean_surface_passes(self, tmp_path):
-        write_clean_root(tmp_path)
-        assert run(tmp_path) == []
-
-    def test_missing_pep562_hooks(self, tmp_path):
-        write_clean_root(tmp_path)
-        write(tmp_path, "src/repro/__init__.py", """\
-            from types import MappingProxyType
-            PACKAGE_EXPORTS = MappingProxyType({"Session": "repro.api"})
-            __all__ = ["PACKAGE_EXPORTS", *PACKAGE_EXPORTS]
-        """)
-        assert symbols(run(tmp_path)) == ["hook.__dir__",
-                                          "hook.__getattr__"]
-
-    def test_missing_manifest(self, tmp_path):
-        write_clean_root(tmp_path)
-        write(tmp_path, "src/repro/__init__.py", """\
-            __all__ = []
-
-
-            def __getattr__(name):
-                raise AttributeError(name)
-
-
-            def __dir__():
-                return []
-        """)
-        assert symbols(run(tmp_path)) == ["no-manifest"]
-
-    def test_unresolved_manifest_entry(self, tmp_path):
-        write_clean_root(tmp_path)
-        write(tmp_path, "src/repro/api.py", "X = 1\n")
-        assert symbols(run(tmp_path)) == ["unresolved.Session"]
-
-    def test_unknown_manifest_module(self, tmp_path):
-        write_clean_root(tmp_path)
-        (tmp_path / "src/repro/api.py").unlink()
-        assert symbols(run(tmp_path)) == ["module.Session"]
-
-    def test_eager_binding_shadows_lazy_export(self, tmp_path):
-        write_clean_root(tmp_path, init_extra="Session = object\n")
-        assert symbols(run(tmp_path)) == ["eager.Session"]
-
-    def test_export_missing_from_explicit_all(self, tmp_path):
-        write_clean_root(tmp_path,
-                         all_line='__all__ = ["PACKAGE_EXPORTS"]')
-        assert symbols(run(tmp_path)) == ["all-missing.Session"]
-
-    def test_deprecated_name_in_all(self, tmp_path):
-        write_clean_root(
-            tmp_path,
-            all_line='__all__ = ["PACKAGE_EXPORTS", "run_sweep", '
-                     '*PACKAGE_EXPORTS]')
-        assert symbols(run(tmp_path)) == ["all-deprecated.run_sweep"]
-
-    def test_broken_deprecation_shim_target(self, tmp_path):
-        write_clean_root(tmp_path)
-        write(tmp_path, "src/repro/legacy.py", "other = 1\n")
-        assert symbols(run(tmp_path)) == ["shim.run_sweep"]
-
-    def test_unknown_all_entry(self, tmp_path):
-        write_clean_root(
-            tmp_path,
-            all_line='__all__ = ["PACKAGE_EXPORTS", "ghost", '
-                     '*PACKAGE_EXPORTS]')
-        assert symbols(run(tmp_path)) == ["all.ghost"]
-
-    def test_in_repo_use_of_deprecated_spelling(self, tmp_path):
-        write_clean_root(tmp_path)
-        write(tmp_path, "src/repro/consumer.py", """\
-            from repro import run_sweep
-        """)
-        assert symbols(run(tmp_path)) == ["use.run_sweep"]
-
-    def test_real_package_root_is_clean(self):
-        repo_root = Path(__file__).resolve().parent.parent
-        findings = run(repo_root)
-        assert findings == []

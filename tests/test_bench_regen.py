@@ -8,6 +8,8 @@ every section twice at a tiny ``REPRO_SCALE`` and forbidding
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +139,24 @@ class TestColdWarm:
         assert record["section"] == "ablation_latency"
         assert len(record["job_seconds"]) == 4
         assert all(s > 0 for s in record["job_seconds"])
+
+    def test_report_is_independent_of_the_cache_dir(self, tmp_path,
+                                                     tiny_scale):
+        """Two regenerations over two cache directories holding the same
+        entries write the same REPORT.md; only the sidecar names the
+        directory."""
+        first, second = tmp_path / "first", tmp_path / "second"
+        regenerate(str(first / "results"), sections=["latency"],
+                   cache=str(first / "cache"))
+        shutil.copytree(first / "cache", second / "cache")
+        regenerate(str(second / "results"), sections=["latency"],
+                   cache=str(second / "cache"))
+        assert (first / "results" / "REPORT.md").read_bytes() == \
+            (second / "results" / "REPORT.md").read_bytes()
+        sidecar = json.loads(
+            (second / "results" / "REPORT.provenance.json").read_text())
+        assert Path(sidecar["cache_dir"]).resolve() == \
+            (second / "cache").resolve()
 
     def test_shared_matrix_charged_once(self, tmp_path, tiny_scale):
         report = regenerate(str(tmp_path / "results"),

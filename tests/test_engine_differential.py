@@ -419,6 +419,17 @@ class TestEngineSelection:
         """Verified-equivalent engines must alias their cache entries."""
         assert engine_cache_token("reference") == engine_cache_token("soa")
 
+    def test_every_engine_has_an_equivalence_entry(self):
+        """engine_cache_token() raises for an engine without a class,
+        and an entry naming no registered engine is stale."""
+        from repro.accel.engine import registry
+        assert set(registry._ENGINE_EQUIVALENCE) == set(ENGINES)
+
+    def test_equivalence_map_is_frozen(self):
+        from repro.accel.engine import registry
+        with pytest.raises(TypeError):
+            registry._ENGINE_EQUIVALENCE["soa"] = "tampered"
+
     def test_engine_choice_does_not_change_cache_key(self):
         from repro.sweep import SweepJob
         graph = star(8)

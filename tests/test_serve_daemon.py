@@ -1,16 +1,21 @@
 """End-to-end tests of the serve daemon over a real unix socket.
 
-Every test runs a daemon on a background thread (``serve_in_thread``)
-with the inline worker pool — same process, so ``monkeypatch`` can
-intercept :func:`repro.sweep.executor.execute_job` to count and gate
-real simulations deterministically.
+Every test but the signal test runs a daemon on a background thread
+(``serve_in_thread``) with the inline worker pool — same process, so
+``monkeypatch`` can intercept :func:`repro.sweep.executor.execute_job`
+to count and gate real simulations deterministically.
 """
 
+import glob
 import json
 import os
+import signal
 import socket
+import subprocess
+import sys
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -373,3 +378,69 @@ class TestCliServeVerbs:
             out = capsys.readouterr().out
             assert f"code version {daemon.version[:12]}" in out
             assert "unchanged" in out       # nothing edited under test
+
+
+def _children(pid):
+    """Child pids of ``pid``, from Linux's /proc children lists."""
+    kids = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        with open(path) as fh:
+            kids.update(int(p) for p in fh.read().split())
+    return kids
+
+
+def _alive(pid):
+    """True unless ``pid`` is gone or a zombie (exited, not reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _wait(condition, timeout):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.05)
+
+
+@pytest.mark.skipif(not glob.glob(f"/proc/{os.getpid()}/task/*/children"),
+                    reason="needs Linux /proc children lists")
+class TestSigterm:
+    def test_sigterm_closes_the_pool_and_the_socket(self, sock_dir):
+        """A service manager's stop (SIGTERM) takes the shutdown path:
+        exit 0, the socket unlinked, every pool worker gone.  A SIGTERM
+        sent to one worker ends that worker, not the daemon."""
+        sock = os.path.join(sock_dir, "d.sock")
+        log_path = os.path.join(sock_dir, "daemon.log")
+        # a file, not a pipe: workers that outlive the daemon would hold
+        # a pipe open and hang the read
+        with open(log_path, "w") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--socket", sock,
+                 "--cache-dir", os.path.join(sock_dir, "c"), "--jobs", "2"],
+                stdout=log, stderr=subprocess.STDOUT)
+        workers = set()
+        try:
+            _wait(lambda: os.path.exists(sock) or proc.poll() is not None, 60)
+            assert ServeClient(sock).run_sweep(_jobs("BFS")).executed == 1
+            workers = _children(proc.pid)
+            assert workers
+            victim = min(workers)
+            os.kill(victim, signal.SIGTERM)
+            _wait(lambda: not _alive(victim), 10)
+            assert not _alive(victim)
+            assert ServeClient(sock).ping().code_version
+            proc.send_signal(signal.SIGTERM)
+            with open(log_path) as log:
+                assert proc.wait(timeout=60) == 0, log.read()
+            assert not os.path.exists(sock)
+            _wait(lambda: not any(map(_alive, workers)), 10)
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -1,7 +1,9 @@
 """Tests for the sweep subsystem: planning, caching, parallel execution."""
 
+import dataclasses
 import json
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -101,24 +103,6 @@ class TestFingerprints:
         other = tiny_graph.with_weights(tiny_graph.weights + 1)
         assert graph_fingerprint(other) != fp
 
-    def test_cache_key_depends_on_each_component(self):
-        version = code_version()
-        base = SweepJob(graph=SMALL, algorithm="BFS", config=higraph())
-        key = base.cache_key(version)
-        assert key == SweepJob(graph=SMALL, algorithm="BFS",
-                               config=higraph()).cache_key(version)
-        variations = [
-            SweepJob(graph=GraphSpec("VT", scale=0.06), algorithm="BFS",
-                     config=higraph()),
-            SweepJob(graph=SMALL, algorithm="SSSP", config=higraph()),
-            SweepJob(graph=SMALL, algorithm="BFS", config=graphdyns()),
-            SweepJob(graph=SMALL, algorithm="BFS", config=higraph(), source=1),
-            SweepJob(graph=SMALL, algorithm="BFS", config=higraph(),
-                     max_iterations=2),
-        ]
-        assert len({v.cache_key(version) for v in variations} | {key}) == 6
-        assert base.cache_key("other-code-version") != key
-
     def test_tags_do_not_affect_cache_key(self):
         version = code_version()
         a = SweepJob(graph=SMALL, algorithm="BFS", config=higraph(),
@@ -126,6 +110,106 @@ class TestFingerprints:
         b = SweepJob(graph=SMALL, algorithm="BFS", config=higraph(),
                      tags={"anything": "else"})
         assert a.cache_key(version) == b.cache_key(version)
+
+
+# ----------------------------------------------------------------------
+# Cache-key coverage
+# ----------------------------------------------------------------------
+
+def _perturbed(value):
+    """A same-JSON-type value guaranteed to differ from ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value + 0.5
+    if isinstance(value, str):
+        return value + "·perturbed"
+    if isinstance(value, dict):
+        return {**value, "·perturbed": 1}
+    if isinstance(value, (list, tuple)):
+        return type(value)([*value, 1])
+    if value is None:
+        return 1
+    return str(value) + "·perturbed"
+
+
+def _clone_with(base, name):
+    """``base`` with field ``name`` perturbed, ``__post_init__`` bypassed.
+
+    Bypassing validation is the point: it lets structurally-entangled
+    fields (e.g. channel counts constrained to powers of the radix)
+    vary one at a time, which is exactly the aliasing question the
+    cache key must answer.
+    """
+    clone = object.__new__(AcceleratorConfig)
+    for f in dataclasses.fields(AcceleratorConfig):
+        value = getattr(base, f.name)
+        object.__setattr__(clone, f.name,
+                           _perturbed(value) if f.name == name else value)
+    return clone
+
+
+#: SweepJob field -> (overrides shared by both jobs, the field's new
+#: value).  Every field but ``tags`` (caller-owned display labels) is
+#: listed, so a new field fails here until it is given a perturbation.
+JOB_PERTURBATIONS = {
+    "graph": ({}, GraphSpec("VT", scale=0.06)),
+    "algorithm": ({}, "BFS"),
+    "config": ({}, graphdyns()),
+    "algorithm_kwargs": ({}, {"iterations": 3}),
+    "source": ({}, 1),
+    "max_iterations": ({}, 2),
+    "num_slices": ({}, 2),
+    # the off-chip bandwidth is key material only once slicing is on
+    "offchip_bytes_per_cycle": ({"num_slices": 2}, 128.0),
+    # only the engine's equivalence class enters the key: the test
+    # gives the two engines different classes
+    "engine": ({"engine": "reference"}, "soa"),
+}
+
+
+class TestCacheKeyCoverage:
+    """Two jobs share a cache entry exactly when their keys match, so a
+    field missing from the key hands one job another job's stats."""
+
+    def test_to_dict_covers_every_config_field(self):
+        field_names = {f.name for f in dataclasses.fields(AcceleratorConfig)}
+        assert set(AcceleratorConfig().to_dict()) == field_names
+
+    def test_config_hash_sees_every_config_field(self):
+        base = AcceleratorConfig()
+        blind = [f.name for f in dataclasses.fields(AcceleratorConfig)
+                 if _clone_with(base, f.name).config_hash()
+                 == base.config_hash()]
+        assert blind == []
+
+    def test_perturbed_always_differs(self):
+        for value in (True, 0, 1.5, "s", {"k": 1}, [1], (1,), None):
+            assert _perturbed(value) != value
+
+    def test_every_job_field_but_tags_is_perturbed(self):
+        field_names = {f.name for f in dataclasses.fields(SweepJob)}
+        assert set(JOB_PERTURBATIONS) == field_names - {"tags"}
+
+    @pytest.mark.parametrize("name", sorted(JOB_PERTURBATIONS))
+    def test_job_field_reaches_cache_key(self, name, monkeypatch):
+        from repro.accel.engine import registry
+        monkeypatch.setattr(registry, "_ENGINE_EQUIVALENCE", MappingProxyType(
+            {"reference": "class-a", "soa": "class-b"}))
+        shared, value = JOB_PERTURBATIONS[name]
+        base = SweepJob(graph=SMALL, algorithm="PR", config=higraph(),
+                        algorithm_kwargs={"iterations": 2}, **shared)
+        changed = dataclasses.replace(base, **{name: value})
+        assert changed.cache_key("v") != base.cache_key("v")
+
+    def test_code_version_reaches_cache_key(self):
+        job = SweepJob(graph=SMALL, algorithm="BFS", config=higraph())
+        key = job.cache_key(code_version())
+        assert key == SweepJob(graph=SMALL, algorithm="BFS",
+                               config=higraph()).cache_key(code_version())
+        assert job.cache_key("other-code-version") != key
 
 
 # ----------------------------------------------------------------------
