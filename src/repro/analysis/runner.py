@@ -14,9 +14,10 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.analysis.context import Project
+from repro.analysis.context import SOURCE_ROOT, Project
 from repro.analysis.findings import Finding
 from repro.analysis.registry import select_rules
+from repro.errors import ConfigError
 
 
 @dataclass
@@ -77,6 +78,9 @@ def run_rules(root: str | Path, rule_ids: list[str] | None = None,
 def lint(root: str | Path, rule_ids: list[str] | None = None) -> LintReport:
     """The full pipeline behind ``repro lint``."""
     root = Path(root).resolve()
+    if not (root / SOURCE_ROOT).is_dir():
+        # a mistyped --root would otherwise pass the gate with 0 errors
+        raise ConfigError(f"{root} has no {SOURCE_ROOT}/ to lint")
     project = Project(root)
     raw, rules_run = run_rules(root, rule_ids, project=project)
     findings = [f for f in raw

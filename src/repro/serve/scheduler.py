@@ -102,7 +102,7 @@ class Scheduler:
         try:
             ticket.outcome = await self.run_jobs(ticket.jobs, ticket=ticket)
             ticket.state = "done"
-        except Exception as exc:         # lint: allow=exception-hygiene
+        except Exception as exc:
             # a ticket failure must reach its (possibly not-yet-attached)
             # fetcher as a payload, not kill the daemon loop
             ticket.state = "failed"
@@ -174,7 +174,7 @@ class Scheduler:
             future = self._inflight[key]
             try:
                 stats, seconds, ran = await self._execute_owned(key, job)
-            except Exception as exc:     # lint: allow=exception-hygiene
+            except Exception as exc:
                 # attached waiters (this ticket's and other tickets')
                 # must see the failure; re-raised below via the future
                 self._inflight.pop(key, None)

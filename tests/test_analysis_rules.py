@@ -277,6 +277,41 @@ class TestRunner:
         assert len(report.findings) == 1
         assert report.exit_code() == 1
 
+    def test_allow_two_lines_above_does_not_reach(self, tmp_path):
+        write(tmp_path, "src/repro/accel/mod.py", """\
+            # lint: allow=module-state
+
+            CACHE = {}
+        """)
+        report = lint(tmp_path, rule_ids=["module-state"])
+        assert [f.line for f in report.findings] == [3]
+        assert report.suppressed_inline == 0
+
+    def test_allow_below_does_not_reach(self, tmp_path):
+        write(tmp_path, "src/repro/accel/mod.py", """\
+            CACHE = {}
+            # lint: allow=module-state
+        """)
+        report = lint(tmp_path, rule_ids=["module-state"])
+        assert [f.line for f in report.findings] == [1]
+
+    def test_one_comment_allows_several_rules(self, tmp_path):
+        write(tmp_path, "src/repro/accel/mod.py", """\
+            # lint: allow=module-state,id-key
+            KEYS = [id(x) for x in {1, 2}]
+        """)
+        report = lint(tmp_path, rule_ids=["module-state", "id-key",
+                                          "set-iteration"])
+        assert [f.rule for f in report.findings] == ["set-iteration"]
+        assert report.suppressed_inline == 2
+
+    def test_root_without_sources_rejected(self, tmp_path):
+        """A mistyped root has nothing to lint: an error, not a pass."""
+        with pytest.raises(ConfigError, match="src/repro"):
+            lint(tmp_path / "no-such-checkout")
+        with pytest.raises(ConfigError):
+            lint(tmp_path)
+
     def test_syntax_error_becomes_finding(self, tmp_path):
         write(tmp_path, "src/repro/accel/broken.py", "def f(:\n")
         findings, _ = run_rules(tmp_path, ["module-state"])

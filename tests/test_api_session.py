@@ -50,6 +50,17 @@ class TestPackageExports:
     def test_dir_lists_lazy_names(self):
         assert "Session" in dir(repro)
 
+    @pytest.mark.parametrize("name", ["ResultCache", "code_version",
+                                      "run_sweep"])
+    def test_retired_alias_is_gone(self, name):
+        """The deprecated top-level aliases are deleted; these names
+        live in ``repro.sweep`` only."""
+        assert name not in repro.__all__
+        assert name not in dir(repro)
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+        assert hasattr(importlib.import_module("repro.sweep"), name)
+
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute"):
             repro.definitely_not_an_export

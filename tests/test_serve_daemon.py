@@ -14,6 +14,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import time
 
@@ -444,3 +445,22 @@ class TestSigterm:
             for pid in workers:
                 if _alive(pid):
                     os.kill(pid, signal.SIGKILL)
+
+    def test_pool_worker_initializer_restores_default_sigterm(self):
+        """A forked worker drops the daemon's SIGTERM handler and its
+        asyncio wakeup fd, so a signal to the worker ends the worker."""
+        code = textwrap.dedent("""\
+            import os, signal
+            from repro.serve.workers import _prime_worker
+            _, w = os.pipe()
+            os.set_blocking(w, False)
+            signal.set_wakeup_fd(w)
+            signal.signal(signal.SIGTERM, lambda *a: None)
+            _prime_worker()
+            print(signal.getsignal(signal.SIGTERM) is signal.SIG_DFL,
+                  signal.set_wakeup_fd(-1))
+        """)
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             timeout=60).stdout
+        assert out.split() == ["True", "-1"]

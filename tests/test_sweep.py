@@ -178,12 +178,11 @@ class TestCacheKeyCoverage:
         field_names = {f.name for f in dataclasses.fields(AcceleratorConfig)}
         assert set(AcceleratorConfig().to_dict()) == field_names
 
-    def test_config_hash_sees_every_config_field(self):
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(AcceleratorConfig)])
+    def test_config_field_reaches_config_hash(self, name):
         base = AcceleratorConfig()
-        blind = [f.name for f in dataclasses.fields(AcceleratorConfig)
-                 if _clone_with(base, f.name).config_hash()
-                 == base.config_hash()]
-        assert blind == []
+        assert _clone_with(base, name).config_hash() != base.config_hash()
 
     def test_perturbed_always_differs(self):
         for value in (True, 0, 1.5, "s", {"k": 1}, [1], (1,), None):
