@@ -18,8 +18,9 @@
 #   ci.sh report     cold/warm report regeneration (zero sims, same bytes)
 #   ci.sh serve      warm-cache daemon smoke (sweep over the socket,
 #                    zero sims on resubmission, a resubmission after
-#                    another process's `cache gc` simulates again,
-#                    clean remote shutdown)
+#                    another process's `cache gc` simulates again, a
+#                    served report twice: zero sims and the same bytes
+#                    the second time, clean remote shutdown)
 #   ci.sh differential
 #                    every engine's SimStats equal reference's on the
 #                    full fig8 (72 jobs), PageRank x10 (18 jobs),
@@ -53,7 +54,15 @@ cleanup() {
     if ((${#CI_TMP_DIRS[@]})); then rm -rf "${CI_TMP_DIRS[@]}"; fi
 }
 trap cleanup EXIT
-ci_mktemp_d() { local d; d="$(mktemp -d)"; CI_TMP_DIRS+=("$d"); echo "$d"; }
+# `ci_mktemp_d NAME` makes a temp dir and stores its path in the
+# caller's variable NAME; registering it from a `$(...)` subshell
+# would be lost, and the dir would outlive the run
+ci_mktemp_d() {
+    local d
+    d="$(mktemp -d)"
+    CI_TMP_DIRS+=("$d")
+    printf -v "$1" '%s' "$d"
+}
 
 stage_lint() {
     echo "== repro lint (determinism & fork-safety analyzer, 8 rules) =="
@@ -94,56 +103,57 @@ stage_fuzz() {
 
 stage_sweep() {
     echo "== smoke sweep (2 jobs, cold cache) =="
-    local cache_dir
-    cache_dir="$(ci_mktemp_d)"
+    local cache_dir out
+    ci_mktemp_d cache_dir
+    ci_mktemp_d out
     python -m repro sweep --datasets VT --scale 0.03 --algorithms BFS,PR \
-        --jobs 2 --cache-dir "$cache_dir" | tee /tmp/ci-sweep-cold.txt
-    grep -q "cache hits: 0" /tmp/ci-sweep-cold.txt
+        --jobs 2 --cache-dir "$cache_dir" | tee "$out/cold.txt"
+    grep -q "cache hits: 0" "$out/cold.txt"
 
     echo "== smoke sweep (warm cache) =="
     python -m repro sweep --datasets VT --scale 0.03 --algorithms BFS,PR \
-        --jobs 2 --cache-dir "$cache_dir" | tee /tmp/ci-sweep-warm.txt
-    grep -q "cache hits: 6 (100%)" /tmp/ci-sweep-warm.txt
-    grep -q "executed: 0" /tmp/ci-sweep-warm.txt
+        --jobs 2 --cache-dir "$cache_dir" | tee "$out/warm.txt"
+    grep -q "cache hits: 6 (100%)" "$out/warm.txt"
+    grep -q "executed: 0" "$out/warm.txt"
 
     # identical tables regardless of cache state
-    diff <(sed '/^jobs:/d' /tmp/ci-sweep-cold.txt) \
-         <(sed '/^jobs:/d' /tmp/ci-sweep-warm.txt)
+    diff <(sed '/^jobs:/d' "$out/cold.txt") <(sed '/^jobs:/d' "$out/warm.txt")
 }
 
 stage_report() {
     echo "== report regeneration (cold) =="
-    local report_dir report_cache
-    report_dir="$(ci_mktemp_d)"
-    report_cache="$(ci_mktemp_d)"
+    local report_dir report_cache out
+    ci_mktemp_d report_dir
+    ci_mktemp_d report_cache
+    ci_mktemp_d out
     REPRO_SCALE=0.03 python -m repro report --results-dir "$report_dir" \
         --cache-dir "$report_cache" --section fig10 --section latency \
-        --section table2 --section slicing | tee /tmp/ci-report-cold.txt
-    cp "$report_dir/REPORT.md" /tmp/ci-report-cold.md
+        --section table2 --section slicing | tee "$out/cold.txt"
+    cp "$report_dir/REPORT.md" "$out/cold.md"
 
     echo "== report regeneration (warm: zero simulations, identical bytes) =="
     REPRO_SCALE=0.03 python -m repro report --results-dir "$report_dir" \
         --cache-dir "$report_cache" --section fig10 --section latency \
-        --section table2 --section slicing | tee /tmp/ci-report-warm.txt
+        --section table2 --section slicing | tee "$out/warm.txt"
     grep -Eq "^sections: .*cache hits: 21 \(100%\)  executed: 0  " \
-        /tmp/ci-report-warm.txt
-    cmp /tmp/ci-report-cold.md "$report_dir/REPORT.md"
+        "$out/warm.txt"
+    cmp "$out/cold.md" "$report_dir/REPORT.md"
 }
 
 stage_serve() {
     echo "== serve smoke (daemon start, warm resubmission, shutdown) =="
     local serve_dir sock daemon_pid
-    serve_dir="$(ci_mktemp_d)"
+    ci_mktemp_d serve_dir
     sock="$serve_dir/d.sock"
     python -m repro serve --socket "$sock" --cache-dir "$serve_dir/cache" \
-        --jobs 2 > /tmp/ci-serve-daemon.txt 2>&1 &
+        --jobs 2 > "$serve_dir/daemon.txt" 2>&1 &
     daemon_pid=$!
     CI_PIDS+=("$daemon_pid")        # a failed check must not leak it
     for _ in $(seq 1 100); do
         [ -S "$sock" ] && break
         if ! kill -0 "$daemon_pid" 2>/dev/null; then
             echo "serve daemon died during startup:" >&2
-            cat /tmp/ci-serve-daemon.txt >&2
+            cat "$serve_dir/daemon.txt" >&2
             return 1
         fi
         sleep 0.1
@@ -152,26 +162,37 @@ stage_serve() {
 
     echo "-- cold sweep through the daemon --"
     python -m repro sweep --datasets VT --scale 0.03 --algorithms BFS,PR \
-        --connect "$sock" | tee /tmp/ci-serve-cold.txt
-    grep -q "cache hits: 0" /tmp/ci-serve-cold.txt
+        --connect "$sock" | tee "$serve_dir/cold.txt"
+    grep -q "cache hits: 0" "$serve_dir/cold.txt"
 
     echo "-- warm resubmission: zero simulations --"
     python -m repro sweep --datasets VT --scale 0.03 --algorithms BFS,PR \
-        --connect "$sock" | tee /tmp/ci-serve-warm.txt
-    grep -q "executed: 0" /tmp/ci-serve-warm.txt
-    grep -q "cache hits: 6 (100%)" /tmp/ci-serve-warm.txt
+        --connect "$sock" | tee "$serve_dir/warm.txt"
+    grep -q "executed: 0" "$serve_dir/warm.txt"
+    grep -q "cache hits: 6 (100%)" "$serve_dir/warm.txt"
 
     # identical tables regardless of which side of the socket simulated
-    diff <(sed '/^jobs:/d' /tmp/ci-serve-cold.txt) \
-         <(sed '/^jobs:/d' /tmp/ci-serve-warm.txt)
+    diff <(sed '/^jobs:/d' "$serve_dir/cold.txt") \
+         <(sed '/^jobs:/d' "$serve_dir/warm.txt")
 
     echo "-- entries deleted by another process: simulated again --"
     python -m repro cache gc --cache-dir "$serve_dir/cache" --max-bytes 0
     python -m repro sweep --datasets VT --scale 0.03 --algorithms BFS,PR \
-        --connect "$sock" | tee /tmp/ci-serve-regc.txt
-    grep -q "cache hits: 0" /tmp/ci-serve-regc.txt
-    diff <(sed '/^jobs:/d' /tmp/ci-serve-cold.txt) \
-         <(sed '/^jobs:/d' /tmp/ci-serve-regc.txt)
+        --connect "$sock" | tee "$serve_dir/regc.txt"
+    grep -q "cache hits: 0" "$serve_dir/regc.txt"
+    diff <(sed '/^jobs:/d' "$serve_dir/cold.txt") \
+         <(sed '/^jobs:/d' "$serve_dir/regc.txt")
+
+    echo "-- served report, then again: zero simulations, same bytes --"
+    REPRO_SCALE=0.03 python -m repro report --connect "$sock" \
+        --results-dir "$serve_dir/results" --section fig10 --section latency \
+        | tee "$serve_dir/report-cold.txt"
+    cp "$serve_dir/results/REPORT.md" "$serve_dir/report-cold.md"
+    REPRO_SCALE=0.03 python -m repro report --connect "$sock" \
+        --results-dir "$serve_dir/results" --section fig10 --section latency \
+        | tee "$serve_dir/report-warm.txt"
+    grep -q "executed: 0" "$serve_dir/report-warm.txt"
+    cmp "$serve_dir/report-cold.md" "$serve_dir/results/REPORT.md"
 
     echo "-- graceful remote shutdown --"
     python - "$sock" <<'EOF'
@@ -224,7 +245,7 @@ EOF
 }
 
 usage() {
-    sed -n '2,29p' "$0"
+    sed -n '2,30p' "$0"
     exit 2
 }
 

@@ -33,6 +33,7 @@ description, regardless of which side executes.
 from __future__ import annotations
 
 import abc
+import dataclasses
 import os
 
 from repro.accel.stats import SimStats
@@ -110,12 +111,13 @@ class LocalSession(Session):
         self.engine = engine
 
     def _apply_engine(self, jobs: list[SweepJob]) -> list[SweepJob]:
+        """Copies pinned to this session's engine; the caller's jobs
+        stay as they are, so a later session can pick its own."""
         if self.engine is None:
             return jobs
-        for job in jobs:
-            if job.engine is None:
-                job.engine = self.engine
-        return jobs
+        return [job if job.engine is not None
+                else dataclasses.replace(job, engine=self.engine)
+                for job in jobs]
 
     def sweep(self, jobs: list[SweepJob], on_progress=None) -> SweepOutcome:
         from repro.sweep.executor import run_sweep

@@ -31,9 +31,10 @@ DEFAULT_BENCH_SCALES: dict[str, float] = {
     "R16": 0.03125,
 }
 
-#: PageRank iterations used by the benches (documented in EXPERIMENTS.md;
-#: throughput is iteration-count-insensitive because every iteration
-#: processes the same all-active workload).
+#: PageRank iterations used by the benches (throughput is
+#: iteration-count-insensitive because every iteration processes the
+#: same all-active workload; the paper-vs-measured write-up that will
+#: state this is ROADMAP item 4).
 BENCH_PR_ITERATIONS = 2
 
 

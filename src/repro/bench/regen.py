@@ -10,17 +10,21 @@ benchmark suite does, and rebuilds ``REPORT.md``.
 
 Two kinds of provenance are recorded:
 
-* **deterministic** facts (code version, cache directory, planned job
-  counts) go into ``REPORT.md`` itself, so a cold and a warm
+* **deterministic** facts (code version, sections regenerated, planned
+  job counts) go into ``REPORT.md`` itself, so a cold and a warm
   regeneration of the same configuration are byte-identical;
-* **run accounting** (cache hit/miss counts, executed jobs, per-section
-  and per-job wall times) necessarily differs between cold and warm
-  runs and is written next to the report as
+* **run accounting** (date, results and cache directories, cache
+  hit/miss counts, executed jobs, per-section and per-job wall times)
+  differs between runs and is written next to the report as
   ``REPORT.provenance.json`` and returned as :class:`RegenReport`.
 
 Shared sweeps are planned once: Fig. 8 and Fig. 9 read one evaluation
 matrix, Fig. 10(a) and 10(b) one ablation sweep.  Accounting for a
-shared sweep is charged to the first section that triggers it.
+shared sweep is charged to the first section that triggers it.  A
+caller that regenerates again and again at one ``$REPRO_SCALE`` (the
+serve daemon) passes a ``plans`` dict that outlives the call: each
+named sweep is then planned on the first call only, and its frozen
+jobs keep their cache keys from one call to the next.
 """
 
 from __future__ import annotations
@@ -85,7 +89,8 @@ class RegenContext:
 
     def __init__(self, num_workers: int | None = 1,
                  cache: ResultCache | str | os.PathLike | None = None,
-                 runner: Callable | None = None) -> None:
+                 runner: Callable | None = None,
+                 plans: dict[str, list] | None = None) -> None:
         self.num_workers = num_workers
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
@@ -94,6 +99,9 @@ class RegenContext:
         #: daemon injects its scheduler here so report sections share the
         #: resident workers and in-flight dedup of directly submitted jobs
         self.runner = runner
+        #: sweep name -> planned job list; filled here, and kept by a
+        #: caller that passes the same dict to every pass at one scale
+        self.plans = {} if plans is None else plans
         self._outcomes: dict[str, object] = {}
 
     def sweep(self, name: str, jobs_fn: Callable[[], list]):
@@ -101,9 +109,11 @@ class RegenContext:
         outcome = self._outcomes.get(name)
         if outcome is not None:
             return outcome, False
+        jobs = self.plans.get(name)
+        if jobs is None:
+            jobs = self.plans[name] = jobs_fn()
         run = self.runner if self.runner is not None else run_sweep
-        outcome = run(jobs_fn(), num_workers=self.num_workers,
-                      cache=self.cache)
+        outcome = run(jobs, num_workers=self.num_workers, cache=self.cache)
         self._outcomes[name] = outcome
         return outcome, True
 
@@ -394,7 +404,8 @@ def regenerate(results_dir: str, sections=None, num_workers: int | None = 1,
                provenance_path: str | None = None,
                progress: Callable[[dict], None] | None = None,
                charts: bool = False,
-               runner: Callable | None = None) -> RegenReport:
+               runner: Callable | None = None,
+               plans: dict[str, list] | None = None) -> RegenReport:
     """Regenerate section tables and the consolidated report from cache.
 
     Renders each selected section's ``.txt`` under ``results_dir`` (rows
@@ -407,10 +418,13 @@ def regenerate(results_dir: str, sections=None, num_workers: int | None = 1,
     ``progress``, if given, is called with each finished section record.
     ``runner`` substitutes the sweep executor (run_sweep's signature);
     the serve daemon passes its scheduler so section sweeps run on the
-    resident worker pool.
+    resident worker pool.  ``plans`` (sweep name -> job list) is read
+    for sweeps planned before and filled with the ones planned now; the
+    caller must pass it only to calls under the same ``$REPRO_SCALE``.
     """
     keys = resolve_sections(sections)
-    ctx = RegenContext(num_workers=num_workers, cache=cache, runner=runner)
+    ctx = RegenContext(num_workers=num_workers, cache=cache, runner=runner,
+                       plans=plans)
     start = time.monotonic()
     os.makedirs(results_dir, exist_ok=True)
 
@@ -438,8 +452,8 @@ def regenerate(results_dir: str, sections=None, num_workers: int | None = 1,
             progress(record)
 
     # write the tables only after every sweep has finished, so each
-    # .txt postdates every cache entry this pass produced — the report's
-    # staleness check must not flag its own output
+    # .txt postdates every cache entry this pass produced; the report
+    # judges staleness only for the tables this pass did not write
     for key, text in rendered:
         save_rows(os.path.join(results_dir, f"{key}.txt"), text)
     for key, text in rendered_charts:
@@ -453,6 +467,7 @@ def regenerate(results_dir: str, sections=None, num_workers: int | None = 1,
     version = code_version()
     report_text = build_report(
         results_dir, cache_dir=cache_dir, charts=charts,
+        written=dict(rendered),
         provenance={
             "code version": version,
             "sections regenerated":

@@ -2,14 +2,16 @@
 
 Collects the tables written under ``benchmarks/results/`` — by the
 benchmark suite or by the cache-driven regeneration pipeline
-(:mod:`repro.bench.regen`) — into one markdown document, the mechanical
-companion to EXPERIMENTS.md (which adds the paper-vs-measured
-commentary).
+(:mod:`repro.bench.regen`) — into one markdown document.  The
+paper-vs-measured commentary it lacks is ROADMAP item 4.
 
 When a result cache directory is supplied, each section is checked for
 **staleness**: a ``.txt`` older than the newest cache entry predates
 the most recent simulation results, so the report says to regenerate it
-with ``repro report`` instead of silently presenting old numbers.
+with ``repro report`` instead of silently presenting old numbers.  A
+table the caller has just written (``build_report(written=...)``) is
+fresh by construction, so only the other tables are judged, and a
+report whose every table was just written scans no cache at all.
 
 The report depends on the tables alone: no date and no path, so
 regenerating it on another day or from another checkout leaves the
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Collection, Mapping
 
 #: Section order and titles for the consolidated report.
 REPORT_SECTIONS: tuple[tuple[str, str], ...] = (
@@ -45,10 +48,19 @@ REPORT_SECTIONS: tuple[tuple[str, str], ...] = (
 REGEN_HINT = "regenerate with `repro report`"
 
 
-def collect_results(results_dir: str) -> dict[str, str]:
-    """Read every known results table that exists; key -> text."""
+def collect_results(results_dir: str,
+                    written: Mapping[str, str] | None = None) -> dict[str, str]:
+    """Read every known results table that exists; key -> text.
+
+    Tables in ``written`` (key -> the text just written to disk) are
+    taken from it instead of being read back.
+    """
+    written = written or {}
     found = {}
     for key, _title in REPORT_SECTIONS:
+        if key in written:
+            found[key] = written[key]
+            continue
         path = os.path.join(results_dir, f"{key}.txt")
         if os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
@@ -86,23 +98,32 @@ def newest_cache_mtime(cache_dir: str | os.PathLike | None) -> float | None:
 
 
 def section_status(results_dir: str,
-                   cache_dir: str | os.PathLike | None = None) -> dict[str, str]:
+                   cache_dir: str | os.PathLike | None = None,
+                   written: Collection[str] = ()) -> dict[str, str]:
     """Freshness of every section: ``fresh`` | ``stale`` | ``missing``.
 
     A section is *stale* when its ``.txt`` is strictly older than the
     newest entry in the result cache — the table predates simulation
     results that may have changed it.  Without a cache directory no
-    section can be judged stale.
+    section can be judged stale.  Sections in ``written`` were just
+    written from the cache's current entries, so they are fresh; the
+    cache is scanned only if some other table exists.
     """
-    cache_mtime = newest_cache_mtime(cache_dir)
+    cache_mtime: float | None = None
+    scanned = False
     status = {}
     for key, _title in REPORT_SECTIONS:
+        if key in written:
+            status[key] = "fresh"
+            continue
         path = os.path.join(results_dir, f"{key}.txt")
         try:
             txt_mtime = os.stat(path).st_mtime
         except OSError:
             status[key] = "missing"
             continue
+        if not scanned:
+            cache_mtime, scanned = newest_cache_mtime(cache_dir), True
         if cache_mtime is not None and txt_mtime < cache_mtime:
             status[key] = "stale"
         else:
@@ -113,22 +134,25 @@ def section_status(results_dir: str,
 def build_report(results_dir: str, title: str = "HiGraph reproduction — "
                  "measured results", cache_dir: str | os.PathLike | None = None,
                  provenance: dict[str, str] | None = None,
-                 charts: bool = False) -> str:
+                 charts: bool = False,
+                 written: Mapping[str, str] | None = None) -> str:
     """Render the consolidated markdown report.
 
     ``cache_dir`` enables the per-section staleness check (see
-    :func:`section_status`).  ``charts`` appends each section's
-    rendered unicode chart (``<section>.chart.txt``, written by
-    ``repro report --charts``) under its table.  ``provenance`` adds a
+    :func:`section_status`).  ``written`` maps the sections the caller
+    has just written under ``results_dir`` to their table text: they
+    are neither read back nor judged stale.  ``charts`` appends each
+    section's rendered unicode chart (``<section>.chart.txt``, written
+    by ``repro report --charts``) under its table.  ``provenance`` adds a
     final section of ``label: value`` lines; callers must pass only
     run-independent values there so that regenerating from a warm
     cache reproduces the report byte-for-byte (volatile accounting
     belongs in the JSON sidecar written by
     :func:`repro.bench.regen.regenerate`).
     """
-    tables = collect_results(results_dir)
+    tables = collect_results(results_dir, written)
     chart_texts = collect_charts(results_dir) if charts else {}
-    status = section_status(results_dir, cache_dir)
+    status = section_status(results_dir, cache_dir, written or ())
     lines = [f"# {title}", ""]
     missing = []
     for key, section_title in REPORT_SECTIONS:

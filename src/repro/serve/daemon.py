@@ -19,7 +19,13 @@ The report endpoint reuses :func:`repro.bench.regen.regenerate`
 verbatim, but injects the scheduler as the sweep ``runner`` — section
 sweeps go through the same dedup/claims/resident-worker path as
 directly submitted jobs, and a warm cache regenerates every section
-with zero simulations.
+with zero simulations.  It also keeps each section sweep's planned job
+list resident for the ``$REPRO_SCALE`` in force (the most recent scale
+only), so a repeated report neither plans nor derives a cache key
+again: the frozen jobs keep their keys, and re-derive them only under
+another code version.  What changes between requests, each result's
+cache entry, is still read through :meth:`ResultCache.get
+<repro.sweep.cache.ResultCache.get>`.
 """
 
 from __future__ import annotations
@@ -91,6 +97,9 @@ class ServeDaemon:
         # the (process-global) environment; serialize them so two
         # concurrent reports cannot see each other's scale
         self._regen_lock = threading.Lock()
+        #: $REPRO_SCALE -> {sweep name: planned jobs}, for the most
+        #: recent scale only; read and replaced under _regen_lock
+        self._plans: dict[str | None, dict[str, list]] = {}
 
     # ------------------------------------------------------------------
     async def run(self, on_started=None) -> None:
@@ -233,6 +242,8 @@ class ServeDaemon:
             changed = self.version != previous
             if changed:
                 await asyncio.to_thread(self.pool.recycle)
+                # the resident section plans stay: each job's key memo
+                # names the old version, so the scheduler re-keys them
                 self.scheduler.version = self.version
                 if self.cache is not None:
                     # resident entries are keyed under the old version
@@ -306,6 +317,9 @@ class ServeDaemon:
             # remote reports hit the cache entries local runs wrote
             with self._regen_lock, _scoped_env(SCALE_ENV_VAR,
                                                request.scale):
+                scale = os.environ.get(SCALE_ENV_VAR)
+                if scale not in self._plans:
+                    self._plans = {scale: {}}
                 return regenerate(
                     request.results_dir,
                     sections=request.sections,
@@ -313,6 +327,7 @@ class ServeDaemon:
                     report_path=request.out,
                     charts=request.charts,
                     runner=runner,
+                    plans=self._plans[scale],
                 )
 
         report = await asyncio.to_thread(regen)

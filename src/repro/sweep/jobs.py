@@ -12,6 +12,10 @@ memoized per process) or **inline** (a concrete
 yield a stable fingerprint for the result cache: specs hash their
 generator parameters (generator code is covered by the cache's code
 version), inline graphs hash their CSR arrays.
+
+Jobs are frozen and keep their cache key on the instance, so a job list
+planned once (the serve daemon keeps each report section's) is keyed
+once; :func:`dataclasses.replace` derives an unkeyed variant.
 """
 
 from __future__ import annotations
@@ -55,9 +59,14 @@ def graph_fingerprint(graph: GraphSpec | CSRGraph) -> str:
     return f"csr:{h.hexdigest()}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepJob:
-    """One independent simulation: (graph, algorithm, config, source)."""
+    """One independent simulation: (graph, algorithm, config, source).
+
+    Frozen, and its dict fields (``algorithm_kwargs``, ``tags``) are not
+    to be changed in place either: :meth:`cache_key` and :meth:`family`
+    keep their results on the instance.
+    """
 
     graph: GraphSpec | CSRGraph
     algorithm: str
@@ -98,7 +107,17 @@ class SweepJob:
         from the reference and soa engines share entries exactly while
         the two are verified cycle-exact against each other (see
         :func:`repro.accel.engine.engine_cache_token`).
+
+        Kept in the instance's ``__dict__`` (outside the fields, so
+        equality and ``replace`` ignore it) with the code version and
+        engine token it was derived under; another version, or another
+        ``$REPRO_ENGINE`` class for a job that leaves ``engine`` unset,
+        derives the key again.
         """
+        engine = engine_cache_token(self.engine)
+        memo = self.__dict__.get("_cache_key")
+        if memo is not None and memo[0] == code_version and memo[1] == engine:
+            return memo[2]
         payload = json.dumps({
             "graph": graph_fingerprint(self.graph),
             "algorithm": self.algorithm,
@@ -109,10 +128,12 @@ class SweepJob:
             "num_slices": self.num_slices,
             "offchip_bytes_per_cycle":
                 self.offchip_bytes_per_cycle if self.num_slices > 1 else None,
-            "engine": engine_cache_token(self.engine),
+            "engine": engine,
             "code": code_version,
         }, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        self.__dict__["_cache_key"] = (code_version, engine, key)
+        return key
 
     def cost_hint(self) -> float:
         """Relative cost estimate (edges to traverse) for scheduling.

@@ -223,6 +223,32 @@ class TestStaleness:
         status = section_status(str(results), None)
         assert status["ablation_latency"] == "fresh"
 
+    def test_full_regeneration_scans_no_cache(self, tmp_path, tiny_scale,
+                                              monkeypatch):
+        """Every table of a full report was written from the cache in
+        the same pass, so none can be stale and the cache is not walked."""
+        from repro.sweep import ResultCache
+        results, cache = self._warm(tmp_path)
+
+        def refuse(self):
+            raise AssertionError("a full regeneration scanned the cache")
+
+        monkeypatch.setattr(ResultCache, "newest_mtime", refuse)
+        regenerate(str(results), cache=str(cache))
+        text = (results / "REPORT.md").read_text()
+        assert "*Stale:" not in text and "Missing sections" not in text
+
+    def test_partial_regeneration_flags_a_table_it_did_not_write(
+            self, tmp_path, tiny_scale):
+        results, cache = self._warm(tmp_path)
+        os.utime(results / "ablation_latency.txt", (1, 1))
+        regenerate(str(results), sections=["table1"], cache=str(cache))
+        text = (results / "REPORT.md").read_text()
+        assert text.count("*Stale:") == 1
+        latency = text.index("## Ablation — latency vs throughput")
+        assert text.index("*Stale:") > latency
+        assert os.stat(results / "ablation_latency.txt").st_mtime == 1
+
 
 # ----------------------------------------------------------------------
 # Row builders match the direct (non-sweep) simulations

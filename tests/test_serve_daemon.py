@@ -291,6 +291,36 @@ class TestSessionFacade:
         with pytest.raises(ServeError, match="local sessions only"):
             session(sock, cache_dir="/tmp/x")
 
+    def test_session_engine_leaves_the_callers_jobs(self, monkeypatch):
+        """A session's engine applies to copies: a list swept once by an
+        ``engine="reference"`` session still builds soa engines in an
+        ``engine="soa"`` session, and keeps ``engine=None`` throughout."""
+        from repro.accel import accelerator
+        from repro.accel.engine import soakernel
+        if soakernel.load_kernel() is None:
+            pytest.skip("no compiled kernel: soa runs are handed to reference")
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        built = []
+        real = accelerator.make_engine
+
+        def spy(name, sim):
+            engine = real(name, sim)
+            built.append(type(engine).__name__)
+            return engine
+
+        monkeypatch.setattr(accelerator, "make_engine", spy)
+        jobs = _jobs("BFS")
+        with LocalSession(engine="reference") as first:
+            first.sweep(jobs)
+        assert built == ["ReferenceEngine"]
+        assert [job.engine for job in jobs] == [None]
+        built.clear()
+        with LocalSession(engine="soa") as second:
+            outcome = second.sweep(jobs)
+        assert built == ["SoaEngine"]
+        assert [job.engine for job in jobs] == [None]
+        assert [job.engine for job in outcome.jobs] == ["soa"]
+
     def test_closed_session_refuses_work(self):
         local = LocalSession()
         local.close()
@@ -311,7 +341,6 @@ class TestReportEndpoint:
         results = tmp_path / "results"
         cache_dir = os.path.join(sock_dir, "c")
         sections = ["table1", "fig4"]          # model sections: no sims
-        # REPORT.md embeds the cache dir, so both paths must share one
         with LocalSession(cache_dir=cache_dir) as local:
             local_report = local.report(results, sections=sections)
         cold_bytes = (results / "REPORT.md").read_bytes()
@@ -356,6 +385,127 @@ class TestReportEndpoint:
                 warm = remote.report(tmp_path / "r", sections=["fig12"])
         assert warm.executed == 0
         assert warm.cache_hits == cold.total_jobs
+
+
+#: Sections of the resident-plan tests: a matrix over a symbolic graph
+#: (R14) and one over an inline graph (the latency ablation's chain).
+PLAN_SECTIONS = ["latency", "radix"]
+
+
+def _spy(monkeypatch, owner, name, calls):
+    """Record ``name`` in ``calls`` on each call of ``owner.name``."""
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def _spy_planning(monkeypatch):
+    """(planner calls, key payloads built): every section planner the
+    regeneration looks up, and the graph fingerprints ``SweepJob``
+    takes, one per cache-key payload (no family is asked for on a
+    warm report)."""
+    from repro.bench import regen
+    from repro.sweep import jobs as jobs_mod
+    planned, keyed = [], []
+    for name in [n for n in vars(regen) if n.endswith("_jobs")]:
+        _spy(monkeypatch, regen, name, planned)
+    _spy(monkeypatch, jobs_mod, "graph_fingerprint", keyed)
+    return planned, keyed
+
+
+class TestResidentPlans:
+    """A daemon plans each section sweep once per ``$REPRO_SCALE`` and
+    keeps its jobs, keys included; every result is still read from the
+    cache on every report."""
+
+    def test_second_warm_report_plans_and_keys_nothing(
+            self, sock_dir, tmp_path, monkeypatch):
+        from repro.sweep.cache import ResultCache
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        results = tmp_path / "r"
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
+            with RemoteSession(sock) as remote:
+                assert remote.report(results,
+                                     sections=PLAN_SECTIONS).executed > 0
+                remote.report(results, sections=PLAN_SECTIONS)
+                warm_bytes = (results / "REPORT.md").read_bytes()
+                planned, keyed = _spy_planning(monkeypatch)
+                gets = []
+                _spy(monkeypatch, ResultCache, "get", gets)
+                again = remote.report(results, sections=PLAN_SECTIONS)
+        assert planned == [] and keyed == []
+        assert again.executed == 0
+        assert len(gets) == again.cache_hits == again.total_jobs == 7
+        assert (results / "REPORT.md").read_bytes() == warm_bytes
+
+    def test_report_at_another_scale_plans_again(self, sock_dir, tmp_path,
+                                                 monkeypatch):
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")) \
+                as daemon:
+            with RemoteSession(sock) as remote:
+                monkeypatch.setenv("REPRO_SCALE", "0.02")
+                remote.report(tmp_path / "a", sections=PLAN_SECTIONS)
+                planned, _keyed = _spy_planning(monkeypatch)
+                monkeypatch.setenv("REPRO_SCALE", "0.03")
+                remote.report(tmp_path / "b", sections=PLAN_SECTIONS)
+            assert list(daemon._plans) == ["0.03"]   # the latest scale only
+        assert planned == ["sec54_radix_jobs", "latency_ablation_jobs"]
+        with LocalSession() as local:
+            local.report(tmp_path / "local", sections=PLAN_SECTIONS)
+        for name in ("REPORT.md", "sec54_radix.txt", "ablation_latency.txt"):
+            assert (tmp_path / "b" / name).read_bytes() \
+                == (tmp_path / "local" / name).read_bytes(), name
+        assert (tmp_path / "a" / "sec54_radix.txt").read_bytes() \
+            != (tmp_path / "b" / "sec54_radix.txt").read_bytes()
+
+    def test_entry_deleted_between_reports_is_simulated_again(
+            self, sock_dir, tmp_path, monkeypatch):
+        from pathlib import Path
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        results = tmp_path / "r"
+        cache_dir = os.path.join(sock_dir, "c")
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, cache_dir=cache_dir):
+            with RemoteSession(sock) as remote:
+                remote.report(results, sections=PLAN_SECTIONS)
+                warm = remote.report(results, sections=PLAN_SECTIONS)
+                warm_bytes = (results / "REPORT.md").read_bytes()
+                entries = sorted(Path(cache_dir).glob("*/*.json"))
+                assert len(entries) == warm.total_jobs
+                entries[0].unlink()                # not via the daemon
+                again = remote.report(results, sections=PLAN_SECTIONS)
+        assert (warm.executed, warm.cache_hits) == (0, 7)
+        assert (again.executed, again.cache_hits) == (1, 6)
+        assert (results / "REPORT.md").read_bytes() == warm_bytes
+
+    def test_code_changing_reload_rekeys_the_plans(self, sock_dir, tmp_path,
+                                                   monkeypatch):
+        from repro.sweep import cache as cache_mod
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        results = tmp_path / "r"
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
+            with RemoteSession(sock) as remote:
+                remote.report(results, sections=PLAN_SECTIONS)
+                assert remote.report(results,
+                                     sections=PLAN_SECTIONS).executed == 0
+                try:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(cache_mod, "_digest_source_tree",
+                                      lambda: "f" * 64)
+                        assert remote.client.reload().changed is True
+                        after = remote.report(results,
+                                              sections=PLAN_SECTIONS)
+                finally:
+                    remote.client.reload()   # the real digest, for peers
+        assert after.code_version == "f" * 64
+        assert (after.executed, after.cache_hits) == (7, 0)
 
 
 class TestCliServeVerbs:

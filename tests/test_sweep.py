@@ -211,6 +211,80 @@ class TestCacheKeyCoverage:
         assert job.cache_key("other-code-version") != key
 
 
+class TestFrozenJobs:
+    """A job keeps its cache key on the instance; the key must follow
+    every input that is not a field: the code version and the engine
+    class ``$REPRO_ENGINE`` picks for a job that names no engine."""
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        """Graph fingerprints taken by ``repro.sweep.jobs``: one per key
+        payload built (the tests here never ask for a job's family)."""
+        from repro.sweep import jobs as jobs_mod
+        calls = []
+        real = jobs_mod.graph_fingerprint
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(jobs_mod, "graph_fingerprint", counting)
+        return calls
+
+    @staticmethod
+    def _job(**overrides):
+        return SweepJob(graph=SMALL, algorithm="BFS", config=higraph(),
+                        **overrides)
+
+    def test_assigning_a_field_raises(self):
+        job = self._job()
+        for name, value in (("engine", "reference"), ("source", 1),
+                            ("tags", {})):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(job, name, value)
+        assert job.engine is None and job.source == 0
+
+    def test_key_is_derived_once_per_instance(self, derivations):
+        job = self._job()
+        assert job.cache_key("v") == job.cache_key("v")
+        assert len(derivations) == 1
+
+    def test_replace_rekeys(self, derivations):
+        base = self._job()
+        key = base.cache_key("v")
+        moved = dataclasses.replace(base, source=1)
+        assert moved.cache_key("v") != key
+        assert moved.cache_key("v") == self._job(source=1).cache_key("v")
+        same = dataclasses.replace(base)
+        assert same.cache_key("v") == key
+        # base, moved, the fresh source=1 job and same: one payload each
+        assert len(derivations) == 4
+
+    def test_one_instance_rekeys_under_another_code_version(
+            self, derivations):
+        job = self._job()
+        first = job.cache_key("v1")
+        assert job.cache_key("v1") == first and len(derivations) == 1
+        second = job.cache_key("v2")
+        assert second != first and len(derivations) == 2
+        assert second == self._job().cache_key("v2")
+
+    def test_one_instance_rekeys_under_another_engine_env(
+            self, derivations, monkeypatch):
+        from repro.accel.engine import ENGINE_ENV_VAR, registry
+        monkeypatch.setattr(registry, "_ENGINE_EQUIVALENCE", MappingProxyType(
+            {"reference": "class-a", "soa": "class-b"}))
+        job = self._job()
+        monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
+        reference_key = job.cache_key("v")
+        assert job.cache_key("v") == reference_key and len(derivations) == 1
+        monkeypatch.setenv(ENGINE_ENV_VAR, "soa")
+        soa_key = job.cache_key("v")
+        assert soa_key != reference_key and len(derivations) == 2
+        assert soa_key == self._job(engine="soa").cache_key("v")
+        assert reference_key == self._job(engine="reference").cache_key("v")
+
+
 # ----------------------------------------------------------------------
 # Cache
 # ----------------------------------------------------------------------
