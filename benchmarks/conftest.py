@@ -5,7 +5,7 @@ The Fig. 8 and Fig. 9 benches share one expensive evaluation matrix
 session on the sweep engine.  Three environment variables tune how it
 runs — the numbers are identical in every case:
 
-* ``REPRO_JOBS``       worker processes (default 0 = one per CPU;
+* ``REPRO_JOBS``       worker threads (default 0 = one per CPU;
                        set 1 to force serial execution);
 * ``REPRO_CACHE_DIR``  sweep result cache directory (default: no
                        cache, always simulate);
@@ -37,7 +37,7 @@ def results_dir():
 
 
 def _env_jobs() -> int:
-    """Worker processes for sweep-backed benches (0 = one per CPU).
+    """Worker threads for sweep-backed benches (0 = one per CPU).
 
     The default went serial -> per-CPU once the executor's scheduling
     and caching had soaked; results are identical regardless.

@@ -6,8 +6,8 @@ axes in one script, printing a compact report that shows why the paper
 settles on radix 2 and 160-entry buffers.
 
 The three studies are planned as one sweep-job list and executed by the
-sweep engine, so the whole exploration shards across worker processes
-and memoizes every simulation on disk — re-running the script (or
+sweep engine, so the whole exploration runs on worker threads and
+memoizes every simulation on disk — re-running the script (or
 adding one new axis value) only simulates what is new.
 
 Run:  python examples/design_space_exploration.py [--jobs N]
@@ -28,7 +28,7 @@ CHANNELS = (32, 64, 128)
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=0,
-                        help="worker processes (0 = one per CPU)")
+                        help="worker threads (0 = one per CPU)")
     parser.add_argument("--cache-dir", default=None,
                         help="optional sweep result cache directory")
     args = parser.parse_args()

@@ -46,7 +46,7 @@ def main() -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="cache directory (default: a temp dir)")
     parser.add_argument("--jobs", type=int, default=0,
-                        help="worker processes for cache misses "
+                        help="worker threads for cache misses "
                              "(0 = one per CPU)")
     args = parser.parse_args()
 

@@ -3,10 +3,11 @@
 # Actions workflow (.github/workflows/ci.yml) share one script:
 #
 #   ci.sh            == ci.sh all
-#   ci.sh lint       `repro lint` determinism & fork-safety analyzer
-#                    (module state, set order, clocks, excepts, fork
-#                    idioms), then the C kernel compiled warning-clean
-#                    (-Wall -Wextra -Wpedantic -Werror at -O2)
+#   ci.sh lint       `repro lint` determinism analyzer, 6 rules
+#                    (module state, set order, id keys, clocks,
+#                    excepts, atomic cache writes), then the C kernel
+#                    compiled warning-clean (-Wall -Wextra -Wpedantic
+#                    -Werror at -O2)
 #   ci.sh tests      tier-1 pytest (includes the engine differential suite
 #                    and docs/cli.md vs the parser), then
 #                    benchmarks/results must match the commit
@@ -25,7 +26,8 @@
 #                    every engine's SimStats equal reference's on the
 #                    full fig8 (72 jobs), PageRank x10 (18 jobs),
 #                    Fig. 10 (16), Fig. 11 (6), Fig. 12 (12) and
-#                    Sec. 5.4 (3) matrices, uncached
+#                    Sec. 5.4 (3) matrices, uncached, one python
+#                    process per matrix, all started together
 #
 # Stages may be combined: `ci.sh tests differential`.
 #
@@ -43,13 +45,8 @@ CI_PIDS=()
 # (plain `(( ))` here would make the trap itself exit 1 when the array
 # is empty, failing green runs of stages that never made a temp dir)
 cleanup() {
-    local pid
     if ((${#CI_PIDS[@]})); then
-        for pid in "${CI_PIDS[@]}"; do
-            # the daemon's pool workers outlive a killed parent
-            pkill -P "$pid" 2> /dev/null || true
-            kill "$pid" 2> /dev/null || true
-        done
+        kill "${CI_PIDS[@]}" 2> /dev/null || true
     fi
     if ((${#CI_TMP_DIRS[@]})); then rm -rf "${CI_TMP_DIRS[@]}"; fi
 }
@@ -65,7 +62,7 @@ ci_mktemp_d() {
 }
 
 stage_lint() {
-    echo "== repro lint (determinism & fork-safety analyzer, 8 rules) =="
+    echo "== repro lint (determinism analyzer, 6 rules) =="
     # hard gate: any finding without an inline allow fails the build
     python -m repro lint
     echo "== C kernel compiles warning-clean =="
@@ -208,7 +205,29 @@ EOF
 
 stage_differential() {
     echo "== soa vs reference: fig8, PageRank x10, fig10, fig11, fig12, sec5.4 =="
-    python - <<'EOF'
+    # reference holds the GIL, so threads would run its jobs one at a
+    # time: each matrix sweeps serially in its own process instead, and
+    # the processes share the CPUs
+    local label failed=0
+    local -A pids=()
+    for label in fig8 PRx10 fig10 fig11 fig12 sec5.4; do
+        differential_matrix "$label" &
+        pids[$label]=$!
+        CI_PIDS+=("$!")
+    done
+    for label in "${!pids[@]}"; do
+        if ! wait "${pids[$label]}"; then
+            echo "differential $label failed" >&2
+            failed=1
+        fi
+    done
+    return "$failed"
+}
+
+# `differential_matrix LABEL`: one matrix, every engine, compared with
+# reference job by job (exec: a background call's pid is python's)
+differential_matrix() {
+    exec python - "$1" <<'EOF'
 import dataclasses
 import sys
 from repro.accel.engine import ENGINES, soakernel
@@ -223,29 +242,29 @@ if soakernel.load_kernel() is None:
 # fig8 and PRx10 are the Table 1 designs; the figures add an MDP edge
 # stage between crossbar sites, 64-256 back channels, FIFO depths
 # 8-320 and radix 4 and 8
-matrices = {"fig8": matrix_jobs(),
-            "PRx10": matrix_jobs(algorithms=[("PR", {"iterations": 10})]),
-            "fig10": fig10_jobs(), "fig11": fig11_jobs(),
-            "fig12": fig12_jobs(), "sec5.4": sec54_radix_jobs()}
-diverged = []
-for label, jobs in matrices.items():
-    runs = {engine: run_sweep([dataclasses.replace(job, engine=engine)
-                               for job in jobs], num_workers=0).stats
-            for engine in ENGINES}
-    for engine in ENGINES:
-        diverged += [f"{label} {job.describe()}: reference vs {engine}"
-                     for job, want, got in zip(jobs, runs["reference"],
-                                               runs[engine])
-                     if got.to_dict() != want.to_dict()]
-    print(f"{label}: {len(jobs)} jobs x {len(ENGINES)} engines")
+planners = {"fig8": matrix_jobs,
+            "PRx10": lambda: matrix_jobs(
+                algorithms=[("PR", {"iterations": 10})]),
+            "fig10": fig10_jobs, "fig11": fig11_jobs,
+            "fig12": fig12_jobs, "sec5.4": sec54_radix_jobs}
+label = sys.argv[1]
+jobs = planners[label]()
+runs = {engine: run_sweep([dataclasses.replace(job, engine=engine)
+                           for job in jobs], num_workers=1).stats
+        for engine in ENGINES}
+diverged = [f"{label} {job.describe()}: reference vs {engine}"
+            for engine in ENGINES
+            for job, want, got in zip(jobs, runs["reference"], runs[engine])
+            if got.to_dict() != want.to_dict()]
 for line in diverged:
     print(f"SimStats diverge: {line}", file=sys.stderr)
+print(f"{label}: {len(jobs)} jobs x {len(ENGINES)} engines")
 sys.exit(1 if diverged else 0)
 EOF
 }
 
 usage() {
-    sed -n '2,30p' "$0"
+    sed -n '2,32p' "$0"
     exit 2
 }
 

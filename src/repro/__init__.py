@@ -17,8 +17,8 @@ Layers, bottom-up:
 * :mod:`repro.accel` — cycle-level simulators of HiGraph, HiGraph-mini
   and the GraphDynS baseline (Table 1 presets, Opt-O/E/D ablations).
 * :mod:`repro.sweep` — sweep execution engine: plans {algorithm x
-  dataset x config x axis} matrices into independent jobs, shards them
-  across worker processes and caches results on disk (docs/sweep.md).
+  dataset x config x axis} matrices into independent jobs, runs them
+  on worker threads and caches results on disk (docs/sweep.md).
 * :mod:`repro.bench` — the experiment harness regenerating every figure
   and table of the paper's evaluation, built on the sweep engine.
 * :mod:`repro.serve` — the warm-cache simulation service: a resident

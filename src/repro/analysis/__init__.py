@@ -1,4 +1,4 @@
-"""Static determinism & fork-safety analysis — the ``repro lint`` layer.
+"""Static determinism analysis — the ``repro lint`` layer.
 
 The reproduction's correctness claims rest on invariants no unit test
 can watch continuously: the ``reference``/``soa`` engines must stay
@@ -8,20 +8,17 @@ hand-patched (``backend.py`` once shared module-level sink lists
 across simulators).  This package checks, from the source, the
 hazards a test cannot run into on purpose: unordered iteration,
 ``id()`` keys, wall-clock and unseeded-RNG reads, broad excepts,
-module state, and the multiprocessing idioms of the sweep layer.
+module state, and sweep-layer file writes that bypass the atomic
+writer.
 Facts a test *can* run (cache-key coverage, the engine registry, the
 public surface, docs vs CLI) are tests, not rules.
 
 It is a small AST-walking rule framework plus repo-specific rules:
 
 * :mod:`repro.analysis.findings`  — the :class:`Finding` record
-* :mod:`repro.analysis.registry`  — rule registration (``@rule``) and
-  scope
+* :mod:`repro.analysis.registry`  — rule registration (``@rule``)
 * :mod:`repro.analysis.context`   — parsed-module / project contexts
-  (plus the memoized project call graph accessor)
-* :mod:`repro.analysis.callgraph` — project-wide call/reference graph
-* :mod:`repro.analysis.dataflow`  — module-global mutation sites, fork
-  entry points
+* :mod:`repro.analysis.dataflow`  — module-global mutation sites
 * :mod:`repro.analysis.runner`    — rule execution, inline-``allow``
   suppression, text/JSON reports
 * :mod:`repro.analysis.rules`     — the rule catalog itself

@@ -19,7 +19,7 @@ from repro.analysis.findings import Finding
 #: flagged line or the line directly above it.
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow=([A-Za-z0-9_,-]+)")
 
-#: Source tree that module-scope rules walk, relative to the root.
+#: Source tree that rules walk, relative to the root.
 SOURCE_ROOT = "src/repro"
 
 
@@ -63,7 +63,6 @@ class Project:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root).resolve()
         self._modules: dict[str, ModuleContext | None] = {}
-        self._callgraph = None
 
     # ------------------------------------------------------------------
     def module(self, relpath: str) -> ModuleContext | None:
@@ -91,15 +90,6 @@ class Project:
                 continue
             contexts.append(ctx)
         return contexts
-
-    def callgraph(self):
-        """The project call graph, built once per lint run and shared
-        by every interprocedural rule (import is lazy: module-only
-        lints never pay for the build)."""
-        if self._callgraph is None:
-            from repro.analysis.callgraph import CallGraph
-            self._callgraph = CallGraph(self)
-        return self._callgraph
 
     def allowed_rules(self, relpath: str, line: int) -> set[str]:
         """Inline-allow lookup for any repo file (module cache reused)."""

@@ -1,20 +1,13 @@
-"""Interprocedural dataflow passes layered on the call graph.
+"""Module-global mutation sites, the evidence of the state rule.
 
-Two reusable analyses power the state and fork-safety rules:
+:func:`module_global_mutations` finds every site in a module that
+mutates module-level state (``global`` rebinding, augmented
+assignment, mutating method calls, subscript stores and deletes on
+module names) and attributes it to the enclosing function.  The
+``module-state`` rule quotes these sites in its findings.
 
-* :func:`module_global_mutations` — every site in a module that mutates
-  module-level state (``global`` rebinding, augmented assignment,
-  mutating method calls, subscript/attribute stores on module names),
-  attributed to the enclosing function.  Powers the module-state rule's
-  mutation-site evidence and the fork-shared-state rule.
-* :func:`fork_entry_points` — callables a module hands to worker pools
-  (``pool.imap_unordered(f, ...)``, ``Process(target=f)``,
-  ``executor.submit(f, ...)``): the roots from which fork-safety
-  reachability starts.
-
-All passes under-approximate: a call that cannot be pinned to a
-definition contributes nothing, so every reported flow is a real flow
-in the source (no speculative edges).
+The pass under-approximates: a write it cannot pin to a module name
+contributes nothing, so every reported site is a real one.
 """
 
 from __future__ import annotations
@@ -23,14 +16,9 @@ import ast
 from dataclasses import dataclass
 
 from repro.analysis.astutils import dotted_name, module_bound_names
-from repro.analysis.callgraph import CallGraph, Key
 from repro.analysis.context import ModuleContext
 
-__all__ = [
-    "Mutation", "module_global_mutations",
-    "ForkEntry", "fork_entry_points",
-    "MUTATING_METHODS",
-]
+__all__ = ["Mutation", "module_global_mutations", "MUTATING_METHODS"]
 
 #: Method names that mutate their receiver in place.
 MUTATING_METHODS = frozenset({
@@ -39,20 +27,6 @@ MUTATING_METHODS = frozenset({
     "appendleft", "extendleft", "popleft", "__setitem__", "__delitem__",
 })
 
-#: Pool/executor methods whose first positional argument is a worker
-#: callable executed in another process (or thread).
-_POOL_DISPATCH = frozenset({
-    "imap", "imap_unordered", "map", "map_async", "starmap",
-    "starmap_async", "apply", "apply_async", "submit",
-})
-
-#: Constructors that take the worker callable as ``target=``.
-_TARGET_CTORS = frozenset({"Process", "Thread"})
-
-
-# ----------------------------------------------------------------------
-# module-global mutation sites
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Mutation:
@@ -149,45 +123,3 @@ def module_global_mutations(ctx: ModuleContext) -> list[Mutation]:
         out.extend(_mutations_in(node, qualname, module_names))
     out.sort(key=lambda m: m.line)
     return out
-
-
-# ----------------------------------------------------------------------
-# fork entry points
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ForkEntry:
-    """One callable handed to a worker pool."""
-
-    worker: Key                 # the function that runs in the worker
-    line: int                   # dispatch site
-    dispatcher: str             # e.g. "pool.imap_unordered"
-    caller: Key                 # function containing the dispatch
-
-
-def fork_entry_points(graph: CallGraph, ctx: ModuleContext,
-                      ) -> list[ForkEntry]:
-    """Worker callables dispatched to pools from functions in ``ctx``."""
-    entries: list[ForkEntry] = []
-    for info in graph.functions.values():
-        if info.relpath != ctx.relpath:
-            continue
-        for sub in ast.walk(info.node):
-            if not isinstance(sub, ast.Call):
-                continue
-            name = dotted_name(sub.func)
-            tail = name.rsplit(".", 1)[-1]
-            candidates: list[ast.expr] = []
-            if tail in _POOL_DISPATCH and sub.args:
-                candidates.append(sub.args[0])
-            if tail in _TARGET_CTORS:
-                candidates.extend(kw.value for kw in sub.keywords
-                                  if kw.arg == "target")
-            for candidate in candidates:
-                worker = graph._resolve(ctx, info, dotted_name(candidate))
-                if worker is not None:
-                    entries.append(ForkEntry(
-                        worker=worker, line=sub.lineno, dispatcher=name,
-                        caller=info.key))
-    entries.sort(key=lambda e: e.line)
-    return entries

@@ -1,14 +1,9 @@
 """Rule registration: the ``@rule`` decorator and the global catalog.
 
-A rule is a named check with a scope and a docstring-sized
-description.  Two scopes exist:
-
-* ``module`` — the check runs once per parsed source file whose
-  repo-relative path starts with one of the rule's ``dirs`` prefixes;
-  it receives a :class:`~repro.analysis.context.ModuleContext`.
-* ``project`` — the check runs once per lint invocation and receives
-  the whole :class:`~repro.analysis.context.Project`; used for
-  cross-file analyses (fork reachability over the call graph).
+A rule is a named check with a docstring-sized description.  It runs
+once per parsed source file whose repo-relative path starts with one
+of the rule's ``dirs`` prefixes, and receives a
+:class:`~repro.analysis.context.ModuleContext`.
 
 Every finding is an error: ``repro lint`` fails on any finding that
 no inline ``# lint: allow=<rule>`` comment covers.
@@ -25,19 +20,15 @@ from typing import Callable, Iterable
 from repro.analysis.findings import Finding
 from repro.errors import ConfigError
 
-SCOPES = ("module", "project")
-
-
 @dataclass(frozen=True)
 class Rule:
     """One registered check (see ``docs/linting.md`` for the catalog)."""
 
     id: str
-    scope: str
     description: str
     check: Callable[..., Iterable[Finding]]
-    #: repo-relative directory prefixes a ``module``-scope rule applies
-    #: to (empty = every module under ``src/repro``)
+    #: repo-relative directory prefixes the rule applies to (empty =
+    #: every module under ``src/repro``)
     dirs: tuple[str, ...] = field(default=())
 
 
@@ -45,18 +36,14 @@ class Rule:
 RULES: dict[str, Rule] = {}
 
 
-def rule(rule_id: str, *, description: str, scope: str = "module",
-         dirs: tuple[str, ...] = ()):
+def rule(rule_id: str, *, description: str, dirs: tuple[str, ...] = ()):
     """Register the decorated generator function as a lint rule."""
-    if scope not in SCOPES:
-        raise ConfigError(f"rule {rule_id!r}: scope must be one of {SCOPES}")
     if rule_id in RULES:
         raise ConfigError(f"duplicate rule id {rule_id!r}")
 
     def register(check: Callable[..., Iterable[Finding]]):
-        RULES[rule_id] = Rule(id=rule_id, scope=scope,
-                              description=description, check=check,
-                              dirs=tuple(dirs))
+        RULES[rule_id] = Rule(id=rule_id, description=description,
+                              check=check, dirs=tuple(dirs))
         return check
 
     return register

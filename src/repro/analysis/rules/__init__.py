@@ -9,8 +9,8 @@ One module per concern, mirroring the invariants they guard:
                    unseeded-random calls in deterministic code
 ``exceptions.py``  no bare/broad excepts in engine code; raised errors
                    derive from :mod:`repro.errors`
-``forksafety.py``  multiprocessing hygiene in the sweep layer: shared
-                   module state, non-atomic writes, captured handles
+``forksafety.py``  sweep-layer file writes go through the atomic
+                   writer (processes share one cache directory)
 =================  ====================================================
 
 ``docs/linting.md`` is the human-readable catalog.

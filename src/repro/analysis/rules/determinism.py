@@ -51,7 +51,7 @@ _SEEDED_RANDOM = ("np.random.default_rng", "numpy.random.default_rng",
                   "np.random.SeedSequence", "numpy.random.SeedSequence")
 
 
-@rule("set-iteration", scope="module", dirs=ORDER_DIRS, description=(
+@rule("set-iteration", dirs=ORDER_DIRS, description=(
     "iteration over a set/frozenset — unordered, and hash-randomized "
     "for strings; any consumer feeding stats or cache keys loses "
     "byte-identity (iterate a list or wrap in sorted())"))
@@ -81,7 +81,7 @@ def _set_finding(ctx, node, sink):
         symbol=f"set-iter@{sink}")
 
 
-@rule("id-key", scope="module", dirs=ORDER_DIRS, description=(
+@rule("id-key", dirs=ORDER_DIRS, description=(
     "id() call — allocation addresses differ across runs, so any "
     "container or cache keyed off them is replay-dependent"))
 def check_id_key(ctx):
@@ -96,7 +96,7 @@ def check_id_key(ctx):
                 symbol="id-call")
 
 
-@rule("nondeterministic-call", scope="module", dirs=CORE_DIRS, description=(
+@rule("nondeterministic-call", dirs=CORE_DIRS, description=(
     "wall-clock or unseeded-RNG call in the simulation core; timing "
     "belongs in the sweep layer, randomness behind an explicit seed"))
 def check_nondeterministic_call(ctx):

@@ -53,7 +53,7 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
                for node in ast.walk(handler))
 
 
-@rule("exception-hygiene", scope="module", dirs=CORE_DIRS, description=(
+@rule("exception-hygiene", dirs=CORE_DIRS, description=(
     "no bare/broad excepts in engine code (cleanup-reraise allowed), "
     "and deliberately raised errors must derive from repro.errors"))
 def check(ctx):

@@ -38,7 +38,7 @@ CORE_DIRS = ("src/repro/accel", "src/repro/mdp", "src/repro/hw")
 _EXEMPT_NAMES = frozenset({"__all__"})
 
 
-@rule("module-state", scope="module", dirs=CORE_DIRS, description=(
+@rule("module-state", dirs=CORE_DIRS, description=(
     "module- or class-scope mutable container in the simulation core "
     "(shared across simulator instances — the PR 3 backend.py bug class)"))
 def check(ctx):

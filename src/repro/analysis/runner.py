@@ -56,10 +56,6 @@ def run_rules(root: str | Path, rule_ids: list[str] | None = None,
     findings: list[Finding] = []
     syntax_seen: set[str] = set()
     for rule in rules:
-        if rule.scope == "project":
-            findings.extend(replace(f, rule=rule.id)
-                            for f in rule.check(project))
-            continue
         for ctx in project.modules(under=rule.dirs):
             try:
                 ctx.tree

@@ -18,8 +18,8 @@ Two implementations share that interface:
   :func:`~repro.bench.regen.regenerate` — what the CLI's ``sweep`` and
   ``report`` subcommands use;
 * :class:`RemoteSession` speaks the serve protocol to a ``repro serve``
-  daemon, whose resident workers keep graphs and the code-version
-  digest warm across calls.
+  daemon, which keeps graphs and the code-version digest warm across
+  calls.
 
 The two are differentially tested: the same jobs through either session
 produce byte-identical ``SimStats``.  :func:`session` picks the right
@@ -97,9 +97,9 @@ class LocalSession(Session):
     """In-process execution: the facade over run_sweep/regenerate.
 
     ``cache_dir`` enables the content-addressed result cache,
-    ``num_workers`` shards sweeps across processes (1 = serial,
-    None/0 = one per CPU), ``engine`` pins the scatter engine for jobs
-    that don't choose one themselves.
+    ``num_workers`` runs sweeps on that many threads (1 = the caller's
+    thread, None/0 = one per CPU), ``engine`` pins the scatter engine
+    for jobs that don't choose one themselves.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None,
@@ -144,7 +144,7 @@ class LocalSession(Session):
 class RemoteSession(Session):
     """Serve-protocol execution against a running ``repro serve`` daemon.
 
-    The daemon owns the cache and the workers; this side only ships
+    The daemon owns the cache and the job threads; this side only ships
     jobs over the socket and rehydrates the returned stats dicts into
     :class:`SimStats` — which is why Local/Remote results can be (and
     are, in the test suite) compared for byte identity.

@@ -11,7 +11,7 @@ consolidated report regenerates straight from a warm cache with full
 execution accounting.
 
 All figure sweeps run on the sweep engine (:mod:`repro.sweep`): every
-``fig*_rows`` function accepts ``num_workers`` (process count; 1 =
+``fig*_rows`` function accepts ``num_workers`` (thread count; 1 =
 serial) and ``cache`` (a :class:`repro.sweep.ResultCache` or directory
 path) and produces identical rows regardless of either knob.
 """

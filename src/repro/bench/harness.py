@@ -141,8 +141,8 @@ def run_matrix(algorithms=PAPER_ALGORITHMS, datasets=DATASET_ORDER,
                cache=None) -> MatrixResult:
     """Run the full evaluation matrix (the engine behind Fig. 8 and 9).
 
-    Built on the sweep engine: ``jobs`` shards the matrix across worker
-    processes (1 = serial, ``None``/0 = one per CPU) and ``cache`` — a
+    Built on the sweep engine: ``jobs`` runs the matrix on that many
+    worker threads (1 = serial, ``None``/0 = one per CPU) and ``cache`` — a
     :class:`repro.sweep.ResultCache` or directory path — memoizes every
     cell on disk.  Results are identical regardless of either knob.
     """

@@ -97,7 +97,7 @@ class RegenContext:
         self.cache = cache
         #: alternate sweep executor with run_sweep's signature; the serve
         #: daemon injects its scheduler here so report sections share the
-        #: resident workers and in-flight dedup of directly submitted jobs
+        #: job threads and in-flight dedup of directly submitted jobs
         self.runner = runner
         #: sweep name -> planned job list; filled here, and kept by a
         #: caller that passes the same dict to every pass at one scale
@@ -417,8 +417,8 @@ def regenerate(results_dir: str, sections=None, num_workers: int | None = 1,
     tables (same rows, so cold and warm runs stay byte-identical).
     ``progress``, if given, is called with each finished section record.
     ``runner`` substitutes the sweep executor (run_sweep's signature);
-    the serve daemon passes its scheduler so section sweeps run on the
-    resident worker pool.  ``plans`` (sweep name -> job list) is read
+    the serve daemon passes its scheduler so section sweeps run on its
+    job threads.  ``plans`` (sweep name -> job list) is read
     for sweeps planned before and filled with the ones planned now; the
     caller must pass it only to calls under the same ``$REPRO_SCALE``.
     """

@@ -3,15 +3,15 @@
 Commands
 --------
 ``simulate``   run one algorithm/dataset on one design (or all three)
-``sweep``      run a {algorithm x dataset x config} matrix, sharded
-               across worker processes with on-disk result caching
+``sweep``      run a {algorithm x dataset x config} matrix on worker
+               threads with on-disk result caching
                (``--figure fig8`` runs a paper figure's exact matrix)
 ``report``     regenerate figure tables + the consolidated REPORT.md
                straight from the result cache
 ``serve``      run the warm-cache simulation daemon on a unix socket
                (sweeps/reports submitted by ``--connect`` or
-               :class:`repro.api.RemoteSession` reuse its resident
-               workers and shared cache)
+               :class:`repro.api.RemoteSession` reuse its loaded
+               graphs and shared cache)
 ``cache``      result-cache maintenance (``info``, ``gc``)
 ``netlist``    generate an MDP-network and emit structural Verilog
 ``datasets``   print the Table 2 registry and generated stand-in sizes
@@ -72,7 +72,7 @@ def _shared_parents() -> dict[str, argparse.ArgumentParser]:
     execution = argparse.ArgumentParser(add_help=False)
     execution.add_argument("--jobs", type=int,
                            default=os.environ.get(JOBS_ENV_VAR, 1),
-                           help="worker processes (0 = one per CPU; "
+                           help="worker threads (0 = one per CPU; "
                                 "default: $REPRO_JOBS, then 1)")
     execution.add_argument("--cache-dir",
                            default=os.environ.get(CACHE_DIR_ENV_VAR),
@@ -155,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the warm-cache simulation daemon (or poke a running one)")
     srv.add_argument("verb", nargs="?", choices=["reload", "status"],
                      help="instead of starting a daemon, ask the one at "
-                          "--connect to re-digest the code version and "
-                          "recycle its workers (reload) or print its "
+                          "--connect to re-digest the code version, "
+                          "stopping if it changed (reload), or print its "
                           "status line (status)")
     srv.add_argument("--socket", default=None, metavar="PATH",
                      help="unix socket path to bind (required when starting "
@@ -352,7 +352,7 @@ def _engine_env(engine: str | None):
     """Scoped ``$REPRO_ENGINE`` override for figure/report builders.
 
     Those builders plan their own jobs, so the engine choice travels
-    via the environment (worker processes inherit it either way); the
+    via the environment (every job thread reads it); the
     previous value is restored afterwards so an in-process caller of
     ``main()`` does not leak engine selection into later work.
     """
@@ -397,7 +397,7 @@ def _cmd_sweep_figure(args) -> int:
         with _engine_env(args.engine), _session_for(args) as session:
             # figure sections plan their own jobs; route their sweeps
             # through the session so --connect reuses the daemon's
-            # resident workers and shared cache
+            # loaded graphs and shared cache
             def _runner(jobs, num_workers=None, cache=None, progress=None):
                 return session.sweep(jobs)
 
@@ -469,7 +469,6 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from repro.serve.daemon import ServeDaemon
-    from repro.sweep.executor import resolve_workers
 
     if args.verb is not None:
         return _cmd_serve_verb(args)
@@ -481,13 +480,13 @@ def _cmd_serve(args) -> int:
     cache = None if args.no_cache else args.cache_dir
     try:
         daemon = ServeDaemon(args.socket, cache_dir=cache,
-                             workers=resolve_workers(args.jobs),
+                             workers=args.jobs,
                              engine=args.engine)
     except (ReproError, OSError) as exc:
         print(f"serve failed: {exc}", file=sys.stderr)
         return 2
     print(f"repro serve: socket {args.socket}  "
-          f"workers: {daemon.pool.size} ({daemon.pool.mode})  "
+          f"workers: {daemon.workers}  "
           f"cache: {cache or '(none)'}  "
           f"code version: {daemon.version[:12]}", flush=True)
     try:
@@ -515,6 +514,9 @@ def _cmd_serve_verb(args) -> int:
             print(f"reloaded: code version {reply.code_version[:12]} "
                   f"({'changed' if reply.changed else 'unchanged'})  "
                   f"generation: {reply.generation}")
+            if reply.changed:
+                print("the daemon stopped: it runs the code it started "
+                      "with; restart it to serve the new code")
         else:
             reply = client.status()
             print(f"state: {reply.state}  workers: {reply.workers}  "

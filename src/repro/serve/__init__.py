@@ -8,15 +8,13 @@ of that resident:
   (submit sweep, query status, stream progress, regenerate report
   sections, cache info/GC, reload, shutdown) plus the wire codec for
   :class:`~repro.sweep.jobs.SweepJob`.
-* :mod:`repro.serve.workers` — the resident execution pool: N worker
-  processes that hold loaded graphs/CSR warm across jobs (inline
-  fallback when the platform has no usable multiprocessing).
 * :mod:`repro.serve.scheduler` — the job queue: content-addressed
   dedup of in-flight identical jobs, cache claims so many daemons can
-  share one cache directory, learned-cost dispatch ordering.
+  share one cache directory, largest-first dispatch onto the daemon's
+  job threads, which share the process's loaded graphs.
 * :mod:`repro.serve.daemon` — the asyncio unix-socket server tying the
-  three together, with generation-counter code-version invalidation
-  (digest once at start, bumped on explicit ``reload``).
+  two together: it digests the code version once at start, and a
+  ``reload`` that finds the digest changed stops it for a restart.
 * :mod:`repro.serve.client` — the blocking client the CLI, the
   :class:`~repro.api.RemoteSession` facade and the tests all use.
 

@@ -4,33 +4,35 @@ Lifecycle
 ---------
 Startup pays every cold cost exactly once: the code-version digest
 (:func:`repro.sweep.cache.code_version`), the result-cache handle and
-the resident worker pool.  From then on the job path touches none of
-them — cache keys reuse the resident digest, workers reuse loaded
-graphs — until an explicit :class:`~repro.serve.protocol.Reload`
-re-digests the tree, bumps the generation counter when it changed and
-recycles the workers.  ``Shutdown`` drains and exits cleanly.
+the job thread pool.  From then on the job path touches none of them —
+cache keys reuse the resident digest, jobs reuse the process's loaded
+graphs.  A :class:`~repro.serve.protocol.Reload` digests the tree
+again; when the digest changed, the daemon answers and stops, because
+it runs the code it imported at start and must not store that code's
+results under the new version's keys.  ``Shutdown`` drains and exits
+cleanly.
 
 Connections are handled concurrently; requests on one connection are
 handled in order.  Blocking work (regeneration, cache GC) runs on a
-thread so the loop keeps serving; simulation itself runs on the worker
+thread so the loop keeps serving; simulation itself runs on the job
 pool via the scheduler.
 
 The report endpoint reuses :func:`repro.bench.regen.regenerate`
 verbatim, but injects the scheduler as the sweep ``runner`` — section
-sweeps go through the same dedup/claims/resident-worker path as
+sweeps go through the same dedup/claims/job-pool path as
 directly submitted jobs, and a warm cache regenerates every section
 with zero simulations.  It also keeps each section sweep's planned job
 list resident for the ``$REPRO_SCALE`` in force (the most recent scale
 only), so a repeated report neither plans nor derives a cache key
-again: the frozen jobs keep their keys, and re-derive them only under
-another code version.  What changes between requests, each result's
-cache entry, is still read through :meth:`ResultCache.get
-<repro.sweep.cache.ResultCache.get>`.
+again: the frozen jobs keep their keys.  What changes between
+requests, each result's cache entry, is still read through
+:meth:`ResultCache.get <repro.sweep.cache.ResultCache.get>`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import contextlib
 import os
 import signal
@@ -47,13 +49,9 @@ from repro.errors import (
 )
 from repro.serve import protocol
 from repro.serve.scheduler import Scheduler, Ticket
-from repro.serve.workers import WorkerPool
-from repro.sweep.cache import (
-    ResultCache,
-    code_generation,
-    code_version,
-    refresh_code_version,
-)
+from repro.sweep import cache as cache_module
+from repro.sweep.cache import ResultCache, code_generation, code_version
+from repro.sweep.executor import resolve_workers
 
 
 @contextlib.contextmanager
@@ -78,17 +76,21 @@ class ServeDaemon:
 
     def __init__(self, socket_path: str | os.PathLike,
                  cache_dir: str | os.PathLike | None = None,
-                 workers: int = 0, engine: str | None = None) -> None:
+                 workers: int | None = 1, engine: str | None = None) -> None:
         self.socket_path = str(socket_path)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         if engine is not None:
-            # worker processes and regen planners read the environment;
-            # a daemon-wide engine choice travels the same way the CLI's
+            # jobs and regen planners read the environment; a
+            # daemon-wide engine choice travels the same way the CLI's
             # --engine does (cache keys are engine-class independent)
             os.environ[ENGINE_ENV_VAR] = engine
         self.version = code_version()       # the one cold digest
-        self.pool = WorkerPool(workers)
-        self.scheduler = Scheduler(self.cache, self.pool, self.version)
+        #: job threads, as ``--jobs`` counts them (0/None = one per CPU)
+        self.workers = resolve_workers(workers)
+        self.pool = concurrent.futures.ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="repro-serve")
+        self.scheduler = Scheduler(self.cache, self.pool, self.workers,
+                                   self.version)
         self.started_at = time.monotonic()
         self.loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -125,7 +127,7 @@ class ServeDaemon:
                 self.loop.remove_signal_handler(signal.SIGTERM)
             self._server.close()
             await self._server.wait_closed()
-            self.pool.close()
+            self.pool.shutdown(wait=True, cancel_futures=True)
             with contextlib.suppress(OSError):
                 os.unlink(self.socket_path)
 
@@ -237,20 +239,20 @@ class ServeDaemon:
                 dry_run=request.dry_run))
 
         elif isinstance(request, protocol.Reload):
-            previous = self.version
-            self.version = await asyncio.to_thread(refresh_code_version)
-            changed = self.version != previous
-            if changed:
-                await asyncio.to_thread(self.pool.recycle)
-                # the resident section plans stay: each job's key memo
-                # names the old version, so the scheduler re-keys them
-                self.scheduler.version = self.version
-                if self.cache is not None:
-                    # resident entries are keyed under the old version
-                    self.cache.drop_resident()
+            # digested apart from the process-wide code_version() memo,
+            # which an embedding process keys its own sweeps with
+            digest = await asyncio.to_thread(
+                cache_module._digest_source_tree)
+            changed = digest != self.version
             await self._send(writer, protocol.Reloaded(
-                code_version=self.version, generation=code_generation(),
+                code_version=digest, generation=code_generation(),
                 changed=changed))
+            if changed:
+                # this process runs the code it imported at start: a job
+                # run now would store that code's results under the new
+                # digest's keys, so the daemon stops for a restart
+                self.request_stop()
+                return True
 
         elif isinstance(request, protocol.Shutdown):
             await self._send(writer, protocol.ShuttingDown())
@@ -278,14 +280,14 @@ class ServeDaemon:
                 cache_hits=self.scheduler.hits_total,
                 deduped=self.scheduler.deduped_total,
                 tickets=len(self.scheduler.tickets),
-                workers=self.pool.size,
+                workers=self.workers,
                 generation=code_generation(),
                 uptime_seconds=round(time.monotonic() - self.started_at, 3))
         ticket = self._ticket(ticket_id)
         return protocol.StatusReply(
             state=ticket.state, done=ticket.done, total=ticket.total,
             executed=ticket.executed, cache_hits=ticket.cache_hits,
-            deduped=ticket.deduped, workers=self.pool.size,
+            deduped=ticket.deduped, workers=self.workers,
             generation=code_generation())
 
     def _sweep_done(self, ticket: Ticket, outcome) -> "protocol.SweepDone":
@@ -348,7 +350,7 @@ class ServeDaemon:
 @contextlib.contextmanager
 def serve_in_thread(socket_path: str | os.PathLike,
                     cache_dir: str | os.PathLike | None = None,
-                    workers: int = 0, engine: str | None = None,
+                    workers: int | None = 1, engine: str | None = None,
                     start_timeout: float = 10.0):
     """Run a daemon on a background thread; yields the daemon.
 

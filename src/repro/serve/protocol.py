@@ -111,7 +111,7 @@ class RegenReport:
     """Regenerate report sections into ``results_dir`` on the daemon host.
 
     Mirrors :func:`repro.bench.regen.regenerate`, but the section
-    sweeps run on the daemon's resident workers against its shared
+    sweeps run on the daemon's job threads against its shared
     cache — a warm cache regenerates everything without one simulation.
 
     ``scale`` carries the client's ``$REPRO_SCALE`` (raw string): the
@@ -144,12 +144,12 @@ class CacheGc:
 
 @message("reload")
 class Reload:
-    """Re-digest the code version and recycle the resident workers.
+    """Re-digest the code version; stop the daemon if it changed.
 
-    The one deliberate cache-invalidation point of a running daemon:
-    the code-version digest is computed at startup and **never** on the
-    job path; editing the simulator while a daemon runs requires this
-    request (or a restart) to take effect.
+    The code-version digest is computed at startup and **never** on the
+    job path.  A daemon runs the code it imported at start, so when the
+    tree digests differently it answers ``changed=True`` and stops:
+    editing the simulator takes effect with a restart.
     """
 
 

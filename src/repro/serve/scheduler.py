@@ -14,17 +14,17 @@ scheduler three tiers of "don't simulate again", checked in order:
    lands (or their claim goes stale and we take over) instead of
    computing it twice.
 
-Everything else reuses the sweep layer unchanged: dispatch order is
-:func:`repro.sweep.executor.scheduled_order` ranked by the learned
-per-family cost model when cache provenance allows, and completed
-results are written back with the same provenance shape ``run_sweep``
-writes (plus the daemon's code generation), so the cost model keeps
-learning across daemon restarts and CLI runs alike.
+Everything else reuses the sweep layer unchanged: owned jobs run on
+the daemon's thread pool through :func:`repro.sweep.executor.timed_execute`
+in :func:`repro.sweep.executor.scheduled_order` (largest first), and
+completed results are written back with the provenance ``run_sweep``
+writes, plus the daemon's code generation.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -32,13 +32,8 @@ from dataclasses import dataclass, field
 from repro.accel.stats import SimStats
 from repro.errors import ServeError
 from repro.sweep.cache import ResultCache, code_generation
-from repro.sweep.executor import (
-    SweepOutcome,
-    learned_cost_model,
-    scheduled_order,
-)
+from repro.sweep.executor import SweepOutcome, scheduled_order, timed_execute
 from repro.sweep.jobs import SweepJob
-from repro.serve.workers import WorkerPool
 
 #: Seconds between cache polls while another owner computes a key.
 CLAIM_POLL_SECONDS = 0.05
@@ -72,12 +67,15 @@ class Ticket:
 
 
 class Scheduler:
-    """Owns the ticket table and the in-flight key map."""
+    """Owns the ticket table and the in-flight key map; runs owned jobs
+    on ``pool``, a thread pool of ``workers`` threads."""
 
-    def __init__(self, cache: ResultCache | None, pool: WorkerPool,
+    def __init__(self, cache: ResultCache | None,
+                 pool: concurrent.futures.ThreadPoolExecutor, workers: int,
                  version: str) -> None:
         self.cache = cache
         self.pool = pool
+        self.workers = workers
         self.version = version
         self.tickets: dict[str, Ticket] = {}
         #: cache key -> future resolving to its SimStats (owner's run)
@@ -195,11 +193,8 @@ class Scheduler:
             _record_done(index)
 
         if pending:
-            cost_fn = (learned_cost_model(
-                self.cache, [job for _, job in pending])
-                if len(pending) > self.pool.size else None)
-            ordered = scheduled_order(pending, cost_fn)
-            await asyncio.gather(*(_own(i, job) for i, job in ordered))
+            await asyncio.gather(*(_own(i, job)
+                                   for i, job in scheduled_order(pending)))
 
         for index, future in attached:
             results[index] = await asyncio.shield(future)
@@ -232,7 +227,7 @@ class Scheduler:
             cache_hits=hits,
             cache_misses=n - hits,
             executed=executed,
-            workers_used=self.pool.size,
+            workers_used=self.workers,
             wall_seconds=time.monotonic() - start,
             job_seconds=job_seconds,
             extra={"deduped": deduped},
@@ -257,11 +252,11 @@ class Scheduler:
                     break
                 await asyncio.sleep(CLAIM_POLL_SECONDS)
         try:
-            stats, seconds = await self.pool.run(job, loop)
+            stats, seconds = await loop.run_in_executor(
+                self.pool, timed_execute, job)
             if self.cache is not None:
                 self.cache.put(key, stats, provenance={
                     "job": job.describe(),
-                    "family": job.family(),
                     "tags": {k: repr(v) for k, v in job.tags.items()},
                     "config": job.config.to_dict(),
                     "wall_seconds": round(seconds, 6),

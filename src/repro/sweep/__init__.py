@@ -2,7 +2,7 @@
 
 The paper's figures are matrices of independent cycle simulations;
 this package turns a matrix description into :class:`SweepJob` lists
-(:mod:`repro.sweep.jobs`), runs them across worker processes with
+(:mod:`repro.sweep.jobs`), runs them on a thread pool with
 deterministic result ordering (:mod:`repro.sweep.executor`) and
 memoizes results on disk keyed by content, not by name
 (:mod:`repro.sweep.cache`).  See ``docs/sweep.md``.
@@ -20,7 +20,6 @@ from repro.sweep.cache import (
 from repro.sweep.executor import (
     SweepOutcome,
     execute_job,
-    learned_cost_model,
     resolve_workers,
     run_sweep,
     scheduled_order,
@@ -44,5 +43,4 @@ __all__ = [
     "execute_job",
     "resolve_workers",
     "scheduled_order",
-    "learned_cost_model",
 ]

@@ -52,8 +52,7 @@ CODE_VERSION_SUFFIXES = (".py", ".c")
 
 _code_version_memo: str | None = None
 #: Bumped whenever :func:`refresh_code_version` observes a digest
-#: change; long-lived processes (the serve daemon) compare generations
-#: instead of re-digesting the tree per request.
+#: change.
 _code_generation = 0
 
 
@@ -82,9 +81,8 @@ def code_version() -> str:
 
     The digest is computed **once per process** and reused by every
     :meth:`SweepJob.cache_key <repro.sweep.jobs.SweepJob.cache_key>`
-    call site; a long-lived daemon only re-reads the tree on an
-    explicit :func:`refresh_code_version` (the serve ``reload``
-    request), never on the job hot path.
+    call site; only an explicit :func:`refresh_code_version` re-reads
+    the tree, never the job hot path.
     """
     global _code_version_memo
     if _code_version_memo is None:
@@ -96,11 +94,8 @@ def code_generation() -> int:
     """Monotonic counter of observed code-version changes.
 
     Starts at 0 and only moves when :func:`refresh_code_version` finds
-    the source digest changed — the generation-counter invalidation
-    scheme of the serve daemon: workers stamp results with the
-    generation they were spawned under, and a bumped generation tells
-    resident state (graph memos, learned cost models) it is stale
-    without any of them re-hashing the tree.
+    the source digest changed.  The serve daemon reports it and stamps
+    it into the provenance of the results it writes.
     """
     return _code_generation
 
@@ -109,7 +104,11 @@ def refresh_code_version() -> str:
     """Re-digest the source tree; bump the generation if it changed.
 
     This is the *only* way the memoized :func:`code_version` moves
-    within a process.  Returns the (possibly unchanged) digest.
+    within a process.  Returns the (possibly unchanged) digest.  It
+    moves the memo only: imported modules keep running the code they
+    were imported from, so a process that sweeps after a changing
+    refresh stores that code's results under the new digest's keys.
+    The serve daemon therefore digests apart and stops instead.
     """
     global _code_version_memo, _code_generation
     fresh = _digest_source_tree()
@@ -185,7 +184,7 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         #: key -> (path, stat signature, SimStats) of each entry this
-        #: instance decoded; gc(), clear() and drop_resident() forget them
+        #: instance decoded; gc() and clear() forget them
         self._resident: dict[
             str, tuple[str, tuple[int, int, int], SimStats]] = {}
 
@@ -234,11 +233,6 @@ class ResultCache:
         self._resident[key] = (str(path), signature, stats)
         self.hits += 1
         return _fresh(stats)
-
-    def drop_resident(self) -> None:
-        """Forget every decoded entry; the files stay.  For a code
-        version change, after which no live key names these entries."""
-        self._resident.clear()
 
     def put(self, key: str, stats: SimStats, provenance: dict | None = None) -> None:
         payload = {
@@ -364,22 +358,6 @@ class ResultCache:
 
     def total_bytes(self) -> int:
         return sum(e.size_bytes for e in self.entries())
-
-    def iter_provenance(self):
-        """Yield every readable entry's provenance dict (oldest first).
-
-        Used by the executor's learned cost model; unreadable or
-        provenance-less entries are skipped, not errors.  Reads every
-        entry file, so call it once per sweep, not per job.
-        """
-        for entry in self.entries():
-            try:
-                with open(entry.path, encoding="utf-8") as fh:
-                    provenance = json.load(fh).get("provenance")
-            except (OSError, ValueError):
-                continue
-            if isinstance(provenance, dict):
-                yield provenance
 
     def wall_seconds(self, key: str) -> float | None:
         """Recorded simulation wall time of one entry, if any."""

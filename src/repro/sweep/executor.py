@@ -1,4 +1,4 @@
-"""Sweep execution: shard independent simulation jobs across processes.
+"""Sweep execution: run independent simulation jobs on a thread pool.
 
 The executor is deliberately boring: cycle simulation is deterministic,
 so parallel execution only changes *when* a result is computed, never
@@ -13,18 +13,22 @@ given):
    one config hash and one graph fingerprint per job);
 2. hits are filled in immediately; identical keys inside one sweep are
    deduplicated so the simulation runs once;
-3. only misses are dispatched to workers, serially when
-   ``num_workers == 1`` or when no usable multiprocessing context
-   exists, otherwise via a process pool in largest-job-first order
-   (:func:`scheduled_order`) so a skewed matrix keeps the pool busy;
+3. only misses are executed: in the caller's thread when
+   ``num_workers == 1``, otherwise on a pool of N threads in
+   largest-job-first order (:func:`scheduled_order`) so a skewed matrix
+   keeps the pool busy.  The ``soa`` kernel marches with the GIL
+   released, so its jobs run in parallel; ``reference`` holds the GIL
+   and runs one job at a time;
 4. fresh results are written back with provenance — including the
-   per-job simulation wall time — before returning.
+   per-job simulation wall time — on the caller's thread, before
+   returning.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import concurrent.futures
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -34,24 +38,32 @@ from repro.errors import SweepError
 from repro.sweep.cache import ResultCache, code_version
 from repro.sweep.jobs import GraphSpec, SweepJob, graph_fingerprint
 
-#: Per-worker-process graph memo: loading a Table 2 stand-in is R-MAT
-#: generation, which costs real time; each worker resolves a GraphSpec
-#: once and reuses it for every job that names the same spec.
+#: Process-wide graph memo: loading a Table 2 stand-in is R-MAT
+#: generation, which costs real time; each GraphSpec is resolved once
+#: and reused by every job, on any thread, that names the same spec.
 _GRAPH_MEMO: dict[str, object] = {}
+#: Held while a GraphSpec is resolved, so two threads missing the memo
+#: for one spec do not both generate it.
+_GRAPH_LOCK = threading.Lock()
+
+
+def _graph(job: SweepJob):
+    if not isinstance(job.graph, GraphSpec):
+        return job.graph
+    fp = graph_fingerprint(job.graph)
+    graph = _GRAPH_MEMO.get(fp)
+    if graph is not None:
+        return graph
+    with _GRAPH_LOCK:
+        graph = _GRAPH_MEMO.get(fp)
+        if graph is None:
+            graph = _GRAPH_MEMO[fp] = job.resolve_graph()
+    return graph
 
 
 def execute_job(job: SweepJob) -> SimStats:
-    """Run one job to completion in the current process."""
-    fp = graph_fingerprint(job.graph)
-    graph = _GRAPH_MEMO.get(fp)
-    if graph is None:
-        graph = job.resolve_graph()
-        if isinstance(job.graph, GraphSpec):
-            # Each forked worker fills its own copy of this per-process
-            # memo, and a miss only costs a redundant resolve_graph():
-            # results flow back through the pool, never through the dict.
-            # lint: allow=fork-shared-state
-            _GRAPH_MEMO[fp] = graph
+    """Run one job to completion in the current thread."""
+    graph = _graph(job)
     if job.num_slices < 1:
         raise SweepError(f"num_slices must be >= 1, got {job.num_slices}")
     if job.num_slices > 1:
@@ -68,70 +80,26 @@ def execute_job(job: SweepJob) -> SimStats:
     return sim.run(source=job.source, max_iterations=job.max_iterations).stats
 
 
-def _execute_indexed(payload: tuple[int, SweepJob]) -> tuple[int, SimStats, float]:
-    index, job = payload
+def timed_execute(job: SweepJob) -> tuple[SimStats, float]:
+    """``(stats, wall seconds)`` of one job.  ``execute_job`` is looked
+    up when called, so a replacement (a test's, a tracer's) runs every
+    job, on the sweep's threads and on the serve daemon's alike."""
     t0 = time.perf_counter()
     stats = execute_job(job)
-    return index, stats, time.perf_counter() - t0
+    return stats, time.perf_counter() - t0
 
 
 def scheduled_order(pending: list[tuple[int, SweepJob]],
-                    cost_fn=None) -> list[tuple[int, SweepJob]]:
+                    ) -> list[tuple[int, SweepJob]]:
     """Dispatch order for a worker pool: largest jobs first.
 
-    Sorting by estimated cost (descending, index tie-break) keeps the
-    pool busy at the tail of a skewed matrix — the big R-MAT jobs no
-    longer land on one straggler worker after the small ones drain.
-    ``cost_fn`` defaults to the static :meth:`SweepJob.cost_hint`; pass
-    the result of :func:`learned_cost_model` to rank by measured
-    wall-seconds instead.  Results are re-ordered by index afterwards,
-    so this changes wall-clock only, never output.
+    Sorting by :meth:`SweepJob.cost_hint` (descending, index tie-break)
+    keeps the pool busy at the tail of a skewed matrix — the big R-MAT
+    jobs no longer land on one straggler worker after the small ones
+    drain.  Results are re-ordered by index afterwards, so this changes
+    wall-clock only, never output.
     """
-    if cost_fn is None:
-        cost_fn = SweepJob.cost_hint
-    return sorted(pending, key=lambda item: (-cost_fn(item[1]), item[0]))
-
-
-def learned_cost_model(cache: "ResultCache | None",
-                       jobs: list[SweepJob]):
-    """Cost estimator preferring cached ``wall_seconds`` provenance.
-
-    Scans the cache's provenance records for the (graph, algorithm)
-    families present in ``jobs`` and averages their recorded simulation
-    wall times.  Jobs whose family has measurements are ranked by those
-    seconds; the rest fall back to the static edge-count hint, rescaled
-    into seconds by the median seconds-per-edge of the measured jobs so
-    the two populations interleave sensibly.  Returns None when the
-    cache holds no usable measurements (callers then keep the static
-    ranking) — unknown families degrade to the static hint, never to an
-    error.
-    """
-    if cache is None:
-        return None
-    families = {job.family() for job in jobs}
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for prov in cache.iter_provenance():
-        family = prov.get("family")
-        seconds = prov.get("wall_seconds")
-        if (family in families and isinstance(seconds, (int, float))
-                and seconds > 0):
-            sums[family] = sums.get(family, 0.0) + float(seconds)
-            counts[family] = counts.get(family, 0) + 1
-    if not sums:
-        return None
-    means = {family: sums[family] / counts[family] for family in sums}
-    ratios = sorted(means[job.family()] / max(job.cost_hint(), 1.0)
-                    for job in jobs if job.family() in means)
-    seconds_per_edge = ratios[len(ratios) // 2]
-
-    def cost(job: SweepJob) -> float:
-        learned = means.get(job.family())
-        if learned is not None:
-            return learned
-        return job.cost_hint() * seconds_per_edge
-
-    return cost
+    return sorted(pending, key=lambda item: (-item[1].cost_hint(), item[0]))
 
 
 def resolve_workers(num_workers: int | None) -> int:
@@ -141,6 +109,38 @@ def resolve_workers(num_workers: int | None) -> int:
     if num_workers < 0:
         raise SweepError(f"num_workers must be >= 0 or None, got {num_workers}")
     return num_workers
+
+
+def _run_on_threads(ordered: list[tuple[int, SweepJob]], workers: int,
+                    complete) -> None:
+    """Run ``(index, job)`` pairs, in order, on ``workers`` threads;
+    ``complete(index, stats, seconds)`` runs on the caller's thread.
+
+    The first job (or ``complete`` call) that raises stops the sweep:
+    no job starts after it, and its exception propagates once the
+    running jobs end (a thread cannot be stopped mid-job)."""
+    failed = threading.Event()
+
+    def run(job: SweepJob):
+        if failed.is_set():
+            return None                  # the sweep has already failed
+        try:
+            return timed_execute(job)
+        except BaseException:
+            failed.set()
+            raise
+
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-sweep") as pool:
+        futures = {pool.submit(run, job): index for index, job in ordered}
+        try:
+            for future in concurrent.futures.as_completed(futures):
+                result = future.result()
+                if result is not None:
+                    complete(futures[future], *result)
+        except BaseException:
+            failed.set()                 # start none of the queued jobs
+            raise
 
 
 @dataclass
@@ -183,8 +183,8 @@ def run_sweep(
 ) -> SweepOutcome:
     """Execute a job list and return its stats in job order.
 
-    ``num_workers``: 1 runs in-process (serial), ``None``/0 uses one
-    worker per CPU, N > 1 shards across N processes.  ``cache`` may be a
+    ``num_workers``: 1 runs in the caller's thread, ``None``/0 uses one
+    worker thread per CPU, N > 1 runs on N threads.  ``cache`` may be a
     :class:`ResultCache` or a directory path; omit it to always
     simulate.  ``progress``, if given, is called as
     ``progress(done, total, job)`` after every completed job.
@@ -231,7 +231,6 @@ def run_sweep(
             job = jobs[index]
             cache.put(keys[index], stats, provenance={
                 "job": job.describe(),
-                "family": job.family(),
                 "tags": {k: repr(v) for k, v in job.tags.items()},
                 "config": job.config.to_dict(),
                 "wall_seconds": round(seconds, 6),
@@ -239,37 +238,12 @@ def run_sweep(
         if progress is not None:
             progress(done, len(jobs), jobs[index])
 
-    pool = None
     if workers_used > 1:
         workers_used = min(workers_used, len(pending))
-        try:
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn")
-            pool = ctx.Pool(processes=workers_used)
-        except (OSError, ImportError):   # no /dev/shm, fork denied ...
-            workers_used = 1
-    # only pool *creation* falls back to serial; errors raised while
-    # consuming results (job failures, cache writes, progress callbacks)
-    # propagate instead of silently re-running everything in-process
-    if pool is not None:
-        # learned per-family wall times (from cache provenance) rank the
-        # pending jobs better than the static edge estimate on re-runs;
-        # skipped when every pending job starts immediately anyway —
-        # ordering only matters once jobs outnumber the workers, and the
-        # model costs a full cache scan
-        cost_fn = (learned_cost_model(cache, [job for _, job in pending])
-                   if len(pending) > workers_used else None)
-        with pool:
-            for index, stats, seconds in pool.imap_unordered(
-                    _execute_indexed, scheduled_order(pending, cost_fn),
-                    chunksize=1):
-                _complete(index, stats, seconds)
+        _run_on_threads(scheduled_order(pending), workers_used, _complete)
     else:
         for index, job in pending:
-            t0 = time.perf_counter()
-            stats = execute_job(job)
-            _complete(index, stats, time.perf_counter() - t0)
+            _complete(index, *timed_execute(job))
 
     # fill duplicate-key jobs from their owner's result
     if cache is not None:

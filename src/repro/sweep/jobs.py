@@ -1,14 +1,14 @@
 """Sweep job planning: expand {algorithms x graphs x configs x axes}.
 
 A :class:`SweepJob` is one independent cycle simulation — everything a
-worker process needs to produce one :class:`~repro.accel.stats.SimStats`
+worker needs to produce one :class:`~repro.accel.stats.SimStats`
 row, plus free-form ``tags`` so the caller can reassemble results into
 figure tables without re-deriving which job was which.
 
 Jobs reference their graph either **symbolically** (a :class:`GraphSpec`
-naming a Table 2 dataset + scale, loaded lazily inside the worker and
+naming a Table 2 dataset + scale, loaded lazily by the executor and
 memoized per process) or **inline** (a concrete
-:class:`~repro.graph.csr.CSRGraph`, pickled to the worker).  Both forms
+:class:`~repro.graph.csr.CSRGraph`).  Both forms
 yield a stable fingerprint for the result cache: specs hash their
 generator parameters (generator code is covered by the cache's code
 version), inline graphs hash their CSR arrays.
@@ -64,8 +64,8 @@ class SweepJob:
     """One independent simulation: (graph, algorithm, config, source).
 
     Frozen, and its dict fields (``algorithm_kwargs``, ``tags``) are not
-    to be changed in place either: :meth:`cache_key` and :meth:`family`
-    keep their results on the instance.
+    to be changed in place either: :meth:`cache_key` keeps its result on
+    the instance.
     """
 
     graph: GraphSpec | CSRGraph
@@ -154,20 +154,6 @@ class SweepJob:
             edges *= self.algorithm_kwargs.get("iterations", 2) or 1
         return edges
 
-    def family(self) -> str:
-        """Cost-model bucket: jobs over the same graph + algorithm have
-        similar wall time regardless of config, so cached
-        ``wall_seconds`` provenance from one family member is a better
-        scheduling hint for the others than the static edge count.
-
-        Memoized per job: inline-graph fingerprints hash the full CSR
-        arrays, and the scheduler calls this once per pending job."""
-        cached = self.__dict__.get("_family")
-        if cached is None:
-            cached = f"{self.algorithm}:{graph_fingerprint(self.graph)}"
-            self.__dict__["_family"] = cached
-        return cached
-
     def describe(self) -> str:
         graph = (self.graph.key if isinstance(self.graph, GraphSpec)
                  else self.graph.name)
@@ -232,8 +218,7 @@ def plan_jobs(
     cartesian product of the axes (applied via ``config.with_``).
 
     Job order is the nested loop graph > algorithm > config > axes, with
-    graphs outermost so per-process graph memoization in the executor
-    hits as often as possible.  Each job is tagged with ``graph``,
+    graphs outermost, so jobs on one graph run close together.  Each job is tagged with ``graph``,
     ``algorithm``, ``config`` and one tag per swept axis.
     """
     if isinstance(configs, Mapping):

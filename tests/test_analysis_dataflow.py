@@ -1,10 +1,10 @@
-"""Unit tests for the interprocedural core: call graph + dataflow."""
+"""Unit tests for the module-global mutation pass."""
 
 import textwrap
 from pathlib import Path
 
 from repro.analysis.context import Project
-from repro.analysis.dataflow import fork_entry_points, module_global_mutations
+from repro.analysis.dataflow import module_global_mutations
 
 
 def write(root: Path, relpath: str, source: str) -> None:
@@ -15,92 +15,6 @@ def write(root: Path, relpath: str, source: str) -> None:
 
 def project(root: Path) -> Project:
     return Project(root)
-
-
-class TestCallGraph:
-    def test_same_module_and_cross_module_edges(self, tmp_path):
-        write(tmp_path, "src/repro/util.py", """\
-            def helper():
-                return 1
-        """)
-        write(tmp_path, "src/repro/main.py", """\
-            from repro.util import helper
-            import repro.util as util
-
-
-            def local():
-                return helper()
-
-
-            def entry():
-                local()
-                return util.helper()
-        """)
-        g = project(tmp_path).callgraph()
-        entry = ("src/repro/main.py", "entry")
-        assert ("src/repro/main.py", "local") in g.calls[entry]
-        assert ("src/repro/util.py", "helper") in g.calls[entry]
-        assert ("src/repro/util.py", "helper") in g.calls[
-            ("src/repro/main.py", "local")]
-
-    def test_self_method_and_class_method_edges(self, tmp_path):
-        write(tmp_path, "src/repro/obj.py", """\
-            class Thing:
-                def outer(self):
-                    return self.inner()
-
-                def inner(self):
-                    return Thing.static_like()
-
-                def static_like():
-                    return 0
-        """)
-        g = project(tmp_path).callgraph()
-        rel = "src/repro/obj.py"
-        assert (rel, "Thing.inner") in g.calls[(rel, "Thing.outer")]
-        assert (rel, "Thing.static_like") in g.calls[(rel, "Thing.inner")]
-
-    def test_callback_reference_recorded_and_reachable(self, tmp_path):
-        write(tmp_path, "src/repro/work.py", """\
-            def worker(item):
-                return item
-
-
-            def driver(pool, items):
-                return pool.imap_unordered(worker, items)
-        """)
-        g = project(tmp_path).callgraph()
-        rel = "src/repro/work.py"
-        assert (rel, "worker") in g.refs[(rel, "driver")]
-        assert (rel, "worker") not in g.calls[(rel, "driver")]
-        assert (rel, "worker") in g.reachable([(rel, "driver")])
-
-    def test_unresolvable_calls_add_no_edges(self, tmp_path):
-        write(tmp_path, "src/repro/dyn.py", """\
-            def entry(obj):
-                obj.method()
-                getattr(obj, "x")()
-                unknown_name()
-        """)
-        g = project(tmp_path).callgraph()
-        assert g.calls[("src/repro/dyn.py", "entry")] == set()
-
-    def test_relative_import_resolution(self, tmp_path):
-        write(tmp_path, "src/repro/pkg/__init__.py", "")
-        write(tmp_path, "src/repro/pkg/a.py", """\
-            def target():
-                return 1
-        """)
-        write(tmp_path, "src/repro/pkg/b.py", """\
-            from .a import target
-
-
-            def caller():
-                return target()
-        """)
-        g = project(tmp_path).callgraph()
-        assert ("src/repro/pkg/a.py", "target") in g.calls[
-            ("src/repro/pkg/b.py", "caller")]
 
 
 class TestModuleGlobalMutations:
@@ -162,47 +76,3 @@ class TestModuleGlobalMutations:
         muts = module_global_mutations(ctx)
         assert [(m.name, m.function) for m in muts] == [
             ("MEMO", "outer.inner")]
-
-
-class TestForkEntryPoints:
-    def test_pool_and_process_targets(self, tmp_path):
-        write(tmp_path, "src/repro/sweep/run.py", """\
-            import multiprocessing
-
-
-            def worker(item):
-                return item
-
-
-            def spawned():
-                return None
-
-
-            def run(items):
-                with multiprocessing.Pool() as pool:
-                    out = list(pool.imap_unordered(worker, items))
-                proc = multiprocessing.Process(target=spawned)
-                proc.start()
-                return out
-        """)
-        p = project(tmp_path)
-        g = p.callgraph()
-        ctx = p.module("src/repro/sweep/run.py")
-        entries = fork_entry_points(g, ctx)
-        workers = {e.worker[1]: e.dispatcher for e in entries}
-        assert workers == {
-            "worker": "pool.imap_unordered",
-            "spawned": "multiprocessing.Process"}
-
-    def test_plain_method_calls_are_not_entries(self, tmp_path):
-        write(tmp_path, "src/repro/sweep/calm.py", """\
-            def helper(x):
-                return x
-
-
-            def run(items):
-                return [helper(i) for i in items]
-        """)
-        p = project(tmp_path)
-        g = p.callgraph()
-        assert fork_entry_points(g, p.module("src/repro/sweep/calm.py")) == []

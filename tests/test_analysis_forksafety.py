@@ -1,4 +1,4 @@
-"""Fixture-project tests for the fork-safety rule family."""
+"""Fixture-project tests for the ``fork-atomic-write`` rule."""
 
 import textwrap
 from pathlib import Path
@@ -16,96 +16,6 @@ def run(root: Path, rule_id: str):
     findings, ran = run_rules(root, [rule_id])
     assert ran == [rule_id]
     return findings
-
-
-class TestForkSharedState:
-    WORKER_POOL = """\
-        MEMO = {}
-
-
-        def work(item):
-            MEMO[item] = item * 2
-            return MEMO[item]
-
-
-        def run(pool, items):
-            return list(pool.imap_unordered(work, items))
-    """
-
-    def test_worker_reachable_mutation_is_flagged(self, tmp_path):
-        write(tmp_path, "src/repro/sweep/runner.py", self.WORKER_POOL)
-        findings = run(tmp_path, "fork-shared-state")
-        assert [f.symbol for f in findings] == ["MEMO"]
-        f = findings[0]
-        assert "imap_unordered" in f.message
-        assert "work()" in f.message
-
-    def test_transitive_mutation_through_helper_is_flagged(self, tmp_path):
-        write(tmp_path, "src/repro/sweep/deep.py", """\
-            CACHE = {}
-
-
-            def remember(key, value):
-                CACHE[key] = value
-
-
-            def work(item):
-                remember(item, item)
-                return item
-
-
-            def run(pool, items):
-                return pool.map(work, items)
-        """)
-        findings = run(tmp_path, "fork-shared-state")
-        assert [f.symbol for f in findings] == ["CACHE"]
-        assert "remember()" in findings[0].message
-
-    def test_driver_side_mutation_is_not_flagged(self, tmp_path):
-        write(tmp_path, "src/repro/sweep/driver.py", """\
-            MEMO = {}
-
-
-            def work(item):
-                return item
-
-
-            def run(pool, items):
-                MEMO["warm"] = True
-                return pool.map(work, items)
-        """)
-        assert run(tmp_path, "fork-shared-state") == []
-
-    def test_no_pool_dispatch_means_silent(self, tmp_path):
-        write(tmp_path, "src/repro/sweep/serial.py", """\
-            MEMO = {}
-
-
-            def work(item):
-                MEMO[item] = item
-                return item
-
-
-            def run(items):
-                return [work(i) for i in items]
-        """)
-        assert run(tmp_path, "fork-shared-state") == []
-
-    def test_immutable_module_constant_is_not_flagged(self, tmp_path):
-        # rebinding through `global` on a non-container is not shared
-        # mutable state; only container mutation is the hazard class
-        write(tmp_path, "src/repro/sweep/scalar.py", """\
-            LIMIT = (1, 2)
-
-
-            def work(item):
-                return LIMIT[0] + item
-
-
-            def run(pool, items):
-                return pool.map(work, items)
-        """)
-        assert run(tmp_path, "fork-shared-state") == []
 
 
 class TestForkAtomicWrite:
@@ -166,39 +76,3 @@ class TestForkAtomicWrite:
                     fh.write(text)
         """)
         assert run(tmp_path, "fork-atomic-write") == []
-
-
-class TestForkCapture:
-    def test_module_level_lock_is_flagged(self, tmp_path):
-        write(tmp_path, "src/repro/sweep/locked.py", """\
-            import threading
-
-            _LOCK = threading.Lock()
-
-
-            def guarded():
-                with _LOCK:
-                    return 1
-        """)
-        findings = run(tmp_path, "fork-capture")
-        assert [f.symbol for f in findings] == ["_LOCK"]
-        assert "fork" in findings[0].message
-
-    def test_module_level_file_handle_is_flagged(self, tmp_path):
-        write(tmp_path, "src/repro/sweep/handle.py", """\
-            LOG = open("/tmp/sweep.log", "a")
-        """)
-        findings = run(tmp_path, "fork-capture")
-        assert [f.symbol for f in findings] == ["LOG"]
-
-    def test_function_local_lock_is_fine(self, tmp_path):
-        write(tmp_path, "src/repro/sweep/local.py", """\
-            import threading
-
-
-            def run():
-                lock = threading.Lock()
-                with lock:
-                    return 1
-        """)
-        assert run(tmp_path, "fork-capture") == []

@@ -58,7 +58,7 @@ class TestHarness:
 
     def test_run_matrix_parallel_and_cached_identical(self, tmp_path):
         """The sweep engine must not change a single counter: serial,
-        multiprocess and cache-hit matrices agree bit for bit."""
+        threaded and cache-hit matrices agree bit for bit."""
         kw = dict(algorithms=("BFS", "PR"), datasets=("VT",))
         serial = run_matrix(**kw)
         parallel = run_matrix(jobs=2, **kw)

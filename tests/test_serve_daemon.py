@@ -1,11 +1,12 @@
 """End-to-end tests of the serve daemon over a real unix socket.
 
 Every test but the signal test runs a daemon on a background thread
-(``serve_in_thread``) with the inline worker pool — same process, so
+(``serve_in_thread``) with one job thread — same process, so
 ``monkeypatch`` can intercept :func:`repro.sweep.executor.execute_job`
 to count and gate real simulations deterministically.
 """
 
+import contextlib
 import glob
 import json
 import os
@@ -14,7 +15,6 @@ import socket
 import subprocess
 import sys
 import tempfile
-import textwrap
 import threading
 import time
 
@@ -214,28 +214,33 @@ class TestCacheAndReload:
             assert reloaded.changed is False
             assert reloaded.code_version == daemon.version
 
-    def test_reload_after_change_bumps_generation(self, sock_dir,
-                                                  monkeypatch):
+    def test_code_changing_reload_stops_the_daemon(self, sock_dir,
+                                                    monkeypatch):
+        """A daemon runs the code it imported at start.  When the tree
+        digests differently, it answers and stops, so no result of its
+        code is stored under the new digest's keys; the digest leaves
+        the host process's code version alone."""
+        from pathlib import Path
         from repro.sweep import cache as cache_mod
         sock = os.path.join(sock_dir, "d.sock")
-        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")) \
-                as daemon:
+        cache_dir = os.path.join(sock_dir, "c")
+        version = cache_mod.code_version()
+        with serve_in_thread(sock, cache_dir=cache_dir):
             client = ServeClient(sock)
-            client.run_sweep(_jobs())
-            assert client.run_sweep(_jobs()).cache_hits == 2
-            assert len(daemon.cache._resident) == 2
-            before = client.ping().generation
+            assert client.run_sweep(_jobs()).executed == 2
             monkeypatch.setattr(cache_mod, "_digest_source_tree",
                                 lambda: "f" * 64)
             reloaded = client.reload()
-            assert reloaded.changed is True
-            assert reloaded.code_version == "f" * 64
-            assert reloaded.generation == before + 1
-            assert daemon.scheduler.version == "f" * 64
-            # resident entries are keyed under the old version
-            assert daemon.cache._resident == {}
-            monkeypatch.undo()
-            client.reload()          # restore the real digest for peers
+            assert (reloaded.changed, reloaded.code_version) \
+                == (True, "f" * 64)
+            _wait(lambda: not os.path.exists(sock), 10)
+            assert not os.path.exists(sock)
+            with pytest.raises(ServeError, match="cannot reach daemon"):
+                client.run_sweep(_jobs())
+        assert cache_mod.code_version() == version
+        stored = {path.stem for path in Path(cache_dir).glob("*/*.json")}
+        assert stored == {job.cache_key(version) for job in _jobs()}
+        assert not stored & {job.cache_key("f" * 64) for job in _jobs()}
 
     def test_entry_deleted_behind_the_daemon_is_simulated_again(
             self, sock_dir):
@@ -406,8 +411,7 @@ def _spy(monkeypatch, owner, name, calls):
 def _spy_planning(monkeypatch):
     """(planner calls, key payloads built): every section planner the
     regeneration looks up, and the graph fingerprints ``SweepJob``
-    takes, one per cache-key payload (no family is asked for on a
-    warm report)."""
+    takes, one per cache-key payload."""
     from repro.bench import regen
     from repro.sweep import jobs as jobs_mod
     planned, keyed = [], []
@@ -484,29 +488,6 @@ class TestResidentPlans:
         assert (again.executed, again.cache_hits) == (1, 6)
         assert (results / "REPORT.md").read_bytes() == warm_bytes
 
-    def test_code_changing_reload_rekeys_the_plans(self, sock_dir, tmp_path,
-                                                   monkeypatch):
-        from repro.sweep import cache as cache_mod
-        monkeypatch.setenv("REPRO_SCALE", "0.02")
-        results = tmp_path / "r"
-        sock = os.path.join(sock_dir, "d.sock")
-        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
-            with RemoteSession(sock) as remote:
-                remote.report(results, sections=PLAN_SECTIONS)
-                assert remote.report(results,
-                                     sections=PLAN_SECTIONS).executed == 0
-                try:
-                    with monkeypatch.context() as patch:
-                        patch.setattr(cache_mod, "_digest_source_tree",
-                                      lambda: "f" * 64)
-                        assert remote.client.reload().changed is True
-                        after = remote.report(results,
-                                              sections=PLAN_SECTIONS)
-                finally:
-                    remote.client.reload()   # the real digest, for peers
-        assert after.code_version == "f" * 64
-        assert (after.executed, after.cache_hits) == (7, 0)
-
 
 class TestCliServeVerbs:
     """`repro serve reload|status --connect` against a live daemon."""
@@ -530,6 +511,21 @@ class TestCliServeVerbs:
             assert f"code version {daemon.version[:12]}" in out
             assert "unchanged" in out       # nothing edited under test
 
+    def test_reload_verb_says_a_changed_daemon_stopped(self, sock_dir,
+                                                       capsys, monkeypatch):
+        from repro.cli import main
+        from repro.sweep import cache as cache_mod
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock):
+            monkeypatch.setattr(cache_mod, "_digest_source_tree",
+                                lambda: "f" * 64)
+            assert main(["serve", "reload", "--connect", sock]) == 0
+            _wait(lambda: not os.path.exists(sock), 10)
+            assert not os.path.exists(sock)
+        out = capsys.readouterr().out
+        assert "code version ffffffffffff (changed)" in out
+        assert "the daemon stopped" in out and "restart" in out
+
 
 def _children(pid):
     """Child pids of ``pid``, from Linux's /proc children lists."""
@@ -538,15 +534,6 @@ def _children(pid):
         with open(path) as fh:
             kids.update(int(p) for p in fh.read().split())
     return kids
-
-
-def _alive(pid):
-    """True unless ``pid`` is gone or a zombie (exited, not reaped)."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
 
 
 def _wait(condition, timeout):
@@ -560,57 +547,30 @@ def _wait(condition, timeout):
 class TestSigterm:
     def test_sigterm_closes_the_pool_and_the_socket(self, sock_dir):
         """A service manager's stop (SIGTERM) takes the shutdown path:
-        exit 0, the socket unlinked, every pool worker gone.  A SIGTERM
-        sent to one worker ends that worker, not the daemon."""
+        exit 0 and the socket unlinked.  Jobs run on the daemon's
+        threads, so a daemon that has simulated has no child process."""
         sock = os.path.join(sock_dir, "d.sock")
         log_path = os.path.join(sock_dir, "daemon.log")
-        # a file, not a pipe: workers that outlive the daemon would hold
-        # a pipe open and hang the read
         with open(log_path, "w") as log:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro", "serve", "--socket", sock,
                  "--cache-dir", os.path.join(sock_dir, "c"), "--jobs", "2"],
                 stdout=log, stderr=subprocess.STDOUT)
-        workers = set()
+        children = set()
         try:
             _wait(lambda: os.path.exists(sock) or proc.poll() is not None, 60)
-            assert ServeClient(sock).run_sweep(_jobs("BFS")).executed == 1
-            workers = _children(proc.pid)
-            assert workers
-            victim = min(workers)
-            os.kill(victim, signal.SIGTERM)
-            _wait(lambda: not _alive(victim), 10)
-            assert not _alive(victim)
-            assert ServeClient(sock).ping().code_version
+            done = ServeClient(sock).run_sweep(_jobs())
+            assert (done.executed, done.workers_used) == (2, 2)
+            children = _children(proc.pid)
+            assert children == set()
             proc.send_signal(signal.SIGTERM)
             with open(log_path) as log:
                 assert proc.wait(timeout=60) == 0, log.read()
             assert not os.path.exists(sock)
-            _wait(lambda: not any(map(_alive, workers)), 10)
-            assert [pid for pid in workers if _alive(pid)] == []
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-            for pid in workers:
-                if _alive(pid):
+            for pid in children:         # only if the assertion failed
+                with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
-
-    def test_pool_worker_initializer_restores_default_sigterm(self):
-        """A forked worker drops the daemon's SIGTERM handler and its
-        asyncio wakeup fd, so a signal to the worker ends the worker."""
-        code = textwrap.dedent("""\
-            import os, signal
-            from repro.serve.workers import _prime_worker
-            _, w = os.pipe()
-            os.set_blocking(w, False)
-            signal.set_wakeup_fd(w)
-            signal.signal(signal.SIGTERM, lambda *a: None)
-            _prime_worker()
-            print(signal.getsignal(signal.SIGTERM) is signal.SIG_DFL,
-                  signal.set_wakeup_fd(-1))
-        """)
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             timeout=60).stdout
-        assert out.split() == ["True", "-1"]

@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import time
 from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
 from repro.accel import AcceleratorConfig, graphdyns, higraph
+from repro.accel.engine import ENGINES
 from repro.errors import SweepError
 from repro.graph import rmat
 from repro.sweep import (
@@ -219,7 +221,7 @@ class TestFrozenJobs:
     @pytest.fixture
     def derivations(self, monkeypatch):
         """Graph fingerprints taken by ``repro.sweep.jobs``: one per key
-        payload built (the tests here never ask for a job's family)."""
+        payload built."""
         from repro.sweep import jobs as jobs_mod
         calls = []
         real = jobs_mod.graph_fingerprint
@@ -536,13 +538,86 @@ class TestExecutor:
         assert outcome.executed == 4
         assert outcome.wall_seconds > 0
 
-    def test_parallel_identical_to_serial(self):
-        jobs = _jobs()
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_parallel_identical_to_serial(self, engine):
+        """Concurrent threads build and march their own engines: the
+        stats equal a serial run's on every engine."""
+        jobs = [dataclasses.replace(job, engine=engine) for job in _jobs()]
         serial = run_sweep(jobs, num_workers=1)
         parallel = run_sweep(jobs, num_workers=3)
         assert [s.to_dict() for s in serial.stats] == \
                [s.to_dict() for s in parallel.stats]
         assert parallel.workers_used == 3
+
+    def test_threads_resolve_a_shared_graph_once(self, monkeypatch):
+        """Threads that miss the graph memo for one GraphSpec at the
+        same moment still generate the graph once."""
+        import sys
+        from repro.sweep import executor
+        from repro.sweep import jobs as jobs_mod
+        loads = []
+        real = jobs_mod.load
+
+        def slow_load(*args, **kwargs):
+            loads.append(args)
+            time.sleep(0.2)              # the other threads arrive meanwhile
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jobs_mod, "load", slow_load)
+        monkeypatch.setattr(executor, "_GRAPH_MEMO", {})
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            outcome = run_sweep(_jobs() * 2, num_workers=4)
+        finally:
+            sys.setswitchinterval(previous)
+        assert outcome.executed == 8 and outcome.workers_used == 4
+        assert loads == [("VT",)]
+
+    def test_failed_job_stops_the_sweep(self, monkeypatch):
+        """The first job's exception propagates, and no job starts after
+        it: only the two the threads took at once ever ran."""
+        import threading
+        from repro.sweep import executor
+        jobs = _jobs() * 3
+        started, lock = [], threading.Lock()
+
+        def fake_execute(job):
+            with lock:
+                started.append(job)
+                first = len(started) == 1
+            if first:
+                raise ValueError("synthetic simulation failure")
+            time.sleep(0.2)
+            return _stats()
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        with pytest.raises(ValueError, match="synthetic"):
+            run_sweep(jobs, num_workers=2)
+        assert 1 <= len(started) <= 2
+
+    def test_failed_progress_callback_stops_the_sweep(self, monkeypatch):
+        """Progress runs on the caller's thread; when it raises, no job
+        starts after it."""
+        import threading
+        from repro.sweep import executor
+        events, callers = [], []
+
+        def fake_execute(job):
+            events.append("start")
+            time.sleep(0.2)
+            return _stats()
+
+        def progress(done, total, job):
+            callers.append(threading.current_thread())
+            events.append("raise")
+            raise KeyError("synthetic callback failure")
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        with pytest.raises(KeyError, match="synthetic"):
+            run_sweep(_jobs() * 3, num_workers=2, progress=progress)
+        assert callers == [threading.current_thread()]
+        assert events[events.index("raise") + 1:] == []
 
     def test_inline_graph_jobs_run_in_workers(self, tiny_graph):
         jobs = plan_jobs(["BFS"], [tiny_graph],
@@ -626,52 +701,6 @@ class TestExecutor:
         bfs, pr = plan_jobs(["BFS", ("PR", {"iterations": 2})], [SMALL],
                             {"HiGraph": higraph()})
         assert pr.cost_hint() > bfs.cost_hint()
-
-    def test_learned_cost_model_prefers_cached_wall_seconds(self, tmp_path):
-        """ROADMAP follow-up: cached wall_seconds provenance beats the
-        static edge-count hint on re-runs where the static hint misranks.
-
-        VT has ~5x the registry edges of R16, so the static order puts
-        R16's jobs first; recorded wall times saying R16 is actually the
-        slow family must flip the dispatch order."""
-        from repro.sweep import learned_cost_model
-        jobs = plan_jobs(["BFS"], [GraphSpec("VT", 0.03), GraphSpec("R16", 0.03)],
-                         {"HiGraph": higraph(), "GraphDynS": graphdyns()})
-        pending = list(enumerate(jobs))
-        static = [j.tags["graph"] for _i, j in scheduled_order(pending)]
-        assert static[0] == "R16"       # registry edges say R16 is bigger
-
-        cache = ResultCache(tmp_path)
-        # same families, measured the other way around: VT slow, R16 fast
-        for job, seconds in ((jobs[0], 9.0), (jobs[2], 0.05)):
-            cache.put(job.cache_key("v0"), _stats(),
-                      provenance={"family": job.family(),
-                                  "wall_seconds": seconds})
-        cost = learned_cost_model(cache, [j for _i, j in pending])
-        assert cost is not None
-        learned = [j.tags["graph"] for _i, j in scheduled_order(pending, cost)]
-        assert learned[0] == "VT" and learned[1] == "VT"
-        # deterministic within a family: index tie-break preserved
-        assert scheduled_order(pending, cost) == scheduled_order(pending, cost)
-
-    def test_learned_cost_model_without_data_is_none(self, tmp_path):
-        from repro.sweep import learned_cost_model
-        jobs = plan_jobs(["BFS"], [SMALL], {"HiGraph": higraph()})
-        assert learned_cost_model(None, jobs) is None
-        assert learned_cost_model(ResultCache(tmp_path), jobs) is None
-
-    def test_unknown_families_fall_back_to_static_hint(self, tmp_path):
-        """A family without measurements ranks by rescaled static cost,
-        never raises."""
-        from repro.sweep import learned_cost_model
-        jobs = plan_jobs(["BFS"], [GraphSpec("VT", 0.03), GraphSpec("R16", 0.03)],
-                         {"HiGraph": higraph()})
-        cache = ResultCache(tmp_path)
-        cache.put(jobs[0].cache_key("v0"), _stats(),
-                  provenance={"family": jobs[0].family(), "wall_seconds": 2.0})
-        cost = learned_cost_model(cache, jobs)
-        assert cost(jobs[0]) == 2.0
-        assert cost(jobs[1]) > 0        # static hint rescaled into seconds
 
 
 # ----------------------------------------------------------------------
