@@ -36,6 +36,13 @@ class TestSelfLint:
         assert "unknown lint rule" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rule_id", ["fork-shared-state", "fork-capture"])
+    def test_rule_deleted_with_the_pools_is_unknown(self, rule_id, capsys):
+        """The two rules that policed the fork pools went with them; no
+        test took their place, so their names are plain unknowns."""
+        assert main(["lint", "--rule", rule_id]) == 2
+        assert f"unknown lint rule {rule_id!r}" in capsys.readouterr().err
+
     def test_json_report_shape(self, capsys):
         assert main(["lint", "--root", str(REPO_ROOT), "--format", "json",
                      "--rule", "module-state",

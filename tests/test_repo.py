@@ -1,5 +1,5 @@
-"""Checks on the repository itself: docs that name the code, and what
-git tracks."""
+"""Checks on the repository itself: docs that name the code, what the
+source may use, and what git tracks."""
 
 import argparse
 import ast
@@ -109,6 +109,34 @@ class TestDocsNameTheCode:
                           if isinstance(node, (ast.ClassDef, ast.FunctionDef))
                           and node.name == name), None)
             assert scope is not None, f"{path} defines no {name}"
+
+
+def _process_pool_uses(tree: ast.AST):
+    """``(line, name)`` of every ``multiprocessing`` import and every
+    ``ProcessPoolExecutor`` import or attribute in an AST."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names
+                    if name.split(".")[0] == "multiprocessing"
+                    or name == "ProcessPoolExecutor")
+
+
+class TestSourceTree:
+    def test_no_process_pool_under_src(self):
+        """Sweeps and the serve daemon run jobs on threads; no lint rule
+        polices fork hazards any more, so no process pool may return."""
+        found = [f"{path.relative_to(REPO_ROOT)}:{line} {name}"
+                 for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+                 for line, name in _process_pool_uses(
+                     ast.parse(path.read_text(encoding="utf-8")))]
+        assert found == []
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="git unavailable")

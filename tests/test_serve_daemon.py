@@ -182,6 +182,52 @@ class TestDedup:
             assert client.ping().protocol == protocol.PROTOCOL_VERSION
 
 
+class TestJobThreads:
+    def test_a_tickets_misses_run_at_once_on_the_job_threads(
+            self, sock_dir, monkeypatch):
+        """With two job threads, a ticket's two misses simulate at the
+        same time, off the event loop's thread."""
+        threads = []
+        both_running = threading.Barrier(2, timeout=10)
+
+        def fake_execute(job):
+            threads.append(threading.current_thread().name)
+            both_running.wait()          # breaks unless both jobs run
+            return SimStats(algorithm=job.algorithm)
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, workers=2):
+            done = ServeClient(sock).run_sweep(_jobs())
+        assert (done.executed, done.workers_used) == (2, 2)
+        assert len(set(threads)) == 2
+        assert all(name.startswith("repro-serve_") for name in threads)
+
+    def test_zero_workers_means_one_thread_per_cpu(self, sock_dir):
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, workers=0) as daemon:
+            assert daemon.workers == (os.cpu_count() or 1)
+            assert ServeClient(sock).status().workers == daemon.workers
+
+    def test_stop_joins_the_job_threads(self, sock_dir, monkeypatch):
+        """A stopped daemon leaves no job thread running and takes no
+        more work on its pool."""
+        threads = set()
+
+        def fake_execute(job):
+            threads.add(threading.current_thread())
+            return SimStats(algorithm=job.algorithm)
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, workers=2) as daemon:
+            assert ServeClient(sock).run_sweep(_jobs()).executed == 2
+        assert threads
+        assert [t.name for t in threads if t.is_alive()] == []
+        with pytest.raises(RuntimeError, match="shutdown"):
+            daemon.pool.submit(int)
+
+
 class TestCacheAndReload:
     def test_cache_info_and_gc(self, sock_dir):
         sock = os.path.join(sock_dir, "d.sock")

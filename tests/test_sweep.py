@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import threading
 import time
 from pathlib import Path
 from types import MappingProxyType
@@ -24,6 +25,7 @@ from repro.sweep import (
     run_sweep,
     scheduled_order,
 )
+from repro.sweep import executor
 
 SMALL = GraphSpec("VT", scale=0.03)
 
@@ -553,7 +555,6 @@ class TestExecutor:
         """Threads that miss the graph memo for one GraphSpec at the
         same moment still generate the graph once."""
         import sys
-        from repro.sweep import executor
         from repro.sweep import jobs as jobs_mod
         loads = []
         real = jobs_mod.load
@@ -574,11 +575,26 @@ class TestExecutor:
         assert outcome.executed == 8 and outcome.workers_used == 4
         assert loads == [("VT",)]
 
+    def test_graph_memo_serves_later_sweeps(self, monkeypatch):
+        """The memo is process-wide: a threaded sweep after a serial one
+        reuses the graph the serial one generated."""
+        from repro.sweep import jobs as jobs_mod
+        loads = []
+        real = jobs_mod.load
+
+        def counted_load(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jobs_mod, "load", counted_load)
+        monkeypatch.setattr(executor, "_GRAPH_MEMO", {})
+        run_sweep(_jobs()[:1], num_workers=1)
+        assert run_sweep(_jobs(), num_workers=2).executed == 4
+        assert loads == [("VT",)]
+
     def test_failed_job_stops_the_sweep(self, monkeypatch):
         """The first job's exception propagates, and no job starts after
         it: only the two the threads took at once ever ran."""
-        import threading
-        from repro.sweep import executor
         jobs = _jobs() * 3
         started, lock = [], threading.Lock()
 
@@ -599,8 +615,6 @@ class TestExecutor:
     def test_failed_progress_callback_stops_the_sweep(self, monkeypatch):
         """Progress runs on the caller's thread; when it raises, no job
         starts after it."""
-        import threading
-        from repro.sweep import executor
         events, callers = [], []
 
         def fake_execute(job):
@@ -618,6 +632,153 @@ class TestExecutor:
             run_sweep(_jobs() * 3, num_workers=2, progress=progress)
         assert callers == [threading.current_thread()]
         assert events[events.index("raise") + 1:] == []
+
+    def test_invalid_job_fails_a_threaded_sweep(self, tiny_graph):
+        """A job's own error crosses from its pool thread to the caller."""
+        bad = SweepJob(graph=tiny_graph, algorithm="BFS", config=higraph(),
+                       num_slices=0)
+        with pytest.raises(SweepError, match="num_slices"):
+            run_sweep(_jobs() + [bad], num_workers=2)
+
+    def test_pool_starts_the_largest_jobs_first(self, monkeypatch):
+        """Two threads take the two largest jobs first, wherever the
+        matrix lists them."""
+        jobs = plan_jobs(["BFS"],
+                         [GraphSpec("VT", 0.03), GraphSpec("R14", 0.03),
+                          GraphSpec("R16", 0.03)],
+                         {"HiGraph": higraph()})
+        started, lock = [], threading.Lock()
+        both_running = threading.Barrier(2, timeout=10)
+
+        def fake_execute(job):
+            with lock:
+                started.append(job.tags["graph"])
+                first_two = len(started) <= 2
+            if first_two:
+                both_running.wait()      # each holds a thread until both do
+            return _stats()
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        assert run_sweep(jobs, num_workers=2).executed == 3
+        assert sorted(started[:2]) == ["R14", "R16"]
+
+    def test_cache_puts_and_progress_run_on_the_callers_thread(
+            self, tmp_path, monkeypatch):
+        """Pool threads only simulate: every cache write and progress
+        call happens on the thread that called run_sweep."""
+        job_threads, put_threads, progress_threads = set(), [], []
+        real_put = ResultCache.put
+
+        def fake_execute(job):
+            job_threads.add(threading.current_thread().name)
+            time.sleep(0.02)
+            return _stats()
+
+        def spy_put(self, *args, **kwargs):
+            put_threads.append(threading.current_thread())
+            return real_put(self, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        monkeypatch.setattr(ResultCache, "put", spy_put)
+        outcome = run_sweep(
+            _jobs(), num_workers=2, cache=tmp_path / "cache",
+            progress=lambda done, total, job:
+                progress_threads.append(threading.current_thread()))
+        caller = threading.current_thread()
+        assert (outcome.executed, outcome.workers_used) == (4, 2)
+        assert put_threads == [caller] * 4
+        assert progress_threads == [caller] * 4
+        assert job_threads and all(name.startswith("repro-sweep_")
+                                   for name in job_threads)
+
+    def test_one_worker_runs_in_the_callers_thread(self, monkeypatch):
+        threads = []
+
+        def fake_execute(job):
+            threads.append(threading.current_thread())
+            return _stats()
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        assert run_sweep(_jobs(), num_workers=1).workers_used == 1
+        assert threads == [threading.current_thread()] * 4
+
+    def test_a_single_miss_runs_in_the_callers_thread(self, tmp_path,
+                                                      monkeypatch):
+        """With one job left to simulate, no pool is started however
+        many workers were asked for."""
+        threads = []
+
+        def fake_execute(job):
+            threads.append(threading.current_thread())
+            return _stats()
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        jobs = _jobs()
+        run_sweep(jobs[:3], num_workers=1, cache=tmp_path / "cache")
+        outcome = run_sweep(jobs, num_workers=4, cache=tmp_path / "cache")
+        assert (outcome.cache_hits, outcome.executed) == (3, 1)
+        assert outcome.workers_used == 1
+        assert threads == [threading.current_thread()] * 4
+
+    def test_pool_is_no_wider_than_the_pending_jobs(self, monkeypatch):
+        threads = set()
+
+        def fake_execute(job):
+            threads.add(threading.current_thread().name)
+            time.sleep(0.02)
+            return _stats()
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        outcome = run_sweep(_jobs()[:3], num_workers=8)
+        assert (outcome.executed, outcome.workers_used) == (3, 3)
+        assert 1 <= len(threads) <= 3
+
+    def test_parallel_progress_counts_every_job(self, monkeypatch):
+        """Jobs finish in any order on threads, yet ``done`` counts up
+        by one per job and every job is reported once."""
+        seen = []
+        monkeypatch.setattr(executor, "execute_job", lambda job: _stats())
+        jobs = _jobs()
+        run_sweep(jobs, num_workers=2,
+                  progress=lambda done, total, job:
+                      seen.append((done, total, job.describe())))
+        assert [(done, total) for done, total, _ in seen] == [
+            (1, 4), (2, 4), (3, 4), (4, 4)]
+        assert sorted(name for _, _, name in seen) == sorted(
+            job.describe() for job in jobs)
+
+    def test_duplicate_jobs_simulated_once_on_threads(self, tmp_path,
+                                                      monkeypatch):
+        from repro.accel import SimStats
+        runs, lock = [], threading.Lock()
+
+        def fake_execute(job):
+            with lock:
+                runs.append(job.describe())
+            return SimStats(config_name=job.config.name,
+                            algorithm=job.algorithm, graph_name="VT")
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        jobs = _jobs()
+        outcome = run_sweep(jobs + jobs, num_workers=2,
+                            cache=tmp_path / "cache")
+        assert sorted(runs) == sorted(job.describe() for job in jobs)
+        assert (outcome.executed, outcome.cache_hits) == (4, 4)
+        assert [s.to_dict() for s in outcome.stats[:4]] == \
+               [s.to_dict() for s in outcome.stats[4:]]
+
+    def test_timed_execute_runs_the_current_execute_job(self, monkeypatch):
+        """``execute_job`` is looked up per call, so a replacement made
+        after import still runs (and is timed) on every path."""
+        marker = _stats()
+
+        def fake_execute(job):
+            time.sleep(0.01)
+            return marker
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        stats, seconds = executor.timed_execute(_jobs()[0])
+        assert stats is marker and seconds >= 0.01
 
     def test_inline_graph_jobs_run_in_workers(self, tiny_graph):
         jobs = plan_jobs(["BFS"], [tiny_graph],
