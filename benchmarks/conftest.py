@@ -1,9 +1,13 @@
 """Shared fixtures for the figure/table benchmark suite.
 
-The Fig. 8 and Fig. 9 benches share one expensive evaluation matrix
-(4 algorithms x 6 datasets x 3 designs); it is computed once per
-session on the sweep engine.  Three environment variables tune how it
-runs — the numbers are identical in every case:
+Each bench builds its report section through
+:data:`repro.bench.regen.SECTIONS` — the description ``repro report``
+regenerates from — so a table written here is the table the report
+writes for the same results.  One session context runs every sweep;
+the Fig. 8/9 evaluation matrix and the Fig. 10(a)/(b) ablation sweep
+are each run once and shared by their two sections.  Three
+environment variables tune how it runs — the numbers are identical in
+every case:
 
 * ``REPRO_JOBS``       worker threads (default 0 = one per CPU;
                        set 1 to force serial execution);
@@ -25,7 +29,7 @@ import os
 
 import pytest
 
-from repro.bench import format_table, run_matrix
+from repro.bench.regen import SECTIONS, RegenContext, write_table
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -36,54 +40,15 @@ def results_dir():
     return RESULTS_DIR
 
 
-def _env_jobs() -> int:
-    """Worker threads for sweep-backed benches (0 = one per CPU).
-
-    The default went serial -> per-CPU once the executor's scheduling
-    and caching had soaked; results are identical regardless.
-    """
-    return int(os.environ.get("REPRO_JOBS", "0"))
-
-
-def _env_cache():
-    return os.environ.get("REPRO_CACHE_DIR") or None
-
-
 @pytest.fixture(scope="session")
-def sweep_options():
-    """(num_workers, cache) honoured by every sweep-backed fixture."""
-    return {"jobs": _env_jobs(), "cache": _env_cache()}
+def section(results_dir):
+    """``section(key)`` builds one report section, prints its table,
+    writes it as ``results/<key>.txt`` and returns the rows."""
+    ctx = RegenContext(num_workers=int(os.environ.get("REPRO_JOBS", "0")),
+                       cache=os.environ.get("REPRO_CACHE_DIR") or None)
 
-
-@pytest.fixture(scope="session")
-def evaluation_matrix(sweep_options):
-    """The Fig. 8/9 matrix: 4 algorithms x 6 datasets x 3 designs."""
-    return run_matrix(jobs=sweep_options["jobs"], cache=sweep_options["cache"])
-
-
-@pytest.fixture(scope="session")
-def fig10_data(sweep_options):
-    """Fig. 10(a)/(b) share one ablation sweep (16 simulations).
-
-    Every sweep-backed bench references its graph symbolically (the
-    default `GraphSpec`), never as a loaded `CSRGraph` — inline graphs
-    fingerprint differently, and a cache warmed here must hand the
-    exact same keys to `repro report`.  Workers memoize the loaded
-    graph per process, so this costs one R14 load either way.
-    """
-    from repro.bench import fig10_rows
-    return fig10_rows(num_workers=sweep_options["jobs"],
-                      cache=sweep_options["cache"])
-
-
-@pytest.fixture(scope="session")
-def emit(results_dir):
-    """Print a table and persist it under benchmarks/results/."""
-    def _emit(name: str, rows, columns=None, title=None, floatfmt=".2f"):
-        text = format_table(rows, columns=columns, title=title, floatfmt=floatfmt)
-        print("\n" + text)
-        with open(os.path.join(results_dir, f"{name}.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text)
-        return text
-    return _emit
+    def build(key: str) -> list[dict]:
+        rows, _accounting = SECTIONS[key].build(ctx)
+        print("\n" + write_table(results_dir, key, rows))
+        return rows
+    return build

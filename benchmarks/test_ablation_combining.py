@@ -8,16 +8,9 @@ merging compresses hotspot traffic more than the crossbar's single
 input-side combining point.
 """
 
-from repro.bench import combining_ablation_rows
 
-
-def test_combining_ablation(benchmark, emit, sweep_options):
-    rows = benchmark.pedantic(
-        lambda: combining_ablation_rows(num_workers=sweep_options["jobs"],
-                                        cache=sweep_options["cache"]),
-        rounds=1, iterations=1)
-    emit("ablation_combining", rows,
-         title="Ablation: vertex coalescing at the propagation site (PR, R14)")
+def test_combining_ablation(section):
+    rows = section("ablation_combining")
 
     def g(design, combining):
         return next(r["gteps"] for r in rows

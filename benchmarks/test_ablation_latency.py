@@ -12,20 +12,13 @@ ablation probes both sides of the trade:
   extra stages vanish into the pipeline and the conflict reduction
   wins).
 
-Since PR 2 both pairs run as sweep jobs (``latency_ablation_rows``), so
-the bench shards/caches like every other figure.
+Both pairs run as sweep jobs (``latency_ablation_jobs``), so the bench
+shards/caches like every other figure.
 """
 
-from repro.bench import latency_ablation_rows
 
-
-def test_latency_vs_throughput_tradeoff(benchmark, emit, sweep_options):
-    rows = benchmark.pedantic(
-        lambda: latency_ablation_rows(num_workers=sweep_options["jobs"],
-                                      cache=sweep_options["cache"]),
-        rounds=1, iterations=1)
-    emit("ablation_latency", rows,
-         title="Ablation: trading latency for throughput (Sec. 2.2)")
+def test_latency_vs_throughput_tradeoff(section):
+    rows = section("ablation_latency")
 
     by = {(r["workload"], r["design"]): r for r in rows}
     lat_hi = by[("chain-BFS (latency-bound)", "HiGraph")]

@@ -5,23 +5,15 @@ processed on chip ... the time consumed in the replacement of slices
 can be overlapped using double buffer design."
 
 The bench compares single-buffered (all loads exposed) against
-double-buffered execution of a sliced run.  Since PR 2 the sliced run
-is a sweep job (``slicing_rows``), so it shards and caches like every
-other figure and the report pipeline can regenerate it from a warm
-cache without simulating.
+double-buffered execution of a sliced run.  The sliced run is a sweep
+job (``slicing_jobs``), so it shards and caches like every other figure
+and the report pipeline can regenerate it from a warm cache without
+simulating.
 """
 
-from repro.bench import slicing_rows
 
-
-def test_discussion_slicing_double_buffer(benchmark, emit, sweep_options):
-    rows = benchmark.pedantic(
-        lambda: slicing_rows(num_workers=sweep_options["jobs"],
-                             cache=sweep_options["cache"]),
-        rounds=1, iterations=1)
-    emit("discussion_slicing", rows,
-         title="Sec. 5.3: sliced execution with double buffering (PR, R14)",
-         floatfmt=".1f")
+def test_discussion_slicing_double_buffer(section):
+    rows = section("discussion_slicing")
 
     row = rows[0]
     assert row["slices"] == 4

@@ -5,13 +5,9 @@ count grows, the design-centralization motivation.  Regenerated from the
 calibrated timing model.
 """
 
-from repro.hw import fig4_rows
 
-
-def test_fig4_frequency_vs_ports(benchmark, emit):
-    rows = benchmark.pedantic(fig4_rows, rounds=1, iterations=1)
-    emit("fig04_crossbar_frequency", rows,
-         title="Fig. 4: frequency vs crossbar ports", floatfmt=".3f")
+def test_fig4_frequency_vs_ports(section):
+    rows = section("fig04_crossbar_frequency")
 
     freqs = {r["ports"]: r["frequency_ghz"] for r in rows}
     # paper anchor points

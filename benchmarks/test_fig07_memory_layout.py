@@ -4,13 +4,9 @@ The 19-bit design point (2^19 vertices, 2^22 edges) reproduces the
 megabyte figures printed on the paper's floorplan.
 """
 
-from repro.accel import fig7_layout
 
-
-def test_fig7_memory_layout(benchmark, emit):
-    rows = benchmark.pedantic(fig7_layout, rounds=1, iterations=1)
-    emit("fig07_memory_layout", rows, title="Fig. 7: on-chip memory layout",
-         floatfmt=".2f")
+def test_fig7_memory_layout(section):
+    rows = section("fig07_memory_layout")
 
     for row in rows:
         assert abs(row["model_mb"] - row["paper_mb"]) <= 0.06, row["array"]

@@ -13,10 +13,8 @@ meaningfully, and the average/maximum land in the paper's band.
 import statistics
 
 
-def test_fig8_speedup_over_graphdyns(benchmark, emit, evaluation_matrix):
-    rows = benchmark.pedantic(evaluation_matrix.speedup_rows,
-                              rounds=1, iterations=1)
-    emit("fig08_speedup", rows, title="Fig. 8: speedup over GraphDynS")
+def test_fig8_speedup_over_graphdyns(section):
+    rows = section("fig08_speedup")
 
     mini = [r["speedup_mini"] for r in rows]
     full = [r["speedup_higraph"] for r in rows]

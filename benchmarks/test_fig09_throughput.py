@@ -9,10 +9,8 @@ average."
 import statistics
 
 
-def test_fig9_throughput(benchmark, emit, evaluation_matrix):
-    rows = benchmark.pedantic(evaluation_matrix.throughput_rows,
-                              rounds=1, iterations=1)
-    emit("fig09_throughput", rows, title="Fig. 9: throughput (GTEPS)")
+def test_fig9_throughput(section):
+    rows = section("fig09_throughput")
 
     ideal = 32.0
     best = max(r["higraph_gteps"] for r in rows)

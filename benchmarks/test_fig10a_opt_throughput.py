@@ -8,18 +8,9 @@ Paper claims reproduced as shape:
   improvement on the PR algorithm".
 """
 
-import pytest
 
-
-@pytest.fixture()
-def rows(fig10_data):
-    return fig10_data
-
-
-def test_fig10a_throughput_steps(benchmark, emit, rows):
-    benchmark.pedantic(lambda: rows, rounds=1, iterations=1)
-    emit("fig10a_opt_throughput", rows,
-         title="Fig. 10(a): effect of optimizations on throughput (R14)")
+def test_fig10a_throughput_steps(section):
+    rows = section("fig10a_opt_throughput")
 
     by_alg = {}
     for r in rows:

@@ -4,19 +4,9 @@ Paper: "the number of starvation cycles reduces significantly, up to
 58%.  This validates the effects of our optimizations."
 """
 
-import pytest
 
-
-@pytest.fixture()
-def rows(fig10_data):
-    return fig10_data
-
-
-def test_fig10b_starvation_reduction(benchmark, emit, rows):
-    benchmark.pedantic(lambda: rows, rounds=1, iterations=1)
-    emit("fig10b_starvation", rows,
-         columns=["algorithm", "step", "starvation_cycles"],
-         title="Fig. 10(b): vPE starvation cycles (R14)", floatfmt=".0f")
+def test_fig10b_starvation_reduction(section):
+    rows = section("fig10b_starvation")
 
     by_alg = {}
     for r in rows:

@@ -5,16 +5,9 @@ Paper: GraphDynS cannot scale past 64 channels (frequency decline, Fig.
 0.93 ns -> 0.97 ns) and its throughput keeps growing.
 """
 
-from repro.bench import fig11_rows
 
-
-def test_fig11_backend_channel_scaling(benchmark, emit, sweep_options):
-    rows = benchmark.pedantic(
-        lambda: fig11_rows(num_workers=sweep_options["jobs"],
-                           cache=sweep_options["cache"]),
-        rounds=1, iterations=1)
-    emit("fig11_scalability", rows,
-         title="Fig. 11: throughput vs back-end channels (PR, R14)")
+def test_fig11_backend_channel_scaling(section):
+    rows = section("fig11_scalability")
 
     hi = {r["back_channels"]: r for r in rows if r["design"] == "HiGraph"}
     gd = {r["back_channels"]: r for r in rows if r["design"] == "GraphDynS"}

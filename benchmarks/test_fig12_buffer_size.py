@@ -6,16 +6,11 @@ FIFO in each channel because the throughput rarely increases with
 larger buffers."
 """
 
-from repro.bench import FIG12_BUFFER_SIZES, fig12_rows
+from repro.bench import FIG12_BUFFER_SIZES
 
 
-def test_fig12_buffer_size_sweep(benchmark, emit, sweep_options):
-    rows = benchmark.pedantic(
-        lambda: fig12_rows(num_workers=sweep_options["jobs"],
-                           cache=sweep_options["cache"]),
-        rounds=1, iterations=1)
-    emit("fig12_buffer_size", rows,
-         title="Fig. 12: throughput vs FIFO buffer size (PR, R14)")
+def test_fig12_buffer_size_sweep(section):
+    rows = section("fig12_buffer_size")
 
     mdp = {r["buffer_entries"]: r["gteps"] for r in rows
            if r["design"] == "MDP-network"}

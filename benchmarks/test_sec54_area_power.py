@@ -6,14 +6,9 @@ Paper: MDP-network with 160-entry buffers synthesizes to 0.375 mm² /
 overhead".
 """
 
-from repro.hw import sec54_rows
 
-
-def test_sec54_area_power(benchmark, emit):
-    rows = benchmark.pedantic(sec54_rows, rounds=1, iterations=1)
-    emit("sec54_area_power", rows,
-         title="Sec. 5.4: area and power of the propagation site",
-         floatfmt=".3f")
+def test_sec54_area_power(section):
+    rows = section("sec54_area_power")
 
     for row in rows:
         assert abs(row["model_area_mm2"] - row["paper_area_mm2"]) \

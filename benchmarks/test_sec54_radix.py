@@ -9,16 +9,9 @@ Swept at 64 back-end channels (64 = 2^6 = 4^3 = 8^2, so radices 2, 4
 and 8 all admit a legal network).
 """
 
-from repro.bench import sec54_radix_rows
 
-
-def test_sec54_radix_study(benchmark, emit, sweep_options):
-    rows = benchmark.pedantic(
-        lambda: sec54_radix_rows(num_workers=sweep_options["jobs"],
-                                 cache=sweep_options["cache"]),
-        rounds=1, iterations=1)
-    emit("sec54_radix", rows, title="Sec. 5.4: radix design option (PR, R14)",
-         floatfmt=".3f")
+def test_sec54_radix_study(section):
+    rows = section("sec54_radix")
 
     by_radix = {r["radix"]: r for r in rows}
     # small radices perform within a few percent of each other

@@ -4,12 +4,9 @@ Regenerates the configuration table and checks the frequency column:
 every design synthesizes to the 1 GHz target at its Table 1 geometry.
 """
 
-from repro.bench import table1_config_rows
 
-
-def test_table1_configurations(benchmark, emit):
-    rows = benchmark.pedantic(table1_config_rows, rounds=1, iterations=1)
-    emit("table1_configs", rows, title="Table 1: configurations")
+def test_table1_configurations(section):
+    rows = section("table1_configs")
 
     by_name = {r["design"]: r for r in rows}
     assert by_name["HiGraph"]["front_channels"] == 32

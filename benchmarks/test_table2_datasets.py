@@ -4,14 +4,11 @@ Regenerates the dataset table: paper sizes next to the generated
 stand-ins at both full registry size and the harness bench scale.
 """
 
-from repro.bench import table2_dataset_rows
 from repro.graph import DATASET_ORDER, TABLE2
 
 
-def test_table2_datasets(benchmark, emit):
-    rows = benchmark.pedantic(table2_dataset_rows, rounds=1, iterations=1)
-    emit("table2_datasets", rows, title="Table 2: benchmark datasets",
-         floatfmt=".4g")
+def test_table2_datasets(section):
+    rows = section("table2_datasets")
 
     for row in rows:
         spec = TABLE2[row["name"]]

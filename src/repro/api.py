@@ -156,7 +156,7 @@ class RemoteSession(Session):
         self.client = ServeClient(socket_path, timeout=timeout)
 
     def ping(self):
-        """Daemon liveness + identity (protocol, generation, version)."""
+        """Daemon liveness + identity (protocol, code version)."""
         self._check_open()
         return self.client.ping()
 

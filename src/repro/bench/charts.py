@@ -1,8 +1,10 @@
 """Terminal chart rendering for figure data (no plotting deps offline).
 
 The paper's evaluation figures are bar/line charts; these helpers render
-the regenerated series as unicode bar charts so ``python -m repro figure
-...`` and the benchmark logs show the *shape* directly, not just rows.
+the regenerated series as unicode bar charts, so ``repro sweep
+--figure`` and ``repro report --charts`` show the *shape* directly, not
+just rows.  Each section's chart is declared on its
+:class:`~repro.bench.regen.SectionSpec`.
 """
 
 from __future__ import annotations

@@ -1,19 +1,13 @@
 """Per-figure experiment definitions for the paper's evaluation section.
 
 Each figure is split into a **planner** (``fig*_jobs`` — returns the
-:class:`~repro.sweep.jobs.SweepJob` list behind the figure) and an
+:class:`~repro.sweep.jobs.SweepJob` list behind the figure, every graph
+a symbolic bench-scale :class:`~repro.sweep.jobs.GraphSpec`) and an
 **assembler** (``fig*_assemble`` — turns the finished
-:class:`~repro.sweep.executor.SweepOutcome` into plain row dicts).  The
-``fig*_rows`` convenience wrappers run both; ``benchmarks/`` prints the
-rows as tables and asserts the paper's qualitative claims, and
-:mod:`repro.bench.regen` drives the split form directly so the
-consolidated report regenerates straight from a warm cache with full
-execution accounting.
-
-All figure sweeps run on the sweep engine (:mod:`repro.sweep`): every
-``fig*_rows`` function accepts ``num_workers`` (thread count; 1 =
-serial) and ``cache`` (a :class:`repro.sweep.ResultCache` or directory
-path) and produces identical rows regardless of either knob.
+:class:`~repro.sweep.executor.SweepOutcome` into plain row dicts).
+:data:`repro.bench.regen.SECTIONS` pairs them into report sections; the
+report, ``repro sweep --figure`` and ``benchmarks/`` all build rows
+through it.
 """
 
 from __future__ import annotations
@@ -35,8 +29,7 @@ from repro.graph import (
     datasets,
     destination_slice_edges,
 )
-from repro.graph.csr import CSRGraph
-from repro.sweep import GraphSpec, SweepJob, SweepOutcome, plan_jobs, run_sweep
+from repro.sweep import GraphSpec, SweepJob, SweepOutcome, plan_jobs
 
 #: Ablation order of paper Fig. 10 (cumulative optimizations).
 FIG10_STEPS = (
@@ -69,21 +62,15 @@ SLICING_NUM_SLICES = 4
 SLICING_BYTES_PER_CYCLE = 64.0
 
 
-def _figure_graph(dataset: str, graph: CSRGraph | None):
-    """Inline graph if the caller provided one, else a symbolic bench spec."""
-    return graph if graph is not None else bench_graph_spec(dataset)
-
-
 # ----------------------------------------------------------------------
 # Fig. 10 — cumulative optimization ablation
 # ----------------------------------------------------------------------
 
 def fig10_jobs(dataset: str = "R14",
-               algorithms=("BFS", "SSSP", "SSWP", "PR"),
-               graph: CSRGraph | None = None) -> list[SweepJob]:
+               algorithms=("BFS", "SSSP", "SSWP", "PR")) -> list[SweepJob]:
     return plan_jobs(
         [bench_algorithm_entry(a) for a in algorithms],
-        [_figure_graph(dataset, graph)],
+        [bench_graph_spec(dataset)],
         {label: ablation(**opts) for label, opts in FIG10_STEPS},
     )
 
@@ -98,22 +85,12 @@ def fig10_assemble(outcome: SweepOutcome) -> list[dict]:
     } for job, stats in zip(outcome.jobs, outcome.stats)]
 
 
-def fig10_rows(dataset: str = "R14", algorithms=("BFS", "SSSP", "SSWP", "PR"),
-               graph: CSRGraph | None = None,
-               num_workers: int | None = 1, cache=None) -> list[dict]:
-    """Fig. 10(a) + (b): cumulative-optimization throughput & starvation."""
-    outcome = run_sweep(fig10_jobs(dataset, algorithms, graph),
-                        num_workers=num_workers, cache=cache)
-    return fig10_assemble(outcome)
-
-
 # ----------------------------------------------------------------------
 # Fig. 11 — back-end channel scaling
 # ----------------------------------------------------------------------
 
-def fig11_jobs(dataset: str = "R14",
-               graph: CSRGraph | None = None) -> list[SweepJob]:
-    target = _figure_graph(dataset, graph)
+def fig11_jobs(dataset: str = "R14") -> list[SweepJob]:
+    target = bench_graph_spec(dataset)
     pr = bench_algorithm_entry("PR")
     jobs = plan_jobs([pr], [target], {"GraphDynS": graphdyns()},
                      sweep_axes={"back_channels": FIG11_GRAPHDYNS_CHANNELS})
@@ -131,20 +108,12 @@ def fig11_assemble(outcome: SweepOutcome) -> list[dict]:
     } for job, stats in zip(outcome.jobs, outcome.stats)]
 
 
-def fig11_rows(dataset: str = "R14", graph: CSRGraph | None = None,
-               num_workers: int | None = 1, cache=None) -> list[dict]:
-    """Fig. 11: throughput versus number of back-end channels (PR/R14)."""
-    outcome = run_sweep(fig11_jobs(dataset, graph),
-                        num_workers=num_workers, cache=cache)
-    return fig11_assemble(outcome)
-
-
 # ----------------------------------------------------------------------
 # Fig. 12 — buffer size sweep
 # ----------------------------------------------------------------------
 
-def fig12_jobs(dataset: str = "R14", buffer_sizes=FIG12_BUFFER_SIZES,
-               graph: CSRGraph | None = None) -> list[SweepJob]:
+def fig12_jobs(dataset: str = "R14",
+               buffer_sizes=FIG12_BUFFER_SIZES) -> list[SweepJob]:
     """Fig. 12 job matrix.
 
     "We keep all designs in HiGraph the same except for the dataflow
@@ -153,7 +122,7 @@ def fig12_jobs(dataset: str = "R14", buffer_sizes=FIG12_BUFFER_SIZES,
     paper's x-axis order), so one planner call per size rather than one
     sweep_axes expansion.
     """
-    target = _figure_graph(dataset, graph)
+    target = bench_graph_spec(dataset)
     pr = bench_algorithm_entry("PR")
     jobs = []
     for entries in buffer_sizes:
@@ -173,24 +142,14 @@ def fig12_assemble(outcome: SweepOutcome) -> list[dict]:
     } for job, stats in zip(outcome.jobs, outcome.stats)]
 
 
-def fig12_rows(dataset: str = "R14", buffer_sizes=FIG12_BUFFER_SIZES,
-               graph: CSRGraph | None = None,
-               num_workers: int | None = 1, cache=None) -> list[dict]:
-    """Fig. 12: throughput versus per-channel FIFO buffer size."""
-    outcome = run_sweep(fig12_jobs(dataset, buffer_sizes, graph),
-                        num_workers=num_workers, cache=cache)
-    return fig12_assemble(outcome)
-
-
 # ----------------------------------------------------------------------
 # §5.4 — radix design option
 # ----------------------------------------------------------------------
 
-def sec54_radix_jobs(dataset: str = "R14",
-                     graph: CSRGraph | None = None) -> list[SweepJob]:
+def sec54_radix_jobs(dataset: str = "R14") -> list[SweepJob]:
     return plan_jobs(
         [bench_algorithm_entry("PR")],
-        [_figure_graph(dataset, graph)],
+        [bench_graph_spec(dataset)],
         {"HiGraph": higraph(back_channels=SEC54_CHANNELS,
                             front_channels=SEC54_CHANNELS)},
         sweep_axes={"radix": SEC54_RADICES},
@@ -206,22 +165,12 @@ def sec54_radix_assemble(outcome: SweepOutcome) -> list[dict]:
     } for job, stats in zip(outcome.jobs, outcome.stats)]
 
 
-def sec54_radix_rows(dataset: str = "R14", graph: CSRGraph | None = None,
-                     num_workers: int | None = 1, cache=None) -> list[dict]:
-    """§5.4 radix study: 'a too large radix still encounters design
-    centralization, which degrades the performance'."""
-    outcome = run_sweep(sec54_radix_jobs(dataset, graph),
-                        num_workers=num_workers, cache=cache)
-    return sec54_radix_assemble(outcome)
-
-
 # ----------------------------------------------------------------------
 # Ablation — vertex coalescing
 # ----------------------------------------------------------------------
 
-def combining_ablation_jobs(dataset: str = "R14",
-                            graph: CSRGraph | None = None) -> list[SweepJob]:
-    target = _figure_graph(dataset, graph)
+def combining_ablation_jobs(dataset: str = "R14") -> list[SweepJob]:
+    target = bench_graph_spec(dataset)
     pr = bench_algorithm_entry("PR")
     jobs = []
     for combining in (True, False):
@@ -240,27 +189,16 @@ def combining_ablation_assemble(outcome: SweepOutcome) -> list[dict]:
     } for job, stats in zip(outcome.jobs, outcome.stats)]
 
 
-def combining_ablation_rows(dataset: str = "R14",
-                            graph: CSRGraph | None = None,
-                            num_workers: int | None = 1, cache=None) -> list[dict]:
-    """Extension ablation: vertex coalescing on/off at the propagation
-    site for both interconnects (design-choice study from DESIGN.md)."""
-    outcome = run_sweep(combining_ablation_jobs(dataset, graph),
-                        num_workers=num_workers, cache=cache)
-    return combining_ablation_assemble(outcome)
-
-
 # ----------------------------------------------------------------------
 # Ablation — trading latency for throughput (§2.2)
 # ----------------------------------------------------------------------
 
-def latency_ablation_jobs(dataset: str = "R14",
-                          graph: CSRGraph | None = None) -> list[SweepJob]:
+def latency_ablation_jobs(dataset: str = "R14") -> list[SweepJob]:
     """A latency-bound chain-BFS pair plus a throughput-bound PR pair."""
     designs = {"HiGraph": higraph(), "GraphDynS": graphdyns()}
     jobs = plan_jobs(["BFS"], [chain(LATENCY_CHAIN_VERTICES)], designs)
     jobs += plan_jobs([bench_algorithm_entry("PR")],
-                      [_figure_graph(dataset, graph)], designs)
+                      [bench_graph_spec(dataset)], designs)
     return jobs
 
 
@@ -281,25 +219,15 @@ def latency_ablation_assemble(outcome: SweepOutcome,
     return rows
 
 
-def latency_ablation_rows(dataset: str = "R14", graph: CSRGraph | None = None,
-                          num_workers: int | None = 1, cache=None) -> list[dict]:
-    """§2.2 premise probe: the MDP-network's extra stages are exposed on
-    a serial frontier but vanish into a busy pipeline."""
-    outcome = run_sweep(latency_ablation_jobs(dataset, graph),
-                        num_workers=num_workers, cache=cache)
-    return latency_ablation_assemble(outcome, dataset)
-
-
 # ----------------------------------------------------------------------
 # §5.3 Discussion — slicing + double buffering
 # ----------------------------------------------------------------------
 
-def slicing_jobs(dataset: str = "R14", graph: CSRGraph | None = None,
-                 num_slices: int = SLICING_NUM_SLICES,
+def slicing_jobs(dataset: str = "R14", num_slices: int = SLICING_NUM_SLICES,
                  offchip_bytes_per_cycle: float = SLICING_BYTES_PER_CYCLE
                  ) -> list[SweepJob]:
     """One sliced, double-buffered PR run on the sweep engine."""
-    target = _figure_graph(dataset, graph)
+    target = bench_graph_spec(dataset)
     return [SweepJob(
         graph=target,
         algorithm="PR",
@@ -328,10 +256,7 @@ def slicing_assemble(outcome: SweepOutcome) -> list[dict]:
     a symbolic graph is generated once per process, not per assembly.
     """
     job, stats = outcome.jobs[0], outcome.stats[0]
-    if isinstance(job.graph, GraphSpec):
-        slice_edges = _spec_slice_edges(job.graph, job.num_slices)
-    else:
-        slice_edges = destination_slice_edges(job.graph, job.num_slices)
+    slice_edges = _spec_slice_edges(job.graph, job.num_slices)
     total_load = sum(slice_load_cycles(edges, job.offchip_bytes_per_cycle)
                      for edges in slice_edges) * stats.iterations
     compute = stats.scatter_cycles + stats.apply_cycles
@@ -344,17 +269,6 @@ def slicing_assemble(outcome: SweepOutcome) -> list[dict]:
         "double_buffer_total": stats.total_cycles,
         "gteps_double_buffered": stats.gteps,
     }]
-
-
-def slicing_rows(dataset: str = "R14", graph: CSRGraph | None = None,
-                 num_slices: int = SLICING_NUM_SLICES,
-                 offchip_bytes_per_cycle: float = SLICING_BYTES_PER_CYCLE,
-                 num_workers: int | None = 1, cache=None) -> list[dict]:
-    """§5.3: sliced execution with double buffering hides load traffic."""
-    outcome = run_sweep(
-        slicing_jobs(dataset, graph, num_slices, offchip_bytes_per_cycle),
-        num_workers=num_workers, cache=cache)
-    return slicing_assemble(outcome)
 
 
 # ----------------------------------------------------------------------

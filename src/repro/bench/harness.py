@@ -1,12 +1,13 @@
-"""Benchmark harness: runs the paper's evaluation matrix and formats rows.
+"""Benchmark harness: bench-scale datasets, the Fig. 8/9 evaluation
+matrix and the fixed-width table format every report section uses.
 
-The harness is what the ``benchmarks/`` suite drives.  Dataset sizing:
-pure-Python cycle simulation costs roughly a microsecond per
-component-cycle, so the default harness runs **reduced-scale stand-ins**
-(~60k-130k edges each, mean degree and hub skew preserved — see
-``repro.graph.datasets``).  Set the ``REPRO_SCALE`` environment variable
-to override, e.g. ``REPRO_SCALE=1.0`` for paper-sized graphs (slow: an
-hour or more for the full matrix on one core).
+Dataset sizing: the default bench scales are **reduced-scale
+stand-ins** (~60k-130k edges each, mean degree and hub skew preserved —
+see ``repro.graph.datasets``), so a cold report of every section takes
+seconds on the compiled ``soa`` engine.  The ``REPRO_SCALE``
+environment variable overrides every dataset's scale, e.g.
+``REPRO_SCALE=1.0`` for the paper-sized graphs; making paper scale the
+default is ROADMAP item 4.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from dataclasses import dataclass
 
 from repro.accel import AcceleratorConfig, SimStats, graphdyns, higraph, higraph_mini
 from repro.algorithms import PAPER_ALGORITHMS, make_algorithm
-from repro.graph import DATASET_ORDER, load
+from repro.graph import DATASET_ORDER
 from repro.graph.datasets import SCALE_ENV_VAR
-from repro.sweep import GraphSpec, plan_jobs, run_sweep
+from repro.sweep import GraphSpec, plan_jobs
 
-#: Default per-dataset scales: each stand-in lands at ~60k-130k edges so
-#: the whole figure suite completes in minutes on one core.
+#: Default per-dataset scales: each stand-in lands at ~60k-130k edges.
 DEFAULT_BENCH_SCALES: dict[str, float] = {
     "VT": 1.0,
     "EP": 0.125,
@@ -134,21 +134,6 @@ def matrix_from_outcome(outcome) -> MatrixResult:
         tags = job.tags
         stats[(tags["algorithm"], tags["graph"], tags["config"])] = result
     return MatrixResult(stats)
-
-
-def run_matrix(algorithms=PAPER_ALGORITHMS, datasets=DATASET_ORDER,
-               configs=None, source: int = 0, jobs: int | None = 1,
-               cache=None) -> MatrixResult:
-    """Run the full evaluation matrix (the engine behind Fig. 8 and 9).
-
-    Built on the sweep engine: ``jobs`` runs the matrix on that many
-    worker threads (1 = serial, ``None``/0 = one per CPU) and ``cache`` — a
-    :class:`repro.sweep.ResultCache` or directory path — memoizes every
-    cell on disk.  Results are identical regardless of either knob.
-    """
-    outcome = run_sweep(matrix_jobs(algorithms, datasets, configs, source),
-                        num_workers=jobs, cache=cache)
-    return matrix_from_outcome(outcome)
 
 
 # ----------------------------------------------------------------------

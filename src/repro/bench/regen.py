@@ -1,12 +1,15 @@
 """Cache-driven report regeneration: cache → figures → report, one call.
 
 Every section of the consolidated report
-(:data:`repro.bench.report.REPORT_SECTIONS`) maps here to the sweep
-planner/assembler pair that produces its rows (:data:`SECTIONS`).
-:func:`regenerate` pulls each section through the sweep executor — so a
-**warm result cache regenerates the whole report with zero simulator
-invocations** — renders the per-section ``.txt`` tables exactly as the
-benchmark suite does, and rebuilds ``REPORT.md``.
+(:data:`repro.bench.report.REPORT_SECTIONS`) is described once here
+(:data:`SECTIONS`): the sweep planner/assembler pair that produces its
+rows and the format of its table.  :func:`regenerate`, ``repro sweep
+--figure`` and the ``benchmarks/`` suite all build rows with
+``SECTIONS[key].build(ctx)`` and render them with
+:meth:`SectionSpec.render`.  :func:`regenerate` pulls each section
+through the sweep executor — so a **warm result cache regenerates the
+whole report with zero simulator invocations** — writes the per-section
+``.txt`` tables and rebuilds ``REPORT.md``.
 
 Two kinds of provenance are recorded:
 
@@ -210,11 +213,11 @@ def _build_latency(ctx):
 class SectionSpec:
     """How one report section regenerates and formats.
 
-    ``table_title``/``columns``/``floatfmt`` mirror the ``emit(...)``
-    calls of the benchmark suite exactly, so a regenerated ``.txt`` is
-    byte-identical to what a benchmark run writes for the same rows.
-    ``chart`` (optional) renders the rows as the section's unicode
-    chart for ``repro report --charts``.
+    ``build(ctx)`` returns ``(rows, accounting)``; ``table_title``,
+    ``columns`` and ``floatfmt`` are how :meth:`render` formats the
+    rows.  ``chart`` (optional) renders the rows as the section's
+    unicode chart for ``repro report --charts`` and ``repro sweep
+    --figure``.
     """
 
     key: str
@@ -227,10 +230,15 @@ class SectionSpec:
     #: rows -> unicode chart text (``bench/charts.py``), or None
     chart: Callable | None = None
 
+    def render(self, rows: list[dict]) -> str:
+        """The section's table text, as its ``.txt`` file holds it."""
+        return format_table(
+            rows, columns=list(self.columns) if self.columns else None,
+            title=self.table_title, floatfmt=self.floatfmt)
 
-# -- chart builders (repro report --charts) ----------------------------
-# The same bar/series shapes `repro figure` prints interactively, one
-# per section whose rows have a natural chart.
+
+# -- chart builders (repro report --charts, repro sweep --figure) ------
+# One bar/series shape per section whose rows have a natural chart.
 
 def _chart_fig4(rows):
     from repro.bench.charts import bar_chart
@@ -326,6 +334,14 @@ _SECTION_SPECS = (
 #: Section key -> spec, in report order.  Covers every REPORT_SECTIONS
 #: key (asserted by the test suite).
 SECTIONS: dict[str, SectionSpec] = {s.key: s for s in _SECTION_SPECS}
+
+
+def write_table(results_dir: str, key: str, rows: list[dict]) -> str:
+    """Write section ``key``'s rows as ``<results_dir>/<key>.txt``;
+    returns the table text."""
+    text = SECTIONS[key].render(rows)
+    save_rows(os.path.join(results_dir, f"{key}.txt"), text)
+    return text
 
 
 def resolve_sections(names=None) -> list[str]:
@@ -429,22 +445,12 @@ def regenerate(results_dir: str, sections=None, num_workers: int | None = 1,
     os.makedirs(results_dir, exist_ok=True)
 
     records: list[dict] = []
-    rendered: list[tuple[str, str]] = []
-    rendered_charts: list[tuple[str, str]] = []
+    built: dict[str, list[dict]] = {}
     for key in keys:
         spec = SECTIONS[key]
         t0 = time.perf_counter()
         rows, acct = spec.build(ctx)
-        text = format_table(
-            rows, columns=list(spec.columns) if spec.columns else None,
-            title=spec.table_title, floatfmt=spec.floatfmt)
-        rendered.append((key, text))
-        if spec.chart is not None and (charts or os.path.exists(
-                os.path.join(results_dir, f"{key}.chart.txt"))):
-            # an existing chart file is refreshed even without --charts:
-            # a chart must always derive from the same rows as the table
-            # above it, never from a previous regeneration's cache state
-            rendered_charts.append((key, spec.chart(rows)))
+        built[key] = rows
         record = {"section": key, "rows": len(rows), "simulated": spec.simulated,
                   "wall_seconds": round(time.perf_counter() - t0, 6), **acct}
         records.append(record)
@@ -454,10 +460,16 @@ def regenerate(results_dir: str, sections=None, num_workers: int | None = 1,
     # write the tables only after every sweep has finished, so each
     # .txt postdates every cache entry this pass produced; the report
     # judges staleness only for the tables this pass did not write
-    for key, text in rendered:
-        save_rows(os.path.join(results_dir, f"{key}.txt"), text)
-    for key, text in rendered_charts:
-        save_rows(os.path.join(results_dir, f"{key}.chart.txt"), text)
+    written = {key: write_table(results_dir, key, rows)
+               for key, rows in built.items()}
+    for key, rows in built.items():
+        chart = SECTIONS[key].chart
+        path = os.path.join(results_dir, f"{key}.chart.txt")
+        if chart is not None and (charts or os.path.exists(path)):
+            # an existing chart file is refreshed even without --charts:
+            # a chart must always derive from the same rows as the table
+            # above it, never from a previous regeneration's cache state
+            save_rows(path, chart(rows))
 
     cache_dir = str(ctx.cache.root) if ctx.cache is not None else None
     report_path = report_path or os.path.join(results_dir, "REPORT.md")
@@ -467,7 +479,7 @@ def regenerate(results_dir: str, sections=None, num_workers: int | None = 1,
     version = code_version()
     report_text = build_report(
         results_dir, cache_dir=cache_dir, charts=charts,
-        written=dict(rendered),
+        written=written,
         provenance={
             "code version": version,
             "sections regenerated":

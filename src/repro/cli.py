@@ -5,7 +5,8 @@ Commands
 ``simulate``   run one algorithm/dataset on one design (or all three)
 ``sweep``      run a {algorithm x dataset x config} matrix on worker
                threads with on-disk result caching
-               (``--figure fig8`` runs a paper figure's exact matrix)
+               (``--figure fig8`` runs a paper figure's exact matrix
+               and prints its table and chart)
 ``report``     regenerate figure tables + the consolidated REPORT.md
                straight from the result cache
 ``serve``      run the warm-cache simulation daemon on a unix socket
@@ -15,7 +16,6 @@ Commands
 ``cache``      result-cache maintenance (``info``, ``gc``)
 ``netlist``    generate an MDP-network and emit structural Verilog
 ``datasets``   print the Table 2 registry and generated stand-in sizes
-``figure``     regenerate one of the paper's figure data series
 ``frequency``  print the Fig. 4 / MDP timing model for a structure
 
 See ``docs/cli.md`` for copy-paste examples of every subcommand.
@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--figure", default=None, metavar="NAME",
                      help="run the exact job matrix behind one paper "
                           "figure/section alias (fig8, fig10, radix, ...) "
-                          "instead of the --algorithms/--datasets matrix")
+                          "instead of the --algorithms/--datasets matrix, "
+                          "and print its tables and charts")
 
     rep = sub.add_parser(
         "report",
@@ -185,12 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("datasets", help="print the Table 2 registry")
 
-    fig = sub.add_parser("figure", help="regenerate a figure's data series")
-    fig.add_argument("name", choices=["fig4", "fig10", "fig11", "fig12",
-                                      "radix", "combining"])
-    fig.add_argument("--dataset", default="R14")
-    fig.add_argument("--scale", type=float, default=0.0625)
-
     freq = sub.add_parser("frequency", help="timing model lookup")
     freq.add_argument("--crossbar-ports", type=int, default=None)
     freq.add_argument("--mdp-channels", type=int, default=None)
@@ -218,7 +213,6 @@ def main(argv: list[str] | None = None) -> int:
         "cache": _cmd_cache,
         "netlist": _cmd_netlist,
         "datasets": _cmd_datasets,
-        "figure": _cmd_figure,
         "frequency": _cmd_frequency,
         "lint": _cmd_lint,
     }[args.command]
@@ -371,9 +365,9 @@ def _engine_env(engine: str | None):
 
 
 def _cmd_sweep_figure(args) -> int:
-    """``repro sweep --figure fig8``: warm the cache for one figure."""
+    """``repro sweep --figure fig8``: warm the cache for one figure and
+    print each of its sections' table and chart."""
     from repro.bench.regen import RegenContext, SECTIONS, resolve_sections
-    from repro.bench import format_table
 
     # a figure owns its job matrix: refuse (don't silently ignore) the
     # free-form matrix flags, whose values could not take effect
@@ -408,9 +402,9 @@ def _cmd_sweep_figure(args) -> int:
             for key in keys:
                 spec = SECTIONS[key]
                 rows, acct = spec.build(ctx)
-                print(format_table(
-                    rows, columns=list(spec.columns) if spec.columns else None,
-                    title=spec.table_title, floatfmt=spec.floatfmt))
+                print(spec.render(rows))
+                if spec.chart is not None:
+                    print(spec.chart(rows))
                 executed += acct["executed"]
                 hits += acct["cache_hits"]
                 planned += acct["jobs"]
@@ -512,8 +506,7 @@ def _cmd_serve_verb(args) -> int:
         if args.verb == "reload":
             reply = client.reload()
             print(f"reloaded: code version {reply.code_version[:12]} "
-                  f"({'changed' if reply.changed else 'unchanged'})  "
-                  f"generation: {reply.generation}")
+                  f"({'changed' if reply.changed else 'unchanged'})")
             if reply.changed:
                 print("the daemon stopped: it runs the code it started "
                       "with; restart it to serve the new code")
@@ -521,7 +514,6 @@ def _cmd_serve_verb(args) -> int:
             reply = client.status()
             print(f"state: {reply.state}  workers: {reply.workers}  "
                   f"tickets: {reply.tickets}  "
-                  f"generation: {reply.generation}  "
                   f"uptime: {reply.uptime_seconds:.0f}s")
             print(f"jobs: {reply.done}/{reply.total}  "
                   f"executed: {reply.executed}  "
@@ -630,42 +622,6 @@ def _cmd_datasets(args) -> int:
             "description": spec.description,
         })
     print(format_table(rows, title="Table 2: benchmark datasets"))
-    return 0
-
-
-def _cmd_figure(args) -> int:
-    from repro.bench import (
-        combining_ablation_rows,
-        fig10_rows,
-        fig11_rows,
-        fig12_rows,
-        sec54_radix_rows,
-    )
-    from repro.hw import fig4_rows
-    if args.name == "fig4":
-        print(format_table(fig4_rows(), floatfmt=".3f"))
-        return 0
-    graph = load(args.dataset, scale=args.scale)
-    rows = {
-        "fig10": lambda: fig10_rows(graph=graph),
-        "fig11": lambda: fig11_rows(graph=graph),
-        "fig12": lambda: fig12_rows(graph=graph),
-        "radix": lambda: sec54_radix_rows(graph=graph),
-        "combining": lambda: combining_ablation_rows(graph=graph),
-    }[args.name]()
-    print(format_table(rows))
-    from repro.bench import bar_chart, series_chart
-    if args.name == "fig11":
-        print(series_chart(rows, "back_channels", "gteps", "design",
-                           title="GTEPS vs back-end channels"))
-    elif args.name == "fig12":
-        print(series_chart(rows, "buffer_entries", "gteps", "design",
-                           title="GTEPS vs per-channel buffer entries"))
-    elif args.name == "fig10":
-        print(bar_chart(rows, "step", "gteps", group_key="algorithm",
-                        title="GTEPS per optimization step"))
-    elif args.name == "radix":
-        print(bar_chart(rows, "radix", "gteps", title="GTEPS per radix"))
     return 0
 
 

@@ -50,7 +50,7 @@ from repro.errors import (
 from repro.serve import protocol
 from repro.serve.scheduler import Scheduler, Ticket
 from repro.sweep import cache as cache_module
-from repro.sweep.cache import ResultCache, code_generation, code_version
+from repro.sweep.cache import ResultCache, code_version
 from repro.sweep.executor import resolve_workers
 
 
@@ -176,7 +176,6 @@ class ServeDaemon:
         if isinstance(request, protocol.Ping):
             await self._send(writer, protocol.Pong(
                 protocol=protocol.PROTOCOL_VERSION,
-                generation=code_generation(),
                 code_version=self.version))
 
         elif isinstance(request, protocol.SubmitSweep):
@@ -215,8 +214,7 @@ class ServeDaemon:
         elif isinstance(request, protocol.CacheInfo):
             if self.cache is None:
                 await self._send(writer, protocol.CacheInfoReply(
-                    cache_dir=None, code_version=self.version,
-                    generation=code_generation()))
+                    cache_dir=None, code_version=self.version))
             else:
                 entries = await asyncio.to_thread(self.cache.entries)
                 await self._send(writer, protocol.CacheInfoReply(
@@ -224,7 +222,6 @@ class ServeDaemon:
                     entries=len(entries),
                     total_bytes=sum(e.size_bytes for e in entries),
                     code_version=self.version,
-                    generation=code_generation(),
                     hits=self.cache.hits, misses=self.cache.misses))
 
         elif isinstance(request, protocol.CacheGc):
@@ -245,8 +242,7 @@ class ServeDaemon:
                 cache_module._digest_source_tree)
             changed = digest != self.version
             await self._send(writer, protocol.Reloaded(
-                code_version=digest, generation=code_generation(),
-                changed=changed))
+                code_version=digest, changed=changed))
             if changed:
                 # this process runs the code it imported at start: a job
                 # run now would store that code's results under the new
@@ -281,14 +277,12 @@ class ServeDaemon:
                 deduped=self.scheduler.deduped_total,
                 tickets=len(self.scheduler.tickets),
                 workers=self.workers,
-                generation=code_generation(),
                 uptime_seconds=round(time.monotonic() - self.started_at, 3))
         ticket = self._ticket(ticket_id)
         return protocol.StatusReply(
             state=ticket.state, done=ticket.done, total=ticket.total,
             executed=ticket.executed, cache_hits=ticket.cache_hits,
-            deduped=ticket.deduped, workers=self.workers,
-            generation=code_generation())
+            deduped=ticket.deduped, workers=self.workers)
 
     def _sweep_done(self, ticket: Ticket, outcome) -> "protocol.SweepDone":
         return protocol.SweepDone(

@@ -42,7 +42,7 @@ from repro.sweep.jobs import GraphSpec, SweepJob
 #: Bumped on any incompatible wire change.  Version negotiation is
 #: deliberately absent: both ends ship in one repo, so a mismatch means
 #: a stale daemon — the right fix is a reload/restart, not compat glue.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _MESSAGE_TYPES: dict[str, type] = {}
 
@@ -165,7 +165,6 @@ class Shutdown:
 @message("pong")
 class Pong:
     protocol: int = PROTOCOL_VERSION
-    generation: int = 0
     code_version: str = ""
 
 
@@ -185,7 +184,6 @@ class StatusReply:
     deduped: int = 0
     tickets: int = 0
     workers: int = 0
-    generation: int = 0
     uptime_seconds: float = 0.0
 
 
@@ -233,7 +231,6 @@ class CacheInfoReply:
     entries: int = 0
     total_bytes: int = 0
     code_version: str = ""
-    generation: int = 0
     hits: int = 0
     misses: int = 0
 
@@ -250,7 +247,6 @@ class CacheGcReply:
 @message("reloaded")
 class Reloaded:
     code_version: str
-    generation: int
     changed: bool
 
 

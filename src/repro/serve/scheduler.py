@@ -18,7 +18,7 @@ Everything else reuses the sweep layer unchanged: owned jobs run on
 the daemon's thread pool through :func:`repro.sweep.executor.timed_execute`
 in :func:`repro.sweep.executor.scheduled_order` (largest first), and
 completed results are written back with the provenance ``run_sweep``
-writes, plus the daemon's code generation.
+writes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.accel.stats import SimStats
 from repro.errors import ServeError
-from repro.sweep.cache import ResultCache, code_generation
+from repro.sweep.cache import ResultCache
 from repro.sweep.executor import SweepOutcome, scheduled_order, timed_execute
 from repro.sweep.jobs import SweepJob
 
@@ -260,7 +260,6 @@ class Scheduler:
                     "tags": {k: repr(v) for k, v in job.tags.items()},
                     "config": job.config.to_dict(),
                     "wall_seconds": round(seconds, 6),
-                    "generation": code_generation(),
                 })
             return stats, seconds, True
         finally:

@@ -13,9 +13,7 @@ from repro.sweep.cache import (
     CacheEntry,
     GcStats,
     ResultCache,
-    code_generation,
     code_version,
-    refresh_code_version,
 )
 from repro.sweep.executor import (
     SweepOutcome,
@@ -36,8 +34,6 @@ __all__ = [
     "GcStats",
     "ResultCache",
     "code_version",
-    "code_generation",
-    "refresh_code_version",
     "SweepOutcome",
     "run_sweep",
     "execute_job",

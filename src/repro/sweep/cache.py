@@ -51,9 +51,6 @@ CODE_VERSION_MODULES = ("errors.py",)
 CODE_VERSION_SUFFIXES = (".py", ".c")
 
 _code_version_memo: str | None = None
-#: Bumped whenever :func:`refresh_code_version` observes a digest
-#: change.
-_code_generation = 0
 
 
 def _digest_source_tree(root: Path | None = None) -> str:
@@ -81,41 +78,13 @@ def code_version() -> str:
 
     The digest is computed **once per process** and reused by every
     :meth:`SweepJob.cache_key <repro.sweep.jobs.SweepJob.cache_key>`
-    call site; only an explicit :func:`refresh_code_version` re-reads
-    the tree, never the job hot path.
+    call site.  It never moves: a process runs the code it imported,
+    so results it computes belong under the digest it started with.
     """
     global _code_version_memo
     if _code_version_memo is None:
         _code_version_memo = _digest_source_tree()
     return _code_version_memo
-
-
-def code_generation() -> int:
-    """Monotonic counter of observed code-version changes.
-
-    Starts at 0 and only moves when :func:`refresh_code_version` finds
-    the source digest changed.  The serve daemon reports it and stamps
-    it into the provenance of the results it writes.
-    """
-    return _code_generation
-
-
-def refresh_code_version() -> str:
-    """Re-digest the source tree; bump the generation if it changed.
-
-    This is the *only* way the memoized :func:`code_version` moves
-    within a process.  Returns the (possibly unchanged) digest.  It
-    moves the memo only: imported modules keep running the code they
-    were imported from, so a process that sweeps after a changing
-    refresh stores that code's results under the new digest's keys.
-    The serve daemon therefore digests apart and stops instead.
-    """
-    global _code_version_memo, _code_generation
-    fresh = _digest_source_tree()
-    if fresh != _code_version_memo and _code_version_memo is not None:
-        _code_generation += 1
-    _code_version_memo = fresh
-    return fresh
 
 
 @dataclass(frozen=True)
@@ -358,15 +327,6 @@ class ResultCache:
 
     def total_bytes(self) -> int:
         return sum(e.size_bytes for e in self.entries())
-
-    def wall_seconds(self, key: str) -> float | None:
-        """Recorded simulation wall time of one entry, if any."""
-        try:
-            with open(self._path(key), encoding="utf-8") as fh:
-                value = json.load(fh).get("provenance", {}).get("wall_seconds")
-            return float(value) if value is not None else None
-        except (OSError, ValueError, TypeError):
-            return None
 
     def gc(self, max_age_seconds: float | None = None,
            max_bytes: int | None = None, now: float | None = None,

@@ -1,28 +1,33 @@
 """Tests for the benchmark harness, figure runners and report builder."""
 
-import os
-
 import pytest
 
 from repro.accel import higraph
 from repro.bench import (
     BENCH_PR_ITERATIONS,
     DEFAULT_BENCH_SCALES,
+    FIG12_BUFFER_SIZES,
     REPORT_SECTIONS,
     bench_scale,
     build_report,
     collect_results,
-    fig11_rows,
-    fig12_rows,
     format_table,
     load_bench_graph,
     make_bench_algorithm,
+    matrix_from_outcome,
+    matrix_jobs,
     paper_configs,
-    run_matrix,
     write_report,
 )
-from repro.graph import DATASET_ORDER, chain, rmat
+from repro.bench.regen import SECTIONS, RegenContext
+from repro.graph import DATASET_ORDER
 from repro.graph.datasets import SCALE_ENV_VAR
+from repro.sweep import run_sweep
+
+
+def _matrix(jobs=1, cache=None, **kw):
+    return matrix_from_outcome(
+        run_sweep(matrix_jobs(**kw), num_workers=jobs, cache=cache))
 
 
 class TestHarness:
@@ -49,28 +54,28 @@ class TestHarness:
         cfgs = paper_configs()
         assert list(cfgs) == ["GraphDynS", "HiGraph-mini", "HiGraph"]
 
-    def test_run_matrix_tiny(self):
-        matrix = run_matrix(algorithms=("BFS",), datasets=("VT",),
-                            configs={"HiGraph": higraph()})
+    def test_matrix_jobs_tiny(self):
+        matrix = _matrix(algorithms=("BFS",), datasets=("VT",),
+                         configs={"HiGraph": higraph()})
         stats = matrix.get("BFS", "VT", "HiGraph")
         assert stats.edges_processed > 0
         assert stats.gteps > 0
 
-    def test_run_matrix_parallel_and_cached_identical(self, tmp_path):
+    def test_matrix_jobs_parallel_and_cached_identical(self, tmp_path):
         """The sweep engine must not change a single counter: serial,
         threaded and cache-hit matrices agree bit for bit."""
         kw = dict(algorithms=("BFS", "PR"), datasets=("VT",))
-        serial = run_matrix(**kw)
-        parallel = run_matrix(jobs=2, **kw)
-        cached_cold = run_matrix(cache=tmp_path / "cache", **kw)
-        cached_warm = run_matrix(cache=tmp_path / "cache", **kw)
+        serial = _matrix(**kw)
+        parallel = _matrix(jobs=2, **kw)
+        cached_cold = _matrix(cache=tmp_path / "cache", **kw)
+        cached_warm = _matrix(cache=tmp_path / "cache", **kw)
         for key, stats in serial.stats.items():
             for other in (parallel, cached_cold, cached_warm):
                 assert other.stats[key].to_dict() == stats.to_dict(), key
 
-    def test_run_matrix_uses_bench_pr_iterations(self):
-        matrix = run_matrix(algorithms=("PR",), datasets=("VT",),
-                            configs={"HiGraph": higraph()})
+    def test_matrix_jobs_use_bench_pr_iterations(self):
+        matrix = _matrix(algorithms=("PR",), datasets=("VT",),
+                         configs={"HiGraph": higraph()})
         assert matrix.get("PR", "VT", "HiGraph").iterations == BENCH_PR_ITERATIONS
 
 
@@ -93,12 +98,13 @@ class TestFormatting:
 
 
 class TestFigureRunners:
-    @pytest.fixture(scope="class")
-    def tiny(self):
-        return rmat(8, 16.0, seed=77)
+    @pytest.fixture()
+    def build(self, monkeypatch):
+        monkeypatch.setenv(SCALE_ENV_VAR, "0.01")
+        return lambda key: SECTIONS[key].build(RegenContext())[0]
 
-    def test_fig11_rows_structure(self, tiny):
-        rows = fig11_rows(graph=tiny)
+    def test_fig11_rows_structure(self, build):
+        rows = build("fig11_scalability")
         designs = {r["design"] for r in rows}
         assert designs == {"GraphDynS", "HiGraph"}
         hi = [r for r in rows if r["design"] == "HiGraph"]
@@ -106,9 +112,9 @@ class TestFigureRunners:
         for r in hi:
             assert r["frequency_ghz"] == 1.0
 
-    def test_fig12_rows_structure(self, tiny):
-        rows = fig12_rows(graph=tiny, buffer_sizes=(8, 40))
-        assert len(rows) == 4
+    def test_fig12_rows_structure(self, build):
+        rows = build("fig12_buffer_size")
+        assert len(rows) == 2 * len(FIG12_BUFFER_SIZES)
         assert {r["design"] for r in rows} == {"MDP-network", "FIFO+crossbar"}
 
 

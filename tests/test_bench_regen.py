@@ -15,13 +15,7 @@ import pytest
 
 import repro.graph.datasets as datasets_mod
 import repro.sweep.executor as executor_mod
-from repro.bench import (
-    REPORT_SECTIONS,
-    latency_ablation_rows,
-    load_bench_graph,
-    slicing_rows,
-    table1_config_rows,
-)
+from repro.bench import REPORT_SECTIONS, load_bench_graph, table1_config_rows
 from repro.bench.regen import (
     FIGURE_SECTIONS,
     SECTIONS,
@@ -260,7 +254,7 @@ class TestRowBuilders:
         from repro.algorithms import BFS, PageRank
         from repro.graph import chain
 
-        rows = latency_ablation_rows()
+        rows, _ = SECTIONS["ablation_latency"].build(RegenContext())
         expected = []
         latency_graph = chain(256)
         r14 = load_bench_graph("R14")
@@ -280,7 +274,7 @@ class TestRowBuilders:
         from repro.algorithms import PageRank
         from repro.graph import partition_by_destination
 
-        rows = slicing_rows()
+        rows, _ = SECTIONS["discussion_slicing"].build(RegenContext())
         g = load_bench_graph("R14")
         slices = partition_by_destination(g, 4)
         sim = SlicedAcceleratorSim(higraph(), g, PageRank(iterations=2),

@@ -68,17 +68,6 @@ class TestCommands:
         for name in ("GraphDynS", "HiGraph", "HiGraph-mini"):
             assert name in out
 
-    def test_figure_fig4(self, capsys):
-        assert main(["figure", "fig4"]) == 0
-        out = capsys.readouterr().out
-        assert "ports" in out and "256" in out
-
-    def test_figure_radix(self, capsys):
-        assert main(["figure", "radix", "--dataset", "R14",
-                     "--scale", "0.03125"]) == 0
-        out = capsys.readouterr().out
-        assert "radix" in out
-
 
 class TestSweepCommand:
     def test_parser_defaults(self):
@@ -136,6 +125,21 @@ class TestSweepFigure:
         out = capsys.readouterr().out
         assert "Fig. 4: frequency vs crossbar ports" in out
         assert "jobs: 0" in out
+
+    @pytest.mark.parametrize("figure, table, chart", [
+        ("fig11", "Fig. 11: throughput vs back-end channels (PR, R14)",
+         "GTEPS vs back-end channels"),
+        ("fig4", "Fig. 4: frequency vs crossbar ports",
+         "crossbar frequency (GHz) vs ports"),
+    ])
+    def test_figure_prints_table_and_chart(self, figure, table, chart,
+                                           capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "0.01")
+        assert main(["sweep", "--figure", figure, "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert table in out and chart in out
+        assert out.index(table) < out.index(chart)
+        assert "█" in out[out.index(chart):]
 
     def test_figure_warms_cache(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.01")

@@ -1,19 +1,23 @@
 """Checks on the repository itself: docs that name the code, what the
-source may use, and what git tracks."""
+source may use, what CI installs, how the benchmark suite builds its
+tables, and what git tracks."""
 
 import argparse
 import ast
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import all_rules
+from repro.bench.regen import SECTIONS
 from repro.cli import build_parser
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = REPO_ROOT / "benchmarks"
 
 
 def _subparsers() -> dict[str, argparse.ArgumentParser]:
@@ -136,6 +140,89 @@ class TestSourceTree:
                  for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
                  for line, name in _process_pool_uses(
                      ast.parse(path.read_text(encoding="utf-8")))]
+        assert found == []
+
+
+def _top_level_imports(tree: ast.AST) -> set[str]:
+    """First component of every absolute import in an AST."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+class TestCiInstalls:
+    def test_setup_action_installs_every_third_party_import(self):
+        """Every CI job installs its packages through one pip line; a
+        module imported but not installed there fails CI's collection."""
+        action = (REPO_ROOT / ".github" / "actions" / "setup-repro"
+                  / "action.yml").read_text(encoding="utf-8")
+        installed = {name for line in re.findall(r"^\s*pip install (.+)$",
+                                                 action, re.MULTILINE)
+                     for name in line.split() if not name.startswith("-")}
+        sources = sorted(path for root in ("src", "tests", "benchmarks",
+                                           "scripts")
+                         for path in (REPO_ROOT / root).rglob("*.py"))
+        # sibling modules (test_engine_fuzz imports test_engine_differential)
+        known = (set(sys.stdlib_module_names) | {"repro"}
+                 | {path.stem for path in sources})
+        missing: dict[str, str] = {}
+        for path in sources:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for name in sorted(_top_level_imports(tree) - known - installed):
+                missing.setdefault(name, str(path.relative_to(REPO_ROOT)))
+        assert missing == {}
+
+
+def _benchmark_trees():
+    for path in sorted(BENCHMARKS.rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+class TestBenchmarkSuite:
+    def test_each_section_is_built_by_exactly_one_bench(self):
+        """Each report section has one bench asserting the paper's
+        claims on its rows, built by ``section("<key>")``."""
+        builders: dict[str, list[str]] = {}
+        for path, tree in _benchmark_trees():
+            if not path.name.startswith("test_"):
+                continue
+            for node in ast.walk(tree):
+                if _called_name(node) == "section" and node.args \
+                        and isinstance(node.args[0], ast.Constant):
+                    builders.setdefault(node.args[0].value, []).append(
+                        path.name)
+        assert {key: len(paths) for key, paths in builders.items()} \
+            == dict.fromkeys(SECTIONS, 1)
+
+    def test_no_bench_formats_or_saves_a_table(self):
+        """Tables reach benchmarks/results only through the ``section``
+        fixture, which renders each with its ``SectionSpec``."""
+        found = [f"{path.name}:{node.lineno} {_called_name(node)}"
+                 for path, tree in _benchmark_trees()
+                 for node in ast.walk(tree)
+                 if _called_name(node) in ("format_table", "save_rows")]
+        assert found == []
+
+    def test_no_test_requests_the_benchmark_fixture(self):
+        """CI does not install pytest-benchmark."""
+        found = [f"{path.relative_to(REPO_ROOT)}:{node.lineno} {node.name}"
+                 for root in ("tests", "benchmarks")
+                 for path in sorted((REPO_ROOT / root).rglob("*.py"))
+                 for node in ast.walk(ast.parse(
+                     path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.FunctionDef)
+                 and "benchmark" in [arg.arg for arg in node.args.args]]
         assert found == []
 
 

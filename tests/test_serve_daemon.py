@@ -253,7 +253,7 @@ class TestCacheAndReload:
             with pytest.raises(ServeError, match="without a result cache"):
                 client.cache_gc(max_bytes=0)
 
-    def test_reload_without_change_keeps_generation(self, sock_dir):
+    def test_reload_without_change_answers_unchanged(self, sock_dir):
         sock = os.path.join(sock_dir, "d.sock")
         with serve_in_thread(sock) as daemon:
             reloaded = ServeClient(sock).reload()
@@ -545,10 +545,9 @@ class TestCliServeVerbs:
             assert main(["serve", "status", "--connect", sock]) == 0
         out = capsys.readouterr().out
         assert "state: serving" in out
-        assert "workers:" in out and "generation:" in out
+        assert "workers:" in out and "uptime:" in out
 
-    def test_reload_verb_reports_version_and_generation(self, sock_dir,
-                                                        capsys):
+    def test_reload_verb_reports_the_version(self, sock_dir, capsys):
         from repro.cli import main
         sock = os.path.join(sock_dir, "d.sock")
         with serve_in_thread(sock) as daemon:

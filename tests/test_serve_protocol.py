@@ -30,7 +30,7 @@ class TestCodec:
         protocol.CacheGc(max_age_seconds=60.0, dry_run=True),
         protocol.Reload(),
         protocol.Shutdown(),
-        protocol.Pong(protocol=1, generation=2, code_version="abc"),
+        protocol.Pong(protocol=2, code_version="abc"),
         protocol.Submitted(ticket="t1", jobs=4),
         protocol.StatusReply(state="running", done=1, total=3),
         protocol.Progress(ticket="t1", done=1, total=3, job="BFS/VT"),
@@ -40,7 +40,7 @@ class TestCodec:
                             provenance_path="r/REPORT.provenance.json"),
         protocol.CacheInfoReply(cache_dir="/c", entries=3, hits=1),
         protocol.CacheGcReply(scanned=4, removed=2),
-        protocol.Reloaded(code_version="abc", generation=1, changed=True),
+        protocol.Reloaded(code_version="abc", changed=True),
         protocol.ShuttingDown(),
         protocol.Error(code="bad-request", message="nope"),
     ])

@@ -488,10 +488,11 @@ class TestResultCache:
                 thread.join(timeout=10)
         finally:
             sys.setswitchinterval(previous)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not failures
-        assert not wrong
-        assert seen["hit"] and seen["miss"]
+        alive = [thread.name for thread in threads if thread.is_alive()]
+        assert not alive, (alive, seen)
+        assert not failures, (failures, seen)
+        assert not wrong, (len(wrong), wrong[:3], seen)
+        assert seen["hit"] and seen["miss"], seen
 
     def test_code_version_is_stable_and_hex(self):
         assert code_version() == code_version()
@@ -845,8 +846,6 @@ class TestExecutor:
         key = jobs[0].cache_key(code_version())
         payload = json.loads(cache._path(key).read_text())
         assert payload["provenance"]["wall_seconds"] > 0
-        assert cache.wall_seconds(key) == payload["provenance"]["wall_seconds"]
-        assert cache.wall_seconds("f" * 64) is None
 
     def test_scheduled_order_is_largest_first_and_deterministic(self):
         jobs = plan_jobs(["BFS"],

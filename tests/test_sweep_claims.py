@@ -1,14 +1,11 @@
-"""Cache ownership: claim files, stale takeover, the generation counter."""
+"""Cache ownership: claim files, stale takeover, the code version."""
 
 import os
 import threading
 import time
 
-import pytest
-
-from repro.sweep import cache as cache_mod
 from repro.sweep.atomic import exclusive_create
-from repro.sweep.cache import ResultCache, code_generation, code_version
+from repro.sweep.cache import ResultCache, code_version
 
 
 class TestExclusiveCreate:
@@ -99,28 +96,9 @@ class TestClaims:
         assert cache.get("dead00") is None
 
 
-class TestCodeGeneration:
+class TestCodeVersion:
     def test_code_version_memoized_per_process(self):
         assert code_version() is code_version()
-
-    def test_refresh_without_change_keeps_generation(self):
-        before = code_generation()
-        version = cache_mod.refresh_code_version()
-        assert version == code_version()
-        assert code_generation() == before
-
-    def test_refresh_after_change_bumps_generation(self, monkeypatch):
-        before_gen = code_generation()
-        before_version = code_version()
-        monkeypatch.setattr(cache_mod, "_digest_source_tree",
-                            lambda: "0" * 64)
-        assert cache_mod.refresh_code_version() == "0" * 64
-        assert code_generation() == before_gen + 1
-        assert code_version() == "0" * 64
-        # restore the real digest for the rest of the session
-        monkeypatch.undo()
-        cache_mod.refresh_code_version()
-        assert code_version() == before_version
 
     def test_sweepjob_cache_key_takes_precomputed_version(self, tmp_path):
         # the daemon computes the digest once and threads it through
