@@ -63,7 +63,7 @@ ci_mktemp_d() {
 
 stage_lint() {
     echo "== repro lint (determinism analyzer, 6 rules) =="
-    # hard gate: any finding without an inline allow fails the build
+    # hard gate: any finding fails the build
     python -m repro lint
     echo "== C kernel compiles warning-clean =="
     # the propagation rings are Python-owned buffers the kernel reads as
@@ -196,7 +196,7 @@ stage_serve() {
 import sys
 from repro.serve.client import ServeClient
 client = ServeClient(sys.argv[1])
-assert client.ping().protocol == 2
+assert client.ping().protocol == 3
 client.shutdown()
 EOF
     wait "$daemon_pid"

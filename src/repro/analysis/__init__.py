@@ -19,8 +19,7 @@ It is a small AST-walking rule framework plus repo-specific rules:
 * :mod:`repro.analysis.registry`  — rule registration (``@rule``)
 * :mod:`repro.analysis.context`   — parsed-module / project contexts
 * :mod:`repro.analysis.dataflow`  — module-global mutation sites
-* :mod:`repro.analysis.runner`    — rule execution, inline-``allow``
-  suppression, text/JSON reports
+* :mod:`repro.analysis.runner`    — rule execution, text/JSON reports
 * :mod:`repro.analysis.rules`     — the rule catalog itself
   (``docs/linting.md`` documents every rule)
 

@@ -1,8 +1,8 @@
 """Parsed-source contexts handed to rule checks.
 
-:class:`ModuleContext` wraps one source file (text, line table, parsed
-AST); :class:`Project` wraps a repository root and memoizes module
-contexts so every rule shares one parse per file.  A module context's
+:class:`ModuleContext` wraps one source file (text and parsed AST);
+:class:`Project` wraps a repository root and memoizes module contexts
+so every rule shares one parse per file.  A module context's
 ``finding(...)`` helper keeps rule bodies off the
 :class:`~repro.analysis.findings.Finding` constructor.
 """
@@ -10,14 +10,9 @@ contexts so every rule shares one parse per file.  A module context's
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 
 from repro.analysis.findings import Finding
-
-#: Inline suppression: ``# lint: allow=<rule-id>[,<rule-id>...]`` on the
-#: flagged line or the line directly above it.
-_ALLOW_RE = re.compile(r"#\s*lint:\s*allow=([A-Za-z0-9_,-]+)")
 
 #: Source tree that rules walk, relative to the root.
 SOURCE_ROOT = "src/repro"
@@ -31,7 +26,6 @@ class ModuleContext:
         self.path = path
         self.relpath = path.relative_to(root).as_posix()
         self.source = path.read_text(encoding="utf-8")
-        self.lines = self.source.splitlines()
         self._tree: ast.Module | None = None
 
     @property
@@ -44,17 +38,6 @@ class ModuleContext:
     def finding(self, line: int, message: str, symbol: str = "") -> Finding:
         return Finding(path=self.relpath, line=line, message=message,
                        symbol=symbol)
-
-    def allowed_rules(self, line: int) -> set[str]:
-        """Rule ids suppressed at ``line`` by an inline allow comment."""
-        allowed: set[str] = set()
-        for lineno in (line, line - 1):
-            if 1 <= lineno <= len(self.lines):
-                match = _ALLOW_RE.search(self.lines[lineno - 1])
-                if match:
-                    allowed.update(
-                        part.strip() for part in match.group(1).split(","))
-        return allowed
 
 
 class Project:
@@ -90,10 +73,3 @@ class Project:
                 continue
             contexts.append(ctx)
         return contexts
-
-    def allowed_rules(self, relpath: str, line: int) -> set[str]:
-        """Inline-allow lookup for any repo file (module cache reused)."""
-        if line < 1 or not relpath.endswith(".py"):
-            return set()
-        ctx = self.module(relpath)
-        return ctx.allowed_rules(line) if ctx is not None else set()

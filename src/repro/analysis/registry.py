@@ -5,8 +5,7 @@ once per parsed source file whose repo-relative path starts with one
 of the rule's ``dirs`` prefixes, and receives a
 :class:`~repro.analysis.context.ModuleContext`.
 
-Every finding is an error: ``repro lint`` fails on any finding that
-no inline ``# lint: allow=<rule>`` comment covers.
+Every finding is an error: ``repro lint`` fails on any finding.
 
 Rules register at import time of :mod:`repro.analysis.rules`; the
 registry itself depends on nothing, so there are no import cycles.

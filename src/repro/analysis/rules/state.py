@@ -7,9 +7,8 @@ correctness both assume a simulator owns *all* of its state, so in the
 simulation core (``accel/``, ``mdp/``, ``hw/``) any module-scope or
 class-scope binding of a mutable container is a finding — even an
 ALL_CAPS one, because naming a ``dict`` like a constant does not freeze
-it.  Fixes, in preference order: make it per-instance; freeze it
-(``tuple`` / ``frozenset`` / ``types.MappingProxyType``); or allow it
-inline with a justification naming the discipline that keeps it safe.
+it.  Fixes, in preference order: make it per-instance, or freeze it
+(``tuple`` / ``frozenset`` / ``types.MappingProxyType``).
 
 Each finding carries *mutation-site evidence* from the dataflow layer:
 which functions in the module actually write the container and how.  A
@@ -85,8 +84,7 @@ def _bindings(ctx, stmt, mutations, qualifier):
         yield ctx.finding(
             lineno,
             f"{where}-level mutable {kind} {symbol!r} is shared across "
-            f"every simulator in the process; make it per-instance, "
-            f"freeze it (tuple/frozenset/MappingProxyType), or allow "
-            f"it inline with the discipline that keeps it safe"
+            f"every simulator in the process; make it per-instance "
+            f"or freeze it (tuple/frozenset/MappingProxyType)"
             + _evidence(name, mutations, qualifier),
             symbol=symbol)

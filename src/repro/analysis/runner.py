@@ -1,9 +1,8 @@
-"""Rule execution, suppression and reporting for ``repro lint``.
+"""Rule execution and reporting for ``repro lint``.
 
-Pipeline: run every selected rule over the project, stamp the rule id
-onto each finding, and drop findings carrying an inline
-``# lint: allow=<rule>`` comment on the flagged line or the line
-above it.  Whatever remains fails the run.
+Pipeline: run every selected rule over the project and stamp the rule
+id onto each finding.  Any finding fails the run; there is no way to
+suppress one, so a finding is fixed or its rule is changed.
 
 Exit-code contract (the CI gate): 0 = no finding, 1 = findings.
 """
@@ -27,7 +26,6 @@ class LintReport:
     root: str
     rules_run: list[str]
     findings: list[Finding]
-    suppressed_inline: int = 0
 
     def exit_code(self) -> int:
         return 1 if self.findings else 0
@@ -37,21 +35,15 @@ class LintReport:
             "root": self.root,
             "rules": self.rules_run,
             "findings": [f.to_dict() for f in self.findings],
-            "suppressed_inline": self.suppressed_inline,
         }
 
 
 # ----------------------------------------------------------------------
 
-def run_rules(root: str | Path, rule_ids: list[str] | None = None,
-              project: Project | None = None,
+def run_rules(root: str | Path, rule_ids: list[str] | None = None
               ) -> tuple[list[Finding], list[str]]:
-    """Run rules and return (raw findings, rule ids run).
-
-    Inline-allow suppression is applied by :func:`lint`; this layer
-    reports everything, which is what the fixture tests want.
-    """
-    project = project if project is not None else Project(root)
+    """Run rules and return (findings, rule ids run)."""
+    project = Project(root)
     rules = select_rules(rule_ids)
     findings: list[Finding] = []
     syntax_seen: set[str] = set()
@@ -77,12 +69,8 @@ def lint(root: str | Path, rule_ids: list[str] | None = None) -> LintReport:
     if not (root / SOURCE_ROOT).is_dir():
         # a mistyped --root would otherwise pass the gate with 0 errors
         raise ConfigError(f"{root} has no {SOURCE_ROOT}/ to lint")
-    project = Project(root)
-    raw, rules_run = run_rules(root, rule_ids, project=project)
-    findings = [f for f in raw
-                if f.rule not in project.allowed_rules(f.path, f.line)]
-    return LintReport(root=str(root), rules_run=rules_run, findings=findings,
-                      suppressed_inline=len(raw) - len(findings))
+    findings, rules_run = run_rules(root, rule_ids)
+    return LintReport(root=str(root), rules_run=rules_run, findings=findings)
 
 
 # ----------------------------------------------------------------------
@@ -92,8 +80,7 @@ def format_text(report: LintReport) -> str:
     lines = [finding.format() for finding in report.findings]
     lines.append(
         f"repro lint: {len(report.rules_run)} rule(s) over {report.root}: "
-        f"{len(report.findings)} error(s), "
-        f"{report.suppressed_inline} inline-allowed")
+        f"{len(report.findings)} error(s)")
     return "\n".join(lines)
 
 

@@ -32,8 +32,6 @@ from repro.bench.harness import (
     bench_graph_spec,
     bench_scale,
     format_table,
-    load_bench_graph,
-    make_bench_algorithm,
     matrix_from_outcome,
     matrix_jobs,
     paper_configs,
@@ -48,8 +46,6 @@ __all__ = [
     "bench_scale",
     "bench_graph_spec",
     "bench_algorithm_entry",
-    "load_bench_graph",
-    "make_bench_algorithm",
     "format_table",
     "save_rows",
     "DEFAULT_BENCH_SCALES",

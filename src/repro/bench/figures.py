@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 
 from repro.accel import ablation, graphdyns, higraph, slice_load_cycles
+from repro.algorithms import PAPER_ALGORITHMS
 from repro.bench.harness import (
     BENCH_PR_ITERATIONS,
     bench_algorithm_entry,
@@ -30,6 +31,10 @@ from repro.graph import (
     destination_slice_edges,
 )
 from repro.sweep import GraphSpec, SweepJob, SweepOutcome, plan_jobs
+
+#: The one dataset of Figs. 10-12, §5.3, §5.4 and both ablations; their
+#: section titles and the latency ablation's rows name it.
+FIGURE_DATASET = "R14"
 
 #: Ablation order of paper Fig. 10 (cumulative optimizations).
 FIG10_STEPS = (
@@ -66,11 +71,10 @@ SLICING_BYTES_PER_CYCLE = 64.0
 # Fig. 10 — cumulative optimization ablation
 # ----------------------------------------------------------------------
 
-def fig10_jobs(dataset: str = "R14",
-               algorithms=("BFS", "SSSP", "SSWP", "PR")) -> list[SweepJob]:
+def fig10_jobs() -> list[SweepJob]:
     return plan_jobs(
-        [bench_algorithm_entry(a) for a in algorithms],
-        [bench_graph_spec(dataset)],
+        [bench_algorithm_entry(a) for a in PAPER_ALGORITHMS],
+        [bench_graph_spec(FIGURE_DATASET)],
         {label: ablation(**opts) for label, opts in FIG10_STEPS},
     )
 
@@ -89,8 +93,8 @@ def fig10_assemble(outcome: SweepOutcome) -> list[dict]:
 # Fig. 11 — back-end channel scaling
 # ----------------------------------------------------------------------
 
-def fig11_jobs(dataset: str = "R14") -> list[SweepJob]:
-    target = bench_graph_spec(dataset)
+def fig11_jobs() -> list[SweepJob]:
+    target = bench_graph_spec(FIGURE_DATASET)
     pr = bench_algorithm_entry("PR")
     jobs = plan_jobs([pr], [target], {"GraphDynS": graphdyns()},
                      sweep_axes={"back_channels": FIG11_GRAPHDYNS_CHANNELS})
@@ -112,8 +116,7 @@ def fig11_assemble(outcome: SweepOutcome) -> list[dict]:
 # Fig. 12 — buffer size sweep
 # ----------------------------------------------------------------------
 
-def fig12_jobs(dataset: str = "R14",
-               buffer_sizes=FIG12_BUFFER_SIZES) -> list[SweepJob]:
+def fig12_jobs() -> list[SweepJob]:
     """Fig. 12 job matrix.
 
     "We keep all designs in HiGraph the same except for the dataflow
@@ -122,10 +125,10 @@ def fig12_jobs(dataset: str = "R14",
     paper's x-axis order), so one planner call per size rather than one
     sweep_axes expansion.
     """
-    target = bench_graph_spec(dataset)
+    target = bench_graph_spec(FIGURE_DATASET)
     pr = bench_algorithm_entry("PR")
     jobs = []
-    for entries in buffer_sizes:
+    for entries in FIG12_BUFFER_SIZES:
         jobs += plan_jobs([pr], [target], {
             "MDP-network": higraph(propagation_site="mdp", fifo_depth=entries),
             "FIFO+crossbar": higraph(propagation_site="crossbar",
@@ -146,10 +149,10 @@ def fig12_assemble(outcome: SweepOutcome) -> list[dict]:
 # §5.4 — radix design option
 # ----------------------------------------------------------------------
 
-def sec54_radix_jobs(dataset: str = "R14") -> list[SweepJob]:
+def sec54_radix_jobs() -> list[SweepJob]:
     return plan_jobs(
         [bench_algorithm_entry("PR")],
-        [bench_graph_spec(dataset)],
+        [bench_graph_spec(FIGURE_DATASET)],
         {"HiGraph": higraph(back_channels=SEC54_CHANNELS,
                             front_channels=SEC54_CHANNELS)},
         sweep_axes={"radix": SEC54_RADICES},
@@ -169,8 +172,8 @@ def sec54_radix_assemble(outcome: SweepOutcome) -> list[dict]:
 # Ablation — vertex coalescing
 # ----------------------------------------------------------------------
 
-def combining_ablation_jobs(dataset: str = "R14") -> list[SweepJob]:
-    target = bench_graph_spec(dataset)
+def combining_ablation_jobs() -> list[SweepJob]:
+    target = bench_graph_spec(FIGURE_DATASET)
     pr = bench_algorithm_entry("PR")
     jobs = []
     for combining in (True, False):
@@ -193,21 +196,20 @@ def combining_ablation_assemble(outcome: SweepOutcome) -> list[dict]:
 # Ablation — trading latency for throughput (§2.2)
 # ----------------------------------------------------------------------
 
-def latency_ablation_jobs(dataset: str = "R14") -> list[SweepJob]:
+def latency_ablation_jobs() -> list[SweepJob]:
     """A latency-bound chain-BFS pair plus a throughput-bound PR pair."""
     designs = {"HiGraph": higraph(), "GraphDynS": graphdyns()}
     jobs = plan_jobs(["BFS"], [chain(LATENCY_CHAIN_VERTICES)], designs)
     jobs += plan_jobs([bench_algorithm_entry("PR")],
-                      [bench_graph_spec(dataset)], designs)
+                      [bench_graph_spec(FIGURE_DATASET)], designs)
     return jobs
 
 
-def latency_ablation_assemble(outcome: SweepOutcome,
-                              dataset: str = "R14") -> list[dict]:
+def latency_ablation_assemble(outcome: SweepOutcome) -> list[dict]:
     rows = []
     for job, stats in zip(outcome.jobs, outcome.stats):
         workload = ("chain-BFS (latency-bound)" if job.algorithm == "BFS"
-                    else f"{dataset}-PR (throughput-bound)")
+                    else f"{FIGURE_DATASET}-PR (throughput-bound)")
         rows.append({
             "workload": workload,
             "design": job.tags["config"],
@@ -223,19 +225,17 @@ def latency_ablation_assemble(outcome: SweepOutcome,
 # §5.3 Discussion — slicing + double buffering
 # ----------------------------------------------------------------------
 
-def slicing_jobs(dataset: str = "R14", num_slices: int = SLICING_NUM_SLICES,
-                 offchip_bytes_per_cycle: float = SLICING_BYTES_PER_CYCLE
-                 ) -> list[SweepJob]:
+def slicing_jobs() -> list[SweepJob]:
     """One sliced, double-buffered PR run on the sweep engine."""
-    target = bench_graph_spec(dataset)
     return [SweepJob(
-        graph=target,
+        graph=bench_graph_spec(FIGURE_DATASET),
         algorithm="PR",
         algorithm_kwargs={"iterations": BENCH_PR_ITERATIONS},
         config=higraph(),
-        num_slices=num_slices,
-        offchip_bytes_per_cycle=offchip_bytes_per_cycle,
-        tags={"graph": dataset, "algorithm": "PR", "config": "HiGraph"},
+        num_slices=SLICING_NUM_SLICES,
+        offchip_bytes_per_cycle=SLICING_BYTES_PER_CYCLE,
+        tags={"graph": FIGURE_DATASET, "algorithm": "PR",
+              "config": "HiGraph"},
     )]
 
 

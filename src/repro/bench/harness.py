@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from repro.accel import AcceleratorConfig, SimStats, graphdyns, higraph, higraph_mini
-from repro.algorithms import PAPER_ALGORITHMS, make_algorithm
+from repro.algorithms import PAPER_ALGORITHMS
 from repro.graph import DATASET_ORDER
 from repro.graph.datasets import SCALE_ENV_VAR
 from repro.sweep import GraphSpec, plan_jobs
@@ -51,21 +51,12 @@ def bench_graph_spec(key: str) -> GraphSpec:
     return GraphSpec(key, scale=bench_scale(key))
 
 
-def load_bench_graph(key: str):
-    return bench_graph_spec(key).load()
-
-
 def bench_algorithm_entry(name: str):
-    """Sweep-planner algorithm entry matching :func:`make_bench_algorithm`."""
+    """Sweep-planner algorithm entry; PageRank runs
+    :data:`BENCH_PR_ITERATIONS` iterations."""
     if name == "PR":
         return ("PR", {"iterations": BENCH_PR_ITERATIONS})
     return name
-
-
-def make_bench_algorithm(name: str):
-    if name == "PR":
-        return make_algorithm("PR", iterations=BENCH_PR_ITERATIONS)
-    return make_algorithm(name)
 
 
 def paper_configs() -> dict[str, AcceleratorConfig]:

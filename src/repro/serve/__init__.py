@@ -6,20 +6,19 @@ of that resident:
 
 * :mod:`repro.serve.protocol` — versioned JSON-over-socket messages
   (submit sweep, query status, stream progress, regenerate report
-  sections, cache info/GC, reload, shutdown) plus the wire codec for
+  sections, reload, shutdown) plus the wire codec for
   :class:`~repro.sweep.jobs.SweepJob`.
 * :mod:`repro.serve.scheduler` — the job queue: content-addressed
-  dedup of in-flight identical jobs, cache claims so many daemons can
-  share one cache directory, largest-first dispatch onto the daemon's
-  job threads, which share the process's loaded graphs.
+  dedup of in-flight identical jobs and largest-first dispatch onto
+  the daemon's job threads, which share the process's loaded graphs.
 * :mod:`repro.serve.daemon` — the asyncio unix-socket server tying the
   two together: it digests the code version once at start, and a
   ``reload`` that finds the digest changed stops it for a restart.
 * :mod:`repro.serve.client` — the blocking client the CLI, the
   :class:`~repro.api.RemoteSession` facade and the tests all use.
 
-See ``docs/serving.md`` for the daemon lifecycle and cache-ownership
-rules.
+See ``docs/serving.md`` for the daemon lifecycle and how the daemon
+shares its cache directory with other processes.
 """
 
 from repro.serve.client import ServeClient

@@ -130,17 +130,6 @@ class ServeClient:
                 scale=scale),
             protocol.ReportDone)
 
-    def cache_info(self) -> "protocol.CacheInfoReply":
-        return self._request(protocol.CacheInfo(), protocol.CacheInfoReply)
-
-    def cache_gc(self, max_age_seconds: float | None = None,
-                 max_bytes: int | None = None,
-                 dry_run: bool = False) -> "protocol.CacheGcReply":
-        return self._request(
-            protocol.CacheGc(max_age_seconds=max_age_seconds,
-                             max_bytes=max_bytes, dry_run=dry_run),
-            protocol.CacheGcReply)
-
     def reload(self) -> "protocol.Reloaded":
         """Ask the daemon to re-digest the code version (see Reload)."""
         return self._request(protocol.Reload(), protocol.Reloaded)

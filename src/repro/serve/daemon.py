@@ -13,13 +13,15 @@ results under the new version's keys.  ``Shutdown`` drains and exits
 cleanly.
 
 Connections are handled concurrently; requests on one connection are
-handled in order.  Blocking work (regeneration, cache GC) runs on a
-thread so the loop keeps serving; simulation itself runs on the job
-pool via the scheduler.
+handled in order.  Blocking work (regeneration, the reload digest) runs
+on a thread so the loop keeps serving; simulation itself runs on the
+job pool via the scheduler.  Cache maintenance is not the daemon's:
+``repro cache info|gc --cache-dir`` works on the directory directly,
+and an entry it deletes is a miss on the daemon's next lookup.
 
 The report endpoint reuses :func:`repro.bench.regen.regenerate`
 verbatim, but injects the scheduler as the sweep ``runner`` — section
-sweeps go through the same dedup/claims/job-pool path as
+sweeps go through the same dedup/job-pool path as
 directly submitted jobs, and a warm cache regenerates every section
 with zero simulations.  It also keeps each section sweep's planned job
 list resident for the ``$REPRO_SCALE`` in force (the most recent scale
@@ -211,30 +213,6 @@ class ServeDaemon:
             reply = await self._regenerate(request)
             await self._send(writer, reply)
 
-        elif isinstance(request, protocol.CacheInfo):
-            if self.cache is None:
-                await self._send(writer, protocol.CacheInfoReply(
-                    cache_dir=None, code_version=self.version))
-            else:
-                entries = await asyncio.to_thread(self.cache.entries)
-                await self._send(writer, protocol.CacheInfoReply(
-                    cache_dir=str(self.cache.root),
-                    entries=len(entries),
-                    total_bytes=sum(e.size_bytes for e in entries),
-                    code_version=self.version,
-                    hits=self.cache.hits, misses=self.cache.misses))
-
-        elif isinstance(request, protocol.CacheGc):
-            if self.cache is None:
-                raise ServeError("daemon runs without a result cache")
-            stats = await asyncio.to_thread(
-                self.cache.gc, request.max_age_seconds, request.max_bytes,
-                None, request.dry_run)
-            await self._send(writer, protocol.CacheGcReply(
-                scanned=stats.scanned, removed=stats.removed,
-                bytes_freed=stats.bytes_freed, bytes_kept=stats.bytes_kept,
-                dry_run=request.dry_run))
-
         elif isinstance(request, protocol.Reload):
             # digested apart from the process-wide code_version() memo,
             # which an embedding process keys its own sweeps with
@@ -303,7 +281,7 @@ class ServeDaemon:
 
         def runner(jobs, num_workers=None, cache=None, progress=None):
             # regenerate() runs on a thread; its section sweeps hop back
-            # into the loop so they share the scheduler's dedup + claims
+            # into the loop so they share the scheduler's dedup
             return asyncio.run_coroutine_threadsafe(
                 self.scheduler.run_jobs(jobs), loop).result()
 

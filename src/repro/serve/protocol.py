@@ -42,7 +42,7 @@ from repro.sweep.jobs import GraphSpec, SweepJob
 #: Bumped on any incompatible wire change.  Version negotiation is
 #: deliberately absent: both ends ship in one repo, so a mismatch means
 #: a stale daemon — the right fix is a reload/restart, not compat glue.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _MESSAGE_TYPES: dict[str, type] = {}
 
@@ -128,20 +128,6 @@ class RegenReport:
     scale: str | None = None
 
 
-@message("cache_info")
-class CacheInfo:
-    """Cache + daemon accounting; answered with :class:`CacheInfoReply`."""
-
-
-@message("cache_gc")
-class CacheGc:
-    """Evict cache entries beyond an age/size budget (see ``cache gc``)."""
-
-    max_age_seconds: float | None = None
-    max_bytes: int | None = None
-    dry_run: bool = False
-
-
 @message("reload")
 class Reload:
     """Re-digest the code version; stop the daemon if it changed.
@@ -223,25 +209,6 @@ class ReportDone:
     code_version: str = ""
     sections: list = field(default_factory=list)
     wall_seconds: float = 0.0
-
-
-@message("cache_info_reply")
-class CacheInfoReply:
-    cache_dir: str | None
-    entries: int = 0
-    total_bytes: int = 0
-    code_version: str = ""
-    hits: int = 0
-    misses: int = 0
-
-
-@message("cache_gc_reply")
-class CacheGcReply:
-    scanned: int = 0
-    removed: int = 0
-    bytes_freed: int = 0
-    bytes_kept: int = 0
-    dry_run: bool = False
 
 
 @message("reloaded")

@@ -1,18 +1,19 @@
-"""The serve job queue: content-addressed dedup + claimed execution.
+"""The serve job queue: content-addressed dedup of submitted jobs.
 
 Jobs are identified by their sweep cache key — graph fingerprint,
 config hash, engine equivalence class, code version — which gives the
-scheduler three tiers of "don't simulate again", checked in order:
+scheduler two tiers of "don't simulate again", checked in order:
 
 1. **result cache** — the entry already exists: a hit, no work;
 2. **in-flight dedup** — an identical job (same key) is already
    queued/running for *any* ticket in this daemon: the new job attaches
    to the existing execution's future, so concurrent identical
-   submissions provably collapse to one simulation;
-3. **cache claims** — another daemon/host sharing the cache directory
-   holds the claim for this key: poll the cache until their entry
-   lands (or their claim goes stale and we take over) instead of
-   computing it twice.
+   submissions provably collapse to one simulation.
+
+Nothing coordinates separate processes sharing the cache directory
+(other daemons, ``repro sweep`` runs): entries are written atomically,
+so a miss two of them race costs at worst one redundant simulation,
+never a torn entry.
 
 Everything else reuses the sweep layer unchanged: owned jobs run on
 the daemon's thread pool through :func:`repro.sweep.executor.timed_execute`
@@ -34,9 +35,6 @@ from repro.errors import ServeError
 from repro.sweep.cache import ResultCache
 from repro.sweep.executor import SweepOutcome, scheduled_order, timed_execute
 from repro.sweep.jobs import SweepJob
-
-#: Seconds between cache polls while another owner computes a key.
-CLAIM_POLL_SECONDS = 0.05
 
 
 @dataclass
@@ -118,7 +116,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     async def run_jobs(self, jobs: list[SweepJob],
                        ticket: Ticket | None = None) -> SweepOutcome:
-        """Execute a job list with dedup + claims; stats in job order.
+        """Execute a job list with dedup; stats in job order.
 
         Accounting matches :func:`repro.sweep.executor.run_sweep`:
         duplicate keys inside one submission and attachments to another
@@ -171,7 +169,7 @@ class Scheduler:
             key = keys[index]
             future = self._inflight[key]
             try:
-                stats, seconds, ran = await self._execute_owned(key, job)
+                stats, seconds = await self._execute_owned(key, job)
             except Exception as exc:
                 # attached waiters (this ticket's and other tickets')
                 # must see the failure; re-raised below via the future
@@ -186,10 +184,9 @@ class Scheduler:
             if not future.done():
                 future.set_result(stats)
             results[index] = stats
-            if ran:
-                job_seconds[index] = seconds
-                executed += 1
-                self.executed_total += 1
+            job_seconds[index] = seconds
+            executed += 1
+            self.executed_total += 1
             _record_done(index)
 
         if pending:
@@ -234,34 +231,15 @@ class Scheduler:
         )
 
     async def _execute_owned(self, key: str, job: SweepJob):
-        """Run one cache-missed job under the shared-cache claim protocol.
-
-        Returns ``(stats, seconds, ran)`` — ``ran`` is False when a
-        *foreign* owner (another daemon on this cache dir) computed the
-        entry while we waited on its claim.
-        """
-        loop = asyncio.get_running_loop()
-        claim = None
+        """Simulate one cache-missed job on the pool and store its result;
+        returns ``(stats, seconds)``."""
+        stats, seconds = await asyncio.get_running_loop().run_in_executor(
+            self.pool, timed_execute, job)
         if self.cache is not None:
-            while True:
-                stats = self.cache.get(key)
-                if stats is not None:
-                    return stats, 0.0, False
-                claim = self.cache.claim(key)
-                if claim is not None:
-                    break
-                await asyncio.sleep(CLAIM_POLL_SECONDS)
-        try:
-            stats, seconds = await loop.run_in_executor(
-                self.pool, timed_execute, job)
-            if self.cache is not None:
-                self.cache.put(key, stats, provenance={
-                    "job": job.describe(),
-                    "tags": {k: repr(v) for k, v in job.tags.items()},
-                    "config": job.config.to_dict(),
-                    "wall_seconds": round(seconds, 6),
-                })
-            return stats, seconds, True
-        finally:
-            if claim is not None:
-                self.cache.release(claim)
+            self.cache.put(key, stats, provenance={
+                "job": job.describe(),
+                "tags": {k: repr(v) for k, v in job.tags.items()},
+                "config": job.config.to_dict(),
+                "wall_seconds": round(seconds, 6),
+            })
+        return stats, seconds

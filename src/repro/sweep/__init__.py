@@ -9,7 +9,6 @@ memoizes results on disk keyed by content, not by name
 """
 
 from repro.sweep.cache import (
-    CacheClaim,
     CacheEntry,
     GcStats,
     ResultCache,
@@ -29,7 +28,6 @@ __all__ = [
     "SweepJob",
     "plan_jobs",
     "graph_fingerprint",
-    "CacheClaim",
     "CacheEntry",
     "GcStats",
     "ResultCache",

@@ -14,10 +14,10 @@ invalidates stale results automatically; editing orchestration layers
 (``bench``, ``sweep``, ``cli``) does not, because they cannot change
 what a job computes.
 
-Writes are atomic (temp file + ``os.replace``) so parallel executors and
-concurrent sweep invocations can share one cache directory safely:
-the worst case under a write/write race is one redundant simulation,
-never a torn entry.
+Writes are atomic (temp file + ``os.replace``) so parallel executors,
+concurrent sweep invocations and serve daemons can share one cache
+directory safely: the worst case under a write/write race is one
+redundant simulation, never a torn entry.
 
 Reads are resident: a :class:`ResultCache` keeps every entry it has
 decoded, keyed by cache key and tagged with the file's stat signature
@@ -39,7 +39,7 @@ from pathlib import Path
 
 import repro
 from repro.accel.stats import SimStats
-from repro.sweep.atomic import atomic_write_json, exclusive_create
+from repro.sweep.atomic import atomic_write_json
 
 #: Source subpackages whose text participates in the code version.
 #: Orchestration layers (bench, sweep, cli) are deliberately excluded.
@@ -95,26 +95,6 @@ class CacheEntry:
     path: Path
     size_bytes: int
     mtime: float
-
-
-@dataclass(frozen=True)
-class CacheClaim:
-    """Exclusive right to *compute* one cache entry (not to read it).
-
-    Claims are advisory lock files next to the entry they cover
-    (``<key>.claim``), taken with an atomic exclusive create so N
-    workers — across processes and hosts sharing one cache directory —
-    agree on a single owner per key.  Losing a claim race means someone
-    else is already simulating that job: wait for the entry instead of
-    duplicating the work.  A claim is *not* required for reads, and a
-    crashed owner's claim goes stale after ``stale_after`` seconds, so
-    the worst failure mode remains one redundant simulation, never a
-    deadlock and never a torn entry.
-    """
-
-    key: str
-    path: Path
-    owner: str
 
 
 @dataclass(frozen=True)
@@ -213,68 +193,6 @@ class ResultCache:
         # cache dir converge on one winner, never a torn entry
         atomic_write_json(self._path(key), payload, indent=1,
                           trailing_newline=False)
-
-    # ------------------------------------------------------------------
-    # Ownership: claim files for the shared-cache compute protocol
-    # ------------------------------------------------------------------
-
-    #: Seconds after which an unreleased claim is presumed dead and may
-    #: be broken.  Generous: claims only outlive their owner on a crash,
-    #: and a broken live claim costs one redundant simulation.
-    DEFAULT_CLAIM_STALE_SECONDS = 600.0
-
-    def _claim_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.claim"
-
-    def claim(self, key: str, owner: str | None = None,
-              stale_after: float = DEFAULT_CLAIM_STALE_SECONDS) -> CacheClaim | None:
-        """Try to become the one worker computing entry ``key``.
-
-        Returns a :class:`CacheClaim` on success, None when another
-        live owner holds the claim.  A claim file older than
-        ``stale_after`` seconds is treated as abandoned: it is removed
-        and the create is retried, with the O_EXCL create — routed
-        through :func:`repro.sweep.atomic.exclusive_create` — deciding
-        any race among the breakers.  (The check-then-unlink window
-        means two breakers can in theory both clear a *just-refreshed*
-        claim; the cost is one redundant simulation, which the
-        atomic-write cache tolerates by design.)
-        """
-        if owner is None:
-            owner = f"{os.uname().nodename}:{os.getpid()}"
-        path = self._claim_path(key)
-        payload = json.dumps({"key": key, "owner": owner,
-                              "claimed_at": time.time()}, sort_keys=True)
-        for _ in range(2):                  # initial try + post-break retry
-            if exclusive_create(path, payload):
-                return CacheClaim(key=key, path=path, owner=owner)
-            try:
-                age = time.time() - path.stat().st_mtime
-            except OSError:
-                continue                    # released mid-race: retry create
-            if age <= stale_after:
-                return None                 # live owner, back off
-            try:
-                path.unlink()               # abandoned: break and retry
-            except OSError:
-                pass
-        return None
-
-    def release(self, claim: CacheClaim) -> None:
-        """Drop a claim (idempotent; a broken/stolen claim is a no-op)."""
-        try:
-            claim.path.unlink()
-        except OSError:
-            pass
-
-    def claim_owner(self, key: str) -> str | None:
-        """Owner string of a live claim on ``key``, if any."""
-        try:
-            with open(self._claim_path(key), encoding="utf-8") as fh:
-                value = json.load(fh).get("owner")
-            return str(value) if value is not None else None
-        except (OSError, ValueError):
-            return None
 
     # ------------------------------------------------------------------
     def _entry_files(self):

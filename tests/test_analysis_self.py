@@ -6,8 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_rules, run_rules
-from repro.analysis.context import _ALLOW_RE, Project
 from repro.cli import build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -15,8 +13,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 class TestSelfLint:
     def test_repository_lints_clean(self, capsys):
-        """`repro lint` exits 0 on the repo itself: every rule passes or
-        the finding carries a justified inline allow."""
+        """`repro lint` exits 0 on the repo itself: every rule passes."""
         assert main(["lint", "--root", str(REPO_ROOT)]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
@@ -48,12 +45,10 @@ class TestSelfLint:
                      "--rule", "module-state",
                      "--rule", "fork-atomic-write"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert sorted(payload) == ["findings", "root", "rules",
-                                   "suppressed_inline"]
+        assert sorted(payload) == ["findings", "root", "rules"]
         assert payload["root"] == str(REPO_ROOT)
         assert payload["rules"] == ["module-state", "fork-atomic-write"]
         assert payload["findings"] == []
-        assert payload["suppressed_inline"] == 0
 
 
 def _write(root: Path, relpath: str, source: str) -> None:
@@ -104,7 +99,7 @@ class TestLintCli:
             ["src/repro/accel/a.py:1:", "error:", "[module-state]"],
             ["src/repro/hw/b.py:2:", "error:", "[module-state]"]]
         assert lines[-1] == (f"repro lint: 1 rule(s) over {flagged_root}: "
-                             f"2 error(s), 0 inline-allowed")
+                             f"2 error(s)")
 
     def test_json_report_is_identical_across_runs(self, flagged_root, capsys):
         argv = ["lint", "--root", str(flagged_root), "--format", "json"]
@@ -134,61 +129,6 @@ class TestLintCli:
         assert main(["lint", "--root", str(tmp_path / "typo")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("lint failed:") and "src/repro" in err
-
-
-def _inline_allows(root: Path = REPO_ROOT) -> list[tuple[str, int, list[str]]]:
-    """(path, line, rule ids) of every inline allow in the source tree."""
-    return [(ctx.relpath, lineno, match.group(1).split(","))
-            for ctx in Project(root).modules()
-            for lineno, text in enumerate(ctx.lines, 1)
-            for match in [_ALLOW_RE.search(text)] if match]
-
-
-class TestInlineAllows:
-    """The inline allow is the only way past a finding, so each one in
-    the tree must name a live rule, hide a real finding and say why."""
-
-    def test_scan_finds_an_allow(self, tmp_path):
-        """The tree may hold no allow, so the scan the checks below
-        rely on is proven on a fixture that holds one."""
-        _write(tmp_path, "src/repro/accel/mod.py", """\
-            # one table per process, filled once at import
-            # lint: allow=module-state
-            CACHE = {}
-        """)
-        assert _inline_allows(tmp_path) == [
-            ("src/repro/accel/mod.py", 2, ["module-state"])]
-
-    def test_every_allow_names_a_registered_rule(self):
-        unknown = [(path, line, rule) for path, line, ids in _inline_allows()
-                   for rule in ids if rule not in all_rules()]
-        assert unknown == []
-
-    def test_every_allow_hides_a_finding(self):
-        """An allow that hides nothing is stale: it misleads the reader
-        and would silently swallow a later finding on its line."""
-        raw, _ = run_rules(REPO_ROOT)
-        flagged = {(f.path, f.line, f.rule) for f in raw}
-        stale = [(path, line, rule) for path, line, ids in _inline_allows()
-                 for rule in ids
-                 if (path, line, rule) not in flagged
-                 and (path, line + 1, rule) not in flagged]
-        assert stale == []
-
-    def test_every_allow_is_explained(self):
-        """A comment beside the allow says why the code is right."""
-        lines = {ctx.relpath: ctx.lines
-                 for ctx in Project(REPO_ROOT).modules()}
-
-        def is_comment(path, lineno):
-            text = lines[path][lineno - 1].strip() \
-                if 1 <= lineno <= len(lines[path]) else ""
-            return text.startswith("#") and not _ALLOW_RE.search(text)
-
-        unexplained = [(path, line) for path, line, _ in _inline_allows()
-                       if not (is_comment(path, line - 1)
-                               or is_comment(path, line + 1))]
-        assert unexplained == []
 
 
 class TestStatsSchemaError:

@@ -8,12 +8,11 @@ from repro.bench import (
     DEFAULT_BENCH_SCALES,
     FIG12_BUFFER_SIZES,
     REPORT_SECTIONS,
+    bench_graph_spec,
     bench_scale,
     build_report,
     collect_results,
     format_table,
-    load_bench_graph,
-    make_bench_algorithm,
     matrix_from_outcome,
     matrix_jobs,
     paper_configs,
@@ -42,13 +41,8 @@ class TestHarness:
 
     def test_bench_graphs_have_bounded_size(self):
         for key in DATASET_ORDER:
-            g = load_bench_graph(key)
+            g = bench_graph_spec(key).load()
             assert g.num_edges <= 140_000, key
-
-    def test_bench_pr_iterations(self):
-        alg = make_bench_algorithm("PR")
-        assert alg.default_iterations == BENCH_PR_ITERATIONS
-        assert make_bench_algorithm("BFS").name == "BFS"
 
     def test_paper_configs_order_and_names(self):
         cfgs = paper_configs()

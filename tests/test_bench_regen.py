@@ -15,7 +15,7 @@ import pytest
 
 import repro.graph.datasets as datasets_mod
 import repro.sweep.executor as executor_mod
-from repro.bench import REPORT_SECTIONS, load_bench_graph, table1_config_rows
+from repro.bench import REPORT_SECTIONS, bench_graph_spec, table1_config_rows
 from repro.bench.regen import (
     FIGURE_SECTIONS,
     SECTIONS,
@@ -257,7 +257,7 @@ class TestRowBuilders:
         rows, _ = SECTIONS["ablation_latency"].build(RegenContext())
         expected = []
         latency_graph = chain(256)
-        r14 = load_bench_graph("R14")
+        r14 = bench_graph_spec("R14").load()
         for maker, label in ((higraph, "HiGraph"), (graphdyns, "GraphDynS")):
             stats = simulate(maker(), latency_graph, BFS()).stats
             expected.append(("chain-BFS (latency-bound)", label,
@@ -275,7 +275,7 @@ class TestRowBuilders:
         from repro.graph import partition_by_destination
 
         rows, _ = SECTIONS["discussion_slicing"].build(RegenContext())
-        g = load_bench_graph("R14")
+        g = bench_graph_spec("R14").load()
         slices = partition_by_destination(g, 4)
         sim = SlicedAcceleratorSim(higraph(), g, PageRank(iterations=2),
                                    slices=slices, offchip_bytes_per_cycle=64.0)

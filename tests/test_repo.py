@@ -15,6 +15,7 @@ import pytest
 from repro.analysis import all_rules
 from repro.bench.regen import SECTIONS
 from repro.cli import build_parser
+from repro.serve import protocol
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = REPO_ROOT / "benchmarks"
@@ -66,6 +67,19 @@ def _retired_rule_table() -> dict[str, str]:
                            text, re.MULTILINE))
 
 
+def _serving_message_table() -> set[str]:
+    """Every wire type docs/serving.md's message table names, in its
+    request and reply columns."""
+    text = (REPO_ROOT / "docs" / "serving.md").read_text(encoding="utf-8")
+    table = re.search(r"^\| request .*?(?=\n\n)", text,
+                      re.MULTILINE | re.DOTALL).group(0)
+    names = set()
+    for row in table.splitlines()[2:]:
+        request, reply = row.split("|")[1:3]
+        names.update(re.findall(r"`([a-z_-]+)`", request + reply))
+    return names
+
+
 class TestDocsNameTheCode:
     def test_cli_docs_name_exactly_the_subcommands(self):
         """Every subcommand docs/cli.md mentions as `repro <name>`
@@ -97,6 +111,11 @@ class TestDocsNameTheCode:
             if not any(re.search(rf"(?<![\w-]){re.escape(s)}(?![\w-])",
                                  section) for s in spellings)]
         assert undocumented == []
+
+    def test_serving_docs_name_exactly_the_message_types(self):
+        """docs/serving.md's message table spells each wire type as
+        ``protocol.py`` registers it, and lists every one."""
+        assert _serving_message_table() == set(protocol._MESSAGE_TYPES)
 
     def test_retired_rule_table_lists_exactly_the_retired_rules(self):
         assert sorted(_retired_rule_table()) == list(RETIRED_RULES)

@@ -182,6 +182,40 @@ class TestDedup:
             assert client.ping().protocol == protocol.PROTOCOL_VERSION
 
 
+class TestSharedCacheDir:
+    def test_two_daemons_racing_one_job_leave_one_entry(
+            self, sock_dir, monkeypatch):
+        """Nothing coordinates two daemons on one cache directory: sent
+        the same job at once, both simulate it, return the same stats,
+        and the atomic write leaves one readable entry."""
+        from pathlib import Path
+        from repro.sweep.cache import ResultCache, code_version
+        real_execute = executor.execute_job
+        both_running = threading.Barrier(2, timeout=10)
+
+        def racing_execute(job):
+            both_running.wait()          # breaks unless both daemons run it
+            return real_execute(job)
+
+        monkeypatch.setattr(executor, "execute_job", racing_execute)
+        cache_dir = os.path.join(sock_dir, "c")
+        socks = [os.path.join(sock_dir, f"{name}.sock") for name in "ab"]
+        job = _jobs("BFS")
+        with serve_in_thread(socks[0], cache_dir=cache_dir), \
+                serve_in_thread(socks[1], cache_dir=cache_dir):
+            tickets = [ServeClient(sock).submit_sweep(job) for sock in socks]
+            done = [ServeClient(sock).fetch(ticket)
+                    for sock, ticket in zip(socks, tickets)]
+        assert [d.executed for d in done] == [1, 1]
+        first, second = (json.dumps(d.stats, sort_keys=True) for d in done)
+        assert first == second
+        cache = ResultCache(cache_dir)
+        key = job[0].cache_key(code_version())
+        assert [entry.key for entry in cache.entries()] == [key]
+        assert [cache.get(key).to_dict()] == done[0].stats
+        assert list(Path(cache_dir).rglob("*.claim")) == []
+
+
 class TestJobThreads:
     def test_a_tickets_misses_run_at_once_on_the_job_threads(
             self, sock_dir, monkeypatch):
@@ -229,30 +263,6 @@ class TestJobThreads:
 
 
 class TestCacheAndReload:
-    def test_cache_info_and_gc(self, sock_dir):
-        sock = os.path.join(sock_dir, "d.sock")
-        cache_dir = os.path.join(sock_dir, "c")
-        with serve_in_thread(sock, cache_dir=cache_dir):
-            client = ServeClient(sock)
-            client.run_sweep(_jobs())
-            info = client.cache_info()
-            assert info.cache_dir == cache_dir
-            assert info.entries == 2 and info.total_bytes > 0
-            gc = client.cache_gc(max_bytes=0, dry_run=True)
-            assert gc.dry_run and gc.removed == 2
-            assert client.cache_info().entries == 2   # dry run kept them
-            gc = client.cache_gc(max_bytes=0)
-            assert gc.removed == 2
-            assert client.cache_info().entries == 0
-
-    def test_cacheless_daemon_reports_and_refuses_gc(self, sock_dir):
-        sock = os.path.join(sock_dir, "d.sock")
-        with serve_in_thread(sock):
-            client = ServeClient(sock)
-            assert client.cache_info().cache_dir is None
-            with pytest.raises(ServeError, match="without a result cache"):
-                client.cache_gc(max_bytes=0)
-
     def test_reload_without_change_answers_unchanged(self, sock_dir):
         sock = os.path.join(sock_dir, "d.sock")
         with serve_in_thread(sock) as daemon:

@@ -26,11 +26,9 @@ class TestCodec:
         protocol.FetchSweep(ticket="t2"),
         protocol.RegenReport(results_dir="r", sections=["fig8"], charts=True,
                              scale="0.02"),
-        protocol.CacheInfo(),
-        protocol.CacheGc(max_age_seconds=60.0, dry_run=True),
         protocol.Reload(),
         protocol.Shutdown(),
-        protocol.Pong(protocol=2, code_version="abc"),
+        protocol.Pong(protocol=3, code_version="abc"),
         protocol.Submitted(ticket="t1", jobs=4),
         protocol.StatusReply(state="running", done=1, total=3),
         protocol.Progress(ticket="t1", done=1, total=3, job="BFS/VT"),
@@ -38,8 +36,6 @@ class TestCodec:
                            cache_hits=2, deduped=1, job_seconds=[0.5]),
         protocol.ReportDone(results_dir="r", report_path="r/REPORT.md",
                             provenance_path="r/REPORT.provenance.json"),
-        protocol.CacheInfoReply(cache_dir="/c", entries=3, hits=1),
-        protocol.CacheGcReply(scanned=4, removed=2),
         protocol.Reloaded(code_version="abc", changed=True),
         protocol.ShuttingDown(),
         protocol.Error(code="bad-request", message="nope"),

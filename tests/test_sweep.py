@@ -482,7 +482,13 @@ class TestResultCache:
                        for body in (get, get, put, remove)]
             for thread in threads:
                 thread.start()
+            # race for 0.5 s, then on until both a hit and a miss were
+            # seen: a loaded host gets 10 s before the assert below fails
+            deadline = time.monotonic() + 10
             time.sleep(0.5)
+            while not (seen["hit"] and seen["miss"]) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
             stop.set()
             for thread in threads:
                 thread.join(timeout=10)
@@ -513,6 +519,19 @@ class TestResultCache:
         kernel = root / "accel" / "engine" / "_soa_march.c"
         kernel.write_text(kernel.read_text() + "\n/* edited */\n")
         assert _digest_source_tree(root) != before
+
+
+class TestCodeVersion:
+    def test_code_version_memoized_per_process(self):
+        assert code_version() is code_version()
+
+    def test_sweepjob_cache_key_takes_precomputed_version(self):
+        # the daemon computes the digest once and threads it through
+        # every cache_key call; keys must match the ambient digest path
+        job = SweepJob(graph=GraphSpec("VT", scale=0.03), algorithm="BFS",
+                       config=higraph())
+        assert job.cache_key(code_version()) == job.cache_key(code_version())
+        assert job.cache_key("other") != job.cache_key(code_version())
 
 
 # ----------------------------------------------------------------------

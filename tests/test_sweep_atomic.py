@@ -5,11 +5,7 @@ import os
 
 import pytest
 
-from repro.sweep.atomic import (
-    atomic_write_json,
-    atomic_write_text,
-    exclusive_create,
-)
+from repro.sweep.atomic import atomic_write_json, atomic_write_text
 
 
 class TestAtomicWriteText:
@@ -63,13 +59,6 @@ class TestShardPrunedMidWrite:
         atomic_write_text(tmp_path / "ab" / "entry.json", "payload")
         assert pruned
         assert (tmp_path / "ab" / "entry.json").read_text() == "payload"
-
-    def test_exclusive_create(self, tmp_path, monkeypatch):
-        pruned = self._prune_before_first_call(
-            monkeypatch, os, "open", tmp_path / "ab")
-        assert exclusive_create(tmp_path / "ab" / "k.claim", "owner")
-        assert pruned
-        assert (tmp_path / "ab" / "k.claim").read_text() == "owner"
 
     def test_pruned_inside_the_mkdir(self, tmp_path, monkeypatch):
         """``mkdir(exist_ok=True)`` raises FileExistsError when the
