@@ -263,6 +263,17 @@ class TestRunner:
         assert [f.line for f in report.findings] == [1, 3]
         assert report.exit_code() == 1
 
+    def test_allow_comment_naming_several_rules_hides_nothing(
+            self, tmp_path):
+        write(tmp_path, "src/repro/accel/mod.py", """\
+            # lint: allow=module-state,id-key
+            KEYS = [id(x) for x in {1, 2}]
+        """)
+        report = lint(tmp_path, rule_ids=["module-state", "id-key",
+                                          "set-iteration"])
+        assert sorted((f.line, f.rule) for f in report.findings) == [
+            (2, "id-key"), (2, "module-state"), (2, "set-iteration")]
+
     def test_root_without_sources_rejected(self, tmp_path):
         """A mistyped root has nothing to lint: an error, not a pass."""
         with pytest.raises(ConfigError, match="src/repro"):

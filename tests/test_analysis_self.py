@@ -1,6 +1,7 @@
 """Meta-tests: the analyzer run against this repository."""
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -129,6 +130,18 @@ class TestLintCli:
         assert main(["lint", "--root", str(tmp_path / "typo")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("lint failed:") and "src/repro" in err
+
+
+class TestNoAllowComments:
+    def test_no_module_carries_an_allow_comment(self):
+        """An allow comment hides nothing, so one left in the tree would
+        tell its reader a finding is waived when none can be."""
+        from repro.analysis.context import Project
+        allows = [(ctx.relpath, lineno)
+                  for ctx in Project(REPO_ROOT).modules()
+                  for lineno, text in enumerate(ctx.source.splitlines(), 1)
+                  if re.search(r"#\s*lint:\s*allow", text)]
+        assert allows == []
 
 
 class TestStatsSchemaError:

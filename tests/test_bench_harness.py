@@ -18,10 +18,21 @@ from repro.bench import (
     paper_configs,
     write_report,
 )
+from repro.bench.figures import (
+    FIGURE_DATASET,
+    combining_ablation_jobs,
+    fig10_jobs,
+    fig11_jobs,
+    fig12_jobs,
+    latency_ablation_jobs,
+    sec54_radix_jobs,
+    slicing_jobs,
+)
+from repro.bench.harness import bench_algorithm_entry
 from repro.bench.regen import SECTIONS, RegenContext
 from repro.graph import DATASET_ORDER
 from repro.graph.datasets import SCALE_ENV_VAR
-from repro.sweep import run_sweep
+from repro.sweep import GraphSpec, run_sweep
 
 
 def _matrix(jobs=1, cache=None, **kw):
@@ -43,6 +54,11 @@ class TestHarness:
         for key in DATASET_ORDER:
             g = bench_graph_spec(key).load()
             assert g.num_edges <= 140_000, key
+
+    def test_bench_pr_iterations(self):
+        assert bench_algorithm_entry("PR") == (
+            "PR", {"iterations": BENCH_PR_ITERATIONS})
+        assert bench_algorithm_entry("BFS") == "BFS"
 
     def test_paper_configs_order_and_names(self):
         cfgs = paper_configs()
@@ -110,6 +126,34 @@ class TestFigureRunners:
         rows = build("fig12_buffer_size")
         assert len(rows) == 2 * len(FIG12_BUFFER_SIZES)
         assert {r["design"] for r in rows} == {"MDP-network", "FIFO+crossbar"}
+
+
+#: Each figure planner and the report sections whose titles name its
+#: dataset (the latency ablation's rows name it instead).
+FIGURE_PLANNERS = [
+    (fig10_jobs, ("fig10a_opt_throughput", "fig10b_starvation")),
+    (fig11_jobs, ("fig11_scalability",)),
+    (fig12_jobs, ("fig12_buffer_size",)),
+    (sec54_radix_jobs, ("sec54_radix",)),
+    (slicing_jobs, ("discussion_slicing",)),
+    (combining_ablation_jobs, ("ablation_combining",)),
+    (latency_ablation_jobs, ()),
+]
+
+
+class TestFigurePlanners:
+    @pytest.mark.parametrize("planner, sections", FIGURE_PLANNERS,
+                             ids=[p.__name__ for p, _ in FIGURE_PLANNERS])
+    def test_plans_the_figure_dataset_its_titles_name(self, planner,
+                                                      sections):
+        """Every planner runs FIGURE_DATASET at its bench scale (the
+        latency ablation adds an inline chain graph), and the section
+        titles built from it name that dataset."""
+        specs = {job.graph for job in planner()
+                 if isinstance(job.graph, GraphSpec)}
+        assert specs == {bench_graph_spec(FIGURE_DATASET)}
+        for key in sections:
+            assert f"{FIGURE_DATASET})" in SECTIONS[key].table_title, key
 
 
 class TestReport:

@@ -119,6 +119,27 @@ class TestSweepLifecycle:
                     assert reply.code == "protocol-version"
                     assert stream.readline() == b""   # connection closed
 
+    def test_retired_cache_verb_answered_and_connection_kept(self, sock_dir):
+        """A type the codec does not know (here a cache verb the daemon
+        no longer serves) is answered with a protocol error, and the
+        connection stays open for the next request."""
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.settimeout(10.0)
+                raw.connect(sock)
+                with raw.makefile("rb") as stream:
+                    raw.sendall(json.dumps({"v": protocol.PROTOCOL_VERSION,
+                                            "type": "cache_info"})
+                                .encode() + b"\n")
+                    reply = protocol.decode(stream.readline())
+                    assert isinstance(reply, protocol.Error)
+                    assert reply.code == "protocol"
+                    assert "cache_info" in reply.message
+                    raw.sendall(protocol.encode(protocol.Ping()))
+                    pong = protocol.decode(stream.readline())
+                    assert isinstance(pong, protocol.Pong)
+
 
 class TestDedup:
     def test_concurrent_identical_submits_one_simulation(
@@ -263,6 +284,43 @@ class TestJobThreads:
 
 
 class TestCacheAndReload:
+    def test_cache_info_and_gc(self, sock_dir, capsys):
+        """`repro cache info|gc --cache-dir` count and trim the cache a
+        running daemon fills; what gc removed is simulated again."""
+        from repro.cli import main
+        sock = os.path.join(sock_dir, "d.sock")
+        cache_dir = os.path.join(sock_dir, "c")
+        with serve_in_thread(sock, cache_dir=cache_dir):
+            client = ServeClient(sock)
+            cold = client.run_sweep(_jobs())
+            assert cold.executed == 2
+            capsys.readouterr()
+            assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
+            assert "entries: 2" in capsys.readouterr().out
+            assert main(["cache", "gc", "--cache-dir", cache_dir,
+                         "--max-bytes", "0", "--dry-run"]) == 0
+            assert "would remove 2" in capsys.readouterr().out
+            assert main(["cache", "gc", "--cache-dir", cache_dir,
+                         "--max-bytes", "0"]) == 0
+            assert "removed 2" in capsys.readouterr().out
+            assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
+            assert "entries: 0" in capsys.readouterr().out
+            again = client.run_sweep(_jobs())
+            assert (again.executed, again.cache_hits) == (2, 0)
+            assert again.stats == cold.stats
+
+    def test_cacheless_daemon_simulates_every_resubmission(self, sock_dir):
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock):
+            client = ServeClient(sock)
+            first = client.run_sweep(_jobs("BFS"))
+            again = client.run_sweep(_jobs("BFS"))
+            assert (first.executed, again.executed) == (1, 1)
+            assert again.cache_hits == 0
+            assert again.stats == first.stats
+            status = client.status()
+            assert (status.executed, status.cache_hits) == (2, 0)
+
     def test_reload_without_change_answers_unchanged(self, sock_dir):
         sock = os.path.join(sock_dir, "d.sock")
         with serve_in_thread(sock) as daemon:
@@ -556,6 +614,17 @@ class TestCliServeVerbs:
         out = capsys.readouterr().out
         assert "state: serving" in out
         assert "workers:" in out and "uptime:" in out
+
+    def test_status_verb_reports_the_hit_totals(self, sock_dir, capsys):
+        from repro.cli import main
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
+            client = ServeClient(sock)
+            client.run_sweep(_jobs())           # cold: both simulated
+            client.run_sweep(_jobs())           # warm: both cache hits
+            assert main(["serve", "status", "--connect", sock]) == 0
+        out = capsys.readouterr().out
+        assert "executed: 2  cache hits: 2  deduped: 0" in out
 
     def test_reload_verb_reports_the_version(self, sock_dir, capsys):
         from repro.cli import main

@@ -66,6 +66,17 @@ class TestCodec:
         with pytest.raises(ProtocolError, match="zap"):
             protocol.decode(line)
 
+    @pytest.mark.parametrize("type_name", [
+        "cache_info", "cache_gc", "cache_info_reply", "cache_gc_reply"])
+    def test_retired_cache_verb_is_an_unknown_type(self, type_name):
+        """The daemon's cache verbs left the wire with protocol 2;
+        ``repro cache info|gc --cache-dir`` does their work."""
+        assert type_name not in protocol._MESSAGE_TYPES
+        line = json.dumps({"v": protocol.PROTOCOL_VERSION,
+                           "type": type_name})
+        with pytest.raises(ProtocolError, match=type_name):
+            protocol.decode(line)
+
     def test_bad_fields_rejected(self):
         line = json.dumps({"v": protocol.PROTOCOL_VERSION, "type": "ping",
                            "unexpected": 1})

@@ -426,6 +426,34 @@ class TestResultCache:
         assert cache.clear() == 2
         assert cache._resident == {}
 
+    def test_two_caches_racing_one_put_leave_one_entry(self, tmp_path):
+        """Two caches on one directory, as two processes hold them,
+        putting one key at once leave one whole, readable entry and no
+        temp file: nothing coordinates them but the atomic write."""
+        caches = [ResultCache(tmp_path), ResultCache(tmp_path)]
+        key = "ab" + "7" * 62
+        stats = self._versioned(5)
+        start = threading.Barrier(4, timeout=10)
+
+        def put(writer):
+            start.wait()
+            caches[writer % 2].put(key, stats, provenance={"writer": writer})
+
+        threads = [threading.Thread(target=put, args=(writer,))
+                   for writer in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        reader = ResultCache(tmp_path)
+        assert [entry.key for entry in reader.entries()] == [key]
+        assert reader.get(key).to_dict() == stats.to_dict()
+        entry = tmp_path / key[:2] / f"{key}.json"
+        assert json.loads(entry.read_text())["provenance"]["writer"] \
+            in range(4)
+        assert [path.name for path in entry.parent.iterdir()] \
+            == [entry.name]
+
     def test_concurrent_get_put_gc_unlink(self, tmp_path):
         """Every get under a put/gc/unlink race returns None or exactly
         one of the versions written, and never one another getter

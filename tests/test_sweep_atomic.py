@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -32,6 +33,44 @@ class TestAtomicWriteText:
             atomic_write_json(target, {"bad": object()})
         assert json.loads(target.read_text()) == {"old": True}
         assert os.listdir(tmp_path) == ["out.json"]
+
+
+class TestRacingWriters:
+    def test_racing_writers_leave_one_whole_payload(self, tmp_path):
+        """Writers racing one path converge on one whole payload; a
+        reader between their replaces sees some writer's whole payload,
+        never a mixture, and no temp file outlives the race."""
+        target = tmp_path / "ab" / "entry.json"
+        payloads = [str(i) * 65536 for i in range(4)]
+        start = threading.Barrier(len(payloads) + 1, timeout=10)
+        torn = []
+
+        def write(text):
+            start.wait()
+            for _ in range(10):
+                atomic_write_text(target, text)
+
+        writers = [threading.Thread(target=write, args=(text,))
+                   for text in payloads]
+
+        def read():
+            start.wait()
+            while any(writer.is_alive() for writer in writers):
+                try:
+                    text = target.read_text()
+                except FileNotFoundError:
+                    continue            # before the first replace
+                if text not in payloads:
+                    torn.append(len(text))
+
+        reader = threading.Thread(target=read)
+        for thread in [*writers, reader]:
+            thread.start()
+        for thread in [*writers, reader]:
+            thread.join(timeout=30)
+        assert torn == []
+        assert target.read_text() in payloads
+        assert os.listdir(target.parent) == ["entry.json"]
 
 
 class TestShardPrunedMidWrite:
