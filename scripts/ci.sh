@@ -196,7 +196,7 @@ stage_serve() {
 import sys
 from repro.serve.client import ServeClient
 client = ServeClient(sys.argv[1])
-assert client.ping().protocol == 3
+assert client.ping().protocol == 4
 client.shutdown()
 EOF
     wait "$daemon_pid"

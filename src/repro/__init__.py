@@ -9,7 +9,7 @@ Layers, bottom-up:
 * :mod:`repro.algorithms` — VCPM kernels (BFS, SSSP, SSWP, PR) and the
   functional golden-model engine.
 * :mod:`repro.hw` — hardware primitives: FIFOs, arbiters, crossbars,
-  banked SRAM, the calibrated timing/area/power models.
+  the calibrated timing/area/power models.
 * :mod:`repro.mdp` — the paper's contribution: the MDP-network generator
   (Algorithm 1), netlist emission, and cycle-level network models
   including the Replay-Engine/range-splitting variant for Edge Array

@@ -5,7 +5,6 @@ from repro.accel.engine import (
     DEFAULT_ENGINE,
     ENGINE_ENV_VAR,
     ENGINES,
-    engine_cache_token,
     resolve_engine,
 )
 from repro.accel.config import (
@@ -31,7 +30,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "ENGINE_ENV_VAR",
     "resolve_engine",
-    "engine_cache_token",
     "AcceleratorConfig",
     "higraph",
     "higraph_mini",

@@ -121,12 +121,6 @@ class AcceleratorSim:
         self.engine.harvest(stats)
         return SimResult(stats, prop)
 
-    # ------------------------------------------------------------------
-    def _scatter(self, active: np.ndarray, sprop_all: np.ndarray,
-                 tprop: list, stats: SimStats) -> None:
-        """Simulate one scatter phase (delegates to the selected engine)."""
-        self.engine.scatter(active, sprop_all, tprop, stats)
-
 
 def simulate(config: AcceleratorConfig, graph: CSRGraph, algorithm: Algorithm,
              source: int = 0, max_iterations: int | None = None,

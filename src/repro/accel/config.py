@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, fields, replace
 
 from repro.errors import ConfigError
@@ -65,13 +64,11 @@ class AcceleratorConfig:
     dispatcher_queue_depth: int = 8
     epe_queue_depth: int = 8            # per-ePE input records
     replay_queue_depth: int = 4
-    central_issue_limit: int | None = None   # defaults to front_channels
     #: Coalesce same-vertex (v, Imm) records in propagation-site FIFO
     #: tails.  GraphDynS ships an explicit coalescing unit, so both the
     #: baseline and HiGraph get the feature; disable for the ablation.
     vertex_combining: bool = True
     onchip_memory_bytes: int = 16 * MB
-    target_frequency_ghz: float = 1.0
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
@@ -98,14 +95,8 @@ class AcceleratorConfig:
                      "epe_queue_depth", "replay_queue_depth"):
             if getattr(self, attr) < 1:
                 raise ConfigError(f"{attr} must be >= 1")
-        if self.central_issue_limit is not None and self.central_issue_limit < 1:
-            raise ConfigError(
-                f"central_issue_limit must be >= 1 or None, "
-                f"got {self.central_issue_limit}")
         if self.onchip_memory_bytes < 1:
             raise ConfigError("onchip_memory_bytes must be >= 1")
-        if not math.isfinite(self.target_frequency_ghz) or self.target_frequency_ghz <= 0:
-            raise ConfigError("target_frequency_ghz must be positive and finite")
         if self.offset_site == "mdp":
             _require_power(self.front_channels, self.radix, "front_channels")
         if self.propagation_site == "mdp":
@@ -118,10 +109,6 @@ class AcceleratorConfig:
     @property
     def num_dispatchers(self) -> int:
         return self.back_channels // self.dispatcher_group
-
-    @property
-    def issue_limit(self) -> int:
-        return self.central_issue_limit or self.front_channels
 
     def frequency_ghz(self) -> float:
         """Design frequency: slowest interconnect structure, capped at
@@ -145,7 +132,6 @@ class AcceleratorConfig:
             crossbar_ports=crossbar_ports if crossbar_ports >= 2 else None,
             mdp_channels=mdp_channels if mdp_channels >= 2 else None,
             mdp_radix=self.radix,
-            target_ghz=self.target_frequency_ghz,
         )
 
     def ideal_gteps(self) -> float:
@@ -256,9 +242,10 @@ def ablation(opt_o: bool = False, opt_e: bool = False, opt_d: bool = False,
     """Fig. 10 ablation configs.
 
     The baseline is the HiGraph pipeline with **no** MDP-networks
-    (centralized arbitration everywhere, frequency held at the 1 GHz
-    target for the cycle-count comparison, as in the paper's Fig. 10);
-    Opt-O / Opt-E / Opt-D switch the three sites to MDP one by one.
+    (centralized arbitration everywhere; at 32 channels every structure
+    still meets the 1 GHz target, so Fig. 10 compares cycle counts, as
+    the paper does); Opt-O / Opt-E / Opt-D switch the three sites to MDP
+    one by one.
     """
     parts = []
     if opt_o:
@@ -275,8 +262,6 @@ def ablation(opt_o: bool = False, opt_e: bool = False, opt_d: bool = False,
         "offset_site": "mdp" if opt_o else "crossbar",
         "edge_site": "mdp" if opt_e else "central",
         "propagation_site": "mdp" if opt_d else "crossbar",
-        # the ablation compares cycle counts at the paper's 1 GHz target
-        "target_frequency_ghz": 1.0,
         **overrides})
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from repro.accel.config import AcceleratorConfig, _compatible_radix
 from repro.mdp.dispatcher import Dispatcher
 from repro.mdp.range_network import RangeSplitNetwork
-from repro.mdp.replay import ReplayEngine, split_request
+from repro.mdp.replay import ReplayEngine
 
 
 class MdpEdgeStage:
@@ -48,8 +48,7 @@ class MdpEdgeStage:
         self.epe_depth = config.epe_queue_depth
         n = config.front_channels
         w = config.num_dispatchers
-        self.replays = [ReplayEngine(self.m, max_len=self.m,
-                                     queue_depth=config.replay_queue_depth)
+        self.replays = [ReplayEngine(self.m, config.replay_queue_depth)
                         for _ in range(n)]
         self.dispatchers = [Dispatcher(i, self.m, config.dispatcher_group,
                                        config.dispatcher_queue_depth)
@@ -131,7 +130,7 @@ class CentralEdgeStage:
         self.dst = dst
         self.weights = weights
         self.epe_depth = config.epe_queue_depth
-        self.issue_limit = config.issue_limit
+        self.issue_limit = config.front_channels
         self.queue: deque = deque()      # in-order {Off, Len, sprop}
         self.queue_capacity = config.fe_out_depth * config.front_channels
         self.window_conflicts = 0

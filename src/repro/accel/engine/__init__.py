@@ -24,8 +24,8 @@ loop, so it exists in two interchangeable implementations:
   times slower.
 
 =================  ====================================================
-``registry.py``    engine names, selection (``$REPRO_ENGINE``), the
-                   cache-equivalence class
+``registry.py``    engine names, selection (``$REPRO_ENGINE``),
+                   ``make_engine``
 ``reference.py``   the golden component-model cycle loop
 ``soa.py``         the soa engine: SoA state binding + the C seam
 ``soakernel.py``   compile/cache/load of ``_soa_march.c`` (kill-switch
@@ -39,13 +39,11 @@ algorithm.  The differential test suite
 (``tests/test_engine_differential.py``) and the seeded fuzzer
 (``tests/test_engine_fuzz.py``) enforce this over the tier-1
 config x graph x algorithm matrix, randomized graphs, multi-phase
-PageRank and sliced runs.  Because the engines are equivalent, they
-share result-cache entries: :func:`engine_cache_token` returns the
-*equivalence class* both belong to, and that token — not the engine
-name — enters :meth:`repro.sweep.jobs.SweepJob.cache_key`.  If the soa
-engine is ever changed in a way that has not been re-verified, bump
-``_EQUIVALENCE_CLASS`` (in ``registry.py``) so its results stop
-aliasing reference ones.
+PageRank and sliced runs.  Because the engines are equivalent, the
+engine choice does not enter :meth:`repro.sweep.jobs.SweepJob.cache_key`:
+a sweep run with either engine warms the cache for both.  Any edit to
+either engine moves :func:`repro.sweep.cache.code_version`, so an
+entry is never served to code it was not computed by.
 """
 
 from repro.accel.engine.reference import ReferenceEngine
@@ -53,7 +51,6 @@ from repro.accel.engine.registry import (
     DEFAULT_ENGINE,
     ENGINE_ENV_VAR,
     ENGINES,
-    engine_cache_token,
     make_engine,
     resolve_engine,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "ENGINE_ENV_VAR",
     "resolve_engine",
-    "engine_cache_token",
     "make_engine",
     "ReferenceEngine",
     "SoaEngine",

@@ -200,8 +200,8 @@ typedef struct {
 
 /* ------------------------------------------------------------------ */
 static inline f64 red(i64 op, f64 a, f64 b) {
-    /* ties resolve to the FIRST argument, exactly like Python's
-     * min()/max() builtins (Algorithm.scalar_reduce_fn) */
+    /* ties resolve to the FIRST argument (the accumulator), exactly
+     * like the algorithms' `imm if imm < acc else acc` reductions */
     if (op == RED_ADD) return a + b;
     if (op == RED_MIN) return (b < a) ? b : a;
     return (b > a) ? b : a;
@@ -637,7 +637,7 @@ static i64 disp_accept0(SoaState *st, i64 off, i64 length, f64 payload) {
 
 /* lazy piece stream: (cur_off, cur_rem, cur_pay) replaces rp_pieces.
  * Pieces are consumed strictly head-first, and split_request(off, len,
- * m, m) yields successive min(rem, m - off % m) chunks, so emitting
+ * m) yields successive min(rem, m - off % m) chunks, so emitting
  * the next chunk on demand is exactly the recorded deque of pieces. */
 static i64 rp_emit(SoaState *st, i64 ch, i64 *off, i64 *length, f64 *pay) {
     if (!st->rp_cur_rem[ch]) {

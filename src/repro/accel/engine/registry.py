@@ -1,16 +1,14 @@
 """Engine registry and selection.
 
-This module is the *only* place engine names and the cache-equivalence
-class live; every other layer (CLI, sweep, benchmarks) resolves
-engines through it.  The engine implementations themselves are
-imported lazily by :func:`make_engine`, so the registry never depends
-on them at import time.
+This module is the *only* place engine names live; every other layer
+(CLI, sweep, benchmarks) resolves engines through it.  The engine
+implementations themselves are imported lazily by :func:`make_engine`,
+so the registry never depends on them at import time.
 """
 
 from __future__ import annotations
 
 import os
-import types
 
 from repro.errors import ConfigError
 
@@ -24,23 +22,6 @@ DEFAULT_ENGINE = "soa"
 #: the CLI, the benchmark suite and every sweep worker).
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 
-#: Cache-sharing version: engines carrying the same class string have
-#: been verified cycle-exact against each other, so their results may
-#: share cache entries.  Bump on any soa-engine change that has not
-#: yet been re-verified by the differential suite.
-_EQUIVALENCE_CLASS = "cycle-exact-v1"
-
-#: Read-only: the equivalence map is consulted by every cache-key
-#: computation, so mutating it at runtime would silently alias cache
-#: entries across unverified engines.
-_ENGINE_EQUIVALENCE = types.MappingProxyType({
-    "reference": _EQUIVALENCE_CLASS,
-    # soa JOINS the class: the differential suite and
-    # tests/test_engine_fuzz.py hold it to byte-identical SimStats, and
-    # it hands every run its kernel cannot reproduce to reference
-    "soa": _EQUIVALENCE_CLASS,
-})
-
 
 def resolve_engine(name: str | None = None) -> str:
     """Normalize an engine request: explicit name > $REPRO_ENGINE > default."""
@@ -52,15 +33,6 @@ def resolve_engine(name: str | None = None) -> str:
             f"unknown engine {name!r}; expected one of {ENGINES} "
             f"(or unset, which means ${ENGINE_ENV_VAR} then {DEFAULT_ENGINE!r})")
     return key
-
-
-def engine_cache_token(name: str | None = None) -> str:
-    """Cache-key contribution of an engine choice.
-
-    Verified-equivalent engines map to the same token, so a sweep run
-    with either engine warms the cache for both.
-    """
-    return _ENGINE_EQUIVALENCE[resolve_engine(name)]
 
 
 def make_engine(name: str, sim):

@@ -242,7 +242,7 @@ class SoaEngine:
         else:
             st.w = 1
             capacity = config.fe_out_depth * n
-            st.ce_issue_limit = config.issue_limit
+            st.ce_issue_limit = config.front_channels
             st.ce_capacity = capacity
             bind(ce_off=capacity, ce_len=capacity, ce_pay=capacity)
             st.ce_stall_off = st.ce_stall_len = st.ce_stall_bank = -1

@@ -103,7 +103,7 @@ class SlicedAcceleratorSim:
             compute_cycles = []
             for sim in self.slice_sims:
                 before = stats.scatter_cycles
-                sim._scatter(active, sprop_all, tprop_list, stats)
+                sim.engine.scatter(active, sprop_all, tprop_list, stats)
                 compute_cycles.append(stats.scatter_cycles - before)
             stats.slice_load_cycles += _exposed_load_cycles(loads, compute_cycles)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.errors import StatsSchemaError
 
@@ -33,8 +33,6 @@ class SimStats:
     slices: int = 0
     slice_load_cycles: int = 0          # off-chip transfer not hidden by overlap
 
-    extra: dict = field(default_factory=dict)
-
     # ------------------------------------------------------------------
     @property
     def total_cycles(self) -> int:
@@ -57,13 +55,6 @@ class SimStats:
         if self.total_cycles == 0:
             return 0.0
         return self.edges_processed / self.total_cycles
-
-    @property
-    def vpe_utilization(self) -> float:
-        busy_plus_starved = self.vpe_busy_cycles + self.vpe_starvation_cycles
-        if busy_plus_starved == 0:
-            return 0.0
-        return self.vpe_busy_cycles / busy_plus_starved
 
     def speedup_over(self, baseline: "SimStats") -> float:
         """Wall-time speedup of this run relative to ``baseline``."""

@@ -7,7 +7,6 @@ from repro.algorithms.pagerank import PageRank
 from repro.algorithms.reference import (
     IterationTrace,
     ReferenceResult,
-    expected_iteration_plan,
     run_reference,
 )
 from repro.algorithms.sssp import SSSP
@@ -48,7 +47,6 @@ __all__ = [
     "PAPER_ALGORITHMS",
     "make_algorithm",
     "run_reference",
-    "expected_iteration_plan",
     "ReferenceResult",
     "IterationTrace",
 ]

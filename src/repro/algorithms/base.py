@@ -18,17 +18,11 @@ model).  Both must agree — tests enforce it.
 
 from __future__ import annotations
 
-import operator
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-
-#: C-level scalar equivalents of the declared ``reduce_op`` forms; the
-#: builtins return the first argument on ties, exactly like the
-#: ``imm if imm < acc else acc`` hand-written reductions.
-_SCALAR_REDUCE = {"min": min, "max": max, "add": operator.add}
 
 
 class Algorithm(ABC):
@@ -50,8 +44,8 @@ class Algorithm(ABC):
     #: Declares ``reduce`` as one of the closed forms "min" / "max" /
     #: "add" (ties resolve to the accumulator, exactly like the
     #: ``imm if imm < acc else acc`` implementations), or ``None`` for
-    #: an arbitrary reduction.  Lets cycle engines substitute the C
-    #: builtin without changing a single produced bit.
+    #: an arbitrary reduction.  Lets the compiled engine substitute its
+    #: closed form without changing a single produced bit.
     reduce_op: str | None = None
     #: Declares ``process_edge`` as "add" (``sprop + weight``) or
     #: "min" (``min(sprop, weight)``, ties to ``sprop``) so cycle
@@ -105,15 +99,6 @@ class Algorithm(ABC):
     @abstractmethod
     def reduce(self, acc: float, imm: float) -> float:
         """Scalar Reduce (cycle-simulator vPE kernel)."""
-
-    def scalar_reduce_fn(self):
-        """Fastest callable computing exactly ``self.reduce``.
-
-        Resolves the declared ``reduce_op`` to the C builtin when one
-        exists (bit-identical, including tie resolution), else returns
-        the bound ``reduce`` itself.
-        """
-        return _SCALAR_REDUCE.get(self.reduce_op, self.reduce)
 
     @abstractmethod
     def reduce_at(self, tprop: np.ndarray, dst: np.ndarray, imm: np.ndarray) -> None:

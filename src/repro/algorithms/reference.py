@@ -118,13 +118,3 @@ def run_reference(
     result.properties = prop
     return result
 
-
-def expected_iteration_plan(
-    graph: CSRGraph,
-    algorithm: Algorithm,
-    source: int = 0,
-    max_iterations: int | None = None,
-) -> list[np.ndarray]:
-    """Just the per-iteration active lists (what a simulator must process)."""
-    res = run_reference(graph, algorithm, source, max_iterations, trace=True)
-    return [t.active_vertices for t in res.iterations]

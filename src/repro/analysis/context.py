@@ -19,20 +19,22 @@ SOURCE_ROOT = "src/repro"
 
 
 class ModuleContext:
-    """One parsed source file."""
+    """One source file, read and parsed on first use."""
 
     def __init__(self, root: Path, path: Path) -> None:
         self.root = root
         self.path = path
         self.relpath = path.relative_to(root).as_posix()
-        self.source = path.read_text(encoding="utf-8")
         self._tree: ast.Module | None = None
 
     @property
     def tree(self) -> ast.Module:
-        """The parsed AST (raises ``SyntaxError``; the runner reports it)."""
+        """The parsed AST.  Raises ``SyntaxError``, ``UnicodeDecodeError``
+        (sources are UTF-8) or ``OSError``; the runner reports each as a
+        finding."""
         if self._tree is None:
-            self._tree = ast.parse(self.source, filename=self.relpath)
+            source = self.path.read_text(encoding="utf-8")
+            self._tree = ast.parse(source, filename=self.relpath)
         return self._tree
 
     def finding(self, line: int, message: str, symbol: str = "") -> Finding:
@@ -45,17 +47,14 @@ class Project:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root).resolve()
-        self._modules: dict[str, ModuleContext | None] = {}
+        self._modules: dict[str, ModuleContext] = {}
 
     # ------------------------------------------------------------------
-    def module(self, relpath: str) -> ModuleContext | None:
-        """The context for one repo-relative file (None if unreadable)."""
+    def module(self, relpath: str) -> ModuleContext:
+        """The context for one repo-relative file."""
         if relpath not in self._modules:
-            path = self.root / relpath
-            try:
-                self._modules[relpath] = ModuleContext(self.root, path)
-            except (OSError, UnicodeDecodeError):
-                self._modules[relpath] = None
+            self._modules[relpath] = ModuleContext(self.root,
+                                                   self.root / relpath)
         return self._modules[relpath]
 
     def modules(self, under: tuple[str, ...] = ()) -> list[ModuleContext]:
@@ -67,8 +66,6 @@ class Project:
         contexts = []
         for path in sorted(source_root.rglob("*.py")):
             ctx = self.module(path.relative_to(self.root).as_posix())
-            if ctx is None:
-                continue
             if under and not ctx.relpath.startswith(under):
                 continue
             contexts.append(ctx)

@@ -46,21 +46,32 @@ def run_rules(root: str | Path, rule_ids: list[str] | None = None
     project = Project(root)
     rules = select_rules(rule_ids)
     findings: list[Finding] = []
-    syntax_seen: set[str] = set()
+    unparsed: set[str] = set()
     for rule in rules:
         for ctx in project.modules(under=rule.dirs):
             try:
                 ctx.tree
-            except SyntaxError as exc:
-                if ctx.relpath not in syntax_seen:
-                    syntax_seen.add(ctx.relpath)
-                    findings.append(Finding(
-                        path=ctx.relpath, line=exc.lineno or 0,
-                        message=f"syntax error: {exc.msg}",
-                        symbol="syntax", rule="syntax"))
+            except (SyntaxError, UnicodeDecodeError, OSError) as exc:
+                # no rule can run on this file, so the file is the finding
+                if ctx.relpath not in unparsed:
+                    unparsed.add(ctx.relpath)
+                    findings.append(_unparsed(ctx.relpath, exc))
                 continue
             findings.extend(replace(f, rule=rule.id) for f in rule.check(ctx))
     return findings, [r.id for r in rules]
+
+
+def _unparsed(relpath: str, exc: Exception) -> Finding:
+    """The ``syntax`` finding for a file that could not be parsed."""
+    if isinstance(exc, SyntaxError):
+        line, message = exc.lineno or 0, f"syntax error: {exc.msg}"
+    elif isinstance(exc, UnicodeDecodeError):
+        line = exc.object[:exc.start].count(b"\n") + 1
+        message = f"not UTF-8: byte {exc.object[exc.start]:#04x}"
+    else:
+        line, message = 0, f"cannot read: {exc.strerror or exc}"
+    return Finding(path=relpath, line=line, message=message,
+                   symbol="syntax", rule="syntax")
 
 
 def lint(root: str | Path, rule_ids: list[str] | None = None) -> LintReport:

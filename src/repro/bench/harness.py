@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.accel import AcceleratorConfig, SimStats, graphdyns, higraph, higraph_mini
 from repro.algorithms import PAPER_ALGORITHMS
+from repro.errors import GenerationError
 from repro.graph import DATASET_ORDER
 from repro.graph.datasets import SCALE_ENV_VAR
 from repro.sweep import GraphSpec, plan_jobs
@@ -41,9 +42,13 @@ BENCH_PR_ITERATIONS = 2
 def bench_scale(key: str) -> float:
     """Dataset scale for benches: REPRO_SCALE (if set) wins."""
     env = os.environ.get(SCALE_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return DEFAULT_BENCH_SCALES[key]
+    try:
         return float(env)
-    return DEFAULT_BENCH_SCALES[key]
+    except ValueError:
+        raise GenerationError(
+            f"{SCALE_ENV_VAR} must be a number, got {env!r}") from None
 
 
 def bench_graph_spec(key: str) -> GraphSpec:

@@ -255,20 +255,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_axis_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
 def _cmd_sweep(args) -> int:
     from repro.bench import bench_graph_spec
     from repro.sweep import GraphSpec, plan_jobs
+    from repro.sweep.jobs import parse_axis_value
 
     if args.figure is not None:
         return _cmd_sweep_figure(args)
@@ -281,15 +271,12 @@ def _cmd_sweep(args) -> int:
         else:
             algorithms.append(name)
 
-    graphs = []
-    for key in args.datasets.split(","):
-        key = key.strip().upper()
+    keys = [key.strip().upper() for key in args.datasets.split(",")]
+    for key in keys:
         if key not in TABLE2:
             print(f"unknown dataset {key!r}; known: {sorted(TABLE2)}",
                   file=sys.stderr)
             return 2
-        graphs.append(GraphSpec(key, scale=args.scale) if args.scale
-                      else bench_graph_spec(key))
 
     names = sorted(_CONFIG_MAKERS) if args.configs == "all" else [
         c.strip() for c in args.configs.split(",")]
@@ -302,16 +289,19 @@ def _cmd_sweep(args) -> int:
         cfg = _CONFIG_MAKERS[name]()
         configs[cfg.name] = cfg
 
-    sweep_axes = {}
+    axis_texts = {}
     for spec in args.axis:
         field, _, values = spec.partition("=")
         if not values:
             print(f"--axis expects FIELD=V1,V2,..., got {spec!r}", file=sys.stderr)
             return 2
-        sweep_axes[field.strip()] = [
-            _parse_axis_value(v.strip()) for v in values.split(",")]
+        axis_texts[field.strip()] = [v.strip() for v in values.split(",")]
 
     try:
+        graphs = [GraphSpec(key, scale=args.scale) if args.scale
+                  else bench_graph_spec(key) for key in keys]
+        sweep_axes = {field: [parse_axis_value(field, v) for v in texts]
+                      for field, texts in axis_texts.items()}
         jobs = plan_jobs(algorithms, graphs, configs,
                          sweep_axes=sweep_axes or None, source=args.source,
                          engine=args.engine)

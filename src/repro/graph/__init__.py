@@ -1,7 +1,7 @@
-"""Graph substrate: CSR container, generators, Table 2 datasets, slicing, IO."""
+"""Graph substrate: CSR container, generators, Table 2 datasets, slicing."""
 
 from repro.graph.csr import CSRGraph, MemoryFootprint, PAPER_ID_BITS
-from repro.graph.datasets import DATASET_ORDER, TABLE2, DatasetSpec, load, table2_rows
+from repro.graph.datasets import DATASET_ORDER, TABLE2, DatasetSpec, load
 from repro.graph.generators import (
     chain,
     complete,
@@ -13,14 +13,12 @@ from repro.graph.generators import (
     rmat,
     star,
 )
-from repro.graph.io import load_edge_list, load_npz, save_edge_list, save_npz
 from repro.graph.partition import (
     GraphSlice,
     destination_slice_edges,
     partition_by_destination,
     partition_for_budget,
     slice_count_for_budget,
-    validate_partition,
 )
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "TABLE2",
     "DatasetSpec",
     "load",
-    "table2_rows",
     "chain",
     "complete",
     "erdos_renyi",
@@ -41,14 +38,9 @@ __all__ = [
     "random_weights",
     "rmat",
     "star",
-    "load_edge_list",
-    "load_npz",
-    "save_edge_list",
-    "save_npz",
     "GraphSlice",
     "destination_slice_edges",
     "partition_by_destination",
     "partition_for_budget",
     "slice_count_for_budget",
-    "validate_partition",
 ]

@@ -15,7 +15,7 @@ algorithm state, not the topology, so it is not stored here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class MemoryFootprint:
             + self.property_bytes
             + self.active_and_tproperty_bytes
         )
-
-    def fits(self, budget_bytes: int) -> bool:
-        """True when every array fits the given on-chip budget."""
-        return self.total_bytes <= budget_bytes
 
 
 class CSRGraph:
@@ -167,17 +163,6 @@ class CSRGraph:
             return np.diff(self.offsets)
         return int(self.offsets[u + 1] - self.offsets[u])
 
-    def neighbors(self, u: int) -> np.ndarray:
-        """Destination ids of ``u``'s outgoing edges."""
-        return self.dst[self.offsets[u]:self.offsets[u + 1]]
-
-    def edge_slice(self, u: int) -> tuple[int, int]:
-        """``(Off, nOff)`` pair for vertex ``u`` — what the Offset Array read yields."""
-        return int(self.offsets[u]), int(self.offsets[u + 1])
-
-    def out_weights(self, u: int) -> np.ndarray:
-        return self.weights[self.offsets[u]:self.offsets[u + 1]]
-
     def edges(self):
         """Iterate ``(src, dst, weight)`` triples in CSR order."""
         for u in range(self.num_vertices):
@@ -192,18 +177,6 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def reverse(self) -> "CSRGraph":
-        """Graph with every edge direction flipped (weights preserved)."""
-        srcs = self.edge_sources()
-        pairs = np.stack([self.dst, srcs], axis=1)
-        return CSRGraph.from_edges(self.num_vertices, pairs, self.weights,
-                                   name=f"{self.name}-rev")
-
-    def with_weights(self, weights: np.ndarray) -> "CSRGraph":
-        """Copy of this graph with a replacement weight array."""
-        return CSRGraph(self.offsets.copy(), self.dst.copy(),
-                        np.asarray(weights, dtype=np.int64), name=self.name)
-
     def subgraph_by_destination(self, lo: int, hi: int) -> "CSRGraph":
         """Keep only edges whose destination lies in ``[lo, hi)``.
 

@@ -15,20 +15,19 @@ R16        66 K      4.19 M     64      Synthetic graph (RMAT scale 16)
 
 SNAP downloads are unavailable in this offline environment, so the four
 real-world graphs are **synthetic stand-ins**: skewed R-MAT graphs with
-the same vertex count, edge count and therefore mean degree (documented
-substitution — see DESIGN.md §2).  The R-MAT datasets are generated
-directly with Graph500 parameters, as in the paper.
+the same vertex count, edge count and therefore mean degree.  The R-MAT
+datasets are generated directly with Graph500 parameters, as in the
+paper.
 
 ``load(spec, scale=...)`` supports proportional down-scaling (both |V|
 and |E| shrink, preserving mean degree) so the full figure suite runs in
-minutes of pure-Python cycle simulation; EXPERIMENTS.md records the
-scale every reported number used.
+seconds; :data:`repro.bench.harness.DEFAULT_BENCH_SCALES` holds the
+scale each committed table used.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from repro.errors import GenerationError
@@ -94,18 +93,6 @@ TABLE2: dict[str, DatasetSpec] = {
 
 #: Dataset order used by every figure in the paper.
 DATASET_ORDER = ("VT", "EP", "SL", "TW", "R14", "R16")
-
-
-def default_scale() -> float:
-    """Scale taken from ``REPRO_SCALE`` (default 1.0)."""
-    raw = os.environ.get(SCALE_ENV_VAR, "1.0")
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise GenerationError(f"{SCALE_ENV_VAR} must be a float, got {raw!r}") from exc
-    if not 0.0 < value <= 1.0:
-        raise GenerationError(f"{SCALE_ENV_VAR} must be in (0, 1], got {value}")
-    return value
 
 
 def _rmat_scale(key: str, scale: float) -> tuple[DatasetSpec, int]:
@@ -181,22 +168,3 @@ def _rescaled_probabilities(spec: DatasetSpec, rmat_scale: int,
     tempered = [p ** gamma for p in probs]
     z = sum(tempered)
     return tempered[0] / z, tempered[1] / z, tempered[2] / z
-
-
-def table2_rows(scale: float = 1.0) -> list[dict]:
-    """Rows for the Table 2 reproduction bench: paper value vs generated."""
-    rows = []
-    for key in DATASET_ORDER:
-        spec = TABLE2[key]
-        vertices, edges = shape(key, scale)
-        rows.append({
-            "name": key,
-            "paper_vertices": spec.num_vertices,
-            "paper_edges": spec.num_edges,
-            "paper_degree": spec.degree,
-            "generated_vertices": vertices,
-            "generated_edges": edges,
-            "generated_degree": edges / vertices,
-            "description": spec.description,
-        })
-    return rows

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CapacityError
-from repro.graph.csr import CSRGraph, MemoryFootprint
+from repro.graph.csr import CSRGraph
 
 
 @dataclass(frozen=True)
@@ -116,18 +116,3 @@ def _slice_fits(s: GraphSlice, graph: CSRGraph, budget_bytes: int,
     slice_edge_bytes = int(s.num_edges * per_edge_bits / 8)
     fixed = fp.offset_bytes + fp.property_bytes + fp.active_and_tproperty_bytes
     return fixed + slice_edge_bytes <= budget_bytes
-
-
-def validate_partition(graph: CSRGraph, slices: list[GraphSlice]) -> None:
-    """Check that slices exactly tile the graph's edges (test helper)."""
-    total = sum(s.num_edges for s in slices)
-    if total != graph.num_edges:
-        raise CapacityError(
-            f"slices cover {total} edges but graph has {graph.num_edges}")
-    prev_hi = 0
-    for s in sorted(slices, key=lambda s: s.index):
-        if s.dst_lo != prev_hi:
-            raise CapacityError(f"slice {s.index} starts at {s.dst_lo}, expected {prev_hi}")
-        prev_hi = s.dst_hi
-    if prev_hi != graph.num_vertices:
-        raise CapacityError(f"last slice ends at {prev_hi}, expected {graph.num_vertices}")

@@ -1,10 +1,9 @@
-"""Hardware primitives: FIFOs, arbiters, crossbars, banked SRAM, and the
-calibrated timing / area / power models."""
+"""Hardware primitives: FIFOs, arbiters, crossbars, and the calibrated
+timing / area / power models."""
 
-from repro.hw.arbiter import GreedyClaimArbiter, OddEvenArbiter, RoundRobinArbiter
+from repro.hw.arbiter import GreedyClaimArbiter, OddEvenArbiter
 from repro.hw.crossbar import ArbitratedCrossbar
-from repro.hw.fifo import Fifo, MultiWriteFifo
-from repro.hw.sram import BankedMemory
+from repro.hw.fifo import Fifo
 from repro.hw.timing import (
     FIG4_PORT_SWEEP,
     TARGET_FREQUENCY_GHZ,
@@ -25,12 +24,9 @@ from repro.hw.power import (
 
 __all__ = [
     "Fifo",
-    "MultiWriteFifo",
-    "RoundRobinArbiter",
     "OddEvenArbiter",
     "GreedyClaimArbiter",
     "ArbitratedCrossbar",
-    "BankedMemory",
     "FIG4_PORT_SWEEP",
     "TARGET_FREQUENCY_GHZ",
     "crossbar_critical_path_ns",

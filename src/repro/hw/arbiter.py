@@ -1,7 +1,7 @@
-"""Arbitration policies used at the three conflict sites.
+"""Arbitration policies for Offset Array access (conflict site 1).
 
-* :class:`RoundRobinArbiter` — per-resource rotating priority, the
-  classic crossbar output arbiter (GraphDynS-style sites).
+* :class:`GreedyClaimArbiter` — the centralized baseline's serial
+  priority chain across all channels (GraphDynS-style).
 * :class:`OddEvenArbiter` — the paper's §4.1 "alternating priority"
   arbiter for Offset Array access: odd and even channels alternately
   have the higher priority, so prioritized channels issue immediately
@@ -11,42 +11,7 @@
 
 from __future__ import annotations
 
-from repro.errors import ConfigError, SimulationError
-
-
-class RoundRobinArbiter:
-    """Grant one requester per cycle, rotating priority after each grant."""
-
-    def __init__(self, num_requesters: int) -> None:
-        if num_requesters < 1:
-            raise ConfigError("arbiter needs at least one requester")
-        self.num_requesters = num_requesters
-        self._next = 0
-        self.grants = 0
-        self.conflicts = 0
-
-    def arbitrate(self, requests: list[bool]) -> int | None:
-        """Return the granted requester index, or None if no requests.
-
-        ``requests[i]`` is True when requester ``i`` wants the resource
-        this cycle.  Counts every losing requester as one conflict.
-        """
-        if len(requests) != self.num_requesters:
-            raise ConfigError(
-                f"expected {self.num_requesters} request lines, got {len(requests)}")
-        want = [i for i in range(self.num_requesters) if requests[i]]
-        if not want:
-            return None
-        for off in range(self.num_requesters):
-            idx = (self._next + off) % self.num_requesters
-            if requests[idx]:
-                self._next = (idx + 1) % self.num_requesters
-                self.grants += 1
-                self.conflicts += len(want) - 1
-                return idx
-        raise SimulationError(
-            "round-robin scan found no requester despite a non-empty "
-            "want set — arbiter state is inconsistent")
+from repro.errors import ConfigError
 
 
 class OddEvenArbiter:
@@ -65,7 +30,6 @@ class OddEvenArbiter:
             raise ConfigError("odd-even arbiter needs at least one channel")
         self.num_channels = num_channels
         self.parity = 0           # 0: even channels prioritized, 1: odd
-        self.grants = 0
         self.deferrals = 0
 
     def arbitrate(self, requests: list[tuple[tuple[int, int], ...] | None]) -> list[int]:
@@ -103,7 +67,6 @@ class OddEvenArbiter:
                 self.deferrals += 1
 
         self.parity ^= 1
-        self.grants += len(granted)
         return granted
 
 
@@ -117,41 +80,33 @@ class GreedyClaimArbiter:
     is a serial priority chain across *all* channels, which is exactly
     the design centralization the paper criticizes.
 
-    ``merge_same_address`` defaults to False: broadcast reads of a
-    shared (bank, address) are the §4.1 odd–even arbiter's trick; the
-    plain crossbar-arbitrated baseline claims a bank port exclusively.
+    A granted channel claims its banks exclusively: broadcast reads of a
+    shared (bank, address) are the §4.1 odd–even arbiter's trick, which
+    the plain crossbar-arbitrated baseline does not have.
     """
 
-    def __init__(self, num_channels: int, merge_same_address: bool = False) -> None:
+    def __init__(self, num_channels: int) -> None:
         if num_channels < 1:
             raise ConfigError("arbiter needs at least one channel")
         self.num_channels = num_channels
-        self.merge_same_address = merge_same_address
         self._start = 0
-        self.grants = 0
         self.deferrals = 0
 
     def arbitrate(self, requests: list[tuple[tuple[int, int], ...] | None]) -> list[int]:
         if len(requests) != self.num_channels:
             raise ConfigError(
                 f"expected {self.num_channels} request slots, got {len(requests)}")
-        claimed: dict[int, int] = {}
+        claimed: set[int] = set()
         granted: list[int] = []
         for off in range(self.num_channels):
             i = (self._start + off) % self.num_channels
             reads = requests[i]
             if reads is None:
                 continue
-            if self.merge_same_address:
-                ok = all(claimed.get(bank, addr) == addr for bank, addr in reads)
-            else:
-                ok = all(bank not in claimed for bank, addr in reads)
-            if ok:
-                for bank, addr in reads:
-                    claimed[bank] = addr
+            if all(bank not in claimed for bank, _ in reads):
+                claimed.update(bank for bank, _ in reads)
                 granted.append(i)
             else:
                 self.deferrals += 1
         self._start = (self._start + 1) % self.num_channels
-        self.grants += len(granted)
         return granted

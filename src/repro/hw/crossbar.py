@@ -40,10 +40,7 @@ class ArbitratedCrossbar:
         #: the input FIFO's tail (``combine_fn(tail, new) -> merged|None``),
         #: e.g. GraphDynS-style update coalescing before the crossbar.
         self._combine = combine_fn
-        self.combined = 0
-        self.delivered = 0
         self.conflicts = 0             # losing requesters, summed per cycle
-        self.cycles = 0
 
     # ------------------------------------------------------------------
     def can_offer(self, i: int) -> bool:
@@ -60,7 +57,6 @@ class ArbitratedCrossbar:
                 merged = self._combine(tail_payload, payload)
                 if merged is not None:
                     fifo.replace_tail((dest, merged))
-                    self.combined += 1
                     return True
         if fifo.full:
             return False
@@ -86,7 +82,6 @@ class ArbitratedCrossbar:
         if len(output_budget) != self.num_outputs:
             raise ConfigError(
                 f"expected {self.num_outputs} budgets, got {len(output_budget)}")
-        self.cycles += 1
         # Gather head requests per destination.
         requesters: dict[int, list[int]] = {}
         for i, fifo in enumerate(self.inputs):
@@ -109,5 +104,4 @@ class ArbitratedCrossbar:
                 delivered.append((dest_, payload))
                 self._rr[dest] = (i + 1) % self.num_inputs
             self.conflicts += len(inputs) - grants
-        self.delivered += len(delivered)
         return delivered

@@ -1,12 +1,12 @@
-"""Cycle-level FIFO models, including the paper's nW1R FIFO.
+"""Bounded cycle-level FIFO.
 
-An ``nW1R`` FIFO (n-Write-1-Read) "can input n datums and output one
-datum in each cycle" (paper §3.1).  The paper's criticism of scaling n —
-"the FIFO can accept data only when the remaining capacity is not less
-than n" — is modelled by :meth:`MultiWriteFifo.ready`, which is exactly
-the conservative full-signal a hardware nW1R FIFO exposes to its
-writers.  MDP-network keeps n small (the radix), which is the whole
-point of the design.
+The paper's nW1R FIFO (n-Write-1-Read) "can input n datums and output
+one datum in each cycle" (§3.1), and "can accept data only when the
+remaining capacity is not less than n".  That conservative full signal
+lives where the MDP-network's stage FIFOs are modelled:
+:meth:`repro.mdp.network.MdpNetworkSim._ready` (free slots >= radix).
+MDP-network keeps n small (the radix), which is the whole point of the
+design.
 """
 
 from __future__ import annotations
@@ -17,22 +17,20 @@ from repro.errors import ConfigError, FifoOverflowError
 
 
 class Fifo:
-    """Bounded FIFO with occupancy statistics.
+    """Bounded FIFO.
 
     The simulator calls :meth:`push`/:meth:`pop` at most once per
     element per cycle; scheduling order guarantees single-cycle flow
     semantics, so no explicit two-phase commit is needed here.
     """
 
-    __slots__ = ("capacity", "_items", "peak_occupancy", "total_pushes")
+    __slots__ = ("capacity", "_items")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ConfigError(f"FIFO capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._items: deque = deque()
-        self.peak_occupancy = 0
-        self.total_pushes = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -55,9 +53,6 @@ class Fifo:
                 f"push to full FIFO (writer ignored backpressure): "
                 f"occupancy {len(self._items)}/{self.capacity}")
         self._items.append(item)
-        self.total_pushes += 1
-        if len(self._items) > self.peak_occupancy:
-            self.peak_occupancy = len(self._items)
 
     def pop(self):
         return self._items.popleft()
@@ -73,63 +68,6 @@ class Fifo:
         """Overwrite the most recently pushed item in place."""
         self._items[-1] = item
 
-    def clear(self) -> None:
-        """Empty the FIFO *and* reset its statistics.
-
-        ``clear()`` models a reset pulse between independent runs, so a
-        reused FIFO must not leak the previous run's ``peak_occupancy``
-        / ``total_pushes`` into the next one's accounting.
-        """
-        self._items.clear()
-        self.reset_stats()
-
-    def reset_stats(self) -> None:
-        """Zero the occupancy statistics without touching the contents."""
-        self.peak_occupancy = 0
-        self.total_pushes = 0
-
     def __iter__(self):
         return iter(self._items)
 
-
-class MultiWriteFifo(Fifo):
-    """The paper's nW1R FIFO: up to ``write_ports`` pushes per cycle.
-
-    :meth:`ready` implements the conservative acceptance rule from §3.1:
-    writers may only push when ``free >= write_ports``, because the FIFO
-    cannot know how many of its ports will fire this cycle.  This is the
-    source of the "large requirement and low utilization of buffer
-    capacity" the paper attributes to large-n nW1R FIFOs — and of the
-    buffer-efficiency advantage of radix-2 MDP stages.
-    """
-
-    __slots__ = ("write_ports",)
-
-    def __init__(self, capacity: int, write_ports: int) -> None:
-        if write_ports < 1:
-            raise ConfigError(f"write_ports must be >= 1, got {write_ports}")
-        if capacity < write_ports:
-            raise ConfigError(
-                f"nW1R FIFO needs capacity >= write ports ({capacity} < {write_ports})")
-        super().__init__(capacity)
-        self.write_ports = write_ports
-
-    @property
-    def ready(self) -> bool:
-        """True when all ``write_ports`` writers may push this cycle."""
-        return self.free >= self.write_ports
-
-    def push_many(self, items) -> None:
-        items = list(items)
-        if len(items) > self.write_ports:
-            raise FifoOverflowError(
-                f"{len(items)} pushes exceed {self.write_ports} write ports "
-                f"(capacity {self.capacity}, occupancy {len(self._items)})")
-        if len(items) > self.free:
-            raise FifoOverflowError(
-                f"multi-write overflow (writers ignored ready): {len(items)} "
-                f"pushes into {self.free} free slots (capacity "
-                f"{self.capacity}, occupancy {len(self._items)}, "
-                f"{self.write_ports} write ports)")
-        for item in items:
-            self.push(item)

@@ -92,7 +92,6 @@ def design_frequency_ghz(
     crossbar_ports: int | None = None,
     mdp_channels: int | None = None,
     mdp_radix: int = 2,
-    target_ghz: float = TARGET_FREQUENCY_GHZ,
 ) -> float:
     """Frequency of a whole design: slowest structure, capped at target.
 
@@ -108,8 +107,8 @@ def design_frequency_ghz(
     if mdp_channels is not None and mdp_channels >= 2:
         critical_ns = max(critical_ns, mdp_critical_path_ns(mdp_channels, mdp_radix))
     if critical_ns <= 0.0:
-        return target_ghz
-    return min(target_ghz, 1.0 / critical_ns)
+        return TARGET_FREQUENCY_GHZ
+    return min(TARGET_FREQUENCY_GHZ, 1.0 / critical_ns)
 
 
 def fig4_rows() -> list[dict]:

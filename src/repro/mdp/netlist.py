@@ -66,9 +66,6 @@ class Netlist:
         """Total storage bits across every stage FIFO."""
         return self.num_fifos * self.fifo_depth * self.data_width
 
-    def instances_by_stage(self, stage: int) -> list[FifoInst]:
-        return [f for f in self.fifos if f.stage == stage]
-
 
 def build_netlist(channels: int, radix: int = 2, fifo_depth: int = 32,
                   data_width: int = 38, plan: NetworkPlan | None = None) -> Netlist:

@@ -75,12 +75,8 @@ class MdpNetworkSim:
                     per_pos[p] = entry
             self._route.append(per_pos)  # type: ignore[arg-type]
         # statistics
-        self.offered = 0
         self.rejected_offers = 0
-        self.delivered = 0
         self.stall_events = 0          # head could not advance (downstream full)
-        self.cycles = 0
-        self.occupancy_integral = 0
 
     # ------------------------------------------------------------------
     def _ready(self, stage: int, pos: int) -> bool:
@@ -101,13 +97,11 @@ class MdpNetworkSim:
                 if merged is not None:
                     queue[-1] = (dest, merged)
                     self.combined += 1
-                    self.offered += 1
                     return True
         if self.fifo_depth - len(queue) < self.radix:
             self.rejected_offers += 1
             return False
         queue.append((dest, payload))
-        self.offered += 1
         return True
 
     def can_offer(self, channel: int, dest: int) -> bool:
@@ -128,12 +122,10 @@ class MdpNetworkSim:
                     raise SimulationError(
                         f"MDP routing invariant broken: dest {dest} at position {p}")
                 out.append((dest, payload))
-        self.delivered += len(out)
         return out
 
     def advance(self) -> None:
         """Move heads one stage forward, last stage first."""
-        self.cycles += 1
         radix = self.radix
         depth = self.fifo_depth
         combine = self._combine
@@ -175,7 +167,3 @@ class MdpNetworkSim:
     @property
     def drained(self) -> bool:
         return all(not q for stage in self.stage_queues for q in stage)
-
-    def note_occupancy(self) -> None:
-        """Accumulate occupancy statistics (call once per cycle if wanted)."""
-        self.occupancy_integral += self.occupancy

@@ -7,8 +7,8 @@ A front-end request ``{Off, nOff}`` covers the edge indices
 ``[Off, nOff)``; those map onto interleaved Edge Array banks
 ``index mod m``.  The Replay Engine replays the request as pieces whose
 bank spans are contiguous and **non-wrapping** (a piece never crosses
-the bank m-1 -> 0 boundary) and no longer than ``max_len`` (default m,
-the full bank window).  Non-wrapping pieces are what lets every later
+the bank m-1 -> 0 boundary), so no piece is longer than m, the full
+bank window.  Non-wrapping pieces are what lets every later
 MDP stage split a piece into at most ``radix`` contiguous sub-pieces.
 """
 
@@ -19,9 +19,8 @@ from collections import deque
 from repro.errors import ConfigError
 
 
-def split_request(off: int, length: int, banks: int,
-                  max_len: int | None = None) -> list[tuple[int, int]]:
-    """Split ``{Off, Len}`` into non-wrapping pieces of bounded length.
+def split_request(off: int, length: int, banks: int) -> list[tuple[int, int]]:
+    """Split ``{Off, Len}`` into non-wrapping pieces.
 
     Pure function used by :class:`ReplayEngine` and by tests; the
     concatenation of the returned ``(off, len)`` pieces is exactly the
@@ -31,13 +30,9 @@ def split_request(off: int, length: int, banks: int,
         raise ConfigError(f"banks must be >= 1, got {banks}")
     if length < 0 or off < 0:
         raise ConfigError(f"invalid request off={off} len={length}")
-    limit = banks if max_len is None else max_len
-    if limit < 1:
-        raise ConfigError(f"max_len must be >= 1, got {limit}")
     pieces = []
     while length > 0:
-        start_bank = off % banks
-        take = min(length, banks - start_bank, limit)
+        take = min(length, banks - off % banks)
         pieces.append((off, take))
         off += take
         length -= take
@@ -55,12 +50,10 @@ class ReplayEngine:
     allocator comes from.
     """
 
-    def __init__(self, banks: int, max_len: int | None = None,
-                 queue_depth: int = 8) -> None:
+    def __init__(self, banks: int, queue_depth: int = 8) -> None:
         if queue_depth < 1:
             raise ConfigError("queue_depth must be >= 1")
         self.banks = banks
-        self.max_len = banks if max_len is None else max_len
         self.queue_depth = queue_depth
         self._pending: deque = deque()   # (off, len, payload) requests
         self._pieces: deque = deque()    # pieces of the request in flight
@@ -87,7 +80,7 @@ class ReplayEngine:
         """The piece to present this cycle, or None (does not consume)."""
         if not self._pieces and self._pending:
             off, length, payload = self._pending.popleft()
-            for p_off, p_len in split_request(off, length, self.banks, self.max_len):
+            for p_off, p_len in split_request(off, length, self.banks):
                 self._pieces.append((p_off, p_len, payload))
         return self._pieces[0] if self._pieces else None
 

@@ -42,7 +42,7 @@ from repro.sweep.jobs import GraphSpec, SweepJob
 #: Bumped on any incompatible wire change.  Version negotiation is
 #: deliberately absent: both ends ship in one repo, so a mismatch means
 #: a stale daemon — the right fix is a reload/restart, not compat glue.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 _MESSAGE_TYPES: dict[str, type] = {}
 

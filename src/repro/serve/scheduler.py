@@ -1,7 +1,7 @@
 """The serve job queue: content-addressed dedup of submitted jobs.
 
 Jobs are identified by their sweep cache key — graph fingerprint,
-config hash, engine equivalence class, code version — which gives the
+algorithm, config hash, run parameters, code version — which gives the
 scheduler two tiers of "don't simulate again", checked in order:
 
 1. **result cache** — the entry already exists: a hit, no work;

@@ -29,7 +29,6 @@ behind it (another process's ``cache gc``) is a miss.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
@@ -120,8 +119,7 @@ def _signature(st: os.stat_result) -> tuple[int, int, int]:
 def _fresh(stats: SimStats) -> SimStats:
     """A copy the caller may mutate without touching the resident one
     (built from the fields directly: a quarter of ``replace``'s cost)."""
-    extra = copy.deepcopy(stats.extra) if stats.extra else {}
-    return SimStats(**{**vars(stats), "extra": extra})
+    return SimStats(**vars(stats))
 
 
 class ResultCache:
@@ -146,7 +144,7 @@ class ResultCache:
 
         A resident entry whose file still has the signature it was read
         with is answered without opening the file.  Every call returns
-        a fresh :class:`SimStats` with its own ``extra`` dict.
+        a fresh :class:`SimStats`, which the caller may change.
         """
         resident = self._resident.get(key)
         if resident is not None:

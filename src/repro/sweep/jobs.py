@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.accel.config import AcceleratorConfig
-from repro.accel.engine import engine_cache_token
+from repro.accel.engine import resolve_engine
 from repro.algorithms import make_algorithm
 from repro.errors import SweepError
 from repro.graph.csr import CSRGraph
@@ -81,9 +82,8 @@ class SweepJob:
     #: mode only; ignored when ``num_slices == 1``)
     offchip_bytes_per_cycle: float = 64.0
     #: scatter engine ("reference" / "soa"); None defers to
-    #: ``$REPRO_ENGINE``, then ``DEFAULT_ENGINE``.  Only the engine's
-    #: *equivalence class* enters the cache key, so verified-equivalent
-    #: engines share cache entries.
+    #: ``$REPRO_ENGINE``, then ``DEFAULT_ENGINE``.  Not key material:
+    #: both engines produce identical stats, so they share cache entries.
     engine: str | None = None
     #: caller-owned labels (dataset key, config name, swept-axis values ...)
     tags: dict[str, Any] = field(default_factory=dict)
@@ -101,23 +101,21 @@ class SweepJob:
         """Content-addressed identity of this job's *result*.
 
         Key material: graph fingerprint, algorithm (+ kwargs), config
-        hash, run parameters, the simulator code version — so any
+        hash, run parameters and the simulator code version, so any
         change to the simulation semantics invalidates the cache without
-        manual versioning — and the engine *equivalence class*: results
-        from the reference and soa engines share entries exactly while
-        the two are verified cycle-exact against each other (see
-        :func:`repro.accel.engine.engine_cache_token`).
+        manual versioning.  The engine is not key material (see
+        :mod:`repro.accel.engine`), but an unknown one, named here or
+        by ``$REPRO_ENGINE``, raises :class:`~repro.errors.ConfigError`
+        here, before any cache is read.
 
         Kept in the instance's ``__dict__`` (outside the fields, so
-        equality and ``replace`` ignore it) with the code version and
-        engine token it was derived under; another version, or another
-        ``$REPRO_ENGINE`` class for a job that leaves ``engine`` unset,
-        derives the key again.
+        equality and ``replace`` ignore it) with the code version it was
+        derived under; another version derives the key again.
         """
-        engine = engine_cache_token(self.engine)
+        resolve_engine(self.engine)
         memo = self.__dict__.get("_cache_key")
-        if memo is not None and memo[0] == code_version and memo[1] == engine:
-            return memo[2]
+        if memo is not None and memo[0] == code_version:
+            return memo[1]
         payload = json.dumps({
             "graph": graph_fingerprint(self.graph),
             "algorithm": self.algorithm,
@@ -128,11 +126,10 @@ class SweepJob:
             "num_slices": self.num_slices,
             "offchip_bytes_per_cycle":
                 self.offchip_bytes_per_cycle if self.num_slices > 1 else None,
-            "engine": engine,
             "code": code_version,
         }, sort_keys=True, separators=(",", ":"))
         key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        self.__dict__["_cache_key"] = (code_version, engine, key)
+        self.__dict__["_cache_key"] = (code_version, key)
         return key
 
     def cost_hint(self) -> float:
@@ -163,6 +160,38 @@ class SweepJob:
 # ----------------------------------------------------------------------
 # Planning
 # ----------------------------------------------------------------------
+
+#: the type every value of a sweep axis must have: its config field's
+#: (each field's default is an int, a bool or a str)
+_AXIS_TYPES = types.MappingProxyType(
+    {f.name: type(f.default) for f in fields(AcceleratorConfig)})
+_BOOLS = types.MappingProxyType(
+    {"true": True, "1": True, "false": False, "0": False})
+
+
+def parse_axis_value(name: str, text: str):
+    """One ``--axis`` value, parsed as the type of config field ``name``:
+    an int, a bool spelled true/false/1/0, or a str (also for a field
+    that does not exist, which :func:`plan_jobs` then names)."""
+    kind = _AXIS_TYPES.get(name, str)
+    if kind is str:
+        return text
+    if kind is bool:
+        value = _BOOLS.get(text.lower())
+    else:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+    if value is None:
+        raise _bad_axis_value(name, text)
+    return value
+
+
+def _bad_axis_value(name: str, value) -> SweepError:
+    return SweepError(f"sweep axis {name}: {value!r} is not "
+                      f"{_AXIS_TYPES[name].__name__}")
+
 
 def _normalize_algorithm(entry) -> tuple[str, dict]:
     if isinstance(entry, str):
@@ -215,12 +244,22 @@ def plan_jobs(
     maps label -> config (or is a plain iterable, labelled by
     ``config.name``).  ``sweep_axes`` maps :class:`AcceleratorConfig`
     field names to value lists and multiplies every config by the
-    cartesian product of the axes (applied via ``config.with_``).
+    cartesian product of the axes (applied via ``config.with_``); an
+    unknown field, or a value that is not of its field's type, raises
+    :class:`~repro.errors.SweepError`.
 
     Job order is the nested loop graph > algorithm > config > axes, with
     graphs outermost, so jobs on one graph run close together.  Each job is tagged with ``graph``,
     ``algorithm``, ``config`` and one tag per swept axis.
     """
+    if sweep_axes:
+        unknown = sorted(set(sweep_axes) - set(_AXIS_TYPES))
+        if unknown:
+            raise SweepError(f"unknown sweep axis field(s): {unknown}")
+        for name, values in sweep_axes.items():
+            for value in values:
+                if type(value) is not _AXIS_TYPES[name]:
+                    raise _bad_axis_value(name, value)
     if isinstance(configs, Mapping):
         config_items = list(configs.items())
     else:
@@ -240,12 +279,7 @@ def plan_jobs(
         for alg_name, alg_kwargs in alg_items:
             for cfg_label, cfg in config_items:
                 for combo in _axis_combos(sweep_axes):
-                    try:
-                        job_cfg = cfg.with_(**combo) if combo else cfg
-                    except TypeError:
-                        unknown = set(combo) - {f for f in cfg.to_dict()}
-                        raise SweepError(
-                            f"unknown sweep axis field(s): {sorted(unknown)}")
+                    job_cfg = cfg.with_(**combo) if combo else cfg
                     jobs.append(SweepJob(
                         graph=graph,
                         algorithm=alg_name,

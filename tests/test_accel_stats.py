@@ -1,8 +1,22 @@
-"""Unit tests for SimStats derived metrics."""
+"""Unit tests for SimStats derived metrics, and a check that every
+counter is written by both engines."""
+
+import dataclasses
 
 import pytest
 
-from repro.accel import SimStats
+from repro.accel import (
+    AcceleratorSim,
+    SimStats,
+    SlicedAcceleratorSim,
+    ablation,
+    graphdyns,
+    higraph,
+    higraph_mini,
+)
+from repro.accel.engine import ENGINES, SoaEngine
+from repro.algorithms import make_algorithm
+from repro.graph import partition_by_destination, rmat
 
 
 def make(cycles=1000, edges=8000, freq=1.0, **kw):
@@ -45,13 +59,6 @@ class TestDerivedMetrics:
         a, b = make(freq=1.0), make(freq=0.5)
         assert a.speedup_over(b) == pytest.approx(2.0)
 
-    def test_vpe_utilization(self):
-        s = make()
-        s.vpe_busy_cycles = 75
-        s.vpe_starvation_cycles = 25
-        assert s.vpe_utilization == pytest.approx(0.75)
-        assert SimStats().vpe_utilization == 0.0
-
     def test_edges_per_cycle(self):
         assert make().edges_per_cycle == pytest.approx(8.0)
 
@@ -62,24 +69,66 @@ class TestDerivedMetrics:
             assert key in s
 
 
+# ----------------------------------------------------------------------
+# Every counter gets written
+# ----------------------------------------------------------------------
+
+#: every int and float SimStats field: the counters an engine fills
+COUNTERS = [f.name for f in dataclasses.fields(SimStats)
+            if type(f.default) in (int, float)]
+
+
+def _counter_runs(engine: str) -> list[SimStats]:
+    """Nine runs that between them exercise every site implementation,
+    both iteration kinds and the sliced simulator."""
+    graph = rmat(9, 6.0, seed=3)
+    sims = [AcceleratorSim(maker(), graph, make_algorithm(name, **kwargs),
+                           engine=engine)
+            for maker in (higraph, higraph_mini, graphdyns, ablation)
+            for name, kwargs in (("BFS", {}), ("PR", {"iterations": 2}))]
+    sliced = SlicedAcceleratorSim(
+        higraph(), graph, make_algorithm("PR", iterations=2),
+        slices=partition_by_destination(graph, 4),
+        offchip_bytes_per_cycle=1.0, engine=engine)
+    engines = [sim.engine for sim in (*sims, *sliced.slice_sims)]
+    if engine == "soa" and not all(isinstance(e, SoaEngine) for e in engines):
+        pytest.skip("no soa kernel here: every soa run fell back")
+    return [sim.run().stats for sim in (*sims, sliced)]
+
+
+@pytest.fixture(scope="module")
+def counter_runs():
+    return {engine: _counter_runs(engine) for engine in ENGINES}
+
+
 class TestEveryCounterIsWritten:
+    """A counter no engine writes reads 0 in every table and shows
+    nothing; the differential law cannot see it, since both engines
+    agree on 0."""
+
     def test_sliced_pagerank_writes_every_integer_counter(self):
         """A counter nothing writes is dead weight in every cache entry,
         serve reply and ``to_dict()``.  A 2-slice GraphDynS PageRank run
         touches every conflict site, so each integer field must be
         nonzero."""
-        from dataclasses import fields
-
-        from repro.accel import SlicedAcceleratorSim, graphdyns
-        from repro.algorithms import make_algorithm
-        from repro.graph.generators import rmat
-        from repro.graph.partition import partition_by_destination
         graph = rmat(10, 16.0)
         sim = SlicedAcceleratorSim(graphdyns(), graph,
                                    make_algorithm("PR", iterations=3),
                                    slices=partition_by_destination(graph, 2))
         stats = sim.run(source=0).stats
-        counters = {f.name: getattr(stats, f.name) for f in fields(stats)
+        counters = {f.name: getattr(stats, f.name)
+                    for f in dataclasses.fields(stats)
                     if isinstance(getattr(stats, f.name), int)}
         assert "iterations" in counters and "slice_load_cycles" in counters
         assert [name for name, value in counters.items() if not value] == []
+
+    def test_every_field_but_the_labels_is_a_counter(self):
+        labels = {"config_name", "algorithm", "graph_name"}
+        assert set(COUNTERS) == {
+            f.name for f in dataclasses.fields(SimStats)} - labels
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("counter", COUNTERS)
+    def test_counter_is_nonzero_in_some_run(self, counter_runs, engine,
+                                            counter):
+        assert any(getattr(stats, counter) for stats in counter_runs[engine])

@@ -281,10 +281,40 @@ class TestRunner:
         with pytest.raises(ConfigError):
             lint(tmp_path)
 
-    def test_syntax_error_becomes_finding(self, tmp_path):
-        write(tmp_path, "src/repro/accel/broken.py", "def f(:\n")
-        findings, _ = run_rules(tmp_path, ["module-state"])
+    @pytest.mark.parametrize("content, message", [
+        (b"def f(:\n", "syntax error: "),
+        (b"# caf\xe9\n", "not UTF-8: byte 0xe9"),
+        (None, "cannot read: "),
+    ], ids=["syntax-error", "not-utf8", "unreadable"])
+    def test_unparsed_file_is_one_finding(self, tmp_path, content, message):
+        """No rule can run on a file that does not parse, decode or
+        read, so the file itself is one ``syntax`` finding, however
+        many rules ran."""
+        path = tmp_path / "src/repro/accel/bad.py"
+        path.parent.mkdir(parents=True)
+        if content is None:
+            path.mkdir()                 # a directory that globs as .py
+        else:
+            path.write_bytes(content)
+        findings, ran = run_rules(tmp_path)
+        assert len(ran) > 1
         assert [f.rule for f in findings] == ["syntax"]
+        assert findings[0].message.startswith(message)
+
+    def test_undecodable_file_fails_the_run(self, tmp_path, capsys):
+        """The file's defects cannot pass unseen: the same module in
+        UTF-8 is a module-state finding."""
+        from repro.cli import main
+        path = tmp_path / "src/repro/accel/latin.py"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"CACHE = {}\n# caf\xe9\n")
+        report = lint(tmp_path, rule_ids=["module-state"])
+        assert [(f.rule, f.path, f.line) for f in report.findings] == [
+            ("syntax", "src/repro/accel/latin.py", 2)]
+        assert main(["lint", "--root", str(tmp_path),
+                     "--rule", "module-state"]) == 1
+        assert "latin.py:2: error: [syntax] not UTF-8: byte 0xe9" in \
+            capsys.readouterr().out
 
     def test_unknown_rule_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -139,7 +139,8 @@ class TestNoAllowComments:
         from repro.analysis.context import Project
         allows = [(ctx.relpath, lineno)
                   for ctx in Project(REPO_ROOT).modules()
-                  for lineno, text in enumerate(ctx.source.splitlines(), 1)
+                  for lineno, text in enumerate(
+                      ctx.path.read_text(encoding="utf-8").splitlines(), 1)
                   if re.search(r"#\s*lint:\s*allow", text)]
         assert allows == []
 

@@ -30,6 +30,7 @@ from repro.bench.figures import (
 )
 from repro.bench.harness import bench_algorithm_entry
 from repro.bench.regen import SECTIONS, RegenContext
+from repro.errors import GenerationError
 from repro.graph import DATASET_ORDER
 from repro.graph.datasets import SCALE_ENV_VAR
 from repro.sweep import GraphSpec, run_sweep
@@ -49,6 +50,15 @@ class TestHarness:
         assert bench_scale("R16") == 0.5
         monkeypatch.delenv(SCALE_ENV_VAR)
         assert bench_scale("R16") == DEFAULT_BENCH_SCALES["R16"]
+
+    @pytest.mark.parametrize("raw", ["abc", "", "0,5"])
+    def test_non_numeric_scale_env_names_the_variable(self, raw,
+                                                      monkeypatch):
+        monkeypatch.setenv(SCALE_ENV_VAR, raw)
+        with pytest.raises(GenerationError) as info:
+            bench_scale("VT")
+        assert str(info.value) == \
+            f"{SCALE_ENV_VAR} must be a number, got {raw!r}"
 
     def test_bench_graphs_have_bounded_size(self):
         for key in DATASET_ORDER:

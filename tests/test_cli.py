@@ -117,6 +117,37 @@ class TestSweepCommand:
         assert main(["sweep", "--datasets", "VT", "--axis", "fifo_depth"]) == 2
         assert "--axis expects" in capsys.readouterr().err
 
+    _TINY = ["sweep", "--datasets", "VT", "--scale", "0.03",
+             "--algorithms", "BFS", "--configs", "higraph", "--no-cache"]
+
+    @pytest.mark.parametrize("axis, value", [
+        ("fifo_depth", "160.5"), ("vertex_combining", "maybe"),
+        ("fifo_depth", "abc")])
+    def test_axis_value_of_another_type_fails_cleanly(self, axis, value,
+                                                      capsys):
+        """Named, with exit 2: not a traceback, not a guess at the
+        value, not an unknown-field message."""
+        assert main(self._TINY + ["--axis", f"{axis}={value}"]) == 2
+        assert f"sweep axis {axis}: {value!r} is not" in \
+            capsys.readouterr().err
+
+    def test_bool_axis_takes_0_and_1(self, capsys):
+        assert main(self._TINY + ["--axis", "vertex_combining=0,1"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[3] for row in rows[3:5]] == ["False", "True"]
+
+    def test_unknown_axis_field_is_named(self, capsys):
+        assert main(self._TINY + ["--axis", "bogus=1"]) == 2
+        assert "unknown sweep axis field(s): ['bogus']" in \
+            capsys.readouterr().err
+
+    def test_non_numeric_scale_env_fails_cleanly(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "abc")
+        argv = [arg for arg in self._TINY if arg not in ("--scale", "0.03")]
+        assert main(argv) == 2
+        assert "REPRO_SCALE must be a number, got 'abc'" in \
+            capsys.readouterr().err
+
 
 class TestSweepFigure:
     def test_figure_runs_pure_section(self, capsys):

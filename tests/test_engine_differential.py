@@ -46,7 +46,6 @@ from repro.accel import (
     PipelineTracer,
     SlicedAcceleratorSim,
     ablation,
-    engine_cache_token,
     graphdyns,
     higraph,
     higraph_mini,
@@ -64,7 +63,6 @@ from repro.accel.engine import soa as soa_module
 from repro.accel.engine import soakernel
 from repro.accel.stats import SimStats
 from repro.algorithms import PAPER_ALGORITHMS, make_algorithm, run_reference
-from repro.algorithms.base import _SCALAR_REDUCE
 from repro.bench.harness import matrix_jobs, paper_configs
 from repro.errors import ConfigError, SimulationError
 from repro.graph import DATASET_ORDER
@@ -414,21 +412,6 @@ class TestEngineSelection:
                               _make_algorithm("BFS")).engine_name == "reference"
         monkeypatch.setenv(ENGINE_ENV_VAR, "soa")
         assert resolve_engine(None) == "soa"
-
-    def test_engines_share_cache_token(self):
-        """Verified-equivalent engines must alias their cache entries."""
-        assert engine_cache_token("reference") == engine_cache_token("soa")
-
-    def test_every_engine_has_an_equivalence_entry(self):
-        """engine_cache_token() raises for an engine without a class,
-        and an entry naming no registered engine is stale."""
-        from repro.accel.engine import registry
-        assert set(registry._ENGINE_EQUIVALENCE) == set(ENGINES)
-
-    def test_equivalence_map_is_frozen(self):
-        from repro.accel.engine import registry
-        with pytest.raises(TypeError):
-            registry._ENGINE_EQUIVALENCE["soa"] = "tampered"
 
     def test_engine_choice_does_not_change_cache_key(self):
         from repro.sweep import SweepJob
@@ -945,9 +928,13 @@ class TestSelfDescribingLayout:
             st.fifo_dpeth = 4
 
     def test_scalar_reduce_ops_are_the_kernel_reduce_codes(self):
+        """Every reduce form a shipped algorithm declares has a kernel
+        code, and every kernel code is some algorithm's form."""
         _kernel_or_skip()
         consts = soakernel.load_kernel().consts
-        assert set(soa_module._RED_CODES) == set(_SCALAR_REDUCE)
+        declared = {make_algorithm(name).reduce_op
+                    for name in (*PAPER_ALGORITHMS, "CC", "REACH")}
+        assert set(soa_module._RED_CODES) == declared
         assert set(soa_module._RED_CODES.values()) == {
             name for name in consts if name.startswith("RED_")}
 

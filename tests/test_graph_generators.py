@@ -91,7 +91,7 @@ class TestOtherGenerators:
     def test_star(self):
         g = star(3)
         assert g.num_vertices == 4
-        assert list(g.neighbors(0)) == [1, 2, 3]
+        assert list(g.edges()) == [(0, 1, 1), (0, 2, 1), (0, 3, 1)]
 
     def test_inverse_star_hotspot(self):
         g = inverse_star(5)
@@ -100,7 +100,7 @@ class TestOtherGenerators:
     def test_complete(self):
         g = complete(4)
         assert g.num_edges == 12
-        assert 1 not in g.neighbors(1)
+        assert all(s != d for s, d, _ in g.edges())
 
     def test_grid_2d_degrees(self):
         g = grid_2d(3, 3)
@@ -171,11 +171,10 @@ class TestDatasets:
         with pytest.raises(GenerationError):
             datasets.shape("VT", scale=0.0)
 
-    def test_table2_rows_structure(self):
-        from repro.graph import table2_rows
-        rows = table2_rows(scale=0.05)
-        assert len(rows) == 6
-        assert {r["name"] for r in rows} == {"VT", "EP", "SL", "TW", "R14", "R16"}
-        for r in rows:
-            assert r["generated_degree"] == pytest.approx(
-                r["paper_edges"] / r["paper_vertices"], rel=0.01)
+    def test_shape_preserves_paper_degree(self):
+        from repro.graph import DATASET_ORDER, TABLE2, datasets
+        for key in DATASET_ORDER:
+            vertices, edges = datasets.shape(key, 0.05)
+            spec = TABLE2[key]
+            assert edges / vertices == pytest.approx(
+                spec.num_edges / spec.num_vertices, rel=0.01)

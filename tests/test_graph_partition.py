@@ -1,6 +1,5 @@
-"""Tests for graph slicing (paper §5.3 Discussion) and serialization."""
+"""Tests for graph slicing (paper §5.3 Discussion)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,16 +9,20 @@ from repro.graph import (
     CSRGraph,
     destination_slice_edges,
     erdos_renyi,
-    load_edge_list,
-    load_npz,
     partition_by_destination,
     partition_for_budget,
     rmat,
-    save_edge_list,
-    save_npz,
     slice_count_for_budget,
-    validate_partition,
 )
+
+
+def assert_tiles(graph, slices):
+    """The slices' destination intervals cover [0, V) in order, and
+    together they hold every edge exactly once."""
+    assert sum(s.num_edges for s in slices) == graph.num_edges
+    bounds = [(s.dst_lo, s.dst_hi) for s in sorted(slices, key=lambda s: s.index)]
+    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+    assert bounds[-1][1] == graph.num_vertices
 
 
 class TestPartition:
@@ -28,12 +31,12 @@ class TestPartition:
         budget = g.memory_footprint().total_bytes + 1024
         slices = partition_for_budget(g, budget)
         assert len(slices) == 1
-        validate_partition(g, slices)
+        assert_tiles(g, slices)
 
     def test_slices_tile_edges(self):
         g = rmat(8, 8.0, seed=4)
         slices = partition_by_destination(g, 4)
-        validate_partition(g, slices)
+        assert_tiles(g, slices)
         assert sum(s.num_edges for s in slices) == g.num_edges
 
     def test_each_slice_respects_interval(self):
@@ -51,7 +54,7 @@ class TestPartition:
                   + (full.edge_bytes + full.edge_info_bytes) // 3)
         slices = partition_for_budget(g, budget)
         assert len(slices) >= 3
-        validate_partition(g, slices)
+        assert_tiles(g, slices)
 
     def test_impossible_budget_rejected(self):
         g = rmat(8, 4.0, seed=6)
@@ -62,12 +65,11 @@ class TestPartition:
         with pytest.raises(CapacityError):
             partition_by_destination(rmat(4, 2.0), 0)
 
-    def test_validate_partition_detects_gap(self):
+    def test_tiling_oracle_detects_gap(self):
         g = erdos_renyi(32, 64, seed=1)
         slices = partition_by_destination(g, 2)
-        bad = [slices[0]]
-        with pytest.raises(CapacityError):
-            validate_partition(g, bad)
+        with pytest.raises(AssertionError):
+            assert_tiles(g, [slices[0]])
 
     @pytest.mark.parametrize("num_slices", [1, 7, 64],
                              ids=["one", "not-dividing-V", "more-than-V"])
@@ -89,49 +91,5 @@ class TestPartition:
     @settings(max_examples=16, deadline=None)
     def test_any_slice_count_tiles(self, num_slices):
         g = erdos_renyi(50, 300, seed=8)
-        validate_partition(g, partition_by_destination(g, num_slices))
+        assert_tiles(g, partition_by_destination(g, num_slices))
 
-
-class TestIO:
-    def test_edge_list_round_trip(self, tmp_path):
-        g = erdos_renyi(20, 60, seed=7, name="io-test")
-        path = tmp_path / "g.txt"
-        save_edge_list(g, path)
-        g2 = load_edge_list(path, num_vertices=20)
-        assert g == g2
-
-    def test_edge_list_without_weights_defaults_to_one(self, tmp_path):
-        path = tmp_path / "simple.txt"
-        path.write_text("# comment\n0 1\n1 2\n")
-        g = load_edge_list(path)
-        assert list(g.weights) == [1, 1]
-        assert g.num_vertices == 3
-
-    def test_edge_list_bad_line_rejected(self, tmp_path):
-        from repro.errors import GraphFormatError
-        path = tmp_path / "bad.txt"
-        path.write_text("0 1 2 3\n")
-        with pytest.raises(GraphFormatError):
-            load_edge_list(path)
-
-    def test_edge_list_non_integer_rejected(self, tmp_path):
-        from repro.errors import GraphFormatError
-        path = tmp_path / "bad2.txt"
-        path.write_text("0 x\n")
-        with pytest.raises(GraphFormatError):
-            load_edge_list(path)
-
-    def test_npz_round_trip(self, tmp_path):
-        g = rmat(7, 4.0, seed=9, name="npz-test")
-        path = tmp_path / "g.npz"
-        save_npz(g, path)
-        g2 = load_npz(path)
-        assert g == g2
-        assert g2.name == "npz-test"
-
-    def test_empty_edge_list(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        path.write_text("# nothing\n")
-        g = load_edge_list(path)
-        assert g.num_vertices == 0
-        assert g.num_edges == 0

@@ -1,46 +1,11 @@
-"""Tests for arbitration policies (round-robin, odd-even, greedy claim)."""
+"""Tests for arbitration policies (odd-even, greedy claim)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.hw import GreedyClaimArbiter, OddEvenArbiter, RoundRobinArbiter
-
-
-class TestRoundRobin:
-    def test_single_requester_wins(self):
-        arb = RoundRobinArbiter(4)
-        assert arb.arbitrate([False, True, False, False]) == 1
-
-    def test_no_request_returns_none(self):
-        arb = RoundRobinArbiter(2)
-        assert arb.arbitrate([False, False]) is None
-
-    def test_rotation_gives_fairness(self):
-        arb = RoundRobinArbiter(3)
-        winners = [arb.arbitrate([True, True, True]) for _ in range(6)]
-        assert winners == [0, 1, 2, 0, 1, 2]
-
-    def test_conflicts_counted(self):
-        arb = RoundRobinArbiter(3)
-        arb.arbitrate([True, True, True])
-        assert arb.conflicts == 2
-        assert arb.grants == 1
-
-    def test_wrong_width_rejected(self):
-        with pytest.raises(ConfigError):
-            RoundRobinArbiter(2).arbitrate([True])
-
-    @given(requests=st.lists(st.booleans(), min_size=4, max_size=4))
-    @settings(max_examples=30, deadline=None)
-    def test_grant_is_a_requester(self, requests):
-        arb = RoundRobinArbiter(4)
-        winner = arb.arbitrate(requests)
-        if winner is None:
-            assert not any(requests)
-        else:
-            assert requests[winner]
+from repro.hw import GreedyClaimArbiter, OddEvenArbiter
 
 
 def reads_for(channel, u, n):
@@ -153,17 +118,12 @@ class TestGreedyClaim:
         second = arb.arbitrate(reqs)
         assert first != second          # the loser eventually wins
 
-    def test_same_address_exclusive_by_default(self):
+    def test_same_address_is_exclusive(self):
         """The plain baseline arbiter claims bank ports exclusively —
         broadcast sharing is the §4.1 odd-even arbiter's feature."""
         arb = GreedyClaimArbiter(2)
         reqs = [((3, 7),), ((3, 7),)]
         assert len(arb.arbitrate(reqs)) == 1
-
-    def test_same_address_shares_when_merge_enabled(self):
-        arb = GreedyClaimArbiter(2, merge_same_address=True)
-        reqs = [((3, 7),), ((3, 7),)]
-        assert sorted(arb.arbitrate(reqs)) == [0, 1]
 
     def test_deferrals_counted(self):
         arb = GreedyClaimArbiter(2)

@@ -1,11 +1,11 @@
-"""Unit + property tests for FIFO models (incl. the paper's nW1R FIFO)."""
+"""Unit + property tests for the bounded FIFO model."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, FifoOverflowError, SimulationError
-from repro.hw import Fifo, MultiWriteFifo
+from repro.hw import Fifo
 
 
 class TestFifo:
@@ -34,43 +34,6 @@ class TestFifo:
         f.push(7)
         assert f.peek() == 7
         assert len(f) == 1
-
-    def test_peak_occupancy_tracked(self):
-        f = Fifo(4)
-        f.push(1)
-        f.push(2)
-        f.pop()
-        f.push(3)
-        assert f.peak_occupancy == 2
-        assert f.total_pushes == 3
-
-    def test_clear(self):
-        f = Fifo(2)
-        f.push(1)
-        f.clear()
-        assert f.empty
-
-    def test_clear_resets_stats_for_reuse(self):
-        """Regression: a cleared (reset) FIFO must not leak the previous
-        run's peak_occupancy / total_pushes into the next one."""
-        f = Fifo(4)
-        f.push(1)
-        f.push(2)
-        f.clear()
-        assert f.peak_occupancy == 0
-        assert f.total_pushes == 0
-        f.push(3)
-        assert f.peak_occupancy == 1
-        assert f.total_pushes == 1
-
-    def test_reset_stats_keeps_contents(self):
-        f = Fifo(4)
-        f.push(1)
-        f.push(2)
-        f.reset_stats()
-        assert len(f) == 2
-        assert f.peak_occupancy == 0
-        assert f.total_pushes == 0
 
     def test_overflow_error_is_actionable(self):
         f = Fifo(2)
@@ -122,70 +85,3 @@ class TestOverflowTaxonomy:
         f.push(1)
         with pytest.raises(OverflowError):
             f.push(2)
-
-    def test_push_many_over_ports_in_taxonomy(self):
-        f = MultiWriteFifo(8, write_ports=2)
-        with pytest.raises(FifoOverflowError):
-            f.push_many([1, 2, 3])
-
-    def test_push_many_over_free_in_taxonomy(self):
-        f = MultiWriteFifo(2, write_ports=2)
-        f.push(1)
-        with pytest.raises(FifoOverflowError):
-            f.push_many([2, 3])
-
-
-class TestMultiWriteFifo:
-    def test_ready_requires_n_free_slots(self):
-        """Paper §3.1: an nW1R FIFO accepts only when free >= n."""
-        f = MultiWriteFifo(4, write_ports=4)
-        assert f.ready
-        f.push(1)
-        assert not f.ready      # 3 free < 4 ports
-        f.pop()
-        assert f.ready
-
-    def test_push_many_within_ports(self):
-        f = MultiWriteFifo(4, write_ports=2)
-        f.push_many([1, 2])
-        assert len(f) == 2
-
-    def test_push_many_exceeding_ports_rejected(self):
-        f = MultiWriteFifo(8, write_ports=2)
-        with pytest.raises(OverflowError):
-            f.push_many([1, 2, 3])
-
-    def test_push_many_overflow_rejected(self):
-        f = MultiWriteFifo(2, write_ports=2)
-        f.push(1)
-        with pytest.raises(OverflowError):
-            f.push_many([2, 3])
-
-    def test_overflow_reports_capacity_occupancy_and_ports(self):
-        """Overflow reports must be actionable: capacity, occupancy and
-        write-port count all appear in the message."""
-        f = MultiWriteFifo(4, write_ports=2)
-        f.push(1)
-        f.push(2)
-        f.push(3)
-        with pytest.raises(FifoOverflowError,
-                           match=r"2 pushes into 1 free slots \(capacity 4, "
-                                 r"occupancy 3, 2 write ports\)"):
-            f.push_many([4, 5])
-        with pytest.raises(FifoOverflowError, match=r"capacity 4, occupancy 3"):
-            f.push_many([4, 5, 6])
-
-    def test_capacity_below_ports_rejected(self):
-        with pytest.raises(ConfigError):
-            MultiWriteFifo(2, write_ports=4)
-
-    def test_low_utilization_of_large_radix(self):
-        """The §3.1 criticism of the naive solution: with 32 write ports
-        and capacity 32, a single resident datum blocks all writers."""
-        f = MultiWriteFifo(32, write_ports=32)
-        f.push("stuck")
-        assert not f.ready
-        # a radix-2 FIFO with the same occupancy ratio still accepts
-        g = MultiWriteFifo(32, write_ports=2)
-        g.push("stuck")
-        assert g.ready

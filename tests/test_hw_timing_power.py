@@ -1,11 +1,9 @@
-"""Tests for banked SRAM, the Fig. 4 timing model, and §5.4 area/power."""
+"""Tests for the Fig. 4 timing model and §5.4 area/power."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.hw import (
-    BankedMemory,
     crossbar_area_mm2,
     crossbar_critical_path_ns,
     crossbar_frequency_ghz,
@@ -18,56 +16,6 @@ from repro.hw import (
     mdp_power_mw,
     sec54_rows,
 )
-
-
-class TestBankedMemory:
-    def make(self, banks=4):
-        return BankedMemory(np.arange(16) * 10, num_banks=banks, name="t")
-
-    def test_bank_mapping_interleaved(self):
-        m = self.make(4)
-        assert m.bank_of(0) == 0
-        assert m.bank_of(5) == 1
-        assert m.bank_of(7) == 3
-
-    def test_read_returns_value(self):
-        m = self.make()
-        m.begin_cycle()
-        assert m.try_read(3) == 30
-
-    def test_bank_conflict_within_cycle(self):
-        m = self.make(4)
-        m.begin_cycle()
-        assert m.try_read(1) == 10
-        assert m.try_read(5) is None        # same bank, different address
-        m.begin_cycle()
-        assert m.try_read(5) == 50          # next cycle succeeds
-
-    def test_same_address_merges(self):
-        m = self.make(4)
-        m.begin_cycle()
-        assert m.try_read(2) == 20
-        assert m.try_read(2) == 20
-        assert m.merged_reads == 1
-
-    def test_different_banks_concurrent(self):
-        m = self.make(4)
-        m.begin_cycle()
-        assert m.try_read(0) is not None
-        assert m.try_read(1) is not None
-        assert m.try_read(2) is not None
-
-    def test_utilization_statistics(self):
-        m = self.make(4)
-        m.begin_cycle()
-        m.try_read(0)
-        m.try_read(1)
-        m.begin_cycle()     # accounts the previous cycle's 2 busy banks
-        assert m.utilization == pytest.approx(2 / 8)
-
-    def test_zero_banks_rejected(self):
-        with pytest.raises(ConfigError):
-            BankedMemory(np.zeros(4), 0)
 
 
 class TestTimingModel:

@@ -23,9 +23,6 @@ class TestSplitRequest:
         # banks 14,15 then 0,1,2
         assert split_request(14, 5, banks=16) == [(14, 2), (16, 3)]
 
-    def test_max_len_split(self):
-        assert split_request(0, 10, banks=16, max_len=4) == [(0, 4), (4, 4), (8, 2)]
-
     def test_pieces_concatenate_to_original(self):
         pieces = split_request(37, 23, banks=8)
         assert pieces[0][0] == 37
@@ -43,20 +40,16 @@ class TestSplitRequest:
             split_request(0, -3, banks=8)
 
     @given(off=st.integers(0, 1000), length=st.integers(0, 200),
-           banks=st.sampled_from([4, 8, 16, 32]),
-           max_len=st.sampled_from([None, 2, 7, 16]))
+           banks=st.sampled_from([4, 8, 16, 32]))
     @settings(max_examples=80, deadline=None)
-    def test_properties(self, off, length, banks, max_len):
-        if max_len is not None and max_len < 1:
-            return
-        pieces = split_request(off, length, banks, max_len)
+    def test_properties(self, off, length, banks):
+        pieces = split_request(off, length, banks)
         # conservation + contiguity
         assert sum(l for _, l in pieces) == length
         cursor = off
-        limit = max_len or banks
         for o, l in pieces:
             assert o == cursor
-            assert 1 <= l <= limit
+            assert 1 <= l <= banks
             # non-wrapping: the piece stays inside one pass of the banks
             assert (o % banks) + l <= banks
             cursor = o + l
@@ -97,7 +90,7 @@ class TestSplitByBlocks:
 
 class TestReplayEngine:
     def test_streams_pieces_one_per_cycle(self):
-        eng = ReplayEngine(banks=8, max_len=8)
+        eng = ReplayEngine(banks=8)
         eng.accept(6, 10, "v")    # banks 6..15 -> wraps: (6,2) then (8,8)
         first = eng.emit()
         assert first == (6, 2, "v")
@@ -120,8 +113,8 @@ class TestReplayEngine:
         assert not eng.can_accept
 
     def test_counts(self):
-        eng = ReplayEngine(banks=4, max_len=2)
-        eng.accept(0, 4, None)
+        eng = ReplayEngine(banks=4)
+        eng.accept(2, 4, None)      # banks 2, 3 then 0, 1: two pieces
         while eng.emit() is not None:
             eng.consume()
         assert eng.requests_accepted == 1

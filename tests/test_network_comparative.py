@@ -150,8 +150,6 @@ class TestInvariantEnforcement:
         for ch in range(8):
             net.offer(ch, ch, ch)
         assert net.occupancy == 8
-        net.note_occupancy()
-        assert net.occupancy_integral == 8
 
     def test_combined_counter_increments(self):
         def combine(a, b):

@@ -131,6 +131,17 @@ class TestJobWire:
         assert back.num_slices == 1
         assert back.max_iterations is None
 
+    def test_unknown_config_key_rejected(self):
+        """A config key the code does not have (say, from a peer that
+        still speaks an older protocol) makes the job malformed; it is
+        not silently dropped."""
+        wire = protocol.job_to_wire(SweepJob(graph=GraphSpec("VT"),
+                                             algorithm="BFS",
+                                             config=higraph()))
+        wire["config"]["no_such_field"] = 1
+        with pytest.raises(ProtocolError, match="no_such_field"):
+            protocol.job_from_wire(wire)
+
     def test_malformed_job_rejected(self):
         with pytest.raises(ProtocolError):
             protocol.job_from_wire("not a dict")

@@ -5,14 +5,13 @@ import json
 import threading
 import time
 from pathlib import Path
-from types import MappingProxyType
 
 import pytest
 
 from repro.accel import AcceleratorConfig, graphdyns, higraph
 from repro.accel.engine import ENGINES
-from repro.errors import SweepError
-from repro.graph import rmat
+from repro.errors import ConfigError, SweepError
+from repro.graph import CSRGraph, rmat
 from repro.sweep import (
     GraphSpec,
     ResultCache,
@@ -26,6 +25,7 @@ from repro.sweep import (
     scheduled_order,
 )
 from repro.sweep import executor
+from repro.sweep.jobs import parse_axis_value
 
 SMALL = GraphSpec("VT", scale=0.03)
 
@@ -80,9 +80,42 @@ class TestPlanning:
                       sweep_axes={"fifo_depth": ()})
 
     def test_unknown_axis_rejected(self):
-        with pytest.raises(SweepError):
+        with pytest.raises(SweepError, match=r"field\(s\): \['no_such_field'\]"):
             plan_jobs(["BFS"], ["VT"], {"H": higraph()},
                       sweep_axes={"no_such_field": (1, 2)})
+
+    @pytest.mark.parametrize("axis, value", [
+        ("fifo_depth", 160.5), ("fifo_depth", "160"), ("fifo_depth", True),
+        ("vertex_combining", 1), ("name", 3)])
+    def test_axis_value_of_another_type_rejected(self, axis, value):
+        """A bad value for a known field is told apart from an unknown
+        field, and never reaches a config (the soa engine binds the
+        integer fields to int64 slots)."""
+        with pytest.raises(SweepError,
+                           match=f"sweep axis {axis}: .* is not "):
+            plan_jobs(["BFS"], ["VT"], {"H": higraph()},
+                      sweep_axes={axis: (value,)})
+
+    def test_every_config_field_is_an_axis_type(self):
+        """``--axis`` parses a value by its field default's type."""
+        assert {type(f.default) for f in dataclasses.fields(
+            AcceleratorConfig)} == {int, bool, str}
+
+    @pytest.mark.parametrize("axis, text, value", [
+        ("fifo_depth", "40", 40), ("vertex_combining", "true", True),
+        ("vertex_combining", "FALSE", False), ("vertex_combining", "1", True),
+        ("vertex_combining", "0", False), ("offset_site", "crossbar", "crossbar"),
+        ("name", "42", "42")])
+    def test_axis_text_parsed_as_field_type(self, axis, text, value):
+        parsed = parse_axis_value(axis, text)
+        assert parsed == value and type(parsed) is type(value)
+
+    @pytest.mark.parametrize("axis, text", [
+        ("fifo_depth", "160.5"), ("fifo_depth", "abc"), ("fifo_depth", ""),
+        ("vertex_combining", "maybe"), ("vertex_combining", "2")])
+    def test_axis_text_of_another_type_rejected(self, axis, text):
+        with pytest.raises(SweepError, match=f"sweep axis {axis}: "):
+            parse_axis_value(axis, text)
 
     def test_empty_dimension_rejected(self):
         with pytest.raises(SweepError):
@@ -104,7 +137,8 @@ class TestFingerprints:
     def test_csr_fingerprint_tracks_content(self, tiny_graph):
         fp = graph_fingerprint(tiny_graph)
         assert fp == graph_fingerprint(tiny_graph)
-        other = tiny_graph.with_weights(tiny_graph.weights + 1)
+        other = CSRGraph(tiny_graph.offsets, tiny_graph.dst,
+                         tiny_graph.weights + 1, name=tiny_graph.name)
         assert graph_fingerprint(other) != fp
 
     def test_tags_do_not_affect_cache_key(self):
@@ -156,8 +190,9 @@ def _clone_with(base, name):
 
 
 #: SweepJob field -> (overrides shared by both jobs, the field's new
-#: value).  Every field but ``tags`` (caller-owned display labels) is
-#: listed, so a new field fails here until it is given a perturbation.
+#: value).  Every field but ``tags`` (caller-owned display labels) and
+#: ``engine`` (both engines produce identical stats) is listed, so a new
+#: field fails here until it is given a perturbation.
 JOB_PERTURBATIONS = {
     "graph": ({}, GraphSpec("VT", scale=0.06)),
     "algorithm": ({}, "BFS"),
@@ -168,9 +203,6 @@ JOB_PERTURBATIONS = {
     "num_slices": ({}, 2),
     # the off-chip bandwidth is key material only once slicing is on
     "offchip_bytes_per_cycle": ({"num_slices": 2}, 128.0),
-    # only the engine's equivalence class enters the key: the test
-    # gives the two engines different classes
-    "engine": ({"engine": "reference"}, "soa"),
 }
 
 
@@ -192,15 +224,12 @@ class TestCacheKeyCoverage:
         for value in (True, 0, 1.5, "s", {"k": 1}, [1], (1,), None):
             assert _perturbed(value) != value
 
-    def test_every_job_field_but_tags_is_perturbed(self):
+    def test_every_job_field_but_tags_and_engine_is_perturbed(self):
         field_names = {f.name for f in dataclasses.fields(SweepJob)}
-        assert set(JOB_PERTURBATIONS) == field_names - {"tags"}
+        assert set(JOB_PERTURBATIONS) == field_names - {"tags", "engine"}
 
     @pytest.mark.parametrize("name", sorted(JOB_PERTURBATIONS))
-    def test_job_field_reaches_cache_key(self, name, monkeypatch):
-        from repro.accel.engine import registry
-        monkeypatch.setattr(registry, "_ENGINE_EQUIVALENCE", MappingProxyType(
-            {"reference": "class-a", "soa": "class-b"}))
+    def test_job_field_reaches_cache_key(self, name):
         shared, value = JOB_PERTURBATIONS[name]
         base = SweepJob(graph=SMALL, algorithm="PR", config=higraph(),
                         algorithm_kwargs={"iterations": 2}, **shared)
@@ -217,8 +246,7 @@ class TestCacheKeyCoverage:
 
 class TestFrozenJobs:
     """A job keeps its cache key on the instance; the key must follow
-    every input that is not a field: the code version and the engine
-    class ``$REPRO_ENGINE`` picks for a job that names no engine."""
+    the one input that is not a field, the code version."""
 
     @pytest.fixture
     def derivations(self, monkeypatch):
@@ -273,20 +301,28 @@ class TestFrozenJobs:
         assert second != first and len(derivations) == 2
         assert second == self._job().cache_key("v2")
 
-    def test_one_instance_rekeys_under_another_engine_env(
-            self, derivations, monkeypatch):
-        from repro.accel.engine import ENGINE_ENV_VAR, registry
-        monkeypatch.setattr(registry, "_ENGINE_EQUIVALENCE", MappingProxyType(
-            {"reference": "class-a", "soa": "class-b"}))
+    def test_engine_env_does_not_rekey(self, derivations, monkeypatch):
+        from repro.accel.engine import ENGINE_ENV_VAR
         job = self._job()
         monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
-        reference_key = job.cache_key("v")
-        assert job.cache_key("v") == reference_key and len(derivations) == 1
+        key = job.cache_key("v")
         monkeypatch.setenv(ENGINE_ENV_VAR, "soa")
-        soa_key = job.cache_key("v")
-        assert soa_key != reference_key and len(derivations) == 2
-        assert soa_key == self._job(engine="soa").cache_key("v")
-        assert reference_key == self._job(engine="reference").cache_key("v")
+        assert job.cache_key("v") == key and len(derivations) == 1
+
+    def test_unknown_engine_fails_before_the_cache_is_read(
+            self, tmp_path, monkeypatch):
+        """Named on the job, or by ``$REPRO_ENGINE`` for a job whose key
+        is already kept: either way no cache entry is looked up."""
+        from repro.accel.engine import ENGINE_ENV_VAR
+        cache = ResultCache(tmp_path)
+        with pytest.raises(ConfigError, match="warp-10"):
+            run_sweep([self._job(engine="warp-10")], cache=cache)
+        job = self._job()
+        job.cache_key(code_version())
+        monkeypatch.setenv(ENGINE_ENV_VAR, "warp-10")
+        with pytest.raises(ConfigError, match="warp-10"):
+            run_sweep([job], cache=cache)
+        assert (cache.hits, cache.misses) == (0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +382,6 @@ class TestResultCache:
     def _versioned(i):
         stats = _stats()
         stats.iterations = i
-        stats.extra = {"version": [i]}
         return stats
 
     def test_warm_get_opens_no_file(self, tmp_path, monkeypatch):
@@ -406,8 +441,7 @@ class TestResultCache:
         for _ in range(2):               # a cold read, then a warm one
             got = cache.get(key)
             got.iterations += 99
-            got.extra["version"].append(99)
-            got.extra["added"] = True
+            got.config_name = "changed"
         assert cache.get(key).to_dict() == stats.to_dict()
 
     def test_gc_and_clear_forget_what_they_remove(self, tmp_path):
@@ -486,7 +520,6 @@ class TestResultCache:
             if got.to_dict() not in written:
                 wrong.append(got.to_dict())
             got.iterations = -1
-            got.extra["version"].append(-1)
 
         turn = iter(range(1 << 30))
 
