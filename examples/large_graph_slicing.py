@@ -11,7 +11,7 @@ Run:  python examples/large_graph_slicing.py
 
 import numpy as np
 
-from repro.accel import SlicedAcceleratorSim, higraph, slice_load_cycles
+from repro.accel import SlicedAcceleratorSim, higraph
 from repro.algorithms import SSSP, run_reference
 from repro.graph import partition_for_budget, rmat
 
@@ -37,8 +37,7 @@ def main() -> None:
     result = sim.run(source=0)
     stats = result.stats
 
-    raw_load = sum(slice_load_cycles(s.num_edges, bandwidth)
-                   for s in slices) * stats.iterations
+    raw_load = stats.slice_raw_load_cycles
     print()
     print(f"iterations            : {stats.iterations}")
     print(f"compute cycles        : {stats.scatter_cycles + stats.apply_cycles}")

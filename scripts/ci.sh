@@ -16,7 +16,8 @@
 #   ci.sh fuzz       seeded differential fuzz smoke (all engines,
 #                    REPRO_FUZZ_CASES cases beyond the tier-1 default)
 #   ci.sh sweep      cold+warm smoke sweep (executor + result cache)
-#   ci.sh report     cold/warm report regeneration (zero sims, same bytes)
+#   ci.sh report     cold/warm report regeneration (zero sims, same bytes,
+#                    and the warm run imports no numpy)
 #   ci.sh serve      warm-cache daemon smoke (sweep over the socket,
 #                    zero sims on resubmission, a resubmission after
 #                    another process's `cache gc` simulates again, a
@@ -128,13 +129,21 @@ stage_report() {
         --section table2 --section slicing | tee "$out/cold.txt"
     cp "$report_dir/REPORT.md" "$out/cold.md"
 
-    echo "== report regeneration (warm: zero simulations, identical bytes) =="
-    REPRO_SCALE=0.03 python -m repro report --results-dir "$report_dir" \
-        --cache-dir "$report_cache" --section fig10 --section latency \
-        --section table2 --section slicing | tee "$out/warm.txt"
+    echo "== report regeneration (warm: zero simulations, identical bytes, no numpy) =="
+    # -X importtime logs every import to stderr: a warm report reads the
+    # cache and renders tables, so numpy must not be among them
+    REPRO_SCALE=0.03 python -X importtime -m repro report \
+        --results-dir "$report_dir" --cache-dir "$report_cache" \
+        --section fig10 --section latency --section table2 \
+        --section slicing 2> "$out/imports.txt" | tee "$out/warm.txt" \
+        || { cat "$out/imports.txt" >&2; return 1; }
     grep -Eq "^sections: .*cache hits: 21 \(100%\)  executed: 0  " \
         "$out/warm.txt"
     cmp "$out/cold.md" "$report_dir/REPORT.md"
+    if grep -E '\| +numpy$' "$out/imports.txt"; then
+        echo "the warm report imported numpy" >&2
+        return 1
+    fi
 }
 
 stage_serve() {
@@ -196,7 +205,7 @@ stage_serve() {
 import sys
 from repro.serve.client import ServeClient
 client = ServeClient(sys.argv[1])
-assert client.ping().protocol == 4
+assert client.ping().protocol == 5
 client.shutdown()
 EOF
     wait "$daemon_pid"
@@ -264,7 +273,7 @@ EOF
 }
 
 usage() {
-    sed -n '2,32p' "$0"
+    sed -n '2,33p' "$0"
     exit 2
 }
 

@@ -35,11 +35,11 @@ that may change without notice.  Exports resolve lazily (PEP 562), so
 module to that manifest.
 """
 
-import importlib
 from types import MappingProxyType
 
 __version__ = "1.1.0"
 
+from repro._lazy import lazy_exports
 from repro.errors import (
     CapacityError,
     ConfigError,
@@ -90,16 +90,5 @@ __all__ = [
     *PACKAGE_EXPORTS,
 ]
 
-
-def __getattr__(name: str):
-    """PEP 562 lazy exports driven by the manifest above."""
-    target = PACKAGE_EXPORTS.get(name)
-    if target is not None:
-        value = getattr(importlib.import_module(target), name)
-        globals()[name] = value          # resolve once per process
-        return value
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(PACKAGE_EXPORTS))
+#: PEP 562: each manifest name is imported on first access
+__getattr__, __dir__ = lazy_exports(__name__, PACKAGE_EXPORTS)

@@ -46,22 +46,21 @@ either engine moves :func:`repro.sweep.cache.code_version`, so an
 entry is never served to code it was not computed by.
 """
 
-from repro.accel.engine.reference import ReferenceEngine
-from repro.accel.engine.registry import (
-    DEFAULT_ENGINE,
-    ENGINE_ENV_VAR,
-    ENGINES,
-    make_engine,
-    resolve_engine,
-)
-from repro.accel.engine.soa import SoaEngine
+from types import MappingProxyType
 
-__all__ = [
-    "ENGINES",
-    "DEFAULT_ENGINE",
-    "ENGINE_ENV_VAR",
-    "resolve_engine",
-    "make_engine",
-    "ReferenceEngine",
-    "SoaEngine",
-]
+from repro._lazy import lazy_exports
+
+#: exported name -> defining module; resolved on first access
+#: (:mod:`repro._lazy`), so the registry's names import no numpy
+_EXPORTS = MappingProxyType({
+    "ENGINES": "repro.accel.engine.registry",
+    "DEFAULT_ENGINE": "repro.accel.engine.registry",
+    "ENGINE_ENV_VAR": "repro.accel.engine.registry",
+    "resolve_engine": "repro.accel.engine.registry",
+    "make_engine": "repro.accel.engine.registry",
+    "ReferenceEngine": "repro.accel.engine.reference",
+    "SoaEngine": "repro.accel.engine.soa",
+})
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

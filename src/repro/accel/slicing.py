@@ -12,7 +12,9 @@ accumulates across slices, since Reduce is commutative/associative) and
 applies once.  Slice replacement traffic is modelled as
 ``slice_bytes / offchip_bytes_per_cycle`` and, with double buffering,
 only the part of a load not hidden behind the previous slice's compute
-is charged to the run.
+is charged to the run; the un-overlapped total is kept beside it, so
+the §5.3 section can compare single and double buffering from the
+cached stats alone.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def slice_load_cycles(num_edges: int, offchip_bytes_per_cycle: float) -> int:
         return 0
     bits_per_edge = DESIGN_ID_BITS + DESIGN_WEIGHT_BITS
     bytes_needed = num_edges * bits_per_edge / 8
-    return int(np.ceil(bytes_needed / offchip_bytes_per_cycle))
+    return math.ceil(bytes_needed / offchip_bytes_per_cycle)
 
 
 class SlicedAcceleratorSim:
@@ -94,6 +96,7 @@ class SlicedAcceleratorSim:
         m = self.config.back_channels
         loads = [slice_load_cycles(s.num_edges, self.offchip_bytes_per_cycle)
                  for s in self.slices]
+        raw_load = sum(loads)
 
         iteration = 0
         while active.size and iteration < max_iterations:
@@ -106,6 +109,7 @@ class SlicedAcceleratorSim:
                 sim.engine.scatter(active, sprop_all, tprop_list, stats)
                 compute_cycles.append(stats.scatter_cycles - before)
             stats.slice_load_cycles += _exposed_load_cycles(loads, compute_cycles)
+            stats.slice_raw_load_cycles += raw_load
 
             tprop = np.asarray(tprop_list, dtype=np.float64)
             new_prop = alg.apply(prop, tprop, graph)

@@ -32,6 +32,7 @@ class SimStats:
     # slicing (large-graph mode)
     slices: int = 0
     slice_load_cycles: int = 0          # off-chip transfer not hidden by overlap
+    slice_raw_load_cycles: int = 0      # all off-chip transfer, hidden or not
 
     # ------------------------------------------------------------------
     @property

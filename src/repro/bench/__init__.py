@@ -1,72 +1,46 @@
-"""Benchmark harness regenerating every table and figure of the paper."""
+"""Benchmark harness regenerating every table and figure of the paper.
 
-from repro.bench.figures import (
-    FIG10_STEPS,
-    FIG11_GRAPHDYNS_CHANNELS,
-    FIG11_HIGRAPH_CHANNELS,
-    FIG12_BUFFER_SIZES,
-    SEC54_RADICES,
-    table1_config_rows,
-    table2_dataset_rows,
-)
-from repro.bench.charts import bar_chart, series_chart
-from repro.bench.report import (
-    REPORT_SECTIONS,
-    build_report,
-    collect_results,
-    section_status,
-    write_report,
-)
-from repro.bench.regen import (
-    FIGURE_SECTIONS,
-    RegenReport,
-    SECTIONS,
-    regenerate,
-    resolve_sections,
-)
-from repro.bench.harness import (
-    BENCH_PR_ITERATIONS,
-    DEFAULT_BENCH_SCALES,
-    MatrixResult,
-    bench_algorithm_entry,
-    bench_graph_spec,
-    bench_scale,
-    format_table,
-    matrix_from_outcome,
-    matrix_jobs,
-    paper_configs,
-    save_rows,
-)
+Exports resolve on first access (:mod:`repro._lazy`), so importing one
+module of this package imports only what that module needs.
+"""
 
-__all__ = [
-    "matrix_jobs",
-    "matrix_from_outcome",
-    "MatrixResult",
-    "paper_configs",
-    "bench_scale",
-    "bench_graph_spec",
-    "bench_algorithm_entry",
-    "format_table",
-    "save_rows",
-    "DEFAULT_BENCH_SCALES",
-    "BENCH_PR_ITERATIONS",
-    "table1_config_rows",
-    "table2_dataset_rows",
-    "FIG10_STEPS",
-    "FIG11_HIGRAPH_CHANNELS",
-    "FIG11_GRAPHDYNS_CHANNELS",
-    "FIG12_BUFFER_SIZES",
-    "SEC54_RADICES",
-    "REPORT_SECTIONS",
-    "build_report",
-    "collect_results",
-    "section_status",
-    "write_report",
-    "SECTIONS",
-    "FIGURE_SECTIONS",
-    "RegenReport",
-    "regenerate",
-    "resolve_sections",
-    "bar_chart",
-    "series_chart",
-]
+from types import MappingProxyType
+
+from repro._lazy import lazy_exports
+
+#: exported name -> defining module
+_EXPORTS = MappingProxyType({
+    "matrix_jobs": "repro.bench.harness",
+    "matrix_from_outcome": "repro.bench.harness",
+    "MatrixResult": "repro.bench.harness",
+    "paper_configs": "repro.bench.harness",
+    "bench_scale": "repro.bench.harness",
+    "bench_graph_spec": "repro.bench.harness",
+    "bench_algorithm_entry": "repro.bench.harness",
+    "format_table": "repro.bench.harness",
+    "save_rows": "repro.bench.harness",
+    "DEFAULT_BENCH_SCALES": "repro.bench.harness",
+    "BENCH_PR_ITERATIONS": "repro.bench.harness",
+    "table1_config_rows": "repro.bench.figures",
+    "table2_dataset_rows": "repro.bench.figures",
+    "FIG10_STEPS": "repro.bench.figures",
+    "FIG11_HIGRAPH_CHANNELS": "repro.bench.figures",
+    "FIG11_GRAPHDYNS_CHANNELS": "repro.bench.figures",
+    "FIG12_BUFFER_SIZES": "repro.bench.figures",
+    "SEC54_RADICES": "repro.bench.figures",
+    "REPORT_SECTIONS": "repro.bench.report",
+    "build_report": "repro.bench.report",
+    "collect_results": "repro.bench.report",
+    "section_status": "repro.bench.report",
+    "write_report": "repro.bench.report",
+    "SECTIONS": "repro.bench.regen",
+    "FIGURE_SECTIONS": "repro.bench.regen",
+    "RegenReport": "repro.bench.regen",
+    "regenerate": "repro.bench.regen",
+    "resolve_sections": "repro.bench.regen",
+    "bar_chart": "repro.bench.charts",
+    "series_chart": "repro.bench.charts",
+})
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

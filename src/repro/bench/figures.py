@@ -12,9 +12,7 @@ through it.
 
 from __future__ import annotations
 
-import functools
-
-from repro.accel import ablation, graphdyns, higraph, slice_load_cycles
+from repro.accel.config import ablation, graphdyns, higraph
 from repro.algorithms import PAPER_ALGORITHMS
 from repro.bench.harness import (
     BENCH_PR_ITERATIONS,
@@ -23,13 +21,7 @@ from repro.bench.harness import (
     bench_scale,
     paper_configs,
 )
-from repro.graph import (
-    DATASET_ORDER,
-    TABLE2,
-    chain,
-    datasets,
-    destination_slice_edges,
-)
+from repro.graph.datasets import DATASET_ORDER, TABLE2, shape
 from repro.sweep import GraphSpec, SweepJob, SweepOutcome, plan_jobs
 
 #: The one dataset of Figs. 10-12, §5.3, §5.4 and both ablations; their
@@ -57,9 +49,11 @@ FIG12_BUFFER_SIZES = (8, 20, 40, 80, 160, 320)
 SEC54_RADICES = (2, 4, 8)
 SEC54_CHANNELS = 64
 
-#: Latency-bound workload of the §2.2 ablation: BFS on a chain exposes
-#: one full pipeline traversal per iteration.
-LATENCY_CHAIN_VERTICES = 256
+#: Latency-bound workload of the §2.2 ablation: BFS on a 256-vertex
+#: chain exposes one full pipeline traversal per iteration.  A symbolic
+#: reference (a :data:`~repro.graph.datasets.FIXTURES` key), so the
+#: section plans and keys its jobs without building the chain.
+LATENCY_CHAIN = GraphSpec("chain256")
 
 #: §5.3 slicing discussion defaults: 4 destination slices, 64 B/cycle
 #: off-chip bandwidth (64 GB/s at the 1 GHz design point).
@@ -199,7 +193,7 @@ def combining_ablation_assemble(outcome: SweepOutcome) -> list[dict]:
 def latency_ablation_jobs() -> list[SweepJob]:
     """A latency-bound chain-BFS pair plus a throughput-bound PR pair."""
     designs = {"HiGraph": higraph(), "GraphDynS": graphdyns()}
-    jobs = plan_jobs(["BFS"], [chain(LATENCY_CHAIN_VERTICES)], designs)
+    jobs = plan_jobs(["BFS"], [LATENCY_CHAIN], designs)
     jobs += plan_jobs([bench_algorithm_entry("PR")],
                       [bench_graph_spec(FIGURE_DATASET)], designs)
     return jobs
@@ -239,33 +233,19 @@ def slicing_jobs() -> list[SweepJob]:
     )]
 
 
-@functools.lru_cache(maxsize=32)
-def _spec_slice_edges(spec: GraphSpec, num_slices: int) -> tuple[int, ...]:
-    """Per-slice edge counts of a symbolic graph, memoized per process:
-    a served report re-assembles this section on every request, and the
-    counts — unlike the graph they come from — cost nothing to keep."""
-    return tuple(destination_slice_edges(spec.load(), num_slices))
-
-
 def slicing_assemble(outcome: SweepOutcome) -> list[dict]:
-    """Single-buffer vs double-buffer accounting for the sliced run.
-
-    The raw (unoverlapped) load total is re-derived from the slice edge
-    counts — a count over the graph's destinations, never a simulation,
-    so a warm cache still assembles with zero simulator invocations, and
-    a symbolic graph is generated once per process, not per assembly.
-    """
-    job, stats = outcome.jobs[0], outcome.stats[0]
-    slice_edges = _spec_slice_edges(job.graph, job.num_slices)
-    total_load = sum(slice_load_cycles(edges, job.offchip_bytes_per_cycle)
-                     for edges in slice_edges) * stats.iterations
+    """Single-buffer vs double-buffer accounting for the sliced run,
+    read from its stats alone: the sliced simulator keeps the raw
+    (unoverlapped) load total beside the exposed one, so a warm cache
+    assembles this section without a graph."""
+    stats = outcome.stats[0]
     compute = stats.scatter_cycles + stats.apply_cycles
     return [{
         "slices": stats.slices,
         "compute_cycles": compute,
-        "raw_load_cycles": total_load,
+        "raw_load_cycles": stats.slice_raw_load_cycles,
         "exposed_load_cycles": stats.slice_load_cycles,
-        "single_buffer_total": compute + total_load,
+        "single_buffer_total": compute + stats.slice_raw_load_cycles,
         "double_buffer_total": stats.total_cycles,
         "gteps_double_buffered": stats.gteps,
     }]
@@ -298,7 +278,7 @@ def table2_dataset_rows() -> list[dict]:
     rows = []
     for key in DATASET_ORDER:
         spec, scale = TABLE2[key], bench_scale(key)
-        vertices, edges = datasets.shape(key, scale)
+        vertices, edges = shape(key, scale)
         rows.append({
             "name": key,
             "paper_vertices": spec.num_vertices,

@@ -15,11 +15,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.accel import AcceleratorConfig, SimStats, graphdyns, higraph, higraph_mini
+from repro.accel.config import AcceleratorConfig, graphdyns, higraph, higraph_mini
+from repro.accel.stats import SimStats
 from repro.algorithms import PAPER_ALGORITHMS
 from repro.errors import GenerationError
-from repro.graph import DATASET_ORDER
-from repro.graph.datasets import SCALE_ENV_VAR
+from repro.graph.datasets import DATASET_ORDER, SCALE_ENV_VAR
 from repro.sweep import GraphSpec, plan_jobs
 
 #: Default per-dataset scales: each stand-in lands at ~60k-130k edges.

@@ -153,7 +153,7 @@ def _build_fig4(ctx):
 
 
 def _build_fig7(ctx):
-    from repro.accel import fig7_layout
+    from repro.accel.config import fig7_layout
     return fig7_layout(), _accounting()
 
 

@@ -28,19 +28,12 @@ import contextlib
 import os
 import sys
 
-from repro.accel import (
-    DEFAULT_ENGINE,
-    ENGINE_ENV_VAR,
-    ENGINES,
-    graphdyns,
-    higraph,
-    higraph_mini,
-    simulate,
-)
-from repro.algorithms import make_algorithm
-from repro.bench import format_table
+# the parser needs only these registries, none of which imports numpy;
+# each command imports what it runs, so a warm `repro report` never does
+from repro.accel.config import graphdyns, higraph, higraph_mini
+from repro.accel.engine.registry import DEFAULT_ENGINE, ENGINE_ENV_VAR, ENGINES
 from repro.errors import ReproError
-from repro.graph import DATASET_ORDER, TABLE2, load
+from repro.graph.datasets import DATASET_ORDER, TABLE2
 
 _CONFIG_MAKERS = {
     "higraph": higraph,
@@ -237,6 +230,11 @@ def _session_for(args):
 
 
 def _cmd_simulate(args) -> int:
+    from repro.accel.accelerator import simulate
+    from repro.algorithms import make_algorithm
+    from repro.bench.harness import format_table
+    from repro.graph.datasets import load
+
     graph = load(args.dataset, scale=args.scale)
     print(f"workload: {args.algorithm} on {graph}")
     names = sorted(_CONFIG_MAKERS) if args.config == "all" else [args.config]
@@ -256,7 +254,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.bench import bench_graph_spec
+    from repro.bench.harness import bench_graph_spec, format_table
     from repro.sweep import GraphSpec, plan_jobs
     from repro.sweep.jobs import parse_axis_value
 
@@ -601,6 +599,8 @@ def _cmd_netlist(args) -> int:
 
 
 def _cmd_datasets(args) -> int:
+    from repro.bench.harness import format_table
+
     rows = []
     for key in DATASET_ORDER:
         spec = TABLE2[key]

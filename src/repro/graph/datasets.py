@@ -23,16 +23,23 @@ paper.
 and |E| shrink, preserving mean degree) so the full figure suite runs in
 seconds; :data:`repro.bench.harness.DEFAULT_BENCH_SCALES` holds the
 scale each committed table used.
+
+The registry and the size rule (:func:`shape`) import no numpy, so a
+report that only reads cached results never does; :func:`load`
+imports the generators when it builds a graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from repro.errors import GenerationError
-from repro.graph.csr import CSRGraph
-from repro.graph.generators import rmat, rmat_shape
+
+if TYPE_CHECKING:
+    from repro.graph.csr import CSRGraph
 
 #: Environment variable consulted by the benchmark harness for a global
 #: dataset scale (1.0 = paper-sized graphs).
@@ -94,6 +101,21 @@ TABLE2: dict[str, DatasetSpec] = {
 #: Dataset order used by every figure in the paper.
 DATASET_ORDER = ("VT", "EP", "SL", "TW", "R14", "R16")
 
+#: Generator fixtures that :func:`load` builds by key, so that a job can
+#: name one as it names a dataset: key -> (function of
+#: :mod:`repro.graph.generators`, vertex count).  The §2.2 latency
+#: ablation's chain is one.
+FIXTURES = MappingProxyType({"chain256": ("chain", 256)})
+
+
+def rmat_shape(scale: int, edge_factor: float) -> tuple[int, int]:
+    """``(num_vertices, num_edges)`` of an R-MAT graph, without
+    generating it (self-loops and duplicates are kept, so every drawn
+    edge survives).  :func:`~repro.graph.generators.rmat` generates to
+    this rule; it lives here so that :func:`shape` needs no numpy."""
+    num_vertices = 1 << scale
+    return num_vertices, int(round(edge_factor * num_vertices))
+
 
 def _rmat_scale(key: str, scale: float) -> tuple[DatasetSpec, int]:
     """The dataset's registry row and the R-MAT scale it generates at."""
@@ -114,21 +136,32 @@ def shape(key: str, scale: float = 1.0) -> tuple[int, int]:
 
 
 def load(key: str, scale: float = 1.0, seed: int | None = None) -> CSRGraph:
-    """Instantiate a Table 2 dataset (or a proportionally scaled version).
+    """Instantiate a Table 2 dataset (or a proportionally scaled version),
+    or the generator fixture :data:`FIXTURES` names ``key``.
 
     ``scale`` shrinks |V| and |E| together so the mean degree — the knob
     that decides whether the front end or the back end is the bottleneck
     — is preserved **exactly**.  Vertex count is rounded to the nearest
     power of two (the generator is R-MAT), and the edge count follows
     from the paper's mean degree; :func:`shape` gives both sizes without
-    generating the graph.
+    generating the graph.  A fixture has no scale and no seed.
     """
+    from repro.graph import generators
+
+    if key in FIXTURES:
+        if scale != 1.0 or seed is not None:
+            raise GenerationError(
+                f"fixture {key!r} takes no scale or seed, got "
+                f"scale={scale!r} seed={seed!r}")
+        generator, size = FIXTURES[key]
+        return getattr(generators, generator)(size)
     spec, rmat_scale = _rmat_scale(key, scale)
     full_scale = max(6, int(round(math.log2(spec.num_vertices))))
     a, b, c = _rescaled_probabilities(spec, rmat_scale, full_scale)
-    return rmat(rmat_scale, spec.mean_degree, a=a, b=b, c=c,
-                seed=spec.seed if seed is None else seed,
-                name=f"{spec.key}" + ("" if scale == 1.0 else f"@{scale:g}"))
+    return generators.rmat(
+        rmat_scale, spec.mean_degree, a=a, b=b, c=c,
+        seed=spec.seed if seed is None else seed,
+        name=f"{spec.key}" + ("" if scale == 1.0 else f"@{scale:g}"))
 
 
 def _rescaled_probabilities(spec: DatasetSpec, rmat_scale: int,

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.errors import GenerationError
 from repro.graph.csr import CSRGraph
+from repro.graph.datasets import rmat_shape
 
 #: Graph500 R-MAT partition probabilities (Ang et al. 2010), used for the
 #: paper's RMAT14 / RMAT16 datasets.
@@ -30,14 +31,6 @@ def random_weights(num_edges: int, rng: np.random.Generator,
                    max_weight: int = DEFAULT_MAX_WEIGHT) -> np.ndarray:
     """Random integer weights in ``[1, max_weight]`` (paper Section 5.1)."""
     return rng.integers(1, max_weight + 1, size=num_edges, dtype=np.int64)
-
-
-def rmat_shape(scale: int, edge_factor: float) -> tuple[int, int]:
-    """``(num_vertices, num_edges)`` of an :func:`rmat` graph, without
-    generating it (self-loops and duplicates are kept, so every drawn
-    edge survives)."""
-    num_vertices = 1 << scale
-    return num_vertices, int(round(edge_factor * num_vertices))
 
 
 def rmat(

@@ -61,31 +61,16 @@ def slice_count_for_budget(graph: CSRGraph, budget_bytes: int,
     return int(slices)
 
 
-def _destination_bounds(num_vertices: int, num_slices: int) -> np.ndarray:
-    """``num_slices + 1`` boundaries of equal destination intervals."""
-    if num_slices < 1:
-        raise CapacityError(f"num_slices must be >= 1, got {num_slices}")
-    return np.linspace(0, num_vertices, num_slices + 1).astype(np.int64)
-
-
 def partition_by_destination(graph: CSRGraph, num_slices: int) -> list[GraphSlice]:
     """Split into ``num_slices`` equal destination intervals."""
-    bounds = _destination_bounds(graph.num_vertices, num_slices)
+    if num_slices < 1:
+        raise CapacityError(f"num_slices must be >= 1, got {num_slices}")
+    bounds = np.linspace(0, graph.num_vertices, num_slices + 1).astype(np.int64)
     slices = []
     for k in range(num_slices):
         lo, hi = int(bounds[k]), int(bounds[k + 1])
         slices.append(GraphSlice(k, lo, hi, graph.subgraph_by_destination(lo, hi)))
     return slices
-
-
-def destination_slice_edges(graph: CSRGraph, num_slices: int) -> list[int]:
-    """Edge count of each :func:`partition_by_destination` slice, without
-    building the slices: one in-degree histogram, summed per interval."""
-    bounds = _destination_bounds(graph.num_vertices, num_slices)
-    in_edges = np.zeros(graph.num_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(graph.dst, minlength=graph.num_vertices),
-              out=in_edges[1:])
-    return np.diff(in_edges[bounds]).tolist()
 
 
 def partition_for_budget(graph: CSRGraph, budget_bytes: int,

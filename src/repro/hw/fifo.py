@@ -36,10 +36,6 @@ class Fifo:
         return len(self._items)
 
     @property
-    def free(self) -> int:
-        return self.capacity - len(self._items)
-
-    @property
     def empty(self) -> bool:
         return not self._items
 

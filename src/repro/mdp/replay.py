@@ -57,8 +57,6 @@ class ReplayEngine:
         self.queue_depth = queue_depth
         self._pending: deque = deque()   # (off, len, payload) requests
         self._pieces: deque = deque()    # pieces of the request in flight
-        self.requests_accepted = 0
-        self.pieces_emitted = 0
 
     @property
     def busy(self) -> bool:
@@ -73,7 +71,6 @@ class ReplayEngine:
         if not self.can_accept:
             return False
         self._pending.append((off, length, payload))
-        self.requests_accepted += 1
         return True
 
     def emit(self):
@@ -87,4 +84,3 @@ class ReplayEngine:
     def consume(self) -> None:
         """Downstream accepted the emitted piece."""
         self._pieces.popleft()
-        self.pieces_emitted += 1

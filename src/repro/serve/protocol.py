@@ -20,8 +20,9 @@ Jobs on the wire
 :class:`~repro.sweep.jobs.SweepJob` exactly: symbolic
 :class:`~repro.sweep.jobs.GraphSpec` references travel as their three
 fields, inline :class:`~repro.graph.csr.CSRGraph` payloads as base64
-int64 arrays.  The round-trip preserves the job's cache key (asserted
-by the protocol test suite), which the scheduler's dedup relies on.
+int64 arrays, the one wire form whose codec imports numpy.  The
+round-trip preserves the job's cache key (asserted by the protocol
+test suite), which the scheduler's dedup relies on.
 """
 
 from __future__ import annotations
@@ -30,19 +31,21 @@ import base64
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.accel.config import AcceleratorConfig
 from repro.errors import ProtocolError, ProtocolVersionError
-from repro.graph.csr import CSRGraph
 from repro.sweep.jobs import GraphSpec, SweepJob
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.graph.csr import CSRGraph
 
 #: Bumped on any incompatible wire change.  Version negotiation is
 #: deliberately absent: both ends ship in one repo, so a mismatch means
 #: a stale daemon — the right fix is a reload/restart, not compat glue.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 _MESSAGE_TYPES: dict[str, type] = {}
 
@@ -287,11 +290,13 @@ def decode(line: bytes | str):
 # ----------------------------------------------------------------------
 
 def _array_to_wire(arr: np.ndarray) -> str:
+    import numpy as np
     return base64.b64encode(np.ascontiguousarray(arr, dtype=np.int64)
                             .tobytes()).decode("ascii")
 
 
 def _array_from_wire(text: str) -> np.ndarray:
+    import numpy as np
     return np.frombuffer(base64.b64decode(text), dtype=np.int64)
 
 
@@ -332,6 +337,7 @@ def job_from_wire(data: dict) -> SweepJob:
                 key=graph_data["key"], scale=graph_data["scale"],
                 seed=graph_data["seed"])
         elif kind == "csr":
+            from repro.graph.csr import CSRGraph
             graph = CSRGraph(
                 offsets=_array_from_wire(graph_data["offsets"]),
                 dst=_array_from_wire(graph_data["dst"]),

@@ -32,7 +32,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.accel.accelerator import AcceleratorSim
 from repro.accel.stats import SimStats
 from repro.errors import SweepError
 from repro.sweep.cache import ResultCache, code_version
@@ -62,7 +61,13 @@ def _graph(job: SweepJob):
 
 
 def execute_job(job: SweepJob) -> SimStats:
-    """Run one job to completion in the current thread."""
+    """Run one job to completion in the current thread.
+
+    The simulators are imported here, by the first job a process runs,
+    so that a sweep that only reads the cache imports no numpy.
+    """
+    from repro.accel.accelerator import AcceleratorSim
+
     graph = _graph(job)
     if job.num_slices < 1:
         raise SweepError(f"num_slices must be >= 1, got {job.num_slices}")

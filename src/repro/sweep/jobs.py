@@ -6,12 +6,14 @@ row, plus free-form ``tags`` so the caller can reassemble results into
 figure tables without re-deriving which job was which.
 
 Jobs reference their graph either **symbolically** (a :class:`GraphSpec`
-naming a Table 2 dataset + scale, loaded lazily by the executor and
-memoized per process) or **inline** (a concrete
+naming a Table 2 dataset + scale, or a generator fixture, loaded lazily
+by the executor and memoized per process) or **inline** (a concrete
 :class:`~repro.graph.csr.CSRGraph`).  Both forms
 yield a stable fingerprint for the result cache: specs hash their
 generator parameters (generator code is covered by the cache's code
-version), inline graphs hash their CSR arrays.
+version), inline graphs hash their CSR arrays.  Planning and keying a
+symbolic job builds no graph and imports no numpy; only running it
+does.
 
 Jobs are frozen and keep their cache key on the instance, so a job list
 planned once (the serve daemon keeps each report section's) is keyed
@@ -24,26 +26,29 @@ import hashlib
 import json
 import types
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.accel.config import AcceleratorConfig
 from repro.accel.engine import resolve_engine
 from repro.algorithms import make_algorithm
 from repro.errors import SweepError
-from repro.graph.csr import CSRGraph
-from repro.graph.datasets import TABLE2, load
+from repro.graph import datasets
+
+if TYPE_CHECKING:
+    from repro.graph.csr import CSRGraph
 
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Symbolic reference to a Table 2 dataset at a given scale."""
+    """Symbolic reference to a Table 2 dataset at a given scale, or to a
+    generator fixture by its :data:`~repro.graph.datasets.FIXTURES` key."""
 
     key: str
     scale: float = 1.0
     seed: int | None = None
 
     def load(self) -> CSRGraph:
-        return load(self.key, scale=self.scale, seed=self.seed)
+        return datasets.load(self.key, scale=self.scale, seed=self.seed)
 
     def fingerprint(self) -> str:
         return f"spec:{self.key}:{self.scale!r}:{self.seed!r}"
@@ -142,7 +147,7 @@ class SweepJob:
         matters, so unknown keys degrade to "cheap", never to an error.
         """
         if isinstance(self.graph, GraphSpec):
-            spec = TABLE2.get(self.graph.key)
+            spec = datasets.TABLE2.get(self.graph.key)
             edges = spec.num_edges * self.graph.scale if spec else 1.0
         else:
             edges = float(self.graph.num_edges)
@@ -205,10 +210,13 @@ def _normalize_algorithm(entry) -> tuple[str, dict]:
 
 
 def _normalize_graph(entry) -> GraphSpec | CSRGraph:
-    if isinstance(entry, (GraphSpec, CSRGraph)):
+    if isinstance(entry, GraphSpec):
         return entry
     if isinstance(entry, str):
         return GraphSpec(entry)
+    from repro.graph.csr import CSRGraph      # loaded with any CSRGraph
+    if isinstance(entry, CSRGraph):
+        return entry
     raise SweepError(
         f"graph entry must be a GraphSpec, CSRGraph or dataset key, got {entry!r}")
 

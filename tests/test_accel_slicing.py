@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.accel import SlicedAcceleratorSim, higraph, simulate, slice_load_cycles
+from repro.accel.engine import ENGINES
 from repro.accel.slicing import _exposed_load_cycles
 from repro.algorithms import BFS, SSSP, PageRank, run_reference
 from repro.errors import ConfigError, ReproError
@@ -91,6 +92,21 @@ class TestSlicedAccounting:
         fast = SlicedAcceleratorSim(higraph(), graph, BFS(), slices=slices,
                                     offchip_bytes_per_cycle=1e9).run()
         assert res.stats.total_cycles > fast.stats.total_cycles
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_raw_load_streams_every_slice_every_iteration(self, graph,
+                                                          engine):
+        """The un-overlapped total the §5.3 section reports as
+        ``raw_load_cycles``: every iteration streams each slice once."""
+        slices = partition_by_destination(graph, 4)
+        stats = SlicedAcceleratorSim(
+            higraph(), graph, PageRank(iterations=3), slices=slices,
+            offchip_bytes_per_cycle=8.0, engine=engine).run().stats
+        per_iteration = sum(slice_load_cycles(s.num_edges, 8.0)
+                            for s in slices)
+        assert stats.iterations == 3
+        assert stats.slice_raw_load_cycles == 3 * per_iteration
+        assert stats.slice_load_cycles < stats.slice_raw_load_cycles
 
     def test_bad_bandwidth_rejected(self, graph):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Tests for the benchmark harness, figure runners and report builder."""
 
+import numpy as np
 import pytest
 
 from repro.accel import higraph
@@ -20,6 +21,7 @@ from repro.bench import (
 )
 from repro.bench.figures import (
     FIGURE_DATASET,
+    LATENCY_CHAIN,
     combining_ablation_jobs,
     fig10_jobs,
     fig11_jobs,
@@ -31,9 +33,9 @@ from repro.bench.figures import (
 from repro.bench.harness import bench_algorithm_entry
 from repro.bench.regen import SECTIONS, RegenContext
 from repro.errors import GenerationError
-from repro.graph import DATASET_ORDER
+from repro.graph import DATASET_ORDER, chain
 from repro.graph.datasets import SCALE_ENV_VAR
-from repro.sweep import GraphSpec, run_sweep
+from repro.sweep import run_sweep
 
 
 def _matrix(jobs=1, cache=None, **kw):
@@ -157,13 +159,20 @@ class TestFigurePlanners:
     def test_plans_the_figure_dataset_its_titles_name(self, planner,
                                                       sections):
         """Every planner runs FIGURE_DATASET at its bench scale (the
-        latency ablation adds an inline chain graph), and the section
-        titles built from it name that dataset."""
-        specs = {job.graph for job in planner()
-                 if isinstance(job.graph, GraphSpec)}
+        latency ablation adds its chain fixture), and the section titles
+        built from it name that dataset."""
+        specs = {job.graph for job in planner()} - {LATENCY_CHAIN}
         assert specs == {bench_graph_spec(FIGURE_DATASET)}
         for key in sections:
             assert f"{FIGURE_DATASET})" in SECTIONS[key].table_title, key
+
+    def test_latency_chain_resolves_to_the_generated_chain(self):
+        """The latency ablation plans its chain symbolically; the spec
+        resolves to the arrays ``chain(256)`` builds."""
+        got, want = LATENCY_CHAIN.load(), chain(256)
+        assert (got.name, got.num_vertices) == (want.name, want.num_vertices)
+        for arrays in ("offsets", "dst", "weights"):
+            assert np.array_equal(getattr(got, arrays), getattr(want, arrays))
 
 
 class TestReport:

@@ -151,6 +151,14 @@ class TestDatasets:
         with pytest.raises(GenerationError):
             load("VT", scale=0.0)
 
+    def test_fixture_loads_by_key_without_scale_or_seed(self):
+        from repro.graph import load
+        assert load("chain256").num_edges == 255
+        with pytest.raises(GenerationError, match="takes no scale or seed"):
+            load("chain256", scale=0.5)
+        with pytest.raises(GenerationError, match="takes no scale or seed"):
+            load("chain256", seed=3)
+
     def test_load_deterministic(self):
         from repro.graph import load
         assert load("EP", scale=0.05) == load("EP", scale=0.05)

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import CapacityError
 from repro.graph import (
-    CSRGraph,
-    destination_slice_edges,
     erdos_renyi,
     partition_by_destination,
     partition_for_budget,
@@ -70,22 +68,6 @@ class TestPartition:
         slices = partition_by_destination(g, 2)
         with pytest.raises(AssertionError):
             assert_tiles(g, [slices[0]])
-
-    @pytest.mark.parametrize("num_slices", [1, 7, 64],
-                             ids=["one", "not-dividing-V", "more-than-V"])
-    def test_slice_edge_counts_match_partition(self, num_slices):
-        g = erdos_renyi(50, 300, seed=8)
-        assert destination_slice_edges(g, num_slices) == \
-            [s.num_edges for s in partition_by_destination(g, num_slices)]
-
-    def test_slice_edge_counts_of_edgeless_graph(self):
-        g = CSRGraph.from_edges(10, [])
-        assert destination_slice_edges(g, 3) == \
-            [s.num_edges for s in partition_by_destination(g, 3)] == [0, 0, 0]
-
-    def test_slice_edge_counts_reject_zero_slices(self):
-        with pytest.raises(CapacityError):
-            destination_slice_edges(rmat(4, 2.0), 0)
 
     @given(num_slices=st.integers(min_value=1, max_value=16))
     @settings(max_examples=16, deadline=None)

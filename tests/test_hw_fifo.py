@@ -23,11 +23,11 @@ class TestFifo:
         with pytest.raises(OverflowError):
             f.push(3)
 
-    def test_free_and_len(self):
+    def test_len_and_empty(self):
         f = Fifo(3)
-        assert f.free == 3 and len(f) == 0 and f.empty
+        assert len(f) == 0 and f.empty
         f.push("a")
-        assert f.free == 2 and len(f) == 1 and not f.empty
+        assert len(f) == 1 and not f.empty
 
     def test_peek_does_not_pop(self):
         f = Fifo(2)

@@ -112,13 +112,14 @@ class TestReplayEngine:
         assert not eng.accept(4, 4, None)
         assert not eng.can_accept
 
-    def test_counts(self):
+    def test_wrapping_request_emits_two_pieces(self):
         eng = ReplayEngine(banks=4)
         eng.accept(2, 4, None)      # banks 2, 3 then 0, 1: two pieces
-        while eng.emit() is not None:
+        pieces = []
+        while (piece := eng.emit()) is not None:
+            pieces.append(piece[:2])
             eng.consume()
-        assert eng.requests_accepted == 1
-        assert eng.pieces_emitted == 2
+        assert pieces == [(2, 2), (4, 2)]
 
 
 class TestRangeSplitNetwork:

@@ -636,16 +636,16 @@ class TestExecutor:
         """Threads that miss the graph memo for one GraphSpec at the
         same moment still generate the graph once."""
         import sys
-        from repro.sweep import jobs as jobs_mod
+        from repro.graph import datasets
         loads = []
-        real = jobs_mod.load
+        real = datasets.load
 
         def slow_load(*args, **kwargs):
             loads.append(args)
             time.sleep(0.2)              # the other threads arrive meanwhile
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(jobs_mod, "load", slow_load)
+        monkeypatch.setattr(datasets, "load", slow_load)
         monkeypatch.setattr(executor, "_GRAPH_MEMO", {})
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -659,15 +659,15 @@ class TestExecutor:
     def test_graph_memo_serves_later_sweeps(self, monkeypatch):
         """The memo is process-wide: a threaded sweep after a serial one
         reuses the graph the serial one generated."""
-        from repro.sweep import jobs as jobs_mod
+        from repro.graph import datasets
         loads = []
-        real = jobs_mod.load
+        real = datasets.load
 
         def counted_load(*args, **kwargs):
             loads.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(jobs_mod, "load", counted_load)
+        monkeypatch.setattr(datasets, "load", counted_load)
         monkeypatch.setattr(executor, "_GRAPH_MEMO", {})
         run_sweep(_jobs()[:1], num_workers=1)
         assert run_sweep(_jobs(), num_workers=2).executed == 4
