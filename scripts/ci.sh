@@ -21,8 +21,9 @@
 #   ci.sh serve      warm-cache daemon smoke (sweep over the socket,
 #                    zero sims on resubmission, a resubmission after
 #                    another process's `cache gc` simulates again, a
-#                    served report twice: zero sims and the same bytes
-#                    the second time, clean remote shutdown)
+#                    served report twice: zero sims, the same bytes
+#                    and no daemon or asyncio import in the client the
+#                    second time, clean remote shutdown)
 #   ci.sh differential
 #                    every engine's SimStats equal reference's on the
 #                    full fig8 (72 jobs), PageRank x10 (18 jobs),
@@ -194,11 +195,18 @@ stage_serve() {
         --results-dir "$serve_dir/results" --section fig10 --section latency \
         | tee "$serve_dir/report-cold.txt"
     cp "$serve_dir/results/REPORT.md" "$serve_dir/report-cold.md"
-    REPRO_SCALE=0.03 python -m repro report --connect "$sock" \
+    # a client talks to the daemon over the socket: it must not import
+    # the daemon, its scheduler or asyncio (-X importtime logs them)
+    REPRO_SCALE=0.03 python -X importtime -m repro report --connect "$sock" \
         --results-dir "$serve_dir/results" --section fig10 --section latency \
-        | tee "$serve_dir/report-warm.txt"
+        2> "$serve_dir/imports.txt" | tee "$serve_dir/report-warm.txt" \
+        || { cat "$serve_dir/imports.txt" >&2; return 1; }
     grep -q "executed: 0" "$serve_dir/report-warm.txt"
     cmp "$serve_dir/report-cold.md" "$serve_dir/results/REPORT.md"
+    if grep -E '\| +(asyncio|repro\.serve\.daemon)$' "$serve_dir/imports.txt"; then
+        echo "the --connect client imported the daemon" >&2
+        return 1
+    fi
 
     echo "-- graceful remote shutdown --"
     python - "$sock" <<'EOF'
@@ -273,7 +281,7 @@ EOF
 }
 
 usage() {
-    sed -n '2,33p' "$0"
+    sed -n '2,34p' "$0"
     exit 2
 }
 

@@ -130,15 +130,12 @@ class CSRGraph:
             edge_arr = edge_arr[keep]
             weight_arr = weight_arr[keep]
 
-        order = np.argsort(edge_arr[:, 0], kind="stable") if len(edge_arr) else np.array([], dtype=np.int64)
-        src_sorted = edge_arr[order, 0] if len(edge_arr) else np.array([], dtype=np.int64)
-        dst_sorted = edge_arr[order, 1] if len(edge_arr) else np.array([], dtype=np.int64)
-        w_sorted = weight_arr[order] if len(edge_arr) else np.array([], dtype=np.int64)
-
-        counts = np.bincount(src_sorted, minlength=num_vertices) if num_vertices else np.array([], dtype=np.int64)
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(offsets, dst_sorted, w_sorted, name=name)
+        if num_vertices:
+            np.cumsum(np.bincount(edge_arr[:, 0], minlength=num_vertices),
+                      out=offsets[1:])
+        order = np.argsort(edge_arr[:, 0], kind="stable")
+        return cls(offsets, edge_arr[order, 1], weight_arr[order], name=name)
 
     # ------------------------------------------------------------------
     # Basic queries

@@ -58,6 +58,12 @@ def rmat(
     a+b per level), which would alias catastrophically with the
     accelerators' ``id mod banks`` interleaving — e.g. 0.76**5 = 25% of
     all edges would land in tProperty bank 0 of a 32-bank design.
+
+    The CSR arrays are built in place, in the edge order of a stable
+    sort by source (``CSRGraph.from_edges``'s).  The three arrays the
+    graph keeps are allocated before any temporary, and each temporary
+    is updated in place, so no freed temporary is left resident below
+    a kept array (``docs/performance.md``, "Graph generation").
     """
     if scale < 0 or scale > 30:
         raise GenerationError(f"rmat scale {scale} out of supported range [0, 30]")
@@ -67,27 +73,47 @@ def rmat(
 
     num_vertices, num_edges = rmat_shape(scale, edge_factor)
     rng = np.random.default_rng(seed)
+    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+    dst_out = np.empty(num_edges, dtype=np.int64)
+    weights = np.empty(num_edges, dtype=np.int64)
 
     src = np.zeros(num_edges, dtype=np.int64)
     dst = np.zeros(num_edges, dtype=np.int64)
+    r = np.empty(num_edges)
+    bit = np.empty(num_edges, dtype=bool)
+    tmp = np.empty(num_edges, dtype=bool)
     # One recursion level per scale bit: pick the quadrant for all edges
     # at once, vectorized.
     for _level in range(scale):
-        r = rng.random(num_edges)
-        src_bit = (r >= a + b).astype(np.int64)          # quadrants c, d set the row bit
-        dst_bit = ((r >= a) & (r < a + b) | (r >= a + b + c)).astype(np.int64)
-        src = (src << 1) | src_bit
-        dst = (dst << 1) | dst_bit
+        rng.random(out=r)
+        np.greater_equal(r, a + b, out=bit)      # quadrants c, d set the row bit
+        src <<= 1
+        src |= bit
+        np.greater_equal(r, a, out=bit)          # quadrants b, d set the column bit
+        np.less(r, a + b, out=tmp)
+        bit &= tmp
+        np.greater_equal(r, a + b + c, out=tmp)
+        bit |= tmp
+        dst <<= 1
+        dst |= bit
+    del r, bit, tmp
 
     # Graph500 scramble step: relabel vertices with a random permutation.
-    perm = rng.permutation(num_vertices).astype(np.int64)
-    src = perm[src]
-    dst = perm[dst]
+    # ``weights`` holds the relabelled sources until the weights are
+    # drawn, and ``src`` the relabelled destinations.
+    perm = rng.permutation(num_vertices).astype(np.int64, copy=False)
+    np.take(perm, src, out=weights)
+    np.take(perm, dst, out=src)
+    del perm, dst
 
-    pairs = np.stack([src, dst], axis=1)
-    weights = random_weights(num_edges, rng, max_weight)
-    graph_name = name or f"rmat{scale}"
-    return CSRGraph.from_edges(num_vertices, pairs, weights, name=graph_name)
+    np.cumsum(np.bincount(weights, minlength=num_vertices), out=offsets[1:])
+    # Sorting draws nothing, so the weights are drawn from the same
+    # generator state as if they were drawn before it.
+    order = np.argsort(weights, kind="stable")
+    np.take(src, order, out=dst_out)
+    del src
+    np.take(random_weights(num_edges, rng, max_weight), order, out=weights)
+    return CSRGraph(offsets, dst_out, weights, name=name or f"rmat{scale}")
 
 
 def erdos_renyi(

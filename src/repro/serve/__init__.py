@@ -21,13 +21,18 @@ See ``docs/serving.md`` for the daemon lifecycle and how the daemon
 shares its cache directory with other processes.
 """
 
-from repro.serve.client import ServeClient
-from repro.serve.daemon import ServeDaemon, serve_in_thread
-from repro.serve.protocol import PROTOCOL_VERSION
+from types import MappingProxyType
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "ServeClient",
-    "ServeDaemon",
-    "serve_in_thread",
-]
+from repro._lazy import lazy_exports
+
+#: exported name -> defining module; a client that imports
+#: :mod:`repro.serve.client` imports no daemon, scheduler or asyncio
+_EXPORTS = MappingProxyType({
+    "PROTOCOL_VERSION": "repro.serve.protocol",
+    "ServeClient": "repro.serve.client",
+    "ServeDaemon": "repro.serve.daemon",
+    "serve_in_thread": "repro.serve.daemon",
+})
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

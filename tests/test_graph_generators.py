@@ -1,12 +1,21 @@
 """Unit + property tests for synthetic graph generators."""
 
+import hashlib
+import json
+import platform
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import DEFAULT_BENCH_SCALES
 from repro.errors import GenerationError
 from repro.graph import (
+    CSRGraph,
     chain,
     complete,
     erdos_renyi,
@@ -186,3 +195,109 @@ class TestDatasets:
             spec = TABLE2[key]
             assert edges / vertices == pytest.approx(
                 spec.num_edges / spec.num_vertices, rel=0.01)
+
+
+def _edge_list_rmat(scale, edge_factor, a, b, c, seed, max_weight=63):
+    """The edge-list construction ``rmat`` replaced, kept as the
+    reference its in-place build must equal byte for byte."""
+    num_vertices = 1 << scale
+    num_edges = int(round(edge_factor * num_vertices))
+    rng = np.random.default_rng(seed)
+    src = np.zeros(num_edges, dtype=np.int64)
+    dst = np.zeros(num_edges, dtype=np.int64)
+    for _level in range(scale):
+        r = rng.random(num_edges)
+        src = (src << 1) | (r >= a + b).astype(np.int64)
+        dst = (dst << 1) | ((r >= a) & (r < a + b) | (r >= a + b + c)).astype(np.int64)
+    perm = rng.permutation(num_vertices).astype(np.int64)
+    weights = rng.integers(1, max_weight + 1, size=num_edges, dtype=np.int64)
+    return CSRGraph.from_edges(num_vertices, np.stack([perm[src], perm[dst]], axis=1),
+                               weights)
+
+
+#: Runs in the child: the anonymous RSS that generating the six
+#: bench-scale stand-ins adds, after one warm-up load.
+RETENTION = """
+import json
+from repro.bench.harness import DEFAULT_BENCH_SCALES
+from repro.graph import datasets
+
+def rss_anon():
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("RssAnon:"):
+                return int(line.split()[1]) * 1024
+
+datasets.load("VT", scale=0.01)
+before = rss_anon()
+graphs = [datasets.load(key, scale=scale)
+          for key, scale in DEFAULT_BENCH_SCALES.items()]
+print(json.dumps({"grew": rss_anon() - before,
+                  "kept": sum(g.offsets.nbytes + g.dst.nbytes + g.weights.nbytes
+                              for g in graphs)}))
+"""
+
+
+class TestRmatInPlace:
+    """``rmat`` builds its CSR arrays in place: the bytes of the edge-list
+    construction it replaced, with fewer temporaries, none left
+    resident."""
+
+    #: sha256 over ``offsets``, ``dst`` and ``weights`` (little-endian
+    #: int64) as the edge-list construction generated them
+    DIGESTS = {
+        ("VT", 1.0, None): "95ae29a801be02abf420a692b4dd8a347392175c31a72811c8db77b7c4ccc33d",
+        ("EP", 0.125, None): "c0d4b63d5d0d678404663b08eae5b08bcc9bc4c40f7ab7616f00a8ad723c9de9",
+        ("SL", 0.125, None): "244698cb3b8de949bf68a8cfcdb9e5a98a4d47f7727626302d79a912714d7521",
+        ("TW", 0.0625, None): "53d342fb3aa454688f122eba31abfba14877169157dfa2746ad40588c381df6e",
+        ("R14", 0.125, None): "aef91166917c75ad8084ed0687c5290b215e9de4efdb003b95bcefd884b16b9b",
+        ("R16", 0.03125, None): "305b2c15bd31d11a38f622b451f93bb94cdc2c3db240610330e7bcb3720ef91f",
+        ("R14", 1.0, None): "b43a41884f1c0ad4d390194a79661f7c424a92121ef2b310340a76bd9757094a",
+        ("R14", 0.125, 3): "87cb2bd5a8fd03306511cc05069a0eb60caba411374381ff1738b794756a3095",
+    }
+
+    @given(scale=st.integers(min_value=0, max_value=10),
+           ef=st.floats(min_value=0.5, max_value=16.0),
+           a=st.floats(min_value=0.01, max_value=0.55),
+           b=st.floats(min_value=0.0, max_value=0.2),
+           c=st.floats(min_value=0.0, max_value=0.2),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_edge_list_construction(self, scale, ef, a, b, c, seed):
+        assert rmat(scale, ef, a=a, b=b, c=c, seed=seed) == \
+            _edge_list_rmat(scale, ef, a, b, c, seed)
+
+    @pytest.mark.parametrize("key, scale, seed", list(DIGESTS))
+    def test_content_is_pinned(self, key, scale, seed):
+        from repro.graph import load
+        graph = load(key, scale=scale, seed=seed)
+        digest = hashlib.sha256()
+        for arr in (graph.offsets, graph.dst, graph.weights):
+            digest.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+        assert digest.hexdigest() == self.DIGESTS[key, scale, seed]
+
+    @pytest.mark.parametrize("key, scale",
+                             [("R14", 1.0), ("VT", DEFAULT_BENCH_SCALES["VT"])])
+    def test_temporaries_peak_under_bound(self, key, scale):
+        from repro.graph import load
+        load(key, scale=0.01)      # imports happen outside the window
+        tracemalloc.start()
+        try:
+            graph = load(key, scale=scale)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = graph.offsets.nbytes + graph.dst.nbytes + graph.weights.nbytes
+        # the edge-list construction peaked at 6.0x
+        assert peak <= 3.25 * kept
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="RssAnon and glibc's heap are Linux/glibc facts")
+    def test_freed_temporaries_are_not_kept_resident(self):
+        proc = subprocess.run([sys.executable, "-c", RETENTION],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        # the edge-list construction grew 22-24 MB for 9.7 MB of arrays
+        assert got["grew"] <= got["kept"] + 4 * 2**20, got

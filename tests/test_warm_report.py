@@ -1,4 +1,5 @@
-"""A warm report imports no numpy and builds no graph.
+"""A warm report imports no numpy and builds no graph, and a client
+imports no daemon.
 
 Each check runs in a fresh interpreter, since this one has imported
 numpy long ago.  The cache is filled once, by a cold ``repro report``
@@ -51,6 +52,16 @@ print(json.dumps({"numpy": steps, "executed": report.executed,
                   "hits": report.cache_hits, "jobs": report.total_jobs}))
 """
 
+#: The modules a ``--connect`` client imports: the daemon runs in
+#: another process, so its modules and asyncio must not load here.
+CLIENT = """
+import json, sys
+import repro.api, repro.cli, repro.serve.client
+print(json.dumps({"loaded": sorted(
+    name for name in ("asyncio", "repro.serve.daemon", "repro.serve.scheduler")
+    if name in sys.modules)}))
+"""
+
 
 def _child(code: str, *args: str) -> dict:
     env = dict(os.environ, REPRO_SCALE="0.01")
@@ -91,3 +102,7 @@ def test_served_warm_report_imports_no_numpy(filled, tmp_path):
                             "RemoteSession.report": False}
     assert got["executed"] == 0 and got["hits"] == got["jobs"] > 0
     assert (tmp_path / "r" / "REPORT.md").read_bytes() == cold_report
+
+
+def test_client_imports_no_daemon():
+    assert _child(CLIENT) == {"loaded": []}
