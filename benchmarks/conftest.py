@@ -29,6 +29,7 @@ import os
 
 import pytest
 
+from repro.api import LocalSession
 from repro.bench.regen import SECTIONS, RegenContext, write_table
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -44,8 +45,9 @@ def results_dir():
 def section(results_dir):
     """``section(key)`` builds one report section, prints its table,
     writes it as ``results/<key>.txt`` and returns the rows."""
-    ctx = RegenContext(num_workers=int(os.environ.get("REPRO_JOBS", "0")),
-                       cache=os.environ.get("REPRO_CACHE_DIR") or None)
+    session = LocalSession(cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
+                           num_workers=int(os.environ.get("REPRO_JOBS", "0")))
+    ctx = RegenContext(session.sweep)
 
     def build(key: str) -> list[dict]:
         rows, _accounting = SECTIONS[key].build(ctx)

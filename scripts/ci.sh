@@ -19,7 +19,8 @@
 #   ci.sh report     cold/warm report regeneration (zero sims, same bytes,
 #                    and the warm run imports no numpy)
 #   ci.sh serve      warm-cache daemon smoke (sweep over the socket,
-#                    zero sims on resubmission, a resubmission after
+#                    zero sims on resubmission, the daemon's status
+#                    totals agreeing with both, a resubmission after
 #                    another process's `cache gc` simulates again, a
 #                    served report twice: zero sims, the same bytes
 #                    and no daemon or asyncio import in the client the
@@ -182,6 +183,11 @@ stage_serve() {
     diff <(sed '/^jobs:/d' "$serve_dir/cold.txt") \
          <(sed '/^jobs:/d' "$serve_dir/warm.txt")
 
+    echo "-- daemon totals: the cold sweep's 6 runs, the warm one's 6 hits --"
+    python -m repro serve status --connect "$sock" \
+        | tee "$serve_dir/status.txt"
+    grep -q "^executed: 6  cache hits: 6  deduped: 0$" "$serve_dir/status.txt"
+
     echo "-- entries deleted by another process: simulated again --"
     python -m repro cache gc --cache-dir "$serve_dir/cache" --max-bytes 0
     python -m repro sweep --datasets VT --scale 0.03 --algorithms BFS,PR \
@@ -213,7 +219,7 @@ stage_serve() {
 import sys
 from repro.serve.client import ServeClient
 client = ServeClient(sys.argv[1])
-assert client.ping().protocol == 5
+assert client.ping().protocol == 6
 client.shutdown()
 EOF
     wait "$daemon_pid"

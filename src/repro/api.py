@@ -99,7 +99,8 @@ class LocalSession(Session):
     ``cache_dir`` enables the content-addressed result cache,
     ``num_workers`` runs sweeps on that many threads (1 = the caller's
     thread, None/0 = one per CPU), ``engine`` pins the scatter engine
-    for jobs that don't choose one themselves.
+    for jobs that don't choose one themselves, report sections' jobs
+    included: a report sweeps through :meth:`sweep`.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None,
@@ -135,8 +136,9 @@ class LocalSession(Session):
                on_progress=None):
         from repro.bench.regen import regenerate
         self._check_open()
+        cache_dir = None if self.cache is None else str(self.cache.root)
         return regenerate(str(results_dir), sections=sections,
-                          num_workers=self.num_workers, cache=self.cache,
+                          sweep=self.sweep, cache_dir=cache_dir,
                           report_path=None if out is None else str(out),
                           progress=on_progress, charts=charts)
 
@@ -177,7 +179,7 @@ class RemoteSession(Session):
             workers_used=done.workers_used,
             wall_seconds=done.wall_seconds,
             job_seconds=list(done.job_seconds),
-            extra={"deduped": done.deduped, "ticket": done.ticket},
+            deduped=done.deduped,
         )
 
     def report(self, results_dir: str | os.PathLike, sections=None,

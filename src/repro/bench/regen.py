@@ -6,10 +6,11 @@ Every section of the consolidated report
 rows and the format of its table.  :func:`regenerate`, ``repro sweep
 --figure`` and the ``benchmarks/`` suite all build rows with
 ``SECTIONS[key].build(ctx)`` and render them with
-:meth:`SectionSpec.render`.  :func:`regenerate` pulls each section
-through the sweep executor — so a **warm result cache regenerates the
-whole report with zero simulator invocations** — writes the per-section
-``.txt`` tables and rebuilds ``REPORT.md``.
+:meth:`SectionSpec.render`.  A section's jobs go through the one
+``sweep`` callable its caller passes (a session's ``sweep``, or the
+serve scheduler), so a **warm result cache regenerates the whole report
+with zero simulator invocations**; :func:`regenerate` then writes the
+per-section ``.txt`` tables and rebuilds ``REPORT.md``.
 
 Two kinds of provenance are recorded:
 
@@ -65,7 +66,10 @@ from repro.bench.harness import (
 )
 from repro.bench.report import REPORT_SECTIONS, build_report
 from repro.errors import SweepError
-from repro.sweep import ResultCache, code_version, run_sweep
+from repro.sweep import SweepOutcome, code_version, run_sweep
+
+#: A job list -> its :class:`SweepOutcome`, stats in job order.
+Sweep = Callable[[list], SweepOutcome]
 
 #: Figure-name shortcuts (CLI ``--figure`` / ``--section`` aliases) to
 #: report section keys.
@@ -88,20 +92,16 @@ FIGURE_SECTIONS: dict[str, tuple[str, ...]] = {
 
 
 class RegenContext:
-    """Shared state for one regeneration pass: workers, cache, memos."""
+    """Shared state for one regeneration pass: the sweep, the memos.
 
-    def __init__(self, num_workers: int | None = 1,
-                 cache: ResultCache | str | os.PathLike | None = None,
-                 runner: Callable | None = None,
+    ``sweep`` runs each planned job list: ``run_sweep`` (serial, no
+    cache) unless the caller passes a session's ``sweep`` or, on the
+    serve daemon, its scheduler.
+    """
+
+    def __init__(self, sweep: Sweep = run_sweep,
                  plans: dict[str, list] | None = None) -> None:
-        self.num_workers = num_workers
-        if cache is not None and not isinstance(cache, ResultCache):
-            cache = ResultCache(cache)
-        self.cache = cache
-        #: alternate sweep executor with run_sweep's signature; the serve
-        #: daemon injects its scheduler here so report sections share the
-        #: job threads and in-flight dedup of directly submitted jobs
-        self.runner = runner
+        self.run = sweep
         #: sweep name -> planned job list; filled here, and kept by a
         #: caller that passes the same dict to every pass at one scale
         self.plans = {} if plans is None else plans
@@ -115,8 +115,7 @@ class RegenContext:
         jobs = self.plans.get(name)
         if jobs is None:
             jobs = self.plans[name] = jobs_fn()
-        run = self.runner if self.runner is not None else run_sweep
-        outcome = run(jobs, num_workers=self.num_workers, cache=self.cache)
+        outcome = self.run(jobs)
         self._outcomes[name] = outcome
         return outcome, True
 
@@ -414,33 +413,30 @@ class RegenReport:
         }
 
 
-def regenerate(results_dir: str, sections=None, num_workers: int | None = 1,
-               cache: ResultCache | str | os.PathLike | None = None,
+def regenerate(results_dir: str, sections=None, sweep: Sweep = run_sweep,
+               cache_dir: str | None = None,
                report_path: str | None = None,
-               provenance_path: str | None = None,
                progress: Callable[[dict], None] | None = None,
                charts: bool = False,
-               runner: Callable | None = None,
                plans: dict[str, list] | None = None) -> RegenReport:
     """Regenerate section tables and the consolidated report from cache.
 
     Renders each selected section's ``.txt`` under ``results_dir`` (rows
-    pulled through the sweep executor, so a warm ``cache`` simulates
+    pulled through ``sweep``, so a sweep over a warm cache simulates
     nothing), rebuilds ``REPORT.md`` from everything present in
-    ``results_dir``, and writes the run-accounting sidecar.  With
-    ``charts``, sections that declare a chart also render it as
-    ``<key>.chart.txt`` and REPORT.md embeds the charts under the
-    tables (same rows, so cold and warm runs stay byte-identical).
-    ``progress``, if given, is called with each finished section record.
-    ``runner`` substitutes the sweep executor (run_sweep's signature);
-    the serve daemon passes its scheduler so section sweeps run on its
-    job threads.  ``plans`` (sweep name -> job list) is read
+    ``results_dir``, and writes the run-accounting sidecar.
+    ``cache_dir`` names the directory ``sweep`` reads: the report judges
+    the tables this pass did not write against its newest entry, and
+    the sidecar records it.  With ``charts``, sections that declare a
+    chart also render it as ``<key>.chart.txt`` and REPORT.md embeds
+    the charts under the tables (same rows, so cold and warm runs stay
+    byte-identical).  ``progress``, if given, is called with each
+    finished section record.  ``plans`` (sweep name -> job list) is read
     for sweeps planned before and filled with the ones planned now; the
     caller must pass it only to calls under the same ``$REPRO_SCALE``.
     """
     keys = resolve_sections(sections)
-    ctx = RegenContext(num_workers=num_workers, cache=cache, runner=runner,
-                       plans=plans)
+    ctx = RegenContext(sweep, plans=plans)
     start = time.monotonic()
     os.makedirs(results_dir, exist_ok=True)
 
@@ -471,9 +467,8 @@ def regenerate(results_dir: str, sections=None, num_workers: int | None = 1,
             # above it, never from a previous regeneration's cache state
             save_rows(path, chart(rows))
 
-    cache_dir = str(ctx.cache.root) if ctx.cache is not None else None
     report_path = report_path or os.path.join(results_dir, "REPORT.md")
-    provenance_path = provenance_path or os.path.join(
+    provenance_path = os.path.join(
         os.path.dirname(report_path) or ".", "REPORT.provenance.json")
 
     version = code_version()

@@ -24,14 +24,13 @@ See ``docs/cli.md`` for copy-paste examples of every subcommand.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 
 # the parser needs only these registries, none of which imports numpy;
 # each command imports what it runs, so a warm `repro report` never does
 from repro.accel.config import graphdyns, higraph, higraph_mini
-from repro.accel.engine.registry import DEFAULT_ENGINE, ENGINE_ENV_VAR, ENGINES
+from repro.accel.engine.registry import DEFAULT_ENGINE, ENGINES
 from repro.errors import ReproError
 from repro.graph.datasets import DATASET_ORDER, TABLE2
 
@@ -219,14 +218,16 @@ def _session_for(args):
 
     ``--connect`` routes execution to a running daemon (which owns the
     cache, the workers and the engine choice); otherwise execution is
-    in-process with this invocation's flags.
+    in-process with this invocation's flags, ``--engine`` included: the
+    session pins it on copies of every job it sweeps.
     """
     from repro.api import LocalSession, RemoteSession
 
     if getattr(args, "connect", None):
         return RemoteSession(args.connect)
     cache = None if args.no_cache else args.cache_dir
-    return LocalSession(cache_dir=cache, num_workers=args.jobs)
+    return LocalSession(cache_dir=cache, num_workers=args.jobs,
+                        engine=args.engine)
 
 
 def _cmd_simulate(args) -> int:
@@ -329,29 +330,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _engine_env(engine: str | None):
-    """Scoped ``$REPRO_ENGINE`` override for figure/report builders.
-
-    Those builders plan their own jobs, so the engine choice travels
-    via the environment (every job thread reads it); the
-    previous value is restored afterwards so an in-process caller of
-    ``main()`` does not leak engine selection into later work.
-    """
-    if engine is None:
-        yield
-        return
-    previous = os.environ.get(ENGINE_ENV_VAR)
-    os.environ[ENGINE_ENV_VAR] = engine
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ENGINE_ENV_VAR, None)
-        else:
-            os.environ[ENGINE_ENV_VAR] = previous
-
-
 def _cmd_sweep_figure(args) -> int:
     """``repro sweep --figure fig8``: warm the cache for one figure and
     print each of its sections' table and chart."""
@@ -374,18 +352,13 @@ def _cmd_sweep_figure(args) -> int:
               f"from the REPRO_SCALE environment variable)", file=sys.stderr)
         return 2
 
-    cache = None if args.no_cache else args.cache_dir
     try:
-        with _engine_env(args.engine), _session_for(args) as session:
+        with _session_for(args) as session:
             # figure sections plan their own jobs; route their sweeps
             # through the session so --connect reuses the daemon's
             # loaded graphs and shared cache
-            def _runner(jobs, num_workers=None, cache=None, progress=None):
-                return session.sweep(jobs)
-
             keys = resolve_sections([args.figure])
-            ctx = RegenContext(num_workers=args.jobs, cache=cache,
-                               runner=_runner)
+            ctx = RegenContext(session.sweep)
             executed = hits = planned = 0
             for key in keys:
                 spec = SECTIONS[key]
@@ -424,9 +397,7 @@ def _cmd_report(args) -> int:
               f"wall: {record['wall_seconds']:.2f}s")
 
     try:
-        # section builders plan their own jobs; the engine choice is
-        # scoped to this regeneration (see _engine_env)
-        with _engine_env(args.engine), _session_for(args) as session:
+        with _session_for(args) as session:
             report = session.report(
                 args.results_dir,
                 sections=args.section or None,
@@ -500,11 +471,9 @@ def _cmd_serve_verb(args) -> int:
                       "with; restart it to serve the new code")
         else:
             reply = client.status()
-            print(f"state: {reply.state}  workers: {reply.workers}  "
-                  f"tickets: {reply.tickets}  "
+            print(f"workers: {reply.workers}  "
                   f"uptime: {reply.uptime_seconds:.0f}s")
-            print(f"jobs: {reply.done}/{reply.total}  "
-                  f"executed: {reply.executed}  "
+            print(f"executed: {reply.executed}  "
                   f"cache hits: {reply.cache_hits}  "
                   f"deduped: {reply.deduped}")
     except ReproError as exc:

@@ -5,12 +5,13 @@ re-built, the code-version digest re-computed.  This package keeps all
 of that resident:
 
 * :mod:`repro.serve.protocol` — versioned JSON-over-socket messages
-  (submit sweep, query status, stream progress, regenerate report
-  sections, reload, shutdown) plus the wire codec for
-  :class:`~repro.sweep.jobs.SweepJob`.
-* :mod:`repro.serve.scheduler` — the job queue: content-addressed
-  dedup of in-flight identical jobs and largest-first dispatch onto
-  the daemon's job threads, which share the process's loaded graphs.
+  (sweep, query status, regenerate report sections, reload, shutdown)
+  plus the wire codec for :class:`~repro.sweep.jobs.SweepJob`.
+* :mod:`repro.serve.scheduler` — a sweep's books, kept as
+  :func:`~repro.sweep.executor.run_sweep` keeps them, plus dedup of
+  in-flight identical jobs across requests and largest-first dispatch
+  onto the daemon's job threads, which share the process's loaded
+  graphs.
 * :mod:`repro.serve.daemon` — the asyncio unix-socket server tying the
   two together: it digests the code version once at start, and a
   ``reload`` that finds the digest changed stops it for a restart.

@@ -1,10 +1,9 @@
 """Blocking client for the ``repro serve`` daemon.
 
 One short-lived connection per request keeps the client stateless: the
-daemon owns every ticket, so a submit on one connection can be fetched
-on another (or by another process entirely).  Streaming requests keep
-their single connection open for the duration and invoke a callback
-per progress event.
+request goes out, its replies come back on the same connection — for a
+sweep, a ``progress`` event per job before the terminal reply, so no
+read waits longer than one job — and the connection closes.
 
 All methods raise :class:`~repro.errors.ServeError` when the daemon
 answers with an ``error`` message, and propagate the codec's
@@ -52,12 +51,20 @@ class ServeClient:
             raise ServeError(f"[{reply.code}] {reply.message}")
         return reply
 
-    def _request(self, msg, expect: type):
-        """Send one message, read one reply, check its type."""
+    def _request(self, msg, expect: type, on_progress=None):
+        """Send one message and read its reply, after any progress
+        events (each passed to ``on_progress``); check the reply's type."""
         with self._connect() as sock:
-            sock.sendall(protocol.encode(msg))
+            try:
+                sock.sendall(protocol.encode(msg))
+            except (BrokenPipeError, ConnectionResetError):
+                pass        # refused mid-send: its error reply says why
             with sock.makefile("rb") as stream:
                 reply = self._read_reply(stream)
+                while isinstance(reply, protocol.Progress):
+                    if on_progress is not None:
+                        on_progress(reply)
+                    reply = self._read_reply(stream)
         if not isinstance(reply, expect):
             raise ServeError(
                 f"expected {expect.TYPE!r} reply, got {type(reply).TYPE!r}")
@@ -67,50 +74,20 @@ class ServeClient:
     def ping(self) -> "protocol.Pong":
         return self._request(protocol.Ping(), protocol.Pong)
 
-    def submit_sweep(self, jobs: list[SweepJob]) -> str:
-        """Enqueue jobs; returns the ticket id immediately."""
-        reply = self._request(
-            protocol.SubmitSweep(jobs=[protocol.job_to_wire(j) for j in jobs]),
-            protocol.Submitted)
-        return reply.ticket
-
-    def fetch(self, ticket: str) -> "protocol.SweepDone":
-        """Block until a previously submitted ticket completes."""
-        return self._request(protocol.FetchSweep(ticket=ticket),
-                             protocol.SweepDone)
-
-    def status(self, ticket: str | None = None) -> "protocol.StatusReply":
-        return self._request(protocol.QueryStatus(ticket=ticket),
-                             protocol.StatusReply)
-
-    def stream(self, ticket: str, on_progress=None) -> "protocol.SweepDone":
-        """Follow a ticket's progress events until its terminal reply.
-
-        ``on_progress`` is called with each :class:`protocol.Progress`
-        (events recorded before subscribing are replayed first).
-        """
-        with self._connect() as sock:
-            sock.sendall(protocol.encode(
-                protocol.StreamProgress(ticket=ticket)))
-            with sock.makefile("rb") as stream:
-                while True:
-                    reply = self._read_reply(stream)
-                    if isinstance(reply, protocol.SweepDone):
-                        return reply
-                    if isinstance(reply, protocol.Progress):
-                        if on_progress is not None:
-                            on_progress(reply)
-                        continue
-                    raise ServeError(
-                        f"unexpected {type(reply).TYPE!r} in progress stream")
+    def status(self) -> "protocol.StatusReply":
+        """The daemon's job totals, job threads and uptime."""
+        return self._request(protocol.QueryStatus(), protocol.StatusReply)
 
     def run_sweep(self, jobs: list[SweepJob],
                   on_progress=None) -> "protocol.SweepDone":
-        """Submit + follow to completion; the one-call sweep path."""
-        ticket = self.submit_sweep(jobs)
-        if on_progress is None:
-            return self.fetch(ticket)
-        return self.stream(ticket, on_progress)
+        """Sweep ``jobs`` on the daemon and return its terminal reply.
+
+        ``on_progress`` is called with each :class:`protocol.Progress`,
+        one per job, as the daemon sends them.
+        """
+        return self._request(
+            protocol.Sweep(jobs=[protocol.job_to_wire(j) for j in jobs]),
+            protocol.SweepDone, on_progress)
 
     def regen_report(self, results_dir: str | os.PathLike,
                      sections: list[str] | None = None,

@@ -13,20 +13,25 @@ results under the new version's keys.  ``Shutdown`` drains and exits
 cleanly.
 
 Connections are handled concurrently; requests on one connection are
-handled in order.  Blocking work (regeneration, the reload digest) runs
-on a thread so the loop keeps serving; simulation itself runs on the
-job pool via the scheduler.  Cache maintenance is not the daemon's:
-``repro cache info|gc --cache-dir`` works on the directory directly,
-and an entry it deletes is a miss on the daemon's next lookup.
+handled in order, and each is answered on its connection: a sweep with
+a ``progress`` event per job, then ``sweep_done``.  A request that
+fails is answered with an ``error`` and the connection stays open; a
+request line longer than :data:`~repro.serve.protocol.MAX_LINE_BYTES`
+is answered with a ``protocol`` error and the connection is closed.
+The daemon keeps no state per request.  Blocking work (regeneration,
+the reload digest) runs on a thread so the loop keeps serving;
+simulation itself runs on the job pool via the scheduler.  Cache
+maintenance is not the daemon's: ``repro cache info|gc --cache-dir``
+works on the directory directly, and an entry it deletes is a miss on
+the daemon's next lookup.
 
 The report endpoint reuses :func:`repro.bench.regen.regenerate`
-verbatim, but injects the scheduler as the sweep ``runner`` — section
-sweeps go through the same dedup/job-pool path as
-directly submitted jobs, and a warm cache regenerates every section
-with zero simulations.  It also keeps each section sweep's planned job
-list resident for the ``$REPRO_SCALE`` in force (the most recent scale
-only), so a repeated report neither plans nor derives a cache key
-again: the frozen jobs keep their keys.  What changes between
+verbatim, with the scheduler as its ``sweep`` — section sweeps go
+through the same dedup/job-pool path as served sweeps, and a warm cache
+regenerates every section with zero simulations.  It also keeps each
+section sweep's planned job list resident for the ``$REPRO_SCALE`` in
+force (the most recent scale only), so a repeated report neither plans
+nor derives a cache key again: the frozen jobs keep their keys.  What changes between
 requests, each result's cache entry, is still read through
 :meth:`ResultCache.get <repro.sweep.cache.ResultCache.get>`.
 """
@@ -50,7 +55,7 @@ from repro.errors import (
     ServeError,
 )
 from repro.serve import protocol
-from repro.serve.scheduler import Scheduler, Ticket
+from repro.serve.scheduler import Scheduler
 from repro.sweep import cache as cache_module
 from repro.sweep.cache import ResultCache, code_version
 from repro.sweep.executor import resolve_workers
@@ -81,6 +86,7 @@ class ServeDaemon:
                  workers: int | None = 1, engine: str | None = None) -> None:
         self.socket_path = str(socket_path)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
+        self.cache_dir = None if self.cache is None else str(self.cache.root)
         if engine is not None:
             # jobs and regen planners read the environment; a
             # daemon-wide engine choice travels the same way the CLI's
@@ -116,7 +122,8 @@ class ServeDaemon:
         with contextlib.suppress(OSError):
             os.unlink(self.socket_path)     # stale socket from a crash
         self._server = await asyncio.start_unix_server(
-            self._handle_connection, path=self.socket_path)
+            self._handle_connection, path=self.socket_path,
+            limit=protocol.MAX_LINE_BYTES)
         on_main = threading.current_thread() is threading.main_thread()
         if on_main:
             self.loop.add_signal_handler(signal.SIGTERM, self.request_stop)
@@ -141,7 +148,14 @@ class ServeDaemon:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:      # over the reader's limit
+                    await self._send(writer, protocol.Error(
+                        code="protocol",
+                        message="request line longer than "
+                                f"{protocol.MAX_LINE_BYTES} bytes"))
+                    break               # the rest of it is still coming
                 if not line:
                     break
                 try:
@@ -156,9 +170,16 @@ class ServeDaemon:
                     continue
                 try:
                     done = await self._dispatch(request, writer)
+                except (ConnectionResetError, BrokenPipeError):
+                    raise
                 except ReproError as exc:
                     await self._send(writer, protocol.Error(
                         code="bad-request", message=str(exc)))
+                    continue
+                except Exception as exc:
+                    await self._send(writer, protocol.Error(
+                        code="failed",
+                        message=f"{type(exc).__name__}: {exc}"))
                     continue
                 if done:
                     break
@@ -180,34 +201,34 @@ class ServeDaemon:
                 protocol=protocol.PROTOCOL_VERSION,
                 code_version=self.version))
 
-        elif isinstance(request, protocol.SubmitSweep):
+        elif isinstance(request, protocol.Sweep):
             jobs = [protocol.job_from_wire(j) for j in request.jobs]
-            ticket = self.scheduler.submit(jobs)
-            await self._send(writer, protocol.Submitted(
-                ticket=ticket.id, jobs=len(jobs)))
+
+            def progress(done, total, job):
+                # not drained: the transport sends it now, or with the
+                # terminal reply's drain; a gone client gets none
+                if not writer.is_closing():
+                    writer.write(protocol.encode(protocol.Progress(
+                        done=done, total=total, job=job.describe())))
+
+            outcome = await self.scheduler.run_jobs(jobs, progress)
+            await self._send(writer, protocol.SweepDone(
+                stats=[s.to_dict() for s in outcome.stats],
+                cache_hits=outcome.cache_hits,
+                cache_misses=outcome.cache_misses,
+                executed=outcome.executed,
+                deduped=outcome.deduped,
+                workers_used=outcome.workers_used,
+                wall_seconds=round(outcome.wall_seconds, 6),
+                job_seconds=[round(s, 6) for s in outcome.job_seconds]))
 
         elif isinstance(request, protocol.QueryStatus):
-            await self._send(writer, self._status_reply(request.ticket))
-
-        elif isinstance(request, protocol.FetchSweep):
-            ticket = self._ticket(request.ticket)
-            outcome = await self.scheduler.wait(ticket)
-            await self._send(writer, self._sweep_done(ticket, outcome))
-
-        elif isinstance(request, protocol.StreamProgress):
-            ticket = self._ticket(request.ticket)
-            sent = 0
-            while True:
-                while sent < len(ticket.events):
-                    done, total, job = ticket.events[sent]
-                    sent += 1
-                    await self._send(writer, protocol.Progress(
-                        ticket=ticket.id, done=done, total=total, job=job))
-                if ticket.state in ("done", "failed"):
-                    break
-                await ticket.changed.wait()
-            outcome = await self.scheduler.wait(ticket)
-            await self._send(writer, self._sweep_done(ticket, outcome))
+            await self._send(writer, protocol.StatusReply(
+                executed=self.scheduler.executed_total,
+                cache_hits=self.scheduler.hits_total,
+                deduped=self.scheduler.deduped_total,
+                workers=self.workers,
+                uptime_seconds=round(time.monotonic() - self.started_at, 3)))
 
         elif isinstance(request, protocol.RegenReport):
             reply = await self._regenerate(request)
@@ -240,46 +261,12 @@ class ServeDaemon:
         return False
 
     # ------------------------------------------------------------------
-    def _ticket(self, ticket_id: str) -> Ticket:
-        ticket = self.scheduler.tickets.get(ticket_id)
-        if ticket is None:
-            raise ServeError(f"unknown ticket {ticket_id!r}")
-        return ticket
-
-    def _status_reply(self, ticket_id: str | None) -> "protocol.StatusReply":
-        if ticket_id is None:
-            return protocol.StatusReply(
-                state="serving",
-                executed=self.scheduler.executed_total,
-                cache_hits=self.scheduler.hits_total,
-                deduped=self.scheduler.deduped_total,
-                tickets=len(self.scheduler.tickets),
-                workers=self.workers,
-                uptime_seconds=round(time.monotonic() - self.started_at, 3))
-        ticket = self._ticket(ticket_id)
-        return protocol.StatusReply(
-            state=ticket.state, done=ticket.done, total=ticket.total,
-            executed=ticket.executed, cache_hits=ticket.cache_hits,
-            deduped=ticket.deduped, workers=self.workers)
-
-    def _sweep_done(self, ticket: Ticket, outcome) -> "protocol.SweepDone":
-        return protocol.SweepDone(
-            ticket=ticket.id,
-            stats=[s.to_dict() for s in outcome.stats],
-            cache_hits=outcome.cache_hits,
-            cache_misses=outcome.cache_misses,
-            executed=outcome.executed,
-            deduped=outcome.extra.get("deduped", 0),
-            workers_used=outcome.workers_used,
-            wall_seconds=round(outcome.wall_seconds, 6),
-            job_seconds=[round(s, 6) for s in outcome.job_seconds])
-
     async def _regenerate(self, request: "protocol.RegenReport"):
         from repro.bench.regen import regenerate
 
         loop = asyncio.get_running_loop()
 
-        def runner(jobs, num_workers=None, cache=None, progress=None):
+        def sweep(jobs):
             # regenerate() runs on a thread; its section sweeps hop back
             # into the loop so they share the scheduler's dedup
             return asyncio.run_coroutine_threadsafe(
@@ -297,10 +284,10 @@ class ServeDaemon:
                 return regenerate(
                     request.results_dir,
                     sections=request.sections,
-                    cache=self.cache,
+                    sweep=sweep,
+                    cache_dir=self.cache_dir,
                     report_path=request.out,
                     charts=request.charts,
-                    runner=runner,
                     plans=self._plans[scale],
                 )
 

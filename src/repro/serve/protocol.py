@@ -14,6 +14,11 @@ classes, and :func:`encode` / :func:`decode` are the only (de)serializers
 — both the daemon and the client import them, which is what keeps the
 two ends structurally incapable of drifting apart.
 
+Each request is answered on the connection that sent it.  A ``sweep``
+is answered with a ``progress`` event per job, then ``sweep_done``;
+every other request with one reply.  Any request may be answered with an
+``error`` instead.  A line may be up to :data:`MAX_LINE_BYTES` long.
+
 Jobs on the wire
 ----------------
 :func:`job_to_wire` / :func:`job_from_wire` round-trip a
@@ -45,7 +50,12 @@ if TYPE_CHECKING:
 #: Bumped on any incompatible wire change.  Version negotiation is
 #: deliberately absent: both ends ship in one repo, so a mismatch means
 #: a stale daemon — the right fix is a reload/restart, not compat glue.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
+
+#: The longest line a daemon reads.  One job on the largest graph the
+#: design holds (2**19 vertices, 2**22 edges) travels as about 95 MB of
+#: base64 arrays; a longer line is refused with a ``protocol`` error.
+MAX_LINE_BYTES = 128 * 1024 * 1024
 
 _MESSAGE_TYPES: dict[str, type] = {}
 
@@ -72,13 +82,13 @@ class Ping:
     """Liveness probe; the daemon answers :class:`Pong`."""
 
 
-@message("submit_sweep")
-class SubmitSweep:
-    """Enqueue a job list; answered immediately with :class:`Submitted`.
+@message("sweep")
+class Sweep:
+    """Run a job list; answered with one :class:`Progress` per job (the
+    cache hits first, then each job as it finishes), then
+    :class:`SweepDone`.
 
     ``jobs`` is a list of wire-form job dicts (:func:`job_to_wire`).
-    Results are collected later via :class:`FetchSweep` (blocking) or
-    :class:`StreamProgress` (event stream) using the returned ticket.
     """
 
     jobs: list = field(default_factory=list)
@@ -86,27 +96,7 @@ class SubmitSweep:
 
 @message("query_status")
 class QueryStatus:
-    """Status of one ticket (``ticket`` set) or of the whole daemon."""
-
-    ticket: str | None = None
-
-
-@message("stream_progress")
-class StreamProgress:
-    """Subscribe to a ticket's progress events.
-
-    The daemon replays events already recorded, streams new ones as
-    jobs finish, and terminates the stream with :class:`SweepDone`.
-    """
-
-    ticket: str
-
-
-@message("fetch_sweep")
-class FetchSweep:
-    """Block until a ticket completes; answered with :class:`SweepDone`."""
-
-    ticket: str
+    """The daemon's lifetime totals; answered with :class:`StatusReply`."""
 
 
 @message("report")
@@ -157,30 +147,21 @@ class Pong:
     code_version: str = ""
 
 
-@message("submitted")
-class Submitted:
-    ticket: str
-    jobs: int
-
-
 @message("status_reply")
 class StatusReply:
-    state: str                      # "queued" | "running" | "done" | daemon: "serving"
-    done: int = 0
-    total: int = 0
+    """Job totals over the daemon's life, its job threads and uptime."""
+
     executed: int = 0
     cache_hits: int = 0
     deduped: int = 0
-    tickets: int = 0
     workers: int = 0
     uptime_seconds: float = 0.0
 
 
 @message("progress")
 class Progress:
-    """One finished job inside a streamed sweep."""
+    """One finished job of a sweep: ``done`` of ``total``."""
 
-    ticket: str
     done: int
     total: int
     job: str = ""
@@ -190,7 +171,6 @@ class Progress:
 class SweepDone:
     """Terminal reply of a sweep: stats dicts in job order + accounting."""
 
-    ticket: str
     stats: list = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0

@@ -6,20 +6,20 @@ so parallel execution only changes *when* a result is computed, never
 ``run_sweep(jobs, num_workers=8)`` is byte-for-byte identical to the
 serial path — the property the benchmark suite asserts.
 
-Cache protocol (when a :class:`~repro.sweep.cache.ResultCache` is
-given):
+Every sweep, with or without a cache, local or on the serve daemon,
+keeps its books in one :class:`SweepLedger`:
 
 1. every job's cache key is computed up front (one code-version digest,
-   one config hash and one graph fingerprint per job);
-2. hits are filled in immediately; identical keys inside one sweep are
-   deduplicated so the simulation runs once;
-3. only misses are executed: in the caller's thread when
-   ``num_workers == 1``, otherwise on a pool of N threads in
-   largest-job-first order (:func:`scheduled_order`) so a skewed matrix
-   keeps the pool busy.  The ``soa`` kernel marches with the GIL
-   released, so its jobs run in parallel; ``reference`` holds the GIL
-   and runs one job at a time;
-4. fresh results are written back with provenance — including the
+   one config hash and one graph fingerprint per job) and the cache
+   hits are filled in;
+2. each distinct missed key is simulated once; the jobs that repeat it
+   are filled from its result at the end.  ``run_sweep`` simulates in
+   the caller's thread when ``num_workers == 1``, otherwise on a pool of
+   N threads in largest-job-first order (:func:`scheduled_order`) so a
+   skewed matrix keeps the pool busy.  The ``soa`` kernel marches with
+   the GIL released, so its jobs run in parallel; ``reference`` holds
+   the GIL and runs one job at a time;
+3. fresh results are written back with provenance — including the
    per-job simulation wall time — on the caller's thread, before
    returning.
 """
@@ -162,7 +162,9 @@ class SweepOutcome:
     #: per-job simulation wall time, in job order; 0.0 for cache hits
     #: and duplicate-key fills (nothing was simulated for them)
     job_seconds: list[float] = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
+    #: jobs that waited for another serve request's run of their key;
+    #: counted among the cache hits too (nothing was simulated for them)
+    deduped: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -180,6 +182,99 @@ class SweepOutcome:
         return out
 
 
+class SweepLedger:
+    """The books of one sweep, whoever simulates its jobs.
+
+    :func:`run_sweep` and the serve daemon's scheduler each drive one.
+    Construction keys every job under ``version`` and fills the cache
+    hits; ``pending`` lists the first job of each missed key, the ones
+    to simulate.  :meth:`complete` records (and stores) a result
+    simulated for this sweep, :meth:`attach` one simulated for another
+    request, and :meth:`outcome` fills the duplicate keys from their
+    first job and builds the :class:`SweepOutcome`.
+
+    ``progress``, if given, is called as ``progress(done, total, job)``
+    once per job, ``done`` counting from 1 to ``total``: the cache hits
+    first, in job order, then each job as its result arrives.
+    """
+
+    def __init__(self, jobs: list[SweepJob], cache: ResultCache | None,
+                 version: str, progress=None) -> None:
+        self.start = time.monotonic()
+        self.jobs = jobs
+        self.cache = cache
+        self.progress = progress
+        self.keys = [job.cache_key(version) for job in jobs]
+        self.results: list[SimStats | None] = [None] * len(jobs)
+        self.job_seconds = [0.0] * len(jobs)
+        self.hits = self.executed = self.deduped = self.done = 0
+        self.pending: list[tuple[int, SweepJob]] = []
+        missed: set[str] = set()
+        for i, (job, key) in enumerate(zip(jobs, self.keys)):
+            if key in missed:
+                continue                 # filled from its first job's result
+            stats = cache.get(key) if cache is not None else None
+            if stats is None:
+                missed.add(key)
+                self.pending.append((i, job))
+            else:
+                self.results[i] = stats
+                self.hits += 1
+                self._report(i)
+
+    def _report(self, index: int) -> None:
+        self.done += 1
+        if self.progress is not None:
+            self.progress(self.done, len(self.jobs), self.jobs[index])
+
+    def complete(self, index: int, stats: SimStats, seconds: float) -> None:
+        """Record a result simulated for this sweep and store it."""
+        job = self.jobs[index]
+        self.results[index] = stats
+        self.job_seconds[index] = seconds
+        self.executed += 1
+        if self.cache is not None:
+            self.cache.put(self.keys[index], stats, provenance={
+                "job": job.describe(),
+                "tags": {k: repr(v) for k, v in job.tags.items()},
+                "config": job.config.to_dict(),
+                "wall_seconds": round(seconds, 6),
+            })
+        self._report(index)
+
+    def attach(self, index: int, stats: SimStats) -> None:
+        """Record a result another request simulated for the same key."""
+        self.results[index] = stats
+        self.hits += 1
+        self.deduped += 1
+        self._report(index)
+
+    def outcome(self, workers_used: int) -> SweepOutcome:
+        """Fill the duplicate keys and build the outcome; every job must
+        have its result by now."""
+        by_key = {key: stats for key, stats in zip(self.keys, self.results)
+                  if stats is not None}
+        for i, stats in enumerate(self.results):
+            if stats is None and self.keys[i] in by_key:
+                self.results[i] = by_key[self.keys[i]]
+                self.hits += 1
+                self._report(i)
+        missing = [i for i, r in enumerate(self.results) if r is None]
+        if missing:
+            raise SweepError(f"jobs {missing} produced no result (sweep bug)")
+        return SweepOutcome(
+            jobs=self.jobs,
+            stats=self.results,            # type: ignore[arg-type]
+            cache_hits=self.hits,
+            cache_misses=len(self.jobs) - self.hits,
+            executed=self.executed,
+            workers_used=workers_used,
+            wall_seconds=time.monotonic() - self.start,
+            job_seconds=self.job_seconds,
+            deduped=self.deduped,
+        )
+
+
 def run_sweep(
     jobs: list[SweepJob],
     num_workers: int | None = 1,
@@ -190,86 +285,21 @@ def run_sweep(
 
     ``num_workers``: 1 runs in the caller's thread, ``None``/0 uses one
     worker thread per CPU, N > 1 runs on N threads.  ``cache`` may be a
-    :class:`ResultCache` or a directory path; omit it to always
-    simulate.  ``progress``, if given, is called as
-    ``progress(done, total, job)`` after every completed job.
+    :class:`ResultCache` or a directory path; omit it to simulate every
+    distinct job.  ``progress``, if given, is called as
+    ``progress(done, total, job)`` once per job (see
+    :class:`SweepLedger`).
     """
-    start = time.monotonic()
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
     workers = resolve_workers(num_workers)
-
-    results: list[SimStats | None] = [None] * len(jobs)
-    hits = 0
-    pending: list[tuple[int, SweepJob]] = []
-    keys: list[str | None] = [None] * len(jobs)
-    if cache is not None:
-        version = code_version()
-        key_owner: dict[str, int] = {}   # first pending job per duplicate key
-        for i, job in enumerate(jobs):
-            key = job.cache_key(version)
-            keys[i] = key
-            if key in key_owner:
-                continue                 # resolved when the owner finishes
-            stats = cache.get(key)
-            if stats is not None:
-                results[i] = stats
-                hits += 1
-            else:
-                key_owner[key] = i
-                pending.append((i, job))
-    else:
-        pending = list(enumerate(jobs))
-
-    done = len(jobs) - len(pending)
-    executed = 0
-    workers_used = 1 if len(pending) <= 1 else workers
-    job_seconds = [0.0] * len(jobs)
-
-    def _complete(index: int, stats: SimStats, seconds: float) -> None:
-        nonlocal done, executed
-        results[index] = stats
-        job_seconds[index] = seconds
-        executed += 1
-        done += 1
-        if cache is not None:
-            job = jobs[index]
-            cache.put(keys[index], stats, provenance={
-                "job": job.describe(),
-                "tags": {k: repr(v) for k, v in job.tags.items()},
-                "config": job.config.to_dict(),
-                "wall_seconds": round(seconds, 6),
-            })
-        if progress is not None:
-            progress(done, len(jobs), jobs[index])
-
+    ledger = SweepLedger(jobs, cache, code_version(), progress)
+    pending = ledger.pending
+    workers_used = min(workers, len(pending)) if len(pending) > 1 else 1
     if workers_used > 1:
-        workers_used = min(workers_used, len(pending))
-        _run_on_threads(scheduled_order(pending), workers_used, _complete)
+        _run_on_threads(scheduled_order(pending), workers_used,
+                        ledger.complete)
     else:
         for index, job in pending:
-            _complete(index, *timed_execute(job))
-
-    # fill duplicate-key jobs from their owner's result
-    if cache is not None:
-        by_key = {keys[i]: results[i] for i in range(len(jobs))
-                  if results[i] is not None}
-        for i in range(len(jobs)):
-            if results[i] is None:
-                results[i] = by_key[keys[i]]
-                hits += 1
-
-    missing = [i for i, r in enumerate(results) if r is None]
-    if missing:
-        raise SweepError(f"jobs {missing} produced no result (executor bug)")
-
-    return SweepOutcome(
-        jobs=jobs,
-        stats=results,                     # type: ignore[arg-type]
-        cache_hits=hits,
-        cache_misses=len(jobs) - hits,
-        executed=executed,
-        workers_used=workers_used,
-        wall_seconds=time.monotonic() - start,
-        job_seconds=job_seconds,
-    )
+            ledger.complete(index, *timed_execute(job))
+    return ledger.outcome(workers_used)

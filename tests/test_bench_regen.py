@@ -15,6 +15,7 @@ import pytest
 
 import repro.graph.datasets as datasets_mod
 import repro.sweep.executor as executor_mod
+from repro.api import LocalSession
 from repro.bench import REPORT_SECTIONS, bench_graph_spec, table1_config_rows
 from repro.bench.regen import (
     FIGURE_SECTIONS,
@@ -33,6 +34,15 @@ TINY_SCALE = "0.01"
 @pytest.fixture()
 def tiny_scale(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", TINY_SCALE)
+
+
+def _regenerate(results_dir, cache=None, **kwargs):
+    """``regenerate`` sweeping through a serial ``LocalSession`` over the
+    cache directory ``cache`` (none when ``None``)."""
+    session = LocalSession(cache_dir=cache)
+    cache_dir = None if cache is None else str(session.cache.root)
+    return regenerate(str(results_dir), sweep=session.sweep,
+                      cache_dir=cache_dir, **kwargs)
 
 
 def _forbid_simulation(monkeypatch):
@@ -77,7 +87,7 @@ class TestColdWarm:
         results = tmp_path / "results"
         cache = tmp_path / "cache"
 
-        cold = regenerate(str(results), num_workers=1, cache=str(cache))
+        cold = _regenerate(results, cache)
         assert cold.total_jobs > 0
         assert cold.executed > 0
         # every unique cell simulated exactly once; the only cold-run
@@ -107,7 +117,7 @@ class TestColdWarm:
             return real_load(*args, **kwargs)
 
         monkeypatch.setattr(datasets_mod, "load", counting_load)
-        warm = regenerate(str(results), num_workers=1, cache=str(cache))
+        warm = _regenerate(results, cache)
 
         assert warm.executed == 0 and loaded == []
         assert warm.cache_hits == warm.total_jobs == cold.total_jobs
@@ -117,8 +127,8 @@ class TestColdWarm:
 
     def test_provenance_sidecar_accounts_for_the_run(self, tmp_path, tiny_scale):
         results = tmp_path / "results"
-        report = regenerate(str(results), sections=["latency"],
-                            cache=str(tmp_path / "cache"))
+        report = _regenerate(results, tmp_path / "cache",
+                             sections=["latency"])
         payload = json.loads((results / "REPORT.provenance.json").read_text())
         assert payload["code_version"] == report.code_version
         assert payload["totals"]["jobs"] == 4
@@ -134,11 +144,11 @@ class TestColdWarm:
         entries write the same REPORT.md; only the sidecar names the
         directory."""
         first, second = tmp_path / "first", tmp_path / "second"
-        regenerate(str(first / "results"), sections=["latency"],
-                   cache=str(first / "cache"))
+        _regenerate(first / "results", first / "cache",
+                    sections=["latency"])
         shutil.copytree(first / "cache", second / "cache")
-        regenerate(str(second / "results"), sections=["latency"],
-                   cache=str(second / "cache"))
+        _regenerate(second / "results", second / "cache",
+                    sections=["latency"])
         assert (first / "results" / "REPORT.md").read_bytes() == \
             (second / "results" / "REPORT.md").read_bytes()
         sidecar = json.loads(
@@ -147,9 +157,8 @@ class TestColdWarm:
             (second / "cache").resolve()
 
     def test_shared_matrix_charged_once(self, tmp_path, tiny_scale):
-        report = regenerate(str(tmp_path / "results"),
-                            sections=["fig8", "fig9"],
-                            cache=str(tmp_path / "cache"))
+        report = _regenerate(tmp_path / "results", tmp_path / "cache",
+                             sections=["fig8", "fig9"])
         by_key = {r["section"]: r for r in report.sections}
         assert by_key["fig08_speedup"]["jobs"] == 72       # 4 alg x 6 ds x 3 cfg
         assert by_key["fig09_throughput"]["jobs"] == 0     # shared sweep
@@ -186,7 +195,7 @@ class TestStaleness:
     def _warm(self, tmp_path):
         results = tmp_path / "results"
         cache = tmp_path / "cache"
-        regenerate(str(results), sections=["latency"], cache=str(cache))
+        _regenerate(results, cache, sections=["latency"])
         return results, cache
 
     def test_fresh_after_regeneration(self, tmp_path, tiny_scale):
@@ -222,7 +231,7 @@ class TestStaleness:
             raise AssertionError("a full regeneration scanned the cache")
 
         monkeypatch.setattr(ResultCache, "newest_mtime", refuse)
-        regenerate(str(results), cache=str(cache))
+        _regenerate(results, cache)
         text = (results / "REPORT.md").read_text()
         assert "*Stale:" not in text and "Missing sections" not in text
 
@@ -230,7 +239,7 @@ class TestStaleness:
             self, tmp_path, tiny_scale):
         results, cache = self._warm(tmp_path)
         os.utime(results / "ablation_latency.txt", (1, 1))
-        regenerate(str(results), sections=["table1"], cache=str(cache))
+        _regenerate(results, cache, sections=["table1"])
         text = (results / "REPORT.md").read_text()
         assert text.count("*Stale:") == 1
         latency = text.index("## Ablation — latency vs throughput")

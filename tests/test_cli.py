@@ -266,6 +266,46 @@ class TestReportCommand:
         assert "unknown report section" in capsys.readouterr().err
 
 
+class TestEngineFlag:
+    """``--engine`` on a command that plans its own jobs reaches every
+    job through the session, and leaves ``$REPRO_ENGINE`` as it was."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from repro.accel import accelerator
+        from repro.accel.engine import soakernel
+        if soakernel.load_kernel() is None:
+            pytest.skip("no compiled kernel: soa runs are handed to reference")
+        monkeypatch.setenv("REPRO_SCALE", "0.01")
+        names = []
+        real = accelerator.make_engine
+
+        def spy(name, sim):
+            engine = real(name, sim)
+            names.append(type(engine).__name__)
+            return engine
+
+        monkeypatch.setattr(accelerator, "make_engine", spy)
+        return names
+
+    @pytest.mark.parametrize("command, ambient", [("report", None),
+                                                  ("figure", "soa")])
+    def test_reference_engine_builds_only_reference(
+            self, command, ambient, built, tmp_path, monkeypatch, capsys):
+        import os
+        if ambient is None:
+            monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_ENGINE", ambient)
+        argv = {"report": ["report", "--results-dir", str(tmp_path / "r"),
+                           "--section", "latency"],
+                "figure": ["sweep", "--figure", "latency"]}[command]
+        assert main(argv + ["--no-cache", "--engine", "reference"]) == 0
+        assert "executed: 4" in capsys.readouterr().out
+        assert built == ["ReferenceEngine"] * 4
+        assert os.environ.get("REPRO_ENGINE") == ambient
+
+
 class TestCacheCommand:
     def _warm(self, tmp_path):
         assert main(["sweep", "--datasets", "VT", "--scale", "0.03",

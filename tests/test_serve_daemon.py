@@ -6,9 +6,12 @@ Every test but the signal test runs a daemon on a background thread
 to count and gate real simulations deterministically.
 """
 
+import concurrent.futures
 import contextlib
+import gc
 import glob
 import json
+import logging
 import os
 import signal
 import socket
@@ -17,6 +20,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -27,6 +31,7 @@ from repro.errors import ServeError
 from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.daemon import serve_in_thread
+from repro.serve.scheduler import Scheduler
 from repro.sweep import executor
 from repro.sweep.jobs import GraphSpec, SweepJob
 
@@ -43,6 +48,47 @@ def _jobs(*algorithms):
     return [SweepJob(graph=GraphSpec("VT", scale=0.03), algorithm=alg,
                      config=higraph(), tags={"algorithm": alg})
             for alg in (algorithms or ("BFS", "SSSP"))]
+
+
+def _inline_job(scale, edge_factor):
+    """One BFS job on an inline R-MAT graph (sent as CSR arrays)."""
+    from repro.graph.generators import rmat
+    return SweepJob(graph=rmat(scale, edge_factor), algorithm="BFS",
+                    config=higraph())
+
+
+def _spy_submits(monkeypatch):
+    """The ``started`` flag of every ``Scheduler.submit`` call, in order:
+    True for a new run, False for one attached to a running one."""
+    calls = []
+    real = Scheduler.submit
+
+    def spy(self, key, job):
+        future, started = real(self, key, job)
+        calls.append(started)
+        return future, started
+
+    monkeypatch.setattr(Scheduler, "submit", spy)
+    return calls
+
+
+def _send_raw(sock_path, msg):
+    """A raw connection with ``msg`` sent on it; the caller closes it."""
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.settimeout(10.0)
+    raw.connect(sock_path)
+    raw.sendall(protocol.encode(msg))
+    return raw
+
+
+def _sweep_msg(jobs):
+    return protocol.Sweep(jobs=[protocol.job_to_wire(j) for j in jobs])
+
+
+def _unhandled(caplog):
+    """Errors the event loop logged: an exception a handler let out."""
+    return [r.getMessage() for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR]
 
 
 class TestSweepLifecycle:
@@ -65,45 +111,24 @@ class TestSweepLifecycle:
             assert pong.code_version == daemon.version
             assert len(pong.code_version) == 64
 
-    def test_progress_stream_replays_and_terminates(self, sock_dir):
+    def test_status_counts_the_daemons_jobs(self, sock_dir):
         sock = os.path.join(sock_dir, "d.sock")
         with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
             client = ServeClient(sock)
-            ticket = client.submit_sweep(_jobs())
-            events = []
-            done = client.stream(ticket, on_progress=lambda e: events.append(e))
-            assert [(e.done, e.total) for e in events] == [(1, 2), (2, 2)]
-            assert all(e.ticket == ticket for e in events)
-            assert done.executed == 2
-            # a late subscriber gets the full replay
-            replay = []
-            client.stream(ticket, on_progress=lambda e: replay.append(e))
-            assert [(e.done, e.total) for e in replay] == [(1, 2), (2, 2)]
+            client.run_sweep(_jobs("BFS"))
+            client.run_sweep(_jobs("BFS"))
+            status = client.status()
+        assert (status.executed, status.cache_hits, status.deduped,
+                status.workers) == (1, 1, 0, 1)
 
-    def test_status_tracks_daemon_and_ticket(self, sock_dir):
-        sock = os.path.join(sock_dir, "d.sock")
-        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
-            client = ServeClient(sock)
-            ticket = client.submit_sweep(_jobs("BFS"))
-            client.fetch(ticket)
-            st = client.status(ticket)
-            assert st.state == "done" and st.done == st.total == 1
-            daemon_status = client.status()
-            assert daemon_status.state == "serving"
-            assert daemon_status.tickets == 1
-            assert daemon_status.executed == 1
-
-    def test_unknown_ticket_is_an_error_reply(self, sock_dir):
+    def test_empty_sweep_answers_like_a_local_one(self, sock_dir):
         sock = os.path.join(sock_dir, "d.sock")
         with serve_in_thread(sock):
-            with pytest.raises(ServeError, match="t999"):
-                ServeClient(sock).fetch("t999")
-
-    def test_empty_submission_rejected(self, sock_dir):
-        sock = os.path.join(sock_dir, "d.sock")
-        with serve_in_thread(sock):
-            with pytest.raises(ServeError, match="at least one job"):
-                ServeClient(sock).submit_sweep([])
+            with RemoteSession(sock) as remote:
+                served = remote.sweep([])
+        local = LocalSession().sweep([])
+        assert served.stats == local.stats == []
+        assert (served.executed, served.cache_hits) == (0, 0)
 
     def test_version_mismatch_answered_then_hung_up(self, sock_dir):
         sock = os.path.join(sock_dir, "d.sock")
@@ -142,9 +167,10 @@ class TestSweepLifecycle:
 
 
 class TestDedup:
-    def test_concurrent_identical_submits_one_simulation(
+    def test_two_connections_racing_one_job_simulate_it_once(
             self, sock_dir, monkeypatch):
-        """Two clients racing the same job must share one execution."""
+        """Two clients sending the same job at once share one execution:
+        the second request attaches to the first one's run."""
         executions = []
         gate = threading.Event()
 
@@ -155,24 +181,25 @@ class TestDedup:
                             scatter_cycles=123, edges_processed=456)
 
         monkeypatch.setattr(executor, "execute_job", fake_execute)
+        submits = _spy_submits(monkeypatch)
         sock = os.path.join(sock_dir, "d.sock")
         with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
             client = ServeClient(sock)
-            job = _jobs("BFS")
-            first = client.submit_sweep(job)
-            second = client.submit_sweep(job)   # identical cache key
-            gate.set()
-            done_first = client.fetch(first)
-            done_second = client.fetch(second)
+            with concurrent.futures.ThreadPoolExecutor(2) as clients:
+                replies = [clients.submit(client.run_sweep, _jobs("BFS"))
+                           for _ in range(2)]
+                _wait(lambda: len(submits) == 2, 10)
+                gate.set()
+                done = [reply.result(timeout=30) for reply in replies]
+        assert submits == [True, False]
         assert executions == ["BFS/VT/HiGraph"]          # exactly one run
-        assert done_first.executed == 1
-        assert done_second.executed == 0
-        assert done_second.deduped == 1
-        assert done_second.cache_hits == 1               # served, not simulated
-        assert done_second.stats == done_first.stats
+        owner, attached = sorted(done, key=lambda d: -d.executed)
+        assert (owner.executed, owner.deduped, owner.cache_hits) == (1, 0, 0)
+        assert (attached.executed, attached.deduped,
+                attached.cache_hits) == (0, 1, 1)        # served, not simulated
+        assert attached.stats == owner.stats
 
-    def test_duplicate_keys_within_one_submission(self, sock_dir,
-                                                  monkeypatch):
+    def test_duplicate_keys_within_one_sweep(self, sock_dir, monkeypatch):
         executions = []
 
         def fake_execute(job):
@@ -187,20 +214,32 @@ class TestDedup:
         assert done.executed == 1 and done.cache_hits == 1
         assert done.stats[0] == done.stats[1]
 
-    def test_failed_job_fails_every_attached_ticket(self, sock_dir,
-                                                    monkeypatch):
+    def test_failed_run_fails_every_attached_request(self, sock_dir,
+                                                     monkeypatch, caplog):
+        gate = threading.Event()
+
         def fake_execute(job):
+            assert gate.wait(timeout=30.0)
             raise ValueError("synthetic simulation failure")
 
         monkeypatch.setattr(executor, "execute_job", fake_execute)
+        submits = _spy_submits(monkeypatch)
         sock = os.path.join(sock_dir, "d.sock")
         with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
             client = ServeClient(sock)
-            ticket = client.submit_sweep(_jobs("BFS"))
-            with pytest.raises(ServeError, match="synthetic"):
-                client.fetch(ticket)
+            with concurrent.futures.ThreadPoolExecutor(2) as clients:
+                replies = [clients.submit(client.run_sweep, _jobs("BFS"))
+                           for _ in range(2)]
+                _wait(lambda: len(submits) == 2, 10)
+                gate.set()
+                for reply in replies:
+                    with pytest.raises(ServeError,
+                                       match=r"\[failed\] ValueError: synthetic"):
+                        reply.result(timeout=30)
             # the daemon survives and keeps serving
             assert client.ping().protocol == protocol.PROTOCOL_VERSION
+        assert submits == [True, False]
+        assert _unhandled(caplog) == []
 
 
 class TestSharedCacheDir:
@@ -224,9 +263,9 @@ class TestSharedCacheDir:
         job = _jobs("BFS")
         with serve_in_thread(socks[0], cache_dir=cache_dir), \
                 serve_in_thread(socks[1], cache_dir=cache_dir):
-            tickets = [ServeClient(sock).submit_sweep(job) for sock in socks]
-            done = [ServeClient(sock).fetch(ticket)
-                    for sock, ticket in zip(socks, tickets)]
+            with concurrent.futures.ThreadPoolExecutor(2) as clients:
+                done = list(clients.map(
+                    lambda sock: ServeClient(sock).run_sweep(job), socks))
         assert [d.executed for d in done] == [1, 1]
         first, second = (json.dumps(d.stats, sort_keys=True) for d in done)
         assert first == second
@@ -237,10 +276,176 @@ class TestSharedCacheDir:
         assert list(Path(cache_dir).rglob("*.claim")) == []
 
 
-class TestJobThreads:
-    def test_a_tickets_misses_run_at_once_on_the_job_threads(
+class TestStreamedSweep:
+    """A sweep is one request: ``progress`` events, then ``sweep_done``,
+    on the connection that sent it."""
+
+    def test_progress_events_precede_the_terminal_reply(self, sock_dir):
+        sock = os.path.join(sock_dir, "d.sock")
+        jobs = _jobs("BFS", "SSSP", "PR")
+        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
+            ServeClient(sock).run_sweep(jobs[:1])    # one hit, two misses
+            with _send_raw(sock, _sweep_msg(jobs)) as raw, \
+                    raw.makefile("rb") as stream:
+                replies = [protocol.decode(stream.readline())
+                           for _ in range(len(jobs) + 1)]
+                # the connection serves its next request
+                raw.sendall(protocol.encode(protocol.Ping()))
+                pong = protocol.decode(stream.readline())
+        assert [type(r).TYPE for r in replies] == ["progress"] * 3 + [
+            "sweep_done"]
+        assert [(r.done, r.total) for r in replies[:3]] == [
+            (1, 3), (2, 3), (3, 3)]
+        assert replies[0].job == jobs[0].describe()          # the hit first
+        assert sorted(r.job for r in replies[1:3]) == sorted(
+            job.describe() for job in jobs[1:])
+        assert (replies[3].executed, replies[3].cache_hits) == (2, 1)
+        assert isinstance(pong, protocol.Pong)
+
+    def test_a_sweep_longer_than_the_client_timeout_completes(
             self, sock_dir, monkeypatch):
-        """With two job threads, a ticket's two misses simulate at the
+        """No read waits longer than one job: three 0.6 s jobs finish
+        under a 1 s socket timeout, with no progress callback."""
+        def slow_execute(job):
+            time.sleep(0.6)
+            return SimStats(algorithm=job.algorithm)
+
+        monkeypatch.setattr(executor, "execute_job", slow_execute)
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock):
+            done = ServeClient(sock, timeout=1.0).run_sweep(
+                _jobs("BFS", "SSSP", "PR"))
+        assert done.executed == 3
+
+    def test_client_gone_mid_sweep_leaves_the_run_to_an_attached_request(
+            self, sock_dir, monkeypatch, caplog):
+        """The first client hangs up while its job runs; a second request
+        attached to that run still gets its stats, the result is
+        stored, and the daemon keeps serving."""
+        gate = threading.Event()
+        real_execute = executor.execute_job
+
+        def gated_execute(job):
+            assert gate.wait(timeout=30.0)
+            return real_execute(job)
+
+        monkeypatch.setattr(executor, "execute_job", gated_execute)
+        submits = _spy_submits(monkeypatch)
+        sock = os.path.join(sock_dir, "d.sock")
+        job = _jobs("BFS")
+        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
+            client = ServeClient(sock)
+            raw = _send_raw(sock, _sweep_msg(job))
+            _wait(lambda: len(submits) == 1, 10)
+            with concurrent.futures.ThreadPoolExecutor(1) as clients:
+                reply = clients.submit(client.run_sweep, job)
+                _wait(lambda: len(submits) == 2, 10)
+                raw.close()                      # the owner's client leaves
+                gate.set()
+                attached = reply.result(timeout=30)
+            again = client.run_sweep(job)
+            assert client.ping().protocol == protocol.PROTOCOL_VERSION
+        assert submits == [True, False]
+        assert (attached.executed, attached.deduped) == (0, 1)
+        assert (again.executed, again.cache_hits) == (0, 1)
+        assert again.stats == attached.stats
+        assert _unhandled(caplog) == []
+
+
+class TestNoRequestState:
+    def test_warm_sweeps_leave_the_daemon_no_bigger(self, sock_dir):
+        """The daemon keeps nothing per request: 200 warm sweeps of one
+        job on an 18 KB inline graph grow the traced heap by < 1 MB."""
+        sock = os.path.join(sock_dir, "d.sock")
+        job = _inline_job(7, 6.0)
+        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
+            with RemoteSession(sock) as remote:
+                assert remote.sweep([job]).executed == 1
+                remote.sweep([job])
+                tracemalloc.start()
+                try:
+                    gc.collect()
+                    before = tracemalloc.get_traced_memory()[0]
+                    for _ in range(200):
+                        assert remote.sweep([job]).cache_hits == 1
+                    gc.collect()
+                    grown = tracemalloc.get_traced_memory()[0] - before
+                finally:
+                    tracemalloc.stop()
+        assert grown < 1_000_000
+
+
+class TestFailedRequests:
+    """A request that raises anything is answered with an ``error``, and
+    the daemon keeps serving."""
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        def fake_execute(job):
+            raise ValueError("synthetic")
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        monkeypatch.setenv("REPRO_SCALE", "0.01")
+
+    def test_failed_served_report_is_answered(self, sock_dir, tmp_path,
+                                              failing, caplog):
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
+            with RemoteSession(sock) as remote:
+                with pytest.raises(ServeError, match=r"\[failed\] "
+                                   r"ValueError: synthetic"):
+                    remote.report(tmp_path / "r", sections=["latency"])
+                assert remote.ping().protocol == protocol.PROTOCOL_VERSION
+        assert _unhandled(caplog) == []
+
+    def test_failed_served_sweep_is_answered(self, sock_dir, failing,
+                                             caplog):
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, cache_dir=os.path.join(sock_dir, "c")):
+            with RemoteSession(sock) as remote:
+                with pytest.raises(ServeError, match=r"\[failed\] "
+                                   r"ValueError: synthetic"):
+                    remote.sweep(_jobs("BFS"))
+                assert remote.ping().protocol == protocol.PROTOCOL_VERSION
+        assert _unhandled(caplog) == []
+
+
+class TestLongLines:
+    def test_inline_graph_over_64_kib_sweeps_like_a_local_run(
+            self, sock_dir):
+        """8,192 edges travel as a 186 KB line, past asyncio's default
+        64 KiB limit."""
+        job = _inline_job(10, 8.0)
+        assert len(json.dumps(protocol.job_to_wire(job))) > 64 * 1024
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock):
+            with RemoteSession(sock) as remote:
+                served = remote.sweep([job])
+        local = LocalSession().sweep([job])
+        assert [s.to_dict() for s in served.stats] == \
+            [s.to_dict() for s in local.stats]
+
+    def test_line_over_the_limit_gets_a_protocol_error(
+            self, sock_dir, monkeypatch, caplog):
+        """A line past the limit is refused, not dropped: the client
+        reads a ``protocol`` error even though the daemon hung up before
+        the line was sent in full, and the daemon serves on."""
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+        job = _inline_job(12, 8.0)               # a 743 KB line
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock):
+            client = ServeClient(sock)
+            with pytest.raises(ServeError, match=r"\[protocol\] request "
+                               r"line longer than 4096 bytes"):
+                client.run_sweep([job])
+            assert client.ping().protocol == protocol.PROTOCOL_VERSION
+        assert _unhandled(caplog) == []
+
+
+class TestJobThreads:
+    def test_a_sweeps_misses_run_at_once_on_the_job_threads(
+            self, sock_dir, monkeypatch):
+        """With two job threads, a sweep's two misses simulate at the
         same time, off the event loop's thread."""
         threads = []
         both_running = threading.Barrier(2, timeout=10)
@@ -440,6 +645,30 @@ class TestSessionFacade:
         assert [job.engine for job in jobs] == [None]
         assert [job.engine for job in outcome.jobs] == ["soa"]
 
+    def test_session_engine_governs_its_reports(self, tmp_path,
+                                                 monkeypatch):
+        """A report's section jobs go through the session's sweep, so
+        they run on the session's engine too."""
+        from repro.accel import accelerator
+        from repro.accel.engine import soakernel
+        if soakernel.load_kernel() is None:
+            pytest.skip("no compiled kernel: soa runs are handed to reference")
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setenv("REPRO_SCALE", "0.01")
+        built = []
+        real = accelerator.make_engine
+
+        def spy(name, sim):
+            engine = real(name, sim)
+            built.append(type(engine).__name__)
+            return engine
+
+        monkeypatch.setattr(accelerator, "make_engine", spy)
+        with LocalSession(engine="reference") as local:
+            report = local.report(tmp_path / "r", sections=["latency"])
+        assert report.executed == 4
+        assert built == ["ReferenceEngine"] * 4
+
     def test_closed_session_refuses_work(self):
         local = LocalSession()
         local.close()
@@ -611,9 +840,9 @@ class TestCliServeVerbs:
         sock = os.path.join(sock_dir, "d.sock")
         with serve_in_thread(sock):
             assert main(["serve", "status", "--connect", sock]) == 0
-        out = capsys.readouterr().out
-        assert "state: serving" in out
-        assert "workers:" in out and "uptime:" in out
+        first, second = capsys.readouterr().out.splitlines()
+        assert first.startswith("workers: 1  uptime: ")
+        assert second == "executed: 0  cache hits: 0  deduped: 0"
 
     def test_status_verb_reports_the_hit_totals(self, sock_dir, capsys):
         from repro.cli import main

@@ -19,21 +19,17 @@ def roundtrip(msg):
 class TestCodec:
     @pytest.mark.parametrize("msg", [
         protocol.Ping(),
-        protocol.SubmitSweep(jobs=[{"x": 1}]),
+        protocol.Sweep(jobs=[{"x": 1}]),
         protocol.QueryStatus(),
-        protocol.QueryStatus(ticket="t3"),
-        protocol.StreamProgress(ticket="t1"),
-        protocol.FetchSweep(ticket="t2"),
         protocol.RegenReport(results_dir="r", sections=["fig8"], charts=True,
                              scale="0.02"),
         protocol.Reload(),
         protocol.Shutdown(),
         protocol.Pong(protocol=3, code_version="abc"),
-        protocol.Submitted(ticket="t1", jobs=4),
-        protocol.StatusReply(state="running", done=1, total=3),
-        protocol.Progress(ticket="t1", done=1, total=3, job="BFS/VT"),
-        protocol.SweepDone(ticket="t1", stats=[{"gteps": 1.0}],
-                           cache_hits=2, deduped=1, job_seconds=[0.5]),
+        protocol.StatusReply(executed=1, cache_hits=3, deduped=1, workers=2),
+        protocol.Progress(done=1, total=3, job="BFS/VT"),
+        protocol.SweepDone(stats=[{"gteps": 1.0}], cache_hits=2, deduped=1,
+                           job_seconds=[0.5]),
         protocol.ReportDone(results_dir="r", report_path="r/REPORT.md",
                             provenance_path="r/REPORT.provenance.json"),
         protocol.Reloaded(code_version="abc", changed=True),
@@ -76,6 +72,24 @@ class TestCodec:
                            "type": type_name})
         with pytest.raises(ProtocolError, match=type_name):
             protocol.decode(line)
+
+    @pytest.mark.parametrize("type_name", [
+        "submit_sweep", "submitted", "fetch_sweep", "stream_progress"])
+    def test_retired_ticket_verb_is_an_unknown_type(self, type_name):
+        """Tickets left the wire with protocol 6: a ``sweep`` request is
+        answered on its own connection."""
+        assert type_name not in protocol._MESSAGE_TYPES
+        line = json.dumps({"v": protocol.PROTOCOL_VERSION,
+                           "type": type_name})
+        with pytest.raises(ProtocolError, match=type_name):
+            protocol.decode(line)
+
+    def test_line_limit_holds_one_job_on_the_largest_design_graph(self):
+        """The reader's limit fits the base64 arrays of one inline job on
+        the largest graph the design holds."""
+        from repro.accel.config import DESIGN_MAX_EDGES, DESIGN_MAX_VERTICES
+        words = 2 * DESIGN_MAX_EDGES + DESIGN_MAX_VERTICES + 1
+        assert 4 * -(-words * 8 // 3) < protocol.MAX_LINE_BYTES
 
     def test_bad_fields_rejected(self):
         line = json.dumps({"v": protocol.PROTOCOL_VERSION, "type": "ping",

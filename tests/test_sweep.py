@@ -653,7 +653,9 @@ class TestExecutor:
             outcome = run_sweep(_jobs() * 2, num_workers=4)
         finally:
             sys.setswitchinterval(previous)
-        assert outcome.executed == 8 and outcome.workers_used == 4
+        # each distinct job runs once, so four threads race the memo
+        assert (outcome.executed, outcome.cache_hits,
+                outcome.workers_used) == (4, 4, 4)
         assert loads == [("VT",)]
 
     def test_graph_memo_serves_later_sweeps(self, monkeypatch):
@@ -905,6 +907,44 @@ class TestExecutor:
         assert rows[0]["algorithm"] == "BFS"
         assert rows[0]["config"] == "HiGraph"
         assert rows[0]["gteps"] == outcome.stats[0].gteps
+
+    def test_cacheless_sweep_simulates_each_key_once(self, monkeypatch):
+        """Without a cache, a repeated job still runs once: it is filled
+        from the first one's result and counts as a hit."""
+        runs = []
+
+        def fake_execute(job):
+            runs.append(job.describe())
+            return _stats()
+
+        monkeypatch.setattr(executor, "execute_job", fake_execute)
+        jobs = _jobs()
+        outcome = run_sweep(jobs + jobs, num_workers=2)
+        assert sorted(runs) == sorted(job.describe() for job in jobs)
+        assert (outcome.executed, outcome.cache_hits,
+                outcome.cache_misses) == (4, 4, 4)
+        assert outcome.stats[4:] == outcome.stats[:4]
+
+    def test_progress_reports_the_hits_first_and_every_job_once(
+            self, tmp_path):
+        jobs = _jobs()
+        run_sweep(jobs[:2], cache=tmp_path / "cache")
+        seen = []
+        run_sweep(jobs + jobs[:1], cache=tmp_path / "cache",
+                  progress=lambda done, total, job:
+                      seen.append((done, total, job.describe())))
+        assert [(done, total) for done, total, _ in seen] == [
+            (1, 5), (2, 5), (3, 5), (4, 5), (5, 5)]
+        assert [name for _, _, name in seen] == [
+            job.describe() for job in (jobs[0], jobs[1], jobs[0],
+                                       jobs[2], jobs[3])]
+
+    def test_ledger_refuses_an_outcome_with_a_job_unfinished(self):
+        ledger = executor.SweepLedger(_jobs(), None, "v")
+        assert [index for index, _ in ledger.pending] == [0, 1, 2, 3]
+        with pytest.raises(SweepError, match=r"jobs \[0, 1, 2, 3\] "
+                           "produced no result"):
+            ledger.outcome(1)
 
     def test_no_cache_means_every_job_executes(self):
         outcome = run_sweep(_jobs(), num_workers=1, cache=None)
