@@ -3,16 +3,16 @@
 # Actions workflow (.github/workflows/ci.yml) share one script:
 #
 #   ci.sh            == ci.sh all
-#   ci.sh lint       `repro lint` determinism analyzer, 6 rules
-#                    (module state, set order, id keys, clocks,
-#                    excepts, atomic cache writes), then the C kernel
-#                    compiled warning-clean (-Wall -Wextra -Wpedantic
-#                    -Werror at -O2)
+#   ci.sh lint       the AST source checks (tests/test_source_checks.py:
+#                    module state, set order, id keys, clocks, excepts,
+#                    atomic cache writes, process pools), then the C
+#                    kernel compiled warning-clean (-Wall -Wextra
+#                    -Wpedantic -Werror at -O2)
 #   ci.sh tests      tier-1 pytest (includes the engine differential suite
 #                    and docs/cli.md vs the parser), then
 #                    benchmarks/results must match the commit
-#   ci.sh coverage   engine- and analysis-package line coverage with
-#                    committed floors (stdlib tracer — no pytest-cov)
+#   ci.sh coverage   engine-package line coverage with a committed
+#                    floor (stdlib tracer — no pytest-cov)
 #   ci.sh fuzz       seeded differential fuzz smoke (all engines,
 #                    REPRO_FUZZ_CASES cases beyond the tier-1 default)
 #   ci.sh sweep      cold+warm smoke sweep (executor + result cache)
@@ -65,9 +65,9 @@ ci_mktemp_d() {
 }
 
 stage_lint() {
-    echo "== repro lint (determinism analyzer, 6 rules) =="
+    echo "== AST source checks (tests/test_source_checks.py) =="
     # hard gate: any finding fails the build
-    python -m repro lint
+    python -m pytest -q tests/test_source_checks.py
     echo "== C kernel compiles warning-clean =="
     # the propagation rings are Python-owned buffers the kernel reads as
     # PropRec records; -O2 enables -Wstrict-aliasing, which guards that
@@ -91,9 +91,7 @@ stage_tests() {
 
 stage_coverage() {
     echo "== engine-package coverage (stdlib tracer, committed floor) =="
-    python scripts/engine_coverage.py --package engine
-    echo "== analysis-package coverage (stdlib tracer, committed floor) =="
-    python scripts/engine_coverage.py --package analysis
+    python scripts/engine_coverage.py
 }
 
 stage_fuzz() {
@@ -287,7 +285,9 @@ EOF
 }
 
 usage() {
-    sed -n '2,34p' "$0"
+    # the leading comment block, however long it grows; the cwd is the
+    # repo root by now, where a relative "$0" no longer resolves
+    sed -n '2,/^[^#]/{/^#/p}' scripts/ci.sh
     exit 2
 }
 

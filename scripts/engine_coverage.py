@@ -1,19 +1,12 @@
 #!/usr/bin/env python
-"""Per-package line coverage with committed floors.
+"""Engine-package line coverage with a committed floor.
 
-CI's ``coverage`` stage runs a package's end-to-end test files under a
-``sys.settrace`` line tracer scoped to that package and fails the
-build when total coverage drops below the package's committed floor.
-Deliberately stdlib-only: the repro container carries no
-``coverage``/``pytest-cov``, and the measured packages are small
-enough that a scoped tracer costs seconds, not minutes.
-
-Two packages are under measurement:
-
-* ``engine``   — ``src/repro/accel/engine/`` driven by the
-  differential suite and the seeded fuzzer;
-* ``analysis`` — ``src/repro/analysis/`` (the ``repro lint`` layer)
-  driven by its fixture, mutation and self-lint suites.
+CI's ``coverage`` stage runs the differential suite and the seeded
+fuzzer under a ``sys.settrace`` line tracer scoped to
+``src/repro/accel/engine/`` and fails the build when total coverage
+drops below the committed floor.  Deliberately stdlib-only: the repro
+container carries no ``coverage``/``pytest-cov``, and the package is
+small enough that a scoped tracer costs seconds, not minutes.
 
 Semantics match conventional line coverage: the executable-line
 universe is every line carrying bytecode in the compiled module
@@ -24,63 +17,32 @@ too.
 
 Usage::
 
-    python scripts/engine_coverage.py                     # engine floor
-    python scripts/engine_coverage.py --package analysis  # lint layer
-    python scripts/engine_coverage.py --floor 0           # report only
-    python scripts/engine_coverage.py -- -k fuzz          # extra pytest args
+    python scripts/engine_coverage.py                # committed floor
+    python scripts/engine_coverage.py --floor 0      # report only
+    python scripts/engine_coverage.py -- -k fuzz     # extra pytest args
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import os
 import sys
 import types
-from dataclasses import dataclass
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
-
-@dataclass(frozen=True)
-class Package:
-    """One measured package: source dir, driving tests, floor."""
-
-    reldir: str
-    test_globs: tuple[str, ...]
-    #: Committed coverage floor (percent of executable lines, package
-    #: total).  Raise it when coverage improves; lowering it is a
-    #: reviewed decision, not a drive-by.
-    floor_percent: float
-
-    @property
-    def target_dir(self) -> str:
-        return os.path.join(REPO, *self.reldir.split("/"))
-
-    def test_files(self) -> list[str]:
-        files: list[str] = []
-        for pattern in self.test_globs:
-            files.extend(sorted(glob.glob(os.path.join(REPO, pattern))))
-        return files
-
-
-PACKAGES = {
-    "engine": Package(
-        reldir="src/repro/accel/engine",
-        test_globs=("tests/test_engine_differential.py",
-                    "tests/test_engine_fuzz.py"),
-        floor_percent=95.0,   # measured 96.7% (495/512)
-    ),
-    "analysis": Package(
-        reldir="src/repro/analysis",
-        test_globs=("tests/test_analysis_*.py",),
-        floor_percent=88.0,   # measured 96.6% (515/533), 6 rules
-    ),
-}
+RELDIR = "src/repro/accel/engine"
+TARGET_DIR = os.path.join(REPO, *RELDIR.split("/"))
+TEST_FILES = tuple(os.path.join(REPO, "tests", name) for name in (
+    "test_engine_differential.py", "test_engine_fuzz.py"))
+#: Committed coverage floor (percent of executable lines, package
+#: total).  Raise it when coverage improves; lowering it is a reviewed
+#: decision, not a drive-by.
+FLOOR_PERCENT = 95.0   # measured 96.7% (495/512)
 
 _executed: dict[str, set[int]] = {}
-_target_prefix = ""
+_TARGET_PREFIX = TARGET_DIR + os.sep
 
 
 def _local_trace(frame, event, arg):
@@ -91,7 +53,7 @@ def _local_trace(frame, event, arg):
 
 def _global_trace(frame, event, arg):
     if event == "call" \
-            and frame.f_code.co_filename.startswith(_target_prefix):
+            and frame.f_code.co_filename.startswith(_TARGET_PREFIX):
         _executed.setdefault(frame.f_code.co_filename, set())
         return _local_trace
     return None
@@ -112,40 +74,38 @@ def executable_lines(path: str) -> set[int]:
     return lines
 
 
-def measure(package: Package, pytest_args: list[str]) -> int:
-    global _target_prefix
-    _target_prefix = package.target_dir + os.sep
+def measure(pytest_args: list[str]) -> int:
     import pytest
     sys.settrace(_global_trace)
     try:
-        return pytest.main(["-q", *package.test_files(), *pytest_args])
+        return pytest.main(["-q", *TEST_FILES, *pytest_args])
     finally:
         sys.settrace(None)
 
 
-def _package_sources(package: Package) -> list[str]:
+def _package_sources() -> list[str]:
     out: list[str] = []
-    for dirpath, _dirnames, filenames in os.walk(package.target_dir):
+    for dirpath, _dirnames, filenames in os.walk(TARGET_DIR):
         out.extend(os.path.join(dirpath, name) for name in filenames
                    if name.endswith(".py"))
     return sorted(out)
 
 
-def report(package: Package, floor: float) -> int:
+def report(floor: float) -> int:
     total_exec = total_hit = 0
-    print(f"\ncoverage of {package.reldir}/ (floor {floor:.0f}%):")
-    for path in _package_sources(package):
+    print(f"\ncoverage of {RELDIR}/ (floor {floor:.0f}%):")
+    for path in _package_sources():
         universe = executable_lines(path)
         hit = _executed.get(path, set()) & universe
         total_exec += len(universe)
         total_hit += len(hit)
         pct = 100.0 * len(hit) / len(universe) if universe else 100.0
-        name = os.path.relpath(path, package.target_dir)
+        name = os.path.relpath(path, TARGET_DIR)
         print(f"  {name:24s} {len(hit):5d}/{len(universe):5d}  {pct:6.1f}%")
     total_pct = 100.0 * total_hit / total_exec if total_exec else 100.0
     print(f"  {'TOTAL':24s} {total_hit:5d}/{total_exec:5d}  {total_pct:6.1f}%")
     if total_pct < floor:
-        print(f"FAIL: {package.reldir} coverage {total_pct:.1f}% is below "
+        print(f"FAIL: {RELDIR} coverage {total_pct:.1f}% is below "
               f"the committed floor {floor:.1f}%", file=sys.stderr)
         return 1
     return 0
@@ -153,23 +113,19 @@ def report(package: Package, floor: float) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--package", choices=sorted(PACKAGES),
-                        default="engine",
-                        help="package to measure (default: engine)")
-    parser.add_argument("--floor", type=float, default=None,
-                        help="override the package's committed floor")
+    parser.add_argument("--floor", type=float, default=FLOOR_PERCENT,
+                        help="override the committed floor "
+                             f"(default: {FLOOR_PERCENT:.0f})")
     parser.add_argument("pytest_args", nargs="*",
                         help="extra arguments forwarded to pytest "
                              "(prefix with --)")
     args = parser.parse_args(argv)
-    package = PACKAGES[args.package]
-    floor = args.floor if args.floor is not None else package.floor_percent
-    status = measure(package, args.pytest_args)
+    status = measure(args.pytest_args)
     if status != 0:
-        print(f"FAIL: {args.package} test run failed — coverage not "
-              f"evaluated", file=sys.stderr)
+        print("FAIL: engine test run failed — coverage not evaluated",
+              file=sys.stderr)
         return status
-    return report(package, floor)
+    return report(args.floor)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ See ``docs/cli.md`` for copy-paste examples of every subcommand.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -182,16 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     freq.add_argument("--crossbar-ports", type=int, default=None)
     freq.add_argument("--mdp-channels", type=int, default=None)
     freq.add_argument("--radix", type=int, default=2)
-
-    lnt = sub.add_parser(
-        "lint", help="run the contract & determinism analyzer")
-    lnt.add_argument("--root", default=".",
-                     help="repository root to analyze (default: cwd)")
-    lnt.add_argument("--rule", action="append", default=None, metavar="ID",
-                     help="run only this rule (repeatable; default: all)")
-    lnt.add_argument("--list-rules", action="store_true",
-                     help="print the rule catalog and exit")
-    lnt.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 
 
@@ -206,9 +197,14 @@ def main(argv: list[str] | None = None) -> int:
         "netlist": _cmd_netlist,
         "datasets": _cmd_datasets,
         "frequency": _cmd_frequency,
-        "lint": _cmd_lint,
     }[args.command]
-    return handler(args)
+    # bad input and unusable paths exit 2 with one line; any other
+    # exception is a bug and keeps its traceback
+    try:
+        return handler(args)
+    except (ReproError, ValueError, OSError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 2
 
 
 # ----------------------------------------------------------------------
@@ -296,19 +292,15 @@ def _cmd_sweep(args) -> int:
             return 2
         axis_texts[field.strip()] = [v.strip() for v in values.split(",")]
 
-    try:
-        graphs = [GraphSpec(key, scale=args.scale) if args.scale
-                  else bench_graph_spec(key) for key in keys]
-        sweep_axes = {field: [parse_axis_value(field, v) for v in texts]
-                      for field, texts in axis_texts.items()}
-        jobs = plan_jobs(algorithms, graphs, configs,
-                         sweep_axes=sweep_axes or None, source=args.source,
-                         engine=args.engine)
-        with _session_for(args) as session:
-            outcome = session.sweep(jobs)
-    except (ReproError, ValueError) as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 2
+    graphs = [GraphSpec(key, scale=args.scale) if args.scale
+              else bench_graph_spec(key) for key in keys]
+    sweep_axes = {field: [parse_axis_value(field, v) for v in texts]
+                  for field, texts in axis_texts.items()}
+    jobs = plan_jobs(algorithms, graphs, configs,
+                     sweep_axes=sweep_axes or None, source=args.source,
+                     engine=args.engine)
+    with _session_for(args) as session:
+        outcome = session.sweep(jobs)
 
     rows = []
     for job, stats in zip(outcome.jobs, outcome.stats):
@@ -352,26 +344,22 @@ def _cmd_sweep_figure(args) -> int:
               f"from the REPRO_SCALE environment variable)", file=sys.stderr)
         return 2
 
-    try:
-        with _session_for(args) as session:
-            # figure sections plan their own jobs; route their sweeps
-            # through the session so --connect reuses the daemon's
-            # loaded graphs and shared cache
-            keys = resolve_sections([args.figure])
-            ctx = RegenContext(session.sweep)
-            executed = hits = planned = 0
-            for key in keys:
-                spec = SECTIONS[key]
-                rows, acct = spec.build(ctx)
-                print(spec.render(rows))
-                if spec.chart is not None:
-                    print(spec.chart(rows))
-                executed += acct["executed"]
-                hits += acct["cache_hits"]
-                planned += acct["jobs"]
-    except (ReproError, ValueError) as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 2
+    with _session_for(args) as session:
+        # figure sections plan their own jobs; route their sweeps
+        # through the session so --connect reuses the daemon's
+        # loaded graphs and shared cache
+        keys = resolve_sections([args.figure])
+        ctx = RegenContext(session.sweep)
+        executed = hits = planned = 0
+        for key in keys:
+            spec = SECTIONS[key]
+            rows, acct = spec.build(ctx)
+            print(spec.render(rows))
+            if spec.chart is not None:
+                print(spec.chart(rows))
+            executed += acct["executed"]
+            hits += acct["cache_hits"]
+            planned += acct["jobs"]
     print(f"figure: {args.figure}  sections: {len(keys)}  jobs: {planned}  "
           f"executed: {executed}  cache hits: {hits}")
     return 0
@@ -431,13 +419,8 @@ def _cmd_serve(args) -> int:
               "--connect SOCKET`)", file=sys.stderr)
         return 2
     cache = None if args.no_cache else args.cache_dir
-    try:
-        daemon = ServeDaemon(args.socket, cache_dir=cache,
-                             workers=args.jobs,
-                             engine=args.engine)
-    except (ReproError, OSError) as exc:
-        print(f"serve failed: {exc}", file=sys.stderr)
-        return 2
+    daemon = ServeDaemon(args.socket, cache_dir=cache, workers=args.jobs,
+                         engine=args.engine)
     print(f"repro serve: socket {args.socket}  "
           f"workers: {daemon.workers}  "
           f"cache: {cache or '(none)'}  "
@@ -492,13 +475,15 @@ def _parse_suffixed(text: str, units: dict, what: str) -> float:
     suffix = text[-1:] if text[-1:] in units else ""
     number = text[:-1] if suffix else text
     try:
-        value = float(number)
+        value = float(number) * units[suffix or list(units)[0]]
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ValueError(
             f"malformed {what} {text!r}; expected NUMBER[{'|'.join(units)}]")
     if value < 0:
         raise ValueError(f"{what} must be >= 0, got {text!r}")
-    return value * units[suffix or list(units)[0]]
+    return value
 
 
 def parse_age_seconds(text: str) -> float:
@@ -599,24 +584,6 @@ def _cmd_frequency(args) -> int:
     print(f"design frequency (capped at 1 GHz target): "
           f"{design_frequency_ghz(crossbar_ports=args.crossbar_ports, mdp_channels=args.mdp_channels, mdp_radix=args.radix):.3f} GHz")
     return 0
-
-
-def _cmd_lint(args) -> int:
-    from repro.analysis import all_rules, format_text, lint
-    from repro.analysis.runner import format_json
-
-    if args.list_rules:
-        for rule in sorted(all_rules().values(), key=lambda r: r.id):
-            print(f"{rule.id:22s} {rule.description}")
-        return 0
-    try:
-        report = lint(args.root, rule_ids=args.rule)
-    except ReproError as exc:
-        print(f"lint failed: {exc}", file=sys.stderr)
-        return 2
-    print(format_json(report) if args.format == "json"
-          else format_text(report))
-    return report.exit_code()
 
 
 if __name__ == "__main__":   # pragma: no cover

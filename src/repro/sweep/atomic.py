@@ -12,9 +12,9 @@ bytes or the new bytes but never a torn mixture, and two racing writers
 converge on one winner instead of interleaving.  Two writers racing one
 missed entry therefore cost at worst one redundant simulation.
 
-This module is the one blessed implementation; the ``fork-atomic-write``
-lint rule flags direct write-mode ``open``/``write_text`` calls in the
-sweep layer that bypass it.
+This module is the one blessed implementation; the ``atomic_write``
+check in ``tests/test_source_checks.py`` fails on any direct write-mode
+``open``/``write_text`` call elsewhere in the sweep layer.
 """
 
 from __future__ import annotations

@@ -69,6 +69,21 @@ class TestDerivedMetrics:
             assert key in s
 
 
+class TestStatsSchemaError:
+    """``StatsSchemaError`` derives from ``repro.errors`` and keeps the
+    historical ValueError contract by dual inheritance (callers catching
+    ValueError still work)."""
+
+    def test_unknown_fields_raise_both_taxonomies(self):
+        from repro.errors import ReproError, StatsSchemaError
+        with pytest.raises(StatsSchemaError):
+            SimStats.from_dict({"no_such_counter": 1})
+        with pytest.raises(ValueError):
+            SimStats.from_dict({"no_such_counter": 1})
+        with pytest.raises(ReproError):
+            SimStats.from_dict({"no_such_counter": 1})
+
+
 # ----------------------------------------------------------------------
 # Every counter gets written
 # ----------------------------------------------------------------------

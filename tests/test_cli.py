@@ -68,6 +68,28 @@ class TestCommands:
         for name in ("GraphDynS", "HiGraph", "HiGraph-mini"):
             assert name in out
 
+    @pytest.mark.parametrize("argv, problem", [
+        pytest.param(argv, problem, id=" ".join(argv)) for argv, problem in [
+            (["simulate", "--source", "999999"], "source 999999 out of range"),
+            (["simulate", "--source", "-1"], "source -1 out of range"),
+            (["simulate", "--algorithm", "FOO"], "unknown algorithm 'FOO'"),
+            (["simulate", "--scale", "0"], "scale must be in (0, 1], got 0.0"),
+            (["simulate", "--scale", "2"], "scale must be in (0, 1], got 2.0"),
+            (["netlist", "--channels", "3"], "3 is not a power of 2"),
+            (["netlist", "--radix", "3"], "16 is not a power of 3"),
+            (["netlist", "--depth", "0"], "fifo_depth and data_width must"),
+            (["netlist", "-o", "/nonexistent/dir/x.v"],
+             "No such file or directory: '/nonexistent/dir/x.v'"),
+            (["frequency", "--crossbar-ports", "-5"], "needs >= 2 ports"),
+            (["frequency", "--mdp-channels", "-4"], "needs >= 2 channels"),
+            (["frequency", "--mdp-channels", "16", "--radix", "0"],
+             "radix must be >= 2, got 0"),
+        ]])
+    def test_bad_input_exits_2_with_one_line(self, argv, problem, capsys):
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{argv[0]} failed: ") and problem in line
+
 
 class TestSweepCommand:
     def test_parser_defaults(self):
@@ -359,6 +381,13 @@ class TestCacheCommand:
         assert main(["cache", "gc", "--cache-dir", str(tmp_path),
                      "--max-bytes", "-1"]) == 2
         assert "size must be >= 0" in capsys.readouterr().err
+        for option, value, what in [("--max-bytes", "inf", "size"),
+                                    ("--max-bytes", "1e400", "size"),
+                                    ("--max-bytes", "nan", "size"),
+                                    ("--max-age", "nan", "age")]:
+            assert main(["cache", "gc", "--cache-dir", str(tmp_path),
+                         option, value]) == 2
+            assert f"malformed {what} {value!r}" in capsys.readouterr().err
 
 
 class TestBudgetParsers:
@@ -385,6 +414,12 @@ class TestBudgetParsers:
             parse_age_seconds("x7d")
         with _pytest.raises(ValueError):
             parse_size_bytes("")
+        for text in ("inf", "-inf", "1e400", "nan", "1e306t"):
+            with _pytest.raises(ValueError, match="malformed size"):
+                parse_size_bytes(text)
+        for text in ("inf", "nan", "1e400w"):
+            with _pytest.raises(ValueError, match="malformed age"):
+                parse_age_seconds(text)
 
 
 class TestSharedFlags:

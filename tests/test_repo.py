@@ -1,6 +1,6 @@
-"""Checks on the repository itself: docs that name the code, what the
-source may use, what CI installs, how the benchmark suite builds its
-tables, and what git tracks."""
+"""Checks on the repository itself: docs that name the code and the
+tests, what CI installs, what ``ci.sh --help`` says, how the benchmark
+suite builds its tables, and what git tracks."""
 
 import argparse
 import ast
@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_rules
 from repro.bench.regen import SECTIONS
 from repro.cli import build_parser
 from repro.serve import protocol
@@ -54,16 +53,10 @@ def _cli_sections() -> dict[str, str]:
                            text, re.MULTILINE | re.DOTALL))
 
 
-#: Rules that matched a source pattern for a fact the tests now check by
-#: running the code; docs/linting.md maps each to its test.
-RETIRED_RULES = ("api-surface", "cache-key", "cli-docs", "engine-registry",
-                 "lint-docs", "no-bytecode")
-
-
-def _retired_rule_table() -> dict[str, str]:
-    """docs/linting.md's retired rule -> the test node id its row names."""
-    text = (REPO_ROOT / "docs" / "linting.md").read_text(encoding="utf-8")
-    return dict(re.findall(r"^\| `([a-z-]+)` \| `(tests/[^`]+)`",
+def _hazard_table() -> dict[str, str]:
+    """docs/testing.md's hazard -> the test node id its row names."""
+    text = (REPO_ROOT / "docs" / "testing.md").read_text(encoding="utf-8")
+    return dict(re.findall(r"^\| ([^|`]+?) \| `(tests/[^`]+)`",
                            text, re.MULTILINE))
 
 
@@ -93,13 +86,6 @@ class TestDocsNameTheCode:
         help_text = build_parser().format_help()
         assert [n for n in sorted(_subcommands()) if n not in help_text] == []
 
-    def test_linting_docs_name_exactly_the_rules(self):
-        """docs/linting.md gives each registered rule one
-        ``* **`<id>`** —`` entry, and no entry for a rule that is gone."""
-        text = (REPO_ROOT / "docs" / "linting.md").read_text(encoding="utf-8")
-        documented = re.findall(r"^\* \*\*`([a-z-]+)`\*\*", text, re.MULTILINE)
-        assert sorted(documented) == sorted(all_rules())
-
     @pytest.mark.parametrize("name", sorted(_subcommands()))
     def test_cli_docs_spell_every_option(self, name):
         """Each option of `repro <name>` appears, long or short, in
@@ -117,49 +103,33 @@ class TestDocsNameTheCode:
         ``protocol.py`` registers it, and lists every one."""
         assert _serving_message_table() == set(protocol._MESSAGE_TYPES)
 
-    def test_retired_rule_table_lists_exactly_the_retired_rules(self):
-        assert sorted(_retired_rule_table()) == list(RETIRED_RULES)
-        assert set(RETIRED_RULES).isdisjoint(all_rules())
+    def test_hazard_table_has_a_row_per_source_check(self):
+        """docs/testing.md names each check tests/test_source_checks.py
+        runs over the tree."""
+        from test_source_checks import CHECKS
+        rows = set(_hazard_table().values())
+        assert [check.__name__ for check in CHECKS
+                if "tests/test_source_checks.py::test_source_tree_is_clean"
+                   f"[{check.__name__}]" not in rows] == []
 
-    @pytest.mark.parametrize("rule_id", RETIRED_RULES)
-    def test_retired_rule_names_a_test_that_exists(self, rule_id):
-        """The test a retired rule's row points at is defined where the
-        node id says, so the table cannot outlive a rename."""
-        path, *names = _retired_rule_table()[rule_id].split("::")
-        scope = ast.parse((REPO_ROOT / path).read_text(encoding="utf-8"))
+    @pytest.mark.parametrize("hazard", sorted(_hazard_table()))
+    def test_hazard_table_names_a_test_that_exists(self, hazard):
+        """The test a row points at is defined where its node id says,
+        so the table cannot outlive a rename.  A parametrized node's id
+        names a function of the same file (a source check)."""
+        path, *names = _hazard_table()[hazard].split("::")
+        names[-1], _, param = names[-1].partition("[")
+        tree = ast.parse((REPO_ROOT / path).read_text(encoding="utf-8"))
+        scope = tree
         for name in names:
             scope = next((node for node in scope.body
                           if isinstance(node, (ast.ClassDef, ast.FunctionDef))
                           and node.name == name), None)
             assert scope is not None, f"{path} defines no {name}"
-
-
-def _process_pool_uses(tree: ast.AST):
-    """``(line, name)`` of every ``multiprocessing`` import and every
-    ``ProcessPoolExecutor`` import or attribute in an AST."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] + [alias.name for alias in node.names]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        else:
-            continue
-        yield from ((node.lineno, name) for name in names
-                    if name.split(".")[0] == "multiprocessing"
-                    or name == "ProcessPoolExecutor")
-
-
-class TestSourceTree:
-    def test_no_process_pool_under_src(self):
-        """Sweeps and the serve daemon run jobs on threads; no lint rule
-        polices fork hazards any more, so no process pool may return."""
-        found = [f"{path.relative_to(REPO_ROOT)}:{line} {name}"
-                 for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-                 for line, name in _process_pool_uses(
-                     ast.parse(path.read_text(encoding="utf-8")))]
-        assert found == []
+        functions = {node.name for node in tree.body
+                     if isinstance(node, ast.FunctionDef)}
+        assert not param or param.rstrip("]") in functions, \
+            f"{path} defines no {param}"
 
 
 def _top_level_imports(tree: ast.AST) -> set[str]:
@@ -194,6 +164,27 @@ class TestCiInstalls:
             for name in sorted(_top_level_imports(tree) - known - installed):
                 missing.setdefault(name, str(path.relative_to(REPO_ROOT)))
         assert missing == {}
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="bash unavailable")
+class TestCiScript:
+    def test_help_names_every_stage(self):
+        """``ci.sh --help`` prints the script's leading comment, which
+        names each stage its ``case`` dispatches."""
+        script = REPO_ROOT / "scripts" / "ci.sh"
+        dispatch = re.search(r'^    case "\$stage" in\n(.*?)^    esac',
+                             script.read_text(encoding="utf-8"),
+                             re.MULTILINE | re.DOTALL).group(1)
+        stages = re.findall(r"^ +([a-z]+)\)", dispatch, re.MULTILINE)
+        # run from scripts/, so "$0" is relative to another directory
+        # than the one the script changes into
+        proc = subprocess.run(["bash", script.name, "--help"],
+                              cwd=script.parent, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "all" in stages and len(stages) > 1
+        assert [stage for stage in stages
+                if not re.search(rf"ci\.sh {stage}\b", proc.stdout)] == []
 
 
 def _benchmark_trees():
