@@ -6,8 +6,10 @@ byte-identical ``SimStats``, on simulators that share no state, and on
 cache writers that cannot tear each other's files.  Each check below
 maps a parsed module to its ``(line, symbol)`` findings.
 ``test_source_tree_is_clean`` runs each over every module in its scope
-and requires none; the fixture tests hold each check to what it must
-and must not flag.  docs/testing.md says why each hazard matters.
+and requires none; ``test_seeded_defect_is_found`` appends one defect
+to a real module in each scope and requires the check to name it; the
+fixture tests hold each check to what it must and must not flag.
+docs/testing.md says why each hazard matters.
 """
 
 from __future__ import annotations
@@ -270,17 +272,56 @@ def modules(check) -> list[Path]:
 
 
 def parse(path: Path) -> ast.Module:
-    """The module's AST.  A file that does not parse or is not UTF-8
-    raises, so no check passes it unread."""
+    """The module's AST.  A file that cannot be read, does not parse or
+    is not UTF-8 raises, so no check passes it unread."""
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def report(check, path: Path, tree: ast.Module) -> list[str]:
+    """``path:line symbol`` for each finding of ``check`` in ``tree``,
+    the AST of ``path``."""
+    return [f"{path.relative_to(REPO_ROOT)}:{line} {symbol}"
+            for line, symbol in sorted(check(tree))]
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
 def test_source_tree_is_clean(check):
-    found = [f"{path.relative_to(REPO_ROOT)}:{line} {symbol}"
-             for path in modules(check)
-             for line, symbol in sorted(check(parse(path)))]
+    found = [entry for path in modules(check)
+             for entry in report(check, path, parse(path))]
     assert not found, "\n".join([f"{check.__name__} found:", *found])
+
+
+#: Each check -> a module in its scope, a one-line defect to append to
+#: it, and the symbol the check must report for that line.
+SEEDED = {
+    module_state: ("accel/stats.py", "_SEEDED_MEMO = {}", "_SEEDED_MEMO"),
+    set_iteration: ("mdp/netlist.py", "def _seeded(xs): return list(set(xs))",
+                    "set-iter@list()"),
+    id_key: ("sweep/jobs.py", "def _seeded(x): return id(x)", "id-call"),
+    nondeterministic_call: ("hw/timing.py", "def _seeded(): return time.time()",
+                            "time.time"),
+    exception_hygiene: ("accel/frontend.py",
+                        "def _seeded(): raise ValueError('x')",
+                        "raise.ValueError"),
+    atomic_write: ("sweep/cache.py", "def _seeded(p): p.write_text('x')",
+                   "write_text"),
+    process_pool: ("sweep/executor.py", "import multiprocessing",
+                   "multiprocessing"),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+def test_seeded_defect_is_found(check):
+    """The check, over a real module of its scope with one defect
+    appended, names that module and the defect's line: the edit that
+    ``test_source_tree_is_clean`` exists to stop does not pass it."""
+    name, defect, symbol = SEEDED[check]
+    path = SRC / name
+    assert path in modules(check)
+    lines = path.read_text(encoding="utf-8").splitlines() + ["", defect]
+    tree = ast.parse("\n".join(lines), filename=str(path))
+    assert f"src/repro/{name}:{len(lines)} {symbol}" \
+        in report(check, path, tree)
 
 
 def test_each_check_reads_its_scope():
@@ -305,10 +346,14 @@ def test_each_check_reads_its_scope():
 @pytest.mark.parametrize("content, error", [
     (b"def f(:\n", SyntaxError),
     (b"# caf\xe9\n", UnicodeDecodeError),
-], ids=["syntax-error", "not-utf8"])
+    (None, IsADirectoryError),
+], ids=["syntax-error", "not-utf8", "unreadable"])
 def test_unreadable_module_fails_the_check(tmp_path, content, error):
     path = tmp_path / "bad.py"
-    path.write_bytes(content)
+    if content is None:
+        path.mkdir()                     # a directory that globs as .py
+    else:
+        path.write_bytes(content)
     with pytest.raises(error):
         parse(path)
 
