@@ -28,8 +28,9 @@
 #   ci.sh differential
 #                    every engine's SimStats equal reference's on the
 #                    full fig8 (72 jobs), PageRank x10 (18 jobs),
-#                    Fig. 10 (16), Fig. 11 (6), Fig. 12 (12) and
-#                    Sec. 5.4 (3) matrices, uncached, one python
+#                    Fig. 10 (16), Fig. 11 (6), Fig. 12 (12), Sec. 5.4
+#                    (3), Sec. 5.3 slicing (1), combining (4) and
+#                    latency (4) matrices, uncached, one python
 #                    process per matrix, all started together
 #
 # Stages may be combined: `ci.sh tests differential`.
@@ -225,13 +226,14 @@ EOF
 }
 
 stage_differential() {
-    echo "== soa vs reference: fig8, PageRank x10, fig10, fig11, fig12, sec5.4 =="
+    echo "== soa vs reference: fig8, PageRank x10, fig10, fig11, fig12, sec5.4, slicing, combining, latency =="
     # reference holds the GIL, so threads would run its jobs one at a
     # time: each matrix sweeps serially in its own process instead, and
     # the processes share the CPUs
     local label failed=0
     local -A pids=()
-    for label in fig8 PRx10 fig10 fig11 fig12 sec5.4; do
+    for label in fig8 PRx10 fig10 fig11 fig12 sec5.4 slicing combining \
+            latency; do
         differential_matrix "$label" &
         pids[$label]=$!
         CI_PIDS+=("$!")
@@ -252,8 +254,10 @@ differential_matrix() {
 import dataclasses
 import sys
 from repro.accel.engine import ENGINES, soakernel
-from repro.bench.figures import (fig10_jobs, fig11_jobs, fig12_jobs,
-                                 sec54_radix_jobs)
+from repro.bench.figures import (combining_ablation_jobs, fig10_jobs,
+                                 fig11_jobs, fig12_jobs,
+                                 latency_ablation_jobs, sec54_radix_jobs,
+                                 slicing_jobs)
 from repro.bench.harness import matrix_jobs
 from repro.sweep.executor import run_sweep
 
@@ -262,12 +266,15 @@ if soakernel.load_kernel() is None:
     sys.exit("no soa kernel loaded: soa runs would be reference's")
 # fig8 and PRx10 are the Table 1 designs; the figures add an MDP edge
 # stage between crossbar sites, 64-256 back channels, FIFO depths
-# 8-320 and radix 4 and 8
+# 8-320 and radix 4 and 8; slicing runs one engine per slice, and the
+# ablations turn combining off and run BFS down a chain
 planners = {"fig8": matrix_jobs,
             "PRx10": lambda: matrix_jobs(
                 algorithms=[("PR", {"iterations": 10})]),
             "fig10": fig10_jobs, "fig11": fig11_jobs,
-            "fig12": fig12_jobs, "sec5.4": sec54_radix_jobs}
+            "fig12": fig12_jobs, "sec5.4": sec54_radix_jobs,
+            "slicing": slicing_jobs, "combining": combining_ablation_jobs,
+            "latency": latency_ablation_jobs}
 label = sys.argv[1]
 jobs = planners[label]()
 runs = {engine: run_sweep([dataclasses.replace(job, engine=engine)

@@ -1,6 +1,8 @@
 """Cycle-level accelerator simulator: scatter/apply orchestration (Fig. 6).
 
-One :class:`AcceleratorSim` executes the VCPM iteration loop:
+:func:`run_vcpm` is the one VCPM iteration loop; :class:`AcceleratorSim`
+and the sliced simulator (:mod:`repro.accel.slicing`) both run it,
+each with its own per-iteration scatter:
 
 * **Scatter**: ActiveVertex parts -> offset access (site ①) ->
   ``{Off, Len}`` requests -> edge access (site ②) -> ePEs
@@ -87,39 +89,52 @@ class AcceleratorSim:
     # ------------------------------------------------------------------
     def run(self, source: int = 0, max_iterations: int | None = None) -> SimResult:
         """Execute the algorithm to convergence (or the iteration bound)."""
-        graph, alg = self.graph, self.algorithm
-        v = graph.num_vertices
-        stats = SimStats(config_name=self.config.name, algorithm=alg.name,
-                         graph_name=graph.name,
-                         frequency_ghz=self.config.frequency_ghz())
-        if v == 0:
-            return SimResult(stats, np.empty(0, dtype=np.float64))
-        if not 0 <= source < v:
-            raise SimulationError(f"source {source} out of range [0, {v})")
+        result = run_vcpm(self, self.engine.scatter_phase, source,
+                          max_iterations)
+        self.engine.harvest(result.stats)
+        return result
 
-        prop = alg.init_prop(graph, source)
-        active = alg.initial_active(graph, source)
-        if max_iterations is None:
-            max_iterations = (alg.default_iterations if alg.all_active else v + 1)
-        identity = alg.identity()
-        m = self.config.back_channels
 
-        iteration = 0
-        while active.size and iteration < max_iterations:
-            sprop_all = alg.scatter_value(prop, self.out_degree)
-            tprop = self.engine.scatter_phase(active, sprop_all, identity,
-                                              stats)
-            new_prop = alg.apply(prop, tprop, graph)
-            changed = alg.activation_mask(prop, new_prop)
-            stats.apply_cycles += -(-v // m) + APPLY_PIPELINE_LATENCY
-            stats.iterations += 1
-            stats.active_vertices_total += int(active.size)
-            prop = new_prop
-            active = np.nonzero(changed)[0].astype(np.int64)
-            iteration += 1
+def run_vcpm(sim, scatter, source: int,
+             max_iterations: int | None) -> SimResult:
+    """The VCPM iteration loop of ``sim`` (its ``config``, ``graph``,
+    ``algorithm`` and ``out_degree``), from ``source``.
 
-        self.engine.harvest(stats)
-        return SimResult(stats, prop)
+    Each iteration seeds a float64 tProperty with the identity of
+    Reduce, calls ``scatter(active, sprop_all, tprop, stats)`` to reduce
+    the phase into it, then applies and activates.
+    """
+    graph, alg = sim.graph, sim.algorithm
+    v = graph.num_vertices
+    stats = SimStats(config_name=sim.config.name, algorithm=alg.name,
+                     graph_name=graph.name,
+                     frequency_ghz=sim.config.frequency_ghz())
+    if v == 0:
+        return SimResult(stats, np.empty(0, dtype=np.float64))
+    if not 0 <= source < v:
+        raise SimulationError(f"source {source} out of range [0, {v})")
+
+    prop = alg.init_prop(graph, source)
+    active = alg.initial_active(graph, source)
+    if max_iterations is None:
+        max_iterations = (alg.default_iterations if alg.all_active else v + 1)
+    identity = alg.identity()
+    m = sim.config.back_channels
+
+    iteration = 0
+    while active.size and iteration < max_iterations:
+        sprop_all = alg.scatter_value(prop, sim.out_degree)
+        tprop = np.full(v, identity, dtype=np.float64)
+        scatter(active, sprop_all, tprop, stats)
+        new_prop = alg.apply(prop, tprop, graph)
+        changed = alg.activation_mask(prop, new_prop)
+        stats.apply_cycles += -(-v // m) + APPLY_PIPELINE_LATENCY
+        stats.iterations += 1
+        stats.active_vertices_total += int(active.size)
+        prop = new_prop
+        active = np.nonzero(changed)[0].astype(np.int64)
+        iteration += 1
+    return SimResult(stats, prop)
 
 
 def simulate(config: AcceleratorConfig, graph: CSRGraph, algorithm: Algorithm,

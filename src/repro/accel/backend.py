@@ -46,9 +46,6 @@ class MdpPropagation:
         self.net.advance()
         return delivered
 
-    def can_offer(self, channel: int, dest: int) -> bool:
-        return self.net.can_offer(channel, dest)
-
     def offer(self, channel: int, dest: int, payload) -> bool:
         return self.net.offer(channel, dest, payload)
 
@@ -59,10 +56,6 @@ class MdpPropagation:
     @property
     def occupancy(self) -> int:
         return self.net.occupancy
-
-    @property
-    def drained(self) -> bool:
-        return self.net.drained
 
 
 class CrossbarPropagation:
@@ -83,9 +76,6 @@ class CrossbarPropagation:
     def tick_deliver(self):
         return self.xbar.tick(self.unit_budget)
 
-    def can_offer(self, channel: int, dest: int) -> bool:
-        return not self.xbar.inputs[channel].full
-
     def offer(self, channel: int, dest: int, payload) -> bool:
         return self.xbar.offer(channel, dest, payload)
 
@@ -96,10 +86,6 @@ class CrossbarPropagation:
     @property
     def occupancy(self) -> int:
         return self.xbar.occupancy
-
-    @property
-    def drained(self) -> bool:
-        return self.xbar.drained
 
 
 def make_propagation(config: AcceleratorConfig, combine_fn=None):

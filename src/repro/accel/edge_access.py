@@ -62,7 +62,6 @@ class MdpEdgeStage:
         for ch, pos in enumerate(self._position_of):
             self._channels_at[pos].append(ch)
         self._rr = [0] * w
-        self.stalled_cycles = 0
 
     # ------------------------------------------------------------------
     def tick(self, fe_out: list, epe_in: list[deque]) -> None:
@@ -112,14 +111,6 @@ class MdpEdgeStage:
         stalls = self.net.stall_events + self.net.rejected_offers if self.net else 0
         return blocked + stalls
 
-    @property
-    def drained(self) -> bool:
-        if any(r.busy for r in self.replays):
-            return False
-        if self.net is not None and not self.net.drained:
-            return False
-        return all(d.queue.empty for d in self.dispatchers)
-
 
 class CentralEdgeStage:
     """GraphDynS-style in-order window allocator over all banks."""
@@ -134,7 +125,6 @@ class CentralEdgeStage:
         self.queue: deque = deque()      # in-order {Off, Len, sprop}
         self.queue_capacity = config.fe_out_depth * config.front_channels
         self.window_conflicts = 0
-        self.issued_reads = 0
 
     def tick(self, fe_out: list, epe_in: list[deque]) -> None:
         # 1. in-order greedy window issue
@@ -154,7 +144,6 @@ class CentralEdgeStage:
                 eidx = off + j
                 epe_in[b].append((int(self.dst[eidx]),
                                   int(self.weights[eidx]), sprop))
-            self.issued_reads += k
             claimed.update(banks)
             if k == length:
                 self.queue.popleft()
@@ -170,10 +159,6 @@ class CentralEdgeStage:
     @property
     def conflicts(self) -> int:
         return self.window_conflicts
-
-    @property
-    def drained(self) -> bool:
-        return not self.queue
 
 
 def make_edge_stage(config: AcceleratorConfig, dst: np.ndarray,

@@ -1,7 +1,12 @@
 """Scatter-phase simulation engines — the ``SimEngine`` seam.
 
 Every figure, sweep and report bottoms out in the scatter-phase cycle
-loop, so it exists in two interchangeable implementations:
+loop, so it exists in two interchangeable implementations.  Each has
+two methods: ``scatter_phase(active, sprop_all, tprop, stats)``
+simulates one phase and reduces it into ``tprop``, the float64 array
+:func:`~repro.accel.accelerator.run_vcpm` seeded with Reduce's
+identity, and ``harvest(stats)`` reads out the run's conflict
+counters:
 
 * ``reference`` — the original cycle-by-cycle loop driving the
   component models in :mod:`repro.accel.frontend`,
@@ -17,8 +22,8 @@ loop, so it exists in two interchangeable implementations:
   ``table[stage][pos][dest]`` tensor built from the
   :mod:`repro.mdp.generator` plans, the range network routes each piece
   by its start bank through two tables built from its plan, and
-  arbiter state, conflict counters and tProperty stay resident in the
-  kernel's struct for the whole run.  A run the kernel cannot reproduce bit for bit (no C
+  arbiter state and conflict counters stay resident in the kernel's
+  struct for the whole run.  A run the kernel cannot reproduce bit for bit (no C
   compiler, ``REPRO_SOA_KERNEL=off``, an algorithm without declared
   closed-form kernels) is handed to ``reference``: byte-identical, many
   times slower.

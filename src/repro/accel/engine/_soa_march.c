@@ -40,8 +40,8 @@
  * the block line (docs/performance.md).
  * The differential suite and tests/test_engine_fuzz.py hold it to that.
  *
- * The one side output is touch_dv, the delivered-vertex log the engine
- * uses to restore its resident tProperty buffer to identity.
+ * The vPEs reduce into tprop, the caller's identity-seeded float64
+ * array, which soa.py points the struct at for each call.
  *
  * Plain C99 + libc only; compiled at first use via cc -O2 -shared
  * (see soakernel.py).  No -ffast-math: IEEE semantics are the point.
@@ -53,7 +53,7 @@
 typedef long long i64;
 typedef double f64;
 
-#define SOA_ABI_VERSION 7
+#define SOA_ABI_VERSION 8
 
 /* Named constants, exported through soa_layout(): the struct magic
  * (ASCII "SOA" plus the ABI digit), the reduce_op codes, and the proc
@@ -162,7 +162,7 @@ typedef struct { i64 v, cnt; f64 imm; i64 bank; } PropRec;
     /* -- arbiter scalars (persistent; set once at bind) ------------- */ \
     F(I64, parity) F(I64, fstart) \
     /* -- per-phase run state ---------------------------------------- */ \
-    F(F64P, tprop)                  /* full num_vertices array */ \
+    F(F64P, tprop)                  /* the caller's [num_vertices] */ \
     F(I64, expected) F(I64, fe_pending) F(I64, limit) \
     /* -- per-phase occupancy totals (queues are empty at phase ------ */ \
     /*    boundaries, so soa_march() zeroes these on entry)            */ \
@@ -171,9 +171,6 @@ typedef struct { i64 v, cnt; f64 imm; i64 bank; } PropRec;
     F(I64, rp_busy_total) F(I64, ce_cnt) F(I64, ce_head) \
     F(I64, pn_count) F(I64, px_count) \
     F(I64, epoch_ctr) \
-    /* -- resident tProperty delta tracking -------------------------- */ \
-    F(I64P, touch_dv)               /* delivered vertices, dups allowed */ \
-    F(I64, touch_len) \
     /* -- conflict counters: run totals, zero at bind ---------------- */ \
     F(I64, deferrals)               /* frontend arbitration deferrals */ \
     F(I64, edge_blocked)    /* dispatcher blocked | window conflicts */ \
@@ -991,7 +988,6 @@ static void pn_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
             const PropRec *r = &RING(q, qi, D, h);
             i64 dv = r->v;
             reduces += r->cnt;
-            st->touch_dv[st->touch_len++] = dv;
             head[qi] = wrap(h + 1, D);
             len[qi] -= 1;
             st->tprop[dv] = red(op, st->tprop[dv], r->imm);
@@ -1092,7 +1088,6 @@ static void px_deliver_reduce(SoaState *st, i64 *got_out, i64 *red_out) {
         const PropRec *r = &RING(q, i, D, h);
         i64 dv = r->v;
         reduces += r->cnt;
-        st->touch_dv[st->touch_len++] = dv;
         head[i] = wrap(h + 1, D);
         len[i] -= 1;
         st->px_count--;
@@ -1185,7 +1180,6 @@ i64 soa_march(SoaState *st) {
     st->rn_count = st->disp_count = st->epe_count = st->rp_busy_total = 0;
     st->ce_cnt = st->ce_head = st->pn_count = st->px_count = 0;
     st->epoch_ctr = 0;
-    st->touch_len = 0;
     memset(st->iq_head, 0, n * sizeof(i64));
     memset(st->iq_len, 0, n * sizeof(i64));
     memset(st->fo_head, 0, n * sizeof(i64));

@@ -41,8 +41,10 @@ class ReferenceEngine:
         sim.epe_in = [deque() for _ in range(m)]
 
     # ------------------------------------------------------------------
-    def scatter(self, active, sprop_all, tprop: list, stats) -> None:
-        """Simulate one scatter phase cycle by cycle."""
+    def scatter_phase(self, active, sprop_all, tprop: np.ndarray,
+                      stats) -> None:
+        """Simulate one scatter phase cycle by cycle, reducing into
+        ``tprop`` (float64, one entry per vertex)."""
         sim = self.sim
         cfg = sim.config
         n, m = cfg.front_channels, cfg.back_channels
@@ -52,6 +54,8 @@ class ReferenceEngine:
         reduce_fn = sim.algorithm.reduce
         process_fn = sim.algorithm.process_edge
 
+        # reduce into a list: numpy scalar indexing is slower per delivery
+        red = tprop.tolist()
         sprops = sprop_all[active].tolist()
         actives = active.tolist()
         for i, (u, sp) in enumerate(zip(actives, sprops)):
@@ -76,7 +80,7 @@ class ReferenceEngine:
             #    coalesced into it on the way here.
             delivered = propagation.tick_deliver()
             for _, (dv, imm, cnt) in delivered:
-                tprop[dv] = reduce_fn(tprop[dv], imm)
+                red[dv] = reduce_fn(red[dv], imm)
                 reduces += cnt
             got = len(delivered)
             starved += m - got
@@ -96,19 +100,10 @@ class ReferenceEngine:
             if sim.tracer is not None:
                 sim.tracer.sample(sim, cycles, got)
 
+        tprop[:] = red
         stats.scatter_cycles += cycles
         stats.vpe_starvation_cycles += starved
         stats.edges_processed += reduces
-
-    # ------------------------------------------------------------------
-    def scatter_phase(self, active, sprop_all, identity: float,
-                      stats) -> np.ndarray:
-        """One whole scatter phase with a fresh identity-seeded tProperty;
-        returns the reduced array (the engine-level seam; the ``soa``
-        engine keeps its buffer resident across phases instead)."""
-        tprop = [identity] * self.sim.graph.num_vertices
-        self.scatter(active, sprop_all, tprop, stats)
-        return np.asarray(tprop, dtype=np.float64)
 
     # ------------------------------------------------------------------
     def harvest(self, stats) -> None:

@@ -21,10 +21,9 @@ State that outlives a phase stays in the kernel's own struct for the
 whole run: the arbiter state (odd-even parity, rotating scan start,
 round-robin pointers, stall memos), set once at bind, and the conflict
 counters, which are run totals :meth:`SoaEngine.harvest` reads out.
-tProperty is *resident* too: :meth:`SoaEngine.scatter_phase` holds an
-identity-seeded buffer across phases and restores only the vertices
-the kernel delivered to (``touch_dv``), so sparse frontiers stop
-paying full-array seeding per phase.
+tProperty is the caller's: :meth:`SoaEngine.scatter_phase` points the
+struct at the float64 array the iteration loop seeded, and the kernel
+reduces into it in place.
 
 The engine runs only where the kernel reproduces the run bit for bit
 (:func:`kernel_supports`).  Otherwise — no C compiler, a failed build,
@@ -134,9 +133,6 @@ class SoaEngine:
         self.n = sim.config.front_channels
         self.out_degree = sim.out_degree
         self.num_vertices = sim.graph.num_vertices
-        #: identity value the resident tprop buffer is currently seeded
-        #: with everywhere (None = unknown, full reseed required)
-        self._tprop_seed: float | None = None
         self._bind_state(sim)
 
     # ------------------------------------------------------------------
@@ -197,7 +193,7 @@ class SoaEngine:
         issue, fe_out = n * config.issue_queue_depth, n * config.fe_out_depth
         bind(iq_u=issue, iq_s=issue, iq_head=n, iq_len=n,
              fo_off=fe_out, fo_len=fe_out, fo_s=fe_out, fo_head=n, fo_cnt=n)
-        # phase-sized buffers start empty; scatter() grows them to fit
+        # phase-sized buffers start empty; scatter_phase() grows them
         self._part_u, self._part_sp, self._part_pos, self._part_end = bind(
             part_u=0, part_sp=0, part_pos=n, part_end=n)
 
@@ -265,37 +261,31 @@ class SoaEngine:
         mx = max(n, m, int(st.w))
         bind(s_epoch=mx, s_val=mx, s_epoch2=mx, s_val2=mx, s_src=mx,
              s_tgt=mx)
-        self._tprop_buf, self._touch_dv = bind(
-            tprop=max(self.num_vertices, 1), touch_dv=0)
 
         self._keep = keep
         self._st = st
 
-    def _grow(self, size: int, expected: int) -> None:
-        """Resize the phase buffers to fit ``size`` actives and
-        ``expected`` deliveries (a direct ``scatter()`` may repeat
-        actives, so a phase can exceed |V| actives and |E| edges)."""
+    # ------------------------------------------------------------------
+    def scatter_phase(self, active, sprop_all, tprop: np.ndarray,
+                      stats) -> None:
+        """Simulate one scatter phase in C, reducing into ``tprop``."""
+        # the kernel writes through this pointer, so only an array of
+        # exactly the shape it indexes may reach it
+        if not (isinstance(tprop, np.ndarray) and tprop.dtype == np.float64
+                and tprop.flags.c_contiguous
+                and tprop.shape == (self.num_vertices,)):
+            raise SimulationError(
+                f"tprop must be a C-contiguous float64 array of "
+                f"{self.num_vertices} entries")
         st = self._st
+        n = self.n
+        size = int(active.size)
         if size > self._part_u.size:
+            # a phase may repeat actives, so it can exceed |V| entries
             self._part_u = np.zeros(size, dtype=self._part_u.dtype)
             self._part_sp = np.zeros(size, dtype=self._part_sp.dtype)
             st.part_u = self._part_u.ctypes.data
             st.part_sp = self._part_sp.ctypes.data
-        if expected > self._touch_dv.size:
-            # one touch per delivery, and every delivery reduces >= 1 edge
-            self._touch_dv = np.zeros(expected, dtype=self._touch_dv.dtype)
-            st.touch_dv = self._touch_dv.ctypes.data
-
-    # ------------------------------------------------------------------
-    def scatter(self, active, sprop_all, tprop, stats) -> None:
-        """Simulate one scatter phase in C, reducing into ``tprop`` (a
-        list, or the engine's resident buffer)."""
-        st = self._st
-        n = self.n
-        size = int(active.size)
-        expected = int(self.out_degree[active].sum())
-        if size > self._part_u.size or expected > self._touch_dv.size:
-            self._grow(size, expected)
         pos = 0
         sel = sprop_all[active]
         for ch in range(n):
@@ -306,14 +296,9 @@ class SoaEngine:
             self._part_pos[ch] = pos
             self._part_end[ch] = pos + k
             pos += k
-        v = self.num_vertices
-        resident = tprop is self._tprop_buf
-        if v and not resident:
-            # a direct scatter() caller owns tprop: the resident buffer
-            # is clobbered here, so the identity seed no longer holds
-            self._tprop_seed = None
-            self._tprop_buf[:v] = tprop
 
+        expected = int(self.out_degree[active].sum())
+        st.tprop = tprop.ctypes.data
         st.expected = expected
         st.fe_pending = size
         limit = 4 * expected + 8 * size + 10_000
@@ -329,35 +314,10 @@ class SoaEngine:
                 f"soa kernel rejected its state (code {rc}): the struct "
                 f"layout and the loaded kernel disagree")
 
-        if not resident:
-            tprop[:] = self._tprop_buf[:v].tolist()
         stats.scatter_cycles += st.cycles
         stats.vpe_starvation_cycles += st.starved
         stats.vpe_busy_cycles += st.busy
         stats.edges_processed += st.reduces
-
-    def scatter_phase(self, active, sprop_all, identity: float,
-                      stats) -> np.ndarray:
-        """One whole scatter phase against the resident tProperty buffer.
-
-        The buffer stays identity-seeded across phases: after each phase
-        only the vertices the kernel delivered to (``touch_dv``) are
-        restored, so the seeding tax on sparse frontiers is O(touched)
-        rather than O(V).
-        """
-        buf = self._tprop_buf
-        v = self.num_vertices
-        if self._tprop_seed != identity:
-            buf[:v] = identity
-            self._tprop_seed = identity
-        self.scatter(active, sprop_all, buf, stats)
-        out = buf[:v].copy()
-        touched = self._touch_dv[:self._st.touch_len]
-        if 4 * len(touched) > v:
-            buf[:v] = identity      # dense: one bulk reseed wins
-        elif len(touched):
-            buf[touched] = identity
-        return out
 
     def harvest(self, stats) -> None:
         """Assign the run's conflict counters from the kernel's totals."""

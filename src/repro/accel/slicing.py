@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from repro.accel.accelerator import APPLY_PIPELINE_LATENCY, AcceleratorSim, SimResult
+from repro.accel.accelerator import AcceleratorSim, SimResult, run_vcpm
 from repro.accel.config import (
     DESIGN_ID_BITS,
     DESIGN_WEIGHT_BITS,
@@ -57,7 +55,8 @@ def slice_load_cycles(num_edges: int, offchip_bytes_per_cycle: float) -> int:
 
 
 class SlicedAcceleratorSim:
-    """Drives one :class:`AcceleratorSim` per slice, double-buffered."""
+    """Runs :func:`~repro.accel.accelerator.run_vcpm` with one
+    :class:`AcceleratorSim` engine per slice, double-buffered."""
 
     def __init__(self, config: AcceleratorConfig, graph: CSRGraph,
                  algorithm: Algorithm,
@@ -79,48 +78,24 @@ class SlicedAcceleratorSim:
 
     # ------------------------------------------------------------------
     def run(self, source: int = 0, max_iterations: int | None = None) -> SimResult:
-        graph, alg = self.graph, self.algorithm
-        v = graph.num_vertices
-        stats = SimStats(config_name=self.config.name, algorithm=alg.name,
-                         graph_name=graph.name,
-                         frequency_ghz=self.config.frequency_ghz())
-        stats.slices = len(self.slices)
-        if v == 0:
-            return SimResult(stats, np.empty(0, dtype=np.float64))
-
-        prop = alg.init_prop(graph, source)
-        active = alg.initial_active(graph, source)
-        if max_iterations is None:
-            max_iterations = (alg.default_iterations if alg.all_active else v + 1)
-        identity = alg.identity()
-        m = self.config.back_channels
         loads = [slice_load_cycles(s.num_edges, self.offchip_bytes_per_cycle)
                  for s in self.slices]
         raw_load = sum(loads)
 
-        iteration = 0
-        while active.size and iteration < max_iterations:
-            sprop_all = alg.scatter_value(prop, self.out_degree)
-            tprop_list = [identity] * v
+        def scatter(active, sprop_all, tprop, stats) -> None:
             # scatter once per slice; measure per-slice compute cycles
             compute_cycles = []
             for sim in self.slice_sims:
                 before = stats.scatter_cycles
-                sim.engine.scatter(active, sprop_all, tprop_list, stats)
+                sim.engine.scatter_phase(active, sprop_all, tprop, stats)
                 compute_cycles.append(stats.scatter_cycles - before)
-            stats.slice_load_cycles += _exposed_load_cycles(loads, compute_cycles)
+            stats.slice_load_cycles += _exposed_load_cycles(loads,
+                                                            compute_cycles)
             stats.slice_raw_load_cycles += raw_load
 
-            tprop = np.asarray(tprop_list, dtype=np.float64)
-            new_prop = alg.apply(prop, tprop, graph)
-            changed = alg.activation_mask(prop, new_prop)
-            stats.apply_cycles += -(-v // m) + APPLY_PIPELINE_LATENCY
-            stats.iterations += 1
-            stats.active_vertices_total += int(active.size)
-            prop = new_prop
-            active = np.nonzero(changed)[0].astype(np.int64)
-            iteration += 1
-
+        result = run_vcpm(self, scatter, source, max_iterations)
+        stats = result.stats
+        stats.slices = len(self.slices)
         # harvest assigns an engine's run totals, so each slice engine
         # harvests into its own scratch stats and the run sums them
         for sim in self.slice_sims:
@@ -129,7 +104,7 @@ class SlicedAcceleratorSim:
             stats.offset_deferrals += part.offset_deferrals
             stats.edge_conflicts += part.edge_conflicts
             stats.propagation_conflicts += part.propagation_conflicts
-        return SimResult(stats, prop)
+        return result
 
 
 def _exposed_load_cycles(loads: list[int], computes: list[int]) -> int:

@@ -297,8 +297,7 @@ def _cmd_sweep(args) -> int:
     sweep_axes = {field: [parse_axis_value(field, v) for v in texts]
                   for field, texts in axis_texts.items()}
     jobs = plan_jobs(algorithms, graphs, configs,
-                     sweep_axes=sweep_axes or None, source=args.source,
-                     engine=args.engine)
+                     sweep_axes=sweep_axes or None, source=args.source)
     with _session_for(args) as session:
         outcome = session.sweep(jobs)
 
@@ -384,18 +383,14 @@ def _cmd_report(args) -> int:
               f"executed: {record['executed']}  "
               f"wall: {record['wall_seconds']:.2f}s")
 
-    try:
-        with _session_for(args) as session:
-            report = session.report(
-                args.results_dir,
-                sections=args.section or None,
-                out=args.out,
-                charts=args.charts,
-                on_progress=_progress,
-            )
-    except (ReproError, ValueError, OSError) as exc:
-        print(f"report regeneration failed: {exc}", file=sys.stderr)
-        return 2
+    with _session_for(args) as session:
+        report = session.report(
+            args.results_dir,
+            sections=args.section or None,
+            out=args.out,
+            charts=args.charts,
+            on_progress=_progress,
+        )
     hit_pct = (100.0 * report.cache_hits / report.total_jobs
                if report.total_jobs else 0.0)
     print(f"sections: {len(report.sections)}  jobs: {report.total_jobs}  "
@@ -444,24 +439,20 @@ def _cmd_serve_verb(args) -> int:
               "(the running daemon to talk to)", file=sys.stderr)
         return 2
     client = ServeClient(args.connect)
-    try:
-        if args.verb == "reload":
-            reply = client.reload()
-            print(f"reloaded: code version {reply.code_version[:12]} "
-                  f"({'changed' if reply.changed else 'unchanged'})")
-            if reply.changed:
-                print("the daemon stopped: it runs the code it started "
-                      "with; restart it to serve the new code")
-        else:
-            reply = client.status()
-            print(f"workers: {reply.workers}  "
-                  f"uptime: {reply.uptime_seconds:.0f}s")
-            print(f"executed: {reply.executed}  "
-                  f"cache hits: {reply.cache_hits}  "
-                  f"deduped: {reply.deduped}")
-    except ReproError as exc:
-        print(f"serve {args.verb} failed: {exc}", file=sys.stderr)
-        return 2
+    if args.verb == "reload":
+        reply = client.reload()
+        print(f"reloaded: code version {reply.code_version[:12]} "
+              f"({'changed' if reply.changed else 'unchanged'})")
+        if reply.changed:
+            print("the daemon stopped: it runs the code it started "
+                  "with; restart it to serve the new code")
+    else:
+        reply = client.status()
+        print(f"workers: {reply.workers}  "
+              f"uptime: {reply.uptime_seconds:.0f}s")
+        print(f"executed: {reply.executed}  "
+              f"cache hits: {reply.cache_hits}  "
+              f"deduped: {reply.deduped}")
     return 0
 
 
@@ -519,14 +510,10 @@ def _cmd_cache(args) -> int:
         return 0
 
     # gc
-    try:
-        max_age = (parse_age_seconds(args.max_age)
-                   if args.max_age is not None else None)
-        max_bytes = (parse_size_bytes(args.max_bytes)
-                     if args.max_bytes is not None else None)
-    except ValueError as exc:
-        print(f"cache gc failed: {exc}", file=sys.stderr)
-        return 2
+    max_age = (parse_age_seconds(args.max_age)
+               if args.max_age is not None else None)
+    max_bytes = (parse_size_bytes(args.max_bytes)
+                 if args.max_bytes is not None else None)
     if max_age is None and max_bytes is None:
         print("cache gc: nothing to do (give --max-age and/or --max-bytes)",
               file=sys.stderr)

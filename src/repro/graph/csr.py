@@ -123,6 +123,12 @@ class CSRGraph:
                     f"{weight_arr.shape} vs {len(edge_arr)} edges"
                 )
 
+        bad = (edge_arr[:, 0] < 0) | (edge_arr[:, 0] >= num_vertices)
+        if bad.any():
+            raise GraphFormatError(
+                f"edge source {edge_arr[bad.argmax(), 0]} out of range "
+                f"[0, {num_vertices})")
+
         if dedup and len(edge_arr):
             _, keep = np.unique(edge_arr[:, 0] * (edge_arr[:, 1].max() + 1)
                                 + edge_arr[:, 1], return_index=True)

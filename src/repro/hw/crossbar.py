@@ -43,9 +43,6 @@ class ArbitratedCrossbar:
         self.conflicts = 0             # losing requesters, summed per cycle
 
     # ------------------------------------------------------------------
-    def can_offer(self, i: int) -> bool:
-        return not self.inputs[i].full
-
     def offer(self, i: int, dest: int, payload) -> bool:
         """Push into input ``i``; False when the input FIFO is full."""
         if not 0 <= dest < self.num_outputs:

@@ -100,7 +100,6 @@ class RangeSplitNetwork:
         self.offered_edges = 0
         self.delivered_pieces = 0
         self.delivered_edges = 0
-        self.splits = 0
         self.stall_events = 0
         self.rejected_offers = 0
 
@@ -120,7 +119,6 @@ class RangeSplitNetwork:
             return False
         for t, s_off, s_len in targets:
             queues[t].append((s_off, s_len, payload))
-        self.splits += max(0, len(subs) - 1)
         return True
 
     def offer(self, channel: int, off: int, length: int, payload) -> bool:

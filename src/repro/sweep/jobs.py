@@ -243,7 +243,6 @@ def plan_jobs(
     sweep_axes: Mapping[str, Sequence] | None = None,
     source: int = 0,
     max_iterations: int | None = None,
-    engine: str | None = None,
 ) -> list[SweepJob]:
     """Expand the evaluation matrix into a deterministic job list.
 
@@ -295,7 +294,6 @@ def plan_jobs(
                         config=job_cfg,
                         source=source,
                         max_iterations=max_iterations,
-                        engine=engine,
                         tags={"graph": graph_label, "algorithm": alg_name,
                               "config": cfg_label, **combo},
                     ))

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import ablation, graphdyns, higraph, higraph_mini, simulate
+from repro.accel import (
+    AcceleratorSim,
+    SlicedAcceleratorSim,
+    ablation,
+    graphdyns,
+    higraph,
+    higraph_mini,
+    simulate,
+)
 from repro.algorithms import BFS, SSSP, SSWP, PageRank, run_reference
 from repro.errors import SimulationError
 from repro.graph import (
@@ -22,6 +30,7 @@ from repro.graph import (
     erdos_renyi,
     grid_2d,
     inverse_star,
+    partition_by_destination,
     rmat,
     star,
 )
@@ -116,9 +125,22 @@ class TestEdgeCases:
         assert_matches_reference(higraph(), g, SSSP())
         assert_matches_reference(graphdyns(), g, SSWP())
 
-    def test_source_out_of_range(self):
-        with pytest.raises(SimulationError):
-            simulate(higraph(), chain(3), BFS(), source=9)
+    @pytest.mark.parametrize("offset", [-1, 9], ids=["-1", "V+9"])
+    @pytest.mark.parametrize("engine", ["reference", "soa"])
+    @pytest.mark.parametrize("sliced", [False, True],
+                             ids=["plain", "sliced"])
+    def test_source_out_of_range(self, sliced, engine, offset):
+        """Both simulators refuse the source before any engine sees it."""
+        g = rmat(7, 5.0, seed=3)
+        source = offset if offset < 0 else g.num_vertices + offset
+        if sliced:
+            sim = SlicedAcceleratorSim(higraph(), g, BFS(),
+                                       slices=partition_by_destination(g, 2),
+                                       engine=engine)
+        else:
+            sim = AcceleratorSim(higraph(), g, BFS(), engine=engine)
+        with pytest.raises(SimulationError, match="out of range"):
+            sim.run(source=source)
 
     def test_different_sources(self):
         g = GRAPHS["er"]

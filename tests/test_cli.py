@@ -84,8 +84,16 @@ class TestCommands:
             (["frequency", "--mdp-channels", "-4"], "needs >= 2 channels"),
             (["frequency", "--mdp-channels", "16", "--radix", "0"],
              "radix must be >= 2, got 0"),
+            (["report", "--results-dir", "{tmp}", "--section", "nope"],
+             "unknown report section 'nope'"),
+            (["cache", "gc", "--cache-dir", "{tmp}", "--max-age", "nan"],
+             "malformed age 'nan'"),
+            (["serve", "status", "--connect", "/nonexistent/repro.sock"],
+             "cannot reach daemon at /nonexistent/repro.sock"),
         ]])
-    def test_bad_input_exits_2_with_one_line(self, argv, problem, capsys):
+    def test_bad_input_exits_2_with_one_line(self, argv, problem, tmp_path,
+                                             capsys):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert main(argv) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"{argv[0]} failed: ") and problem in line
@@ -326,6 +334,32 @@ class TestEngineFlag:
         assert "executed: 4" in capsys.readouterr().out
         assert built == ["ReferenceEngine"] * 4
         assert os.environ.get("REPRO_ENGINE") == ambient
+
+    @pytest.mark.parametrize("connect", [False, True],
+                             ids=["local", "connect"])
+    def test_sweep_engine_belongs_to_the_executor(self, connect, built,
+                                                  monkeypatch, capsys):
+        """A local ``--engine reference`` runs every job on reference;
+        with ``--connect`` the daemon, which runs soa, chooses."""
+        import os
+        import tempfile
+
+        from repro.serve.daemon import serve_in_thread
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        argv = ["sweep", "--datasets", "VT", "--scale", "0.03",
+                "--algorithms", "BFS,SSSP", "--configs", "higraph",
+                "--no-cache", "--engine", "reference"]
+        if connect:
+            with tempfile.TemporaryDirectory(dir="/tmp",
+                                             prefix="repro-serve-") as d:
+                sock = os.path.join(d, "d.sock")
+                with serve_in_thread(sock):
+                    assert main(argv + ["--connect", sock]) == 0
+        else:
+            assert main(argv) == 0
+        assert "executed: 2" in capsys.readouterr().out
+        want = "SoaEngine" if connect else "ReferenceEngine"
+        assert built == [want] * 2
 
 
 class TestCacheCommand:

@@ -668,10 +668,10 @@ class TestSlicedMultiPhase:
 
 
 class TestOversizedPhases:
-    """A direct ``scatter()`` may present duplicate actives, which no
-    real frontier has: more than |V| active entries, or more expected
-    deliveries than |E|.  The soa engine grows its phase buffers, and
-    the following normal phase still runs on the resident buffer."""
+    """A direct ``scatter_phase()`` may present duplicate actives, which
+    no real frontier has: more than |V| active entries, or more expected
+    deliveries than |E|.  The soa engine grows its active-vertex part
+    buffers, and the following normal phase still matches."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -697,13 +697,12 @@ class TestOversizedPhases:
         sprop = alg.scatter_value(prop, sim.out_degree)
         identity = alg.identity()
         normal = alg.initial_active(graph, 0)
+        many, doubled = self._phases(graph)
         tprops = []
-        for active in self._phases(graph):
-            tprop = [identity] * graph.num_vertices
-            sim.engine.scatter(active, sprop, tprop, stats)
-            tprops.append(np.asarray(tprop))
-            tprops.append(sim.engine.scatter_phase(normal, sprop, identity,
-                                                   stats))
+        for active in (many, normal, doubled, normal):
+            tprop = np.full(graph.num_vertices, identity)
+            sim.engine.scatter_phase(active, sprop, tprop, stats)
+            tprops.append(tprop)
         sim.engine.harvest(stats)
         return type(sim.engine), stats.to_dict(), tprops
 
@@ -725,7 +724,8 @@ class TestOversizedPhases:
 
 
 class TestKernelGuards:
-    """The C call's two failure codes surface as SimulationError."""
+    """The C call's two failure codes, and a tProperty the kernel cannot
+    index, surface as SimulationError."""
 
     def _sim(self):
         _kernel_or_skip()
@@ -746,6 +746,21 @@ class TestKernelGuards:
         sim.engine._st.magic = 0
         with pytest.raises(SimulationError, match="rejected its state"):
             sim.run(source=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda v: [0.0] * v,
+        lambda v: np.zeros(v, dtype=np.float32),
+        lambda v: np.zeros(v - 1),
+        lambda v: np.zeros(2 * v)[::2],
+    ], ids=["list", "float32", "short", "strided"])
+    def test_tprop_the_kernel_cannot_index_is_refused(self, make):
+        sim = self._sim()
+        active = np.arange(4, dtype=np.int64)
+        sprop = np.zeros(sim.graph.num_vertices)
+        with pytest.raises(SimulationError, match="C-contiguous float64"):
+            sim.engine.scatter_phase(active, sprop,
+                                     make(sim.graph.num_vertices),
+                                     SimStats())
 
 
 class TestKernelLoadFallback:
@@ -1233,27 +1248,6 @@ class TestThreadedRuns:
         jobs = [higraph, graphdyns, higraph_mini] * 2
         serial = [run(job) for job in jobs]
         assert self._on_threads(run, jobs) == serial
-
-
-class TestResidentTProperty:
-    def test_identity_seed_is_reused_from_the_second_phase(self,
-                                                           monkeypatch):
-        """Every PageRank phase scatters into the same identity, so only
-        the first phase seeds the resident tProperty buffer; each later
-        phase finds it identity-filled already."""
-        _kernel_or_skip()
-        reused = []
-        scatter_phase = SoaEngine.scatter_phase
-
-        def spy(self, active, sprop_all, identity, stats):
-            reused.append(self._tprop_seed == identity)
-            return scatter_phase(self, active, sprop_all, identity, stats)
-
-        monkeypatch.setattr(SoaEngine, "scatter_phase", spy)
-        graph = rmat(8, 6.0, seed=23, name="rmat8-23")
-        simulate(higraph_mini(), graph, make_algorithm("PR", iterations=6),
-                 engine="soa")
-        assert reused == [False] + [True] * 5
 
 
 class TestBackendStateIsolation:

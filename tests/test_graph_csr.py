@@ -58,6 +58,12 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             CSRGraph.from_edges(2, [(0, 1)], [1, 2])
 
+    @pytest.mark.parametrize("src", [5, -1])
+    def test_source_out_of_range_rejected(self, src):
+        with pytest.raises(GraphFormatError,
+                           match=f"edge source {src} out of range"):
+            CSRGraph.from_edges(3, [(0, 1), (src, 1)])
+
 
 class TestValidation:
     def test_nonzero_first_offset_rejected(self):

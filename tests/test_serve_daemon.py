@@ -409,6 +409,41 @@ class TestFailedRequests:
                 assert remote.ping().protocol == protocol.PROTOCOL_VERSION
         assert _unhandled(caplog) == []
 
+    def test_served_sliced_job_from_a_bad_source_is_answered(self,
+                                                              sock_dir):
+        """A sliced job from source -1 is refused with an ``error`` reply
+        naming the range, and the daemon answers the next ``ping``.  The
+        daemon runs in a child process: a source that reached the C
+        kernel would kill the process, and the test with it."""
+        code = (
+            "import sys\n"
+            "from repro.accel import higraph\n"
+            "from repro.api import RemoteSession\n"
+            "from repro.errors import ServeError\n"
+            "from repro.graph.generators import rmat\n"
+            "from repro.serve.daemon import serve_in_thread\n"
+            "from repro.sweep.jobs import SweepJob\n"
+            "job = SweepJob(rmat(7, 5.0, seed=3), 'BFS', higraph(),\n"
+            "               source=-1, num_slices=2)\n"
+            "with serve_in_thread(sys.argv[1]):\n"
+            "    with RemoteSession(sys.argv[1]) as remote:\n"
+            "        try:\n"
+            "            remote.sweep([job])\n"
+            "        except ServeError as exc:\n"
+            "            print(exc)\n"
+            "        else:\n"
+            "            print('no error reply')\n"
+            "        print(remote.ping().protocol)\n")
+        sock = os.path.join(sock_dir, "d.sock")
+        proc = subprocess.run([sys.executable, "-c", code, sock],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (
+            f"the daemon's process exited {proc.returncode}: "
+            f"{proc.stderr[-2000:]}")
+        error, pong = proc.stdout.splitlines()
+        assert error == "[bad-request] source -1 out of range [0, 128)"
+        assert pong == str(protocol.PROTOCOL_VERSION)
+
 
 class TestLongLines:
     def test_inline_graph_over_64_kib_sweeps_like_a_local_run(
