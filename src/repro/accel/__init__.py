@@ -15,7 +15,6 @@ _EXPORTS = MappingProxyType({
     "simulate": "repro.accel.accelerator",
     "ENGINES": "repro.accel.engine.registry",
     "DEFAULT_ENGINE": "repro.accel.engine.registry",
-    "ENGINE_ENV_VAR": "repro.accel.engine.registry",
     "resolve_engine": "repro.accel.engine.registry",
     "AcceleratorConfig": "repro.accel.config",
     "higraph": "repro.accel.config",

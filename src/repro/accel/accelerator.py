@@ -56,11 +56,10 @@ class AcceleratorSim:
     """Simulates one accelerator configuration on one graph + algorithm.
 
     ``engine`` selects the scatter-phase implementation (``reference``
-    or ``soa``; default: ``$REPRO_ENGINE``, then
-    :data:`~repro.accel.engine.DEFAULT_ENGINE`).  Both produce
-    identical :class:`SimStats`; a ``soa`` request the compiled kernel
-    cannot serve runs on ``reference`` (``self.engine`` is then a
-    :class:`~repro.accel.engine.ReferenceEngine`).
+    or ``soa``; default :data:`~repro.accel.engine.DEFAULT_ENGINE`),
+    and ``self.engine.name`` says which ran.  Both produce identical
+    :class:`SimStats`; ``soa`` raises
+    :class:`~repro.errors.SimulationError` when its kernel cannot load.
     Pipeline tracing samples live component state, which only the
     reference engine has, so a ``tracer`` forces (and requires) it.
     """
@@ -81,10 +80,8 @@ class AcceleratorSim:
                     "pipeline tracing samples live component queues, which "
                     "only the reference engine has; drop the tracer or pass "
                     "engine='reference'")
-            self.engine_name = "reference"
-        else:
-            self.engine_name = resolve_engine(engine)
-        self.engine = make_engine(self.engine_name, self)
+            engine = "reference"
+        self.engine = make_engine(resolve_engine(engine), self)
 
     # ------------------------------------------------------------------
     def run(self, source: int = 0, max_iterations: int | None = None) -> SimResult:

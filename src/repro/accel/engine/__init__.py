@@ -23,18 +23,20 @@ counters:
   :mod:`repro.mdp.generator` plans, the range network routes each piece
   by its start bank through two tables built from its plan, and
   arbiter state and conflict counters stay resident in the kernel's
-  struct for the whole run.  A run the kernel cannot reproduce bit for bit (no C
-  compiler, ``REPRO_SOA_KERNEL=off``, an algorithm without declared
-  closed-form kernels) is handed to ``reference``: byte-identical, many
-  times slower.
+  struct for the whole run.
+
+The engine a caller names is the engine that runs.  ``soa`` runs in C
+or the run fails with :class:`~repro.errors.SimulationError` naming
+why the kernel cannot load; ``reference`` runs without it.  The one
+hand-off is an algorithm without declared closed-form Reduce and
+Process_Edge kernels, which runs on ``reference``, the only engine that
+can run it.
 
 =================  ====================================================
-``registry.py``    engine names, selection (``$REPRO_ENGINE``),
-                   ``make_engine``
+``registry.py``    engine names, ``resolve_engine``, ``make_engine``
 ``reference.py``   the golden component-model cycle loop
 ``soa.py``         the soa engine: SoA state binding + the C seam
-``soakernel.py``   compile/cache/load of ``_soa_march.c`` (kill-switch
-                   ``$REPRO_SOA_KERNEL=off``)
+``soakernel.py``   compile/cache/load of ``_soa_march.c``
 =================  ====================================================
 
 **Equivalence contract**: both engines must produce *identical*
@@ -60,7 +62,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = MappingProxyType({
     "ENGINES": "repro.accel.engine.registry",
     "DEFAULT_ENGINE": "repro.accel.engine.registry",
-    "ENGINE_ENV_VAR": "repro.accel.engine.registry",
     "resolve_engine": "repro.accel.engine.registry",
     "make_engine": "repro.accel.engine.registry",
     "ReferenceEngine": "repro.accel.engine.reference",

@@ -25,12 +25,12 @@ tProperty is the caller's: :meth:`SoaEngine.scatter_phase` points the
 struct at the float64 array the iteration loop seeded, and the kernel
 reduces into it in place.
 
-The engine runs only where the kernel reproduces the run bit for bit
-(:func:`kernel_supports`).  Otherwise — no C compiler, a failed build,
-``REPRO_SOA_KERNEL=off``, or an algorithm without declared closed-form
-kernels — :func:`~repro.accel.engine.registry.make_engine` hands the
-run to the golden ``reference`` engine: byte-identical, many times
-slower.
+Building the engine loads the kernel, and a kernel that cannot load
+raises :class:`~repro.errors.SimulationError` naming why.  The one run
+the engine never gets is an algorithm without a closed-form Reduce and
+Process_Edge (:func:`has_closed_forms`):
+:func:`~repro.accel.engine.registry.make_engine` gives it to
+``reference``, the only engine that can run it.
 """
 
 from __future__ import annotations
@@ -75,16 +75,10 @@ def _proc_code(alg) -> str | None:
     return None
 
 
-def kernel_supports(sim) -> bool:
-    """True when the kernel loads and reproduces every value-plane
-    kernel of ``sim``'s run bit for bit."""
-    kernel = load_kernel()
-    alg = sim.algorithm
-    return (kernel is not None
-            and _RED_CODES.get(alg.reduce_op) in kernel.consts
-            and _proc_code(alg) in kernel.consts
-            # weights enter the kernel as exact int64 -> double conversions
-            and sim.graph.weights.dtype.kind in "iu")
+def has_closed_forms(alg) -> bool:
+    """True when ``alg`` declares the closed-form Reduce and
+    Process_Edge the kernel marches; decided without loading it."""
+    return alg.reduce_op in _RED_CODES and _proc_code(alg) is not None
 
 
 def _mdp_table(plan) -> np.ndarray:
@@ -125,10 +119,6 @@ class SoaEngine:
     name = "soa"
 
     def __init__(self, sim) -> None:
-        if not kernel_supports(sim):
-            raise SimulationError(
-                "the soa kernel cannot run this simulation; "
-                "make_engine() hands it to the reference engine")
         self._kernel = load_kernel()
         self.n = sim.config.front_channels
         self.out_degree = sim.out_degree

@@ -21,13 +21,13 @@ every offset and the size against what ctypes laid out.  Nothing on
 the Python side mirrors the C declarations, so there is nothing to
 drift.
 
-Everything here degrades gracefully: no compiler, a failed compile, a
-failed dlopen, an ABI mismatch or a layout table that cannot be bound
-all yield ``None`` from :func:`load_kernel`, and
-:func:`~repro.accel.engine.registry.make_engine` then hands ``soa``
-runs to the ``reference`` engine (BYTE-IDENTICAL, but a pure Python
-march, many times slower).  ``REPRO_SOA_KERNEL=off`` is the explicit
-kill-switch for the same fallback.
+A kernel that cannot load fails loudly: no compiler, a failed compile
+(with the tail of the compiler's stderr), a failed dlopen, an ABI
+mismatch or a layout table that cannot be bound each make
+:func:`load_kernel` raise :class:`~repro.errors.SimulationError` naming
+the cause.  The failure is memoized like a success, so a later call
+raises it again without compiling again.  The ``reference`` engine runs
+without the kernel.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ import threading
 import types
 from pathlib import Path
 
-#: Environment kill-switch: ``off``/``0``/``no`` disables the compiled
-#: kernel (``soa`` runs are then handed to the reference engine).
-KERNEL_ENV_VAR = "REPRO_SOA_KERNEL"
+from repro.errors import SimulationError
 
 #: Environment override for the compiled-kernel cache directory.
 CACHE_ENV_VAR = "REPRO_SOA_CACHE"
@@ -91,17 +89,13 @@ class Kernel:
         self.records = types.MappingProxyType(records)
 
 
-#: memoized load result; ``False`` = not attempted yet
-_LIB: Kernel | None | bool = False
+#: memoized load result, the kernel or the error its load raised;
+#: ``None`` = not attempted yet
+_LIB: Kernel | SimulationError | None = None
 
 #: held while the first load runs, so a thread that asks meanwhile
 #: waits for the finished result instead of reading a half-set memo
 _LOAD_LOCK = threading.Lock()
-
-
-def kernel_disabled() -> bool:
-    return os.environ.get(KERNEL_ENV_VAR, "").strip().lower() in (
-        "off", "0", "no", "false")
 
 
 def _cache_dir() -> Path:
@@ -145,22 +139,28 @@ def _expected_abi(source: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
-def _build(cc: str, source_path: Path, out_path: Path) -> bool:
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(out_path.parent), suffix=".so")
-    os.close(fd)
+def _build(cc: str, source_path: Path, out_path: Path) -> None:
+    """Compile ``source_path`` into ``out_path``; a failure raises with
+    the last five lines of the compiler's stderr."""
+    tmp = None
     try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(out_path.parent), suffix=".so")
+        os.close(fd)
         proc = subprocess.run(
             [cc, *BUILD_FLAGS, "-o", tmp, str(source_path)],
-            capture_output=True, timeout=120)
+            capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
-            return False
+            tail = proc.stderr.strip().splitlines()[-5:]
+            raise SimulationError(
+                f"{cc} exited {proc.returncode} compiling {source_path}"
+                + (":\n" + "\n".join(tail) if tail else ", printing nothing"))
         os.replace(tmp, out_path)       # atomic: racing workers converge
-        return True
-    except (OSError, subprocess.SubprocessError):
-        return False
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise SimulationError(
+            f"{cc} could not compile {source_path}: {exc}") from exc
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             try:
                 os.unlink(tmp)
             except OSError:
@@ -168,10 +168,12 @@ def _build(cc: str, source_path: Path, out_path: Path) -> bool:
 
 
 def _bind_layout(lib: ctypes.CDLL) -> tuple[
-        type, dict[str, str], dict[str, int], dict[str, int]] | None:
+        type, dict[str, str], dict[str, int], dict[str, int]]:
     """``(State, kinds, consts, records)`` from the kernel's layout
-    table, or ``None`` when ctypes cannot lay the struct out exactly as
-    C did or a field points at a record the table does not size."""
+    table.  A table ctypes cannot lay out exactly as C did raises,
+    naming the first problem: a field kind that is neither a scalar nor
+    a pointer to a sized record, a name given twice, a name every bind
+    writes that the table lacks, or a size or an offset that differs."""
     lib.soa_layout.restype = ctypes.POINTER(_LayoutRow)
     lib.soa_layout.argtypes = ()
     rows = lib.soa_layout()
@@ -191,69 +193,90 @@ def _bind_layout(lib: ctypes.CDLL) -> tuple[
         i += 1
     size = sizes.pop("SoaState", None)
     pointees = {"i64", "f64", *sizes}
-    if any(kind not in _SCALAR_TYPES
-           and not (kind.endswith("*") and kind[:-1] in pointees)
-           for _, _, kind in fields):
-        return None
     fields.sort()
-    kinds = {name: kind for _, name, kind in fields}
+    kinds: dict[str, str] = {}
+    for _, name, kind in fields:
+        if kind not in _SCALAR_TYPES and not (
+                kind.endswith("*") and kind[:-1] in pointees):
+            raise SimulationError(
+                f"layout table gives {name} the kind {kind!r}, neither a "
+                f"scalar nor a pointer to a sized record")
+        if name in kinds:
+            raise SimulationError(f"layout table names {name} twice")
+        kinds[name] = kind
     # every bind writes the struct guard: both magic fields, SOA_MAGIC
-    if (len(kinds) != len(fields) or "SOA_MAGIC" not in consts
-            or "magic" not in kinds or "magic2" not in kinds):
-        return None
+    missing = [name for name, found in (
+        ("the size of SoaState", size is not None),
+        ("SOA_MAGIC", "SOA_MAGIC" in consts),
+        ("magic", "magic" in kinds), ("magic2", "magic2" in kinds))
+        if not found]
+    if missing:
+        raise SimulationError(f"layout table lacks {', '.join(missing)}")
     state = type("SoaState", (ctypes.Structure,), {
         "__slots__": (),
         "_fields_": [(name, _SCALAR_TYPES.get(kind, ctypes.c_void_p))
                      for _, name, kind in fields]})
-    if ctypes.sizeof(state) != size or any(
-            getattr(state, name).offset != offset
-            for offset, name, _ in fields):
-        return None
+    if ctypes.sizeof(state) != size:
+        raise SimulationError(
+            f"layout table sizes SoaState at {size} bytes, ctypes at "
+            f"{ctypes.sizeof(state)}")
+    for offset, name, _ in fields:
+        if getattr(state, name).offset != offset:
+            raise SimulationError(
+                f"layout table puts {name} at offset {offset}, ctypes at "
+                f"{getattr(state, name).offset}")
     return state, kinds, consts, sizes
 
 
-def load_kernel() -> Kernel | None:
+def load_kernel() -> Kernel:
     """Compile (once per build key) and load the march kernel.
 
     Returns the :class:`Kernel` with ``soa_march`` ready to call and its
-    ctypes struct bound from the kernel's own layout table, or ``None``
-    when the kernel is disabled or unavailable — callers fall back to
-    the reference engine, never error.  The result is memoized: every
-    call, on any thread, returns the same object.
+    ctypes struct bound from the kernel's own layout table, or raises
+    :class:`~repro.errors.SimulationError` naming why it cannot.  Either
+    outcome is memoized: every call, on any thread, returns the same
+    kernel or raises the same cause, without compiling again.
     """
     global _LIB
-    if _LIB is False:
+    if _LIB is None:
         with _LOAD_LOCK:
-            if _LIB is False:
-                _LIB = _load()
+            if _LIB is None:
+                try:
+                    _LIB = _load()
+                except SimulationError as exc:
+                    _LIB = SimulationError(f"soa kernel unavailable: {exc}")
+    if isinstance(_LIB, SimulationError):
+        raise SimulationError(str(_LIB))
     return _LIB
 
 
-def _load() -> Kernel | None:
-    if kernel_disabled():
-        return None
+def _load() -> Kernel:
     try:
         source = _SOURCE.read_text()
-    except OSError:
-        return None
+    except OSError as exc:
+        raise SimulationError(f"cannot read its source: {exc}") from exc
     expected_abi = _expected_abi(source)
+    if expected_abi is None:
+        raise SimulationError(f"{_SOURCE} defines no SOA_ABI_VERSION")
     cc = _find_compiler()
-    if expected_abi is None or cc is None:
-        return None
+    if cc is None:
+        raise SimulationError(
+            "no C compiler found (tried $CC, cc, gcc and clang); install "
+            "one, or run the reference engine")
     so_path = _so_path(source, cc)
-    if not so_path.exists() and not _build(cc, _SOURCE, so_path):
-        return None
+    if not so_path.exists():
+        _build(cc, _SOURCE, so_path)
     try:
         lib = ctypes.CDLL(str(so_path))
         lib.soa_abi_version.restype = ctypes.c_longlong
         lib.soa_abi_version.argtypes = ()
-        if int(lib.soa_abi_version()) != expected_abi:
-            return None
+        abi = int(lib.soa_abi_version())
+        if abi != expected_abi:
+            raise SimulationError(
+                f"{so_path} reports ABI {abi}, its source declares "
+                f"{expected_abi}")
         lib.soa_march.restype = ctypes.c_longlong
         lib.soa_march.argtypes = (ctypes.c_void_p,)
-        layout = _bind_layout(lib)
-    except (OSError, AttributeError):
-        return None
-    if layout is None:
-        return None
-    return Kernel(lib, *layout)
+        return Kernel(lib, *_bind_layout(lib))
+    except (OSError, AttributeError) as exc:
+        raise SimulationError(f"cannot load {so_path.name}: {exc}") from exc

@@ -33,7 +33,6 @@ description, regardless of which side executes.
 from __future__ import annotations
 
 import abc
-import dataclasses
 import os
 
 from repro.accel.stats import SimStats
@@ -98,9 +97,9 @@ class LocalSession(Session):
 
     ``cache_dir`` enables the content-addressed result cache,
     ``num_workers`` runs sweeps on that many threads (1 = the caller's
-    thread, None/0 = one per CPU), ``engine`` pins the scatter engine
-    for jobs that don't choose one themselves, report sections' jobs
-    included: a report sweeps through :meth:`sweep`.
+    thread, None/0 = one per CPU), ``engine`` runs every job the
+    session simulates, report sections' jobs included: a report sweeps
+    through :meth:`sweep`.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None,
@@ -111,15 +110,6 @@ class LocalSession(Session):
         self.num_workers = num_workers
         self.engine = engine
 
-    def _apply_engine(self, jobs: list[SweepJob]) -> list[SweepJob]:
-        """Copies pinned to this session's engine; the caller's jobs
-        stay as they are, so a later session can pick its own."""
-        if self.engine is None:
-            return jobs
-        return [job if job.engine is not None
-                else dataclasses.replace(job, engine=self.engine)
-                for job in jobs]
-
     def sweep(self, jobs: list[SweepJob], on_progress=None) -> SweepOutcome:
         from repro.sweep.executor import run_sweep
         self._check_open()
@@ -127,9 +117,9 @@ class LocalSession(Session):
         if on_progress is not None:
             def progress(done, total, job):
                 on_progress(done, total, job.describe())
-        return run_sweep(self._apply_engine(list(jobs)),
-                         num_workers=self.num_workers,
-                         cache=self.cache, progress=progress)
+        return run_sweep(list(jobs), num_workers=self.num_workers,
+                         cache=self.cache, progress=progress,
+                         engine=self.engine)
 
     def report(self, results_dir: str | os.PathLike, sections=None,
                out: str | os.PathLike | None = None, charts: bool = False,

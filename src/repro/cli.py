@@ -41,8 +41,7 @@ _CONFIG_MAKERS = {
     "graphdyns": graphdyns,
 }
 
-#: Environment fallbacks for the shared execution flags (the engine's
-#: own ``$REPRO_ENGINE`` fallback lives in :mod:`repro.accel.engine`).
+#: Environment fallbacks for the shared execution flags.
 JOBS_ENV_VAR = "REPRO_JOBS"
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 
@@ -59,9 +58,10 @@ def _shared_parents() -> dict[str, argparse.ArgumentParser]:
     """
     engine = argparse.ArgumentParser(add_help=False)
     engine.add_argument("--engine", default=None, choices=list(ENGINES),
-                        help="scatter engine (default: $REPRO_ENGINE, then "
-                             f"{DEFAULT_ENGINE}); results and cache entries "
-                             "are engine-independent")
+                        help=f"scatter engine (default: {DEFAULT_ENGINE}, "
+                             "which fails if its C kernel cannot load); "
+                             "results and cache entries are "
+                             "engine-independent")
     execution = argparse.ArgumentParser(add_help=False)
     execution.add_argument("--jobs", type=int,
                            default=os.environ.get(JOBS_ENV_VAR, 1),
@@ -215,7 +215,7 @@ def _session_for(args):
     ``--connect`` routes execution to a running daemon (which owns the
     cache, the workers and the engine choice); otherwise execution is
     in-process with this invocation's flags, ``--engine`` included: the
-    session pins it on copies of every job it sweeps.
+    session runs every job it simulates on it.
     """
     from repro.api import LocalSession, RemoteSession
 
@@ -269,18 +269,16 @@ def _cmd_sweep(args) -> int:
     keys = [key.strip().upper() for key in args.datasets.split(",")]
     for key in keys:
         if key not in TABLE2:
-            print(f"unknown dataset {key!r}; known: {sorted(TABLE2)}",
-                  file=sys.stderr)
-            return 2
+            raise ReproError(
+                f"unknown dataset {key!r}; known: {sorted(TABLE2)}")
 
     names = sorted(_CONFIG_MAKERS) if args.configs == "all" else [
         c.strip() for c in args.configs.split(",")]
     configs = {}
     for name in names:
         if name not in _CONFIG_MAKERS:
-            print(f"unknown config {name!r}; known: {sorted(_CONFIG_MAKERS)}",
-                  file=sys.stderr)
-            return 2
+            raise ReproError(
+                f"unknown config {name!r}; known: {sorted(_CONFIG_MAKERS)}")
         cfg = _CONFIG_MAKERS[name]()
         configs[cfg.name] = cfg
 
@@ -288,8 +286,7 @@ def _cmd_sweep(args) -> int:
     for spec in args.axis:
         field, _, values = spec.partition("=")
         if not values:
-            print(f"--axis expects FIELD=V1,V2,..., got {spec!r}", file=sys.stderr)
-            return 2
+            raise ReproError(f"--axis expects FIELD=V1,V2,..., got {spec!r}")
         axis_texts[field.strip()] = [v.strip() for v in values.split(",")]
 
     graphs = [GraphSpec(key, scale=args.scale) if args.scale
@@ -338,10 +335,10 @@ def _cmd_sweep_figure(args) -> int:
         ("--pr-iterations", args.pr_iterations != 2),
     ) if given]
     if conflicting:
-        print(f"--figure runs that figure's own job matrix; "
-              f"{', '.join(conflicting)} cannot apply (dataset scale comes "
-              f"from the REPRO_SCALE environment variable)", file=sys.stderr)
-        return 2
+        raise ReproError(
+            f"--figure runs that figure's own job matrix; "
+            f"{', '.join(conflicting)} cannot apply (dataset scale comes "
+            f"from the REPRO_SCALE environment variable)")
 
     with _session_for(args) as session:
         # figure sections plan their own jobs; route their sweeps
@@ -409,10 +406,9 @@ def _cmd_serve(args) -> int:
     if args.verb is not None:
         return _cmd_serve_verb(args)
     if args.socket is None:
-        print("serve: --socket PATH is required to start a daemon "
-              "(or pass a verb: `repro serve reload|status "
-              "--connect SOCKET`)", file=sys.stderr)
-        return 2
+        raise ReproError("--socket PATH is required to start a daemon "
+                         "(or pass a verb: `repro serve reload|status "
+                         "--connect SOCKET`)")
     cache = None if args.no_cache else args.cache_dir
     daemon = ServeDaemon(args.socket, cache_dir=cache, workers=args.jobs,
                          engine=args.engine)
@@ -435,9 +431,8 @@ def _cmd_serve_verb(args) -> int:
     from repro.serve.client import ServeClient
 
     if args.connect is None:
-        print(f"serve {args.verb}: --connect SOCKET is required "
-              "(the running daemon to talk to)", file=sys.stderr)
-        return 2
+        raise ReproError(f"{args.verb}: --connect SOCKET is required "
+                         "(the running daemon to talk to)")
     client = ServeClient(args.connect)
     if args.verb == "reload":
         reply = client.reload()
@@ -493,9 +488,7 @@ def _cmd_cache(args) -> int:
     # inspection/GC must not mkdir the cache as a side effect: a typoed
     # path should be an error, not a fresh empty directory
     if not os.path.isdir(args.cache_dir):
-        print(f"cache {args.cache_command} failed: no such cache directory: "
-              f"{args.cache_dir}", file=sys.stderr)
-        return 2
+        raise ReproError(f"no such cache directory: {args.cache_dir}")
     cache = ResultCache(args.cache_dir)
     if args.cache_command == "info":
         entries = cache.entries()
@@ -515,9 +508,8 @@ def _cmd_cache(args) -> int:
     max_bytes = (parse_size_bytes(args.max_bytes)
                  if args.max_bytes is not None else None)
     if max_age is None and max_bytes is None:
-        print("cache gc: nothing to do (give --max-age and/or --max-bytes)",
-              file=sys.stderr)
-        return 2
+        raise ReproError(
+            "gc: nothing to do (give --max-age and/or --max-bytes)")
     stats = cache.gc(max_age_seconds=max_age, max_bytes=max_bytes,
                      dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"

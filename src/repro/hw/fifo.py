@@ -4,7 +4,8 @@ The paper's nW1R FIFO (n-Write-1-Read) "can input n datums and output
 one datum in each cycle" (§3.1), and "can accept data only when the
 remaining capacity is not less than n".  That conservative full signal
 lives where the MDP-network's stage FIFOs are modelled:
-:meth:`repro.mdp.network.MdpNetworkSim._ready` (free slots >= radix).
+:class:`repro.mdp.network.MdpNetworkSim` writes a stage FIFO only
+while its free slots >= radix.
 MDP-network keeps n small (the radix), which is the whole point of the
 design.
 """

@@ -30,8 +30,6 @@ class Dispatcher:
         self.group_width = group_width
         self.bank_lo = index * group_width
         self.queue = Fifo(queue_depth)
-        self.issued_requests = 0
-        self.issued_reads = 0
         self.blocked_cycles = 0
 
     @property
@@ -64,6 +62,4 @@ class Dispatcher:
             self.blocked_cycles += 1
             return []
         self.queue.pop()
-        self.issued_requests += 1
-        self.issued_reads += length
         return [(b, off + j, payload) for j, b in enumerate(reads)]

@@ -79,10 +79,6 @@ class MdpNetworkSim:
         self.stall_events = 0          # head could not advance (downstream full)
 
     # ------------------------------------------------------------------
-    def _ready(self, stage: int, pos: int) -> bool:
-        """Conservative nW1R readiness: free slots >= radix."""
-        return self.fifo_depth - len(self.stage_queues[stage][pos]) >= self.radix
-
     def offer(self, channel: int, dest: int, payload) -> bool:
         """Inject at input ``channel``; False when backpressured."""
         if not 0 <= dest < self.channels:
@@ -103,11 +99,6 @@ class MdpNetworkSim:
             return False
         queue.append((dest, payload))
         return True
-
-    def can_offer(self, channel: int, dest: int) -> bool:
-        divisor, ports = self._route[0][channel]
-        target = ports[(dest // divisor) % self.radix]
-        return self._ready(0, target)
 
     # ------------------------------------------------------------------
     def deliver(self, sink_ready) -> list[tuple[int, object]]:

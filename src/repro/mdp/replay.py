@@ -59,10 +59,6 @@ class ReplayEngine:
         self._pieces: deque = deque()    # pieces of the request in flight
 
     @property
-    def busy(self) -> bool:
-        return bool(self._pending or self._pieces)
-
-    @property
     def can_accept(self) -> bool:
         return len(self._pending) < self.queue_depth
 

@@ -46,7 +46,7 @@ import signal
 import threading
 import time
 
-from repro.accel.engine import ENGINE_ENV_VAR
+from repro.accel.engine.registry import resolve_engine
 from repro.graph.datasets import SCALE_ENV_VAR
 from repro.errors import (
     ProtocolError,
@@ -87,18 +87,13 @@ class ServeDaemon:
         self.socket_path = str(socket_path)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.cache_dir = None if self.cache is None else str(self.cache.root)
-        if engine is not None:
-            # jobs and regen planners read the environment; a
-            # daemon-wide engine choice travels the same way the CLI's
-            # --engine does (cache keys are engine-class independent)
-            os.environ[ENGINE_ENV_VAR] = engine
         self.version = code_version()       # the one cold digest
         #: job threads, as ``--jobs`` counts them (0/None = one per CPU)
         self.workers = resolve_workers(workers)
         self.pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve")
         self.scheduler = Scheduler(self.cache, self.pool, self.workers,
-                                   self.version)
+                                   self.version, resolve_engine(engine))
         self.started_at = time.monotonic()
         self.loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None

@@ -50,7 +50,7 @@ if TYPE_CHECKING:
 #: Bumped on any incompatible wire change.  Version negotiation is
 #: deliberately absent: both ends ship in one repo, so a mismatch means
 #: a stale daemon — the right fix is a reload/restart, not compat glue.
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 #: The longest line a daemon reads.  One job on the largest graph the
 #: design holds (2**19 vertices, 2**22 edges) travels as about 95 MB of
@@ -300,7 +300,6 @@ def job_to_wire(job: SweepJob) -> dict:
         "max_iterations": job.max_iterations,
         "num_slices": job.num_slices,
         "offchip_bytes_per_cycle": job.offchip_bytes_per_cycle,
-        "engine": job.engine,
         "tags": dict(job.tags),
     }
 
@@ -334,7 +333,6 @@ def job_from_wire(data: dict) -> SweepJob:
             max_iterations=data.get("max_iterations"),
             num_slices=data.get("num_slices", 1),
             offchip_bytes_per_cycle=data.get("offchip_bytes_per_cycle", 64.0),
-            engine=data.get("engine"),
             tags=dict(data.get("tags") or {}),
         )
     except ProtocolError:

@@ -15,7 +15,7 @@ so a miss two of them race costs at worst one redundant simulation,
 never a torn entry.
 
 Runs go to the daemon's thread pool through
-:func:`repro.sweep.executor.timed_execute`, in
+:func:`repro.sweep.executor.timed_execute`, on the daemon's engine, in
 :func:`repro.sweep.executor.scheduled_order` (largest first).
 """
 
@@ -36,15 +36,16 @@ from repro.sweep.jobs import SweepJob
 
 class Scheduler:
     """Runs job lists on ``pool``, a thread pool of ``workers`` threads,
-    and keeps the in-flight key map."""
+    and ``engine``, and keeps the in-flight key map."""
 
     def __init__(self, cache: ResultCache | None,
                  pool: concurrent.futures.ThreadPoolExecutor, workers: int,
-                 version: str) -> None:
+                 version: str, engine: str) -> None:
         self.cache = cache
         self.pool = pool
         self.workers = workers
         self.version = version
+        self.engine = engine
         #: cache key -> future of its ``(stats, seconds)``, while it runs
         self._inflight: dict[str, asyncio.Future] = {}
         self.executed_total = 0
@@ -59,7 +60,7 @@ class Scheduler:
         if running is not None:
             return running, False
         future = asyncio.get_running_loop().run_in_executor(
-            self.pool, timed_execute, job)
+            self.pool, timed_execute, job, self.engine)
         self._inflight[key] = future
         return future, True
 

@@ -32,6 +32,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.accel.engine.registry import resolve_engine
 from repro.accel.stats import SimStats
 from repro.errors import SweepError
 from repro.sweep.cache import ResultCache, code_version
@@ -60,8 +61,9 @@ def _graph(job: SweepJob):
     return graph
 
 
-def execute_job(job: SweepJob) -> SimStats:
-    """Run one job to completion in the current thread.
+def execute_job(job: SweepJob, engine: str | None = None) -> SimStats:
+    """Run one job to completion in the current thread, on ``engine``
+    (default :data:`~repro.accel.engine.DEFAULT_ENGINE`).
 
     The simulators are imported here, by the first job a process runs,
     so that a sweep that only reads the cache imports no numpy.
@@ -78,19 +80,21 @@ def execute_job(job: SweepJob) -> SimStats:
             job.config, graph, job.make_algorithm(),
             slices=partition_by_destination(graph, job.num_slices),
             offchip_bytes_per_cycle=job.offchip_bytes_per_cycle,
-            engine=job.engine)
+            engine=engine)
     else:
         sim = AcceleratorSim(job.config, graph, job.make_algorithm(),
-                             engine=job.engine)
+                             engine=engine)
     return sim.run(source=job.source, max_iterations=job.max_iterations).stats
 
 
-def timed_execute(job: SweepJob) -> tuple[SimStats, float]:
-    """``(stats, wall seconds)`` of one job.  ``execute_job`` is looked
-    up when called, so a replacement (a test's, a tracer's) runs every
-    job, on the sweep's threads and on the serve daemon's alike."""
+def timed_execute(job: SweepJob,
+                  engine: str | None = None) -> tuple[SimStats, float]:
+    """``(stats, wall seconds)`` of one job on ``engine``.
+    ``execute_job`` is looked up when called, so a replacement (a
+    test's, a tracer's) runs every job, on the sweep's threads and on
+    the serve daemon's alike."""
     t0 = time.perf_counter()
-    stats = execute_job(job)
+    stats = execute_job(job, engine)
     return stats, time.perf_counter() - t0
 
 
@@ -117,9 +121,10 @@ def resolve_workers(num_workers: int | None) -> int:
 
 
 def _run_on_threads(ordered: list[tuple[int, SweepJob]], workers: int,
-                    complete) -> None:
-    """Run ``(index, job)`` pairs, in order, on ``workers`` threads;
-    ``complete(index, stats, seconds)`` runs on the caller's thread.
+                    engine: str, complete) -> None:
+    """Run ``(index, job)`` pairs, in order, on ``workers`` threads and
+    ``engine``; ``complete(index, stats, seconds)`` runs on the caller's
+    thread.
 
     The first job (or ``complete`` call) that raises stops the sweep:
     no job starts after it, and its exception propagates once the
@@ -130,7 +135,7 @@ def _run_on_threads(ordered: list[tuple[int, SweepJob]], workers: int,
         if failed.is_set():
             return None                  # the sweep has already failed
         try:
-            return timed_execute(job)
+            return timed_execute(job, engine)
         except BaseException:
             failed.set()
             raise
@@ -280,6 +285,7 @@ def run_sweep(
     num_workers: int | None = 1,
     cache: ResultCache | str | os.PathLike | None = None,
     progress=None,
+    engine: str | None = None,
 ) -> SweepOutcome:
     """Execute a job list and return its stats in job order.
 
@@ -288,8 +294,12 @@ def run_sweep(
     :class:`ResultCache` or a directory path; omit it to simulate every
     distinct job.  ``progress``, if given, is called as
     ``progress(done, total, job)`` once per job (see
-    :class:`SweepLedger`).
+    :class:`SweepLedger`).  ``engine`` runs every simulated job
+    (default :data:`~repro.accel.engine.DEFAULT_ENGINE`); an unknown
+    one raises :class:`~repro.errors.ConfigError` before any cache is
+    read.
     """
+    engine = resolve_engine(engine)
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
     workers = resolve_workers(num_workers)
@@ -297,9 +307,9 @@ def run_sweep(
     pending = ledger.pending
     workers_used = min(workers, len(pending)) if len(pending) > 1 else 1
     if workers_used > 1:
-        _run_on_threads(scheduled_order(pending), workers_used,
+        _run_on_threads(scheduled_order(pending), workers_used, engine,
                         ledger.complete)
     else:
         for index, job in pending:
-            ledger.complete(index, *timed_execute(job))
+            ledger.complete(index, *timed_execute(job, engine))
     return ledger.outcome(workers_used)

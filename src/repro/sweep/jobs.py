@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.accel.config import AcceleratorConfig
-from repro.accel.engine import resolve_engine
 from repro.algorithms import make_algorithm
 from repro.errors import SweepError
 from repro.graph import datasets
@@ -86,10 +85,6 @@ class SweepJob:
     #: off-chip bandwidth for slice replacement, bytes per cycle (sliced
     #: mode only; ignored when ``num_slices == 1``)
     offchip_bytes_per_cycle: float = 64.0
-    #: scatter engine ("reference" / "soa"); None defers to
-    #: ``$REPRO_ENGINE``, then ``DEFAULT_ENGINE``.  Not key material:
-    #: both engines produce identical stats, so they share cache entries.
-    engine: str | None = None
     #: caller-owned labels (dataset key, config name, swept-axis values ...)
     tags: dict[str, Any] = field(default_factory=dict)
 
@@ -108,16 +103,14 @@ class SweepJob:
         Key material: graph fingerprint, algorithm (+ kwargs), config
         hash, run parameters and the simulator code version, so any
         change to the simulation semantics invalidates the cache without
-        manual versioning.  The engine is not key material (see
-        :mod:`repro.accel.engine`), but an unknown one, named here or
-        by ``$REPRO_ENGINE``, raises :class:`~repro.errors.ConfigError`
-        here, before any cache is read.
+        manual versioning.  The engine that runs a job is no part of
+        it: both engines produce identical stats, so they share cache
+        entries (see :mod:`repro.accel.engine`).
 
         Kept in the instance's ``__dict__`` (outside the fields, so
         equality and ``replace`` ignore it) with the code version it was
         derived under; another version derives the key again.
         """
-        resolve_engine(self.engine)
         memo = self.__dict__.get("_cache_key")
         if memo is not None and memo[0] == code_version:
             return memo[1]

@@ -14,7 +14,7 @@ from repro.accel import (
     higraph,
     higraph_mini,
 )
-from repro.accel.engine import ENGINES, SoaEngine
+from repro.accel.engine import ENGINES
 from repro.algorithms import make_algorithm
 from repro.graph import partition_by_destination, rmat
 
@@ -105,9 +105,8 @@ def _counter_runs(engine: str) -> list[SimStats]:
         higraph(), graph, make_algorithm("PR", iterations=2),
         slices=partition_by_destination(graph, 4),
         offchip_bytes_per_cycle=1.0, engine=engine)
-    engines = [sim.engine for sim in (*sims, *sliced.slice_sims)]
-    if engine == "soa" and not all(isinstance(e, SoaEngine) for e in engines):
-        pytest.skip("no soa kernel here: every soa run fell back")
+    assert {sim.engine.name for sim in (*sims, *sliced.slice_sims)} == {
+        engine}
     return [sim.run().stats for sim in (*sims, sliced)]
 
 

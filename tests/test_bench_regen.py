@@ -46,7 +46,7 @@ def _regenerate(results_dir, cache=None, **kwargs):
 
 
 def _forbid_simulation(monkeypatch):
-    def _refuse(job):
+    def _refuse(job, engine):
         raise AssertionError(
             f"simulator invoked on a warm cache for job {job.describe()}")
     monkeypatch.setattr(executor_mod, "execute_job", _refuse)

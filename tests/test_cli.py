@@ -90,6 +90,17 @@ class TestCommands:
              "malformed age 'nan'"),
             (["serve", "status", "--connect", "/nonexistent/repro.sock"],
              "cannot reach daemon at /nonexistent/repro.sock"),
+            (["sweep", "--datasets", "NOPE"], "unknown dataset 'NOPE'"),
+            (["sweep", "--configs", "nope"], "unknown config 'nope'"),
+            (["sweep", "--axis", "fifo_depth"],
+             "--axis expects FIELD=V1,V2,..., got 'fifo_depth'"),
+            (["sweep", "--figure", "fig8", "--scale", "0.1"],
+             "--scale cannot apply"),
+            (["serve"], "--socket PATH is required to start a daemon"),
+            (["serve", "reload"], "reload: --connect SOCKET is required"),
+            (["cache", "info", "--cache-dir", "{tmp}/gone"],
+             "no such cache directory: "),
+            (["cache", "gc", "--cache-dir", "{tmp}"], "gc: nothing to do"),
         ]])
     def test_bad_input_exits_2_with_one_line(self, argv, problem, tmp_path,
                                              capsys):
@@ -298,14 +309,11 @@ class TestReportCommand:
 
 class TestEngineFlag:
     """``--engine`` on a command that plans its own jobs reaches every
-    job through the session, and leaves ``$REPRO_ENGINE`` as it was."""
+    job through the session, and leaves the environment as it was."""
 
     @pytest.fixture
     def built(self, monkeypatch):
         from repro.accel import accelerator
-        from repro.accel.engine import soakernel
-        if soakernel.load_kernel() is None:
-            pytest.skip("no compiled kernel: soa runs are handed to reference")
         monkeypatch.setenv("REPRO_SCALE", "0.01")
         names = []
         real = accelerator.make_engine
@@ -318,34 +326,29 @@ class TestEngineFlag:
         monkeypatch.setattr(accelerator, "make_engine", spy)
         return names
 
-    @pytest.mark.parametrize("command, ambient", [("report", None),
-                                                  ("figure", "soa")])
+    @pytest.mark.parametrize("command", ["report", "figure"])
     def test_reference_engine_builds_only_reference(
-            self, command, ambient, built, tmp_path, monkeypatch, capsys):
+            self, command, built, tmp_path, capsys):
         import os
-        if ambient is None:
-            monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_ENGINE", ambient)
+        environ = dict(os.environ)
         argv = {"report": ["report", "--results-dir", str(tmp_path / "r"),
                            "--section", "latency"],
                 "figure": ["sweep", "--figure", "latency"]}[command]
         assert main(argv + ["--no-cache", "--engine", "reference"]) == 0
         assert "executed: 4" in capsys.readouterr().out
         assert built == ["ReferenceEngine"] * 4
-        assert os.environ.get("REPRO_ENGINE") == ambient
+        assert dict(os.environ) == environ
 
     @pytest.mark.parametrize("connect", [False, True],
                              ids=["local", "connect"])
     def test_sweep_engine_belongs_to_the_executor(self, connect, built,
-                                                  monkeypatch, capsys):
+                                                  capsys):
         """A local ``--engine reference`` runs every job on reference;
         with ``--connect`` the daemon, which runs soa, chooses."""
         import os
         import tempfile
 
         from repro.serve.daemon import serve_in_thread
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         argv = ["sweep", "--datasets", "VT", "--scale", "0.03",
                 "--algorithms", "BFS,SSSP", "--configs", "higraph",
                 "--no-cache", "--engine", "reference"]
@@ -360,6 +363,62 @@ class TestEngineFlag:
         assert "executed: 2" in capsys.readouterr().out
         want = "SoaEngine" if connect else "ReferenceEngine"
         assert built == [want] * 2
+
+
+class TestKernelThatCannotLoad:
+    """The engine a caller names is the engine that runs: a soa kernel
+    that cannot build fails the run, naming why, instead of handing it
+    to the reference engine."""
+
+    def test_simulate_exits_2_naming_the_compiler(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, CC="false", PYTHONPATH=src,
+                   REPRO_SOA_CACHE=str(tmp_path / "soa"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "simulate", "--dataset", "VT",
+             "--scale", "0.03", "--algorithm", "BFS", "--config", "higraph"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        (line,) = [line for line in proc.stderr.splitlines()
+                   if "failed:" in line]
+        assert line.startswith("simulate failed: soa kernel unavailable: ")
+        assert "false exited 1 compiling" in line
+        assert "Traceback" not in proc.stderr
+
+    def test_a_failed_load_is_memoized(self, tmp_path, monkeypatch):
+        """A second soa simulation in the same process raises the same
+        cause without running the compiler again."""
+        from repro.accel import AcceleratorSim, higraph
+        from repro.accel.engine import soakernel
+        from repro.algorithms import make_algorithm
+        from repro.errors import SimulationError
+        from repro.graph.generators import star
+
+        monkeypatch.setattr(soakernel, "_LIB", None)
+        monkeypatch.setenv(soakernel.CACHE_ENV_VAR, str(tmp_path))
+        monkeypatch.setenv("CC", "false")
+        runs = []
+        real_run = soakernel.subprocess.run
+
+        def run(argv, **kwargs):
+            runs.append(argv[0])
+            return real_run(argv, **kwargs)
+
+        monkeypatch.setattr(soakernel.subprocess, "run", run)
+        causes = []
+        for _ in range(2):
+            with pytest.raises(SimulationError) as failed:
+                AcceleratorSim(higraph(), star(8), make_algorithm("BFS"),
+                               engine="soa")
+            causes.append(str(failed.value))
+        assert "false exited 1 compiling" in causes[0]
+        assert causes[1] == causes[0]
+        assert runs == ["false", "false"]     # --version, then the build
+        assert not any(tmp_path.rglob("*.so"))
 
 
 class TestCacheCommand:

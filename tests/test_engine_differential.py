@@ -21,18 +21,18 @@ enforces the contract over
   rotating scan starts, round-robin pointers, stall memos) and conflict
   counters stay resident in the kernel across phases;
 * phases no real frontier presents (duplicate actives past |V| active
-  vertices and |E| edges), and the kernel-load failure paths that hand
-  ``soa`` runs to ``reference``;
+  vertices and |E| edges), and every way the kernel can fail to load,
+  each of which fails the ``soa`` run naming its cause;
 * concurrent soa runs on threads (the kernel keeps no file-scope
   state), and the kernel's self-described layout: a reordered field
   list still runs identically, unknown fields are rejected, and every
   exported code is one the Python side can send;
-* engine-selection plumbing: defaults, the ``REPRO_ENGINE`` override,
-  cache-token sharing, and the tracer's reference-only restriction.
+* engine-selection plumbing: the default, the one hand-off to
+  ``reference`` (an algorithm without closed forms), and the tracer's
+  reference-only restriction.
 """
 
 import ctypes
-import dataclasses
 import re
 import sys
 import types
@@ -54,7 +54,6 @@ from repro.accel import (
 )
 from repro.accel.engine import (
     DEFAULT_ENGINE,
-    ENGINE_ENV_VAR,
     ENGINES,
     ReferenceEngine,
     SoaEngine,
@@ -157,22 +156,11 @@ def assert_pr_agrees(config, graph, iterations, slices=None):
         assert np.array_equal(res.properties, ref.properties), engine
 
 
-def _kernel_or_skip():
-    if soakernel.load_kernel() is None:
-        pytest.skip("no compiled kernel: soa runs are handed to reference")
-
-
-def _compiler_or_skip():
-    if soakernel._find_compiler() is None:
-        pytest.skip("no C compiler")
-
-
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path):
     """A loader that has not tried yet, caching under ``tmp_path``."""
-    monkeypatch.setattr(soakernel, "_LIB", False)
+    monkeypatch.setattr(soakernel, "_LIB", None)
     monkeypatch.setenv(soakernel.CACHE_ENV_VAR, str(tmp_path / "so"))
-    monkeypatch.delenv(soakernel.KERNEL_ENV_VAR, raising=False)
     return tmp_path
 
 
@@ -216,8 +204,7 @@ class TestFig8Matrix:
         monkeypatch.setenv(SCALE_ENV_VAR, self.SCALE)
         [job] = matrix_jobs(algorithms=[algorithm], datasets=[dataset],
                             configs={config: paper_configs()[config]})
-        runs = {engine: execute_job(dataclasses.replace(job, engine=engine))
-                for engine in ENGINES}
+        runs = {engine: execute_job(job, engine) for engine in ENGINES}
         want = runs["reference"].to_dict()
         # an empty traversal would make the comparison vacuous
         assert want["edges_processed"] > 0, job.describe()
@@ -388,13 +375,13 @@ class TestSlicedMode:
 
 
 class TestEngineSelection:
-    def test_registry_and_default(self, monkeypatch):
+    def test_registry_and_default(self):
         assert ENGINES == ("reference", "soa")
-        assert DEFAULT_ENGINE in ENGINES
+        assert DEFAULT_ENGINE == "soa"
         assert resolve_engine("Reference") == "reference"
-        assert resolve_engine(None) in ENGINES
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine() == "soa"
+        assert resolve_engine() == resolve_engine(None) == "soa"
+        sim = AcceleratorSim(higraph(), star(8), _make_algorithm("BFS"))
+        assert type(sim.engine) is SoaEngine and sim.engine.name == "soa"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError):
@@ -404,38 +391,14 @@ class TestEngineSelection:
         with pytest.raises(ConfigError):
             resolve_engine("batched")
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
-        assert resolve_engine(None) == "reference"
-        graph = star(8)
-        assert AcceleratorSim(higraph(), graph,
-                              _make_algorithm("BFS")).engine_name == "reference"
-        monkeypatch.setenv(ENGINE_ENV_VAR, "soa")
-        assert resolve_engine(None) == "soa"
-
-    def test_engine_choice_does_not_change_cache_key(self):
-        from repro.sweep import SweepJob
-        graph = star(8)
-        keys = {SweepJob(graph=graph, algorithm="BFS", config=higraph(),
-                         engine=engine).cache_key("v0")
-                for engine in (None, "reference", "soa")}
-        assert len(keys) == 1
-
     def test_tracer_forces_reference(self):
         graph = star(16)
         sim = AcceleratorSim(higraph(), graph, _make_algorithm("BFS"),
                              tracer=PipelineTracer())
-        assert sim.engine_name == "reference"
+        assert sim.engine.name == "reference"
         with pytest.raises(SimulationError):
             AcceleratorSim(higraph(), graph, _make_algorithm("BFS"),
                            tracer=PipelineTracer(), engine="soa")
-
-    def test_explicit_engine_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
-        graph = star(8)
-        sim = AcceleratorSim(higraph(), graph, _make_algorithm("BFS"),
-                             engine="soa")
-        assert sim.engine_name == "soa"
 
 
 class TestWindowBoundaries:
@@ -566,29 +529,28 @@ class TestDegenerateGeometries:
 class TestEngineAlternation:
     """Engines must coexist in one process without leaking state."""
 
-    def test_soa_without_kernel_degrades_to_reference(self, monkeypatch):
-        """No compiled kernel (``REPRO_SOA_KERNEL=off`` or no compiler)
-        hands the soa request to the reference engine, byte-identical."""
-        monkeypatch.setattr(soa_module, "load_kernel", lambda: None)
-        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
-        for algorithm in ("SSSP", "PR"):
-            sim = AcceleratorSim(higraph(), graph,
-                                 _make_algorithm(algorithm), engine="soa")
-            assert type(sim.engine) is ReferenceEngine
-            bare = sim.run(source=0)
-            ref = simulate(higraph(), graph, _make_algorithm(algorithm),
-                           engine="reference")
-            assert bare.stats.to_dict() == ref.stats.to_dict()
-            assert np.array_equal(bare.properties, ref.properties)
+    def test_algorithm_without_closed_forms_runs_on_reference(
+            self, monkeypatch):
+        """The one hand-off: an algorithm that declares no closed-form
+        Reduce runs on reference, decided without loading the kernel,
+        and byte-identical to a reference run."""
+        def no_kernel():
+            raise AssertionError("the hand-off loaded the kernel")
 
-    def test_soa_engine_refuses_an_unsupported_run(self, monkeypatch):
-        """Built directly, the engine refuses a run its kernel cannot
-        reproduce instead of marching it wrongly."""
-        sim = AcceleratorSim(higraph(), star(8), _make_algorithm("BFS"),
-                             engine="reference")
-        monkeypatch.setattr(soa_module, "load_kernel", lambda: None)
-        with pytest.raises(SimulationError, match="reference engine"):
-            SoaEngine(sim)
+        monkeypatch.setattr(soa_module, "load_kernel", no_kernel)
+        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
+
+        def custom():
+            alg = _make_algorithm("SSSP")
+            alg.reduce_op = None        # an arbitrary Reduce: no closed form
+            return alg
+
+        sim = AcceleratorSim(higraph(), graph, custom(), engine="soa")
+        assert type(sim.engine) is ReferenceEngine
+        ref = simulate(higraph(), graph, custom(), engine="reference")
+        bare = sim.run(source=0)
+        assert bare.stats.to_dict() == ref.stats.to_dict()
+        assert np.array_equal(bare.properties, ref.properties)
 
     @pytest.mark.parametrize("maker", [graphdyns, higraph],
                              ids=["GraphDynS", "HiGraph"])
@@ -596,7 +558,6 @@ class TestEngineAlternation:
         """With the kernel bound, every cycle of every phase is marched
         in C (``SoaEngine`` has no Python march), and the result is
         still the reference's byte for byte."""
-        _kernel_or_skip()
         graph = rmat(8, 6.0, seed=23, name="rmat8-23")
         sim = AcceleratorSim(maker(), graph,
                              make_algorithm("PR", iterations=6),
@@ -711,7 +672,6 @@ class TestOversizedPhases:
                              ids=["HiGraph", "GraphDynS", "HiGraph-mini"])
     def test_duplicate_active_phases_match_reference(self, graph, maker,
                                                      algorithm):
-        _kernel_or_skip()
         _, ref_stats, ref_tprops = self._run(maker(), graph, algorithm,
                                              "reference")
         kind, soa_stats, soa_tprops = self._run(maker(), graph, algorithm,
@@ -728,7 +688,6 @@ class TestKernelGuards:
     index, surface as SimulationError."""
 
     def _sim(self):
-        _kernel_or_skip()
         graph = rmat(7, 5.0, seed=17, name="rmat7-17")
         return AcceleratorSim(higraph(), graph, _make_algorithm("BFS"),
                               engine="soa")
@@ -763,96 +722,86 @@ class TestKernelGuards:
                                      SimStats())
 
 
-class TestKernelLoadFallback:
-    """Every way the kernel can fail to load hands ``soa`` runs to the
-    reference engine: ``load_kernel()`` returns None, the engine object
-    is a ReferenceEngine, and the stats are reference-identical."""
+class TestKernelLoadFailures:
+    """Every way the kernel can fail to load fails the ``soa`` run:
+    ``load_kernel()`` and the simulator both raise ``SimulationError``
+    naming the cause, and no run is handed to the reference engine."""
 
     def _source(self, tmp_path, text):
         path = tmp_path / "kernel.c"
         path.write_text(text)
         return path
 
-    def _assert_reference_fallback(self):
-        assert soakernel.load_kernel() is None
+    def _assert_load_fails(self, cause):
+        with pytest.raises(SimulationError, match=cause) as failed:
+            soakernel.load_kernel()
+        assert str(failed.value).startswith("soa kernel unavailable: ")
         graph = rmat(7, 5.0, seed=17, name="rmat7-17")
-        sim = AcceleratorSim(higraph(), graph, _make_algorithm("SSSP"),
-                             engine="soa")
-        assert type(sim.engine) is ReferenceEngine
-        ref = simulate(higraph(), graph, _make_algorithm("SSSP"),
-                       engine="reference")
-        assert sim.run(source=0).stats.to_dict() == ref.stats.to_dict()
+        with pytest.raises(SimulationError, match=cause):
+            AcceleratorSim(higraph(), graph, _make_algorithm("SSSP"),
+                           engine="soa")
 
     def test_no_compiler(self, fresh_loader, monkeypatch):
         monkeypatch.delenv(soakernel.CACHE_ENV_VAR)
         monkeypatch.setenv("XDG_CACHE_HOME", str(fresh_loader))
         monkeypatch.setattr(soakernel, "_find_compiler", lambda: None)
-        self._assert_reference_fallback()
+        self._assert_load_fails("no C compiler found")
         assert not any(fresh_loader.rglob("*.so"))
 
     def test_source_that_fails_to_compile(self, fresh_loader, monkeypatch):
-        _compiler_or_skip()
+        """The cause carries the tail of the compiler's stderr."""
         monkeypatch.setattr(soakernel, "_SOURCE", self._source(
             fresh_loader, "#define SOA_ABI_VERSION 4\nnot C at all;\n"))
-        self._assert_reference_fallback()
+        self._assert_load_fails(r"exited \d+ compiling .*kernel\.c:\n"
+                                r"(.|\n)*error")
         assert not any(fresh_loader.rglob("*.so"))
 
     def test_abi_version_disagrees_with_source(self, fresh_loader,
                                                monkeypatch):
-        _compiler_or_skip()
         monkeypatch.setattr(soakernel, "_SOURCE", self._source(
             fresh_loader,
             "#define SOA_ABI_VERSION 5\n"
             "long long soa_abi_version(void) { return 4; }\n"
             "long long soa_march(void *st) { return 0; }\n"))
-        self._assert_reference_fallback()
+        self._assert_load_fails("reports ABI 4, its source declares 5")
         assert any(fresh_loader.rglob("*.so"))      # built, then refused
 
     def test_source_without_abi_define(self, fresh_loader, monkeypatch):
         monkeypatch.setattr(soakernel, "_SOURCE", self._source(
             fresh_loader, "long long soa_abi_version(void) { return 4; }\n"))
-        self._assert_reference_fallback()
+        self._assert_load_fails("defines no SOA_ABI_VERSION")
 
     def test_unreadable_source(self, fresh_loader, monkeypatch):
         monkeypatch.setattr(soakernel, "_SOURCE", fresh_loader / "gone.c")
-        self._assert_reference_fallback()
+        self._assert_load_fails("cannot read its source: .*gone.c")
 
     def test_layout_table_disagrees_with_sizeof(self, fresh_loader,
                                                 monkeypatch):
-        _compiler_or_skip()
         _kernel_variant(monkeypatch, fresh_loader, lambda text: text.replace(
             "(i64)sizeof(SoaState)}", "(i64)sizeof(SoaState) + 8}"))
-        self._assert_reference_fallback()
+        self._assert_load_fails(r"sizes SoaState at (\d+) bytes, ctypes at")
         assert any(fresh_loader.rglob("*.so"))      # built, then refused
 
     def test_layout_table_lacks_a_bound_name(self, fresh_loader,
                                              monkeypatch):
         """The kernel compiles and runs, but its table no longer names
         ``magic2``, which the Python side binds: a load failure."""
-        _compiler_or_skip()
         _kernel_variant(monkeypatch, fresh_loader, lambda text: re.sub(
             r"\bmagic2\b", "magic_end", text))
-        self._assert_reference_fallback()
+        self._assert_load_fails("layout table lacks magic2")
         assert any(fresh_loader.rglob("*.so"))
 
     def test_kernel_without_a_layout_table(self, fresh_loader, monkeypatch):
-        _compiler_or_skip()
         _kernel_variant(monkeypatch, fresh_loader, lambda text: text.replace(
             "*soa_layout(void)", "*soa_layout_table(void)"))
-        self._assert_reference_fallback()
+        self._assert_load_fails("undefined symbol: soa_layout")
         assert any(fresh_loader.rglob("*.so"))
 
     def test_kernel_without_an_abi_probe(self, fresh_loader, monkeypatch):
-        _compiler_or_skip()
         _kernel_variant(monkeypatch, fresh_loader, lambda text: text.replace(
             "i64 soa_abi_version(void)", "i64 soa_abi(void)"))
-        self._assert_reference_fallback()
+        self._assert_load_fails("undefined symbol: soa_abi_version")
         assert any(fresh_loader.rglob("*.so"))
-
-    @pytest.mark.parametrize("value", ["off", "0", "no", "false"])
-    def test_kill_switch(self, fresh_loader, monkeypatch, value):
-        monkeypatch.setenv(soakernel.KERNEL_ENV_VAR, value)
-        self._assert_reference_fallback()
 
 
 class TestKernelBuildKey:
@@ -885,21 +834,21 @@ class TestKernelBuildKey:
             raise OSError("not compiling in this test")
 
         monkeypatch.setattr(soakernel.subprocess, "run", run)
-        assert not soakernel._build("cc", soakernel._SOURCE,
-                                    tmp_path / "k.so")
+        with pytest.raises(SimulationError, match="not compiling"):
+            soakernel._build("cc", soakernel._SOURCE, tmp_path / "k.so")
         assert seen[0][0] == "cc"
         assert seen[0][1:1 + len(soakernel.BUILD_FLAGS)] == list(
             soakernel.BUILD_FLAGS)
 
     def test_warm_cache_loads_without_a_recompile(self, monkeypatch):
-        _kernel_or_skip()                # built (or found) in the cache
-        monkeypatch.setattr(soakernel, "_LIB", False)
+        soakernel.load_kernel()          # built (or found) in the cache
+        monkeypatch.setattr(soakernel, "_LIB", None)
 
         def build(*args):
             raise AssertionError("a cached kernel was compiled again")
 
         monkeypatch.setattr(soakernel, "_build", build)
-        assert soakernel.load_kernel() is not None
+        assert isinstance(soakernel.load_kernel(), soakernel.Kernel)
 
 
 class TestSelfDescribingLayout:
@@ -917,13 +866,11 @@ class TestSelfDescribingLayout:
                                                    second, between):
         """Swapping two rows of the C field list moves both fields; the
         loaded struct follows, and the stats stay reference-identical."""
-        _compiler_or_skip()
         row = "F({}, {})".format
         _kernel_variant(monkeypatch, fresh_loader, lambda text: text.replace(
             row(*first) + between + row(*second),
             row(*second) + between + row(*first)))
         kernel = soakernel.load_kernel()
-        assert kernel is not None
         assert (getattr(kernel.State, second[1]).offset
                 < getattr(kernel.State, first[1]).offset)
         graph = rmat(7, 5.0, seed=17, name="rmat7-17")
@@ -936,7 +883,6 @@ class TestSelfDescribingLayout:
             assert sim.run(source=0).stats.to_dict() == ref.stats.to_dict()
 
     def test_state_rejects_unknown_fields(self):
-        _kernel_or_skip()
         st = soakernel.load_kernel().State()
         st.fifo_depth = 4
         with pytest.raises(AttributeError):
@@ -945,7 +891,6 @@ class TestSelfDescribingLayout:
     def test_scalar_reduce_ops_are_the_kernel_reduce_codes(self):
         """Every reduce form a shipped algorithm declares has a kernel
         code, and every kernel code is some algorithm's form."""
-        _kernel_or_skip()
         consts = soakernel.load_kernel().consts
         declared = {make_algorithm(name).reduce_op
                     for name in (*PAPER_ALGORITHMS, "CC", "REACH")}
@@ -954,7 +899,6 @@ class TestSelfDescribingLayout:
             name for name in consts if name.startswith("RED_")}
 
     def test_every_exported_code_can_be_sent(self):
-        _kernel_or_skip()
         consts = soakernel.load_kernel().consts
         sent = set(soa_module._RED_CODES.values())
         for identity in (True, False):
@@ -973,9 +917,8 @@ class TestSelfDescribingLayout:
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS + ("REACH",))
     def test_every_algorithm_marches_in_the_kernel(self, algorithm):
         """Each shipped algorithm's reduce and process codes are ones
-        the kernel exports: a name lookup that missed would hand the
-        run to reference, identical but never marched in C."""
-        _kernel_or_skip()
+        the kernel exports, so each binds a SoaEngine and marches in C
+        (a name lookup that missed would fail the bind)."""
         graph = rmat(7, 5.0, seed=17, name="rmat7-17")
         sim = AcceleratorSim(higraph(), graph, _make_algorithm(algorithm),
                              engine="soa")
@@ -990,7 +933,6 @@ class TestSelfDescribingLayout:
         """Every pointer the bound struct holds points at an array whose
         dtype is the one its field's kind names: int64, float64, or
         opaque records of the size the kernel exports for the kind."""
-        _kernel_or_skip()
         graph = rmat(7, 5.0, seed=17, name="rmat7-17")
         engine = AcceleratorSim(maker(), graph, _make_algorithm("SSSP"),
                                 engine="soa").engine
@@ -1017,7 +959,6 @@ class TestSelfDescribingLayout:
     def test_loaded_layout_is_read_only(self):
         """One loaded kernel serves every run on every thread, so its
         layout maps cannot be edited in place."""
-        _kernel_or_skip()
         kernel = soakernel.load_kernel()
         with pytest.raises(TypeError):
             kernel.kinds["magic"] = "f64"
@@ -1056,7 +997,7 @@ def _edit_table(**rows):
 class TestLayoutBinding:
     """``_bind_layout`` builds the ctypes struct from whatever table the
     kernel exports, and refuses any table ctypes cannot lay out exactly
-    as the table says C did."""
+    as the table says C did, naming what differs."""
 
     def test_a_consistent_table_binds(self):
         state, kinds, consts, records = soakernel._bind_layout(
@@ -1107,26 +1048,33 @@ class TestLayoutBinding:
         with pytest.raises(AttributeError):
             st.indx = 4096
 
-    @pytest.mark.parametrize("rows", [
-        _edit_table(scale=("f32", "scale", 8)),
-        _edit_table(vals=("f64*", "idx", 24)),
-        _edit_table(SOA_MAGIC=None),
-        _edit_table(magic=("i64", "guard", 0)),
-        _edit_table(magic2=("i64", "guard", 32)),
-        _edit_table(SoaState=("sizeof", "SoaState", 48)),
-        _edit_table(SoaState=None),
-        _edit_table(vals=("f64*", "vals", 16)),
-        _edit_table(vals=("f64*", "vals", 32), magic2=("i64", "magic2", 40)),
-        _edit_table(scale=("f64", "scale", 4)),
-        _edit_table(vals=("Rec*", "vals", 24)),
-        _edit_table(vals=("SoaState*", "vals", 24)),
-        [],
+    @pytest.mark.parametrize("rows, cause", [
+        (_edit_table(scale=("f32", "scale", 8)), "gives scale the kind 'f32'"),
+        (_edit_table(vals=("f64*", "idx", 24)), "names idx twice"),
+        (_edit_table(SOA_MAGIC=None), "lacks SOA_MAGIC$"),
+        (_edit_table(magic=("i64", "guard", 0)), "lacks magic$"),
+        (_edit_table(magic2=("i64", "guard", 32)), "lacks magic2$"),
+        (_edit_table(SoaState=("sizeof", "SoaState", 48)),
+         "sizes SoaState at 48 bytes, ctypes at 40"),
+        (_edit_table(SoaState=None), "lacks the size of SoaState$"),
+        (_edit_table(vals=("f64*", "vals", 16)),
+         "puts vals at offset 16, ctypes at 24"),
+        (_edit_table(vals=("f64*", "vals", 32),
+                     magic2=("i64", "magic2", 40)),
+         "puts vals at offset 32, ctypes at 24"),
+        (_edit_table(scale=("f64", "scale", 4)),
+         "puts scale at offset 4, ctypes at 8"),
+        (_edit_table(vals=("Rec*", "vals", 24)), "gives vals the kind 'Rec[*]'"),
+        (_edit_table(vals=("SoaState*", "vals", 24)),
+         "gives vals the kind 'SoaState[*]'"),
+        ([], "lacks the size of SoaState, SOA_MAGIC, magic, magic2$"),
     ], ids=["unknown-kind", "duplicate-name", "no-SOA_MAGIC", "no-magic",
             "no-magic2", "sizeof-disagrees", "no-sizeof", "shared-offset",
             "gap-before-a-field", "misaligned-offset", "unsized-record",
             "struct-pointer", "empty"])
-    def test_a_table_ctypes_cannot_match_is_refused(self, rows):
-        assert soakernel._bind_layout(_table_lib(rows)) is None
+    def test_a_table_ctypes_cannot_match_is_refused(self, rows, cause):
+        with pytest.raises(SimulationError, match=cause):
+            soakernel._bind_layout(_table_lib(rows))
 
 
 class TestPerMarchState:
@@ -1141,7 +1089,6 @@ class TestPerMarchState:
     @pytest.mark.parametrize("maker", [higraph, graphdyns, higraph_mini],
                              ids=["HiGraph", "GraphDynS", "HiGraph-mini"])
     def test_every_march_drains_its_occupancy_totals(self, maker):
-        _kernel_or_skip()
         graph = rmat(8, 6.0, seed=23, name="rmat8-23")
         sim = AcceleratorSim(maker(), graph,
                              make_algorithm("PR", iterations=3),
@@ -1185,7 +1132,6 @@ class TestThreadedRuns:
         return result.stats.to_dict(), result.properties.tobytes()
 
     def test_thread_pool_equals_serial(self):
-        _kernel_or_skip()
         serial = [self._run(case) for case in self.CASES]
         threaded = self._on_threads(self._run, self.CASES)
         for case, want, got in zip(self.CASES, serial, threaded):
@@ -1207,7 +1153,6 @@ class TestThreadedRuns:
         the threads that arrive while the first one compiles wait for
         its kernel; none reads a half-set memo and hands its run to
         reference."""
-        _compiler_or_skip()
         graph = rmat(7, 5.0, seed=17, name="rmat7-17")
 
         def build(_):
@@ -1220,7 +1165,6 @@ class TestThreadedRuns:
     def test_threads_sharing_one_graph(self):
         """Eight runs of one design over one graph object at once: the
         kernel only reads the graph arrays every struct points into."""
-        _kernel_or_skip()
         graph = rmat(8, 6.0, seed=33, name="rmat8-33")
 
         def run(algorithm):
@@ -1235,7 +1179,6 @@ class TestThreadedRuns:
     def test_sliced_runs_on_threads(self):
         """Sliced PageRank marches one engine per slice; several sliced
         runs at once still equal the serial runs."""
-        _kernel_or_skip()
         graph = rmat(8, 6.0, seed=13, name="rmat8-13")
         slices = partition_by_destination(graph, 3)
 

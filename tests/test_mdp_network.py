@@ -75,12 +75,6 @@ class TestBasics:
         assert not net.offer(0, 0, 2)
         assert net.rejected_offers == 1
 
-    def test_can_offer_matches_offer(self):
-        net = MdpNetworkSim(4, 2, fifo_depth=2)
-        assert net.can_offer(0, 0)
-        net.offer(0, 0, 1)
-        assert not net.can_offer(0, 0)
-
     def test_per_flow_order_preserved(self):
         net = MdpNetworkSim(8, 2, fifo_depth=16)
         delivered = []

@@ -99,7 +99,6 @@ class TestReplayEngine:
         assert second == (8, 8, "v")
         eng.consume()
         assert eng.emit() is None
-        assert not eng.busy
 
     def test_emit_without_consume_is_idempotent(self):
         eng = ReplayEngine(banks=8)
@@ -254,9 +253,10 @@ class TestDispatcher:
         first = d.issue(lambda b: True)
         assert [p for _, _, p in first] == ["a"]
 
-    def test_statistics(self):
+    def test_one_piece_issues_one_read_per_bank(self):
         d = Dispatcher(index=0, banks=16, group_width=4)
         d.accept(0, 3, None)
-        d.issue(lambda b: True)
-        assert d.issued_requests == 1
-        assert d.issued_reads == 3
+        reads = d.issue(lambda b: True)
+        assert [(bank, edge) for bank, edge, _ in reads] == [
+            (0, 0), (1, 1), (2, 2)]
+        assert d.issue(lambda b: True) == []

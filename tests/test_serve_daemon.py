@@ -26,6 +26,7 @@ import pytest
 
 from repro.accel import higraph
 from repro.accel.stats import SimStats
+from repro.algorithms import make_algorithm
 from repro.api import LocalSession, RemoteSession, Session, session
 from repro.errors import ServeError
 from repro.serve import protocol
@@ -55,6 +56,22 @@ def _inline_job(scale, edge_factor):
     from repro.graph.generators import rmat
     return SweepJob(graph=rmat(scale, edge_factor), algorithm="BFS",
                     config=higraph())
+
+
+@pytest.fixture
+def engines_built(monkeypatch):
+    """The class name of every engine ``make_engine`` builds, in order."""
+    from repro.accel import accelerator
+    built = []
+    real = accelerator.make_engine
+
+    def spy(name, sim):
+        engine = real(name, sim)
+        built.append(type(engine).__name__)
+        return engine
+
+    monkeypatch.setattr(accelerator, "make_engine", spy)
+    return built
 
 
 def _spy_submits(monkeypatch):
@@ -174,7 +191,7 @@ class TestDedup:
         executions = []
         gate = threading.Event()
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             executions.append(job.describe())
             assert gate.wait(timeout=30.0)
             return SimStats(algorithm=job.algorithm, graph_name="VT",
@@ -202,7 +219,7 @@ class TestDedup:
     def test_duplicate_keys_within_one_sweep(self, sock_dir, monkeypatch):
         executions = []
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             executions.append(job.describe())
             return SimStats(algorithm=job.algorithm, scatter_cycles=7)
 
@@ -218,7 +235,7 @@ class TestDedup:
                                                      monkeypatch, caplog):
         gate = threading.Event()
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             assert gate.wait(timeout=30.0)
             raise ValueError("synthetic simulation failure")
 
@@ -253,9 +270,9 @@ class TestSharedCacheDir:
         real_execute = executor.execute_job
         both_running = threading.Barrier(2, timeout=10)
 
-        def racing_execute(job):
+        def racing_execute(job, engine):
             both_running.wait()          # breaks unless both daemons run it
-            return real_execute(job)
+            return real_execute(job, engine)
 
         monkeypatch.setattr(executor, "execute_job", racing_execute)
         cache_dir = os.path.join(sock_dir, "c")
@@ -306,7 +323,7 @@ class TestStreamedSweep:
             self, sock_dir, monkeypatch):
         """No read waits longer than one job: three 0.6 s jobs finish
         under a 1 s socket timeout, with no progress callback."""
-        def slow_execute(job):
+        def slow_execute(job, engine):
             time.sleep(0.6)
             return SimStats(algorithm=job.algorithm)
 
@@ -325,9 +342,9 @@ class TestStreamedSweep:
         gate = threading.Event()
         real_execute = executor.execute_job
 
-        def gated_execute(job):
+        def gated_execute(job, engine):
             assert gate.wait(timeout=30.0)
-            return real_execute(job)
+            return real_execute(job, engine)
 
         monkeypatch.setattr(executor, "execute_job", gated_execute)
         submits = _spy_submits(monkeypatch)
@@ -381,7 +398,7 @@ class TestFailedRequests:
 
     @pytest.fixture
     def failing(self, monkeypatch):
-        def fake_execute(job):
+        def fake_execute(job, engine):
             raise ValueError("synthetic")
 
         monkeypatch.setattr(executor, "execute_job", fake_execute)
@@ -485,7 +502,7 @@ class TestJobThreads:
         threads = []
         both_running = threading.Barrier(2, timeout=10)
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             threads.append(threading.current_thread().name)
             both_running.wait()          # breaks unless both jobs run
             return SimStats(algorithm=job.algorithm)
@@ -509,7 +526,7 @@ class TestJobThreads:
         more work on its pool."""
         threads = set()
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             threads.add(threading.current_thread())
             return SimStats(algorithm=job.algorithm)
 
@@ -650,59 +667,49 @@ class TestSessionFacade:
         with pytest.raises(ServeError, match="local sessions only"):
             session(sock, cache_dir="/tmp/x")
 
-    def test_session_engine_leaves_the_callers_jobs(self, monkeypatch):
-        """A session's engine applies to copies: a list swept once by an
-        ``engine="reference"`` session still builds soa engines in an
-        ``engine="soa"`` session, and keeps ``engine=None`` throughout."""
-        from repro.accel import accelerator
-        from repro.accel.engine import soakernel
-        if soakernel.load_kernel() is None:
-            pytest.skip("no compiled kernel: soa runs are handed to reference")
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        built = []
-        real = accelerator.make_engine
-
-        def spy(name, sim):
-            engine = real(name, sim)
-            built.append(type(engine).__name__)
-            return engine
-
-        monkeypatch.setattr(accelerator, "make_engine", spy)
+    def test_session_engine_is_an_argument_of_its_runs(
+            self, engines_built):
+        """One job list swept by an ``engine="reference"`` session and
+        then by an ``engine="soa"`` one runs on each session's engine:
+        the engine belongs to the run, not to the jobs."""
         jobs = _jobs("BFS")
         with LocalSession(engine="reference") as first:
             first.sweep(jobs)
-        assert built == ["ReferenceEngine"]
-        assert [job.engine for job in jobs] == [None]
-        built.clear()
+        assert engines_built == ["ReferenceEngine"]
+        engines_built.clear()
         with LocalSession(engine="soa") as second:
-            outcome = second.sweep(jobs)
-        assert built == ["SoaEngine"]
-        assert [job.engine for job in jobs] == [None]
-        assert [job.engine for job in outcome.jobs] == ["soa"]
+            second.sweep(jobs)
+        assert engines_built == ["SoaEngine"]
 
     def test_session_engine_governs_its_reports(self, tmp_path,
-                                                 monkeypatch):
+                                                 monkeypatch, engines_built):
         """A report's section jobs go through the session's sweep, so
         they run on the session's engine too."""
-        from repro.accel import accelerator
-        from repro.accel.engine import soakernel
-        if soakernel.load_kernel() is None:
-            pytest.skip("no compiled kernel: soa runs are handed to reference")
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         monkeypatch.setenv("REPRO_SCALE", "0.01")
-        built = []
-        real = accelerator.make_engine
-
-        def spy(name, sim):
-            engine = real(name, sim)
-            built.append(type(engine).__name__)
-            return engine
-
-        monkeypatch.setattr(accelerator, "make_engine", spy)
         with LocalSession(engine="reference") as local:
             report = local.report(tmp_path / "r", sections=["latency"])
         assert report.executed == 4
-        assert built == ["ReferenceEngine"] * 4
+        assert engines_built == ["ReferenceEngine"] * 4
+
+    def test_daemon_engine_stays_in_the_daemon(self, sock_dir,
+                                               engines_built):
+        """An embedded daemon started with ``engine="reference"`` runs
+        its served jobs on reference and leaves the process as it was:
+        a later in-process simulation still builds the default soa."""
+        from repro.accel.accelerator import AcceleratorSim
+        from repro.graph.datasets import load
+
+        environ = dict(os.environ)
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, engine="reference"), \
+                RemoteSession(sock) as remote:
+            remote.sweep(_jobs("BFS", "SSSP"))
+        assert engines_built == ["ReferenceEngine"] * 2
+        assert dict(os.environ) == environ
+        engines_built.clear()
+        graph = load("VT", scale=0.03)
+        AcceleratorSim(higraph(), graph, make_algorithm("BFS"))
+        assert engines_built == ["SoaEngine"]
 
     def test_closed_session_refuses_work(self):
         local = LocalSession()

@@ -1,5 +1,6 @@
 """The serve wire protocol: codec round-trips, version gating, job form."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -114,7 +115,7 @@ class TestJobWire:
                        algorithm="PR", algorithm_kwargs={"iterations": 3},
                        config=higraph(), source=2, max_iterations=9,
                        num_slices=2, offchip_bytes_per_cycle=32.0,
-                       engine="reference", tags={"dataset": "VT"})
+                       tags={"dataset": "VT"})
         back = protocol.job_from_wire(protocol.job_to_wire(job))
         assert back.cache_key("v1") == job.cache_key("v1")
         assert back.tags == job.tags
@@ -137,11 +138,18 @@ class TestJobWire:
         assert isinstance(back.graph, CSRGraph)
         np.testing.assert_array_equal(back.graph.dst, graph.dst)
 
+    def test_wire_job_carries_exactly_the_job_fields(self):
+        """How a job runs (its engine, its workers) belongs to whoever
+        runs it, not to the job on the wire."""
+        job = SweepJob(graph=GraphSpec("VT"), algorithm="BFS",
+                       config=higraph())
+        assert set(protocol.job_to_wire(job)) == {
+            f.name for f in dataclasses.fields(SweepJob)}
+
     def test_defaulted_fields_round_trip(self):
         job = SweepJob(graph=GraphSpec("VT"), algorithm="SSSP",
                        config=higraph())
         back = protocol.job_from_wire(protocol.job_to_wire(job))
-        assert back.engine is None
         assert back.num_slices == 1
         assert back.max_iterations is None
 

@@ -190,9 +190,8 @@ def _clone_with(base, name):
 
 
 #: SweepJob field -> (overrides shared by both jobs, the field's new
-#: value).  Every field but ``tags`` (caller-owned display labels) and
-#: ``engine`` (both engines produce identical stats) is listed, so a new
-#: field fails here until it is given a perturbation.
+#: value).  Every field but ``tags`` (caller-owned display labels) is
+#: listed, so a new field fails here until it is given a perturbation.
 JOB_PERTURBATIONS = {
     "graph": ({}, GraphSpec("VT", scale=0.06)),
     "algorithm": ({}, "BFS"),
@@ -224,9 +223,9 @@ class TestCacheKeyCoverage:
         for value in (True, 0, 1.5, "s", {"k": 1}, [1], (1,), None):
             assert _perturbed(value) != value
 
-    def test_every_job_field_but_tags_and_engine_is_perturbed(self):
+    def test_every_job_field_but_tags_is_perturbed(self):
         field_names = {f.name for f in dataclasses.fields(SweepJob)}
-        assert set(JOB_PERTURBATIONS) == field_names - {"tags", "engine"}
+        assert set(JOB_PERTURBATIONS) == field_names - {"tags"}
 
     @pytest.mark.parametrize("name", sorted(JOB_PERTURBATIONS))
     def test_job_field_reaches_cache_key(self, name):
@@ -270,11 +269,11 @@ class TestFrozenJobs:
 
     def test_assigning_a_field_raises(self):
         job = self._job()
-        for name, value in (("engine", "reference"), ("source", 1),
+        for name, value in (("algorithm", "PR"), ("source", 1),
                             ("tags", {})):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(job, name, value)
-        assert job.engine is None and job.source == 0
+        assert job.algorithm == "BFS" and job.source == 0
 
     def test_key_is_derived_once_per_instance(self, derivations):
         job = self._job()
@@ -301,28 +300,23 @@ class TestFrozenJobs:
         assert second != first and len(derivations) == 2
         assert second == self._job().cache_key("v2")
 
-    def test_engine_env_does_not_rekey(self, derivations, monkeypatch):
-        from repro.accel.engine import ENGINE_ENV_VAR
-        job = self._job()
-        monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
-        key = job.cache_key("v")
-        monkeypatch.setenv(ENGINE_ENV_VAR, "soa")
-        assert job.cache_key("v") == key and len(derivations) == 1
-
-    def test_unknown_engine_fails_before_the_cache_is_read(
-            self, tmp_path, monkeypatch):
-        """Named on the job, or by ``$REPRO_ENGINE`` for a job whose key
-        is already kept: either way no cache entry is looked up."""
-        from repro.accel.engine import ENGINE_ENV_VAR
+    def test_unknown_engine_fails_before_the_cache_is_read(self, tmp_path):
+        """The sweep resolves its engine first, so no cache entry is
+        looked up, not even for a job whose key is already kept."""
         cache = ResultCache(tmp_path)
-        with pytest.raises(ConfigError, match="warp-10"):
-            run_sweep([self._job(engine="warp-10")], cache=cache)
         job = self._job()
         job.cache_key(code_version())
-        monkeypatch.setenv(ENGINE_ENV_VAR, "warp-10")
         with pytest.raises(ConfigError, match="warp-10"):
-            run_sweep([job], cache=cache)
+            run_sweep([job], cache=cache, engine="warp-10")
         assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_either_engine_warms_the_cache_for_both(self, tmp_path):
+        """The engine that ran a job is no part of its key."""
+        cache = ResultCache(tmp_path)
+        cold = run_sweep([self._job()], cache=cache, engine="reference")
+        warm = run_sweep([self._job()], cache=cache, engine="soa")
+        assert (cold.executed, warm.executed, warm.cache_hits) == (1, 0, 1)
+        assert warm.stats[0].to_dict() == cold.stats[0].to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -625,9 +619,9 @@ class TestExecutor:
     def test_parallel_identical_to_serial(self, engine):
         """Concurrent threads build and march their own engines: the
         stats equal a serial run's on every engine."""
-        jobs = [dataclasses.replace(job, engine=engine) for job in _jobs()]
-        serial = run_sweep(jobs, num_workers=1)
-        parallel = run_sweep(jobs, num_workers=3)
+        jobs = _jobs()
+        serial = run_sweep(jobs, num_workers=1, engine=engine)
+        parallel = run_sweep(jobs, num_workers=3, engine=engine)
         assert [s.to_dict() for s in serial.stats] == \
                [s.to_dict() for s in parallel.stats]
         assert parallel.workers_used == 3
@@ -681,7 +675,7 @@ class TestExecutor:
         jobs = _jobs() * 3
         started, lock = [], threading.Lock()
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             with lock:
                 started.append(job)
                 first = len(started) == 1
@@ -700,7 +694,7 @@ class TestExecutor:
         starts after it."""
         events, callers = [], []
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             events.append("start")
             time.sleep(0.2)
             return _stats()
@@ -733,7 +727,7 @@ class TestExecutor:
         started, lock = [], threading.Lock()
         both_running = threading.Barrier(2, timeout=10)
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             with lock:
                 started.append(job.tags["graph"])
                 first_two = len(started) <= 2
@@ -752,7 +746,7 @@ class TestExecutor:
         job_threads, put_threads, progress_threads = set(), [], []
         real_put = ResultCache.put
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             job_threads.add(threading.current_thread().name)
             time.sleep(0.02)
             return _stats()
@@ -777,7 +771,7 @@ class TestExecutor:
     def test_one_worker_runs_in_the_callers_thread(self, monkeypatch):
         threads = []
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             threads.append(threading.current_thread())
             return _stats()
 
@@ -791,7 +785,7 @@ class TestExecutor:
         many workers were asked for."""
         threads = []
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             threads.append(threading.current_thread())
             return _stats()
 
@@ -806,7 +800,7 @@ class TestExecutor:
     def test_pool_is_no_wider_than_the_pending_jobs(self, monkeypatch):
         threads = set()
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             threads.add(threading.current_thread().name)
             time.sleep(0.02)
             return _stats()
@@ -820,7 +814,8 @@ class TestExecutor:
         """Jobs finish in any order on threads, yet ``done`` counts up
         by one per job and every job is reported once."""
         seen = []
-        monkeypatch.setattr(executor, "execute_job", lambda job: _stats())
+        monkeypatch.setattr(executor, "execute_job",
+                            lambda job, engine: _stats())
         jobs = _jobs()
         run_sweep(jobs, num_workers=2,
                   progress=lambda done, total, job:
@@ -835,7 +830,7 @@ class TestExecutor:
         from repro.accel import SimStats
         runs, lock = [], threading.Lock()
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             with lock:
                 runs.append(job.describe())
             return SimStats(config_name=job.config.name,
@@ -855,7 +850,7 @@ class TestExecutor:
         after import still runs (and is timed) on every path."""
         marker = _stats()
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             time.sleep(0.01)
             return marker
 
@@ -913,7 +908,7 @@ class TestExecutor:
         from the first one's result and counts as a hit."""
         runs = []
 
-        def fake_execute(job):
+        def fake_execute(job, engine):
             runs.append(job.describe())
             return _stats()
 
