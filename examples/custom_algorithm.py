@@ -6,6 +6,16 @@ Process_Edge / Reduce / Apply (paper Fig. 2).  This example adds
 **connected-component labelling** (label propagation: every vertex
 adopts the smallest id it has heard of) — an algorithm the paper does
 not evaluate — and runs it unmodified on all three designs.
+
+Declare or override.  When a kernel is one of the closed forms in
+``repro.algorithms.base`` (Reduce ``min``/``max``/``add``, Process_Edge
+``identity``/``add``/``min``/``const``), declare it, as the shipped
+algorithms do: ``reduce_op = "min"`` and ``process_op = "identity"``
+would give this class every kernel method, and its runs would march in
+the compiled ``soa`` kernel.  Override the methods instead only when a
+kernel is none of those forms.  This class writes them out to show how:
+it declares no form, so it runs on the golden ``reference`` engine,
+which calls its methods per datum.
 """
 
 import numpy as np
@@ -25,7 +35,6 @@ class ConnectedComponents(Algorithm):
     """
 
     name = "CC"
-    uses_weights = False
 
     def init_prop(self, graph: CSRGraph, source: int) -> np.ndarray:
         return np.arange(graph.num_vertices, dtype=np.float64)

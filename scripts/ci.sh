@@ -27,7 +27,8 @@
 #                    second time, clean remote shutdown)
 #   ci.sh differential
 #                    every engine's SimStats equal reference's on the
-#                    full fig8 (72 jobs), PageRank x10 (18 jobs),
+#                    full fig8 (72 jobs), PageRank x10 (18 jobs), CC
+#                    and REACH on the fig8 datasets and designs (36),
 #                    Fig. 10 (16), Fig. 11 (6), Fig. 12 (12), Sec. 5.4
 #                    (3), Sec. 5.3 slicing (1), combining (4) and
 #                    latency (4) matrices, uncached, one python
@@ -226,14 +227,14 @@ EOF
 }
 
 stage_differential() {
-    echo "== soa vs reference: fig8, PageRank x10, fig10, fig11, fig12, sec5.4, slicing, combining, latency =="
+    echo "== soa vs reference: fig8, PageRank x10, cc+reach, fig10, fig11, fig12, sec5.4, slicing, combining, latency =="
     # reference holds the GIL, so threads would run its jobs one at a
     # time: each matrix sweeps serially in its own process instead, and
     # the processes share the CPUs
     local label failed=0
     local -A pids=()
-    for label in fig8 PRx10 fig10 fig11 fig12 sec5.4 slicing combining \
-            latency; do
+    for label in fig8 PRx10 cc+reach fig10 fig11 fig12 sec5.4 slicing \
+            combining latency; do
         differential_matrix "$label" &
         pids[$label]=$!
         CI_PIDS+=("$!")
@@ -260,13 +261,15 @@ from repro.bench.figures import (combining_ablation_jobs, fig10_jobs,
 from repro.bench.harness import matrix_jobs
 from repro.sweep.executor import run_sweep
 
-# fig8 and PRx10 are the Table 1 designs; the figures add an MDP edge
+# fig8, PRx10 and cc+reach are the Table 1 designs (cc+reach runs the
+# two shipped algorithms no figure does); the figures add an MDP edge
 # stage between crossbar sites, 64-256 back channels, FIFO depths
 # 8-320 and radix 4 and 8; slicing runs one engine per slice, and the
 # ablations turn combining off and run BFS down a chain
 planners = {"fig8": matrix_jobs,
             "PRx10": lambda: matrix_jobs(
                 algorithms=[("PR", {"iterations": 10})]),
+            "cc+reach": lambda: matrix_jobs(algorithms=["CC", "REACH"]),
             "fig10": fig10_jobs, "fig11": fig11_jobs,
             "fig12": fig12_jobs, "sec5.4": sec54_radix_jobs,
             "slicing": slicing_jobs, "combining": combining_ablation_jobs,

@@ -33,7 +33,7 @@ from repro.accel.config import AcceleratorConfig
 from repro.accel.engine import make_engine, resolve_engine
 from repro.accel.stats import SimStats
 from repro.algorithms.base import Algorithm
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.graph.csr import CSRGraph
 
 #: Streaming latency constant added per apply pass (pipeline fill/drain).
@@ -109,7 +109,7 @@ def run_vcpm(sim, scatter, source: int,
     if v == 0:
         return SimResult(stats, np.empty(0, dtype=np.float64))
     if not 0 <= source < v:
-        raise SimulationError(f"source {source} out of range [0, {v})")
+        raise ConfigError(f"source {source} out of range [0, {v})")
 
     prop = alg.init_prop(graph, source)
     active = alg.initial_active(graph, source)

@@ -48,6 +48,10 @@ from repro.mdp.generator import generate_network
 #: reduce op -> the kernel constant that selects its closed form
 _RED_CODES = types.MappingProxyType(
     {"add": "RED_ADD", "min": "RED_MIN", "max": "RED_MAX"})
+#: process op -> the kernel constant that selects its closed form
+_PROC_CODES = types.MappingProxyType(
+    {"identity": "PROC_IDENTITY", "add": "PROC_ADD_W", "min": "PROC_MIN_W",
+     "const": "PROC_ADD_CONST"})
 
 #: scalar pointer kind -> dtype of the array the field points into
 _DTYPES = types.MappingProxyType({"i64*": np.int64, "f64*": np.float64})
@@ -61,24 +65,10 @@ def _dtype(kernel, kind: str) -> np.dtype:
     return np.dtype((np.void, kernel.records[kind[:-1]]))
 
 
-def _proc_code(alg) -> str | None:
-    """Name of the kernel's ``PROC_*`` code for ``alg``'s Process_Edge,
-    or ``None`` when it declares no closed form the kernel reproduces."""
-    if alg.process_is_identity:
-        return "PROC_IDENTITY"
-    if not alg.uses_weights:
-        return None if alg.process_const is None else "PROC_ADD_CONST"
-    if alg.process_op == "add":
-        return "PROC_ADD_W"
-    if alg.process_op == "min":
-        return "PROC_MIN_W"
-    return None
-
-
 def has_closed_forms(alg) -> bool:
     """True when ``alg`` declares the closed-form Reduce and
     Process_Edge the kernel marches; decided without loading it."""
-    return alg.reduce_op in _RED_CODES and _proc_code(alg) is not None
+    return alg.reduce_op in _RED_CODES and alg.process_op in _PROC_CODES
 
 
 def _mdp_table(plan) -> np.ndarray:
@@ -162,9 +152,8 @@ class SoaEngine:
         st.epe_depth = config.epe_queue_depth
         st.combining = 1 if config.vertex_combining else 0
         st.reduce_op = consts[_RED_CODES[alg.reduce_op]]
-        st.proc = consts[_proc_code(alg)]
-        st.proc_const = (0.0 if alg.process_const is None
-                         else float(alg.process_const))
+        st.proc = consts[_PROC_CODES[alg.process_op]]
+        st.proc_const = alg.process_const
         bind(offsets=graph.offsets, dst=graph.dst, weights=graph.weights)
 
         # -- frontend (site 1) ------------------------------------------

@@ -11,18 +11,57 @@ functions plus activation semantics:
   the end of an iteration; vertices whose property changed are activated
   for the next iteration.
 
-Each algorithm provides the kernels twice: **scalar** (used per-datum by
-the cycle simulator) and **vectorized** (used by the functional golden
-model).  Both must agree — tests enforce it.
+An algorithm declares its Reduce and Process_Edge as closed forms, each
+written once, in :data:`REDUCE_FORMS` and :data:`PROCESS_FORMS`, as a
+scalar and a vectorized kernel.  A class whose kernel is none of the
+forms declares ``None`` and writes those methods; it runs on ``reference``.
 """
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
+from collections import namedtuple
+from types import MappingProxyType
 
 import numpy as np
 
+from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
+
+#: a closed-form Reduce: a scalar kernel (ties go to the accumulator, as
+#: in the C kernel's ``red()``), a numpy ufunc (``.at`` is ``reduce_at``,
+#: a plain call the default ``apply``) and an identity
+ReduceForm = namedtuple("ReduceForm", "scalar ufunc identity")
+#: a closed-form Process_Edge: its scalar and vectorized kernels, each
+#: called with ``(sprop, weight, process_const)``
+ProcessForm = namedtuple("ProcessForm", "scalar vector")
+
+#: Reduce form -> its kernels; ``soa._RED_CODES`` names each one's C code
+REDUCE_FORMS = MappingProxyType({
+    "min": ReduceForm(min, np.minimum, np.inf),
+    "max": ReduceForm(max, np.maximum, -np.inf),
+    "add": ReduceForm(operator.add, np.add, 0.0),
+})
+
+#: Process_Edge form -> its kernels; ``soa._PROC_CODES`` names each
+#: one's C code
+PROCESS_FORMS = MappingProxyType({
+    "identity": ProcessForm(lambda sprop, weight, const: sprop,
+                            lambda sprop, weight, const: sprop),
+    "add": ProcessForm(lambda sprop, weight, const: sprop + weight,
+                       lambda sprop, weight, const: sprop + weight),
+    "min": ProcessForm(lambda sprop, weight, const: min(float(weight), sprop),
+                       lambda sprop, weight, const: np.minimum(sprop, weight)),
+    "const": ProcessForm(lambda sprop, weight, const: sprop + const,
+                         lambda sprop, weight, const: sprop + const),
+})
+
+#: declaration -> its forms and the methods derived from it
+_DERIVED = (
+    ("reduce_op", REDUCE_FORMS, ("reduce", "reduce_at", "identity", "apply")),
+    ("process_op", PROCESS_FORMS, ("process_edge", "process_edge_vec")),
+)
 
 
 class Algorithm(ABC):
@@ -35,30 +74,26 @@ class Algorithm(ABC):
     all_active: bool = False
     #: iteration bound for ``all_active`` algorithms (ignored otherwise).
     default_iterations: int = 10
-    #: True when Process_Edge reads the edge weight (BFS does not).
-    uses_weights: bool = True
-    #: True when ``process_edge(sprop, weight) == sprop`` for all inputs
-    #: (PageRank, label propagation).  Lets cycle engines skip the
-    #: per-edge kernel call without changing a single produced value.
-    process_is_identity: bool = False
-    #: Declares ``reduce`` as one of the closed forms "min" / "max" /
-    #: "add" (ties resolve to the accumulator, exactly like the
-    #: ``imm if imm < acc else acc`` implementations), or ``None`` for
-    #: an arbitrary reduction.  Lets the compiled engine substitute its
-    #: closed form without changing a single produced bit.
+    #: Reduce's closed form; ``None`` for a class that writes ``reduce``,
+    #: ``reduce_at``, ``identity`` and ``apply`` itself.
     reduce_op: str | None = None
-    #: Declares ``process_edge`` as "add" (``sprop + weight``) or
-    #: "min" (``min(sprop, weight)``, ties to ``sprop``) so cycle
-    #: engines can inline the per-edge kernel; ``None`` keeps the
-    #: method call.  Ignored when ``process_is_identity`` is set, and
-    #: irrelevant when ``uses_weights`` is False (the kernel is then a
-    #: per-request constant engines may hoist out of the edge loop).
+    #: Process_Edge's closed form; ``None`` for a class that writes
+    #: ``process_edge`` and ``process_edge_vec`` itself.
     process_op: str | None = None
-    #: For weight-independent kernels (``uses_weights`` False, not
-    #: identity): declares ``process_edge(sprop, w) == sprop + C`` so
-    #: compiled engines can run the kernel without calling back into
-    #: Python; ``None`` keeps the method call (those engines fall back).
-    process_const: float | None = None
+    #: what the ``const`` Process_Edge form adds (BFS's hop).
+    process_const: float = 0.0
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        """Refuse a class that leaves a kernel method neither derived
+        from a declared form nor written, as ``abstractmethod`` would."""
+        super().__init_subclass__(**kwargs)
+        for declaration, forms, names in _DERIVED:
+            missing = [name for name in names
+                       if getattr(cls, name) is getattr(Algorithm, name)]
+            if getattr(cls, declaration) not in forms and missing:
+                raise AlgorithmError(
+                    f"{cls.__name__} declares no {declaration} in "
+                    f"{sorted(forms)} and does not write {', '.join(missing)}")
 
     # ------------------------------------------------------------------
     # State initialisation
@@ -67,9 +102,9 @@ class Algorithm(ABC):
     def init_prop(self, graph: CSRGraph, source: int) -> np.ndarray:
         """Initial Property Array (float64, one entry per vertex)."""
 
-    @abstractmethod
     def identity(self) -> float:
         """Reset value of the tProperty Array (identity of Reduce)."""
+        return REDUCE_FORMS[self.reduce_op].identity
 
     def initial_active(self, graph: CSRGraph, source: int) -> np.ndarray:
         """Vertex ids active in the first scatter iteration."""
@@ -88,28 +123,31 @@ class Algorithm(ABC):
         """
         return prop
 
-    @abstractmethod
     def process_edge(self, sprop: float, weight: int) -> float:
         """Scalar Process_Edge (cycle-simulator ePE kernel)."""
+        return PROCESS_FORMS[self.process_op].scalar(
+            sprop, weight, self.process_const)
 
-    @abstractmethod
     def process_edge_vec(self, sprop: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """Vectorized Process_Edge (golden model)."""
+        return PROCESS_FORMS[self.process_op].vector(
+            sprop, weight, self.process_const)
 
-    @abstractmethod
     def reduce(self, acc: float, imm: float) -> float:
         """Scalar Reduce (cycle-simulator vPE kernel)."""
+        return REDUCE_FORMS[self.reduce_op].scalar(acc, imm)
 
-    @abstractmethod
     def reduce_at(self, tprop: np.ndarray, dst: np.ndarray, imm: np.ndarray) -> None:
         """Vectorized in-place Reduce: fold ``imm`` into ``tprop[dst]``."""
+        REDUCE_FORMS[self.reduce_op].ufunc.at(tprop, dst, imm)
 
     # ------------------------------------------------------------------
     # Apply-side kernels
     # ------------------------------------------------------------------
-    @abstractmethod
     def apply(self, prop: np.ndarray, tprop: np.ndarray, graph: CSRGraph) -> np.ndarray:
-        """Vectorized Apply over the whole Property Array."""
+        """Vectorized Apply over the whole Property Array: by default
+        Reduce's own ufunc of the old and the reduced property."""
+        return REDUCE_FORMS[self.reduce_op].ufunc(prop, tprop)
 
     def activation_mask(self, old_prop: np.ndarray, new_prop: np.ndarray) -> np.ndarray:
         """Vertices to activate for the next iteration (Fig. 2 line 12:

@@ -15,29 +15,11 @@ from repro.graph.csr import CSRGraph
 
 class BFS(Algorithm):
     name = "BFS"
-    uses_weights = False
     reduce_op = "min"
-    process_const = 1.0     # process_edge == sprop + 1.0
+    process_op = "const"
+    process_const = 1.0
 
     def init_prop(self, graph: CSRGraph, source: int) -> np.ndarray:
         prop = np.full(graph.num_vertices, np.inf, dtype=np.float64)
         prop[source] = 0.0
         return prop
-
-    def identity(self) -> float:
-        return np.inf
-
-    def process_edge(self, sprop: float, weight: int) -> float:
-        return sprop + 1.0
-
-    def process_edge_vec(self, sprop: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        return sprop + 1.0
-
-    def reduce(self, acc: float, imm: float) -> float:
-        return imm if imm < acc else acc
-
-    def reduce_at(self, tprop: np.ndarray, dst: np.ndarray, imm: np.ndarray) -> None:
-        np.minimum.at(tprop, dst, imm)
-
-    def apply(self, prop: np.ndarray, tprop: np.ndarray, graph: CSRGraph) -> np.ndarray:
-        return np.minimum(prop, tprop)

@@ -20,9 +20,8 @@ class ConnectedComponents(Algorithm):
     """prop = smallest vertex id propagated so far (min-reduce)."""
 
     name = "CC"
-    process_is_identity = True
-    uses_weights = False
     reduce_op = "min"
+    process_op = "identity"
 
     def init_prop(self, graph: CSRGraph, source: int) -> np.ndarray:
         return np.arange(graph.num_vertices, dtype=np.float64)
@@ -30,24 +29,6 @@ class ConnectedComponents(Algorithm):
     def initial_active(self, graph: CSRGraph, source: int) -> np.ndarray:
         # every vertex broadcasts its own label initially
         return np.arange(graph.num_vertices, dtype=np.int64)
-
-    def identity(self) -> float:
-        return np.inf
-
-    def process_edge(self, sprop: float, weight: int) -> float:
-        return sprop
-
-    def process_edge_vec(self, sprop: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        return sprop
-
-    def reduce(self, acc: float, imm: float) -> float:
-        return imm if imm < acc else acc
-
-    def reduce_at(self, tprop: np.ndarray, dst: np.ndarray, imm: np.ndarray) -> None:
-        np.minimum.at(tprop, dst, imm)
-
-    def apply(self, prop: np.ndarray, tprop: np.ndarray, graph: CSRGraph) -> np.ndarray:
-        return np.minimum(prop, tprop)
 
 
 class Reachability(Algorithm):
@@ -58,29 +39,10 @@ class Reachability(Algorithm):
     """
 
     name = "REACH"
-    process_is_identity = True
-    uses_weights = False
     reduce_op = "max"
+    process_op = "identity"
 
     def init_prop(self, graph: CSRGraph, source: int) -> np.ndarray:
         prop = np.zeros(graph.num_vertices, dtype=np.float64)
         prop[source] = 1.0
         return prop
-
-    def identity(self) -> float:
-        return 0.0
-
-    def process_edge(self, sprop: float, weight: int) -> float:
-        return sprop
-
-    def process_edge_vec(self, sprop: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        return sprop
-
-    def reduce(self, acc: float, imm: float) -> float:
-        return imm if imm > acc else acc
-
-    def reduce_at(self, tprop: np.ndarray, dst: np.ndarray, imm: np.ndarray) -> None:
-        np.maximum.at(tprop, dst, imm)
-
-    def apply(self, prop: np.ndarray, tprop: np.ndarray, graph: CSRGraph) -> np.ndarray:
-        return np.maximum(prop, tprop)

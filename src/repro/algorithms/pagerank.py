@@ -24,9 +24,8 @@ from repro.graph.csr import CSRGraph
 class PageRank(Algorithm):
     name = "PR"
     all_active = True
-    uses_weights = False
-    process_is_identity = True
     reduce_op = "add"
+    process_op = "identity"
 
     def __init__(self, damping: float = 0.85, iterations: int = 10) -> None:
         self.damping = damping
@@ -36,24 +35,9 @@ class PageRank(Algorithm):
         v = max(1, graph.num_vertices)
         return np.full(graph.num_vertices, 1.0 / v, dtype=np.float64)
 
-    def identity(self) -> float:
-        return 0.0
-
     def scatter_value(self, prop: np.ndarray, out_degree: np.ndarray) -> np.ndarray:
         safe_degree = np.maximum(out_degree, 1)
         return prop / safe_degree
-
-    def process_edge(self, sprop: float, weight: int) -> float:
-        return sprop
-
-    def process_edge_vec(self, sprop: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        return sprop
-
-    def reduce(self, acc: float, imm: float) -> float:
-        return acc + imm
-
-    def reduce_at(self, tprop: np.ndarray, dst: np.ndarray, imm: np.ndarray) -> None:
-        np.add.at(tprop, dst, imm)
 
     def apply(self, prop: np.ndarray, tprop: np.ndarray, graph: CSRGraph) -> np.ndarray:
         v = max(1, graph.num_vertices)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.base import Algorithm
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 
 
@@ -79,7 +79,7 @@ def run_reference(
     if graph.num_vertices == 0:
         return ReferenceResult(algorithm.name, np.empty(0, dtype=np.float64))
     if not 0 <= source < graph.num_vertices:
-        raise SimulationError(f"source {source} out of range [0, {graph.num_vertices})")
+        raise ConfigError(f"source {source} out of range [0, {graph.num_vertices})")
 
     out_degree = graph.out_degree()
     prop = algorithm.init_prop(graph, source)

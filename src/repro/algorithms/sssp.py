@@ -23,24 +23,6 @@ class SSSP(Algorithm):
         prop[source] = 0.0
         return prop
 
-    def identity(self) -> float:
-        return np.inf
-
-    def process_edge(self, sprop: float, weight: int) -> float:
-        return sprop + weight
-
-    def process_edge_vec(self, sprop: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        return sprop + weight
-
-    def reduce(self, acc: float, imm: float) -> float:
-        return imm if imm < acc else acc
-
-    def reduce_at(self, tprop: np.ndarray, dst: np.ndarray, imm: np.ndarray) -> None:
-        np.minimum.at(tprop, dst, imm)
-
-    def apply(self, prop: np.ndarray, tprop: np.ndarray, graph: CSRGraph) -> np.ndarray:
-        return np.minimum(prop, tprop)
-
     def validate_graph(self, graph: CSRGraph) -> None:
         if graph.num_edges and graph.weights.min() < 0:
             raise ConfigError("SSSP requires non-negative edge weights")

@@ -2,8 +2,9 @@
 
 Property = widest-path bottleneck from the source (maximin).  The source
 has infinite width; ``Process_Edge`` narrows the path by the edge weight
-(``min``), ``Reduce``/``Apply`` keep the widest (``max``).  Weights must
-be positive so that 0 can serve as the reduce identity.
+(``min``), ``Reduce``/``Apply`` keep the widest (``max``).  Unreached
+vertices hold width 0, so weights must be positive: a path of width 0
+could not be told from no path.
 """
 
 from __future__ import annotations
@@ -24,24 +25,6 @@ class SSWP(Algorithm):
         prop = np.zeros(graph.num_vertices, dtype=np.float64)
         prop[source] = np.inf
         return prop
-
-    def identity(self) -> float:
-        return 0.0
-
-    def process_edge(self, sprop: float, weight: int) -> float:
-        return sprop if sprop < weight else float(weight)
-
-    def process_edge_vec(self, sprop: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        return np.minimum(sprop, weight)
-
-    def reduce(self, acc: float, imm: float) -> float:
-        return imm if imm > acc else acc
-
-    def reduce_at(self, tprop: np.ndarray, dst: np.ndarray, imm: np.ndarray) -> None:
-        np.maximum.at(tprop, dst, imm)
-
-    def apply(self, prop: np.ndarray, tprop: np.ndarray, graph: CSRGraph) -> np.ndarray:
-        return np.maximum(prop, tprop)
 
     def validate_graph(self, graph: CSRGraph) -> None:
         if graph.num_edges and graph.weights.min() <= 0:

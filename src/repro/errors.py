@@ -49,6 +49,16 @@ class StatsSchemaError(ReproError, ValueError):
     """
 
 
+class AlgorithmError(ReproError, TypeError):
+    """An algorithm class leaves a VCPM kernel neither declared as a
+    closed form nor written.
+
+    Subclasses :class:`TypeError`: like an abstract method left
+    unimplemented, it is a defect of the class, refused when the class
+    is defined.
+    """
+
+
 class SweepError(ReproError):
     """A sweep plan or execution request is malformed (unknown axis, bad job count...)."""
 

@@ -53,6 +53,7 @@ from repro.errors import (
     ProtocolVersionError,
     ReproError,
     ServeError,
+    SimulationError,
 )
 from repro.serve import protocol
 from repro.serve.scheduler import Scheduler
@@ -168,8 +169,11 @@ class ServeDaemon:
                 except (ConnectionResetError, BrokenPipeError):
                     raise
                 except ReproError as exc:
+                    # a job that cannot simulate was still well formed
+                    code = ("failed" if isinstance(exc, SimulationError)
+                            else "bad-request")
                     await self._send(writer, protocol.Error(
-                        code="bad-request", message=str(exc)))
+                        code=code, message=str(exc)))
                     continue
                 except Exception as exc:
                     await self._send(writer, protocol.Error(

@@ -131,7 +131,7 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         #: key -> (path, stat signature, SimStats) of each entry this
-        #: instance decoded; gc() and clear() forget them
+        #: instance decoded; gc() forgets them
         self._resident: dict[
             str, tuple[str, tuple[int, int, int], SimStats]] = {}
 
@@ -210,9 +210,6 @@ class ResultCache:
                 continue                 # shard pruned mid-scan
             yield from files
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self._entry_files())
-
     def entries(self) -> list[CacheEntry]:
         """Every readable entry, oldest first (entries that vanish
         mid-scan — a concurrent GC — are skipped, not errors)."""
@@ -240,9 +237,6 @@ class ResultCache:
             if newest is None or mtime > newest:
                 newest = mtime
         return newest
-
-    def total_bytes(self) -> int:
-        return sum(e.size_bytes for e in self.entries())
 
     def gc(self, max_age_seconds: float | None = None,
            max_bytes: int | None = None, now: float | None = None,
@@ -296,19 +290,6 @@ class ResultCache:
                     shard.rmdir()            # fails (correctly) if non-empty
                 except OSError:
                     pass
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        self._resident.clear()
-        removed = 0
-        for entry in self._entry_files():
-            try:
-                os.unlink(entry.path)
-                removed += 1
-            except OSError:
-                pass
-        self._prune_empty_shards()
-        return removed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ResultCache(root={str(self.root)!r}, "

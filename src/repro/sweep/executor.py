@@ -70,9 +70,9 @@ def execute_job(job: SweepJob, engine: str | None = None) -> SimStats:
     """
     from repro.accel.accelerator import AcceleratorSim
 
-    graph = _graph(job)
     if job.num_slices < 1:
         raise SweepError(f"num_slices must be >= 1, got {job.num_slices}")
+    graph = _graph(job)
     if job.num_slices > 1:
         from repro.accel.slicing import SlicedAcceleratorSim
         from repro.graph.partition import partition_by_destination
@@ -175,16 +175,6 @@ class SweepOutcome:
     def hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
-
-    def rows(self, metrics: tuple[str, ...] = ("gteps", "total_cycles")) -> list[dict]:
-        """Tag dict + selected stat attributes per job, in job order."""
-        out = []
-        for job, stats in zip(self.jobs, self.stats):
-            row = dict(job.tags)
-            for metric in metrics:
-                row[metric] = getattr(stats, metric)
-            out.append(row)
-        return out
 
 
 class SweepLedger:

@@ -22,7 +22,7 @@ from repro.accel import (
     simulate,
 )
 from repro.algorithms import BFS, SSSP, SSWP, PageRank, run_reference
-from repro.errors import SimulationError
+from repro.errors import ConfigError
 from repro.graph import (
     CSRGraph,
     chain,
@@ -139,7 +139,7 @@ class TestEdgeCases:
                                        engine=engine)
         else:
             sim = AcceleratorSim(higraph(), g, BFS(), engine=engine)
-        with pytest.raises(SimulationError, match="out of range"):
+        with pytest.raises(ConfigError, match="out of range"):
             sim.run(source=source)
 
     def test_different_sources(self):

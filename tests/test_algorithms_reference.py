@@ -18,7 +18,8 @@ from repro.algorithms import (
     make_algorithm,
     run_reference,
 )
-from repro.errors import ConfigError, SimulationError
+from repro.algorithms.base import PROCESS_FORMS, REDUCE_FORMS, Algorithm
+from repro.errors import ConfigError
 from repro.graph import CSRGraph, chain, erdos_renyi, inverse_star, rmat, star
 
 
@@ -134,7 +135,7 @@ class TestSemantics:
         assert res.properties[2] == np.inf
 
     def test_source_out_of_range(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError, match="out of range"):
             run_reference(chain(3), BFS(), source=7)
 
     def test_empty_graph(self):
@@ -169,19 +170,47 @@ class TestSemantics:
         assert sv[1] == pytest.approx(0.6)  # dangling: degree clamped to 1
 
     def test_scalar_and_vector_kernels_agree(self):
+        """Each shipped algorithm's scalar kernels equal its vectorized
+        ones exactly, on ties and infinities too, its identity is
+        Reduce's identity, and between them the six declare every
+        closed form."""
         rng = np.random.default_rng(0)
-        for alg in (BFS(), SSSP(), SSWP(), PageRank()):
-            sprop = rng.uniform(0, 10, 50)
-            w = rng.integers(1, 20, 50)
+        algorithms = [make_algorithm(name)
+                      for name in ("BFS", "SSSP", "SSWP", "PR", "CC", "REACH")]
+        assert {a.reduce_op for a in algorithms} == set(REDUCE_FORMS)
+        assert {a.process_op for a in algorithms} == set(PROCESS_FORMS)
+        sprop = np.concatenate([rng.uniform(0, 20, 50), [np.inf, 0.0, 7.0]])
+        w = np.concatenate([rng.integers(1, 20, 50), [3, 0, 7]])
+        a = np.concatenate([rng.uniform(0, 10, 50), [np.inf, 2.0, -np.inf]])
+        b = np.concatenate([rng.uniform(0, 10, 50), [1.0, 2.0, 5.0]])
+        for alg in algorithms:
             vec = alg.process_edge_vec(sprop, w)
-            scal = np.array([alg.process_edge(s, int(x)) for s, x in zip(sprop, w)])
-            assert np.allclose(vec, scal)
-            a = rng.uniform(0, 10, 50)
-            b = rng.uniform(0, 10, 50)
+            scal = [alg.process_edge(s, x)
+                    for s, x in zip(sprop.tolist(), w.tolist())]
+            assert np.array_equal(vec, scal), alg.name
             t = a.copy()
-            alg.reduce_at(t, np.arange(50), b)
-            scal = np.array([alg.reduce(x, y) for x, y in zip(a, b)])
-            assert np.allclose(t, scal)
+            alg.reduce_at(t, np.arange(a.size), b)
+            scal = [alg.reduce(x, y) for x, y in zip(a.tolist(), b.tolist())]
+            assert np.array_equal(t, scal), alg.name
+            assert [alg.reduce(alg.identity(), y) for y in b.tolist()] \
+                == b.tolist(), alg.name
+
+
+class TestDeclarations:
+    """A kernel comes from a declared closed form or from the class."""
+
+    def test_a_class_that_declares_and_writes_nothing_is_refused(self):
+        with pytest.raises(TypeError, match=r"declares no reduce_op .* "
+                           r"write reduce, reduce_at, identity, apply"):
+            class Bare(Algorithm):
+                def init_prop(self, graph, source):
+                    return np.zeros(graph.num_vertices)
+
+    def test_an_undeclared_process_edge_must_be_written(self):
+        with pytest.raises(TypeError, match=r"declares no process_op .* "
+                           r"write process_edge, process_edge_vec"):
+            class Scaled(SSSP):
+                process_op = "mul"
 
 
 class TestPropertyBased:

@@ -61,7 +61,13 @@ from repro.accel.engine import (
 from repro.accel.engine import soa as soa_module
 from repro.accel.engine import soakernel
 from repro.accel.stats import SimStats
-from repro.algorithms import PAPER_ALGORITHMS, make_algorithm, run_reference
+from repro.algorithms import (
+    PAPER_ALGORITHMS,
+    SSSP,
+    make_algorithm,
+    run_reference,
+)
+from repro.algorithms.base import PROCESS_FORMS, REDUCE_FORMS
 from repro.bench.harness import matrix_jobs, paper_configs
 from repro.errors import ConfigError, SimulationError
 from repro.graph import DATASET_ORDER
@@ -276,11 +282,19 @@ class TestSiteAblations:
                                  radix=8, dispatcher_group=8),
                          graph, iterations=3)
 
-    def test_single_dispatcher(self, graph):
-        """num_dispatchers == 1: the range network degenerates away."""
-        cfg = higraph(back_channels=8, front_channels=8,
-                      dispatcher_group=8)
-        assert_engines_agree(cfg, graph, "BFS")
+    @pytest.mark.parametrize("make", [
+        lambda: higraph(back_channels=8, front_channels=8,
+                        dispatcher_group=8),
+        lambda: higraph(back_channels=4, dispatcher_group=4, fifo_depth=2,
+                        vertex_combining=False, dispatcher_queue_depth=1,
+                        epe_queue_depth=1),
+    ], ids=["eight-banks", "full-queue"])
+    def test_single_dispatcher(self, graph, make):
+        """num_dispatchers == 1: the range network degenerates away.  In
+        ``full-queue`` the lone dispatcher's one-slot queue fills and it
+        refuses offers (356 on this graph), which takes the kernel's
+        ``disp_accept0`` full return."""
+        assert_engines_agree(make(), graph, "BFS")
 
 
 class TestRandomizedGraphs:
@@ -532,25 +546,38 @@ class TestEngineAlternation:
     def test_algorithm_without_closed_forms_runs_on_reference(
             self, monkeypatch):
         """The one hand-off: an algorithm that declares no closed-form
-        Reduce runs on reference, decided without loading the kernel,
-        and byte-identical to a reference run."""
+        Reduce, and writes its Reduce kernels instead, runs on
+        reference, decided without loading the kernel, and
+        byte-identical to a reference run and to the declared SSSP."""
+        class WrittenSSSP(SSSP):
+            reduce_op = None
+
+            def identity(self):
+                return np.inf
+
+            def reduce(self, acc, imm):
+                return imm if imm < acc else acc
+
+            def reduce_at(self, tprop, dst, imm):
+                np.minimum.at(tprop, dst, imm)
+
+            def apply(self, prop, tprop, graph):
+                return np.minimum(prop, tprop)
+
+        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
+        declared = simulate(higraph(), graph, SSSP(), engine="soa")
+
         def no_kernel():
             raise AssertionError("the hand-off loaded the kernel")
 
         monkeypatch.setattr(soa_module, "load_kernel", no_kernel)
-        graph = rmat(7, 5.0, seed=17, name="rmat7-17")
-
-        def custom():
-            alg = _make_algorithm("SSSP")
-            alg.reduce_op = None        # an arbitrary Reduce: no closed form
-            return alg
-
-        sim = AcceleratorSim(higraph(), graph, custom(), engine="soa")
+        sim = AcceleratorSim(higraph(), graph, WrittenSSSP(), engine="soa")
         assert type(sim.engine) is ReferenceEngine
-        ref = simulate(higraph(), graph, custom(), engine="reference")
+        ref = simulate(higraph(), graph, WrittenSSSP(), engine="reference")
         bare = sim.run(source=0)
-        assert bare.stats.to_dict() == ref.stats.to_dict()
-        assert np.array_equal(bare.properties, ref.properties)
+        for result in (ref, declared):
+            assert bare.stats.to_dict() == result.stats.to_dict()
+            assert np.array_equal(bare.properties, result.properties)
 
     @pytest.mark.parametrize("maker", [graphdyns, higraph],
                              ids=["GraphDynS", "HiGraph"])
@@ -888,31 +915,17 @@ class TestSelfDescribingLayout:
         with pytest.raises(AttributeError):
             st.fifo_dpeth = 4
 
-    def test_scalar_reduce_ops_are_the_kernel_reduce_codes(self):
-        """Every reduce form a shipped algorithm declares has a kernel
-        code, and every kernel code is some algorithm's form."""
+    def test_declared_forms_are_the_kernel_codes(self):
+        """Every closed form an algorithm can declare has a kernel code,
+        and every ``RED_*``/``PROC_*`` code the kernel exports is some
+        form's."""
         consts = soakernel.load_kernel().consts
-        declared = {make_algorithm(name).reduce_op
-                    for name in (*PAPER_ALGORITHMS, "CC", "REACH")}
-        assert set(soa_module._RED_CODES) == declared
-        assert set(soa_module._RED_CODES.values()) == {
-            name for name in consts if name.startswith("RED_")}
-
-    def test_every_exported_code_can_be_sent(self):
-        consts = soakernel.load_kernel().consts
-        sent = set(soa_module._RED_CODES.values())
-        for identity in (True, False):
-            for weights in (True, False):
-                for const in (None, 1.0):
-                    for op in ("add", "min", "max"):
-                        sent.add(soa_module._proc_code(types.SimpleNamespace(
-                            process_is_identity=identity,
-                            uses_weights=weights, process_const=const,
-                            process_op=op)))
-        sent.discard(None)
-        exported = {name for name in consts
-                    if name.startswith(("RED_", "PROC_"))}
-        assert exported == sent
+        assert set(soa_module._RED_CODES) == set(REDUCE_FORMS)
+        assert set(soa_module._PROC_CODES) == set(PROCESS_FORMS)
+        sent = {*soa_module._RED_CODES.values(),
+                *soa_module._PROC_CODES.values()}
+        assert sent == {name for name in consts
+                        if name.startswith(("RED_", "PROC_"))}
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS + ("REACH",))
     def test_every_algorithm_marches_in_the_kernel(self, algorithm):

@@ -426,6 +426,25 @@ class TestFailedRequests:
                 assert remote.ping().protocol == protocol.PROTOCOL_VERSION
         assert _unhandled(caplog) == []
 
+    def test_job_the_kernel_cannot_run_is_answered_failed(
+            self, sock_dir, monkeypatch, caplog):
+        """A well-formed job that the daemon's ``soa`` kernel cannot
+        simulate is answered ``failed`` naming the cause, not
+        ``bad-request``, and the daemon serves on."""
+        from repro.accel.engine import soakernel
+        monkeypatch.setattr(soakernel, "_LIB", None)
+        monkeypatch.setenv(soakernel.CACHE_ENV_VAR, os.path.join(sock_dir,
+                                                                 "so"))
+        monkeypatch.setattr(soakernel, "_find_compiler", lambda: None)
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock):
+            with RemoteSession(sock) as remote:
+                with pytest.raises(ServeError, match=r"^\[failed\] soa "
+                                   r"kernel unavailable: no C compiler"):
+                    remote.sweep(_jobs("BFS"))
+                assert remote.ping().protocol == protocol.PROTOCOL_VERSION
+        assert _unhandled(caplog) == []
+
     def test_served_sliced_job_from_a_bad_source_is_answered(self,
                                                               sock_dir):
         """A sliced job from source -1 is refused with an ``error`` reply

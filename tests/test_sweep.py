@@ -335,7 +335,7 @@ class TestResultCache:
         assert restored is not None
         assert restored.to_dict() == stats.to_dict()
         assert cache.hits == 1 and cache.misses == 1
-        assert len(cache) == 1
+        assert len(cache.entries()) == 1
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -363,13 +363,6 @@ class TestResultCache:
         assert payload["key"] == key
         assert payload["provenance"]["job"] == "BFS/VT/HiGraph"
         assert payload["stats"]["algorithm"] == "BFS"
-
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        job = SweepJob(graph=SMALL, algorithm="BFS", config=higraph())
-        cache.put(job.cache_key(code_version()), execute_job(job))
-        assert cache.clear() == 1
-        assert len(cache) == 0
 
     # -- resident entries ------------------------------------------------
     @staticmethod
@@ -438,7 +431,7 @@ class TestResultCache:
             got.config_name = "changed"
         assert cache.get(key).to_dict() == stats.to_dict()
 
-    def test_gc_and_clear_forget_what_they_remove(self, tmp_path):
+    def test_gc_forgets_what_it_removes(self, tmp_path):
         import os
         cache = ResultCache(tmp_path)
         keys = [f"{i:02x}" + "0" * 62 for i in range(3)]
@@ -451,7 +444,7 @@ class TestResultCache:
         os.utime(cache._path(keys[0]), (1.0, 1.0))
         assert cache.gc(max_age_seconds=3600).removed == 1
         assert sorted(cache._resident) == keys[1:]
-        assert cache.clear() == 2
+        assert cache.gc(max_bytes=0).removed == 2
         assert cache._resident == {}
 
     def test_two_caches_racing_one_put_leave_one_entry(self, tmp_path):
@@ -896,13 +889,6 @@ class TestExecutor:
                   progress=lambda done, total, job: seen.append((done, total)))
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
-    def test_rows_merge_tags_and_metrics(self):
-        outcome = run_sweep(_jobs()[:2], num_workers=1)
-        rows = outcome.rows(metrics=("gteps",))
-        assert rows[0]["algorithm"] == "BFS"
-        assert rows[0]["config"] == "HiGraph"
-        assert rows[0]["gteps"] == outcome.stats[0].gteps
-
     def test_cacheless_sweep_simulates_each_key_once(self, monkeypatch):
         """Without a cache, a repeated job still runs once: it is filled
         from the first one's result and counts as a hit."""
@@ -1013,11 +999,21 @@ class TestSlicedJobs:
                              num_slices=4, offchip_bytes_per_cycle=128.0)
         assert sliced.cache_key(version) != sliced_bw.cache_key(version)
 
-    def test_invalid_slice_count_rejected(self, tiny_graph):
-        job = SweepJob(graph=tiny_graph, algorithm="PR", config=higraph(),
-                       num_slices=0)
-        with pytest.raises(SweepError):
+    def test_invalid_slice_count_rejected(self, monkeypatch):
+        """The slice count is refused before the job's graph is
+        generated, so a bad job leaves no graph in the memo."""
+        from repro.graph import datasets
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("the graph was generated")
+
+        monkeypatch.setattr(datasets, "load", no_load)
+        monkeypatch.setattr(executor, "_GRAPH_MEMO", {})
+        job = SweepJob(graph=GraphSpec("R14", 0.03), algorithm="PR",
+                       config=higraph(), num_slices=0)
+        with pytest.raises(SweepError, match="num_slices"):
             execute_job(job)
+        assert executor._GRAPH_MEMO == {}
 
     def test_sliced_job_round_trips_through_cache(self, tmp_path, tiny_graph):
         job = SweepJob(graph=tiny_graph, algorithm="PR",
@@ -1045,13 +1041,12 @@ class TestCacheGc:
         entries = cache.entries()
         assert len(entries) == 3
         assert [e.mtime for e in entries] == sorted(e.mtime for e in entries)
-        assert cache.total_bytes() == sum(e.size_bytes for e in entries)
 
     def test_gc_without_budgets_is_a_noop(self, tmp_path):
         cache = self._fill(tmp_path, 2)
         stats = cache.gc()
         assert (stats.scanned, stats.removed) == (2, 0)
-        assert len(cache) == 2
+        assert len(cache.entries()) == 2
 
     def test_gc_by_age_removes_only_old_entries(self, tmp_path):
         import os as _os
@@ -1061,7 +1056,7 @@ class TestCacheGc:
         stats = cache.gc(max_age_seconds=3600)
         assert stats.removed == 1
         assert stats.bytes_freed == old.size_bytes
-        assert len(cache) == 2
+        assert len(cache.entries()) == 2
         assert not old.path.exists()
 
     def test_gc_by_bytes_evicts_oldest_first(self, tmp_path):
@@ -1082,12 +1077,12 @@ class TestCacheGc:
         cache = self._fill(tmp_path, 2)
         stats = cache.gc(max_bytes=0, dry_run=True)
         assert stats.removed == 2
-        assert len(cache) == 2
+        assert len(cache.entries()) == 2
 
     def test_gc_prunes_empty_shard_dirs(self, tmp_path):
         cache = self._fill(tmp_path, 2)
         cache.gc(max_bytes=0)
-        assert len(cache) == 0
+        assert len(cache.entries()) == 0
         assert not any(p.is_dir() for p in cache.root.glob("*"))
 
     def test_gc_result_reusable_after_eviction(self, tmp_path):
