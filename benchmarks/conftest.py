@@ -1,7 +1,7 @@
 """Shared fixtures for the figure/table benchmark suite.
 
 Each bench builds its report section through
-:data:`repro.bench.regen.SECTIONS` — the description ``repro report``
+:data:`repro.bench.report.SECTIONS` — the description ``repro report``
 regenerates from — so a table written here is the table the report
 writes for the same results.  One session context runs every sweep;
 the Fig. 8/9 evaluation matrix and the Fig. 10(a)/(b) ablation sweep
@@ -46,7 +46,7 @@ def section(results_dir):
     ctx = RegenContext(session.sweep)
 
     def build(key: str) -> list[dict]:
-        rows, _accounting = SECTIONS[key].build(ctx)
+        rows, _accounting = ctx.build(SECTIONS[key])
         print("\n" + write_table(results_dir, key, rows))
         return rows
     return build

@@ -2,20 +2,18 @@
 into ``benchmarks/results/REPORT.md`` (runs last — files are collected
 alphabetically)."""
 
-import os
+from pathlib import Path
 
-from repro.bench import build_report, write_report
+from repro.bench import build_report
 
 
 def test_build_consolidated_report(results_dir):
-    out_path = os.path.join(results_dir, "REPORT.md")
     # no cache_dir on purpose: every table in this run was just emitted,
     # but entries land in the cache *while* earlier .txt already exist,
     # so a same-run staleness check would misfire.  Staleness belongs to
     # the `repro report` path, which rewrites .txt after the cache.
-    text = write_report(results_dir, out_path)
-    assert os.path.exists(out_path)
+    text = build_report(results_dir)
+    Path(results_dir, "REPORT.md").write_text(text, encoding="utf-8")
     assert text.startswith("# HiGraph reproduction")
     # at least the cheap, always-runnable sections must be present
-    produced = build_report(results_dir)
-    assert "Fig. 4" in produced
+    assert "Fig. 4" in text

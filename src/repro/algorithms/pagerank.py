@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import Algorithm
+from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 
 
@@ -28,6 +29,13 @@ class PageRank(Algorithm):
     process_op = "identity"
 
     def __init__(self, damping: float = 0.85, iterations: int = 10) -> None:
+        # refused here, so a bad value can neither run nor be cached
+        if not 0.0 <= damping <= 1.0:
+            raise ConfigError(
+                f"PageRank damping must be in [0, 1], got {damping}")
+        if iterations < 1:
+            raise ConfigError(
+                f"PageRank iterations must be >= 1, got {iterations}")
         self.damping = damping
         self.default_iterations = iterations
 

@@ -67,7 +67,6 @@ def run_reference(
     algorithm: Algorithm,
     source: int = 0,
     max_iterations: int | None = None,
-    trace: bool = True,
 ) -> ReferenceResult:
     """Run ``algorithm`` on ``graph`` to convergence (or the iteration bound).
 
@@ -108,8 +107,7 @@ def run_reference(
         # --- Apply phase ---------------------------------------------
         new_prop = algorithm.apply(prop, tprop, graph)
         changed = algorithm.activation_mask(prop, new_prop)
-        if trace:
-            result.iterations.append(IterationTrace(it, active, int(eidx.size)))
+        result.iterations.append(IterationTrace(it, active, int(eidx.size)))
         prop = new_prop
         active = np.nonzero(changed)[0].astype(np.int64)
         if algorithm.all_active and it + 1 >= max_iterations:

@@ -11,8 +11,6 @@ from repro._lazy import lazy_exports
 #: exported name -> defining module
 _EXPORTS = MappingProxyType({
     "matrix_jobs": "repro.bench.harness",
-    "matrix_from_outcome": "repro.bench.harness",
-    "MatrixResult": "repro.bench.harness",
     "paper_configs": "repro.bench.harness",
     "bench_scale": "repro.bench.harness",
     "bench_graph_spec": "repro.bench.harness",
@@ -28,13 +26,11 @@ _EXPORTS = MappingProxyType({
     "FIG11_GRAPHDYNS_CHANNELS": "repro.bench.figures",
     "FIG12_BUFFER_SIZES": "repro.bench.figures",
     "SEC54_RADICES": "repro.bench.figures",
-    "REPORT_SECTIONS": "repro.bench.report",
     "build_report": "repro.bench.report",
     "collect_results": "repro.bench.report",
     "section_status": "repro.bench.report",
-    "write_report": "repro.bench.report",
-    "SECTIONS": "repro.bench.regen",
-    "FIGURE_SECTIONS": "repro.bench.regen",
+    "SECTIONS": "repro.bench.report",
+    "FIGURE_SECTIONS": "repro.bench.report",
     "RegenReport": "repro.bench.regen",
     "regenerate": "repro.bench.regen",
     "resolve_sections": "repro.bench.regen",

@@ -3,8 +3,9 @@
 The paper's evaluation figures are bar/line charts; these helpers render
 the regenerated series as unicode bar charts, so ``repro sweep
 --figure`` and ``repro report --charts`` show the *shape* directly, not
-just rows.  Each section's chart is declared on its
-:class:`~repro.bench.regen.SectionSpec`.
+just rows.  A section's chart is a ``functools.partial`` of
+:func:`bar_chart` or :func:`series_chart` on its
+:class:`~repro.bench.report.SectionSpec`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ Each figure is split into a **planner** (``fig*_jobs`` — returns the
 a symbolic bench-scale :class:`~repro.sweep.jobs.GraphSpec`) and an
 **assembler** (``fig*_assemble`` — turns the finished
 :class:`~repro.sweep.executor.SweepOutcome` into plain row dicts).
-:data:`repro.bench.regen.SECTIONS` pairs them into report sections; the
+Figs. 8 and 9 share one planner, :func:`repro.bench.harness.matrix_jobs`.
+:data:`repro.bench.report.SECTIONS` pairs them into report sections; the
 report, ``repro sweep --figure`` and ``benchmarks/`` all build rows
 through it.
 """
@@ -13,6 +14,7 @@ through it.
 from __future__ import annotations
 
 from repro.accel.config import ablation, graphdyns, higraph
+from repro.accel.stats import SimStats
 from repro.algorithms import PAPER_ALGORITHMS
 from repro.bench.harness import (
     BENCH_PR_ITERATIONS,
@@ -59,6 +61,45 @@ LATENCY_CHAIN = GraphSpec("chain256")
 #: off-chip bandwidth (64 GB/s at the 1 GHz design point).
 SLICING_NUM_SLICES = 4
 SLICING_BYTES_PER_CYCLE = 64.0
+
+
+# ----------------------------------------------------------------------
+# Figs. 8 and 9 — the evaluation matrix (planner: harness.matrix_jobs)
+# ----------------------------------------------------------------------
+
+def _matrix_cells(outcome: SweepOutcome
+                  ) -> dict[tuple[str, str, str], SimStats]:
+    """(algorithm, dataset, config) -> stats of a finished matrix sweep."""
+    return {(job.tags["algorithm"], job.tags["graph"], job.tags["config"]):
+            stats for job, stats in zip(outcome.jobs, outcome.stats)}
+
+
+def fig8_assemble(outcome: SweepOutcome) -> list[dict]:
+    """Fig. 8: speedup of HiGraph-mini / HiGraph over GraphDynS."""
+    cell = _matrix_cells(outcome)
+    rows = []
+    for alg in PAPER_ALGORITHMS:
+        for ds in DATASET_ORDER:
+            base = cell[alg, ds, "GraphDynS"]
+            rows.append({
+                "algorithm": alg,
+                "dataset": ds,
+                "speedup_mini": cell[alg, ds, "HiGraph-mini"].speedup_over(base),
+                "speedup_higraph": cell[alg, ds, "HiGraph"].speedup_over(base),
+            })
+    return rows
+
+
+def fig9_assemble(outcome: SweepOutcome) -> list[dict]:
+    """Fig. 9: GTEPS for all three designs."""
+    cell = _matrix_cells(outcome)
+    return [{
+        "algorithm": alg,
+        "dataset": ds,
+        "graphdyns_gteps": cell[alg, ds, "GraphDynS"].gteps,
+        "mini_gteps": cell[alg, ds, "HiGraph-mini"].gteps,
+        "higraph_gteps": cell[alg, ds, "HiGraph"].gteps,
+    } for alg in PAPER_ALGORITHMS for ds in DATASET_ORDER]
 
 
 # ----------------------------------------------------------------------

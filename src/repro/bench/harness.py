@@ -13,10 +13,8 @@ default is ROADMAP item 4.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from repro.accel.config import AcceleratorConfig, graphdyns, higraph, higraph_mini
-from repro.accel.stats import SimStats
 from repro.algorithms import PAPER_ALGORITHMS
 from repro.errors import GenerationError
 from repro.graph.datasets import DATASET_ORDER, SCALE_ENV_VAR
@@ -73,44 +71,6 @@ def paper_configs() -> dict[str, AcceleratorConfig]:
     }
 
 
-@dataclass
-class MatrixResult:
-    """All (algorithm, dataset, config) runs of the Fig. 8/9 evaluation."""
-
-    stats: dict[tuple[str, str, str], SimStats]
-
-    def get(self, algorithm: str, dataset: str, config: str) -> SimStats:
-        return self.stats[(algorithm, dataset, config)]
-
-    def speedup_rows(self) -> list[dict]:
-        """Fig. 8: speedup of HiGraph-mini / HiGraph over GraphDynS."""
-        rows = []
-        for alg in PAPER_ALGORITHMS:
-            for ds in DATASET_ORDER:
-                base = self.get(alg, ds, "GraphDynS")
-                rows.append({
-                    "algorithm": alg,
-                    "dataset": ds,
-                    "speedup_mini": self.get(alg, ds, "HiGraph-mini").speedup_over(base),
-                    "speedup_higraph": self.get(alg, ds, "HiGraph").speedup_over(base),
-                })
-        return rows
-
-    def throughput_rows(self) -> list[dict]:
-        """Fig. 9: GTEPS for all three designs."""
-        rows = []
-        for alg in PAPER_ALGORITHMS:
-            for ds in DATASET_ORDER:
-                rows.append({
-                    "algorithm": alg,
-                    "dataset": ds,
-                    "graphdyns_gteps": self.get(alg, ds, "GraphDynS").gteps,
-                    "mini_gteps": self.get(alg, ds, "HiGraph-mini").gteps,
-                    "higraph_gteps": self.get(alg, ds, "HiGraph").gteps,
-                })
-        return rows
-
-
 def matrix_jobs(algorithms=PAPER_ALGORITHMS, datasets=DATASET_ORDER,
                 configs=None, source: int = 0):
     """The Fig. 8/9 evaluation matrix as a sweep job list."""
@@ -121,15 +81,6 @@ def matrix_jobs(algorithms=PAPER_ALGORITHMS, datasets=DATASET_ORDER,
         configs,
         source=source,
     )
-
-
-def matrix_from_outcome(outcome) -> MatrixResult:
-    """Index a finished matrix sweep by (algorithm, dataset, config)."""
-    stats: dict[tuple[str, str, str], SimStats] = {}
-    for job, result in zip(outcome.jobs, outcome.stats):
-        tags = job.tags
-        stats[(tags["algorithm"], tags["graph"], tags["config"])] = result
-    return MatrixResult(stats)
 
 
 # ----------------------------------------------------------------------

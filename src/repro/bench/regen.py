@@ -1,12 +1,12 @@
 """Cache-driven report regeneration: cache → figures → report, one call.
 
-Every section of the consolidated report
-(:data:`repro.bench.report.REPORT_SECTIONS`) is described once here
-(:data:`SECTIONS`): the sweep planner/assembler pair that produces its
-rows and the format of its table.  :func:`regenerate`, ``repro sweep
---figure`` and the ``benchmarks/`` suite all build rows with
-``SECTIONS[key].build(ctx)`` and render them with
-:meth:`SectionSpec.render`.  A section's jobs go through the one
+Every section of the consolidated report is described once, by its
+:class:`~repro.bench.report.SectionSpec` in
+:data:`~repro.bench.report.SECTIONS` (re-exported here): the planner
+and assembler that produce its rows and the format of its table.
+:func:`regenerate`, ``repro sweep --figure`` and the ``benchmarks/``
+suite all build rows with :meth:`RegenContext.build` and render them
+with :meth:`SectionSpec.render`.  A section's jobs go through the one
 ``sweep`` callable its caller passes (a session's ``sweep``, or the
 serve scheduler), so a **warm result cache regenerates the whole report
 with zero simulator invocations**; :func:`regenerate` then writes the
@@ -22,13 +22,13 @@ Two kinds of provenance are recorded:
   differs between runs and is written next to the report as
   ``REPORT.provenance.json`` and returned as :class:`RegenReport`.
 
-Shared sweeps are planned once: Fig. 8 and Fig. 9 read one evaluation
-matrix, Fig. 10(a) and 10(b) one ablation sweep.  Accounting for a
-shared sweep is charged to the first section that triggers it.  A
-caller that regenerates again and again at one ``$REPRO_SCALE`` (the
-serve daemon) passes a ``plans`` dict that outlives the call: each
-named sweep is then planned on the first call only, and its frozen
-jobs keep their cache keys from one call to the next.
+Sections that name one planner share its sweep: Fig. 8 and Fig. 9 read
+one evaluation matrix, Fig. 10(a) and 10(b) one ablation sweep.
+Accounting for a shared sweep is charged to the first section that
+triggers it.  A caller that regenerates again and again at one
+``$REPRO_SCALE`` (the serve daemon) passes a ``plans`` dict that
+outlives the call: each planner then runs on the first call only, and
+its frozen jobs keep their cache keys from one call to the next.
 """
 
 from __future__ import annotations
@@ -40,55 +40,18 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Callable
 
-from repro.bench.figures import (
-    combining_ablation_assemble,
-    combining_ablation_jobs,
-    fig10_assemble,
-    fig10_jobs,
-    fig11_assemble,
-    fig11_jobs,
-    fig12_assemble,
-    fig12_jobs,
-    latency_ablation_assemble,
-    latency_ablation_jobs,
-    sec54_radix_assemble,
-    sec54_radix_jobs,
-    slicing_assemble,
-    slicing_jobs,
-    table1_config_rows,
-    table2_dataset_rows,
+from repro.bench.harness import save_rows
+from repro.bench.report import (
+    FIGURE_SECTIONS,
+    SECTIONS,
+    SectionSpec,
+    build_report,
 )
-from repro.bench.harness import (
-    format_table,
-    matrix_from_outcome,
-    matrix_jobs,
-    save_rows,
-)
-from repro.bench.report import REPORT_SECTIONS, build_report
 from repro.errors import SweepError
 from repro.sweep import SweepOutcome, code_version, run_sweep
 
 #: A job list -> its :class:`SweepOutcome`, stats in job order.
 Sweep = Callable[[list], SweepOutcome]
-
-#: Figure-name shortcuts (CLI ``--figure`` / ``--section`` aliases) to
-#: report section keys.
-FIGURE_SECTIONS: dict[str, tuple[str, ...]] = {
-    "table1": ("table1_configs",),
-    "table2": ("table2_datasets",),
-    "fig4": ("fig04_crossbar_frequency",),
-    "fig7": ("fig07_memory_layout",),
-    "fig8": ("fig08_speedup",),
-    "fig9": ("fig09_throughput",),
-    "fig10": ("fig10a_opt_throughput", "fig10b_starvation"),
-    "fig11": ("fig11_scalability",),
-    "fig12": ("fig12_buffer_size",),
-    "radix": ("sec54_radix",),
-    "area": ("sec54_area_power",),
-    "slicing": ("discussion_slicing",),
-    "combining": ("ablation_combining",),
-    "latency": ("ablation_latency",),
-}
 
 
 class RegenContext:
@@ -100,28 +63,31 @@ class RegenContext:
     """
 
     def __init__(self, sweep: Sweep = run_sweep,
-                 plans: dict[str, list] | None = None) -> None:
+                 plans: dict[Callable, list] | None = None) -> None:
         self.run = sweep
-        #: sweep name -> planned job list; filled here, and kept by a
+        #: planner -> planned job list; filled here, and kept by a
         #: caller that passes the same dict to every pass at one scale
         self.plans = {} if plans is None else plans
-        self._outcomes: dict[str, object] = {}
+        self._outcomes: dict[Callable, SweepOutcome] = {}
 
-    def sweep(self, name: str, jobs_fn: Callable[[], list]):
-        """Run (or reuse) one named sweep; returns (outcome, charged)."""
-        outcome = self._outcomes.get(name)
+    def build(self, spec: SectionSpec) -> tuple[list[dict], dict]:
+        """``(rows, accounting)`` of one section.  A planner's sweep
+        runs once per pass; the first section to name it is charged."""
+        if spec.plan is None:
+            return spec.rows(), _accounting(None)
+        outcome = self._outcomes.get(spec.plan)
         if outcome is not None:
-            return outcome, False
-        jobs = self.plans.get(name)
+            return spec.rows(outcome), _accounting(None)
+        jobs = self.plans.get(spec.plan)
         if jobs is None:
-            jobs = self.plans[name] = jobs_fn()
-        outcome = self.run(jobs)
-        self._outcomes[name] = outcome
-        return outcome, True
+            jobs = self.plans[spec.plan] = spec.plan()
+        outcome = self._outcomes[spec.plan] = self.run(jobs)
+        return spec.rows(outcome), _accounting(outcome)
 
 
-def _accounting(outcome=None, charged: bool = False) -> dict:
-    if outcome is None or not charged:
+def _accounting(outcome: SweepOutcome | None) -> dict:
+    """A section's share of the sweep work: ``outcome``'s, or none."""
+    if outcome is None:
         return {"jobs": 0, "cache_hits": 0, "cache_misses": 0,
                 "executed": 0, "sim_seconds": 0.0, "job_seconds": []}
     return {
@@ -132,207 +98,6 @@ def _accounting(outcome=None, charged: bool = False) -> dict:
         "sim_seconds": round(sum(outcome.job_seconds), 6),
         "job_seconds": [round(s, 6) for s in outcome.job_seconds],
     }
-
-
-# ----------------------------------------------------------------------
-# Section builders: ctx -> (rows, accounting)
-# ----------------------------------------------------------------------
-
-def _build_table1(ctx):
-    return table1_config_rows(), _accounting()
-
-
-def _build_table2(ctx):
-    return table2_dataset_rows(), _accounting()
-
-
-def _build_fig4(ctx):
-    from repro.hw import fig4_rows
-    return fig4_rows(), _accounting()
-
-
-def _build_fig7(ctx):
-    from repro.accel.config import fig7_layout
-    return fig7_layout(), _accounting()
-
-
-def _build_fig8(ctx):
-    outcome, charged = ctx.sweep("matrix", matrix_jobs)
-    return matrix_from_outcome(outcome).speedup_rows(), \
-        _accounting(outcome, charged)
-
-
-def _build_fig9(ctx):
-    outcome, charged = ctx.sweep("matrix", matrix_jobs)
-    return matrix_from_outcome(outcome).throughput_rows(), \
-        _accounting(outcome, charged)
-
-
-def _build_fig10(ctx):
-    outcome, charged = ctx.sweep("fig10", fig10_jobs)
-    return fig10_assemble(outcome), _accounting(outcome, charged)
-
-
-def _build_fig11(ctx):
-    outcome, charged = ctx.sweep("fig11", fig11_jobs)
-    return fig11_assemble(outcome), _accounting(outcome, charged)
-
-
-def _build_fig12(ctx):
-    outcome, charged = ctx.sweep("fig12", fig12_jobs)
-    return fig12_assemble(outcome), _accounting(outcome, charged)
-
-
-def _build_radix(ctx):
-    outcome, charged = ctx.sweep("radix", sec54_radix_jobs)
-    return sec54_radix_assemble(outcome), _accounting(outcome, charged)
-
-
-def _build_area(ctx):
-    from repro.hw import sec54_rows
-    return sec54_rows(), _accounting()
-
-
-def _build_slicing(ctx):
-    outcome, charged = ctx.sweep("slicing", slicing_jobs)
-    return slicing_assemble(outcome), _accounting(outcome, charged)
-
-
-def _build_combining(ctx):
-    outcome, charged = ctx.sweep("combining", combining_ablation_jobs)
-    return combining_ablation_assemble(outcome), _accounting(outcome, charged)
-
-
-def _build_latency(ctx):
-    outcome, charged = ctx.sweep("latency", latency_ablation_jobs)
-    return latency_ablation_assemble(outcome), _accounting(outcome, charged)
-
-
-@dataclass(frozen=True)
-class SectionSpec:
-    """How one report section regenerates and formats.
-
-    ``build(ctx)`` returns ``(rows, accounting)``; ``table_title``,
-    ``columns`` and ``floatfmt`` are how :meth:`render` formats the
-    rows.  ``chart`` (optional) renders the rows as the section's
-    unicode chart for ``repro report --charts`` and ``repro sweep
-    --figure``.
-    """
-
-    key: str
-    build: Callable
-    table_title: str
-    columns: tuple[str, ...] | None = None
-    floatfmt: str = ".2f"
-    #: section rides the sweep engine (its rows come from cached sims)
-    simulated: bool = True
-    #: rows -> unicode chart text (``bench/charts.py``), or None
-    chart: Callable | None = None
-
-    def render(self, rows: list[dict]) -> str:
-        """The section's table text, as its ``.txt`` file holds it."""
-        return format_table(
-            rows, columns=list(self.columns) if self.columns else None,
-            title=self.table_title, floatfmt=self.floatfmt)
-
-
-# -- chart builders (repro report --charts, repro sweep --figure) ------
-# One bar/series shape per section whose rows have a natural chart.
-
-def _chart_fig4(rows):
-    from repro.bench.charts import bar_chart
-    return bar_chart(rows, "ports", "frequency_ghz",
-                     title="crossbar frequency (GHz) vs ports")
-
-
-def _chart_fig8(rows):
-    from repro.bench.charts import bar_chart
-    return bar_chart(rows, "dataset", "speedup_higraph",
-                     group_key="algorithm",
-                     title="HiGraph speedup over GraphDynS")
-
-
-def _chart_fig9(rows):
-    from repro.bench.charts import bar_chart
-    return bar_chart(rows, "dataset", "higraph_gteps",
-                     group_key="algorithm", title="HiGraph GTEPS")
-
-
-def _chart_fig10a(rows):
-    from repro.bench.charts import bar_chart
-    return bar_chart(rows, "step", "gteps", group_key="algorithm",
-                     title="GTEPS per optimization step")
-
-
-def _chart_fig10b(rows):
-    from repro.bench.charts import bar_chart
-    return bar_chart(rows, "step", "starvation_cycles",
-                     group_key="algorithm",
-                     title="vPE starvation cycles per optimization step")
-
-
-def _chart_fig11(rows):
-    from repro.bench.charts import series_chart
-    return series_chart(rows, "back_channels", "gteps", "design",
-                        title="GTEPS vs back-end channels")
-
-
-def _chart_fig12(rows):
-    from repro.bench.charts import series_chart
-    return series_chart(rows, "buffer_entries", "gteps", "design",
-                        title="GTEPS vs per-channel buffer entries")
-
-
-def _chart_radix(rows):
-    from repro.bench.charts import bar_chart
-    return bar_chart(rows, "radix", "gteps", title="GTEPS per radix")
-
-
-_SECTION_SPECS = (
-    SectionSpec("table1_configs", _build_table1,
-                "Table 1: configurations", simulated=False),
-    SectionSpec("table2_datasets", _build_table2,
-                "Table 2: benchmark datasets", floatfmt=".4g", simulated=False),
-    SectionSpec("fig04_crossbar_frequency", _build_fig4,
-                "Fig. 4: frequency vs crossbar ports", floatfmt=".3f",
-                simulated=False, chart=_chart_fig4),
-    SectionSpec("fig07_memory_layout", _build_fig7,
-                "Fig. 7: on-chip memory layout", simulated=False),
-    SectionSpec("fig08_speedup", _build_fig8,
-                "Fig. 8: speedup over GraphDynS", chart=_chart_fig8),
-    SectionSpec("fig09_throughput", _build_fig9,
-                "Fig. 9: throughput (GTEPS)", chart=_chart_fig9),
-    SectionSpec("fig10a_opt_throughput", _build_fig10,
-                "Fig. 10(a): effect of optimizations on throughput (R14)",
-                chart=_chart_fig10a),
-    SectionSpec("fig10b_starvation", _build_fig10,
-                "Fig. 10(b): vPE starvation cycles (R14)",
-                columns=("algorithm", "step", "starvation_cycles"),
-                floatfmt=".0f", chart=_chart_fig10b),
-    SectionSpec("fig11_scalability", _build_fig11,
-                "Fig. 11: throughput vs back-end channels (PR, R14)",
-                chart=_chart_fig11),
-    SectionSpec("fig12_buffer_size", _build_fig12,
-                "Fig. 12: throughput vs FIFO buffer size (PR, R14)",
-                chart=_chart_fig12),
-    SectionSpec("sec54_radix", _build_radix,
-                "Sec. 5.4: radix design option (PR, R14)", floatfmt=".3f",
-                chart=_chart_radix),
-    SectionSpec("sec54_area_power", _build_area,
-                "Sec. 5.4: area and power of the propagation site",
-                floatfmt=".3f", simulated=False),
-    SectionSpec("discussion_slicing", _build_slicing,
-                "Sec. 5.3: sliced execution with double buffering (PR, R14)",
-                floatfmt=".1f"),
-    SectionSpec("ablation_combining", _build_combining,
-                "Ablation: vertex coalescing at the propagation site (PR, R14)"),
-    SectionSpec("ablation_latency", _build_latency,
-                "Ablation: trading latency for throughput (Sec. 2.2)"),
-)
-
-#: Section key -> spec, in report order.  Covers every REPORT_SECTIONS
-#: key (asserted by the test suite).
-SECTIONS: dict[str, SectionSpec] = {s.key: s for s in _SECTION_SPECS}
 
 
 def write_table(results_dir: str, key: str, rows: list[dict]) -> str:
@@ -350,7 +115,7 @@ def resolve_sections(names=None) -> list[str]:
     :class:`~repro.errors.SweepError` listing what is accepted.
     """
     if not names:
-        return [key for key, _ in REPORT_SECTIONS]
+        return list(SECTIONS)
     wanted: set[str] = set()
     for name in names:
         name = str(name).strip()
@@ -363,7 +128,7 @@ def resolve_sections(names=None) -> list[str]:
             raise SweepError(
                 f"unknown report section {name!r}; known sections/aliases: "
                 f"{', '.join(known)}")
-    return [key for key, _ in REPORT_SECTIONS if key in wanted]
+    return [key for key in SECTIONS if key in wanted]
 
 
 @dataclass
@@ -418,7 +183,7 @@ def regenerate(results_dir: str, sections=None, sweep: Sweep = run_sweep,
                report_path: str | None = None,
                progress: Callable[[dict], None] | None = None,
                charts: bool = False,
-               plans: dict[str, list] | None = None) -> RegenReport:
+               plans: dict[Callable, list] | None = None) -> RegenReport:
     """Regenerate section tables and the consolidated report from cache.
 
     Renders each selected section's ``.txt`` under ``results_dir`` (rows
@@ -431,7 +196,7 @@ def regenerate(results_dir: str, sections=None, sweep: Sweep = run_sweep,
     chart also render it as ``<key>.chart.txt`` and REPORT.md embeds
     the charts under the tables (same rows, so cold and warm runs stay
     byte-identical).  ``progress``, if given, is called with each
-    finished section record.  ``plans`` (sweep name -> job list) is read
+    finished section record.  ``plans`` (planner -> job list) is read
     for sweeps planned before and filled with the ones planned now; the
     caller must pass it only to calls under the same ``$REPRO_SCALE``.
     """
@@ -445,7 +210,7 @@ def regenerate(results_dir: str, sections=None, sweep: Sweep = run_sweep,
     for key in keys:
         spec = SECTIONS[key]
         t0 = time.perf_counter()
-        rows, acct = spec.build(ctx)
+        rows, acct = ctx.build(spec)
         built[key] = rows
         record = {"section": key, "rows": len(rows), "simulated": spec.simulated,
                   "wall_seconds": round(time.perf_counter() - t0, 6), **acct}
@@ -478,7 +243,7 @@ def regenerate(results_dir: str, sections=None, sweep: Sweep = run_sweep,
         provenance={
             "code version": version,
             "sections regenerated":
-                f"{len(records)} of {len(REPORT_SECTIONS)}",
+                f"{len(records)} of {len(SECTIONS)}",
             "sweep jobs planned": str(sum(r["jobs"] for r in records)),
             "run accounting": f"`{os.path.basename(provenance_path)}` "
                               "(hits/misses and wall times vary per run)",

@@ -349,7 +349,7 @@ def _cmd_sweep_figure(args) -> int:
         executed = hits = planned = 0
         for key in keys:
             spec = SECTIONS[key]
-            rows, acct = spec.build(ctx)
+            rows, acct = ctx.build(spec)
             print(spec.render(rows))
             if spec.chart is not None:
                 print(spec.chart(rows))

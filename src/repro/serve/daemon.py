@@ -29,7 +29,7 @@ The report endpoint reuses :func:`repro.bench.regen.regenerate`
 verbatim, with the scheduler as its ``sweep`` — section sweeps go
 through the same dedup/job-pool path as served sweeps, and a warm cache
 regenerates every section with zero simulations.  It also keeps each
-section sweep's planned job list resident for the ``$REPRO_SCALE`` in
+section planner's job list resident for the ``$REPRO_SCALE`` in
 force (the most recent scale only), so a repeated report neither plans
 nor derives a cache key again: the frozen jobs keep their keys.  What changes between
 requests, each result's cache entry, is still read through
@@ -103,9 +103,9 @@ class ServeDaemon:
         # the (process-global) environment; serialize them so two
         # concurrent reports cannot see each other's scale
         self._regen_lock = threading.Lock()
-        #: $REPRO_SCALE -> {sweep name: planned jobs}, for the most
+        #: $REPRO_SCALE -> {planner: planned jobs}, for the most
         #: recent scale only; read and replaced under _regen_lock
-        self._plans: dict[str | None, dict[str, list]] = {}
+        self._plans: dict[str | None, dict] = {}
 
     # ------------------------------------------------------------------
     async def run(self, on_started=None) -> None:

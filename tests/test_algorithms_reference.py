@@ -129,6 +129,19 @@ class TestSemantics:
         res = run_reference(chain(10), BFS(), source=0, max_iterations=2)
         assert res.num_iterations == 2
 
+    @pytest.mark.parametrize("kwargs, problem", [
+        ({"iterations": 0}, "iterations must be >= 1, got 0"),
+        ({"iterations": -3}, "iterations must be >= 1, got -3"),
+        ({"damping": 1.5}, "damping must be in [0, 1], got 1.5"),
+        ({"damping": -0.1}, "damping must be in [0, 1], got -0.1"),
+        ({"damping": float("nan")}, "damping must be in [0, 1], got nan"),
+    ])
+    def test_pagerank_refuses_parameters_it_cannot_run(self, kwargs,
+                                                       problem):
+        with pytest.raises(ConfigError) as info:
+            PageRank(**kwargs)
+        assert problem in str(info.value)
+
     def test_unreachable_stays_infinite(self):
         g = CSRGraph.from_edges(3, [(0, 1)])
         res = run_reference(g, BFS(), source=0)

@@ -8,16 +8,14 @@ from repro.bench import (
     BENCH_PR_ITERATIONS,
     DEFAULT_BENCH_SCALES,
     FIG12_BUFFER_SIZES,
-    REPORT_SECTIONS,
+    SECTIONS,
     bench_graph_spec,
     bench_scale,
     build_report,
     collect_results,
     format_table,
-    matrix_from_outcome,
     matrix_jobs,
     paper_configs,
-    write_report,
 )
 from repro.bench.figures import (
     FIGURE_DATASET,
@@ -31,7 +29,7 @@ from repro.bench.figures import (
     slicing_jobs,
 )
 from repro.bench.harness import bench_algorithm_entry
-from repro.bench.regen import SECTIONS, RegenContext
+from repro.bench.regen import RegenContext
 from repro.errors import GenerationError
 from repro.graph import DATASET_ORDER, chain
 from repro.graph.datasets import SCALE_ENV_VAR
@@ -39,8 +37,10 @@ from repro.sweep import run_sweep
 
 
 def _matrix(jobs=1, cache=None, **kw):
-    return matrix_from_outcome(
-        run_sweep(matrix_jobs(**kw), num_workers=jobs, cache=cache))
+    """(algorithm, dataset, config) -> stats of a swept matrix."""
+    outcome = run_sweep(matrix_jobs(**kw), num_workers=jobs, cache=cache)
+    return {(job.tags["algorithm"], job.tags["graph"], job.tags["config"]):
+            stats for job, stats in zip(outcome.jobs, outcome.stats)}
 
 
 class TestHarness:
@@ -79,7 +79,7 @@ class TestHarness:
     def test_matrix_jobs_tiny(self):
         matrix = _matrix(algorithms=("BFS",), datasets=("VT",),
                          configs={"HiGraph": higraph()})
-        stats = matrix.get("BFS", "VT", "HiGraph")
+        stats = matrix["BFS", "VT", "HiGraph"]
         assert stats.edges_processed > 0
         assert stats.gteps > 0
 
@@ -91,14 +91,14 @@ class TestHarness:
         parallel = _matrix(jobs=2, **kw)
         cached_cold = _matrix(cache=tmp_path / "cache", **kw)
         cached_warm = _matrix(cache=tmp_path / "cache", **kw)
-        for key, stats in serial.stats.items():
+        for key, stats in serial.items():
             for other in (parallel, cached_cold, cached_warm):
-                assert other.stats[key].to_dict() == stats.to_dict(), key
+                assert other[key].to_dict() == stats.to_dict(), key
 
     def test_matrix_jobs_use_bench_pr_iterations(self):
         matrix = _matrix(algorithms=("PR",), datasets=("VT",),
                          configs={"HiGraph": higraph()})
-        assert matrix.get("PR", "VT", "HiGraph").iterations == BENCH_PR_ITERATIONS
+        assert matrix["PR", "VT", "HiGraph"].iterations == BENCH_PR_ITERATIONS
 
 
 class TestFormatting:
@@ -123,7 +123,7 @@ class TestFigureRunners:
     @pytest.fixture()
     def build(self, monkeypatch):
         monkeypatch.setenv(SCALE_ENV_VAR, "0.01")
-        return lambda key: SECTIONS[key].build(RegenContext())[0]
+        return lambda key: RegenContext().build(SECTIONS[key])[0]
 
     def test_fig11_rows_structure(self, build):
         rows = build("fig11_scalability")
@@ -187,17 +187,16 @@ class TestReport:
         assert "fake table" in report
         assert "Missing sections" in report   # the rest not produced
 
-    def test_write_report(self, tmp_path):
+    def test_report_of_every_section(self, tmp_path):
         results = tmp_path / "results"
         results.mkdir()
-        for key, _ in REPORT_SECTIONS:
+        for key in SECTIONS:
             (results / f"{key}.txt").write_text(f"{key} data\n")
-        out = tmp_path / "report.md"
-        text = write_report(str(results), str(out))
-        assert out.read_text() == text
+        text = build_report(str(results))
         assert "Missing sections" not in text
-        for _, title in REPORT_SECTIONS:
-            assert title in text
+        headings = [line[3:] for line in text.splitlines()
+                    if line.startswith("## ")]
+        assert headings == [spec.heading for spec in SECTIONS.values()]
 
     def test_empty_results_dir(self, tmp_path):
         report = build_report(str(tmp_path))

@@ -16,7 +16,7 @@ import pytest
 import repro.graph.datasets as datasets_mod
 import repro.sweep.executor as executor_mod
 from repro.api import LocalSession
-from repro.bench import REPORT_SECTIONS, bench_graph_spec, table1_config_rows
+from repro.bench import bench_graph_spec, table1_config_rows
 from repro.bench.regen import (
     FIGURE_SECTIONS,
     SECTIONS,
@@ -57,16 +57,13 @@ def _forbid_simulation(monkeypatch):
 # ----------------------------------------------------------------------
 
 class TestRegistry:
-    def test_sections_cover_every_report_section(self):
-        assert list(SECTIONS) == [key for key, _ in REPORT_SECTIONS]
-
     def test_every_section_reachable_by_alias(self):
         reachable = {key for keys in FIGURE_SECTIONS.values() for key in keys}
         assert reachable == set(SECTIONS)
 
     def test_resolve_defaults_to_all(self):
-        assert resolve_sections(None) == [key for key, _ in REPORT_SECTIONS]
-        assert resolve_sections([]) == [key for key, _ in REPORT_SECTIONS]
+        assert resolve_sections(None) == list(SECTIONS)
+        assert resolve_sections([]) == list(SECTIONS)
 
     def test_resolve_mixes_keys_and_aliases_in_report_order(self):
         got = resolve_sections(["fig10", "table1_configs", "fig8"])
@@ -87,7 +84,7 @@ class TestColdWarm:
         results = tmp_path / "results"
         cache = tmp_path / "cache"
 
-        cold = _regenerate(results, cache)
+        cold = _regenerate(results, cache, charts=True)
         assert cold.total_jobs > 0
         assert cold.executed > 0
         # every unique cell simulated exactly once; the only cold-run
@@ -97,12 +94,19 @@ class TestColdWarm:
         assert cold.cache_hits < cold.total_jobs
         cold_report = (results / "REPORT.md").read_bytes()
         cold_tables = {key: (results / f"{key}.txt").read_bytes()
-                       for key, _ in REPORT_SECTIONS}
-        # every section made it into the consolidated report
+                       for key in SECTIONS}
+        # every section made it into the consolidated report, and every
+        # declared chart was drawn from its rows and embedded under it
         text = cold_report.decode("utf-8")
-        for _key, title in REPORT_SECTIONS:
-            assert title in text
+        for spec in SECTIONS.values():
+            assert f"## {spec.heading}\n" in text
         assert "Missing sections" not in text
+        charted = [key for key, spec in SECTIONS.items() if spec.chart]
+        assert sorted(p.name for p in results.glob("*.chart.txt")) == \
+            sorted(f"{key}.chart.txt" for key in charted)
+        for key in charted:
+            chart = (results / f"{key}.chart.txt").read_text()
+            assert f"```\n{chart}```\n" in text, key
 
         # warm pass: same config, but the simulator is now off limits,
         # and so is building a graph: Table 2 sizes are closed-form and
@@ -117,12 +121,12 @@ class TestColdWarm:
             return real_load(*args, **kwargs)
 
         monkeypatch.setattr(datasets_mod, "load", counting_load)
-        warm = _regenerate(results, cache)
+        warm = _regenerate(results, cache, charts=True)
 
         assert warm.executed == 0 and loaded == []
         assert warm.cache_hits == warm.total_jobs == cold.total_jobs
         assert (results / "REPORT.md").read_bytes() == cold_report
-        for key, _ in REPORT_SECTIONS:
+        for key in SECTIONS:
             assert (results / f"{key}.txt").read_bytes() == cold_tables[key], key
 
     def test_provenance_sidecar_accounts_for_the_run(self, tmp_path, tiny_scale):
@@ -257,7 +261,7 @@ class TestRowBuilders:
         from repro.algorithms import BFS, PageRank
         from repro.graph import chain
 
-        rows, _ = SECTIONS["ablation_latency"].build(RegenContext())
+        rows, _ = RegenContext().build(SECTIONS["ablation_latency"])
         expected = []
         latency_graph = chain(256)
         r14 = bench_graph_spec("R14").load()
@@ -277,7 +281,7 @@ class TestRowBuilders:
         from repro.algorithms import PageRank
         from repro.graph import partition_by_destination
 
-        rows, _ = SECTIONS["discussion_slicing"].build(RegenContext())
+        rows, _ = RegenContext().build(SECTIONS["discussion_slicing"])
         g = bench_graph_spec("R14").load()
         slices = partition_by_destination(g, 4)
         sim = SlicedAcceleratorSim(higraph(), g, PageRank(iterations=2),

@@ -75,6 +75,8 @@ class TestCommands:
             (["simulate", "--algorithm", "FOO"], "unknown algorithm 'FOO'"),
             (["simulate", "--scale", "0"], "scale must be in (0, 1], got 0.0"),
             (["simulate", "--scale", "2"], "scale must be in (0, 1], got 2.0"),
+            (["simulate", "--algorithm", "PR", "--pr-iterations", "0"],
+             "PageRank iterations must be >= 1, got 0"),
             (["netlist", "--channels", "3"], "3 is not a power of 2"),
             (["netlist", "--radix", "3"], "16 is not a power of 3"),
             (["netlist", "--depth", "0"], "fifo_depth and data_width must"),
@@ -96,6 +98,9 @@ class TestCommands:
              "--axis expects FIELD=V1,V2,..., got 'fifo_depth'"),
             (["sweep", "--figure", "fig8", "--scale", "0.1"],
              "--scale cannot apply"),
+            (["sweep", "--datasets", "VT", "--scale", "0.03", "--algorithms",
+              "PR", "--pr-iterations", "-3", "--cache-dir", "{tmp}"],
+             "PageRank iterations must be >= 1, got -3"),
             (["serve"], "--socket PATH is required to start a daemon"),
             (["serve", "reload"], "reload: --connect SOCKET is required"),
             (["cache", "info", "--cache-dir", "{tmp}/gone"],

@@ -445,6 +445,24 @@ class TestFailedRequests:
                 assert remote.ping().protocol == protocol.PROTOCOL_VERSION
         assert _unhandled(caplog) == []
 
+    def test_pagerank_job_it_cannot_run_is_a_bad_request(self, sock_dir,
+                                                         caplog):
+        """A served job whose ``algorithm_kwargs`` PageRank refuses is
+        answered ``bad-request`` naming the value, and caches nothing."""
+        job = SweepJob(graph=GraphSpec("VT", scale=0.03), algorithm="PR",
+                       algorithm_kwargs={"iterations": 0}, config=higraph())
+        cache_dir = os.path.join(sock_dir, "c")
+        sock = os.path.join(sock_dir, "d.sock")
+        with serve_in_thread(sock, cache_dir=cache_dir):
+            with RemoteSession(sock) as remote:
+                with pytest.raises(ServeError, match=r"^\[bad-request\] "
+                                   r"PageRank iterations must be >= 1, "
+                                   r"got 0$"):
+                    remote.sweep([job])
+                assert remote.ping().protocol == protocol.PROTOCOL_VERSION
+        assert _unhandled(caplog) == []
+        assert glob.glob(os.path.join(cache_dir, "*", "*.json")) == []
+
     def test_served_sliced_job_from_a_bad_source_is_answered(self,
                                                               sock_dir):
         """A sliced job from source -1 is refused with an ``error`` reply
@@ -813,14 +831,12 @@ def _spy(monkeypatch, owner, name, calls):
 
 
 def _spy_planning(monkeypatch):
-    """(planner calls, key payloads built): every section planner the
-    regeneration looks up, and the graph fingerprints ``SweepJob``
-    takes, one per cache-key payload."""
-    from repro.bench import regen
+    """(jobs planned, key payloads built): one entry per ``SweepJob``
+    constructed, whichever planner builds it, and the graph
+    fingerprints ``SweepJob`` takes, one per cache-key payload."""
     from repro.sweep import jobs as jobs_mod
     planned, keyed = [], []
-    for name in [n for n in vars(regen) if n.endswith("_jobs")]:
-        _spy(monkeypatch, regen, name, planned)
+    _spy(monkeypatch, jobs_mod.SweepJob, "__init__", planned)
     _spy(monkeypatch, jobs_mod, "graph_fingerprint", keyed)
     return planned, keyed
 
@@ -863,7 +879,7 @@ class TestResidentPlans:
                 monkeypatch.setenv("REPRO_SCALE", "0.03")
                 remote.report(tmp_path / "b", sections=PLAN_SECTIONS)
             assert list(daemon._plans) == ["0.03"]   # the latest scale only
-        assert planned == ["sec54_radix_jobs", "latency_ablation_jobs"]
+        assert len(planned) == 7       # radix plans 3 jobs, latency 4
         with LocalSession() as local:
             local.report(tmp_path / "local", sections=PLAN_SECTIONS)
         for name in ("REPORT.md", "sec54_radix.txt", "ablation_latency.txt"):
